@@ -6,9 +6,9 @@ Standalone (no pytest) so CI and future PRs can diff keyed timings:
     python benchmarks/run_quick.py
 
 Keys: the vectorized vs per-row 50k x 50k key join, a 500k-row
-group-by, the optimizer on/off prune-heavy workload, the compiled
-expression-stage pipeline vs the interpreter (plus 2-thread morsel
-scaling), the out-of-core order_by under a memory budget (peak bytes
+group-by, the optimizer on/off prune-heavy workload, the fused
+expression-stage pipeline with its 2-thread morsel scaling, the
+out-of-core order_by under a memory budget (peak bytes
 + spill slowdown), the trace-based autograd fuser's replayed ConvLSTM
 step vs the eager step, incremental streaming maintenance (delta
 aggregates + in-place grid-tensor updates) vs full recomputation at
@@ -537,22 +537,16 @@ def bench_traced_convlstm() -> dict:
 
 
 def bench_expr_pipeline(n: int = 400_000, parts: int = 8) -> dict:
-    """Compiled-stage execution on a fused Filter -> Project ->
-    WithColumn pipeline, plus morsel-parallel scaling.
+    """A fused Filter -> Project -> WithColumn stage, serial and
+    morsel-parallel.
 
-    Keys (gated by scripts/diff_bench.py):
-
-    - ``expr_pipeline_speedup`` — one fused CompiledStage (postfix
-      programs, pooled scratch, selection-vector compaction) vs the
-      tree-walking interpreter (``Session(compile=False)``), same
-      plan, interleaved best-of-N.  Results are asserted bit-identical
-      before timing.
-    - ``parallel_scaling_2t`` — serial wall time over
-      ``Session(parallelism=2)`` wall time for the same pipeline.  On
-      a multi-core host numpy ufuncs release the GIL and this exceeds
-      1; on a single-core container thread switching makes it ~1.0 or
-      slightly below — the honest measured value is recorded either
-      way.
+    ``parallel_scaling_2t`` (gated by scripts/diff_bench.py) is serial
+    wall time over ``Session(parallelism=2)`` wall time for the same
+    pipeline, interleaved best-of-N, results asserted bit-identical
+    before timing.  On a multi-core host numpy ufuncs release the GIL
+    and this exceeds 1; on a single-core container thread switching
+    makes it ~1.0 or slightly below — the honest measured value is
+    recorded either way.
     """
     rng = np.random.default_rng(17)
     data = {
@@ -570,19 +564,17 @@ def bench_expr_pipeline(n: int = 400_000, parts: int = 8) -> dict:
             .select("a", "x", "y")
         )
 
-    compiled_df = pipeline(Session(default_parallelism=parts))
-    interp_df = pipeline(Session(default_parallelism=parts, compile=False))
+    serial_df = pipeline(Session(default_parallelism=parts))
     two_df = pipeline(Session(default_parallelism=parts, parallelism=2))
 
-    # Bit-identity across all three paths (doubles as warmup).
-    ref = interp_df.to_columns()
-    for candidate in (compiled_df, two_df):
-        out = candidate.to_columns()
-        for name in ref:
-            assert out[name].dtype == ref[name].dtype
-            assert np.array_equal(out[name], ref[name]), (
-                "compiled pipeline diverged from the interpreter"
-            )
+    # Bit-identity of the two modes (doubles as warmup).
+    ref = serial_df.to_columns()
+    out = two_df.to_columns()
+    for name in ref:
+        assert out[name].dtype == ref[name].dtype
+        assert np.array_equal(out[name], ref[name]), (
+            "morsel-parallel pipeline diverged from serial"
+        )
 
     def drain(df) -> float:
         started = time.perf_counter()
@@ -592,19 +584,16 @@ def bench_expr_pipeline(n: int = 400_000, parts: int = 8) -> dict:
 
     with obs.disabled():  # measure the engine, not the metering
         repeats = 7
-        compiled_s = interp_s = two_thread_s = float("inf")
+        serial_s = two_thread_s = float("inf")
         for _ in range(repeats):
-            compiled_s = min(compiled_s, drain(compiled_df))
-            interp_s = min(interp_s, drain(interp_df))
+            serial_s = min(serial_s, drain(serial_df))
             two_thread_s = min(two_thread_s, drain(two_df))
 
     return {
         "expr_pipeline_rows": n,
-        "expr_pipeline_compiled_s": compiled_s,
-        "expr_pipeline_interpreted_s": interp_s,
-        "expr_pipeline_speedup": interp_s / compiled_s,
+        "expr_pipeline_compiled_s": serial_s,
         "expr_pipeline_2t_s": two_thread_s,
-        "parallel_scaling_2t": compiled_s / two_thread_s,
+        "parallel_scaling_2t": serial_s / two_thread_s,
         # Context for the scaling number: >1 needs >1 core.
         "parallel_scaling_cpu_count": os.cpu_count(),
     }

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Repo health check, nine gates:
+# Repo health check, ten gates:
 #   1. lint: ruff check (config in pyproject.toml); skipped with a
 #      note when ruff is not installed in the environment
 #   2. tier-1: the full test suite (what the roadmap pins)
 #   3. fast lane: unit tests minus anything marked slow
 #   4. spill lane: the spill suites again under a forced
-#      REPRO_TEST_MEMORY_BUDGET, so the out-of-core operator paths
-#      run even where a test forgot to pass memory_budget=
+#      REPRO_TEST_MEMORY_BUDGET (read by tests/conftest.py, which hands
+#      the budget to every Session a test builds without one), so the
+#      over-budget branches of the materializing operators run even
+#      where a test forgot to pass memory_budget=
 #   5. traced lane: the training + trace suites again under a forced
 #      REPRO_TRACE=1, so every Trainer.fit in those tests runs through
 #      the trace record/replay path instead of pure eager
@@ -17,14 +19,17 @@
 #      under a forced memory budget AND the live exporter at once, so
 #      incremental ingestion runs with spill-capable sessions and the
 #      telemetry runtime racing the delta-maintenance hot path
-#   8. bench smoke: benchmarks/run_quick.py runs to completion and
+#   8. pipeline smoke: benchmarks/pipeline/run.py --smoke runs the five
+#      BENCHMARK.json workloads end to end at reduced size (~12 s),
+#      each checked against its numpy oracle
+#   9. bench smoke: benchmarks/run_quick.py runs to completion and
 #      regenerates BENCH_engine.json (incl. per-operator breakdown)
-#   9. bench diff: the fresh BENCH_engine.json must not regress the
+#  10. bench diff: the fresh BENCH_engine.json must not regress the
 #      watched keys (obs overhead, join speedup, ConvLSTM epoch time,
-#      peak activation bytes, compiled-stage speedup, 2-thread morsel
-#      scaling, spill peak bytes + slowdown, traced-step speedup +
-#      capture overhead, telemetry-runtime overhead, streaming update
-#      speedup + p99 latency) >25% vs the committed one;
+#      peak activation bytes, 2-thread morsel scaling, spill peak
+#      bytes + slowdown, traced-step speedup + capture overhead,
+#      telemetry-runtime overhead, streaming update speedup + p99
+#      latency) >25% vs the committed one;
 #      obs_runtime_overhead_ratio must stay under an absolute 1.10
 #      cap and stream_update_speedup above an absolute 10x floor
 set -euo pipefail
@@ -72,6 +77,9 @@ REPRO_TEST_MEMORY_BUDGET=4096 \
     tests/unit/test_streaming.py \
     tests/property/test_property_streaming.py
 rm -rf "$stream_export_dir"
+
+echo "== pipeline smoke: five workloads end to end =="
+python benchmarks/pipeline/run.py --smoke
 
 echo "== bench smoke: run_quick =="
 baseline="$(mktemp)"

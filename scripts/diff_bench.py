@@ -14,8 +14,6 @@ regenerating BENCH_engine.json):
   higher is worse.
 - ``peak_activation_bytes`` — tracemalloc peak of the graph-freeing
   ConvLSTM epoch; higher is worse.
-- ``expr_pipeline_speedup`` — compiled expression stage vs the
-  tree-walking interpreter; lower is worse.
 - ``parallel_scaling_2t`` — serial over 2-thread morsel wall time;
   lower is worse.  (Bounded by the host's core count — ~1.0 on a
   single-core runner; the committed baseline is what the gate holds.)
@@ -63,7 +61,6 @@ WATCHED = {
     "join_speedup": "higher",
     "epoch_time_convlstm_s": "lower",
     "peak_activation_bytes": "lower",
-    "expr_pipeline_speedup": "higher",
     "parallel_scaling_2t": "higher",
     "order_by_spill_peak_bytes": "lower",
     "spill_slowdown": "lower",

@@ -41,19 +41,30 @@ holds materialized state, the second is schema-opaque).  Inspect what
 the optimizer did with ``df.explain(optimized=True)``, which renders
 the plan as written and the rewritten plan.
 
+After the logical rewrite, a physical-planning pass
+(:func:`repro.engine.compile.compile_stages`) fuses each run of narrow
+operators into one compiled stage; :mod:`repro.engine.compile` is the
+one evaluator for every narrow operator the executor runs (a narrow
+node the pass never saw — ``optimize=False``, beneath a ``Cache`` —
+runs as a one-step stage).  ``Expr.evaluate`` remains as the public
+tree-walker for evaluating a single expression on a partition.
+
 Materializing operators — the ops whose state is O(dataset), not
 O(partition): ``order_by``, ``repartition`` (buffer everything before
 emitting), ``cache`` (keeps results resident), the build side of
-``join``, and the per-group state of ``group_by().agg``.  All of them
-report through the attached ``MemoryMeter``.  Under
-``Session(memory_budget=bytes)`` they additionally run *out of core*:
-input beyond the budget spills to disk through the session's
-:class:`repro.engine.spill.SpillManager` (``order_by`` becomes an
-external merge sort, ``join`` grace-partitions an oversized build
-side, ``cache``/``repartition`` buffer through spillable overflow) and
-results stay bit-identical to the unbounded paths.  Spill failures
-surface as :class:`SpillError`; activity lands in ``repro.obs`` under
-``engine.spill.*`` and as ``spilled=`` in ``explain(analyze=True)``.
+``join``, and the per-group state of ``group_by().agg`` (one
+vectorized state for every key type; non-numeric keys are
+dictionary-coded).  All of them report through the attached
+``MemoryMeter``.  The first four are parameterised by
+``Session(memory_budget=bytes)``: input beyond the budget spills to
+disk through the session's :class:`repro.engine.spill.SpillManager`
+(``order_by`` becomes an external merge sort, ``join``
+grace-partitions an oversized build side, ``cache``/``repartition``
+buffer through spillable overflow); with no budget the same operators
+never spill.  Results are bit-identical at every budget.  Spill
+failures surface as :class:`SpillError`; activity lands in
+``repro.obs`` under ``engine.spill.*`` and as ``spilled=`` in
+``explain(analyze=True)``.
 
 Every action is metered by :mod:`repro.obs` (on by default, one
 switch, per-partition cost only): per-operator rows / partitions /

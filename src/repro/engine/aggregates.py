@@ -94,111 +94,8 @@ def count_distinct(column: str, name: str | None = None) -> AggSpec:
     return AggSpec(name or f"count_distinct_{column}", column, "count_distinct")
 
 
-def _chan_merge(na, ma, m2a, nb, mb, m2b):
-    """Chan et al. pairwise combination of two (count, mean, M2)
-    moment summaries.  Exact pass-through when one side is empty, so
-    merging a partial into a fresh accumulator reproduces the partial
-    bit for bit."""
-    if na == 0:
-        return mb, m2b
-    if nb == 0:
-        return ma, m2a
-    n = na + nb
-    delta = mb - ma
-    mean = ma + delta * (nb / n)
-    m2 = m2a + m2b + delta * delta * (na * (nb / n))
-    return mean, m2
-
-
-class _State:
-    """Per-group mergeable accumulator for one AggSpec.
-
-    ``value`` holds the kind-specific partial summary: the running sum
-    for ``sum``/``mean``, the extremum for ``min``/``max``, a
-    ``(mean, M2)`` moment pair for ``var``/``std``, and the set of
-    seen values for ``count_distinct``.
-    """
-
-    __slots__ = ("kind", "value", "count")
-
-    def __init__(self, kind: str):
-        self.kind = kind
-        self.value = None
-        self.count = 0
-
-    def update(self, partial_value, partial_count: int) -> None:
-        if self.kind == "count":
-            self.count += partial_count
-            return
-        if self.kind == "count_distinct":
-            self.count += partial_count
-            if self.value is None:
-                self.value = set(partial_value)
-            else:
-                self.value |= set(partial_value)
-            return
-        if self.kind in ("var", "std"):
-            mb, m2b = partial_value
-            if self.value is None:
-                self.value = (mb, m2b)
-            else:
-                ma, m2a = self.value
-                self.value = _chan_merge(
-                    self.count, ma, m2a, partial_count, mb, m2b
-                )
-            self.count += partial_count
-            return
-        self.count += partial_count
-        if self.value is None:
-            self.value = partial_value
-        elif self.kind in ("sum", "mean"):
-            self.value += partial_value
-        elif self.kind == "min":
-            self.value = min(self.value, partial_value)
-        elif self.kind == "max":
-            self.value = max(self.value, partial_value)
-
-    def merge(self, other: "_State") -> None:
-        """Fold another accumulator of the same kind into this one —
-        the two-accumulator combine the spill / parallel / streaming
-        paths need (``update`` takes a *partial*, this takes a peer)."""
-        if other.kind != self.kind:
-            raise ValueError(
-                f"cannot merge {other.kind!r} state into {self.kind!r}"
-            )
-        if other.count == 0 and other.value is None:
-            return
-        self.update(other.value, other.count)
-
-    def result(self):
-        if self.kind == "count":
-            return self.count
-        if self.kind == "count_distinct":
-            return len(self.value) if self.value is not None else 0
-        if self.kind == "mean":
-            return self.value / self.count if self.count else float("nan")
-        if self.kind in ("var", "std"):
-            if self.count < 2:
-                return float("nan")
-            variance = self.value[1] / (self.count - 1)
-            return float(np.sqrt(variance)) if self.kind == "std" else variance
-        return self.value
-
-
-def _group_index_lists(stacked: np.ndarray):
-    groups: dict = {}
-    for i in range(stacked.shape[0]):
-        key = tuple(stacked[i])
-        groups.setdefault(key, []).append(i)
-    uniques = list(groups)
-    idx_lists = [np.asarray(groups[k]) for k in uniques]
-    return uniques, idx_lists
-
-
 def _moment_partial(vals: np.ndarray, inverse: np.ndarray, counts):
-    """Per-group (mean, M2) pairs via the same two-pass bincount the
-    vectorized group state uses, so dict-path partials merge with
-    array-path partials bit for bit."""
+    """Per-group (mean, M2) pairs via a two-pass bincount."""
     num_groups = len(counts)
     sums = np.bincount(inverse, weights=vals, minlength=num_groups)
     means = sums / counts
@@ -219,63 +116,6 @@ def _distinct_sets(vals: np.ndarray, inverse: np.ndarray, num_groups: int):
     for g, start, stop in zip(sorted_inverse[starts], starts, stops):
         sets[g] = set(sorted_vals[start:stop].tolist())
     return sets
-
-
-def partial_aggregate(keys_arrays, value_array, kind: str):
-    """Vectorized per-partition partial aggregation.
-
-    Returns (unique_key_rows, partial_values, partial_counts) where
-    ``unique_key_rows`` is a list of key tuples and each partial value
-    is in the form :meth:`_State.update` accepts for ``kind``.
-    """
-    stacked = np.stack(
-        [np.asarray(k) for k in keys_arrays], axis=1
-    )
-    if stacked.dtype == object:
-        # Fallback: dict-based grouping for non-numeric keys.
-        uniques, idx_lists = _group_index_lists(stacked)
-        counts = np.array([len(ix) for ix in idx_lists])
-        if kind == "count":
-            return uniques, counts.astype(np.float64), counts
-        vals = np.asarray(value_array, dtype=np.float64)
-        if kind in ("sum", "mean"):
-            partial = np.array([vals[ix].sum() for ix in idx_lists])
-        elif kind == "min":
-            partial = np.array([vals[ix].min() for ix in idx_lists])
-        elif kind == "max":
-            partial = np.array([vals[ix].max() for ix in idx_lists])
-        elif kind in ("var", "std"):
-            inverse = np.empty(len(vals), dtype=np.int64)
-            for g, ix in enumerate(idx_lists):
-                inverse[ix] = g
-            means, m2 = _moment_partial(vals, inverse, counts)
-            partial = list(zip(means, m2))
-        else:
-            partial = [set(vals[ix].tolist()) for ix in idx_lists]
-        return uniques, partial, counts
-
-    unique_rows, inverse, counts = np.unique(
-        stacked, axis=0, return_inverse=True, return_counts=True
-    )
-    inverse = np.reshape(inverse, -1)
-    uniques = [tuple(row) for row in unique_rows]
-    if kind == "count":
-        return uniques, counts.astype(np.float64), counts
-    vals = np.asarray(value_array, dtype=np.float64)
-    if kind in ("sum", "mean"):
-        partial = np.bincount(inverse, weights=vals, minlength=len(uniques))
-    elif kind == "min":
-        partial = np.full(len(uniques), np.inf)
-        np.minimum.at(partial, inverse, vals)
-    elif kind == "max":
-        partial = np.full(len(uniques), -np.inf)
-        np.maximum.at(partial, inverse, vals)
-    elif kind in ("var", "std"):
-        means, m2 = _moment_partial(vals, inverse, counts)
-        partial = list(zip(means, m2))
-    else:
-        partial = _distinct_sets(vals, inverse, len(uniques))
-    return uniques, partial, counts
 
 
 # ----------------------------------------------------------------------
@@ -302,6 +142,16 @@ def unique_rows(rows: np.ndarray, return_counts: bool = False):
     return uniques, inverse
 
 
+def _dictionary_codes(codes: dict, values: np.ndarray) -> np.ndarray:
+    """int64 codes of ``values`` under the value → code dict ``codes``,
+    which grows in first-seen order."""
+    return np.fromiter(
+        (codes.setdefault(v, len(codes)) for v in values.tolist()),
+        dtype=np.int64,
+        count=len(values),
+    )
+
+
 def empty_group_partition(keys, specs):
     from repro.engine.partition import Partition
 
@@ -313,9 +163,15 @@ def empty_group_partition(keys, specs):
 class ArrayGroupState:
     """Per-group accumulators held as whole arrays, merged with
     ``np.unique`` + scatter updates — one vectorized merge per
-    partition instead of one Python dict update per key.
+    partition.  This is the engine's only group-by state.
 
-    ``values[i]`` mirrors :class:`_State` per spec: a float64 array for
+    ``keys`` is one numeric matrix of unique key rows.  A non-numeric
+    (``O``/``U``/``S``) key column is dictionary-coded: the matrix holds
+    int64 codes in first-seen order, ``_code_maps`` holds the value →
+    code dict, and :meth:`to_partition` decodes.  ``key_dtypes`` is the
+    dtype each key column is restored to on output.
+
+    ``values[i]`` is the state of ``specs[i]``: a float64 array for
     sum/mean/min/max, a ``(means, m2s)`` array pair for var/std, an
     object array of Python sets for count_distinct, ``None`` for count
     (the shared ``counts`` array is its state).
@@ -331,6 +187,8 @@ class ArrayGroupState:
         self.keys: np.ndarray | None = None  # (G, K) unique key rows
         self.counts: np.ndarray | None = None  # (G,) int64 rows per group
         self.values: list = [None] * len(specs)
+        self.key_dtypes: list | None = None  # per key column, for output
+        self._code_maps: dict = {}  # key column index -> {value: code}
 
     @property
     def num_groups(self) -> int:
@@ -338,7 +196,8 @@ class ArrayGroupState:
 
     @property
     def nbytes(self) -> int:
-        total = 0
+        # Rough dict-entry estimate for the dictionary-coded columns.
+        total = sum(64 * len(m) for m in self._code_maps.values())
         for arr in [self.keys, self.counts]:
             if arr is not None:
                 total += arr.nbytes
@@ -379,10 +238,47 @@ class ArrayGroupState:
             partials.append(partial)
         return partials
 
-    def update(self, stacked: np.ndarray, part) -> np.ndarray:
-        """Merge one partition's rows (key rows ``stacked``) into the
-        state; returns the merged-state indices of the touched groups
-        (aligned with the partition's sorted unique key rows)."""
+    def _stack_keys(self, key_columns) -> np.ndarray:
+        """One numeric ``(rows, K)`` matrix for a partition's key
+        columns, folding their dtypes into ``key_dtypes``.  Numeric-only
+        key sets stack as they are; a non-numeric column (or a numeric
+        one arriving after its column went non-numeric) is replaced by
+        its dictionary codes."""
+        arrays = [np.asarray(col) for col in key_columns]
+        if self.key_dtypes is None:
+            self.key_dtypes = [arr.dtype for arr in arrays]
+        for i, arr in enumerate(arrays):
+            seen = self.key_dtypes[i]
+            coded = arr.dtype.kind in "OUS"
+            if seen != arr.dtype:
+                self.key_dtypes[i] = (
+                    np.dtype(object)
+                    if coded != (seen.kind in "OUS")
+                    else np.result_type(seen, arr.dtype)
+                )
+            if coded and i not in self._code_maps:
+                self._start_coding(i, seen)
+            if i in self._code_maps:
+                arrays[i] = _dictionary_codes(self._code_maps[i], arr)
+        return np.stack(arrays, axis=1)
+
+    def _start_coding(self, i: int, seen: np.dtype) -> None:
+        """Key column ``i`` turned non-numeric: from here on it lives
+        in the matrix as dictionary codes, so groups accumulated while
+        it was still numeric (dtype ``seen``) are re-coded in place."""
+        codes = self._code_maps[i] = {}
+        if self.keys is None:
+            return
+        columns = [self.keys[:, j] for j in range(self.keys.shape[1])]
+        columns[i] = _dictionary_codes(codes, columns[i].astype(seen))
+        self.keys = np.stack(columns, axis=1)
+
+    def update(self, key_columns, part) -> np.ndarray:
+        """Merge one (non-empty) partition's rows, grouped by its key
+        columns, into the state; returns the merged-state indices of
+        the touched groups (aligned with the partition's sorted unique
+        key rows)."""
+        stacked = self._stack_keys(key_columns)
         uniques, inverse, counts = unique_rows(stacked, return_counts=True)
         counts = counts.astype(np.int64)
         partials = self._partials(uniques, inverse, counts, part)
@@ -477,6 +373,8 @@ class ArrayGroupState:
         (accumulator arrays sliced, sets shared — the caller finalizes
         or discards the selection, never updates it concurrently)."""
         out = ArrayGroupState(self.specs)
+        out.key_dtypes = self.key_dtypes
+        out._code_maps = self._code_maps
         if self.keys is None or not mask.any():
             return out
         out.keys = self.keys[mask]
@@ -507,37 +405,28 @@ class ArrayGroupState:
         )
         return evicted
 
-    def to_dict_state(self) -> dict:
-        """Convert to the dict-of-accumulators form (used when a later
-        partition turns out to carry object keys)."""
-        state: dict = {}
-        for g in range(self.num_groups):
-            slot = [_State(s.kind) for s in self.specs]
-            for spec_index, spec in enumerate(self.specs):
-                value = self.values[spec_index]
-                if spec.kind == "count":
-                    partial = None
-                elif spec.kind in ("var", "std"):
-                    partial = (value[0][g], value[1][g])
-                elif spec.kind == "count_distinct":
-                    partial = value[g]
-                else:
-                    partial = value[g]
-                slot[spec_index].update(partial, int(self.counts[g]))
-            state[tuple(self.keys[g])] = slot
-        return state
-
-    def to_partition(self, keys, key_dtypes):
+    def to_partition(self, keys):
+        """Finalize every group as one partition: the key columns
+        (named ``keys``, restored to their input dtypes) followed by
+        one column per aggregate."""
         from repro.engine.partition import Partition
 
         if self.keys is None:
             return empty_group_partition(keys, self.specs)
         columns = {}
-        for i, key_name in enumerate(keys):
-            arr = self.keys[:, i]
-            if key_dtypes is not None and key_dtypes[i].kind in "iu":
-                arr = arr.astype(np.int64)
-            columns[key_name] = arr
+        for i, (key_name, dtype) in enumerate(zip(keys, self.key_dtypes)):
+            codes = self._code_maps.get(i)
+            if codes is None:
+                columns[key_name] = self.keys[:, i].astype(dtype)
+                continue
+            # Filled element by element: a bulk assignment would try
+            # to unpack sequence-valued keys (tuples).
+            table = np.empty(len(codes), dtype=object)
+            for code, value in enumerate(codes):
+                table[code] = value
+            columns[key_name] = table[self.keys[:, i].astype(np.int64)].astype(
+                dtype
+            )
         for spec_index, spec in enumerate(self.specs):
             value = self.values[spec_index]
             if spec.kind == "count":

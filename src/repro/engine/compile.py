@@ -1,19 +1,22 @@
-"""Expression and stage compilation.
+"""Expression and stage compilation — the evaluator behind every
+narrow operator the executor runs.
 
-Two layers, both bit-identical to the tree-walking interpreter:
+Two layers, both bit-identical to the tree-walking ``Expr.evaluate``
+(which stays as the public single-expression evaluator and the oracle
+the tests compare against):
 
 **Expression compiler.**  :func:`compile_expr` lowers an
 :class:`~repro.engine.expressions.Expr` tree into a flat postfix
 program — a list of ``("col", name)`` / ``("lit", value)`` /
-``("ufunc", fn, nin)`` / ``("udf", fn, nargs, name)`` instructions —
+``("ufunc", fn, nin)`` / ``("call", fn, nargs, name)`` instructions —
 executed by :class:`CompiledExpr` over a small value stack.  Evaluation
 is a single flat loop (no Python recursion per partition) and, after a
 one-partition warmup, runs chained *in-place* ufuncs over a pooled
 scratch register set instead of allocating a fresh temporary per node:
 
 - The first evaluation of each instruction records its input/output
-  dtypes from the natural ``fn(a, b)`` call — the exact call the
-  interpreter makes, so values match by construction.
+  dtypes from the natural ``fn(a, b)`` call — the exact call
+  ``Expr.evaluate`` makes, so values match by construction.
 - Later evaluations with the same operand dtypes replay through
   ``fn(a, b, out=buf)`` where ``buf`` is either a consumed scratch
   operand (in-place chaining) or a buffer from a per-thread pool.
@@ -24,8 +27,11 @@ scratch register set instead of allocating a fresh temporary per node:
   promotion), but are cached per partition length, so a literal costs
   one allocation per distinct length instead of one per partition.
 - Anything the recorder cannot prove (dtype drift from a UDF,
-  non-1-D operands) silently falls back to the natural call for that
-  instruction, never to a wrong answer.
+  non-1-D operands) silently takes the natural call for that
+  instruction, never a wrong answer.
+- ``call`` is a plain function call on whole column arrays: a
+  :class:`~repro.engine.expressions.VectorUdf`, or an operator node
+  built around a function that is not a numpy ufunc.
 
 **Stage compiler.**  :func:`compile_stages` is the physical-planning
 pass: it collapses each maximal chain of adjacent
@@ -35,9 +41,9 @@ Filter / Project / WithColumn / WithColumns / Drop nodes into a single
 applies the selection *once*, copying only the columns live downstream
 (selection-vector style), then computes projections over surviving
 rows only — instead of one full-partition materialization per
-operator.  Chains containing an expression the compiler cannot lower
-(:class:`~repro.engine.expressions.CompileError`) are left as the
-original interpreted operators.
+operator.  A narrow node the pass never saw (``optimize=False``,
+beneath a ``Cache``, a drop-only chain) runs as a one-step stage
+(:func:`stage_runner`).
 
 Thread safety: a ``CompiledExpr`` may be evaluated concurrently by the
 morsel-parallel executor, so scratch pools and the literal cache are
@@ -52,7 +58,8 @@ import threading
 import numpy as np
 
 from repro.engine import plan as P
-from repro.engine.expressions import CompileError, Expr
+from repro.engine.expressions import Expr
+from repro.engine.optimizer import _with_children
 from repro.engine.partition import Partition
 
 __all__ = [
@@ -156,8 +163,8 @@ class CompiledExpr:
         ``stack`` holds ``(array, owned)`` pairs; ``owned`` marks
         arrays this evaluation allocated exclusively (safe to reuse as
         in-place ufunc outputs or recycle into the scratch pool).
-        Column references, cached literals, and UDF results are never
-        owned — a UDF may return one of its inputs unchanged.
+        Column references, cached literals, and ``call`` results are
+        never owned — a UDF may return one of its inputs unchanged.
         """
         pool, lit_cache = self._state()
         records = self._records
@@ -216,7 +223,7 @@ class CompiledExpr:
                 if b_owned:
                     self._release(pool, b)
                 stack.append((out, True))
-            else:  # "udf"
+            else:  # "call"
                 fn, nargs, name = instr[1], instr[2], instr[3]
                 args = [pair[0] for pair in stack[len(stack) - nargs :]]
                 del stack[len(stack) - nargs :]
@@ -237,11 +244,7 @@ class CompiledExpr:
 
 
 def compile_expr(expr: Expr) -> CompiledExpr:
-    """Lower an expression tree to a :class:`CompiledExpr`.
-
-    Raises :class:`~repro.engine.expressions.CompileError` for nodes
-    with no postfix lowering — callers fall back to ``Expr.evaluate``.
-    """
+    """Lower an expression tree to a :class:`CompiledExpr`."""
     program: list = []
     expr.emit(program)
     return CompiledExpr(program, name=expr.name)
@@ -275,10 +278,8 @@ class StageRunner:
                     (name, compile_expr(expr)) for name, expr in payload
                 ]
                 self.steps.append((kind, compiled, None))
-            elif kind == "drop":
+            else:  # "drop"
                 self.steps.append((kind, frozenset(payload), None))
-            else:
-                raise CompileError(f"unknown stage step {kind!r}")
 
     @staticmethod
     def _filter_keeps(steps: list) -> list:
@@ -289,7 +290,7 @@ class StageRunner:
         ``overwritten_later`` tracks names a later ``with_columns``
         assigns: they are kept through compactions even when dead, so
         the overwrite replaces them *in place* and the output column
-        order matches the interpreter's dict-update semantics.
+        order matches dict-update semantics (``Partition.with_column``).
         """
         live: set | None = None  # None == every column is live
         overwritten_later: set = set()
@@ -370,8 +371,12 @@ class StageRunner:
         return Partition._from_arrays(cols, n)
 
 
-def stage_runner(node: P.CompiledStage) -> StageRunner:
-    """The (cached) runner for a ``CompiledStage`` plan node."""
+def stage_runner(node: P.PlanNode) -> StageRunner:
+    """The runner for a ``CompiledStage`` (cached on the node), or for
+    a narrow node the stage compiler never saw, which runs as a
+    one-step stage."""
+    if not isinstance(node, P.CompiledStage):
+        return StageRunner([_as_step(node)])
     runner = node._runner
     if runner is None:
         runner = node._runner = StageRunner(node.steps)
@@ -399,12 +404,12 @@ def _as_step(node: P.PlanNode) -> tuple:
 def compile_stages(node: P.PlanNode) -> P.PlanNode:
     """Collapse every maximal run of adjacent narrow operators into a
     :class:`~repro.engine.plan.CompiledStage` (with its runner built
-    eagerly, so compile errors surface here, not mid-execution).
+    eagerly).
 
     ``Cache`` subtrees are preserved untouched (their node instance
-    holds materialized partitions); chains that fail to compile — or
-    that carry no expression at all, like a lone ``Drop`` — are
-    rebuilt as the original interpreted operators.
+    holds materialized partitions); a chain that carries no expression
+    at all — only ``Drop`` nodes — has nothing to compile and is kept
+    as it is.
     """
     if isinstance(node, (P.Source, P.StreamingSource, P.Cache)):
         return node
@@ -414,31 +419,9 @@ def compile_stages(node: P.PlanNode) -> P.PlanNode:
         while isinstance(cursor, _FUSABLE):
             chain.append(cursor)
             cursor = cursor.child
-        child = compile_stages(cursor)
-        steps = [_as_step(n) for n in reversed(chain)]
-        if any(step[0] != "drop" for step in steps):
-            try:
-                stage = P.CompiledStage(child, steps)
-                stage._runner = StageRunner(steps)
-                return stage
-            except CompileError:
-                pass  # fall through to the interpreted rebuild
-        rebuilt = child
-        for original in reversed(chain):
-            rebuilt = _rebuild(original, rebuilt)
-        return rebuilt
-    from repro.engine.optimizer import _with_children
-
+        if any(not isinstance(n, P.Drop) for n in chain):
+            steps = [_as_step(n) for n in reversed(chain)]
+            stage = P.CompiledStage(compile_stages(cursor), steps)
+            stage._runner = StageRunner(steps)
+            return stage
     return _with_children(node, [compile_stages(c) for c in node.children])
-
-
-def _rebuild(node: P.PlanNode, child: P.PlanNode) -> P.PlanNode:
-    if isinstance(node, P.Filter):
-        return P.Filter(child, node.predicate)
-    if isinstance(node, P.Project):
-        return P.Project(child, node.exprs)
-    if isinstance(node, P.WithColumn):
-        return P.WithColumn(child, node.name, node.expr)
-    if isinstance(node, P.WithColumns):
-        return P.WithColumns(child, node.items)
-    return P.Drop(child, node.names)

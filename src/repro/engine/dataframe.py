@@ -22,7 +22,7 @@ class DataFrame:
     def __init__(self, session, plan_node: P.PlanNode):
         self.session = session
         self.plan = plan_node
-        self._plan_cache: dict = {}
+        self._optimized_plan: P.PlanNode | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -55,7 +55,6 @@ class DataFrame:
                 meter=self.session.meter,
                 stats=stats,
                 parallelism=self.session.parallelism,
-                queue_depth=self.session.queue_depth,
                 spill=self.session.spill_manager,
             ):
                 pass
@@ -63,15 +62,11 @@ class DataFrame:
             return "== Analyzed Plan ==\n" + stats.render(plan)
         if not optimized:
             return self.plan.describe()
-        from repro.engine.optimizer import optimize as _optimize
-
         return (
             "== Logical Plan ==\n"
             + self.plan.describe()
             + "\n== Optimized Plan ==\n"
-            + _optimize(
-                self.plan, stages=getattr(self.session, "compile", True)
-            ).describe()
+            + self._execution_plan(optimize=True).describe()
         )
 
     def __repr__(self):
@@ -152,10 +147,9 @@ class DataFrame:
     # Actions (eager)
     # ------------------------------------------------------------------
     def _execution_plan(self, optimize: bool | None = None) -> P.PlanNode:
-        """The plan actually executed: optimized (and narrow chains
-        collapsed into compiled stages, unless ``Session(compile=
-        False)``) — or exactly as written when optimization is turned
-        off on the call or the session.
+        """The plan actually executed: optimized, with narrow chains
+        collapsed into compiled stages — or exactly as written when
+        optimization is turned off on the call or the session.
 
         The optimized plan is memoized per DataFrame: plans are
         immutable, and reusing the same physical tree across actions
@@ -166,15 +160,12 @@ class DataFrame:
             optimize = getattr(self.session, "optimize", True)
         if not optimize:
             return self.plan
-        stages = getattr(self.session, "compile", True)
-        plan = self._plan_cache.get(stages)
-        if plan is None:
+        if self._optimized_plan is None:
+            from repro.engine.compile import compile_stages
             from repro.engine.optimizer import optimize as _optimize
 
-            plan = self._plan_cache[stages] = _optimize(
-                self.plan, stages=stages
-            )
-        return plan
+            self._optimized_plan = compile_stages(_optimize(self.plan))
+        return self._optimized_plan
 
     def iter_partitions(self, optimize: bool | None = None):
         """Stream result partitions (the out-of-core access path used
@@ -194,7 +185,6 @@ class DataFrame:
                 plan,
                 meter=self.session.meter,
                 parallelism=self.session.parallelism,
-                queue_depth=self.session.queue_depth,
                 spill=self.session.spill_manager,
             )
         return self._observed_partitions(plan)
@@ -224,7 +214,6 @@ class DataFrame:
                 meter=session.meter,
                 stats=stats,
                 parallelism=session.parallelism,
-                queue_depth=session.queue_depth,
                 spill=session.spill_manager,
             )
         finally:
@@ -288,9 +277,7 @@ class DataFrame:
             "query_id": session.last_query_id,
             "session": {
                 "parallelism": session.parallelism,
-                "queue_depth": session.queue_depth,
                 "optimize": session.optimize,
-                "compile": session.compile,
                 "memory_budget": session.memory_budget,
                 "default_parallelism": session.default_parallelism,
             },

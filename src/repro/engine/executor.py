@@ -1,53 +1,62 @@
 """Plan execution: streams partitions through the operator tree.
 
-Narrow operators (project / filter / with_column / map_partitions /
-union / limit) are fully pipelined: one input partition is pulled,
-transformed, yielded, and released before the next is pulled, so the
-working set stays O(partition).  Wide operators hold only their
-*state*: the factorized key codes for joins (build side), the per-group
-accumulator arrays for aggregation, and the full buffer for order_by
-and repartition (documented as materializing operators, as in Spark).
+Every operator has exactly one implementation here.
+
+Narrow operators (project / filter / with_column / drop) run as
+*stages* — a fused :class:`~repro.engine.plan.CompiledStage`, or a
+one-step stage for a narrow node the stage compiler never saw — through
+:class:`~repro.engine.compile.StageRunner`.  Together with
+map_partitions / union / limit they are fully pipelined: one input
+partition is pulled, transformed, yielded, and released before the next
+is pulled, so the working set stays O(partition).
+
+Wide operators hold only their *state*: the factorized key codes for
+joins (build side), the per-group accumulator arrays for aggregation,
+and the input buffer for order_by, repartition and cache (the
+materializing operators, as in Spark).  The materializing operators
+are parameterised by the session memory budget: what exceeds it spills
+to disk through the session's SpillManager (external merge sort, grace
+hash join, spillable buffers); with no budget nothing ever exceeds it
+and the same code runs entirely in memory.  Results are bit-identical
+at every budget.
 
 Joins and group-bys are vectorized end to end.  The join factorizes
 the build side's (possibly multi-column) keys into dense integer codes
 once, then probes each left partition with ``searchsorted`` range
 lookups — no per-row Python.  Group-by keeps per-group accumulator
-*arrays* and merges each partition's partial aggregates with
-``np.unique`` + scatter updates; a dict-of-accumulators fallback
-handles non-sortable object keys.
+*arrays* (:class:`~repro.engine.aggregates.ArrayGroupState`) and merges
+each partition's partial aggregates with ``np.unique`` + scatter
+updates; non-numeric key columns are dictionary-coded to integers
+first.
 
 A :class:`~repro.utils.memory.MemoryMeter` passed via ``meter``
 observes exactly these allocations, which is how the Figure 8 bench
 measures the engine's peak working set (and how an artificial memory
 cap can make it fail, for symmetry with the baseline's OOM).
 
-**Morsel-parallel mode** (``parallelism > 1``): compiled stages
-(:class:`~repro.engine.plan.CompiledStage`) fan their per-partition
-work out over a bounded ``ThreadPoolExecutor`` — numpy ufuncs release
-the GIL, so stage compute runs concurrently while the driver thread
-keeps pulling child partitions.  Results flow through an *ordered*
-bounded prefetch window (``queue_depth`` in-flight partitions), so
-output order is deterministic, bit-identical to serial execution, and
-the out-of-core guarantee degrades gracefully to
-O(parallelism + queue_depth) resident partitions.  All other
-operators, and all metering, stay on the driver thread — worker
-threads only ever run pure per-partition compute.
+**Morsel-parallel mode** (``parallelism > 1``): stages fan their
+per-partition work out over a bounded ``ThreadPoolExecutor`` — numpy
+ufuncs release the GIL, so stage compute runs concurrently while the
+driver thread keeps pulling child partitions.  Results flow through an
+*ordered* bounded prefetch window (``2 * parallelism`` in-flight
+partitions), so output order is deterministic, bit-identical to serial
+execution, and the out-of-core guarantee degrades gracefully to
+O(parallelism) resident partitions.  All other operators, and all
+metering, stay on the driver thread — worker threads only ever run
+pure per-partition compute.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 
 import numpy as np
 
 from repro.engine import plan as P
-from repro.engine.aggregates import (
-    ArrayGroupState,
-    _State,
-    empty_group_partition,
-    partial_aggregate,
-)
+from repro.engine.aggregates import ArrayGroupState
+from repro.engine.compile import _FUSABLE, stage_runner
 from repro.engine.partition import Partition
 
 
@@ -57,32 +66,23 @@ class _ExecContext:
     (out-of-core execution), and the (lazily created) morsel thread
     pool."""
 
-    __slots__ = (
-        "meter",
-        "stats",
-        "parallelism",
-        "queue_depth",
-        "spill",
-        "_pool",
-    )
+    __slots__ = ("meter", "stats", "parallelism", "spill", "_pool")
 
-    def __init__(self, meter, stats, parallelism, queue_depth, spill=None):
+    def __init__(self, meter, stats, parallelism, spill=None):
         self.meter = meter
         self.stats = stats
         self.parallelism = max(1, int(parallelism))
-        self.queue_depth = (
-            max(1, int(queue_depth))
-            if queue_depth is not None
-            else 2 * self.parallelism
-        )
         self.spill = spill
         self._pool = None
 
-    def spill_budget(self):
-        """The session memory budget, or None when spilling is off."""
-        if self.spill is None:
-            return None
-        return self.spill.budget
+    def budget_share(self, divisor: int = 1):
+        """The session memory budget divided by ``divisor`` (at least
+        one byte).  Without a budget the share is infinite: no byte
+        count ever exceeds it, so the materializing operators never
+        spill and run their under-budget (in-memory) case."""
+        if self.spill is None or self.spill.budget is None:
+            return math.inf
+        return max(1, self.spill.budget // divisor)
 
     def note_spill(self, node: P.PlanNode, nbytes: int) -> None:
         """Credit spilled bytes to the operator that wrote them, for
@@ -116,7 +116,6 @@ def iter_partitions(
     meter=None,
     stats=None,
     parallelism: int = 1,
-    queue_depth: int | None = None,
     spill=None,
 ):
     """Yield the partitions produced by a plan node.
@@ -129,18 +128,19 @@ def iter_partitions(
     their contents, so traced results are bit-identical to untraced
     ones.
 
-    ``parallelism`` > 1 enables morsel-parallel execution of compiled
+    ``parallelism`` > 1 enables morsel-parallel execution of narrow
     stages over a thread pool with an ordered prefetch window of
-    ``queue_depth`` (default ``2 * parallelism``) in-flight
-    partitions; results are identical to serial execution.
+    ``2 * parallelism`` in-flight partitions; results are identical to
+    serial execution.
 
     ``spill`` (a :class:`repro.engine.spill.SpillManager` with a
-    ``budget``) enables out-of-core execution: the materializing
-    operators — order_by, repartition, the join build side, cache —
-    bound their in-memory state to the budget and spill the rest to
-    disk, producing bit-identical results.
+    ``budget``) bounds the materializing operators — order_by,
+    repartition, the join build side, cache: they keep at most the
+    budget resident and spill the rest to disk, producing results
+    bit-identical to running with no budget (``spill=None``), which
+    is the same code with nothing ever over budget.
     """
-    ctx = _ExecContext(meter, stats, parallelism, queue_depth, spill)
+    ctx = _ExecContext(meter, stats, parallelism, spill)
     if ctx.parallelism <= 1:
         return ctx.iterate(node)
     return _iterate_closing(node, ctx)
@@ -155,38 +155,19 @@ def _iterate_closing(node: P.PlanNode, ctx: _ExecContext):
         ctx.close()
 
 
+#: Nodes run by a StageRunner: a fused chain, or a narrow operator the
+#: stage compiler never saw (``optimize=False``, beneath a ``Cache``, a
+#: drop-only chain), which runs as a one-step stage.
+_STAGES = (P.CompiledStage, *_FUSABLE)
+
+
 def _iter_node(node: P.PlanNode, ctx: _ExecContext):
     if isinstance(node, P.Source):
         yield from _run_source(node, ctx)
     elif isinstance(node, P.StreamingSource):
         yield from _run_streaming_source(node, ctx)
-    elif isinstance(node, P.CompiledStage):
-        yield from _run_compiled_stage(node, ctx)
-    elif isinstance(node, P.Project):
-        for part in ctx.iterate(node.child):
-            yield Partition(
-                {name: expr.evaluate(part) for name, expr in node.exprs}
-            )
-    elif isinstance(node, P.Filter):
-        for part in ctx.iterate(node.child):
-            keep = np.asarray(node.predicate.evaluate(part), dtype=bool)
-            if keep.all():
-                # All rows survive: pass the partition through as-is
-                # instead of copying every column through mask().
-                yield part
-            else:
-                yield part.mask(keep)
-    elif isinstance(node, P.WithColumn):
-        for part in ctx.iterate(node.child):
-            yield part.with_column(node.name, node.expr.evaluate(part))
-    elif isinstance(node, P.WithColumns):
-        for part in ctx.iterate(node.child):
-            for name, expr in node.items:
-                part = part.with_column(name, expr.evaluate(part))
-            yield part
-    elif isinstance(node, P.Drop):
-        for part in ctx.iterate(node.child):
-            yield part.drop(node.names)
+    elif isinstance(node, _STAGES):
+        yield from _run_stage(node, ctx)
     elif isinstance(node, P.Union):
         for child in node.inputs:
             yield from ctx.iterate(child)
@@ -209,9 +190,7 @@ def _iter_node(node: P.PlanNode, ctx: _ExecContext):
         raise TypeError(f"unknown plan node {type(node).__name__}")
 
 
-def _run_compiled_stage(node: P.CompiledStage, ctx: _ExecContext):
-    from repro.engine.compile import stage_runner
-
+def _run_stage(node: P.PlanNode, ctx: _ExecContext):
     runner = stage_runner(node)
     stats = ctx.stats
     if stats is None:
@@ -238,10 +217,10 @@ def _run_compiled_stage(node: P.CompiledStage, ctx: _ExecContext):
 
 
 def _morsel_map(fn, parts, ctx: _ExecContext):
-    """Ordered, bounded fan-out: submit up to ``queue_depth`` morsels,
+    """Ordered, bounded fan-out: submit up to ``2 * parallelism`` morsels,
     yield strictly in submission order.  FIFO completion keeps results
     bit-identical to serial execution; the bound keeps at most
-    O(parallelism + queue_depth) partitions resident.
+    O(parallelism) partitions resident.
 
     Trace context crosses the fan-out: the driver's current span is
     captured here and passed as the explicit parent of each
@@ -263,11 +242,12 @@ def _morsel_map(fn, parts, ctx: _ExecContext):
                 return out
 
     pool = ctx.pool()
+    depth = 2 * ctx.parallelism
     pending: deque = deque()
     try:
         for part in parts:
             pending.append(pool.submit(fn, part))
-            if len(pending) >= ctx.queue_depth:
+            if len(pending) >= depth:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
@@ -278,13 +258,13 @@ def _morsel_map(fn, parts, ctx: _ExecContext):
 
 def _run_cache(node: P.Cache, ctx: _ExecContext):
     meter = ctx.meter
-    budget = ctx.spill_budget()
+    budget = ctx.budget_share()
     if node.materialized is None:
         materialized = []
         resident = 0
         for part in ctx.iterate(node.child):
             nbytes = part.nbytes
-            if budget is not None and resident + nbytes > budget:
+            if resident + nbytes > budget:
                 # Over budget: the overflow partitions live on disk
                 # and are restored on every replay.
                 materialized.append(ctx.spill.spill(part))
@@ -362,48 +342,28 @@ def _run_limit(node: P.Limit, ctx: _ExecContext):
 
 
 # ----------------------------------------------------------------------
-# Group-by: array-level partial merges (dict fallback for object keys)
+# Group-by: array-level partial merges
 # ----------------------------------------------------------------------
-# The vectorized per-group state (ArrayGroupState) lives in
+# The per-group state (ArrayGroupState) lives in
 # repro.engine.aggregates: the streaming DeltaState persists the same
 # class across micro-batches, which is what makes incremental results
 # bit-identical to this batch path by construction.
 def _run_group_by(node: P.GroupByAgg, ctx: _ExecContext):
     meter = ctx.meter
     keys = node.keys
-    specs = node.aggs
-    array_state = ArrayGroupState(specs)
-    dict_state: dict | None = None  # object-key fallback
-    key_dtypes = None
+    state = ArrayGroupState(node.aggs)
     state_nbytes = 0
 
     for part in ctx.iterate(node.child):
         if part.num_rows == 0:
-            if key_dtypes is None and all(k in part.columns for k in keys):
-                key_dtypes = [part.columns[k].dtype for k in keys]
             continue
-        key_arrays = [part.columns[k] for k in keys]
-        if key_dtypes is None:
-            key_dtypes = [arr.dtype for arr in key_arrays]
-        stacked = np.stack([np.asarray(a) for a in key_arrays], axis=1)
-        if dict_state is None and stacked.dtype != object:
-            array_state.update(stacked, part)
-        else:
-            if dict_state is None:
-                dict_state = array_state.to_dict_state()
-            _update_dict_state(dict_state, key_arrays, part, specs)
+        state.update([part.columns[k] for k in keys], part)
         if meter is not None:
-            if dict_state is not None:
-                new_nbytes = _estimate_state_nbytes(dict_state, len(specs))
-            else:
-                new_nbytes = array_state.nbytes
+            new_nbytes = state.nbytes
             meter.allocate(new_nbytes - state_nbytes)
             state_nbytes = new_nbytes
 
-    if dict_state is not None:
-        out = _state_to_partition(dict_state, keys, key_dtypes, specs)
-    else:
-        out = array_state.to_partition(keys, key_dtypes)
+    out = state.to_partition(keys)
     if meter is not None:
         meter.release(state_nbytes)
         meter.allocate(out.nbytes)
@@ -412,43 +372,6 @@ def _run_group_by(node: P.GroupByAgg, ctx: _ExecContext):
     finally:
         if meter is not None:
             meter.release(out.nbytes)
-
-
-def _update_dict_state(state, key_arrays, part, specs) -> None:
-    for spec_index, spec in enumerate(specs):
-        values = None if spec.column == "*" else part.columns[spec.column]
-        uniques, partials, counts = partial_aggregate(
-            key_arrays, values, spec.kind
-        )
-        for key, partial, cnt in zip(uniques, partials, counts):
-            slot = state.get(key)
-            if slot is None:
-                slot = [_State(s.kind) for s in specs]
-                state[key] = slot
-            slot[spec_index].update(partial, int(cnt))
-
-
-def _estimate_state_nbytes(state: dict, num_specs: int) -> int:
-    # key tuple (~24B/elem) + accumulator objects (~56B each) + dict slot
-    return len(state) * (64 + 24 * 2 + 56 * num_specs)
-
-
-def _state_to_partition(state, keys, key_dtypes, specs) -> Partition:
-    if not state:
-        return empty_group_partition(keys, specs)
-    key_rows = list(state.keys())
-    columns = {}
-    for i, key_name in enumerate(keys):
-        values = [row[i] for row in key_rows]
-        arr = np.asarray(values)
-        if key_dtypes is not None and key_dtypes[i].kind in "iu":
-            arr = arr.astype(np.int64)
-        columns[key_name] = arr
-    for spec_index, spec in enumerate(specs):
-        columns[spec.out_name] = np.asarray(
-            [state[row][spec_index].result() for row in key_rows]
-        )
-    return Partition(columns)
 
 
 # ----------------------------------------------------------------------
@@ -657,29 +580,10 @@ def _null_fill(dtype: np.dtype, n: int) -> np.ndarray:
     return out
 
 
-def _run_join(node: P.Join, ctx: _ExecContext):
-    if ctx.spill_budget() is not None:
-        yield from _run_join_budgeted(node, ctx)
-        return
-    meter = ctx.meter
-    # Build side: fully materialize the right input (broadcast join).
-    right_parts = [
-        p for p in ctx.iterate(node.right) if p.num_rows > 0
-    ]
-    build_nbytes = sum(p.nbytes for p in right_parts)
-    if meter is not None:
-        meter.allocate(build_nbytes)
-    try:
-        yield from _join_probe_stream(node, ctx, right_parts)
-    finally:
-        if meter is not None:
-            meter.release(build_nbytes)
-
-
 def _join_probe_stream(node: P.Join, ctx: _ExecContext, right_parts):
-    """The in-memory broadcast join: build over the buffered right
-    side, probe the streaming left side.  The caller owns the build
-    buffer's memory accounting; this meters only the probe tables."""
+    """Build over the buffered right side, probe the streaming left
+    side.  The caller owns the build buffer's memory accounting; this
+    meters only the probe tables."""
     meter = ctx.meter
     probe_nbytes = 0
     try:
@@ -734,13 +638,13 @@ def _join_probe_stream(node: P.Join, ctx: _ExecContext, right_parts):
             meter.release(probe_nbytes)
 
 
-def _run_join_budgeted(node: P.Join, ctx: _ExecContext):
-    """Join under a memory budget: buffer the build side only up to
-    the budget; if it fits, run the exact in-memory join on the
-    buffered partitions, otherwise switch to the grace-partitioned
-    spill path."""
+def _run_join(node: P.Join, ctx: _ExecContext):
+    """Broadcast hash join: buffer the build (right) side up to the
+    memory budget; if it fits, build over the buffered partitions and
+    probe the streaming left side, otherwise switch to the
+    grace-partitioned spill path."""
     meter = ctx.meter
-    budget = ctx.spill_budget()
+    budget = ctx.budget_share()
     buffered: list = []
     buffered_bytes = 0
     over = False
@@ -828,7 +732,7 @@ def _join_grace(
     spill = ctx.spill
     on = node.on
     nb = _GRACE_BUCKETS
-    per_bucket_budget = max(1, spill.budget // (2 * nb))
+    per_bucket_budget = ctx.budget_share(2 * nb)
     bucket_pending: list = [[] for _ in range(nb)]
     bucket_pending_bytes = [0] * nb
     bucket_handles: list = [[] for _ in range(nb)]
@@ -881,7 +785,7 @@ def _join_grace(
 
     # ---- Phase 2: buffer the probe side (bucket codes ride along so
     # the per-bucket probe pass never recomputes hashes).
-    left_buf = SpillableBuffer(spill, max(1, spill.budget // 2))
+    left_buf = SpillableBuffer(spill, ctx.budget_share(2))
     for part in ctx.iterate(node.left):
         if part.num_rows == 0:
             continue
@@ -901,7 +805,7 @@ def _join_grace(
     # bucket order (Partition or SpillHandle).
     pieces: list = [[] for _ in range(len(left_buf))]
     pieces_mem = 0
-    piece_budget = max(1, spill.budget // 4)
+    piece_budget = ctx.budget_share(4)
 
     try:
         # ---- Phase 3: per bucket — restore, build once, probe every
@@ -919,7 +823,7 @@ def _join_grace(
             del bucket_parts
             # Cast to the dtypes a whole-build concat would have
             # produced, so matched values are bit-identical to the
-            # in-memory path even with mixed-dtype build partitions.
+            # under-budget join even with mixed-dtype build partitions.
             cast_cols = {}
             for name in column_order:
                 arr = raw.columns[name]
@@ -1042,7 +946,10 @@ def _concat_arrays(arrays: list) -> np.ndarray:
 def _accumulate_dtypes(acc: dict | None, part: Partition) -> dict:
     """Fold one partition's column dtypes into the running
     ``np.result_type`` accumulation (what a whole-input concat would
-    promote each column to)."""
+    promote each column to — ``Partition.concat`` skips empty
+    partitions, so they do not vote here either)."""
+    if part.num_rows == 0:
+        return acc
     if acc is None:
         return {n: a.dtype for n, a in part.columns.items()}
     for name, arr in part.columns.items():
@@ -1067,15 +974,6 @@ _MERGE_FANIN = 8
 #: makes the sort order *total*, so k-way merge output is exactly the
 #: in-memory stable lexsort (and its reverse for descending).
 _SPILL_IDX = "__repro_spill_idx__"
-
-
-def _run_order_by(node: P.OrderBy, ctx: _ExecContext):
-    if ctx.spill_budget() is not None:
-        yield from _run_order_by_spilled(node, ctx)
-        return
-    yield from _order_by_memory_parts(
-        node, ctx, list(ctx.iterate(node.child))
-    )
 
 
 def _order_by_memory_parts(node: P.OrderBy, ctx: _ExecContext, parts):
@@ -1118,20 +1016,21 @@ def _spill_chunked(part: Partition, chunk_bytes: int, ctx, node) -> list:
     return handles
 
 
-def _run_order_by_spilled(node: P.OrderBy, ctx: _ExecContext):
-    """External merge sort under a memory budget.
+def _run_order_by(node: P.OrderBy, ctx: _ExecContext):
+    """Global sort; an external merge sort once the input outgrows the
+    memory budget.
 
-    Input partitions are buffered until ~budget/2, then sorted into a
+    Input partitions are buffered until ~budget/3, then sorted into a
     *run* (with the arrival-index tiebreak column attached) and spilled
     in chunks.  Runs are k-way merged by replaying one chunk per run at
     a time — the merge itself re-uses ``np.lexsort``, so NaN and object
-    key comparisons behave exactly like the in-memory path.
+    key comparisons behave exactly like the single in-memory lexsort
+    that input under the run budget gets.
     """
     meter = ctx.meter
     spill = ctx.spill
-    budget = ctx.spill_budget()
-    run_budget = max(1, budget // _RUN_DIVISOR)
-    chunk_bytes = max(1, budget // _CHUNK_DIVISOR)
+    run_budget = ctx.budget_share(_RUN_DIVISOR)
+    chunk_bytes = ctx.budget_share(_CHUNK_DIVISOR)
     pending: list = []
     pending_bytes = 0
     next_idx = 0
@@ -1196,8 +1095,7 @@ def _run_order_by_spilled(node: P.OrderBy, ctx: _ExecContext):
                 flush_run()
 
         if not runs:
-            # Everything fit under the budget: take the exact
-            # in-memory path (bit-for-bit the unbounded behaviour).
+            # Everything fit under the run budget: one in-memory sort.
             parts, pending = pending, []
             if meter is not None:
                 meter.release(pending_bytes)
@@ -1455,47 +1353,15 @@ def _last_group_start(head, keys, order, safe: int) -> int:
 
 
 def _run_repartition(node: P.Repartition, ctx: _ExecContext):
-    if ctx.spill_budget() is not None:
-        yield from _run_repartition_spilled(node, ctx)
-        return
-    meter = ctx.meter
-    parts = list(ctx.iterate(node.child))
-    if not parts:
-        return
-    whole = Partition.concat(parts)
-    # Repartition is a materializing operator like order_by: the whole
-    # dataset is resident while the slices stream out, and the meter
-    # must see it so ablation benches report honest peaks.
-    if meter is not None:
-        meter.allocate(whole.nbytes)
-    try:
-        n = whole.num_rows
-        k = max(1, int(node.num_partitions))
-        bounds = np.linspace(0, n, k + 1).astype(int)
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            if stop > start:
-                yield Partition(
-                    {
-                        name: arr[start:stop]
-                        for name, arr in whole.columns.items()
-                    }
-                )
-    finally:
-        if meter is not None:
-            meter.release(whole.nbytes)
-
-
-def _run_repartition_spilled(node: P.Repartition, ctx: _ExecContext):
-    """Repartition under a memory budget: overflow input partitions
-    spill, then the output slices are assembled by streaming the
+    """Repartition is a materializing operator like order_by: the
+    whole input is buffered (input beyond half the memory budget
+    spills), then the output slices are assembled by streaming the
     buffer back — each column cast to the dtype a whole-input concat
-    would have produced, so slice contents match the in-memory path
-    bit for bit."""
+    would produce, so slice contents do not depend on what spilled."""
     from repro.engine.spill import SpillableBuffer
 
     meter = ctx.meter
-    budget = ctx.spill_budget()
-    buf = SpillableBuffer(ctx.spill, max(1, budget // 2))
+    buf = SpillableBuffer(ctx.spill, ctx.budget_share(2))
     target_dtypes: dict | None = None
     saw_input = False
     for part in ctx.iterate(node.child):

@@ -7,12 +7,6 @@ import numpy as np
 from repro.engine.partition import Partition
 
 
-class CompileError(TypeError):
-    """Raised when an expression tree cannot be lowered to a flat
-    postfix program (unknown node type, non-ufunc operator).  The
-    stage compiler catches it and keeps the interpreted path."""
-
-
 class Expr:
     """Base expression node.  Supports arithmetic/comparison operators
     that build larger expressions, PySpark-style:
@@ -23,6 +17,10 @@ class Expr:
     name: str = "expr"
 
     def evaluate(self, partition: Partition) -> np.ndarray:
+        """Tree-walking evaluation over one partition.  The executor
+        runs the flat program :meth:`emit` produces instead; this is
+        the public single-expression evaluator and the reference the
+        tests hold the compiled programs to."""
         raise NotImplementedError
 
     def alias(self, name: str) -> "Expr":
@@ -47,13 +45,8 @@ class Expr:
 
     def emit(self, program: list) -> None:
         """Append this node's flat postfix instructions to ``program``
-        (see :mod:`repro.engine.compile` for the instruction set).
-        Subclasses that cannot be lowered raise :class:`CompileError`,
-        which makes the stage compiler fall back to tree-walking
-        interpretation for the whole chain."""
-        raise CompileError(
-            f"{type(self).__name__} has no postfix lowering"
-        )
+        (see :mod:`repro.engine.compile` for the instruction set)."""
+        raise NotImplementedError
 
     # -- operator sugar -------------------------------------------------
     def _binary(self, other, fn, symbol):
@@ -168,6 +161,14 @@ class Literal(Expr):
         return self.name
 
 
+def _operator_instruction(fn, nin: int, symbol: str) -> tuple:
+    """Numpy ufuncs get the replayable ``ufunc`` instruction; any other
+    function is a plain ``call``, like a UDF."""
+    if isinstance(fn, np.ufunc):
+        return ("ufunc", fn, nin)
+    return ("call", fn, nin, symbol)
+
+
 class BinaryOp(Expr):
     def __init__(self, left: Expr, right: Expr, fn, symbol: str):
         self.left = left
@@ -194,11 +195,9 @@ class BinaryOp(Expr):
         )
 
     def emit(self, program: list) -> None:
-        if not isinstance(self.fn, np.ufunc):
-            raise CompileError(f"binary op {self.symbol!r} is not a ufunc")
         self.left.emit(program)
         self.right.emit(program)
-        program.append(("ufunc", self.fn, 2))
+        program.append(_operator_instruction(self.fn, 2, self.symbol))
 
     def __repr__(self):
         return self.name
@@ -224,10 +223,8 @@ class UnaryOp(Expr):
         return UnaryOp(self.operand.substitute(mapping), self.fn, self.symbol)
 
     def emit(self, program: list) -> None:
-        if not isinstance(self.fn, np.ufunc):
-            raise CompileError(f"unary op {self.symbol!r} is not a ufunc")
         self.operand.emit(program)
-        program.append(("ufunc", self.fn, 1))
+        program.append(_operator_instruction(self.fn, 1, self.symbol))
 
     def __repr__(self):
         return self.name
@@ -284,7 +281,7 @@ class VectorUdf(Expr):
     def emit(self, program: list) -> None:
         for expr in self.inputs:
             expr.emit(program)
-        program.append(("udf", self.fn, len(self.inputs), self.name))
+        program.append(("call", self.fn, len(self.inputs), self.name))
 
     def evaluate(self, partition: Partition) -> np.ndarray:
         args = [expr.evaluate(partition) for expr in self.inputs]

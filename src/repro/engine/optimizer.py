@@ -49,26 +49,18 @@ from repro.engine.expressions import Alias, BinaryOp, Column, Expr, Literal
 _MAX_PASSES = 25
 
 
-def optimize(node: P.PlanNode, stages: bool = False) -> P.PlanNode:
-    """Return an optimized, semantically equivalent plan.
+def optimize(node: P.PlanNode) -> P.PlanNode:
+    """Return an optimized, semantically equivalent logical plan.
 
-    With ``stages=True`` the logical rewrite is followed by the
-    physical-planning rule from :mod:`repro.engine.compile`: every
-    maximal run of adjacent Filter/Project/WithColumn/Drop operators
-    collapses into one :class:`~repro.engine.plan.CompiledStage`
-    (flat-postfix expression programs, selection-vector filtering).
-    The executor runs those stages — optionally morsel-parallel — with
-    results bit-identical to the interpreted operators."""
+    The physical-planning pass that follows it before execution —
+    fusing each run of narrow operators into one
+    :class:`~repro.engine.plan.CompiledStage` — is
+    :func:`repro.engine.compile.compile_stages`."""
     node = _rewrite(node)
     node = _prune(node, None)
     # Pruning inserts narrowing projections; fuse/push once more so
     # e.g. Project∘Project collapses and filters slide below them.
-    node = _rewrite(node)
-    if stages:
-        from repro.engine.compile import compile_stages
-
-        node = compile_stages(node)
-    return node
+    return _rewrite(node)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.engine import plan as P
@@ -26,34 +24,24 @@ class Session:
         Optional :class:`MemoryMeter` observing the engine working set
         (used by the Figure 8 bench).
     optimize:
-        Run the rule-based logical-plan optimizer before executing
-        (default on).  Turn off for ablation benchmarks or to debug a
-        plan exactly as written.
-    compile:
-        Collapse narrow operator chains into compiled stages
-        (:mod:`repro.engine.compile`) before executing (default on;
-        requires ``optimize``).  Turn off to benchmark or debug the
-        tree-walking interpreted path — results are bit-identical
-        either way.
+        Run the rule-based logical-plan optimizer and the stage
+        compiler before executing (default on).  Turn off for ablation
+        benchmarks or to debug a plan exactly as written — each narrow
+        operator then runs as its own one-step stage, with
+        bit-identical results.
     parallelism:
-        Worker threads for morsel-parallel execution of compiled
-        stages (default 1 = serial).  Stage compute runs inside numpy
-        ufuncs, which release the GIL, so values up to the machine's
-        core count scale near-linearly on expression-bound pipelines.
-    queue_depth:
-        Bound on in-flight morsels per stage (default
-        ``2 * parallelism``); caps resident partitions at
-        O(parallelism + queue_depth) in parallel mode.
+        Worker threads for morsel-parallel execution of narrow stages
+        (default 1 = serial), with ``2 * parallelism`` morsels in
+        flight per stage.  Stage compute runs inside numpy ufuncs,
+        which release the GIL.
     memory_budget:
         Soft cap (bytes) on what the *materializing* operators —
         ``order_by``, ``repartition``, the join build side, ``cache``
-        — may keep resident.  When set, input beyond the budget spills
-        to disk through the session's :class:`SpillManager` and is
-        restored on demand, so datasets larger than memory still
-        execute; results are bit-identical to the unbounded paths.
-        Default ``None`` (never spill); the ``REPRO_TEST_MEMORY_BUDGET``
-        environment variable, when set, supplies a default budget so CI
-        can force the spill paths on small fixtures.
+        — may keep resident.  Input beyond the budget spills to disk
+        through the session's :class:`SpillManager` and is restored on
+        demand, so datasets larger than memory still execute; results
+        are bit-identical at every budget.  Default ``None``: no cap,
+        nothing spills.
     spill_dir:
         Parent directory for the spill temp dir (default: the system
         temp dir).  Only consulted when something actually spills.
@@ -64,28 +52,18 @@ class Session:
         default_parallelism: int = 4,
         meter: MemoryMeter | None = None,
         optimize: bool = True,
-        compile: bool = True,
         parallelism: int = 1,
-        queue_depth: int | None = None,
         memory_budget: int | None = None,
         spill_dir: str | None = None,
     ):
         check_positive(default_parallelism, "default_parallelism")
         check_positive(parallelism, "parallelism")
-        if queue_depth is not None:
-            check_positive(queue_depth, "queue_depth")
-        if memory_budget is None:
-            env = os.environ.get("REPRO_TEST_MEMORY_BUDGET")
-            if env:
-                memory_budget = int(env)
         if memory_budget is not None:
             check_positive(memory_budget, "memory_budget")
         self.default_parallelism = default_parallelism
         self.meter = meter
         self.optimize = optimize
-        self.compile = compile
         self.parallelism = parallelism
-        self.queue_depth = queue_depth
         self.memory_budget = memory_budget
         self.spill_dir = spill_dir
         self._spill_manager = None

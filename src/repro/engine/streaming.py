@@ -167,7 +167,6 @@ class DeltaState:
         self.keys = list(keys)
         self.specs = list(specs)
         self.state = ArrayGroupState(self.specs)
-        self.key_dtypes: list | None = None
         self.last_changed = np.empty(0, dtype=np.int64)
 
     @property
@@ -182,49 +181,38 @@ class DeltaState:
         """Merge one micro-batch; returns the number of distinct
         groups it touched."""
         if part.num_rows == 0:
-            if self.key_dtypes is None and all(
-                k in part.columns for k in self.keys
-            ):
-                self.key_dtypes = [part.columns[k].dtype for k in self.keys]
             self.last_changed = np.empty(0, dtype=np.int64)
             return 0
-        key_arrays = [part.columns[k] for k in self.keys]
-        if self.key_dtypes is None:
-            self.key_dtypes = [arr.dtype for arr in key_arrays]
-        stacked = np.stack([np.asarray(a) for a in key_arrays], axis=1)
-        if stacked.dtype == object:
+        key_columns = [part.columns[k] for k in self.keys]
+        if any(np.asarray(c).dtype.kind in "OUS" for c in key_columns):
             raise TypeError(
                 "streaming aggregation state requires numeric group keys; "
-                f"got object-dtype keys {self.keys}"
+                f"got non-numeric keys {self.keys}"
             )
-        self.last_changed = self.state.update(stacked, part)
+        self.last_changed = self.state.update(key_columns, part)
         return len(self.last_changed)
 
     def to_partition(self) -> Partition:
         """The full current state finalized as one partition (same
         layout as the batch group-by's output)."""
-        return self.state.to_partition(self.keys, self.key_dtypes)
+        return self.state.to_partition(self.keys)
 
     def delta_partition(self) -> Partition:
         """Only the groups the last ``update`` touched, finalized —
         the rows a downstream incremental consumer must re-apply."""
         mask = np.zeros(self.state.num_groups, dtype=bool)
         mask[self.last_changed] = True
-        return self.state.select(mask).to_partition(
-            self.keys, self.key_dtypes
-        )
+        return self.state.select(mask).to_partition(self.keys)
 
     def evict_below(self, key_index: int, threshold: float) -> Partition:
         """Finalize and remove every group whose ``key_index``-th key
         is at or below ``threshold``; returns the evicted groups as a
         partition (the "closed windows" emission)."""
         if self.state.num_groups == 0:
-            return self.state.to_partition(self.keys, self.key_dtypes)
+            return self.state.to_partition(self.keys)
         column = self.state.keys[:, key_index].astype(np.float64)
         closing = column <= threshold
-        closed = self.state.select(closing).to_partition(
-            self.keys, self.key_dtypes
-        )
+        closed = self.state.select(closing).to_partition(self.keys)
         self.state.compact(~closing)
         # Positions shift after compaction; a delta computed before the
         # eviction no longer indexes this state.

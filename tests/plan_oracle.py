@@ -1,0 +1,46 @@
+"""Reference evaluator for narrow logical plans.
+
+Walks a DataFrame's *logical* plan exactly as written and evaluates
+every expression with the tree-walking ``Expr.evaluate`` — no
+optimizer, no stage compiler, no ``CompiledExpr``.  The engine's own
+executor runs every narrow operator through compiled stages, so this is
+the independent oracle the compile tests hold it to, bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.engine import plan as P
+from repro.engine.partition import Partition
+
+
+def oracle_partitions(node: P.PlanNode) -> list:
+    """Output partitions of a plan built from a ``Source`` and narrow
+    operators only (one partition out per partition in)."""
+    if isinstance(node, P.Source):
+        return [factory() for factory in node.partition_factories]
+    parts = oracle_partitions(node.child)
+    if isinstance(node, P.Filter):
+        return [
+            part.mask(np.asarray(node.predicate.evaluate(part), dtype=bool))
+            for part in parts
+        ]
+    if isinstance(node, P.Project):
+        return [
+            Partition({name: expr.evaluate(part) for name, expr in node.exprs})
+            for part in parts
+        ]
+    if isinstance(node, P.WithColumn):
+        return [
+            part.with_column(node.name, node.expr.evaluate(part))
+            for part in parts
+        ]
+    if isinstance(node, P.Drop):
+        return [part.drop(node.names) for part in parts]
+    raise TypeError(f"oracle cannot evaluate {type(node).__name__}")
+
+
+def oracle_columns(df) -> dict:
+    """``df.to_columns()`` as the oracle computes it."""
+    return dict(Partition.concat(oracle_partitions(df.plan)).columns)

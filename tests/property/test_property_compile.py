@@ -1,13 +1,13 @@
 """Property tests: compiled execution is bit-identical to the
-tree-walking interpreter.
+tree-walking ``Expr.evaluate``.
 
-Every test builds the same pipeline twice — once with
-``Session(compile=True)`` (default; stages fused and run through
-``CompiledExpr``), once with ``compile=False`` (pure interpreter) —
-and asserts dtype *and* value equality with ``array_equal``, not
-``isclose``: the compiled path must produce the exact same bits,
-including NaN/inf patterns from division by zero, NEP-50 promotion
-results, and object-dtype comparison outputs.
+Every test builds one pipeline and evaluates it twice — once through
+the engine (stages fused and run through ``CompiledExpr``, possibly
+morsel-parallel), once through ``tests/plan_oracle.py`` (the logical
+plan walked with ``Expr.evaluate``) — and asserts dtype *and* value
+equality with ``array_equal``, not ``isclose``: the compiled path must
+produce the exact same bits, including NaN/inf patterns from division
+by zero, NEP-50 promotion results, and object-dtype comparison outputs.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Session, col, lit, udf
+from tests.plan_oracle import oracle_columns
 
 floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False
@@ -38,12 +39,6 @@ def mixed_frames(draw):
     )
 
 
-def _sessions(parts, parallelism):
-    compiled = Session(default_parallelism=parts, parallelism=parallelism)
-    interpreted = Session(default_parallelism=parts, compile=False)
-    return compiled, interpreted
-
-
 def _data(i, f, b, s):
     str_col = np.empty(len(s), dtype=object)
     str_col[:] = s
@@ -64,15 +59,11 @@ def assert_frames_identical(left: dict, right: dict):
 
 def run_both(frame, build):
     i, f, b, s, parts, parallelism = frame
-    compiled_session, interpreted_session = _sessions(parts, parallelism)
-    data = _data(i, f, b, s)
-    compiled = build(
-        compiled_session.create_dataframe(data, num_partitions=parts)
-    ).to_columns()
-    interpreted = build(
-        interpreted_session.create_dataframe(data, num_partitions=parts)
-    ).to_columns()
-    assert_frames_identical(compiled, interpreted)
+    session = Session(default_parallelism=parts, parallelism=parallelism)
+    df = build(
+        session.create_dataframe(_data(i, f, b, s), num_partitions=parts)
+    )
+    assert_frames_identical(df.to_columns(), oracle_columns(df))
 
 
 @settings(max_examples=40, deadline=None)
@@ -94,7 +85,7 @@ def test_arithmetic_chain_identical(frame):
 @given(mixed_frames())
 def test_division_by_zero_identical(frame):
     """0/0 -> nan, x/0 -> ±inf: the exact NaN/inf pattern must match
-    the interpreter."""
+    ``Expr.evaluate``."""
     def build(df):
         with np.errstate(divide="ignore", invalid="ignore"):
             return df.with_column("q", col("f") / col("i")).select("q")
@@ -106,8 +97,8 @@ def test_division_by_zero_identical(frame):
 @settings(max_examples=40, deadline=None)
 @given(mixed_frames())
 def test_int_bool_promotion_identical(frame):
-    """int64 + bool and bool * float promotions must come out with the
-    interpreter's dtypes (full-array NEP-50 semantics)."""
+    """int64 + bool and bool * float promotions must come out with
+    ``Expr.evaluate``'s dtypes (full-array NEP-50 semantics)."""
     run_both(
         frame,
         lambda df: df.with_column("ib", col("i") + col("b"))

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Session, agg, col
+from repro.engine.partition import Partition
+from repro.engine.schema import Field, Schema
 
 
 @st.composite
@@ -117,3 +119,124 @@ def test_join_with_self_keys(frame):
     rows = df.join(right, on="k").collect()
     assert len(rows) == len(keys)  # every row matches exactly once
     assert all(r["tag"] == r["k"] * 10 for r in rows)
+
+
+# ----------------------------------------------------------------------
+# Non-numeric group keys: dictionary-coded inside the one group-by state
+# ----------------------------------------------------------------------
+WORDS = ["apple", "pear", "quince", "", "apple "]
+ALL_AGGS = [
+    agg.count(name="n"), agg.sum_("v", "s"), agg.min_("v", "lo"),
+    agg.max_("v", "hi"), agg.mean("v", "m"), agg.var_("v", "var"),
+    agg.std_("v", "std"), agg.count_distinct("v", "nd"),
+]
+#: name -> how a drawn list of word indices becomes that key column.
+KEY_COLUMNS = {
+    "obj": lambda idx: _object_array([WORDS[j] for j in idx]),
+    "uni": lambda idx: np.array([WORDS[j] for j in idx], dtype="<U6"),
+    "int": lambda idx: np.asarray(idx, dtype=np.int64),
+}
+
+
+def _object_array(values):
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+@st.composite
+def keyed_frames(draw):
+    n = draw(st.integers(min_value=0, max_value=40))
+    names = draw(
+        st.sampled_from(
+            [("obj",), ("uni",), ("obj", "int"), ("int", "uni"), ("obj", "uni")]
+        )
+    )
+    index = st.lists(
+        st.integers(min_value=0, max_value=len(WORDS) - 1),
+        min_size=n, max_size=n,
+    )
+    keys = {name: draw(index) for name in names}
+    values = draw(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=-3, max_value=3).map(float),
+                st.floats(min_value=-100, max_value=100, allow_nan=False),
+            ),
+            min_size=n, max_size=n,
+        )
+    )
+    # 0-3 cut points -> 1-4 partitions; repeated cuts give empty ones.
+    cuts = draw(
+        st.lists(st.integers(min_value=0, max_value=n), min_size=0, max_size=3)
+    )
+    return names, keys, values, sorted(cuts)
+
+
+def _grouped(columns: dict, names, cuts):
+    """``group_by(*names)`` over all eight aggregate kinds, with the
+    frame cut into explicit (possibly empty) partitions; rows keyed by
+    their group-key tuple."""
+    n = len(columns["v"])
+    bounds = [0, *cuts, n]
+    factories = [
+        lambda a=a, b=b: Partition({k: c[a:b] for k, c in columns.items()})
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+    schema = Schema([Field(k, c.dtype) for k, c in columns.items()])
+    return (
+        Session()
+        .from_partitions(factories, schema)
+        .group_by(*names)
+        .agg(*ALL_AGGS)
+        .to_columns()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(keyed_frames())
+def test_non_numeric_keys_equal_prefactorised_ints(frame):
+    """Grouping by string keys gives, group for group and bit for bit,
+    what grouping by the same keys factorised to ints up front gives
+    (the numeric ``unique_rows`` path) — and hands the keys back in
+    their input dtypes."""
+    names, keys, values, cuts = frame
+    v = np.asarray(values, dtype=np.float64)
+    by_name = {name: KEY_COLUMNS[name](keys[name]) for name in names}
+    # The drawn word indices *are* a factorisation (not the first-seen
+    # order the state's own dictionary assigns).
+    by_code = {name: KEY_COLUMNS["int"](keys[name]) for name in names}
+
+    got = _grouped({**by_name, "v": v}, names, cuts)
+    want = _grouped({**by_code, "v": v}, names, cuts)
+
+    if len(v) == 0:
+        assert all(len(col_) == 0 for col_ in got.values())
+        return
+    for name in names:
+        assert got[name].dtype == by_name[name].dtype, name
+
+    def rows(out, decode):
+        """(group-key tuples, aggregate columns), both in key order."""
+        key_cols = [
+            [
+                WORDS[c] if decode and name != "int" else c
+                for c in out[name].tolist()
+            ]
+            for name in names
+        ]
+        tuples = list(zip(*key_cols))
+        order = sorted(range(len(tuples)), key=tuples.__getitem__)
+        return (
+            [tuples[r] for r in order],
+            {a.out_name: out[a.out_name][order] for a in ALL_AGGS},
+        )
+
+    got_keys, got_aggs = rows(got, decode=False)
+    want_keys, want_aggs = rows(want, decode=True)
+    assert got_keys == want_keys
+    for name in got_aggs:
+        assert got_aggs[name].dtype == want_aggs[name].dtype, name
+        np.testing.assert_array_equal(
+            got_aggs[name], want_aggs[name], err_msg=name
+        )

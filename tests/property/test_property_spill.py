@@ -104,7 +104,23 @@ def test_order_by_object_keys_identical(frame):
 @settings(max_examples=30, deadline=None)
 @given(mixed_frames())
 def test_repartition_identical(frame):
-    run_both(frame, lambda df, _s: df.repartition(3))
+    """Against a numpy oracle: the input rows in order (``data`` is the
+    concatenation of the source partitions), cut at ``linspace``
+    bounds — at every budget, slice by slice."""
+    i, f, b, s, parts, budget = frame
+    data = _data(i, f, b, s)
+    with Session(default_parallelism=parts, memory_budget=budget) as session:
+        df = session.create_dataframe(data, num_partitions=parts)
+        slices = list(df.repartition(3).iter_partitions())
+    bounds = np.linspace(0, len(i), 3 + 1).astype(int)
+    expected = [
+        {name: arr[start:stop] for name, arr in data.items()}
+        for start, stop in zip(bounds[:-1], bounds[1:])
+        if stop > start
+    ]
+    assert len(slices) == len(expected)
+    for part, reference in zip(slices, expected):
+        assert_frames_identical(dict(part.columns), reference)
 
 
 @settings(max_examples=30, deadline=None)

@@ -40,6 +40,31 @@ class TestCache:
         assert df.collect() == df.collect()
         assert df.columns == ["x", "y"]
 
+    def test_narrow_ops_beneath_cache_same_bits_as_uncached(self, session):
+        """The stage compiler stops at a Cache node, so the narrow
+        operators beneath it run un-fused, one stage each — with the
+        same bits as the fused uncached plan, cold and replayed."""
+        def pipeline():
+            return (
+                session.create_dataframe(
+                    {"x": np.arange(40, dtype=np.int64),
+                     "f": np.linspace(-1.0, 1.0, 40)}
+                )
+                .filter(col("x") % 3 != 0)
+                .with_column("y", col("f") * col("x") + 0.5)
+                .select("y", "x")
+                .drop("x")
+            )
+
+        expected = pipeline().to_columns()
+        cached = pipeline().cache()
+        for _ in range(2):
+            got = cached.to_columns()
+            assert list(got) == list(expected)
+            for name in got:
+                assert got[name].dtype == expected[name].dtype
+                np.testing.assert_array_equal(got[name], expected[name])
+
     def test_downstream_ops_work(self, session):
         df = session.create_dataframe({"x": np.arange(10)}).cache()
         assert df.filter(col("x") > 7).count() == 2

@@ -2,7 +2,7 @@
 execution (``repro.engine.compile``, executor parallel path).
 
 The contract under test everywhere: compiled execution — serial or
-parallel — is *bit-identical* to the tree-walking interpreter.
+parallel — is *bit-identical* to the tree-walking ``Expr.evaluate``.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from repro.engine.compile import (
     compile_expr,
     compile_stages,
 )
-from repro.engine.expressions import BinaryOp, CompileError
+from repro.engine.expressions import BinaryOp, UnaryOp
 from repro.engine.optimizer import optimize
 from repro.engine.partition import Partition
+from tests.plan_oracle import oracle_columns
 
 
 @pytest.fixture
@@ -120,10 +121,22 @@ class TestCompileExpr:
         with pytest.raises(ValueError, match="trunc"):
             compiled.evaluate(part.columns, part.num_rows)
 
-    def test_non_ufunc_operator_raises_compile_error(self):
-        weird = BinaryOp(col("a"), col("b"), lambda a, b: a + b, "+")
-        with pytest.raises(CompileError):
-            compile_expr(weird)
+    def test_non_ufunc_operator_lowers_to_call(self, part):
+        """An operator node around a plain function (not a ufunc) is a
+        ``call`` instruction, evaluated like ``Expr.evaluate`` does."""
+        weird = UnaryOp(
+            BinaryOp(col("a"), col("b"), lambda a, b: a + b, "+"),
+            lambda a: -a,
+            "-",
+        ) * lit(2.0)
+        compiled = compile_expr(weird)
+        kinds = [instr[0] for instr in compiled.program]
+        assert kinds == ["col", "col", "call", "call", "lit", "ufunc"]
+        for _ in range(2):  # natural run, then the replay path
+            assert_identical(
+                compiled.evaluate(part.columns, part.num_rows),
+                weird.evaluate(part),
+            )
 
     def test_repr(self):
         compiled = compile_expr(col("a") + lit(1))
@@ -205,28 +218,34 @@ class TestCompileStages:
             .with_column("c", col("a") * 2)
             .select("c", "b")
         )
-        plan = optimize(df.plan, stages=True)
+        plan = compile_stages(optimize(df.plan))
         assert isinstance(plan, P.CompiledStage)
         assert isinstance(plan.child, P.Source)
         assert "CompiledStage[" in plan._label()
         assert " -> " in plan._label()
 
     def test_stages_flag_off_keeps_logical_nodes(self):
+        """``optimize`` is the logical rewrite only; stages come from
+        the separate ``compile_stages`` pass."""
         session = self._session()
         df = session.create_dataframe({"a": [1, 2, 3]}).filter(col("a") > 1)
-        plan = optimize(df.plan)  # stages defaults off
+        plan = optimize(df.plan)
         assert not any(
             isinstance(n, P.CompiledStage) for n in _walk(plan)
         )
 
-    def test_uncompilable_chain_falls_back_to_interpreted(self):
-        weird = BinaryOp(col("a"), lit(1), lambda a, b: a + b, "+")
+    def test_non_ufunc_chain_compiles_to_stage(self):
+        from repro.engine.executor import iter_partitions
+
+        weird = BinaryOp(col("a"), lit(1), lambda a, b: a > b, ">")
         node = P.Filter(
             P.Source([lambda: Partition({"a": np.array([1, 2])})], None),
             weird,
         )
         out = compile_stages(node)
-        assert isinstance(out, P.Filter)
+        assert isinstance(out, P.CompiledStage)
+        (result,) = iter_partitions(out)
+        assert result.columns["a"].tolist() == [2]
 
     def test_lone_drop_not_compiled(self):
         node = P.Drop(
@@ -237,25 +256,27 @@ class TestCompileStages:
         assert isinstance(out, P.Drop)
 
     def test_session_compile_off_matches_compiled_results(self):
+        """Fused stages, one-step stages (``optimize=False``) and the
+        ``Expr.evaluate`` plan oracle agree bit for bit."""
         data = {
             "a": np.arange(50, dtype=np.int64),
             "b": np.linspace(0, 1, 50),
         }
-
-        def pipeline(session):
-            df = session.create_dataframe(data, num_partitions=4)
-            return (
-                df.filter(col("a") % 3 != 0)
-                .with_column("c", col("b") * col("a") + lit(0.5))
-                .select("a", "c")
-                .to_columns()
-            )
-
-        compiled = pipeline(self._session())
-        interpreted = pipeline(self._session(compile=False))
-        assert list(compiled) == list(interpreted)
-        for name in compiled:
-            assert_identical(compiled[name], interpreted[name])
+        df = (
+            self._session()
+            .create_dataframe(data, num_partitions=4)
+            .filter(col("a") % 3 != 0)
+            .with_column("c", col("b") * col("a") + lit(0.5))
+            .select("a", "c")
+            .drop("a")
+        )
+        expected = oracle_columns(df)
+        for optimize_flag in (True, False):
+            parts = list(df.iter_partitions(optimize=optimize_flag))
+            got = dict(Partition.concat(parts).columns)
+            assert list(got) == list(expected)
+            for name in got:
+                assert_identical(got[name], expected[name])
 
     def test_plan_column_names_through_stage(self):
         session = self._session()
@@ -266,7 +287,7 @@ class TestCompileStages:
             .drop("s")
         )
         assert df.columns == ["a", "b", "c"]
-        plan = optimize(df.plan, stages=True)
+        plan = compile_stages(optimize(df.plan))
         assert isinstance(plan, P.CompiledStage)
         from repro.engine.executor import plan_column_names
 
@@ -333,13 +354,6 @@ class TestMorselParallel:
         next(it)
         it.close()  # must not hang or leak the pool
 
-    def test_parallel_queue_depth_one(self):
-        session = Session(default_parallelism=4, parallelism=2, queue_depth=1)
-        out = self._pipeline(session).to_columns()
-        serial = self._pipeline(Session(default_parallelism=4)).to_columns()
-        for name in serial:
-            assert_identical(out[name], serial[name])
-
     def test_parallel_udf_errors_propagate(self):
         session = Session(default_parallelism=4, parallelism=2)
         df = session.create_dataframe(
@@ -356,8 +370,6 @@ class TestMorselParallel:
     def test_session_validates_parallelism(self):
         with pytest.raises(ValueError):
             Session(parallelism=0)
-        with pytest.raises(ValueError):
-            Session(queue_depth=0)
 
 
 class TestAnalyzeIntegration:

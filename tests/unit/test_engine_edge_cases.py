@@ -5,6 +5,7 @@ import pytest
 
 from repro.engine import Session, agg, col
 from repro.engine.partition import Partition
+from repro.engine.schema import Field, Schema
 
 
 @pytest.fixture
@@ -128,3 +129,82 @@ class TestMixedDtypes:
             {"flag": np.array([True, False, True]), "v": [1.0, 2.0, 3.0]}
         )
         assert df.filter(col("flag")).count() == 2
+
+
+class TestGroupKeyDtypes:
+    """Group-by key columns come back in their input dtype."""
+
+    def test_bool_key_next_to_int_key_stays_bool(self, session):
+        df = session.create_dataframe(
+            {"b": np.array([True, False, True, True]),
+             "i": np.array([1, 1, 2, 1], dtype=np.int64)}
+        )
+        out = df.group_by("b", "i").agg(agg.count(name="n")).to_columns()
+        assert out["b"].dtype == np.bool_
+        assert out["i"].dtype == np.int64
+        got = dict(zip(zip(out["b"].tolist(), out["i"].tolist()), out["n"]))
+        assert got == {(False, 1): 1, (True, 1): 2, (True, 2): 1}
+
+    def test_narrow_numeric_keys_do_not_widen(self, session):
+        df = session.create_dataframe(
+            {"i": np.array([3, 3, 7], dtype=np.int32),
+             "f": np.array([0.5, 0.5, 1.5], dtype=np.float32)}
+        )
+        out = df.group_by("i", "f").agg(agg.count(name="n")).to_columns()
+        assert out["i"].dtype == np.int32
+        assert out["f"].dtype == np.float32
+        assert out["i"].tolist() == [3, 7]
+        assert out["f"].tolist() == [0.5, 1.5]
+
+    @pytest.mark.parametrize("name_dtype", ["<U5", object])
+    def test_float_key_next_to_string_key_stays_float(self, session, name_dtype):
+        df = session.create_dataframe(
+            {"f": np.array([0.5, 0.5, 2.5]),
+             "name": np.array(["ab", "ab", "cd"], dtype=name_dtype)}
+        )
+        out = df.group_by("f", "name").agg(agg.count(name="n")).to_columns()
+        assert out["f"].dtype == np.float64
+        assert out["name"].dtype == np.dtype(name_dtype)
+        assert out["f"].tolist() == [0.5, 2.5]
+        assert out["name"].tolist() == ["ab", "cd"]
+        assert out["n"].tolist() == [2, 1]
+
+
+class TestGroupKeyDtypeSwitch:
+    """A key column whose dtype changes from one partition to the next
+    (only reachable through ``from_partitions``)."""
+
+    @staticmethod
+    def _group(session, key_chunks):
+        parts = [
+            Partition({"k": k, "v": np.ones(len(k))}) for k in key_chunks
+        ]
+        schema = Schema([Field("k", np.int64), Field("v", np.float64)])
+        df = session.from_partitions([lambda p=p: p for p in parts], schema)
+        out = df.group_by("k").agg(agg.sum_("v", "s")).to_columns()
+        return out["k"], dict(zip(out["k"].tolist(), out["s"].tolist()))
+
+    def test_int_then_real_strings_recodes(self, session):
+        later = np.empty(3, dtype=object)
+        later[:] = [3, "x", "x"]
+        keys, sums = self._group(
+            session, [np.array([1, 3, 3], dtype=np.int64), later]
+        )
+        assert keys.dtype == object
+        assert sums == {1: 1.0, 3: 3.0, "x": 2.0}
+
+    def test_int_then_object_ints_merges_groups(self, session):
+        keys, sums = self._group(
+            session,
+            [np.array([1, 3], dtype=np.int64), np.array([1, 3], dtype=object)],
+        )
+        assert sums == {1: 2.0, 3: 2.0}
+
+    def test_strings_then_ints(self, session):
+        first = np.empty(2, dtype=object)
+        first[:] = ["x", 1]
+        keys, sums = self._group(
+            session, [first, np.array([1, 2], dtype=np.int64)]
+        )
+        assert keys.dtype == object
+        assert sums == {"x": 1.0, 1: 2.0, 2: 1.0}

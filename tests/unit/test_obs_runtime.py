@@ -430,7 +430,12 @@ class TestQueryProfiles:
         rows = df.collect(profile=path)
         payload = json.loads(open(path).read())
         assert payload["query_id"] == session.last_query_id
-        assert payload["session"]["parallelism"] == 2
+        assert payload["session"] == {
+            "parallelism": 2,
+            "optimize": True,
+            "memory_budget": session.memory_budget,
+            "default_parallelism": 4,
+        }
         assert payload["compiled"] is True  # filter+with_column fuse
         assert payload["spilled"] is False
         assert payload["operators"]["rows_out"] == len(rows)

@@ -327,48 +327,6 @@ class TestNewAggregateKinds:
         assert got["a"][2] == 2
         assert got["b"][0] == 0.0 and got["b"][2] == 1
 
-    def test_state_merge_two_accumulators(self):
-        from repro.engine.aggregates import _State, partial_aggregate
-
-        rng = np.random.default_rng(11)
-        vals = rng.normal(size=50)
-        keys = [np.zeros(50, dtype=np.int64)]
-        for kind in ("count", "sum", "min", "max", "mean", "var", "std",
-                     "count_distinct"):
-            left = _State(kind)
-            right = _State(kind)
-            _, partial_a, counts_a = partial_aggregate(keys[:1], vals, kind)
-            left.update(
-                partial_a[0] if kind != "count" else None, int(counts_a[0])
-            )
-            _, partial_b, counts_b = partial_aggregate(
-                [keys[0][:20]], vals[:20] * 2, kind
-            )
-            right.update(
-                partial_b[0] if kind != "count" else None, int(counts_b[0])
-            )
-            merged = _State(kind)
-            merged.merge(left)
-            merged.merge(right)
-            combined = np.concatenate([vals, vals[:20] * 2])
-            expected = {
-                "count": 70,
-                "sum": combined.sum(),
-                "min": combined.min(),
-                "max": combined.max(),
-                "mean": combined.mean(),
-                "var": combined.var(ddof=1),
-                "std": combined.std(ddof=1),
-                "count_distinct": len(set(combined.tolist())),
-            }[kind]
-            assert np.isclose(merged.result(), expected), kind
-
-    def test_state_merge_kind_mismatch_raises(self):
-        from repro.engine.aggregates import _State
-
-        with pytest.raises(ValueError, match="cannot merge"):
-            _State("sum").merge(_State("min"))
-
     def test_unknown_kind_still_rejected(self):
         with pytest.raises(ValueError, match="unknown aggregate"):
             agg.AggSpec("out", "x", "median")
