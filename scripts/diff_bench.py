@@ -36,7 +36,9 @@ regenerating BENCH_engine.json):
   update (append + delta scatter) at the largest backlog; lower is
   worse.  Also floored **absolutely** at 10x — the incremental path
   is O(batch) vs O(history) and must stay an order of magnitude ahead
-  regardless of baseline drift.
+  regardless of baseline drift.  The two times it divides are printed
+  beside it: a change that speeds up both sides moves the ratio
+  without either side having regressed.
 - ``stream_update_p99_ms`` — p99 incremental update latency at the
   largest backlog; higher is worse.
 
@@ -81,6 +83,21 @@ ABS_LIMITS = {
 #: for higher-is-better keys.
 ABS_FLOORS = {
     "stream_update_speedup": 10.0,
+}
+
+
+def _stream_times(results: dict) -> str:
+    """The numerator and denominator of ``stream_update_speedup``."""
+    largest = results["stream_curve"][-1]
+    return (
+        f"{largest['full_recompute_s']:.4f} s recompute / "
+        f"{largest['incremental_update_s'] * 1e3:.3f} ms update"
+    )
+
+
+#: ratio key -> the times it divides, printed beside the ratio.
+RATIO_TERMS = {
+    "stream_update_speedup": _stream_times,
 }
 
 
@@ -129,6 +146,12 @@ def main(argv: list[str]) -> int:
             f"diff_bench: {key}: baseline={old:.4f} fresh={new:.4f} "
             f"({direction} is better) {marker}"
         )
+        if key in RATIO_TERMS:
+            terms = RATIO_TERMS[key]
+            print(
+                f"diff_bench:   baseline = {terms(baseline)}; "
+                f"fresh = {terms(fresh)}"
+            )
         if regressed:
             failures.append(
                 f"{key}: {old:.4f} -> {new:.4f} (> {TOLERANCE:.0%} worse)"

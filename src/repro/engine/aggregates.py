@@ -17,12 +17,15 @@ sum-of-squares (numerically unstable) or the raw values
 rather than a count (counts of distinct values do not add).
 
 :class:`ArrayGroupState` is the vectorized form of that merge — whole
-accumulator arrays combined with ``np.unique`` + scatter updates, one
-merge per partition.  Both the batch group-by executor and the
-streaming ``DeltaState`` run *this exact class*, which is what makes
-incrementally maintained results bit-identical to a from-scratch
-recompute over the same partition boundaries: the two paths execute
-the same float operations in the same order by construction.
+accumulator arrays, one merge per partition, keyed by one
+order-preserving int64 code per key row (:class:`KeyPacking`): a
+partition is grouped by a 1-D integer ``np.unique`` and its groups are
+found in the state by ``searchsorted``, then scattered in or inserted.
+Both the batch group-by executor and the streaming ``DeltaState`` run
+*this exact class*, which is what makes incrementally maintained
+results bit-identical to a from-scratch recompute over the same
+partition boundaries: the two paths execute the same float operations
+in the same order by construction.
 """
 
 from __future__ import annotations
@@ -119,29 +122,124 @@ def _distinct_sets(vals: np.ndarray, inverse: np.ndarray, num_groups: int):
 
 
 # ----------------------------------------------------------------------
+# Order-preserving integer key codes
+# ----------------------------------------------------------------------
+# The running radix of a packed code stays below _RADIX_LIMIT: with
+# fewer than 2**31 rows, a folded prefix (radix <= rows) times a span
+# (<= 2 * _OFFSET_RANGE, or <= rows for a dictionary) always fits.
+_RADIX_LIMIT = 1 << 62
+_OFFSET_RANGE = 1 << 30
+
+
+def _whole_column(col: np.ndarray):
+    """``(int64 copy, min, max)`` of a non-empty integer-valued column
+    (integer, bool, or float holding only whole numbers) within
+    +-2**62; ``None`` for anything else, NaN and infinities included."""
+    if not len(col) or col.dtype.kind not in "iubf":
+        return None
+    lo, hi = col.min().item(), col.max().item()
+    if not (-_RADIX_LIMIT < lo and hi < _RADIX_LIMIT):
+        return None
+    whole = col.astype(np.int64)
+    if col.dtype.kind == "f" and not (whole == col).all():
+        return None
+    return whole, int(lo), int(hi)
+
+
+def _lookup(table: np.ndarray, values: np.ndarray):
+    """Position of each of ``values`` in the sorted unique ``table``,
+    or ``None`` when one is absent.  NaN finds NaN."""
+    idx = np.searchsorted(table, values)
+    found = table.take(idx, mode="clip")
+    hit = (found == values) | ((found != found) & (values != values))
+    return idx if hit.all() else None
+
+
+class KeyPacking:
+    """An order-preserving map from numeric key rows to one int64 code
+    per row: comparing two codes compares the rows lexicographically.
+
+    Each column is reduced to dense codes that keep its value order —
+    ``value - min`` for an integer-valued column whose range is below
+    2**30, otherwise the position in the column's sorted distinct
+    values (all NaN share the last one) — and the column codes are
+    packed mixed-radix, first column most significant.  Where the
+    radix would reach 2**62 the packed prefix is *folded*: replaced by
+    its position among the distinct prefixes seen at fit time.
+
+    The map is fitted to the rows it is built from (``codes`` are
+    theirs); :meth:`encode` maps other rows with the same parameters
+    and answers ``None`` when a row falls outside them — a value
+    beyond a column's range, or absent from a dictionary or a fold.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        # Per key column: (offset, dictionary, span, fold); a column
+        # has an offset or a dictionary, and a fold if one precedes it.
+        self._columns: list = []
+        self.codes = self._pack(rows, fit=True)
+
+    def encode(self, rows: np.ndarray):
+        return self._pack(rows, fit=False)
+
+    @staticmethod
+    def _fit_column(col, whole, code, radix):
+        if whole is not None and whole[2] - whole[1] < _OFFSET_RANGE:
+            # Twice the range seen: a key that keeps growing (event
+            # time, first-seen dictionary codes) outgrows its span a
+            # logarithmic number of times, not once per batch.
+            lo, table, span = whole[1], None, 2 * (whole[2] - whole[1] + 1)
+        else:
+            lo, table = 0, np.unique(col)
+            span = len(table)
+        fold = np.unique(code) if radix * span >= _RADIX_LIMIT else None
+        return lo, table, span, fold
+
+    def _pack(self, rows: np.ndarray, fit: bool):
+        code, radix = None, 1
+        for j, col in enumerate(rows.T):
+            whole = _whole_column(col)
+            if fit:
+                self._columns.append(self._fit_column(col, whole, code, radix))
+            lo, table, span, fold = self._columns[j]
+            if fold is not None:
+                code, radix = _lookup(fold, code), len(fold)
+                if code is None:
+                    return None
+            if table is not None:
+                digits = _lookup(table, col)
+            elif whole is not None and lo <= whole[1] and whole[2] < lo + span:
+                digits = whole[0]
+                digits -= lo
+            else:
+                digits = None
+            if digits is None:
+                return None
+            radix *= span
+            if code is None:
+                code = digits
+            else:
+                code *= span
+                code += digits
+        return code
+
+
+def unique_rows(rows: np.ndarray):
+    """``(uniques, inverse, counts)`` of a numeric key matrix: its
+    distinct rows in lexicographic order, each row's position among
+    them and the rows per distinct row — one 1-D integer ``np.unique``
+    over the packed row codes."""
+    codes = KeyPacking(rows).codes
+    _, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
+    # Any member stands for its group: grouped rows are equal.
+    member = np.empty(len(counts), dtype=np.intp)
+    member[inverse] = np.arange(len(rows))
+    return rows[member], inverse, counts
+
+
+# ----------------------------------------------------------------------
 # Vectorized per-group state: whole accumulator arrays, scatter merges
 # ----------------------------------------------------------------------
-def unique_rows(rows: np.ndarray, return_counts: bool = False):
-    """``np.unique`` over key rows; 1-column keys take the fast 1-D
-    path instead of the void-view axis=0 machinery."""
-    if rows.shape[1] == 1:
-        result = np.unique(
-            rows[:, 0], return_inverse=True, return_counts=return_counts
-        )
-        uniques = result[0][:, None]
-        rest = result[1:]
-    else:
-        result = np.unique(
-            rows, axis=0, return_inverse=True, return_counts=return_counts
-        )
-        uniques = result[0]
-        rest = result[1:]
-    inverse = rest[0].reshape(-1)
-    if return_counts:
-        return uniques, inverse, rest[1]
-    return uniques, inverse
-
-
 def _dictionary_codes(codes: dict, values: np.ndarray) -> np.ndarray:
     """int64 codes of ``values`` under the value → code dict ``codes``,
     which grows in first-seen order."""
@@ -150,6 +248,12 @@ def _dictionary_codes(codes: dict, values: np.ndarray) -> np.ndarray:
         dtype=np.int64,
         count=len(values),
     )
+
+
+# What a group no partition has reached yet holds, by aggregate kind
+# (0.0 for the others); merging a partial into it yields the partial
+# bit for bit.
+_EMPTY = {"min": np.inf, "max": -np.inf, "count_distinct": None}
 
 
 def empty_group_partition(keys, specs):
@@ -161,11 +265,16 @@ def empty_group_partition(keys, specs):
 
 
 class ArrayGroupState:
-    """Per-group accumulators held as whole arrays, merged with
-    ``np.unique`` + scatter updates — one vectorized merge per
-    partition.  This is the engine's only group-by state.
+    """Per-group accumulators held as whole arrays, one vectorized
+    merge per partition.  This is the engine's only group-by state.
 
-    ``keys`` is one numeric matrix of unique key rows.  A non-numeric
+    A merge groups the partition in O(rows log rows), finds and
+    scatters into its groups in place in O(groups log state), and
+    copies the state only to insert new groups; the state's codes are
+    re-packed only when a key column outgrows their range or dictionary.
+
+    ``keys`` is one numeric matrix of unique key rows in lexicographic
+    order (NaN last, all NaN of a column one key).  A non-numeric
     (``O``/``U``/``S``) key column is dictionary-coded: the matrix holds
     int64 codes in first-seen order, ``_code_maps`` holds the value →
     code dict, and :meth:`to_partition` decodes.  ``key_dtypes`` is the
@@ -189,6 +298,10 @@ class ArrayGroupState:
         self.values: list = [None] * len(specs)
         self.key_dtypes: list | None = None  # per key column, for output
         self._code_maps: dict = {}  # key column index -> {value: code}
+        # Packed codes of ``keys`` (ascending) under ``_packing``; both
+        # None until a merge needs them or after ``keys`` was rewritten.
+        self._packing: KeyPacking | None = None
+        self._codes: np.ndarray | None = None
 
     @property
     def num_groups(self) -> int:
@@ -198,7 +311,7 @@ class ArrayGroupState:
     def nbytes(self) -> int:
         # Rough dict-entry estimate for the dictionary-coded columns.
         total = sum(64 * len(m) for m in self._code_maps.values())
-        for arr in [self.keys, self.counts]:
+        for arr in [self.keys, self.counts, self._codes]:
             if arr is not None:
                 total += arr.nbytes
         for spec, value in zip(self.specs, self.values):
@@ -260,7 +373,14 @@ class ArrayGroupState:
                 self._start_coding(i, seen)
             if i in self._code_maps:
                 arrays[i] = _dictionary_codes(self._code_maps[i], arr)
-        return np.stack(arrays, axis=1)
+        stacked = np.stack(arrays, axis=1)
+        if self.keys is None:
+            return stacked
+        dtype = np.result_type(stacked.dtype, self.keys.dtype)
+        if dtype != self.keys.dtype:
+            self.keys = self.keys.astype(dtype)
+            self._packing = self._codes = None
+        return stacked.astype(dtype, copy=False)
 
     def _start_coding(self, i: int, seen: np.dtype) -> None:
         """Key column ``i`` turned non-numeric: from here on it lives
@@ -272,6 +392,9 @@ class ArrayGroupState:
         columns = [self.keys[:, j] for j in range(self.keys.shape[1])]
         columns[i] = _dictionary_codes(codes, columns[i].astype(seen))
         self.keys = np.stack(columns, axis=1)
+        # First-seen codes do not follow the column's numeric order.
+        self._packing = self._codes = None
+        self._adopt(self.select(np.argsort(KeyPacking(self.keys).codes)))
 
     def update(self, key_columns, part) -> np.ndarray:
         """Merge one (non-empty) partition's rows, grouped by its key
@@ -279,8 +402,7 @@ class ArrayGroupState:
         the touched groups (aligned with the partition's sorted unique
         key rows)."""
         stacked = self._stack_keys(key_columns)
-        uniques, inverse, counts = unique_rows(stacked, return_counts=True)
-        counts = counts.astype(np.int64)
+        uniques, inverse, counts = unique_rows(stacked)
         partials = self._partials(uniques, inverse, counts, part)
 
         if self.keys is None:
@@ -289,71 +411,75 @@ class ArrayGroupState:
             self.values = partials
             return np.arange(len(uniques), dtype=np.int64)
 
-        num_old = len(self.keys)
-        combined = np.concatenate([self.keys, uniques], axis=0)
-        merged_keys, remap = unique_rows(combined)
-        old_map, new_map = remap[:num_old], remap[num_old:]
-        old_counts = np.zeros(len(merged_keys), dtype=np.int64)
-        old_counts[old_map] = self.counts
-        merged_counts = old_counts.copy()
-        merged_counts[new_map] += counts
-        merged_values = []
-        for spec, old, partial in zip(self.specs, self.values, partials):
-            if spec.kind == "count":
-                merged_values.append(None)
-            elif spec.kind in ("sum", "mean"):
-                merged = np.zeros(len(merged_keys))
-                merged[old_map] = old
-                merged[new_map] += partial
-                merged_values.append(merged)
+        codes = self._encode(uniques)
+        slots = np.searchsorted(self._codes, codes)
+        fresh = self._codes.take(slots, mode="clip") != codes
+        if fresh.any():
+            self._insert(slots[fresh], uniques[fresh], codes[fresh])
+            slots += np.cumsum(fresh) - fresh
+        old_counts = self.counts[slots]
+        self.counts[slots] += counts
+        for spec, value, partial in zip(self.specs, self.values, partials):
+            if spec.kind in ("sum", "mean"):
+                value[slots] += partial
             elif spec.kind == "min":
-                merged = np.full(len(merged_keys), np.inf)
-                merged[old_map] = old
-                merged[new_map] = np.minimum(merged[new_map], partial)
-                merged_values.append(merged)
+                value[slots] = np.minimum(value[slots], partial)
             elif spec.kind == "max":
-                merged = np.full(len(merged_keys), -np.inf)
-                merged[old_map] = old
-                merged[new_map] = np.maximum(merged[new_map], partial)
-                merged_values.append(merged)
+                value[slots] = np.maximum(value[slots], partial)
             elif spec.kind in ("var", "std"):
-                merged_values.append(
-                    self._merge_moments(
-                        merged_keys, old_map, new_map, old_counts,
-                        counts, old, partial,
+                self._merge_moments(value, slots, old_counts, counts, partial)
+            elif spec.kind == "count_distinct":
+                for slot, incoming in zip(slots, partial):
+                    existing = value[slot]
+                    value[slot] = (
+                        incoming if existing is None else existing | incoming
                     )
-                )
-            else:
-                merged = np.empty(len(merged_keys), dtype=object)
-                merged[old_map] = old
-                for slot, fresh in zip(new_map, partial):
-                    existing = merged[slot]
-                    merged[slot] = (
-                        fresh if existing is None else existing | fresh
-                    )
-                merged_values.append(merged)
-        self.keys = merged_keys
-        self.counts = merged_counts
-        self.values = merged_values
-        return new_map
+        return slots
+
+    def _encode(self, uniques: np.ndarray) -> np.ndarray:
+        """Packed codes of ``uniques`` under the state's packing, which
+        is first re-fitted — with the state's own codes — when a row
+        falls outside it: a column's range or dictionary grew."""
+        codes = None if self._packing is None else self._packing.encode(uniques)
+        if codes is None:
+            self._packing = KeyPacking(np.concatenate([self.keys, uniques]))
+            self._codes = self._packing.codes[: len(self.keys)]
+            codes = self._packing.codes[len(self.keys) :]
+        return codes
+
+    def _insert(self, at, keys, codes) -> None:
+        """Insert empty groups with the given key rows and codes before
+        the state positions ``at`` (ascending) — the one O(state) step
+        of a merge, taken only when a partition brings new groups."""
+        head = at[0]
+
+        def grown(arr, values):
+            # Groups before the first insertion are one block copy;
+            # event-time streams insert near the end of the state.
+            tail = np.insert(arr[head:], at - head, values, axis=0)
+            return np.concatenate([arr[:head], tail])
+
+        self.keys = grown(self.keys, keys)
+        self._codes = grown(self._codes, codes)
+        self.counts = grown(self.counts, 0)
+        for i, (spec, value) in enumerate(zip(self.specs, self.values)):
+            empty = _EMPTY.get(spec.kind, 0.0)
+            if spec.kind in ("var", "std"):
+                self.values[i] = (grown(value[0], empty), grown(value[1], empty))
+            elif value is not None:
+                self.values[i] = grown(value, empty)
 
     @staticmethod
-    def _merge_moments(
-        merged_keys, old_map, new_map, old_counts, counts, old, partial
-    ):
-        """Vectorized Chan merge of (mean, M2) pairs at ``new_map``;
-        groups unseen before take the incoming partial bit for bit
-        (same exactness rule as the scalar :func:`_chan_merge`)."""
-        means = np.zeros(len(merged_keys))
-        m2s = np.zeros(len(merged_keys))
-        if old is not None:
-            means[old_map] = old[0]
-            m2s[old_map] = old[1]
-        na = old_counts[new_map].astype(np.float64)
+    def _merge_moments(value, slots, old_counts, counts, partial) -> None:
+        """Vectorized in-place Chan merge of (mean, M2) pairs at
+        ``slots``; groups unseen before take the incoming partial bit
+        for bit."""
+        means, m2s = value
+        na = old_counts.astype(np.float64)
         nb = counts.astype(np.float64)
         pm, pm2 = partial
-        ma = means[new_map]
-        m2a = m2s[new_map]
+        ma = means[slots]
+        m2a = m2s[slots]
         with np.errstate(invalid="ignore", divide="ignore"):
             n = na + nb
             delta = pm - ma
@@ -364,30 +490,42 @@ class ArrayGroupState:
         if fresh.any():
             merged_mean = np.where(fresh, pm, merged_mean)
             merged_m2 = np.where(fresh, pm2, merged_m2)
-        means[new_map] = merged_mean
-        m2s[new_map] = merged_m2
-        return means, m2s
+        means[slots] = merged_mean
+        m2s[slots] = merged_m2
 
-    def select(self, mask: np.ndarray) -> "ArrayGroupState":
-        """A new state holding only the groups where ``mask`` is True
-        (accumulator arrays sliced, sets shared — the caller finalizes
-        or discards the selection, never updates it concurrently)."""
+    def select(self, where: np.ndarray) -> "ArrayGroupState":
+        """A new state holding only the groups ``where`` picks — a
+        boolean mask or an array of positions, in that order
+        (accumulator arrays copied, sets shared)."""
         out = ArrayGroupState(self.specs)
         out.key_dtypes = self.key_dtypes
         out._code_maps = self._code_maps
-        if self.keys is None or not mask.any():
+        if self.keys is None:
             return out
-        out.keys = self.keys[mask]
-        out.counts = self.counts[mask]
+        keys = self.keys[where]
+        if len(keys) == 0:
+            return out
+        out.keys = keys
+        out.counts = self.counts[where]
         out.values = [
             None
             if value is None
-            else (value[0][mask], value[1][mask])
+            else (value[0][where], value[1][where])
             if spec.kind in ("var", "std")
-            else value[mask]
+            else value[where]
             for spec, value in zip(self.specs, self.values)
         ]
+        if self._packing is not None:
+            out._packing = self._packing
+            out._codes = self._codes[where]
         return out
+
+    def _adopt(self, other: "ArrayGroupState") -> None:
+        self.keys = other.keys
+        self.counts = other.counts
+        self.values = other.values
+        self._packing = other._packing
+        self._codes = other._codes
 
     def compact(self, mask: np.ndarray) -> int:
         """Drop the groups where ``mask`` is False (watermark
@@ -395,14 +533,8 @@ class ArrayGroupState:
         if self.keys is None:
             return 0
         evicted = int(len(self.keys) - np.count_nonzero(mask))
-        if evicted == 0:
-            return 0
-        kept = self.select(mask)
-        self.keys = kept.keys
-        self.counts = kept.counts
-        self.values = (
-            kept.values if kept.keys is not None else [None] * len(self.specs)
-        )
+        if evicted:
+            self._adopt(self.select(mask))
         return evicted
 
     def to_partition(self, keys):
@@ -447,5 +579,5 @@ class ArrayGroupState:
                     count=len(value),
                 )
             else:
-                columns[spec.out_name] = value
+                columns[spec.out_name] = value.copy()
         return Partition(columns)

@@ -24,10 +24,10 @@ Joins and group-bys are vectorized end to end.  The join factorizes
 the build side's (possibly multi-column) keys into dense integer codes
 once, then probes each left partition with ``searchsorted`` range
 lookups — no per-row Python.  Group-by keeps per-group accumulator
-*arrays* (:class:`~repro.engine.aggregates.ArrayGroupState`) and merges
-each partition's partial aggregates with ``np.unique`` + scatter
-updates; non-numeric key columns are dictionary-coded to integers
-first.
+*arrays* (:class:`~repro.engine.aggregates.ArrayGroupState`), packs
+each key row into one order-preserving int64 code, and merges each
+partition's partial aggregates by ``searchsorted`` + scatter updates;
+non-numeric key columns are dictionary-coded to integers first.
 
 A :class:`~repro.utils.memory.MemoryMeter` passed via ``meter``
 observes exactly these allocations, which is how the Figure 8 bench

@@ -200,9 +200,7 @@ class DeltaState:
     def delta_partition(self) -> Partition:
         """Only the groups the last ``update`` touched, finalized —
         the rows a downstream incremental consumer must re-apply."""
-        mask = np.zeros(self.state.num_groups, dtype=bool)
-        mask[self.last_changed] = True
-        return self.state.select(mask).to_partition(self.keys)
+        return self.state.select(self.last_changed).to_partition(self.keys)
 
     def evict_below(self, key_index: int, threshold: float) -> Partition:
         """Finalize and remove every group whose ``key_index``-th key

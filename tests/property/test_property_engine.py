@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Session, agg, col
+from repro.engine.aggregates import ArrayGroupState, unique_rows
 from repro.engine.partition import Partition
 from repro.engine.schema import Field, Schema
+from tests.key_oracle import oracle_unique_rows
 
 
 @st.composite
@@ -239,4 +241,77 @@ def test_non_numeric_keys_equal_prefactorised_ints(frame):
         assert got_aggs[name].dtype == want_aggs[name].dtype, name
         np.testing.assert_array_equal(
             got_aggs[name], want_aggs[name], err_msg=name
+        )
+
+
+# ----------------------------------------------------------------------
+# Packed key index vs the np.unique(axis=0) oracle
+# ----------------------------------------------------------------------
+# Per key column kind: the pool a column's values are drawn from, in
+# the order a stream meets them — a later partition draws from a longer
+# prefix, so ranges and dictionaries grow mid-stream (state re-pack).
+KEY_POOLS = {
+    "int8": np.array([-128, 127, 0, -1, 5, 3], dtype=np.int8),
+    "int64": np.array([0, 3, -7, 2, 1000, -1001], dtype=np.int64),
+    # Range ~2**29 each: three of them overflow 2**62 (prefix fold).
+    "wide": np.array([0, 2**29, 77, -(2**28), 2**28, 1], dtype=np.int64),
+    # Range 2**63: no offset coding, and no int64 span arithmetic.
+    "huge": np.array(
+        [2**62, -(2**62), 2**62 - 1, 1 - 2**62, 2**63 - 1, -(2**63)],
+        dtype=np.int64,
+    ),
+    "uint8": np.array([255, 0, 7, 200, 8, 9], dtype=np.uint8),
+    "uint64": np.array([2**64 - 1, 0, 2**63, 5, 2**63 + 1, 6], dtype=np.uint64),
+    "bool": np.array([True, False, True, False, False, True]),
+    "float32": np.array([0.5, -0.5, 2.0, 1e30, -1e30, 0.25], dtype=np.float32),
+    # Whole numbers, then fractions: an offset column turns dictionary.
+    "float64": np.array([3.0, -2.0, 4.0, 0.1, -1e300, 1e-300]),
+    "whole": np.array([600.0, -1800.0, 0.0, 1200.0, 2.0**40, -(2.0**61)]),
+}
+
+
+@st.composite
+def key_streams(draw):
+    kinds = draw(
+        st.lists(st.sampled_from(sorted(KEY_POOLS)), min_size=1, max_size=3)
+    )
+    sizes = draw(st.lists(st.integers(0, 25), min_size=1, max_size=4))
+    partitions = []
+    for p, n in enumerate(sizes):
+        reach = min(6, 2 + 2 * p)
+        index = st.lists(st.integers(0, reach - 1), min_size=n, max_size=n)
+        partitions.append(
+            [KEY_POOLS[kind][np.asarray(draw(index), dtype=np.intp)] for kind in kinds]
+        )
+    return partitions
+
+
+@settings(max_examples=300, deadline=None)
+@given(key_streams())
+def test_packed_key_index_equals_unique_axis0_oracle(partitions):
+    """Grouping a partition, and merging 1-4 partitions into one state,
+    finds the distinct key rows, their order, each row's group and the
+    group sizes that ``np.unique(axis=0)`` finds."""
+    state = ArrayGroupState([agg.count(), agg.sum_("v")])
+    seen = []
+    for columns in partitions:
+        rows = np.stack(columns, axis=1)
+        for got, want in zip(unique_rows(rows), oracle_unique_rows(rows)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        if len(rows) == 0:
+            continue  # the executor never merges an empty partition
+        seen.append(rows)
+        weights = np.arange(len(rows), dtype=np.float64)
+        touched = state.update(columns, Partition({"v": weights}))
+
+        every = np.concatenate(seen)
+        uniques, inverse, counts = oracle_unique_rows(every)
+        assert state.keys.dtype == uniques.dtype
+        np.testing.assert_array_equal(state.keys, uniques)
+        np.testing.assert_array_equal(state.counts, counts)
+        np.testing.assert_array_equal(touched, np.unique(inverse[-len(rows):]))
+        all_weights = np.concatenate([np.arange(len(r)) for r in seen])
+        np.testing.assert_array_equal(
+            state.values[1], np.bincount(inverse, weights=all_weights)
         )

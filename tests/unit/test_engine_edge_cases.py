@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Session, agg, col
+from repro.engine.aggregates import ArrayGroupState
 from repro.engine.partition import Partition
 from repro.engine.schema import Field, Schema
 
@@ -129,6 +130,76 @@ class TestMixedDtypes:
             {"flag": np.array([True, False, True]), "v": [1.0, 2.0, 3.0]}
         )
         assert df.filter(col("flag")).count() == 2
+
+
+class TestNaNGroupKeys:
+    """All NaN of a key column are one key, sorted last, whatever the
+    number of key columns — in batch and in streaming."""
+
+    COLUMNS = {
+        "a": np.array([np.nan, 1.0, np.nan, np.nan, 1.0]),
+        "b": np.array([1.0, np.nan, 1.0, 2.0, np.nan]),
+        "c": np.array([7, 7, 7, 7, 7], dtype=np.int64),
+        "v": np.array([1.0, 2.0, 4.0, 8.0, 16.0]),
+    }
+    EXPECTED = {
+        ("a",): [(1.0, 18.0), (np.nan, 13.0)],
+        ("a", "b"): [(1.0, np.nan, 18.0), (np.nan, 1.0, 5.0), (np.nan, 2.0, 8.0)],
+        ("c", "a", "b"): [
+            (7, 1.0, np.nan, 18.0), (7, np.nan, 1.0, 5.0), (7, np.nan, 2.0, 8.0),
+        ],
+    }
+
+    @staticmethod
+    def _rows(columns, keys):
+        return list(zip(*(columns[k].tolist() for k in keys), columns["s"].tolist()))
+
+    @pytest.mark.parametrize("keys", list(EXPECTED))
+    @pytest.mark.parametrize("parts", [1, 2, 5])
+    def test_batch(self, keys, parts):
+        df = Session(default_parallelism=parts).create_dataframe(self.COLUMNS)
+        out = df.group_by(*keys).agg(agg.sum_("v", "s")).to_columns()
+        np.testing.assert_equal(self._rows(out, keys), self.EXPECTED[keys])
+
+    @pytest.mark.parametrize("keys", list(EXPECTED))
+    def test_stream_aggregate(self, session, keys):
+        stream = session.stream(
+            [(name, c.dtype) for name, c in self.COLUMNS.items()]
+        )
+        live = stream.aggregate(list(keys), [agg.sum_("v", "s")])
+        for cut in (slice(0, 2), slice(2, 3), slice(3, 5)):
+            stream.append({n: c[cut] for n, c in self.COLUMNS.items()})
+        np.testing.assert_equal(
+            self._rows(live.to_columns(), keys), self.EXPECTED[keys]
+        )
+        # The last append's NaN groups found the ones already in state.
+        assert live.delta().num_rows == 2
+
+
+class TestMergeInPlace:
+    def test_batch_without_new_groups_rebuilds_nothing(self):
+        state = ArrayGroupState(
+            [agg.count(), agg.sum_("v"), agg.min_("v"), agg.var_("v")]
+        )
+
+        def merge(steps, cells):
+            part = Partition({"v": np.arange(len(steps), dtype=np.float64)})
+            return state.update([np.asarray(steps), np.asarray(cells)], part)
+
+        merge([0, 0, 1, 2], [5, 6, 5, 5])
+        merge([1, 3], [6, 5])  # inserts (1, 6) and (3, 5)
+        def arrays():
+            return [state.keys, state.counts, state.values[1],
+                    state.values[2], *state.values[3]]
+
+        before = arrays()
+        sums = state.values[1].copy()
+        touched = merge([3, 0, 0], [5, 6, 6])
+        assert touched.tolist() == [1, 5]
+        assert state.keys.tolist() == [[0, 5], [0, 6], [1, 5], [1, 6], [2, 5], [3, 5]]
+        assert all(a is b for a, b in zip(before, arrays()))
+        assert state.counts.tolist() == [1, 3, 1, 1, 1, 2]
+        assert (state.values[1] - sums).tolist() == [0.0, 3.0, 0.0, 0.0, 0.0, 0.0]
 
 
 class TestGroupKeyDtypes:

@@ -141,6 +141,24 @@ class TestDeltaMaintainedAggregation:
         assert delta.columns["cell"].tolist() == [1]
         assert delta.columns["n"].tolist() == [2]
 
+    def test_snapshot_is_not_live_state(self):
+        # Appends merge into the state's arrays in place; a snapshot
+        # handed out earlier must not change under its holder.
+        stream = _session().stream(_schema())
+        live = stream.aggregate(
+            ["cell"],
+            [agg.count(name="n"), agg.sum_("v", "s"), agg.min_("v", "lo"),
+             agg.max_("v", "hi"), agg.mean("v", "m")],
+        )
+        stream.append({"t": [1.0, 1.0], "cell": [0, 1], "v": [2.0, 3.0]})
+        snapshots = [live.to_partition(), live.delta()]
+        before = [{n: c.copy() for n, c in p.columns.items()} for p in snapshots]
+        stream.append({"t": [2.0, 2.0], "cell": [0, 1], "v": [10.0, -10.0]})
+        for snapshot, frozen in zip(snapshots, before):
+            for name, column in snapshot.columns.items():
+                np.testing.assert_array_equal(column, frozen[name], err_msg=name)
+        assert live.to_columns()["s"].tolist() == [12.0, -7.0]
+
     def test_multi_key_and_changed_group_count(self):
         stream = _session().stream(_schema())
         live = stream.aggregate(["cell", "t"], [agg.count(name="n")])
