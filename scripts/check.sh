@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo health check, ten gates:
+# Repo health check, eleven gates:
 #   1. lint: ruff check (config in pyproject.toml); skipped with a
 #      note when ruff is not installed in the environment
 #   2. tier-1: the full test suite (what the roadmap pins)
@@ -32,6 +32,10 @@
 #      latency) >25% vs the committed one;
 #      obs_runtime_overhead_ratio must stay under an absolute 1.10
 #      cap and stream_update_speedup above an absolute 10x floor
+#  11. join ablation: benchmarks/bench_ablation_join.py (~3 s) joins
+#      20k points to 768 rectangles and 1 536 triangles with and
+#      without the STR-tree — same kernel, different candidates — and
+#      requires identical matches and brute force > 3x the indexed arm
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -89,5 +93,8 @@ python benchmarks/run_quick.py
 
 echo "== bench diff: fresh vs committed =="
 python scripts/diff_bench.py "$baseline" BENCH_engine.json
+
+echo "== join ablation: the index is what makes the join scale =="
+python -m pytest benchmarks/bench_ablation_join.py -q
 
 echo "All checks passed."

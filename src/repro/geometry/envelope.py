@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.geometry.point import Point
 
 
@@ -87,3 +89,22 @@ class Envelope:
             min(self.min_y, other.min_y),
             max(self.max_y, other.max_y),
         )
+
+
+def bounds_table(envelopes) -> np.ndarray:
+    """``(4, n)`` float64 array: the ``min_x``, ``max_x``, ``min_y`` and
+    ``max_y`` of every envelope, one contiguous row each."""
+    rows = [(e.min_x, e.max_x, e.min_y, e.max_y) for e in envelopes]
+    return np.array(rows, dtype=np.float64).reshape(-1, 4).T.copy()
+
+
+def pairs_in_bounds(bounds: np.ndarray, boxes, xs, ys, points) -> np.ndarray:
+    """``Envelope.contains_point`` (closed intervals) over pair arrays:
+    the ascending positions ``k`` at which column ``boxes[k]`` of a
+    ``bounds_table`` contains ``(xs[points[k]], ys[points[k]])``.  y is
+    only tested for the pairs that pass on x."""
+    min_x, max_x, min_y, max_y = bounds
+    px = xs[points]
+    keep = np.flatnonzero((min_x[boxes] <= px) & (px <= max_x[boxes]))
+    boxes, py = boxes[keep], ys[points[keep]]
+    return keep[(min_y[boxes] <= py) & (py <= max_y[boxes])]

@@ -2,14 +2,21 @@
 
 The classic bulk-loaded R-tree used by Sedona/JTS for local per-
 partition indexes in spatial joins.  Built once over a static set of
-envelopes; supports envelope-overlap queries.
+envelopes.  ``query``/``query_point`` walk the node objects for one
+envelope or point (the eager baseline and the tests' oracle);
+``query_points`` probes an array of points at once, descending level
+by level over ``(point, node)`` pair arrays through per-level bounds
+and child-range tables the constructor derives from the same nodes.
+All of it is immutable after construction, so threads may share a tree.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.geometry.envelope import Envelope
+import numpy as np
+
+from repro.geometry.envelope import Envelope, bounds_table, pairs_in_bounds
 
 
 class _Node:
@@ -30,12 +37,17 @@ class STRTree:
 
     def __init__(self, entries, node_capacity: int = 8):
         """``entries`` is an iterable of (Envelope, payload)."""
+        from repro import obs
+
         if node_capacity < 2:
             raise ValueError("node_capacity must be >= 2")
         self.node_capacity = node_capacity
         entries = list(entries)
         self._size = len(entries)
-        self._root = self._build(entries) if entries else None
+        with obs.tracer.span("geometry.strtree.build") as span:
+            span.add("entries", self._size)
+            self._root = self._build(entries) if entries else None
+            self._flatten()
 
     def __len__(self) -> int:
         return self._size
@@ -61,6 +73,25 @@ class STRTree:
                 ),
             )
         return level[0]
+
+    def _flatten(self) -> None:
+        """``query_points``' tables: ``_level_bounds[d]`` is the
+        ``bounds_table`` of depth ``d`` (the entries are the last
+        level), ``_level_children[d]`` the ``(start, count)`` range of
+        each depth-``d`` node's children within level ``d + 1``."""
+        self._level_bounds, self._level_children = [], []
+        level = [self._root] if self._root is not None else []
+        while level and isinstance(level[0], _Node):
+            groups = [node.items or node.children for node in level]
+            counts = np.array([len(group) for group in groups])
+            self._level_bounds.append(bounds_table(n.envelope for n in level))
+            self._level_children.append((np.cumsum(counts) - counts, counts))
+            level = [member for group in groups for member in group]
+        self._level_bounds.append(bounds_table(env for env, _ in level))
+        # Integer payloads (polygon ids) come back as int64, not objects.
+        self._payloads = np.fromiter((p for _, p in level), object, len(level))
+        if all(type(p) is int for p in self._payloads):
+            self._payloads = self._payloads.astype(np.int64)
 
     def _pack(self, items, key_x, key_y, make):
         cap = self.node_capacity
@@ -103,3 +134,25 @@ class STRTree:
         """Yield payloads whose envelopes contain the point."""
         env = Envelope(point.x, point.x, point.y, point.y)
         yield from self.query(env)
+
+    def query_points(self, xs, ys):
+        """``(point_index, payload)`` arrays with one pair per stored
+        envelope (closed) that contains ``(xs[i], ys[i])`` — per point
+        the set ``query_point`` yields — ``point_index`` ascending.  A
+        NaN coordinate matches nothing (scalar ``query`` lets it match
+        everything; no geometry contains such a point either way)."""
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        points = np.arange(len(xs) if self._size else 0)
+        nodes = np.zeros(len(points), dtype=np.intp)
+        for depth, bounds in enumerate(self._level_bounds):
+            if depth:  # fan each surviving pair out to its node's children
+                starts, counts = self._level_children[depth - 1]
+                fan_out = counts[nodes]
+                offsets = np.cumsum(fan_out) - fan_out
+                points = np.repeat(points, fan_out)
+                nodes = np.repeat(starts[nodes] - offsets, fan_out)
+                nodes += np.arange(len(nodes))
+            keep = pairs_in_bounds(bounds, nodes, xs, ys, points)
+            points, nodes = points[keep], nodes[keep]
+        return points, self._payloads[nodes]

@@ -1,8 +1,13 @@
-"""Simple polygon geometry with ray-casting containment."""
+"""Simple polygon geometry with ray-casting containment:
+``Polygon.contains_point`` is the scalar definition, ``ray_cast`` the
+same arithmetic over arrays of (point, polygon) pairs — the one kernel
+behind ``Polygon.contains_points`` and the spatial join."""
 
 from __future__ import annotations
 
-from repro.geometry.envelope import Envelope
+import numpy as np
+
+from repro.geometry.envelope import Envelope, bounds_table, pairs_in_bounds
 from repro.geometry.point import Point
 
 
@@ -22,24 +27,6 @@ class Polygon:
     @property
     def envelope(self) -> Envelope:
         return self._envelope
-
-    @property
-    def is_axis_aligned_rectangle(self) -> bool:
-        """True when the ring is exactly the (non-degenerate) envelope.
-
-        For such polygons ray-casting containment reduces to a
-        half-open interval test, which the spatial join exploits with a
-        vectorized fast path (grid cells are all of this shape)."""
-        env = self._envelope
-        if len(self.vertices) != 4 or env.width <= 0 or env.height <= 0:
-            return False
-        corners = {
-            (env.min_x, env.min_y),
-            (env.min_x, env.max_y),
-            (env.max_x, env.min_y),
-            (env.max_x, env.max_y),
-        }
-        return {(v.x, v.y) for v in self.vertices} == corners
 
     @property
     def area(self) -> float:
@@ -69,6 +56,14 @@ class Polygon:
             j = i
         return inside
 
+    def contains_points(self, xs, ys) -> np.ndarray:
+        """``contains_point`` for arrays of coordinates: a boolean
+        array equal, element for element, to the scalar method."""
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        every = np.arange(len(xs))
+        return ray_cast(pack_rings([self]), xs, ys, every, np.zeros_like(every))
+
     def intersects_envelope(self, env: Envelope) -> bool:
         """Conservative test: envelope overlap plus corner/vertex checks."""
         if not self._envelope.intersects(env):
@@ -90,3 +85,46 @@ class Polygon:
 
     def __repr__(self):
         return f"Polygon({len(self.vertices)} vertices)"
+
+
+def pack_rings(polygons) -> tuple:
+    """What ``ray_cast`` reads of ``polygons`` (anything with
+    ``vertices`` and ``envelope``): every vertex x and y end to end,
+    each ring's offset and size in them, the envelopes' bounds table."""
+    sizes = np.array([len(p.vertices) for p in polygons])
+    vx = np.array([v.x for p in polygons for v in p.vertices], dtype=np.float64)
+    vy = np.array([v.y for p in polygons for v in p.vertices], dtype=np.float64)
+    bounds = bounds_table(p.envelope for p in polygons)
+    return vx, vy, np.cumsum(sizes) - sizes, sizes, bounds
+
+
+def ray_cast(rings, xs, ys, point, ring) -> np.ndarray:
+    """``Polygon.contains_point`` over pair arrays: is
+    ``(xs[point[k]], ys[point[k]])`` inside polygon ``ring[k]`` of
+    ``rings`` (from ``pack_rings``)?  Closed envelope pre-test, crossing
+    test and ``x_at`` expression are the scalar method's, so the answer
+    is too, bit for bit.  The loop runs over edge rank: step ``r`` takes
+    edge ``r`` of every pair whose ring has one, so the work is the sum
+    of ring sizes over the pairs that pass the envelope test."""
+    vx, vy, starts, sizes, bounds = rings
+    inside = np.zeros(len(point), dtype=bool)
+    live = pairs_in_bounds(bounds, ring, xs, ys, point)
+    if not len(live):
+        return inside
+    x, y = xs[point[live]], ys[point[live]]
+    first, size = starts[ring[live]], sizes[ring[live]]
+    smallest = size.min()
+    for rank in range(size.max()):
+        if rank >= smallest:
+            keep = size > rank
+            live, x, y = live[keep], x[keep], y[keep]
+            first, size = first[keep], size[keep]
+        i = first + rank
+        j = i - 1 if rank else first + size - 1
+        yi, yj = vy[i], vy[j]
+        cross = np.flatnonzero((yi > y) != (yj > y))
+        i, j, yi, yj = i[cross], j[cross], yi[cross], yj[cross]
+        x_at = vx[j] + (y[cross] - yj) / (yi - yj) * (vx[i] - vx[j])
+        hit = live[cross[x[cross] < x_at]]
+        inside[hit] = ~inside[hit]
+    return inside

@@ -4,7 +4,13 @@ The paper's preprocessing relies on Sedona's spatial join to aggregate
 point records into spatial units.  This module reproduces the join's
 structure: the polygon side is indexed once (an STR-tree over polygon
 envelopes, the "broadcast" side), and each point partition streams
-through the index, emitting (point row, polygon id) matches.
+through it in fixed-size chunks, each three array steps whatever the
+polygons' shape: **probe** (``STRTree.query_points``: the candidate
+(point, polygon) pairs whose envelope holds the point), **contains**
+(``repro.geometry.polygon.ray_cast`` keeps the pairs whose polygon
+does, with ``Polygon.contains_point``'s arithmetic) and **reduce** (a
+point inside several polygons keeps the lowest id).  Nothing runs per
+row, and no intermediate outgrows ``_CHUNK_PAIRS``.
 """
 
 from __future__ import annotations
@@ -14,7 +20,13 @@ import numpy as np
 from repro.engine.dataframe import DataFrame
 from repro.engine.partition import Partition
 from repro.geometry.index.strtree import STRTree
-from repro.geometry.point import Point
+from repro.geometry.polygon import pack_rings, ray_cast
+
+#: Pairs one probe step may create: a chunk is this many points divided
+#: by the step's fan-out — the tree's node capacity (8 192 points), or
+#: every polygon without the index.  Probing 50k-row partitions whole
+#: was slower and peaked 12 MiB higher (docs/PERFORMANCE.md §E).
+_CHUNK_PAIRS = 1 << 16
 
 
 def spatial_join_points_polygons(
@@ -27,110 +39,62 @@ def spatial_join_points_polygons(
 ) -> DataFrame:
     """Join each point row to the id of the polygon containing it.
 
-    Rows whose point falls in no polygon are dropped (inner-join
-    semantics).  ``use_index=False`` switches to a brute-force scan of
-    every polygon per point — kept for the join ablation bench.
+    Rows whose point falls in no polygon (or has a NaN or infinite
+    coordinate) are dropped — inner-join semantics — and the rest keep
+    their order.  Where polygons overlap, the one with the **lowest
+    list position wins**, with or without the index.
+    ``use_index=False`` makes every polygon a candidate for every point
+    instead of probing the STR-tree — the join ablation's other arm;
+    the containment kernel is the same.
 
     Parameters
     ----------
     polygons:
-        A list of geometries exposing ``envelope`` and
-        ``contains_point``; their list position is the joined id.
+        A list of ``Polygon``s (anything exposing ``envelope`` and
+        ``vertices``); their list position is the joined id.
     """
     if not polygons:
         raise ValueError("spatial join needs at least one polygon")
-    rects = None
-    if use_index and all(
-        getattr(poly, "is_axis_aligned_rectangle", False)
-        for poly in polygons
-    ):
-        # Fast path: every polygon is an axis-aligned rectangle (the
-        # shape of all grid cells), so ray-casting containment reduces
-        # to the half-open test [min_x, max_x) x [min_y, max_y) and the
-        # whole partition can be matched with one boolean mask per
-        # polygon chunk.  ``argmax`` over the mask picks the lowest
-        # polygon id, the same first-match the scalar loop takes.
-        rects = (
-            np.array([p.envelope.min_x for p in polygons]),
-            np.array([p.envelope.max_x for p in polygons]),
-            np.array([p.envelope.min_y for p in polygons]),
-            np.array([p.envelope.max_y for p in polygons]),
-        )
-    tree = (
-        STRTree(
-            [(poly.envelope, idx) for idx, poly in enumerate(polygons)]
-        )
-        if use_index and rects is None
-        else None
-    )
-
-    def _record(probes: int, candidates: int, emitted: int) -> None:
-        # Per-partition totals (never per row) into the process-wide
-        # registry: how many points probed the index, how many
-        # candidate pairs the index (or mask / brute force) produced,
-        # and how many pairs the join actually emitted.
-        from repro import obs
-
-        if not obs.enabled():
-            return
-        obs.registry.counter("spatial_join.index_probes").inc(probes)
-        obs.registry.counter("spatial_join.candidate_pairs").inc(candidates)
-        obs.registry.counter("spatial_join.emitted_pairs").inc(emitted)
-
-    def join_rectangles(part: Partition) -> Partition:
-        xs = np.asarray(part.columns[x_column], dtype=np.float64)
-        ys = np.asarray(part.columns[y_column], dtype=np.float64)
-        min_x, max_x, min_y, max_y = rects
-        num_polys = len(min_x)
-        chunk = max(256, (1 << 22) // num_polys)  # cap mask at ~4MB
-        keep_chunks, id_chunks = [], []
-        candidate_pairs = 0
-        for start in range(0, part.num_rows, chunk):
-            cx = xs[start : start + chunk]
-            cy = ys[start : start + chunk]
-            mask = (
-                (cx >= min_x[:, None])
-                & (cx < max_x[:, None])
-                & (cy >= min_y[:, None])
-                & (cy < max_y[:, None])
-            )
-            candidate_pairs += int(mask.sum())
-            hit = mask.any(axis=0)
-            first = mask.argmax(axis=0)
-            rows = np.nonzero(hit)[0]
-            keep_chunks.append(rows + start)
-            id_chunks.append(first[rows])
-        idx = np.concatenate(keep_chunks) if keep_chunks else np.empty(0, dtype=np.int64)
-        ids = np.concatenate(id_chunks) if id_chunks else np.empty(0, dtype=np.int64)
-        _record(part.num_rows, candidate_pairs, len(idx))
-        columns = {name: arr[idx] for name, arr in part.columns.items()}
-        columns[id_alias] = ids.astype(np.int64)
-        return Partition(columns)
+    rings = pack_rings(polygons)
+    every_polygon = np.arange(len(polygons))
+    entries = [(poly.envelope, k) for k, poly in enumerate(polygons)]
+    tree = STRTree(entries) if use_index else None
+    fan_out = tree.node_capacity if use_index else len(polygons)
+    chunk = max(1, _CHUNK_PAIRS // fan_out)
 
     def join_partition(part: Partition) -> Partition:
-        if rects is not None:
-            return join_rectangles(part)
+        from repro import obs
+
         xs = np.asarray(part.columns[x_column], dtype=np.float64)
         ys = np.asarray(part.columns[y_column], dtype=np.float64)
-        keep: list[int] = []
-        ids: list[int] = []
+        row_chunks, id_chunks = [], []
         candidate_pairs = 0
-        for i in range(part.num_rows):
-            point = Point(xs[i], ys[i])
-            if tree is not None:
-                candidates = tree.query_point(point)
-            else:
-                candidates = range(len(polygons))
-            for poly_id in candidates:
-                candidate_pairs += 1
-                if polygons[poly_id].contains_point(point):
-                    keep.append(i)
-                    ids.append(poly_id)
-                    break
-        _record(part.num_rows, candidate_pairs, len(keep))
-        idx = np.asarray(keep, dtype=np.int64)
-        columns = {name: arr[idx] for name, arr in part.columns.items()}
-        columns[id_alias] = np.asarray(ids, dtype=np.int64)
+        for start in range(0, max(part.num_rows, 1), chunk):
+            cx, cy = xs[start : start + chunk], ys[start : start + chunk]
+            with obs.tracer.span("spatial_join.probe"):
+                if use_index:
+                    point, poly = tree.query_points(cx, cy)
+                else:
+                    point = np.repeat(np.arange(len(cx)), len(polygons))
+                    poly = np.tile(every_polygon, len(cx))
+            candidate_pairs += len(point)
+            with obs.tracer.span("spatial_join.contains"):
+                inside = ray_cast(rings, cx, cy, point, poly)
+                point, poly = point[inside], poly[inside]
+                # ``point`` is non-decreasing: each run is one point's
+                # matches, and the run's smallest id is the winner.
+                runs = np.flatnonzero(np.diff(point, prepend=-1))
+                row_chunks.append(point[runs] + start)
+                id_chunks.append(np.minimum.reduceat(poly, runs))
+        rows = np.concatenate(row_chunks)
+        if obs.enabled():
+            # Per-partition totals: points probed, pairs the index (or
+            # brute force) produced, pairs the join emitted.
+            obs.registry.counter("spatial_join.index_probes").inc(part.num_rows)
+            obs.registry.counter("spatial_join.candidate_pairs").inc(candidate_pairs)
+            obs.registry.counter("spatial_join.emitted_pairs").inc(len(rows))
+        columns = {name: arr[rows] for name, arr in part.columns.items()}
+        columns[id_alias] = np.concatenate(id_chunks).astype(np.int64)
         return Partition(columns)
 
     return points_df.map_partitions(join_partition, label="spatial_join")

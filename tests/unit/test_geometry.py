@@ -102,6 +102,24 @@ class TestPolygon:
     def test_tuple_vertices_accepted(self):
         assert Polygon([(0, 0), (1, 0), (0, 1)]).envelope.max_x == 1
 
+    def test_contains_points_matches_scalar_on_boundaries(self):
+        # L-shape probed on a half-step lattice: every vertex, edge
+        # midpoint, horizontal edge and envelope corner is a sample.
+        poly = Polygon([(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)])
+        ticks = np.arange(-1, 5.5, 0.5)
+        xs, ys = (a.ravel() for a in np.meshgrid(ticks, ticks))
+        expected = [poly.contains_point(Point(x, y)) for x, y in zip(xs, ys)]
+        got = poly.contains_points(xs, ys)
+        assert got.dtype == bool and got.tolist() == expected
+        assert 0 < got.sum() < len(got)
+
+    def test_contains_points_accepts_lists_and_empty(self):
+        poly = Polygon([(0, 0), (4, 0), (0, 4)])
+        assert poly.contains_points([1, 3, 1], [1, 3, np.nan]).tolist() == [
+            True, False, False,
+        ]
+        assert poly.contains_points([], []).tolist() == []
+
 
 class TestLineString:
     def test_length(self):

@@ -17,6 +17,7 @@ from repro.nn import Linear, MSELoss
 from repro.optim import Adam
 from repro.spatial import spatial_join_points_polygons
 from repro.tensor import Tensor
+from tests.spatial_oracle import oracle_join, split_on_diagonal
 
 
 @pytest.fixture(autouse=True)
@@ -33,23 +34,25 @@ def session():
     return Session(default_parallelism=2)
 
 
+def _zone_sets() -> dict:
+    grid = SpacePartition.generate_grid_cells(Envelope(0, 10, 0, 10), 2, 2)
+    return {"grid": grid, "triangles": split_on_diagonal(grid)}
+
+
 class TestSpatialJoinMetrics:
-    def _run(self, session, rng, use_index):
-        points = session.create_dataframe(
-            {
-                "lon": rng.uniform(0, 10, 40),
-                "lat": rng.uniform(0, 10, 40),
-            }
-        )
-        polygons = SpacePartition.generate_grid_cells(
-            Envelope(0, 10, 0, 10), 2, 2
-        )
+    @staticmethod
+    def _points(rng):
+        return rng.uniform(0, 10, 40), rng.uniform(0, 10, 40)
+
+    def _run(self, session, rng, use_index, zones="grid", points=None):
+        xs, ys = points or self._points(rng)
         joined = spatial_join_points_polygons(
-            points, polygons, "lon", "lat", use_index=use_index
+            session.create_dataframe({"lon": xs, "lat": ys}),
+            _zone_sets()[zones], "lon", "lat", use_index=use_index,
         )
         return joined.collect()
 
-    def test_rect_fast_path_counters(self, session, rng):
+    def test_indexed_counters(self, session, rng):
         rows = self._run(session, rng, use_index=True)
         counters = obs.export.snapshot()["metrics"]["counters"]
         assert counters["spatial_join.index_probes"] == 40
@@ -70,11 +73,40 @@ class TestSpatialJoinMetrics:
             >= counters["spatial_join.emitted_pairs"]
         )
 
+    @pytest.mark.parametrize("zones", ["grid", "triangles"])
+    def test_candidate_pairs_is_what_candidate_generation_produced(
+        self, session, rng, zones
+    ):
+        """One meaning on every zone shape and both arms: the pairs the
+        index (or brute force) handed to the containment kernel — not
+        the pairs tested before the first hit."""
+        points, polygons = self._points(rng), _zone_sets()[zones]
+        rows = self._run(session, rng, True, zones, points)
+        _, _, from_index = oracle_join(*points, polygons)
+        counters = obs.export.snapshot()["metrics"]["counters"]
+        assert counters["spatial_join.candidate_pairs"] == from_index
+        assert counters["spatial_join.emitted_pairs"] == len(rows) == 40
+        obs.reset()
+        self._run(session, rng, False, zones, points)
+        counters = obs.export.snapshot()["metrics"]["counters"]
+        assert counters["spatial_join.candidate_pairs"] == 40 * len(polygons)
+
+    def test_spans_per_chunk_and_per_tree(self, session, rng):
+        self._run(session, rng, use_index=True, zones="triangles")
+        names = [
+            span.name for root in obs.tracer.roots for span in root.walk()
+        ]
+        # One tree for the join; two partitions of one chunk each.
+        assert names.count("geometry.strtree.build") == 1
+        assert names.count("spatial_join.probe") == 2
+        assert names.count("spatial_join.contains") == 2
+
     def test_disabled_records_nothing(self, session, rng):
         with obs.disabled():
             self._run(session, rng, use_index=True)
         counters = obs.export.snapshot()["metrics"]["counters"]
         assert counters.get("spatial_join.index_probes", 0) == 0
+        assert not obs.tracer.roots
 
 
 def _tile_frame(session, rng, n=10):

@@ -53,6 +53,38 @@ class TestSTRTree:
         with pytest.raises(ValueError):
             STRTree([], node_capacity=1)
 
+    def test_query_points_matches_query_point(self, rng):
+        envs = _random_envelopes(rng, 300)
+        tree = STRTree([(e, i) for i, e in enumerate(envs)])
+        xs, ys = rng.uniform(-5, 110, 500), rng.uniform(-5, 110, 500)
+        index, payload = tree.query_points(xs, ys)
+        assert payload.dtype == np.int64
+        assert np.all(np.diff(index) >= 0)
+        for i in range(500):
+            expected = sorted(tree.query_point(Point(xs[i], ys[i])))
+            assert sorted(payload[index == i]) == expected
+
+    def test_query_points_empty_tree_and_empty_input(self):
+        index, payload = STRTree([]).query_points([0.5, 1.0], [0.5, 1.0])
+        assert len(index) == len(payload) == 0
+        tree = STRTree([(Envelope(0, 1, 0, 1), "a")])
+        index, payload = tree.query_points([], [])
+        assert len(index) == len(payload) == 0
+
+    def test_query_points_keeps_any_payload(self):
+        tree = STRTree(
+            [(Envelope(0, 1, 0, 1), "a"), (Envelope(0, 2, 0, 2), ("b", 2))]
+        )
+        index, payload = tree.query_points([0.5, 1.5, 3.0], [0.5, 1.5, 3.0])
+        assert index.tolist() == [0, 0, 1]
+        assert sorted(map(str, payload[:2])) == ["('b', 2)", "a"]
+        assert payload[2] == ("b", 2)
+
+    def test_query_points_nan_matches_nothing(self):
+        tree = STRTree([(Envelope(0, 1, 0, 1), 0)])
+        index, _ = tree.query_points([np.nan, 0.5, 0.5], [0.5, np.nan, 0.5])
+        assert index.tolist() == [2]
+
 
 class TestGridIndex:
     def test_insert_and_envelope_query(self):

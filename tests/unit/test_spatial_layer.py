@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.preprocessing.grid import SpacePartition
 from repro.engine import Session
-from repro.geometry import Envelope, Point, UniformGrid
+from repro.geometry import Envelope, Point, Polygon, STRTree, UniformGrid
 from repro.spatial import (
     RasterTile,
     add_point_column,
@@ -19,6 +19,8 @@ from repro.spatial import (
     write_raster_dataframe,
     write_rtif,
 )
+from repro.spatial import spatial_join as spatial_join_module
+from tests.spatial_oracle import oracle_join
 
 
 @pytest.fixture
@@ -80,6 +82,77 @@ class TestSpatialJoin:
     def test_requires_polygons(self, points_df):
         with pytest.raises(ValueError):
             spatial_join_points_polygons(points_df, [], "lon", "lat")
+
+    @staticmethod
+    def _overlapping_triangles(rng, count=40):
+        corners = rng.uniform(0, 10, (count, 1, 2)) + rng.uniform(-3, 3, (count, 3, 2))
+        return [Polygon([tuple(v) for v in tri]) for tri in corners]
+
+    def test_overlap_lowest_id_wins_on_both_arms(self, session, rng):
+        """Regression: the indexed arm used to emit the first match in
+        STR-tree traversal order, the brute-force arm the lowest id."""
+        zones = self._overlapping_triangles(rng)
+        xs, ys = rng.uniform(0, 10, 2000), rng.uniform(0, 10, 2000)
+        df = session.create_dataframe({"lon": xs, "lat": ys})
+        rows, ids, _ = oracle_join(xs, ys, zones)
+        assert len(np.unique(ids)) > 10 and len(rows) > 1000
+        for use_index in (True, False):
+            out = spatial_join_points_polygons(
+                df, zones, "lon", "lat", use_index=use_index
+            ).to_columns()
+            assert out["polygon_id"].tolist() == ids.tolist()
+            assert out["lon"].tolist() == xs[rows].tolist()
+
+    @pytest.mark.parametrize("use_index", [True, False])
+    def test_many_chunks_per_partition(self, session, rng, monkeypatch, use_index):
+        """A partition far larger than one chunk: row positions and ids
+        survive the per-chunk offsets."""
+        monkeypatch.setattr(spatial_join_module, "_CHUNK_PAIRS", 64)
+        zones = self._overlapping_triangles(rng, count=12)
+        xs, ys = rng.uniform(-1, 11, 700), rng.uniform(-1, 11, 700)
+        df = session.create_dataframe(
+            {"lon": xs, "lat": ys, "row": np.arange(700)}, num_partitions=1
+        )
+        out = spatial_join_points_polygons(
+            df, zones, "lon", "lat", use_index=use_index
+        ).to_columns()
+        rows, ids, _ = oracle_join(xs, ys, zones)
+        assert out["row"].tolist() == rows.tolist()
+        assert out["polygon_id"].tolist() == ids.tolist()
+
+    def test_never_falls_back_to_the_scalar_methods(self, session, rng, monkeypatch):
+        def scalar_call(*args, **kwargs):
+            raise AssertionError("per-row scalar method on the join's hot path")
+
+        zones = self._overlapping_triangles(rng, count=12)
+        zones += SpacePartition.generate_grid_cells(Envelope(0, 10, 0, 10), 3, 3)
+        xs, ys = rng.uniform(0, 10, 300), rng.uniform(0, 10, 300)
+        expected = oracle_join(xs, ys, zones)[1].tolist()
+        monkeypatch.setattr(Polygon, "contains_point", scalar_call)
+        monkeypatch.setattr(Envelope, "contains_point", scalar_call)
+        monkeypatch.setattr(STRTree, "query_point", scalar_call)
+        monkeypatch.setattr(STRTree, "query", scalar_call)
+        df = session.create_dataframe({"lon": xs, "lat": ys})
+        for use_index in (True, False):
+            out = spatial_join_points_polygons(
+                df, zones, "lon", "lat", use_index=use_index
+            ).to_columns()
+            assert out["polygon_id"].tolist() == expected
+
+    def test_non_finite_coordinates_dropped(self, session):
+        df = session.create_dataframe(
+            {
+                "lon": [0.5, np.nan, np.inf, 0.5, -np.inf, 0.25],
+                "lat": [0.5, 0.5, 0.5, np.nan, 0.5, 0.75],
+                "row": np.arange(6),
+            }
+        )
+        zones = SpacePartition.generate_grid_cells(Envelope(0, 1, 0, 1), 1, 1)
+        for use_index in (True, False):
+            out = spatial_join_points_polygons(
+                df, zones, "lon", "lat", use_index=use_index
+            ).to_columns()
+            assert out["row"].tolist() == [0, 5]
 
 
 class TestRasterTile:
