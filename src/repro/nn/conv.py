@@ -5,8 +5,9 @@ from __future__ import annotations
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module, Parameter
+from repro.tensor.ops_conv import check_conv_args
 from repro.utils.rng import default_rng
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
 
 
 class Conv2d(Module):
@@ -27,8 +28,7 @@ class Conv2d(Module):
         check_positive(in_channels, "in_channels")
         check_positive(out_channels, "out_channels")
         check_positive(kernel_size, "kernel_size")
-        check_positive(stride, "stride")
-        check_non_negative(padding, "padding")
+        check_conv_args(stride, padding, activation)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -77,6 +77,8 @@ class ConvTranspose2d(Module):
         super().__init__()
         check_positive(in_channels, "in_channels")
         check_positive(out_channels, "out_channels")
+        check_positive(kernel_size, "kernel_size")
+        check_conv_args(stride, padding)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size

@@ -4,8 +4,9 @@ The paper's Figure 9 compares training on GPU vs CPU.  Without a GPU,
 we reproduce the *relative* comparison with two backends that share
 numerics but differ in execution strategy:
 
-- ``accelerated``: kernel-tap shift-and-add BLAS tensordots (numpy
-  fast path, no per-pixel Python).
+- ``accelerated``: channel-major im2col (one strided copy into a pooled
+  column buffer) and one BLAS gemm per convolution, no per-pixel
+  Python (:mod:`repro.tensor.ops_conv`).
 - ``naive``: reference Python loops over output pixels.
 
 Switch globally with :func:`set_backend` or locally with

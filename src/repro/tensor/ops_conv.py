@@ -1,16 +1,20 @@
 """Differentiable convolution and pooling primitives (NCHW layout).
 
-Each primitive has two execution strategies selected by the active
-backend (:mod:`repro.tensor.backend`):
+``conv2d`` has two execution strategies selected by the active backend
+(:mod:`repro.tensor.backend`):
 
-- ``accelerated``: one whole-convolution BLAS gemm over an im2col
-  column buffer that is *pooled*, not materialized fresh — the
-  ``(rows, KH*KW*C)`` scratch comes from :func:`default_pool`, so its
-  allocation cost (the classic im2col objection on CPU) is paid once
-  and amortized across every subsequent conv of the same shape.
-  Backward is one gemm for ``dw`` and one gemm plus a per-tap scatter
-  for ``dx``; small column buffers (``_COLS_KEEP_BYTES``) ride along
-  from forward to backward so ``dw`` skips the second fill pass.
+- ``accelerated``: channel-major im2col + BLAS gemm.  The
+  ``(C*KH*KW, N*OH*OW)`` column buffer is filled by *one* strided copy
+  of a window view of the padded input (:func:`im2col`), the forward
+  is ``weight2d @ cols`` written out C-contiguous NCHW in the pass
+  that adds the bias, ``dw`` is ``grad_fm @ cols.T`` landing in
+  ``(F, C, KH, KW)`` order, and ``dx`` is either the forward kernel
+  run again over the padded gradient and the flipped kernel or one
+  gemm plus ``KH*KW`` window adds (:func:`dx_by_correlation` picks).
+  Every transient is pooled; the column buffer is released after the
+  forward gemm and refilled in backward.  The kernels are module-level
+  functions over caller-supplied buffers, so eager ``conv2d`` (pooled
+  transients) and the trace fuser (persistent ones) run the same code.
 - ``naive``: per-output-pixel loops — the reference implementation
   used as the "CPU" leg of the Figure 9 reproduction.
 
@@ -28,6 +32,8 @@ import numpy as np
 
 from importlib import import_module
 
+from numpy.lib.stride_tricks import as_strided
+
 from repro.obs.profiler import op_span
 from repro.tensor.backend import ACCELERATED, get_backend
 from repro.tensor.pool import default_pool
@@ -42,12 +48,122 @@ def _conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-#: Column buffers at or below this size are kept alive from forward to
-#: backward (dw reuses them instead of refilling).  Larger ones are
-#: released immediately — im2col retention costs KH*KW times the
-#: activation size, which defeats the graph-freeing memory budget on
-#: wide convolutions.
-_COLS_KEEP_BYTES = 1 << 20
+def check_conv_args(stride, padding, activation=None) -> None:
+    """Reject a stride, padding or activation no conv kernel accepts.
+
+    Runs before any strided window view is built: there a bad stride
+    is an out-of-bounds read, not just a wrong answer."""
+    for name, value, low in (("stride", stride, 1), ("padding", padding, 0)):
+        if not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(
+                f"{name} must be an integer >= {low}, got {value!r}"
+            )
+    if activation not in (None, "relu"):
+        raise ValueError(f"unsupported conv2d activation {activation!r}")
+
+
+# -- accelerated conv2d kernels ----------------------------------------
+# Shared by eager ``conv2d`` below (pooled transients) and by
+# ``trace._build_conv2d`` (persistent buffers).
+
+def pad_into(buf: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Write ``x`` into the centre of the larger ``buf``, whose border
+    the caller keeps zero."""
+    ph, pw = (buf.shape[2] - x.shape[2]) // 2, (buf.shape[3] - x.shape[3]) // 2
+    buf[:, :, ph : ph + x.shape[2], pw : pw + x.shape[3]] = x
+    return buf
+
+
+def conv_windows(xp, kh, kw, stride, oh, ow) -> np.ndarray:
+    """Read-only ``(C, KH, KW, N, OH, OW)`` view of every kernel window
+    of the padded input ``xp`` ``(N, C, HP, WP)``, built from ``xp``'s
+    own strides (so any layout works, a non-contiguous one included)."""
+    n, c, hp, wp = xp.shape
+    if (kh - 1) + stride * (oh - 1) >= hp or (kw - 1) + stride * (ow - 1) >= wp:
+        raise ValueError(
+            f"{kh}x{kw} windows at stride {stride} over a {oh}x{ow} output "
+            f"reach outside the {hp}x{wp} input"
+        )
+    sn, sc, sh, sw = xp.strides
+    return as_strided(
+        xp,
+        (c, kh, kw, n, oh, ow),
+        (sc, sh, sw, sn, sh * stride, sw * stride),
+        writeable=False,
+    )
+
+
+def im2col(xp, kh, kw, stride, oh, ow, cols) -> np.ndarray:
+    """Fill ``cols`` — ``(C*KH*KW, N*OH*OW)`` — in one strided copy."""
+    windows = conv_windows(xp, kh, kw, stride, oh, ow)
+    np.copyto(cols.reshape(windows.shape), windows)
+    return cols
+
+
+def conv_forward(xp, w, bias, stride, out, cols, fm, mask=None) -> None:
+    """``out`` ``(N, F, OH, OW)``, C-contiguous, = ``w`` correlated with
+    ``xp`` (+ ``bias``; ReLU'd when ``mask`` is given, which receives
+    ``out > 0``).  ``cols`` is left holding im2col(``xp``); ``fm``
+    ``(F, N*OH*OW)`` is gemm scratch."""
+    f, _, kh, kw = w.shape
+    n, _, oh, ow = out.shape
+    im2col(xp, kh, kw, stride, oh, ow, cols)
+    np.dot(w.reshape(f, -1), cols, out=fm)
+    fm4 = fm.reshape(f, n, oh, ow).transpose(1, 0, 2, 3)
+    if bias is None:
+        np.copyto(out, fm4)
+    else:
+        np.add(fm4, bias.reshape(1, f, 1, 1), out=out)
+    if mask is not None:
+        # Same expression as Tensor.relu so fused == composed bitwise;
+        # only the mask is saved, not a pre-activation copy.
+        np.greater(out, 0, out=mask)
+        np.multiply(out, mask, out=out)
+
+
+def grad_feature_major(grad, gfm) -> np.ndarray:
+    """``grad`` ``(N, F, OH, OW)`` as the ``(F, N*OH*OW)`` gemm operand."""
+    n, f, oh, ow = grad.shape
+    np.copyto(gfm.reshape(f, n, oh, ow), grad.transpose(1, 0, 2, 3))
+    return gfm
+
+
+def conv_dw(gfm, cols, w_shape) -> np.ndarray:
+    """Weight gradient ``gfm @ cols.T`` in ``(F, C, KH, KW)`` order, in
+    an array that owns its memory (the accumulator may adopt it as
+    ``weight.grad``, and the pool takes it back later)."""
+    dw = default_pool().acquire(w_shape, cols.dtype)
+    np.dot(gfm, cols.T, out=dw.reshape(w_shape[0], -1))
+    return dw
+
+
+def dx_by_correlation(f, c, kh, kw, stride, padding) -> bool:
+    """Which form the input gradient takes.  Correlation needs stride 1
+    and a non-negative gradient padding; it wins when its column
+    buffer ``(F*KH*KW, N*H*W)`` is no taller than the forward one."""
+    return stride == 1 and padding <= min(kh, kw) - 1 and f <= c
+
+
+def flipped(w) -> np.ndarray:
+    """The kernel ``dx`` correlates the gradient with: channel axes
+    swapped, taps reversed (a view)."""
+    return w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+
+
+def conv_dx_scatter(gfm, w, stride, oh, ow, dcols, dxp) -> None:
+    """Padded input gradient ``dxp`` ``(N, C, HP, WP)``: one gemm for
+    every tap's contribution, then each tap's ``(C, N, OH, OW)`` block
+    added into its shifted window."""
+    f, c, kh, kw = w.shape
+    np.dot(w.reshape(f, -1).T, gfm, out=dcols)
+    taps = dcols.reshape(c, kh, kw, dxp.shape[0], oh, ow)
+    dxp.fill(0)
+    dx_cm = dxp.transpose(1, 0, 2, 3)
+    for i in range(kh):
+        for j in range(kw):
+            dx_cm[
+                :, :, i : i + stride * oh : stride, j : j + stride * ow : stride
+            ] += taps[:, i, j]
 
 
 def conv2d(
@@ -71,8 +187,7 @@ def conv2d(
         array.  Values and gradients match the composed
         ``conv2d(...).relu()`` bit for bit.
     """
-    if activation not in (None, "relu"):
-        raise ValueError(f"unsupported conv2d activation {activation!r}")
+    check_conv_args(stride, padding, activation)
     n, c, h, w = x.shape
     f, c_w, kh, kw = weight.shape
     if c != c_w:
@@ -87,55 +202,35 @@ def conv2d(
             f"{kh}x{kw}, stride {stride}, padding {padding}"
         )
 
+    pool = default_pool()
     if padding:
-        xp = default_pool().acquire(
+        xp = pool.acquire(
             (n, c, h + 2 * padding, w + 2 * padding), x.data.dtype, zero=True
         )
-        xp[:, :, padding:-padding, padding:-padding] = x.data
+        pad_into(xp, x.data)
     else:
         xp = x.data
     accelerated = get_backend() == ACCELERATED
+    correlate = accelerated and dx_by_correlation(f, c, kh, kw, stride, padding)
+    k2, rows = kh * kw, n * oh * ow
+    relu_mask = None
 
-    def tap_slice(i: int, j: int) -> np.ndarray:
-        """Input window feeding kernel tap (i, j): (N, C, OH, OW)."""
-        return xp[
-            :, :, i : i + stride * oh : stride, j : j + stride * ow : stride
-        ]
-
-    k2 = kh * kw
-    rows = n * oh * ow
-
-    def fill_cols(cols: np.ndarray) -> None:
-        """Lay the KH*KW tap windows side by side in ``cols`` —
-        (N*OH*OW, KH*KW*C) gemm layout.  Written through a 4-D view so
-        each tap is one strided copy, no intermediate materialization."""
-        cols4 = cols.reshape(n, oh, ow, k2 * c)
-        for i in range(kh):
-            for j in range(kw):
-                b = (i * kw + j) * c
-                cols4[:, :, :, b : b + c] = tap_slice(i, j).transpose(
-                    0, 2, 3, 1
-                )
-
-    saved_cols = None
     with op_span("ops_conv.conv2d") as _op:
         if accelerated:
-            # One whole-convolution gemm over the pooled column buffer
-            # (recycled every call, so this does not carry im2col's
-            # allocation cost).
-            pool = default_pool()
-            w2 = weight.data.transpose(2, 3, 1, 0).reshape(k2 * c, f)
-            cols = pool.acquire((rows, k2 * c), xp.dtype)
-            fill_cols(cols)
-            out = np.dot(cols, w2).reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
-            if weight.requires_grad and cols.nbytes <= _COLS_KEEP_BYTES:
-                # Small column buffers ride along to backward so dw
-                # skips a second fill pass.  Never pooled again: a
-                # retained graph may run backward twice, and a
-                # recycled buffer would hand it someone else's data.
-                saved_cols = cols
-            else:
-                pool.release(cols)
+            # Pooled transients, recycled every call, so the column
+            # buffer does not carry im2col's allocation cost.
+            dt = np.result_type(xp.dtype, weight.data.dtype)
+            b = None if bias is None else bias.data
+            out = np.empty(
+                (n, f, oh, ow), dt if b is None else np.result_type(dt, b.dtype)
+            )
+            if activation == "relu":
+                relu_mask = np.empty(out.shape, np.bool_)
+            cols = pool.acquire((c * k2, rows), dt)
+            fm = pool.acquire((f, rows), dt)
+            conv_forward(xp, weight.data, b, stride, out, cols, fm, relu_mask)
+            pool.release(cols)
+            pool.release(fm)
         else:
             out = np.empty((n, f, oh, ow), dtype=xp.dtype)
             w_flat = weight.data.reshape(f, -1)
@@ -145,17 +240,11 @@ def conv2d(
                         :, :, i * stride : i * stride + kh, j * stride : j * stride + kw
                     ].reshape(n, -1)
                     out[:, :, i, j] = patch @ w_flat.T
-
-        if bias is not None:
-            out = out + bias.data.reshape(1, f, 1, 1)
-        if activation == "relu":
-            # Same expression as Tensor.relu so fused == composed
-            # bitwise; only the mask is saved, not a pre-activation
-            # copy.
-            relu_mask = out > 0
-            out = out * relu_mask
-        else:
-            relu_mask = None
+            if bias is not None:
+                out = out + bias.data.reshape(1, f, 1, 1)
+            if activation == "relu":
+                relu_mask = out > 0
+                out = out * relu_mask
         _op.set_bytes(out.nbytes)
 
     def backward(grad):
@@ -163,21 +252,17 @@ def conv2d(
             pool = default_pool()
             if relu_mask is not None:
                 grad = grad * relu_mask
+            gfm = None
+            if accelerated and (
+                weight.requires_grad or (x.requires_grad and not correlate)
+            ):
+                gfm = grad_feature_major(grad, pool.acquire((f, rows), dt))
             if weight.requires_grad:
                 if accelerated:
-                    if saved_cols is not None:
-                        cols = saved_cols
-                    else:
-                        cols = pool.acquire((rows, k2 * c), xp.dtype)
-                        fill_cols(cols)
-                    grad_fm = grad.transpose(1, 0, 2, 3).reshape(f, -1)
-                    dw = np.ascontiguousarray(
-                        np.dot(grad_fm, cols)
-                        .reshape(f, kh, kw, c)
-                        .transpose(0, 3, 1, 2)
-                    )
-                    if saved_cols is None:
-                        pool.release(cols)
+                    cols = pool.acquire((c * k2, rows), dt)
+                    im2col(xp, kh, kw, stride, oh, ow, cols)
+                    dw = conv_dw(gfm, cols, weight.shape)
+                    pool.release(cols)
                 else:
                     dw = pool.acquire(
                         weight.data.shape, weight.data.dtype, zero=True
@@ -195,26 +280,30 @@ def conv2d(
                 weight._accumulate(dw, donate=True)
             if bias is not None and bias.requires_grad:
                 bias._accumulate(grad.sum(axis=(0, 2, 3)), donate=True)
-            if x.requires_grad:
-                dxp = pool.acquire(xp.shape, xp.dtype, zero=True)
-                if accelerated:
-                    # One gemm produces every tap's contribution, then
-                    # each column block scatters into its shifted
-                    # window.
-                    grad_cols = grad.transpose(0, 2, 3, 1).reshape(-1, f)
-                    dcols4 = np.dot(grad_cols, w2.T).reshape(
-                        n, oh, ow, k2 * c
+            if x.requires_grad and correlate:
+                ph, pw = kh - 1 - padding, kw - 1 - padding
+                gp = grad
+                if ph or pw:
+                    gp = pool.acquire(
+                        (n, f, oh + 2 * ph, ow + 2 * pw), dt, zero=True
                     )
-                    for i in range(kh):
-                        for j in range(kw):
-                            b = (i * kw + j) * c
-                            dxp[
-                                :, :, i : i + stride * oh : stride,
-                                j : j + stride * ow : stride,
-                            ] += dcols4[:, :, :, b : b + c].transpose(
-                                0, 3, 1, 2
-                            )
+                    pad_into(gp, grad)
+                dx = pool.acquire((n, c, h, w), dt)
+                dcols = pool.acquire((f * k2, n * h * w), dt)
+                dfm = pool.acquire((c, n * h * w), dt)
+                conv_forward(gp, flipped(weight.data), None, 1, dx, dcols, dfm)
+                for scratch in (dcols, dfm, gp):
+                    if scratch is not grad:
+                        pool.release(scratch)
+                x._accumulate(dx, donate=True)
+            elif x.requires_grad:
+                if accelerated:
+                    dxp = pool.acquire(xp.shape, xp.dtype)
+                    dcols = pool.acquire((c * k2, rows), dt)
+                    conv_dx_scatter(gfm, weight.data, stride, oh, ow, dcols, dxp)
+                    pool.release(dcols)
                 else:
+                    dxp = pool.acquire(xp.shape, xp.dtype, zero=True)
                     grad_nhwf = grad.transpose(0, 2, 3, 1)
                     for i in range(kh):
                         for j in range(kw):
@@ -231,6 +320,8 @@ def conv2d(
                     pool.release(dxp)
                 else:
                     x._accumulate(dxp, donate=True)
+            if gfm is not None:
+                pool.release(gfm)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     ret = Tensor._make(out, parents, backward)
@@ -258,6 +349,7 @@ def conv_transpose2d(
     x : Tensor of shape (N, C_in, H, W)
     weight : Tensor of shape (C_in, C_out, KH, KW)
     """
+    check_conv_args(stride, padding)
     n, c, h, w = x.shape
     c_w, f, kh, kw = weight.shape
     if c != c_w:

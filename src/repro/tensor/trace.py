@@ -33,7 +33,8 @@ How it works
    (sigmoid/tanh/add/mul chains) into single schedule entries executed
    back-to-back over the pooled buffers.  The two hot compound ops
    compile all the way down: ``conv2d`` (accelerated backend) replays
-   as im2col gemms over persistent column/padding/scatter buffers, and
+   by calling :mod:`~repro.tensor.ops_conv`'s own kernel functions
+   over persistent column/padding/gradient buffers, and
    ``fused_lstm_gates`` writes its activations and the packed gate
    gradient into program-owned blocks.  The remaining compound ops
    (transposed conv, pooling, ``fused_linear``) call through to their
@@ -877,19 +878,19 @@ def _build_conv2d(p, ins):
     """Compiled im2col convolution over persistent buffers.
 
     Replays the accelerated strategy of
-    :func:`~repro.tensor.ops_conv.conv2d` with every recurring
-    allocation — padded input, column buffer, gemm output, ReLU mask,
-    input-gradient scatter — owned by the program and reused each
-    step.  Every gemm and ufunc is the same call the eager kernel
-    makes (``out=`` changes where the bits land, not what they are);
-    parameter gradients stay freshly allocated because ``_accumulate``
-    may adopt them as ``param.grad`` across steps.  The naive backend
-    keeps its per-pixel loops via call-through.
+    :func:`~repro.tensor.ops_conv.conv2d` by calling the very kernel
+    functions it calls, with every recurring allocation — padded
+    input, column buffers, gemm outputs, ReLU mask, input gradient —
+    owned by the program and reused each step, so replay bits equal
+    eager bits by construction.  The forward column buffer stays
+    filled until backward (eager refills a pooled one); parameter
+    gradients stay freshly allocated because ``_accumulate`` may adopt
+    them as ``param.grad`` across steps.  The naive backend keeps its
+    per-pixel loops via call-through.
     """
     S = p.S
     at = ins.attrs
     stride, padding = at["stride"], at["padding"]
-    activation = at["activation"]
     has_bias = len(ins.ins) == 3
     ix, iw = ins.ins[0], ins.ins[1]
     ib = ins.ins[2] if has_bias else None
@@ -906,7 +907,7 @@ def _build_conv2d(p, ins):
                 S[ib] if has_bias else None,
                 stride=stride,
                 padding=padding,
-                activation=activation,
+                activation=at["activation"],
             )
 
         return _call_through(p, ins, invoke)
@@ -914,105 +915,78 @@ def _build_conv2d(p, ins):
     rx, rw = ins.in_rg[0], ins.in_rg[1]
     rb = ins.in_rg[2] if has_bias else False
     (io,) = ins.outs
-    n, c, h, w = p.shape(ix)
-    f, _cw, kh, kw = p.shape(iw)
+    n, c, h, w = x_shape = p.shape(ix)
+    f, _, kh, kw = w_shape = p.shape(iw)
+    _, _, oh, ow = p.shape(io)
     dt = p.dtype(ix)
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    k2 = kh * kw
-    rows = n * oh * ow
+    k2, rows = kh * kw, n * oh * ow
+
+    def zero_bordered(shape):
+        buf = p.scratch(shape, dt)
+        buf.fill(0)  # borders stay zero; the interior is rewritten
+        return buf
 
     out_buf = p.bind_buffer(io)
-    cols = p.scratch((rows, k2 * c), dt)
-    cols4 = cols.reshape(n, oh, ow, k2 * c)
-    dot_out = p.scratch((rows, f), dt)
-    # Transposed NCHW view of the gemm output — eager's node data IS
-    # this view; kernels here read it through ufuncs instead.
-    out_t = dot_out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
-    w2 = p.scratch((k2 * c, f), dt)
-    w2_4 = w2.reshape(kh, kw, c, f)
-    xp = None
-    if padding:
-        xp = p.scratch((n, c, h + 2 * padding, w + 2 * padding), dt)
-        xp.fill(0)  # borders stay zero; the interior is rewritten
-    mask = None
-    gbuf = None
-    if activation == "relu":
+    cols = p.scratch((c * k2, rows), dt)
+    fm = p.scratch((f, rows), dt)
+    xp = zero_bordered((n, c, h + 2 * padding, w + 2 * padding)) if padding else None
+    mask = gbuf = gfm = None
+    if at["activation"] == "relu":
         mask = p.scratch((n, f, oh, ow), np.bool_)
-        gbuf = p.scratch((n, f, oh, ow), p.dtype(io))
-    # (tap offset into the column axis, window into the padded input)
-    taps = [
-        (
-            (i * kw + j) * c,
-            (
-                slice(None),
-                slice(None),
-                slice(i, i + stride * oh, stride),
-                slice(j, j + stride * ow, stride),
-            ),
-        )
-        for i in range(kh)
-        for j in range(kw)
-    ]
-    if rw:
-        gfm = p.scratch((f, n, oh, ow), p.dtype(io))
-        dw_dot = p.scratch((f, k2 * c), dt)
+        gbuf = p.scratch((n, f, oh, ow), dt)
+    correlate = ops_conv.dx_by_correlation(f, c, kh, kw, stride, padding)
+    if rw or (rx and not correlate):
+        gfm = p.scratch((f, rows), dt)
     if rx:
-        gcols = p.scratch((n, oh, ow, f), p.dtype(io))
-        dcols = p.scratch((rows, k2 * c), dt)
-        dxp = p.scratch(
-            (n, c, h + 2 * padding, w + 2 * padding) if padding else (n, c, h, w),
-            dt,
-        )
-        xgrad = p.adopt_grad(ix) if p.dtype(ix) == p.dtype(io) else None
+        xgrad = p.adopt_grad(ix)
+        if correlate:
+            ph, pw = kh - 1 - padding, kw - 1 - padding
+            gp = zero_bordered((n, f, oh + 2 * ph, ow + 2 * pw)) if ph or pw else None
+            dx = xgrad if xgrad is not None else p.scratch(x_shape, dt)
+            dcols = p.scratch((f * k2, n * h * w), dt)
+            dfm = p.scratch((c, n * h * w), dt)
+        else:
+            dcols = p.scratch((c * k2, rows), dt)
+            if padding:
+                dxp = p.scratch(xp.shape, dt)
+                dx = dxp[:, :, padding:-padding, padding:-padding]
+            else:
+                dx = dxp = xgrad if xgrad is not None else p.scratch(x_shape, dt)
 
     def fwd():
-        xd = S[ix].data
+        src = S[ix].data
         if padding:
-            xp[:, :, padding:-padding, padding:-padding] = xd
-            src = xp
-        else:
-            src = xd
-        for off, win in taps:
-            cols4[:, :, :, off : off + c] = src[win].transpose(0, 2, 3, 1)
-        np.copyto(w2_4, S[iw].data.transpose(2, 3, 1, 0))
-        np.dot(cols, w2, out=dot_out)
-        if has_bias:
-            np.add(out_t, S[ib].data.reshape(1, f, 1, 1), out=out_buf)
-        else:
-            np.copyto(out_buf, out_t)
-        if mask is not None:
-            np.greater(out_buf, 0, out=mask)
-            np.multiply(out_buf, mask, out=out_buf)
+            src = ops_conv.pad_into(xp, src)
+        ops_conv.conv_forward(
+            src, S[iw].data, S[ib].data if has_bias else None,
+            stride, out_buf, cols, fm, mask,
+        )
 
     def bwd(grad):
         if mask is not None:
-            np.multiply(grad, mask, out=gbuf)
-            grad = gbuf
+            grad = np.multiply(grad, mask, out=gbuf)
+        if gfm is not None:
+            ops_conv.grad_feature_major(grad, gfm)
         if rw:
-            np.copyto(gfm, grad.transpose(1, 0, 2, 3))
-            np.dot(gfm.reshape(f, rows), cols, out=dw_dot)
-            dw = np.ascontiguousarray(
-                dw_dot.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
-            )
-            S[iw]._accumulate(dw, donate=True)
+            S[iw]._accumulate(ops_conv.conv_dw(gfm, cols, w_shape), donate=True)
         if rb:
             S[ib]._accumulate(grad.sum(axis=(0, 2, 3)), donate=True)
         if rx:
-            np.copyto(gcols, grad.transpose(0, 2, 3, 1))
-            np.dot(gcols.reshape(rows, f), w2.T, out=dcols)
-            dcols4 = dcols.reshape(n, oh, ow, k2 * c)
-            dxp.fill(0)
-            for off, win in taps:
-                dxp[win] += dcols4[:, :, :, off : off + c].transpose(0, 3, 1, 2)
-            interior = (
-                dxp[:, :, padding:-padding, padding:-padding] if padding else dxp
-            )
-            if xgrad is not None:
-                np.copyto(xgrad, interior)
-                S[ix].grad = xgrad
+            if correlate:
+                src = grad if gp is None else ops_conv.pad_into(gp, grad)
+                ops_conv.conv_forward(
+                    src, ops_conv.flipped(S[iw].data), None, 1, dx, dcols, dfm
+                )
             else:
-                S[ix]._accumulate(interior)
+                ops_conv.conv_dx_scatter(
+                    gfm, S[iw].data, stride, oh, ow, dcols, dxp
+                )
+            if xgrad is None:
+                S[ix]._accumulate(dx)
+            else:
+                if dx is not xgrad:
+                    np.copyto(xgrad, dx)
+                S[ix].grad = xgrad
 
     fwd._span = "ops_conv.conv2d"
     return fwd, {io: bwd}

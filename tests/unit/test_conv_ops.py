@@ -8,6 +8,7 @@ from repro.tensor.ops_conv import (
     avg_pool2d,
     conv2d,
     conv_transpose2d,
+    conv_windows,
     global_avg_pool2d,
     max_pool2d,
     upsample_nearest2d,
@@ -18,6 +19,37 @@ from tests.conftest import assert_grad_close, numeric_gradient
 
 def _rand(rng, shape, grad=True):
     return Tensor(rng.random(shape, dtype=np.float32) - 0.5, requires_grad=grad)
+
+
+# The accelerated kernel's shape space: both input-gradient forms
+# (correlation needs stride 1, padding <= k - 1 and F <= C; everything
+# else scatters), square and oblong kernels, padding beyond the kernel,
+# strides, a single sample.
+# (x shape, weight shape, stride, padding)
+KERNEL_SHAPES = {
+    "f_lt_c": ((2, 4, 5, 6), (2, 4, 3, 3), 1, 1),
+    "f_eq_c": ((2, 3, 5, 6), (3, 3, 3, 3), 1, 1),
+    "f_gt_c": ((2, 2, 5, 6), (5, 2, 3, 3), 1, 1),
+    "f_eq_c_no_padding": ((2, 3, 5, 6), (3, 3, 3, 3), 1, 0),
+    "f_eq_c_full_padding": ((2, 3, 4, 4), (3, 3, 3, 3), 1, 2),
+    "kh_ne_kw": ((2, 3, 6, 5), (2, 3, 3, 2), 1, 1),
+    "kh_ne_kw_f_gt_c": ((2, 2, 6, 5), (3, 2, 2, 3), 1, 1),
+    "one_by_one_padded": ((2, 3, 4, 5), (2, 3, 1, 1), 1, 1),
+    "one_by_one": ((2, 3, 4, 5), (3, 3, 1, 1), 1, 0),
+    "stride_2": ((2, 3, 7, 6), (2, 3, 3, 3), 2, 0),
+    "stride_2_padded": ((2, 3, 7, 6), (4, 3, 3, 3), 2, 1),
+    "single_sample": ((1, 3, 5, 5), (3, 3, 3, 3), 1, 1),
+    "single_sample_f_gt_c": ((1, 2, 5, 5), (4, 2, 3, 3), 1, 1),
+}
+kernel_shapes = pytest.mark.parametrize(
+    "x_shape,w_shape,stride,padding",
+    list(KERNEL_SHAPES.values()),
+    ids=list(KERNEL_SHAPES),
+)
+
+
+def _owns(grad):
+    return grad.base is None and grad.flags.owndata and grad.flags.c_contiguous
 
 
 class TestConv2d:
@@ -34,6 +66,114 @@ class TestConv2d:
         for t in (x, w, b):
             assert_grad_close(t.grad, numeric_gradient(fn, t))
             t.zero_grad()
+
+    @kernel_shapes
+    @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "no_bias"])
+    @pytest.mark.parametrize("activation", [None, "relu"])
+    def test_gradcheck_shape_space(
+        self, rng, x_shape, w_shape, stride, padding, with_bias, activation
+    ):
+        x = _rand(rng, x_shape)
+        w = _rand(rng, w_shape)
+        b = _rand(rng, (w_shape[0],)) if with_bias else None
+
+        def fn():
+            out = conv2d(
+                x, w, b, stride=stride, padding=padding, activation=activation
+            )
+            return (out ** 2).sum()
+
+        out = conv2d(x, w, b, stride=stride, padding=padding, activation=activation)
+        assert out.data.flags.c_contiguous
+        fn().backward()
+        assert _owns(x.grad) and _owns(w.grad)
+        for t in (x, w) + ((b,) if with_bias else ()):
+            assert_grad_close(t.grad, numeric_gradient(fn, t))
+
+    @kernel_shapes
+    def test_backends_agree_shape_space(
+        self, rng, x_shape, w_shape, stride, padding
+    ):
+        x_data = rng.random(x_shape, dtype=np.float32) - 0.5
+        w_data = rng.random(w_shape, dtype=np.float32) - 0.5
+        b_data = rng.random(w_shape[0], dtype=np.float32) - 0.5
+        got = {}
+        for backend in ("accelerated", "naive"):
+            x, w, b = (
+                Tensor(d.copy(), requires_grad=True)
+                for d in (x_data, w_data, b_data)
+            )
+            with use_backend(backend):
+                out = conv2d(
+                    x, w, b, stride=stride, padding=padding, activation="relu"
+                )
+                (out ** 2).sum().backward()
+            got[backend] = (out.data, x.grad, w.grad, b.grad)
+        for fast, slow in zip(got["accelerated"], got["naive"]):
+            np.testing.assert_allclose(fast, slow, rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize("w_shape", [(2, 3, 3, 3), (4, 3, 3, 3)])
+    def test_input_without_grad(self, rng, w_shape):
+        x = _rand(rng, (2, 3, 5, 5), grad=False)
+        w = _rand(rng, w_shape)
+
+        def fn():
+            return (conv2d(x, w, padding=1) ** 2).sum()
+
+        fn().backward()
+        assert x.grad is None
+        assert_grad_close(w.grad, numeric_gradient(fn, w))
+
+    @pytest.mark.parametrize("w_shape", [(3, 3, 3, 3), (5, 3, 3, 3)])
+    def test_non_contiguous_input(self, rng, w_shape):
+        base = rng.random((7, 2, 3, 8), dtype=np.float32) - 0.5
+        # (N, C, H, W) = (2, 3, 6, 4): transposed and sliced, no copy.
+        x = Tensor(base.transpose(1, 2, 0, 3)[:, :, 1:, ::2], requires_grad=True)
+        assert not x.data.flags.c_contiguous and x.data.base is not None
+        w = _rand(rng, w_shape)
+        dense = Tensor(np.ascontiguousarray(x.data), requires_grad=True)
+
+        out = conv2d(x, w)
+        assert out.data.flags.c_contiguous
+        np.testing.assert_array_equal(out.data, conv2d(dense, w).data)
+        (out ** 2).sum().backward()
+        w_grad = w.grad
+        w.zero_grad()
+        (conv2d(dense, w) ** 2).sum().backward()
+        np.testing.assert_array_equal(x.grad, dense.grad)
+        np.testing.assert_array_equal(w_grad, w.grad)
+
+    def test_mixed_dtypes(self, rng):
+        x = _rand(rng, (2, 3, 5, 5))
+        for f in (2, 4):  # both input-gradient forms
+            w = Tensor(rng.random((f, 3, 3, 3)) - 0.5, requires_grad=True,
+                       dtype=np.float64)
+            conv2d(x, w, padding=1).sum().backward()
+            assert w.grad.dtype == np.float64
+            assert x.grad.dtype == np.float32
+
+    @pytest.mark.parametrize("op", [conv2d, conv_transpose2d])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"stride": 0}, {"stride": -1}, {"stride": 1.5}, {"padding": -1},
+         {"padding": 0.5}],
+    )
+    def test_bad_stride_padding_rejected(self, rng, op, kwargs):
+        x = _rand(rng, (1, 2, 5, 5))
+        w = _rand(rng, (2, 2, 3, 3))
+        with pytest.raises(ValueError, match="stride|padding"):
+            op(x, w, **kwargs)
+
+    def test_window_view_is_bounds_checked_and_read_only(self, rng):
+        xp = rng.random((1, 2, 5, 5), dtype=np.float32)
+        with pytest.raises(ValueError, match="outside"):
+            conv_windows(xp, 3, 3, 1, 4, 3)  # 4 output rows need 6 input rows
+        with pytest.raises(ValueError, match="outside"):
+            conv_windows(xp, 3, 3, 2, 2, 3)  # 3 columns at stride 2 need 7
+        view = conv_windows(xp, 3, 3, 2, 2, 2)
+        assert view.shape == (2, 3, 3, 1, 2, 2)
+        assert not view.flags.writeable
+        np.testing.assert_array_equal(view[1, 2, 0, 0], xp[0, 1, 2::2, 0:3:2])
 
     def test_output_shape(self, rng):
         x = _rand(rng, (1, 2, 8, 8), grad=False)

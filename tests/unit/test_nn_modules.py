@@ -146,6 +146,18 @@ class TestConvLayers:
             nn.Conv2d(3, 8, 3, padding=-1)
         with pytest.raises(ValueError):
             nn.Conv2d(3, 8, 0)
+        with pytest.raises(ValueError, match="stride"):
+            nn.Conv2d(3, 8, 3, stride=1.5)
+        with pytest.raises(ValueError, match="activation"):
+            nn.Conv2d(3, 8, 3, activation="gelu")
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"kernel_size": 0}, {"stride": 0}, {"stride": 2.0}, {"padding": -1}],
+    )
+    def test_conv_transpose_param_validation(self, kwargs):
+        with pytest.raises(ValueError, match="|".join(kwargs)):
+            nn.ConvTranspose2d(4, 2, **{"kernel_size": 2, **kwargs})
 
 
 class TestNormalization:

@@ -334,3 +334,87 @@ class TestTrainerIntegration:
         trainer, loader = self.make_bits()
         trainer.fit(loader, epochs=1, trace=False)
         assert trainer.trace_session is None
+
+
+class TwoConv(nn.Module):
+    """conv(+ReLU) -> conv; the second conv's input needs a gradient,
+    so its (mid -> out, stride) picks the input-gradient form."""
+
+    def __init__(self, mid, out, stride):
+        super().__init__()
+        gen = np.random.default_rng(5)
+        self.a = nn.Conv2d(3, mid, 3, padding=1, rng=gen, activation="relu")
+        self.b = nn.Conv2d(mid, out, 3, stride=stride, padding=1, rng=gen)
+
+    def forward(self, x):
+        return self.b(self.a(x))
+
+
+def conv_batch(rng, out, stride):
+    side = 6 // stride
+    return (
+        Tensor(rng.standard_normal((2, 3, 6, 6)).astype(np.float32)),
+        Tensor(rng.standard_normal((2, out, side, side)).astype(np.float32)),
+    )
+
+
+class TestConvKernelSharing:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("mid,out", [(4, 2), (3, 3), (2, 4)])
+    def test_traced_conv_bitwise_equals_eager(self, mid, out, stride):
+        rng = np.random.default_rng(11)
+        eager = TwoConv(mid, out, stride)
+        traced = TwoConv(mid, out, stride)
+        session = TraceSession(traced, F.mse_loss)
+        for _ in range(3):
+            x, y = conv_batch(rng, out, stride)
+            loss = F.mse_loss(eager(x), y)
+            loss.backward(free_graph=True)
+            assert session.step((x,), y) == loss.item()
+            for p, q in zip(eager.parameters(), traced.parameters()):
+                assert np.array_equal(p.grad, q.grad)
+            clear_grads(eager)
+            clear_grads(traced)
+        assert session.stats()["replays"] == 2
+
+    def test_replay_and_eager_call_the_same_kernel_functions(self, monkeypatch):
+        from repro.tensor import ops_conv
+
+        calls = dict.fromkeys(
+            ("im2col", "conv_forward", "grad_feature_major", "conv_dw",
+             "conv_dx_scatter"),
+            0,
+        )
+        for name in calls:
+            def counted(*args, _fn=getattr(ops_conv, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(ops_conv, name, counted)
+
+        def step_counts(mid, out, stride, replay):
+            model = TwoConv(mid, out, stride)
+            rng = np.random.default_rng(13)
+            x, y = conv_batch(rng, out, stride)
+            session = TraceSession(model, F.mse_loss)
+            session.step((x,), y)  # the capture step runs eager conv2d
+            clear_grads(model)
+            before = dict(calls)
+            if replay:
+                session.step((x,), y)
+                assert session.stats()["replays"] == 1
+            else:
+                F.mse_loss(model(x), y).backward(free_graph=True)
+            return {name: calls[name] - before[name] for name in calls}
+
+        for mid, out, stride in [(4, 2, 1), (2, 4, 1), (4, 2, 2)]:
+            eager = step_counts(mid, out, stride, replay=False)
+            replayed = step_counts(mid, out, stride, replay=True)
+            # Eager refills the column buffer once per weight gradient;
+            # replay keeps the forward fill.
+            assert eager.pop("im2col") == replayed.pop("im2col") + 2
+            assert eager == replayed
+            correlate = stride == 1 and out <= mid
+            assert eager["conv_forward"] == (3 if correlate else 2)
+            assert eager["conv_dx_scatter"] == (0 if correlate else 1)
+            assert eager["conv_dw"] == eager["grad_feature_major"] == 2
