@@ -9,8 +9,7 @@ Keys: the vectorized vs per-row 50k x 50k key join, a 500k-row
 group-by, the optimizer on/off prune-heavy workload, the fused
 expression-stage pipeline with its 2-thread morsel scaling, the
 out-of-core order_by under a memory budget (peak bytes
-+ spill slowdown), the trace-based autograd fuser's replayed ConvLSTM
-step vs the eager step, incremental streaming maintenance (delta
++ spill slowdown), incremental streaming maintenance (delta
 aggregates + in-place grid-tensor updates) vs full recomputation at
 three backlog sizes, the Figure 8 tensor-preparation leg, and a small
 training epoch measuring the cost of the obs layer + dormant profiler
@@ -422,120 +421,6 @@ def bench_convlstm_runtime() -> dict:
     }
 
 
-def bench_traced_convlstm() -> dict:
-    """The trace-based autograd fuser on a small ConvLSTM step.
-
-    The workload is deliberately small (batch 2, T=6, 8x8, 4 hidden
-    channels): that is the regime the tracer targets, where Python
-    dispatch — graph construction, closure calls, pool traffic —
-    dominates the numpy kernels, and replaying the recorded schedule
-    through preallocated buffers pays off.  On compute-bound shapes
-    the same machinery is a wash (the gemms dwarf the dispatch), which
-    is why this stage does not reuse the bench_convlstm_runtime
-    workload.
-
-    Keys (gated by scripts/diff_bench.py):
-
-    - ``traced_step_speedup`` — steady-state eager step wall time over
-      replayed step wall time, interleaved best-of-N on the same
-      batch.  Both paths are asserted loss- and parameter-identical
-      every step before and during timing; the floor is 1.3x.
-    - ``trace_capture_overhead_ratio`` — the one-off recording step
-      (trace + compile) over a steady-state eager step: the price of
-      admission, paid once per (shapes, dtypes, params) signature.
-    """
-    from repro.nn import functional as F
-    from repro.nn.recurrent import ConvLSTM
-    from repro.optim import SGD
-    from repro.tensor import Tensor, TraceSession
-
-    rng = np.random.default_rng(29)
-    x = Tensor(rng.normal(size=(2, 6, 2, 8, 8)).astype(np.float32))
-    y = Tensor(rng.normal(size=(2, 6, 4, 8, 8)).astype(np.float32))
-
-    def make():
-        model = ConvLSTM(2, [4], 3, rng=np.random.default_rng(0))
-        return model, SGD(list(model.parameters()), lr=1e-2)
-
-    eager_model, eager_opt = make()
-    traced_model, traced_opt = make()
-    session = TraceSession(traced_model, F.mse_loss)
-
-    def eager_step() -> float:
-        eager_opt.zero_grad()
-        loss = F.mse_loss(eager_model(x), y)
-        loss.backward(free_graph=True)
-        eager_opt.step()
-        return loss.item()
-
-    def traced_step() -> float:
-        traced_opt.zero_grad()
-        value = session.step((x,), y)
-        traced_opt.step()
-        return value
-
-    def check_step() -> None:
-        assert eager_step() == traced_step(), (
-            "traced ConvLSTM step diverged from the eager step"
-        )
-
-    # The first traced step records and compiles the program; time it
-    # so the one-off capture cost is on the record.
-    started = time.perf_counter()
-    capture_loss = traced_step()
-    capture_s = time.perf_counter() - started
-    assert eager_step() == capture_loss
-
-    # Bit-identity across a few replayed steps (params advance under
-    # SGD, so this checks PARAM slots read live data); also warms the
-    # replay pool and both models' allocator state.
-    for _ in range(3):
-        check_step()
-    for a, b in zip(eager_model.parameters(), traced_model.parameters()):
-        assert np.array_equal(a.data, b.data), (
-            "traced ConvLSTM parameters diverged from the eager run"
-        )
-
-    # Interleaved best-of-N over 3-step blocks, same scheme as
-    # bench_observability: a single step is ~1ms, so blocks keep the
-    # timer quantization honest and interleaving cancels clock drift.
-    repeats = 9
-    block = 3
-    eager_s = traced_s = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        eager_losses = [eager_step() for _ in range(block)]
-        eager_s = min(eager_s, (time.perf_counter() - started) / block)
-        started = time.perf_counter()
-        traced_losses = [traced_step() for _ in range(block)]
-        traced_s = min(traced_s, (time.perf_counter() - started) / block)
-        assert eager_losses == traced_losses
-
-    # Capture cost, best-of-N like everything else: each fresh session's
-    # first step records and compiles from scratch (no opt.step, so the
-    # two models stay in lockstep).  The cold first capture above is one
-    # of the draws.
-    for _ in range(4):
-        extra = TraceSession(traced_model, F.mse_loss)
-        started = time.perf_counter()
-        extra.step((x,), y)
-        capture_s = min(capture_s, time.perf_counter() - started)
-        extra.close()
-        for p in traced_model.parameters():
-            p.grad = None
-
-    stats = session.stats()
-    assert stats["captures"] == 1 and stats["fallbacks"] == 0
-    return {
-        "traced_step_eager_s": eager_s,
-        "traced_step_replay_s": traced_s,
-        "traced_step_speedup": eager_s / traced_s,
-        "trace_capture_s": capture_s,
-        "trace_capture_overhead_ratio": capture_s / eager_s,
-        "traced_replays": stats["replays"],
-    }
-
-
 def bench_expr_pipeline(n: int = 400_000, parts: int = 8) -> dict:
     """A fused Filter -> Project -> WithColumn stage, serial and
     morsel-parallel.
@@ -811,7 +696,6 @@ def main() -> dict:
         bench_obs_runtime,
         bench_train_overhead,
         bench_convlstm_runtime,
-        bench_traced_convlstm,
         bench_expr_pipeline,
         bench_spill,
         bench_streaming,

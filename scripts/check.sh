@@ -11,7 +11,8 @@
 #      where a test forgot to pass memory_budget=
 #   5. traced lane: the training + trace suites again under a forced
 #      REPRO_TRACE=1, so every Trainer.fit in those tests runs through
-#      the trace record/replay path instead of pure eager
+#      the tape record / guard / fallback / replay path (replay re-runs
+#      the recorded eager ops) instead of the plain eager loop
 #   6. obs-export lane: the unit suite again under REPRO_OBS_EXPORT=1,
 #      so every test runs with the background telemetry flusher live
 #      (exercises the exporter racing real workloads)
@@ -27,9 +28,8 @@
 #  10. bench diff: the fresh BENCH_engine.json must not regress the
 #      watched keys (obs overhead, join speedup, ConvLSTM epoch time,
 #      peak activation bytes, 2-thread morsel scaling, spill peak
-#      bytes + slowdown, traced-step speedup + capture overhead,
-#      telemetry-runtime overhead, streaming update speedup + p99
-#      latency) >25% vs the committed one;
+#      bytes + slowdown, telemetry-runtime overhead, streaming update
+#      speedup + p99 latency) >25% vs the committed one;
 #      obs_runtime_overhead_ratio must stay under an absolute 1.10
 #      cap and stream_update_speedup above an absolute 10x floor
 #  11. join ablation: benchmarks/bench_ablation_join.py (~3 s) joins

@@ -22,10 +22,6 @@ regenerating BENCH_engine.json):
   spill paths is that this stays pinned near the budget).
 - ``spill_slowdown`` — spilled over in-memory order_by wall time;
   higher is worse.
-- ``traced_step_speedup`` — eager ConvLSTM training step over the
-  trace-replayed step; lower is worse.
-- ``trace_capture_overhead_ratio`` — the one-off record+compile step
-  over a steady-state eager step; higher is worse.
 - ``obs_runtime_overhead_ratio`` — fused-pipeline drain with the
   background telemetry flusher live (50ms interval) over the same
   drain without it; higher is worse.  Also capped **absolutely** at
@@ -66,8 +62,6 @@ WATCHED = {
     "parallel_scaling_2t": "higher",
     "order_by_spill_peak_bytes": "lower",
     "spill_slowdown": "lower",
-    "traced_step_speedup": "higher",
-    "trace_capture_overhead_ratio": "lower",
     "obs_runtime_overhead_ratio": "lower",
     "stream_update_speedup": "higher",
     "stream_update_p99_ms": "lower",

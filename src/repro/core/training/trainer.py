@@ -93,13 +93,24 @@ class Trainer:
         return self._trace_session
 
     def _ensure_trace_session(self):
-        if self._trace_session is None:
+        """The session for the trainer's *current* model, loss function
+        and ``free_graph``; reassigning any of them retires the old
+        session, whose tape recorded the old one."""
+        session = self._trace_session
+        if session is not None and (
+            session.model is not self.model
+            or session.loss_fn is not self.loss_fn
+            or session.free_graph != self.free_graph
+        ):
+            session.close()
+            session = None
+        if session is None:
             from repro.tensor.trace import TraceSession
 
-            self._trace_session = TraceSession(
+            session = self._trace_session = TraceSession(
                 self.model, self.loss_fn, free_graph=self.free_graph
             )
-        return self._trace_session
+        return session
 
     def _global_grad_norm(self) -> float:
         """Global L2 norm over all parameter gradients."""
@@ -140,7 +151,7 @@ class Trainer:
 
         ``trace=True`` routes each batch through a
         :class:`~repro.tensor.trace.TraceSession`: the first step is
-        recorded, matching steps replay the compiled program, and any
+        recorded, matching steps re-run the recorded ops, and any
         guard condition falls back to the ordinary eager step with
         identical numbers (see :mod:`repro.tensor.trace`)."""
         self.model.train()
@@ -220,7 +231,7 @@ class Trainer:
         started (e.g. inside a ``with`` block) is left running.
 
         ``trace=True`` records the first training step and replays the
-        compiled program on every later step with a matching input
+        recorded ops on every later step with a matching input
         signature — see :mod:`repro.tensor.trace` for the guard
         conditions that fall back to eager.  ``trace=None`` (default)
         reads the ``REPRO_TRACE`` environment variable ("1" enables),

@@ -295,14 +295,6 @@ def active_profiler() -> "Profiler | None":
     return _ACTIVE
 
 
-def profiler_recording() -> bool:
-    """True when a profiler is installed *and* recording — i.e. when
-    ``op_span`` would return a live span.  Replay loops check this once
-    per step to pick the instrumented or the fast schedule."""
-    profiler = _ACTIVE
-    return profiler is not None and profiler._recording
-
-
 # ----------------------------------------------------------------------
 # Aggregation
 # ----------------------------------------------------------------------

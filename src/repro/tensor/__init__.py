@@ -22,7 +22,7 @@ from repro.tensor.backend import (
     set_backend,
     use_backend,
 )
-from repro.tensor.pool import ArrayPool, default_pool, use_pool
+from repro.tensor.pool import ArrayPool, default_pool
 from repro.tensor.tensor import (
     Tensor,
     tensor,
@@ -39,13 +39,9 @@ from repro.tensor.tensor import (
     where,
 )
 
-# Imported last: trace.py reaches back into repro.tensor.tensor and the
-# fused/conv op modules, so it must not load before they do.
-from repro.tensor.trace import (  # noqa: E402
+from repro.tensor.trace import (
     TraceSession,
-    TracedProgram,
     TraceRecorder,
-    TraceBuildError,
     notify_trace_unsafe,
 )
 
@@ -68,10 +64,7 @@ __all__ = [
     "use_backend",
     "ArrayPool",
     "default_pool",
-    "use_pool",
     "TraceSession",
-    "TracedProgram",
     "TraceRecorder",
-    "TraceBuildError",
     "notify_trace_unsafe",
 ]

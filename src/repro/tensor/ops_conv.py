@@ -13,8 +13,9 @@
   gemm plus ``KH*KW`` window adds (:func:`dx_by_correlation` picks).
   Every transient is pooled; the column buffer is released after the
   forward gemm and refilled in backward.  The kernels are module-level
-  functions over caller-supplied buffers, so eager ``conv2d`` (pooled
-  transients) and the trace fuser (persistent ones) run the same code.
+  functions over caller-supplied buffers; ``conv2d`` hands them pooled
+  transients, and a traced step (:mod:`repro.tensor.trace`) replays by
+  calling ``conv2d`` itself.
 - ``naive``: per-output-pixel loops — the reference implementation
   used as the "CPU" leg of the Figure 9 reproduction.
 
@@ -63,8 +64,8 @@ def check_conv_args(stride, padding, activation=None) -> None:
 
 
 # -- accelerated conv2d kernels ----------------------------------------
-# Shared by eager ``conv2d`` below (pooled transients) and by
-# ``trace._build_conv2d`` (persistent buffers).
+# Module-level functions over caller-supplied buffers; ``conv2d`` below
+# passes pooled transients.
 
 def pad_into(buf: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Write ``x`` into the centre of the larger ``buf``, whose border
@@ -327,10 +328,12 @@ def conv2d(
     ret = Tensor._make(out, parents, backward)
     if _tensor_mod._TRACE is not None:
         _tensor_mod._TRACE.record(
-            "conv2d",
+            conv2d,
             parents,
             (ret,),
-            {"stride": stride, "padding": padding, "activation": activation},
+            stride=stride,
+            padding=padding,
+            activation=activation,
         )
     return ret
 
@@ -418,10 +421,7 @@ def conv_transpose2d(
     ret = Tensor._make(out, parents, backward)
     if _tensor_mod._TRACE is not None:
         _tensor_mod._TRACE.record(
-            "conv_transpose2d",
-            parents,
-            (ret,),
-            {"stride": stride, "padding": padding},
+            conv_transpose2d, parents, (ret,), stride=stride, padding=padding
         )
     return ret
 
@@ -456,9 +456,7 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
 
     ret = Tensor._make(out, (x,), backward)
     if _tensor_mod._TRACE is not None:
-        _tensor_mod._TRACE.record(
-            "max_pool2d", (x,), (ret,), {"kernel": kernel, "stride": stride}
-        )
+        _tensor_mod._TRACE.record(max_pool2d, (x,), (ret,), kernel, stride)
     return ret
 
 
@@ -488,9 +486,7 @@ def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
 
     ret = Tensor._make(out, (x,), backward)
     if _tensor_mod._TRACE is not None:
-        _tensor_mod._TRACE.record(
-            "avg_pool2d", (x,), (ret,), {"kernel": kernel, "stride": stride}
-        )
+        _tensor_mod._TRACE.record(avg_pool2d, (x,), (ret,), kernel, stride)
     return ret
 
 
@@ -508,9 +504,7 @@ def upsample_nearest2d(x: Tensor, scale: int) -> Tensor:
 
     ret = Tensor._make(out, (x,), backward)
     if _tensor_mod._TRACE is not None:
-        _tensor_mod._TRACE.record(
-            "upsample_nearest2d", (x,), (ret,), {"scale": scale}
-        )
+        _tensor_mod._TRACE.record(upsample_nearest2d, (x,), (ret,), scale)
     return ret
 
 

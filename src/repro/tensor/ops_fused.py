@@ -96,7 +96,7 @@ def fused_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tenso
     parents = (x, weight) if bias is None else (x, weight, bias)
     ret = Tensor._make(out, parents, backward)
     if _tensor_mod._TRACE is not None:
-        _tensor_mod._TRACE.record("fused_linear", parents, (ret,))
+        _tensor_mod._TRACE.record(fused_linear, parents, (ret,))
     return ret
 
 
@@ -176,9 +176,6 @@ def fused_lstm_gates(gates: Tensor, c: Tensor, hidden: int):
     h_next = Tensor._make(h_data, (gates, c_next), backward_h)
     if _tensor_mod._TRACE is not None:
         _tensor_mod._TRACE.record(
-            "fused_lstm_gates",
-            (gates, c),
-            (h_next, c_next),
-            {"hidden": hidden},
+            fused_lstm_gates, (gates, c), (h_next, c_next), hidden
         )
     return h_next, c_next

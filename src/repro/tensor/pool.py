@@ -13,7 +13,10 @@ every batch.  :class:`ArrayPool` recycles those arrays across steps:
 - the graph-freeing path of :meth:`Tensor.backward(free_graph=True)
   <repro.tensor.tensor.Tensor.backward>` releases the gradients of
   freed intermediates here, which is what closes the reuse loop:
-  batch N's gradient buffers become batch N+1's scratch.
+  batch N's gradient buffers become batch N+1's scratch.  A traced
+  step (:mod:`repro.tensor.trace`) replays by calling the same ops, so
+  it makes exactly an eager step's acquires and releases on this same
+  pool; a tape owns no buffers.
 
 Hits and misses are counted into the process-wide metrics registry as
 ``tensor.pool.hit`` / ``tensor.pool.miss`` (plus ``tensor.pool.reject``
@@ -27,8 +30,6 @@ collected as usual.  Access is process-wide through
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 
@@ -213,23 +214,3 @@ _DEFAULT = ArrayPool()
 def default_pool() -> ArrayPool:
     """The process-wide pool used by the autograd runtime."""
     return _DEFAULT
-
-
-@contextlib.contextmanager
-def use_pool(pool: ArrayPool):
-    """Temporarily make ``pool`` the process-wide default.
-
-    Every ``default_pool()`` lookup inside the block — including the
-    ones buried in autograd closures — resolves to ``pool``, and the
-    previous default is restored on exit.  :class:`~repro.tensor.trace.
-    TracedProgram` replays under a small private pool this way so the
-    per-step gradient churn of a replayed step never changes the
-    residency of the shared pool.
-    """
-    global _DEFAULT
-    prev = _DEFAULT
-    _DEFAULT = pool
-    try:
-        yield pool
-    finally:
-        _DEFAULT = prev

@@ -158,7 +158,7 @@ class Tensor:
         """Return a new tensor sharing data but outside the graph."""
         out = Tensor(self.data, requires_grad=False)
         if _TRACE is not None:
-            _TRACE.record("detach", (self,), (out,))
+            _TRACE.record(Tensor.detach, (self,), (out,))
         return out
 
     def copy(self) -> "Tensor":
@@ -303,8 +303,6 @@ class Tensor:
         if not free_graph:
             for node in reversed(topo):
                 if node._backward is not None and node.grad is not None:
-                    if _TRACE is not None:
-                        _TRACE.note_backward(node)
                     node._backward(node.grad)
             return
 
@@ -313,8 +311,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 if node.grad is not None:
-                    if _TRACE is not None:
-                        _TRACE.note_backward(node)
                     node._backward(node.grad)
                 if node is root:
                     # The root stays readable (loss.item() after
@@ -339,8 +335,8 @@ class Tensor:
             out._backward = backward
             if _TRACE is not None:
                 # Every graph node passes through here; the recorder
-                # aborts at finalize if an op it has no kernel for
-                # failed to claim its node via record().
+                # rejects the tape at finalize if some op did not
+                # claim its node via record().
                 _TRACE.saw(out)
         return out
 
@@ -367,7 +363,7 @@ class Tensor:
 
         out = Tensor._make(data, (self, other), backward)
         if _TRACE is not None:
-            _TRACE.record("add", (self, other), (out,))
+            _TRACE.record(Tensor.__add__, (self, other), (out,))
         return out
 
     __radd__ = __add__
@@ -385,7 +381,7 @@ class Tensor:
 
         out = Tensor._make(data, (self, other), backward)
         if _TRACE is not None:
-            _TRACE.record("sub", (self, other), (out,))
+            _TRACE.record(Tensor.__sub__, (self, other), (out,))
         return out
 
     def __rsub__(self, other):
@@ -409,7 +405,7 @@ class Tensor:
 
         out = Tensor._make(data, (self, other), backward)
         if _TRACE is not None:
-            _TRACE.record("mul", (self, other), (out,))
+            _TRACE.record(Tensor.__mul__, (self, other), (out,))
         return out
 
     __rmul__ = __mul__
@@ -431,7 +427,7 @@ class Tensor:
 
         out = Tensor._make(data, (self, other), backward)
         if _TRACE is not None:
-            _TRACE.record("div", (self, other), (out,))
+            _TRACE.record(Tensor.__truediv__, (self, other), (out,))
         return out
 
     def __rtruediv__(self, other):
@@ -443,7 +439,7 @@ class Tensor:
 
         out = Tensor._make(-self.data, (self,), backward)
         if _TRACE is not None:
-            _TRACE.record("neg", (self,), (out,))
+            _TRACE.record(Tensor.__neg__, (self,), (out,))
         return out
 
     def __pow__(self, exponent):
@@ -458,7 +454,7 @@ class Tensor:
 
         out = Tensor._make(data, (self,), backward)
         if _TRACE is not None:
-            _TRACE.record("pow", (self,), (out,), {"exponent": exponent})
+            _TRACE.record(Tensor.__pow__, (self,), (out,), exponent)
         return out
 
     def __matmul__(self, other):
@@ -485,7 +481,7 @@ class Tensor:
 
         out = Tensor._make(data, (self, other), backward)
         if _TRACE is not None:
-            _TRACE.record("matmul", (self, other), (out,))
+            _TRACE.record(Tensor.__matmul__, (self, other), (out,))
         return out
 
     # ------------------------------------------------------------------
@@ -518,7 +514,7 @@ class Tensor:
 
         out = Tensor._make(data, (self,), backward)
         if _TRACE is not None:
-            _TRACE.record("exp", (self,), (out,))
+            _TRACE.record(Tensor.exp, (self,), (out,))
         return out
 
     def log(self):
@@ -529,7 +525,7 @@ class Tensor:
 
         out = Tensor._make(data, (self,), backward)
         if _TRACE is not None:
-            _TRACE.record("log", (self,), (out,))
+            _TRACE.record(Tensor.log, (self,), (out,))
         return out
 
     def sqrt(self):
@@ -540,7 +536,7 @@ class Tensor:
 
         out = Tensor._make(data, (self,), backward)
         if _TRACE is not None:
-            _TRACE.record("sqrt", (self,), (out,))
+            _TRACE.record(Tensor.sqrt, (self,), (out,))
         return out
 
     def abs(self):
@@ -551,7 +547,7 @@ class Tensor:
 
         out = Tensor._make(data, (self,), backward)
         if _TRACE is not None:
-            _TRACE.record("abs", (self,), (out,))
+            _TRACE.record(Tensor.abs, (self,), (out,))
         return out
 
     def tanh(self):
@@ -564,7 +560,7 @@ class Tensor:
 
         out = Tensor._make(data, (self,), backward)
         if _TRACE is not None:
-            _TRACE.record("tanh", (self,), (out,))
+            _TRACE.record(Tensor.tanh, (self,), (out,))
         return out
 
     def sigmoid(self):
@@ -584,7 +580,7 @@ class Tensor:
 
         out = Tensor._make(data, (self,), backward)
         if _TRACE is not None:
-            _TRACE.record("sigmoid", (self,), (out,))
+            _TRACE.record(Tensor.sigmoid, (self,), (out,))
         return out
 
     def relu(self):
@@ -596,7 +592,7 @@ class Tensor:
 
         out = Tensor._make(data, (self,), backward)
         if _TRACE is not None:
-            _TRACE.record("relu", (self,), (out,))
+            _TRACE.record(Tensor.relu, (self,), (out,))
         return out
 
     def clip(self, low, high):
@@ -627,7 +623,7 @@ class Tensor:
         out = Tensor._make(data, (self,), backward)
         if _TRACE is not None:
             _TRACE.record(
-                "sum", (self,), (out,), {"axis": axis, "keepdims": keepdims}
+                Tensor.sum, (self,), (out,), axis=axis, keepdims=keepdims
             )
         return out
 
@@ -677,7 +673,7 @@ class Tensor:
 
         out = Tensor._make(data, (self,), backward)
         if _TRACE is not None:
-            _TRACE.record("reshape", (self,), (out,))
+            _TRACE.record(Tensor.reshape, (self,), (out,), shape)
         return out
 
     def flatten(self, start_axis: int = 0):
@@ -697,7 +693,7 @@ class Tensor:
 
         out = Tensor._make(data, (self,), backward)
         if _TRACE is not None:
-            _TRACE.record("transpose", (self,), (out,), {"axes": axes})
+            _TRACE.record(Tensor.transpose, (self,), (out,), axes)
         return out
 
     @property
@@ -717,7 +713,7 @@ class Tensor:
 
         out = Tensor._make(data, (self,), backward)
         if _TRACE is not None:
-            _TRACE.record("expand_dims", (self,), (out,), {"axis": axis})
+            _TRACE.record(Tensor.expand_dims, (self,), (out,), axis)
         return out
 
     def squeeze(self, axis: int):
@@ -728,7 +724,7 @@ class Tensor:
 
         out = Tensor._make(data, (self,), backward)
         if _TRACE is not None:
-            _TRACE.record("squeeze", (self,), (out,), {"axis": axis})
+            _TRACE.record(Tensor.squeeze, (self,), (out,), axis)
         return out
 
     def __getitem__(self, key):
@@ -752,7 +748,7 @@ class Tensor:
         out = Tensor._make(data, (self,), backward)
         if _TRACE is not None:
             if basic:
-                _TRACE.record("getitem", (self,), (out,), {"key": key})
+                _TRACE.record(Tensor.__getitem__, (self,), (out,), key)
             else:
                 # Fancy index arrays may be data-dependent (gathers):
                 # baking them into a trace could silently replay stale
@@ -774,12 +770,7 @@ class Tensor:
 
         out = Tensor._make(data, (self,), backward)
         if _TRACE is not None:
-            _TRACE.record(
-                "pad2d",
-                (self,),
-                (out,),
-                {"pad_h": pad_h, "pad_w": pad_w, "value": value},
-            )
+            _TRACE.record(Tensor.pad2d, (self,), (out,), pad_h, pad_w, value)
         return out
 
 
@@ -795,7 +786,7 @@ def zeros(shape, requires_grad: bool = False, dtype=np.float32) -> Tensor:
     out = Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
     if _TRACE is not None and not requires_grad:
         # Value depends only on shape, which the trace signature
-        # guards, so the array is safe to bake into the program
+        # guards, so the array is safe to bake into the tape
         # (recurrent init_state zeros enter traces this way).
         _TRACE.register_const(out)
     return out
@@ -861,7 +852,7 @@ def concatenate(tensors, axis: int = 0) -> Tensor:
 
     out = Tensor._make(data, tuple(tensors), backward)
     if _TRACE is not None:
-        _TRACE.record("concatenate", tuple(tensors), (out,), {"axis": axis})
+        _TRACE.record(lambda *ts: concatenate(ts, axis), tensors, (out,))
     return out
 
 
@@ -878,7 +869,7 @@ def stack(tensors, axis: int = 0) -> Tensor:
 
     out = Tensor._make(data, tuple(tensors), backward)
     if _TRACE is not None:
-        _TRACE.record("stack", tuple(tensors), (out,), {"axis": axis})
+        _TRACE.record(lambda *ts: stack(ts, axis), tensors, (out,))
     return out
 
 

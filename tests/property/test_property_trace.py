@@ -1,9 +1,8 @@
 """Property-based tests: a replayed traced step is *bit-identical* to
 the eager step it recorded — loss values, parameter gradients, and
 optimizer-updated parameters — for arbitrary shapes and seeds, across
-the three model families the trace compiler specializes (recurrent
-cells, ConvLSTM with compiled conv/gate kernels, conv2d+ReLU with the
-peephole epilogue fusion)."""
+three model families (recurrent cells, ConvLSTM with the conv2d and
+fused gate kernels, conv2d followed by ReLU)."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -95,7 +94,7 @@ def test_traced_lstm_is_bit_identical(batch, nin, hidden, tsteps, steps, seed):
 
 
 # ----------------------------------------------------------------------
-# ConvLSTM (compiled conv2d + fused_lstm_gates kernels)
+# ConvLSTM (conv2d + fused_lstm_gates kernels)
 # ----------------------------------------------------------------------
 @settings(max_examples=10, deadline=None)
 @given(
@@ -132,7 +131,7 @@ def test_traced_convlstm_is_bit_identical(batch, cin, hid, tsteps, hw, seed):
 
 
 # ----------------------------------------------------------------------
-# conv2d + ReLU (peephole-fused epilogue)
+# conv2d + ReLU
 # ----------------------------------------------------------------------
 @settings(max_examples=10, deadline=None)
 @given(
@@ -159,5 +158,4 @@ def test_traced_conv_relu_is_bit_identical(batch, cin, mid, hw, seed):
             Tensor(rng.standard_normal((batch, cin, hw, hw)).astype(np.float32)),
         )
 
-    stats = _assert_identical(seed, ConvNet, make_batch, steps=3)
-    assert stats["program"]["fused_conv_relu"] == 1
+    _assert_identical(seed, ConvNet, make_batch, steps=3)

@@ -2,7 +2,6 @@
 runs in the benchmark)."""
 
 import numpy as np
-import pytest
 
 from repro.experiments.fig9 import BAND_COUNTS, GRID_SIZES, epoch_time
 from repro.tensor import Tensor, use_backend
@@ -31,6 +30,12 @@ class TestBackendMechanism:
         assert seconds > 0
 
     def test_naive_slower_at_tiny_scale(self):
-        fast = epoch_time(3, 16, "accelerated", num_images=16, batch_size=8)
-        slow = epoch_time(3, 16, "naive", num_images=16, batch_size=8)
-        assert slow > fast
+        # A stall (BLAS threads, a busy host) only ever makes a timing
+        # longer, so the minimum of a few is the undisturbed one.
+        def best(backend):
+            return min(
+                epoch_time(3, 16, backend, num_images=16, batch_size=8)
+                for _ in range(3)
+            )
+
+        assert best("naive") > best("accelerated")
