@@ -14,6 +14,7 @@ from repro.tensor.ops_conv import (  # noqa: F401  (re-exported)
     upsample_nearest2d,
 )
 from repro.tensor.ops_fused import (  # noqa: F401  (re-exported)
+    batch_norm2d,
     fused_linear,
     fused_lstm_gates,
 )

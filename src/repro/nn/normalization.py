@@ -2,19 +2,19 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.nn import init
 from repro.nn.module import Buffer, Module, Parameter
 from repro.tensor import Tensor
+from repro.tensor.ops_fused import batch_norm2d
 
 
 class BatchNorm2d(Module):
     """Batch normalization over NCHW tensors (per-channel statistics).
 
-    In training mode, batch statistics normalize the input and update
+    In training mode, batch statistics normalize the input (one
+    :func:`~repro.tensor.ops_fused.batch_norm2d` node) and update
     exponential running statistics; in eval mode, running statistics
-    are used instead.
+    are used instead, as constants in composed tensor arithmetic.
     """
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
@@ -40,19 +40,17 @@ class BatchNorm2d(Module):
             # Running statistics mutate per step; a replayed program
             # would neither update nor observe them.
             notify_trace_unsafe("BatchNorm2d updates running stats per step")
-            mean = x.mean(axis=(0, 2, 3), keepdims=True)
-            var = x.var(axis=(0, 2, 3), keepdims=True)
-            with np.errstate(all="ignore"):
-                m = self.momentum
-                self.running_mean.data = (
-                    (1 - m) * self.running_mean.data + m * mean.data.reshape(-1)
+            out, mean, var = batch_norm2d(x, self.weight, self.bias, self.eps)
+            m = self.momentum
+            for buf, stat in ((self.running_mean, mean), (self.running_var, var)):
+                # The kernel's statistics follow the input dtype; the
+                # running ones keep theirs (float32) whatever comes in.
+                buf.data = ((1 - m) * buf.data + m * stat).astype(
+                    buf.data.dtype, copy=False
                 )
-                self.running_var.data = (
-                    (1 - m) * self.running_var.data + m * var.data.reshape(-1)
-                )
-        else:
-            mean = Tensor(self.running_mean.data.reshape(1, -1, 1, 1))
-            var = Tensor(self.running_var.data.reshape(1, -1, 1, 1))
+            return out
+        mean = Tensor(self.running_mean.data.reshape(1, -1, 1, 1))
+        var = Tensor(self.running_var.data.reshape(1, -1, 1, 1))
         inv_std = (var + self.eps) ** -0.5
         normed = (x - mean) * inv_std
         gamma = self.weight.reshape(1, -1, 1, 1)

@@ -426,33 +426,62 @@ def conv_transpose2d(
     return ret
 
 
-def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Max pooling.  Only non-overlapping pooling (stride == kernel) is
-    supported, which covers every model in this library."""
-    stride = kernel if stride is None else stride
-    if stride != kernel:
-        raise NotImplementedError("max_pool2d requires stride == kernel")
-    n, c, h, w = x.shape
+def _check_pool_args(shape, kernel: int, stride: int | None, op: str) -> None:
+    if stride is not None and stride != kernel:
+        raise NotImplementedError(f"{op} requires stride == kernel")
+    _, _, h, w = shape
     if h % kernel or w % kernel:
         raise ValueError(
             f"spatial dims ({h}, {w}) must be divisible by kernel {kernel}"
         )
-    oh, ow = h // kernel, w // kernel
+
+
+def _taps(a: np.ndarray, k: int) -> list:
+    """The ``k*k`` strided views ``a[:, :, i::k, j::k]`` — one per
+    offset inside a non-overlapping ``k x k`` window.  Combining them
+    elementwise replaces a two-axis reduce over ``(N, C, OH, k, OW, k)``
+    whose inner run is only ``k`` elements long."""
+    return [a[:, :, i::k, j::k] for i in range(k) for j in range(k)]
+
+
+def _tap_reduce(ufunc, taps: list) -> np.ndarray:
+    """Fold ``ufunc`` over ``taps`` into one contiguous array."""
+    out = taps[0].copy()
+    for tap in taps[1:]:
+        ufunc(out, tap, out=out)
+    return out
+
+
+def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
+    """Max pooling.  Only non-overlapping pooling (stride == kernel) is
+    supported, which covers every model in this library.  Tied maxima
+    split the gradient equally."""
+    _check_pool_args(x.shape, kernel, stride, "max_pool2d")
+    taps = _taps(x.data, kernel)
     with op_span("ops_conv.max_pool2d") as _op:
-        blocks = x.data.reshape(n, c, oh, kernel, ow, kernel)
-        out = blocks.max(axis=(3, 5))
+        out = _tap_reduce(np.maximum, taps)
         _op.set_bytes(out.nbytes)
 
     def backward(grad):
         with op_span("ops_conv.max_pool2d.backward"):
             pool = default_pool()
-            expanded = out[:, :, :, None, :, None]
-            mask = pool.acquire(blocks.shape, np.bool_)
-            np.equal(blocks, expanded, out=mask)
-            counts = mask.sum(axis=(3, 5), keepdims=True)
-            g = grad[:, :, :, None, :, None] * mask / counts
-            x._accumulate(g.reshape(n, c, h, w))
-            pool.release(mask)
+            masks = pool.acquire((len(taps), *out.shape), np.bool_)
+            ties = pool.acquire(
+                out.shape, np.min_scalar_type(len(taps)), zero=True
+            )
+            for tap, mask in zip(taps, masks):
+                np.equal(tap, out, out=mask)
+                ties += mask
+            # Each tied maximum gets grad / ties: divided once, into a
+            # data-dtype buffer (an int64 count made it float64).
+            share = pool.acquire(out.shape, out.dtype)
+            np.divide(grad, ties, out=share)
+            dx = pool.acquire(x.shape, out.dtype)
+            for dx_tap, mask in zip(_taps(dx, kernel), masks):
+                np.multiply(share, mask, out=dx_tap)
+            for scratch in (masks, ties, share):
+                pool.release(scratch)
+            x._accumulate(dx, donate=True)
 
     ret = Tensor._make(out, (x,), backward)
     if _tensor_mod._TRACE is not None:
@@ -462,27 +491,18 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
 
 def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """Average pooling with stride == kernel."""
-    stride = kernel if stride is None else stride
-    if stride != kernel:
-        raise NotImplementedError("avg_pool2d requires stride == kernel")
-    n, c, h, w = x.shape
-    if h % kernel or w % kernel:
-        raise ValueError(
-            f"spatial dims ({h}, {w}) must be divisible by kernel {kernel}"
-        )
-    oh, ow = h // kernel, w // kernel
+    _check_pool_args(x.shape, kernel, stride, "avg_pool2d")
     with op_span("ops_conv.avg_pool2d") as _op:
-        blocks = x.data.reshape(n, c, oh, kernel, ow, kernel)
-        out = blocks.mean(axis=(3, 5))
+        out = _tap_reduce(np.add, _taps(x.data, kernel)) / (kernel * kernel)
         _op.set_bytes(out.nbytes)
 
     def backward(grad):
         with op_span("ops_conv.avg_pool2d.backward"):
-            g = np.broadcast_to(
-                grad[:, :, :, None, :, None] / (kernel * kernel),
-                (n, c, oh, kernel, ow, kernel),
-            )
-            x._accumulate(g.reshape(n, c, h, w).copy(), donate=True)
+            dx = default_pool().acquire(x.shape, grad.dtype)
+            share = grad / (kernel * kernel)
+            for dx_tap in _taps(dx, kernel):
+                dx_tap[...] = share
+            x._accumulate(dx, donate=True)
 
     ret = Tensor._make(out, (x,), backward)
     if _tensor_mod._TRACE is not None:
@@ -492,15 +512,13 @@ def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
 
 def upsample_nearest2d(x: Tensor, scale: int) -> Tensor:
     """Nearest-neighbour upsampling by an integer factor."""
-    n, c, h, w = x.shape
     with op_span("ops_conv.upsample_nearest2d") as _op:
         out = np.repeat(np.repeat(x.data, scale, axis=2), scale, axis=3)
         _op.set_bytes(out.nbytes)
 
     def backward(grad):
         with op_span("ops_conv.upsample_nearest2d.backward"):
-            g = grad.reshape(n, c, h, scale, w, scale).sum(axis=(3, 5))
-            x._accumulate(g, donate=True)
+            x._accumulate(_tap_reduce(np.add, _taps(grad, scale)), donate=True)
 
     ret = Tensor._make(out, (x,), backward)
     if _tensor_mod._TRACE is not None:

@@ -24,7 +24,11 @@ replaces (pinned by ``tests/property/test_property_fused.py``).  Gate
 gradients are written directly into disjoint slices of the packed
 gate tensor's gradient buffer — no four full-size scatter arrays.
 
-Both kernels report to the profiler through
+:func:`batch_norm2d` does the same for training-mode batch norm (~16
+nodes to one) but sums in a different order than the composed chain,
+so it matches it to float32 tolerance, not bit for bit.
+
+Every kernel reports to the profiler through
 :func:`repro.obs.profiler.op_span` like the conv primitives.
 """
 
@@ -98,6 +102,71 @@ def fused_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tenso
     if _tensor_mod._TRACE is not None:
         _tensor_mod._TRACE.record(fused_linear, parents, (ret,))
     return ret
+
+
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """Per-channel sum of an NCHW array: contiguous ``(N, C, H*W)``
+    reductions instead of one strided ``axis=(0, 2, 3)`` reduce."""
+    return a.reshape(a.shape[0], a.shape[1], -1).sum(axis=2).sum(axis=0)
+
+
+def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
+    """Training-mode batch normalization over NCHW as one autograd node.
+
+    Returns ``(out, mean, var)``: the normalized tensor plus the
+    per-channel batch mean and (biased) variance as ``(C,)`` arrays,
+    from which the caller updates its running statistics.  The composed
+    form (``mean`` -> ``var`` -> ``** -0.5`` -> ``sub`` -> three ``mul``
+    -> ``add``) is ~16 graph nodes, six of them holding a full-size
+    activation and gradient; this node keeps one, ``x_hat``, in a pooled
+    buffer its closure owns until the graph drops it (it is never handed
+    back to the pool, so a retained graph can run backward again), and
+    writes the output into the scratch that held ``(x - mean)**2``.
+    Backward is the closed form ``dbeta = sum(g)``, ``dgamma =
+    sum(g * x_hat)``, ``dx = gamma * inv_std * (g - dbeta/M - x_hat *
+    dgamma/M)`` over one pooled buffer that becomes ``x.grad``.  The
+    arithmetic follows the input dtype.  Not recorded on a trace tape
+    (a trace session that meets it disables itself, as for any
+    unrecorded op); ``BatchNorm2d`` declares itself trace-unsafe anyway.
+    """
+    xd = x.data
+    n, c, h, w = xd.shape
+    m = n * h * w
+    per_channel = (c, 1, 1)
+    pool = default_pool()
+    with op_span("ops_fused.batch_norm2d") as _op:
+        mean = _channel_sum(xd) / m
+        x_hat = pool.acquire(xd.shape, mean.dtype)
+        np.subtract(xd, mean.reshape(per_channel), out=x_hat)
+        out = pool.acquire(xd.shape, mean.dtype)
+        np.multiply(x_hat, x_hat, out=out)
+        var = _channel_sum(out) / m
+        inv_std = (var + eps) ** -0.5
+        x_hat *= inv_std.reshape(per_channel)
+        np.multiply(x_hat, gamma.data.reshape(per_channel), out=out)
+        out += beta.data.reshape(per_channel)
+        _op.set_bytes(out.nbytes)
+
+    def backward(grad):
+        with op_span("ops_fused.batch_norm2d.backward"):
+            dbeta = _channel_sum(grad)
+            dx = pool.acquire(x_hat.shape, x_hat.dtype)
+            np.multiply(grad, x_hat, out=dx)
+            dgamma = _channel_sum(dx)
+            if x.requires_grad:
+                np.multiply(x_hat, (dgamma / m).reshape(per_channel), out=dx)
+                dx += (dbeta / m).reshape(per_channel)
+                np.subtract(grad, dx, out=dx)
+                dx *= (gamma.data * inv_std).reshape(per_channel)
+                x._accumulate(dx, donate=True)
+            else:
+                pool.release(dx)
+            if gamma.requires_grad:
+                gamma._accumulate(dgamma, donate=True)
+            if beta.requires_grad:
+                beta._accumulate(dbeta, donate=True)
+
+    return Tensor._make(out, (x, gamma, beta), backward), mean, var
 
 
 def fused_lstm_gates(gates: Tensor, c: Tensor, hidden: int):

@@ -651,7 +651,9 @@ class Tensor:
                 g = np.expand_dims(g, axis)
                 d = np.expand_dims(d, axis)
             mask = self.data == d
-            counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
+            # Tie counts in the data dtype: an int64 divisor would make
+            # every max gradient a float64 array.
+            counts = mask.sum(axis=axis, keepdims=True).astype(self.data.dtype)
             self._accumulate(mask * g / counts, donate=True)
 
         return Tensor._make(data, (self,), backward)

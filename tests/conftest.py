@@ -44,6 +44,23 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def accumulated(monkeypatch) -> list:
+    """Spy on ``Tensor._accumulate``: the returned list collects one
+    ``(tensor, gradient dtype)`` per call made while the test runs."""
+    from repro.tensor import Tensor
+
+    calls = []
+    accumulate = Tensor._accumulate
+
+    def spy(self, grad, donate=False):
+        calls.append((self, grad.dtype))
+        accumulate(self, grad, donate)
+
+    monkeypatch.setattr(Tensor, "_accumulate", spy)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def dataset_root(tmp_path_factory) -> str:
     """Session-wide dataset cache so generators run once."""

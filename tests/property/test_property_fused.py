@@ -1,17 +1,21 @@
 """Property-based tests: every fused fast path — graph-freeing
 backward, fused LSTM/ConvLSTM gate kernels, flat-buffer Adam/SGD —
 produces *bit-identical* parameters to the reference implementation it
-replaces, for arbitrary shapes, seeds, and hyperparameters."""
+replaces, for arbitrary shapes, seeds, and hyperparameters; and the
+pooled buffers the batch-norm / pooling kernels hold across a step are
+never recycled while their graph is alive."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.models.raster import SatCNN
 from repro.nn import functional as F
 from repro.nn.recurrent import ConvLSTMCell, LSTMCell
 from repro.optim.adam import Adam
 from repro.optim.sgd import SGD
-from repro.tensor import Tensor
+from repro.tensor import Tensor, default_pool
+from repro.tensor.ops_fused import batch_norm2d
 
 
 def _params_equal(a, b):
@@ -50,6 +54,96 @@ def test_free_graph_training_is_bit_identical(batch, feat, steps, seed):
         return list(cell.parameters())
 
     assert _params_equal(train(True), train(False))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),   # batch
+    st.integers(min_value=1, max_value=3),   # bands
+    st.sampled_from([(4, 4), (8, 4), (4, 12), (8, 8)]),
+    st.integers(min_value=0, max_value=9999),
+)
+def test_satcnn_step_free_graph_is_bit_identical(batch, bands, size, seed):
+    """conv -> batch norm -> ReLU -> max pool: the kernels write pooled,
+    un-zeroed buffers, so losses and gradients must not depend on what
+    the pool holds — it differs between the two runs and between the
+    two steps of each."""
+    def run(free):
+        model = SatCNN(bands, *size, 3, base_filters=2, rng=seed)
+        rng = np.random.default_rng(seed + 1)
+        losses = []
+        for _ in range(2):
+            x = Tensor(rng.random((batch, bands, *size), dtype=np.float32))
+            model.zero_grad()
+            loss = F.cross_entropy(model(x), rng.integers(0, 3, batch))
+            loss.backward(free_graph=free)
+            losses.append(loss.item())
+        return losses, list(model.parameters())
+
+    (losses_a, params_a), (losses_b, params_b) = run(True), run(False)
+    assert losses_a == losses_b
+    assert _grads_equal(params_a, params_b)
+    assert all(p.grad.dtype == np.float32 for p in params_a)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.tuples(
+        st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)
+    ),
+    st.integers(min_value=0, max_value=9999),
+)
+def test_pool_never_recycles_a_live_batch_norm_buffer(shape, seed):
+    """``x_hat`` and the output live in pooled buffers until the graph
+    drops them: same-shape pool traffic between a forward and its
+    (repeated) backward must neither receive nor overwrite them."""
+    rng = np.random.default_rng(seed)
+    c = shape[1]
+    data = rng.standard_normal(shape).astype(np.float32)
+    upstream = rng.standard_normal(shape).astype(np.float32)
+
+    def leaves():
+        return (
+            Tensor(data, requires_grad=True),
+            Tensor(np.linspace(0.5, 1.5, c, dtype=np.float32), requires_grad=True),
+            Tensor(np.zeros(c, dtype=np.float32), requires_grad=True),
+        )
+
+    undisturbed = leaves()
+    batch_norm2d(*undisturbed)[0].backward(upstream)
+
+    pool = default_pool()
+    pool.reset()
+    got = leaves()
+    out, _, _ = batch_norm2d(*got)
+    held = [out.data] + [
+        cell.cell_contents
+        for cell in out._backward.__closure__
+        if isinstance(cell.cell_contents, np.ndarray)
+    ]
+    for round_ in range(2):
+        # Same-shape steps that free their graphs feed and drain the pool.
+        for _ in range(2):
+            other = leaves()
+            batch_norm2d(*other)[0].backward(upstream * 3.0, free_graph=True)
+        recycled = []
+        while True:
+            hits = pool.hits
+            arr = pool.acquire(shape, np.float32)
+            if pool.hits == hits:
+                break
+            recycled.append(arr)
+        assert not any(
+            np.shares_memory(arr, live) for arr in recycled for live in held
+        )
+        for arr in recycled:
+            arr.fill(np.nan)
+            pool.release(arr)
+        for node in (out, *got):
+            node.zero_grad()
+        out.backward(upstream)  # retained graph: round 1 runs it again
+        for mine, ref in zip(got, undisturbed):
+            assert np.array_equal(mine.grad, ref.grad), round_
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,11 @@ from repro.tensor.ops_conv import (
 )
 
 from tests.conftest import assert_grad_close, numeric_gradient
+from tests.tensor_oracle import (
+    oracle_avg_pool2d,
+    oracle_max_pool2d,
+    oracle_upsample_nearest2d,
+)
 
 
 def _rand(rng, shape, grad=True):
@@ -50,6 +55,30 @@ kernel_shapes = pytest.mark.parametrize(
 
 def _owns(grad):
     return grad.base is None and grad.flags.owndata and grad.flags.c_contiguous
+
+
+def _rand64(rng, shape):
+    """A float64 leaf: the kernel under test then runs (and must hand
+    back its gradient) in float64.  Op *outputs* are still stored as
+    float32 — ``Tensor`` downcasts them — so the finite-difference side
+    carries float32 rounding of the loss; 1e-3 relative is what that
+    leaves at ``eps = 1e-3``."""
+    return Tensor(rng.random(shape) - 0.5, requires_grad=True, dtype=np.float64)
+
+
+def _relu_like(rng, shape):
+    """Post-ReLU activations: about half the entries exactly +0.0, so
+    most 2x2 windows hold a tie and many are all-zero four-way ties."""
+    return np.maximum(rng.random(shape, dtype=np.float32) - 0.5, 0)
+
+
+def _constant_blocks(rng, shape):
+    """4x4 constant patches: every pooling window is an all-way tie."""
+    n, c, h, w = shape
+    coarse = rng.integers(-3, 4, (n, c, -(-h // 4), -(-w // 4)))
+    return np.repeat(np.repeat(coarse, 4, axis=2), 4, axis=3)[
+        :, :, :h, :w
+    ].astype(np.float32)
 
 
 class TestConv2d:
@@ -289,6 +318,73 @@ class TestPooling:
         fn().backward()
         assert_grad_close(x.grad, numeric_gradient(fn, x))
 
+    @pytest.mark.parametrize("kernel", [1, 2, 3])
+    @pytest.mark.parametrize("make", [
+        lambda rng, shape: rng.random(shape, dtype=np.float32) - 0.5,
+        _relu_like,
+        _constant_blocks,
+    ], ids=["distinct", "relu_zeros", "constant_blocks"])
+    def test_max_pool_bit_identical_to_block_reduce(self, rng, kernel, make):
+        # Max pooling only selects values, and its backward divides a
+        # float32 gradient by a tie count <= k*k: through float64 (the
+        # reference) or directly in float32 that rounds identically, so
+        # the tap kernel must agree with the 6-D reduce bit for bit.
+        shape = (3, 2, 6 * kernel, 4 * kernel)  # H != W
+        data = make(rng, shape)
+        upstream = rng.random((3, 2, 6, 4), dtype=np.float32) - 0.5
+        x, ref = Tensor(data, requires_grad=True), Tensor(data, requires_grad=True)
+        out = max_pool2d(x, kernel)
+        expected = oracle_max_pool2d(ref, kernel)
+        assert out.data.tobytes() == expected.data.tobytes()
+        assert out.data.flags.c_contiguous
+        out.backward(upstream)
+        expected.backward(upstream)
+        assert x.grad.tobytes() == ref.grad.tobytes()
+        assert x.grad.dtype == np.float32 and _owns(x.grad)
+
+    def test_max_pool_non_contiguous_input(self, rng):
+        base = _relu_like(rng, (2, 4, 6, 3))
+        view = base.transpose(0, 3, 1, 2)  # (2, 3, 4, 6), strided
+        assert not view.flags.c_contiguous
+        x = Tensor(view, requires_grad=True)
+        ref = Tensor(np.ascontiguousarray(view), requires_grad=True)
+        upstream = rng.random((2, 3, 2, 3), dtype=np.float32)
+        out, expected = max_pool2d(x, 2), oracle_max_pool2d(ref, 2)
+        out.backward(upstream)
+        expected.backward(upstream)
+        assert out.data.tobytes() == expected.data.tobytes()
+        assert x.grad.tobytes() == ref.grad.tobytes()
+
+    def test_max_pool_backward_stays_in_data_dtype(self, rng, accumulated):
+        x = Tensor(_relu_like(rng, (2, 2, 4, 4)), requires_grad=True)
+        out = max_pool2d(x, 2)
+        out.backward(np.ones(out.shape, np.float32))
+        assert [dtype for who, dtype in accumulated if who is x] == [np.float32]
+
+    def test_max_pool_tie_count_cannot_overflow(self):
+        # 16 * 16 = 256 tied maxima would wrap a uint8 counter to 0.
+        x = Tensor(np.ones((1, 1, 16, 16), np.float32), requires_grad=True)
+        max_pool2d(x, 16).sum().backward()
+        np.testing.assert_array_equal(x.grad, np.float32(1 / 256))
+
+    @pytest.mark.parametrize("kernel", [1, 2, 3])
+    def test_max_pool_gradcheck_float64(self, rng, kernel):
+        # Distinct values spaced > 2 * eps apart: no finite-difference
+        # step crosses a tie.
+        values = rng.permutation(2 * 2 * 2 * kernel * 3 * kernel) * 0.01
+        x = Tensor(
+            values.reshape(2, 2, 2 * kernel, 3 * kernel),
+            requires_grad=True,
+            dtype=np.float64,
+        )
+
+        def fn():
+            return (max_pool2d(x, kernel) ** 2).sum()
+
+        fn().backward()
+        assert x.grad.dtype == np.float64
+        assert_grad_close(x.grad, numeric_gradient(fn, x), rtol=1e-3)
+
     def test_max_pool_requires_divisible(self, rng):
         with pytest.raises(ValueError, match="divisible"):
             max_pool2d(_rand(rng, (1, 1, 5, 4)), 2)
@@ -306,6 +402,36 @@ class TestPooling:
         x = Tensor(np.ones((1, 1, 4, 4), dtype=np.float32), requires_grad=True)
         avg_pool2d(x, 2).sum().backward()
         np.testing.assert_allclose(x.grad, np.full((1, 1, 4, 4), 0.25))
+
+    @pytest.mark.parametrize("kernel", [1, 2, 3])
+    def test_avg_pool_matches_block_reduce(self, rng, kernel):
+        data = rng.random((3, 2, 4 * kernel, 5 * kernel), dtype=np.float32) - 0.5
+        upstream = rng.random((3, 2, 4, 5), dtype=np.float32)
+        x, ref = Tensor(data, requires_grad=True), Tensor(data, requires_grad=True)
+        out, expected = avg_pool2d(x, kernel), oracle_avg_pool2d(ref, kernel)
+        np.testing.assert_allclose(out.data, expected.data, rtol=1e-5, atol=1e-7)
+        out.backward(upstream)
+        expected.backward(upstream)
+        # The backward only divides and copies: no summation to reorder.
+        assert x.grad.tobytes() == ref.grad.tobytes()
+        assert _owns(x.grad)
+
+    def test_avg_pool_integer_input_gives_float_mean(self):
+        x = Tensor(np.arange(16).reshape(1, 1, 4, 4))
+        np.testing.assert_array_equal(
+            avg_pool2d(x, 2).data[0, 0], [[2.5, 4.5], [10.5, 12.5]]
+        )
+
+    @pytest.mark.parametrize("kernel", [2, 3])
+    def test_avg_pool_gradcheck_float64(self, rng, kernel):
+        x = _rand64(rng, (2, 2, 2 * kernel, 3 * kernel))
+
+        def fn():
+            return (avg_pool2d(x, kernel) ** 2).sum()
+
+        fn().backward()
+        assert x.grad.dtype == np.float64
+        assert_grad_close(x.grad, numeric_gradient(fn, x), rtol=1e-3)
 
     def test_global_avg_pool(self, rng):
         x = _rand(rng, (2, 3, 4, 4), grad=False)
@@ -326,3 +452,31 @@ class TestUpsample:
         x = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32), requires_grad=True)
         upsample_nearest2d(x, 3).sum().backward()
         np.testing.assert_allclose(x.grad, np.full((1, 1, 2, 2), 9.0))
+
+    @pytest.mark.parametrize("scale", [1, 2, 3])
+    def test_backward_matches_block_reduce(self, rng, scale):
+        data = rng.random((2, 3, 4, 5), dtype=np.float32)
+        # A transposed upstream gradient: the taps stride a non-contiguous
+        # array (``out.grad`` keeps the layout it is handed).
+        upstream = rng.random(
+            (2, 3, 5 * scale, 4 * scale), dtype=np.float32
+        ).transpose(0, 1, 3, 2)
+        x, ref = Tensor(data, requires_grad=True), Tensor(data, requires_grad=True)
+        out = upsample_nearest2d(x, scale)
+        expected = oracle_upsample_nearest2d(ref, scale)
+        np.testing.assert_array_equal(out.data, expected.data)
+        out.backward(upstream)
+        assert not out.grad.flags.c_contiguous
+        expected.backward(upstream)
+        np.testing.assert_allclose(x.grad, ref.grad, rtol=1e-5)
+        assert _owns(x.grad)
+
+    def test_gradcheck_float64(self, rng):
+        x = _rand64(rng, (2, 2, 3, 2))
+
+        def fn():
+            return (upsample_nearest2d(x, 2) ** 2).sum()
+
+        fn().backward()
+        assert x.grad.dtype == np.float64
+        assert_grad_close(x.grad, numeric_gradient(fn, x), rtol=1e-3)

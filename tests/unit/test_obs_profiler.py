@@ -72,6 +72,29 @@ class TestProfilerEvents:
         # Kernel time is carved out of the module's self time.
         assert conv_module.self_dur <= conv_module.dur - conv_op.dur + 1e-9
 
+    def test_batch_norm_time_lands_on_one_op_event(self):
+        from repro.core.models.raster import SatCNN
+
+        model = SatCNN(2, 8, 8, 3, base_filters=2, rng=0)
+        x = Tensor(np.random.default_rng(0).random((4, 2, 8, 8), dtype=np.float32))
+        with Profiler(model) as prof:
+            model(x).sum().backward()
+        ops = [e for e in prof.events if e.kind == "op"]
+        bn_modules = [e for e in prof.events if e.op_type == "BatchNorm2d"]
+        assert len(bn_modules) == 4
+        for module in bn_modules:
+            inside = [
+                e for e in ops
+                if module.ts <= e.ts and e.ts + e.dur <= module.ts + module.dur
+            ]
+            # One kernel event, not a smear of anonymous tensor.* ones.
+            assert [e.name for e in inside] == ["ops_fused.batch_norm2d"]
+            assert inside[0].depth > module.depth
+            assert inside[0].activation_bytes == module.activation_bytes > 0
+            assert module.flops == 5.0 * module.activation_bytes / 4
+        backward = [e for e in ops if e.name == "ops_fused.batch_norm2d.backward"]
+        assert len(backward) == 4
+
     def test_self_time_excludes_children(self):
         model = small_model()
         with Profiler(model) as prof:

@@ -217,6 +217,29 @@ class TestReductions:
             t.max(axis=1).data, t.data.max(axis=1)
         )
 
+    @pytest.mark.parametrize("axis,keepdims", [
+        (None, False), (1, False), (1, True), ((0, 2), False),
+    ])
+    def test_max_grad_stays_float32(self, rng, accumulated, axis, keepdims):
+        # Ties on purpose: values drawn from four levels.
+        data = rng.integers(0, 4, (3, 4, 5)).astype(np.float32)
+        t = Tensor(data, requires_grad=True)
+        out = t.max(axis=axis, keepdims=keepdims)
+        upstream = rng.random(out.shape, dtype=np.float32) - 0.5
+        out.backward(upstream)
+        assert [dtype for who, dtype in accumulated if who is t] == [np.float32]
+        # The former backward divided by the int64 tie count (a float64
+        # array, downcast on accumulate).  A float32 quotient by a small
+        # integer rounds to the same float32 whether it is formed
+        # directly or through float64 (53 >= 2 * 24 + 2 bits), so the
+        # gradient is unchanged bit for bit.
+        axes = axis if axis is not None else (0, 1, 2)
+        peak = data.max(axis=axes, keepdims=True)
+        mask = data == peak
+        g = upstream.reshape(peak.shape)
+        former = (mask * g / mask.sum(axis=axes, keepdims=True)).astype(np.float32)
+        assert t.grad.tobytes() == former.tobytes()
+
     def test_min(self):
         t = Tensor([3.0, 1.0, 2.0], requires_grad=True)
         assert t.min().item() == 1.0
