@@ -4,11 +4,12 @@
 #      note when ruff is not installed in the environment
 #   2. tier-1: the full test suite (what the roadmap pins)
 #   3. fast lane: unit tests minus anything marked slow
-#   4. spill lane: the spill suites again under a forced
-#      REPRO_TEST_MEMORY_BUDGET (read by tests/conftest.py, which hands
-#      the budget to every Session a test builds without one), so the
-#      over-budget branches of the materializing operators run even
-#      where a test forgot to pass memory_budget=
+#   4. spill lane: the spill suites, and the cache + STManager suites
+#      (get_st_grid_dataframe caches its aggregate), again under a
+#      forced REPRO_TEST_MEMORY_BUDGET (read by tests/conftest.py,
+#      which hands the budget to every Session a test builds without
+#      one), so the over-budget branches of the materializing
+#      operators run even where a test forgot to pass memory_budget=
 #   5. traced lane: the training + trace suites again under a forced
 #      REPRO_TRACE=1, so every Trainer.fit in those tests runs through
 #      the tape record / guard / fallback / replay path (replay re-runs
@@ -59,6 +60,8 @@ echo "== spill lane: forced memory budget =="
 REPRO_TEST_MEMORY_BUDGET=4096 python -m pytest -q \
     tests/unit/test_spill_manager.py \
     tests/unit/test_spill_faults.py \
+    tests/unit/test_engine_cache.py \
+    tests/unit/test_st_manager.py \
     tests/property/test_property_spill.py
 
 echo "== traced lane: forced REPRO_TRACE =="

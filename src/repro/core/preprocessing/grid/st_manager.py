@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine import plan as P
 from repro.engine.aggregates import AggSpec, count
 from repro.engine.dataframe import DataFrame
 from repro.engine.expressions import col, udf
@@ -39,6 +40,12 @@ def _x_col(geometry: str) -> str:
 
 def _y_col(geometry: str) -> str:
     return f"{geometry}__y"
+
+
+def _reads_stream(node: P.PlanNode) -> bool:
+    return isinstance(node, P.StreamingSource) or any(
+        _reads_stream(child) for child in node.children
+    )
 
 
 _grid_metrics = None
@@ -94,23 +101,31 @@ class STManager:
         )
 
     @staticmethod
+    def _extrema(df: DataFrame, names: list[str]) -> dict:
+        """Stream the dataset once: ``{name: (min, max)}`` of each
+        named column."""
+        low = dict.fromkeys(names, np.inf)
+        high = dict.fromkeys(names, -np.inf)
+        for part in df.select(*names).iter_partitions():
+            if part.num_rows == 0:
+                continue
+            for name in names:
+                values = part.columns[name]
+                low[name] = min(low[name], float(values.min()))
+                high[name] = max(high[name], float(values.max()))
+        if not np.isfinite(low[names[0]]):
+            raise ValueError(
+                "cannot compute an envelope or a temporal origin of an "
+                "empty DataFrame"
+            )
+        return {name: (low[name], high[name]) for name in names}
+
+    @staticmethod
     def compute_envelope(df: DataFrame, geometry: str = "point") -> Envelope:
         """Stream the dataset once to find its bounding envelope."""
         xname, yname = _x_col(geometry), _y_col(geometry)
-        min_x = min_y = np.inf
-        max_x = max_y = -np.inf
-        for part in df.select(xname, yname).iter_partitions():
-            if part.num_rows == 0:
-                continue
-            xs = part.columns[xname]
-            ys = part.columns[yname]
-            min_x = min(min_x, float(xs.min()))
-            max_x = max(max_x, float(xs.max()))
-            min_y = min(min_y, float(ys.min()))
-            max_y = max(max_y, float(ys.max()))
-        if not np.isfinite(min_x):
-            raise ValueError("cannot compute an envelope of an empty DataFrame")
-        return Envelope(min_x, max_x, min_y, max_y)
+        extrema = STManager._extrema(df, [xname, yname])
+        return Envelope(*extrema[xname], *extrema[yname])
 
     @staticmethod
     def get_st_grid_dataframe(
@@ -130,19 +145,31 @@ class STManager:
         ``cell_id``, ``cell_x``, ``cell_y``, and ``count`` plus any
         extra ``aggregations``.  Records outside the grid envelope are
         dropped (as spatial-join semantics drop non-matching points).
+
+        The frame is cached (:meth:`DataFrame.cache`): its first action
+        runs the plan over ``geo_df``, and every later one — the grid
+        tensor, each converter epoch, a ``select`` on top — replays
+        the at most ``T x cells`` aggregate rows, which stay resident
+        while the frame (or one derived from it) is alive.  A
+        ``geo_df`` that reads a :meth:`Session.stream` is not cached:
+        each action recomputes over the batches appended so far.
         """
         check_positive(partitions_x, "partitions_x")
         check_positive(partitions_y, "partitions_y")
         check_positive(step_duration_sec, "step_duration_sec")
 
-        if envelope is None:
-            envelope = STManager.compute_envelope(geo_df, geometry)
-        grid = UniformGrid(envelope, partitions_x, partitions_y)
-
-        if temporal_origin is None:
-            temporal_origin = STManager._min_time(geo_df, col_date)
-
         xname, yname = _x_col(geometry), _y_col(geometry)
+        # Whatever was not given comes out of one pass over the input.
+        missing = ([xname, yname] if envelope is None else []) + (
+            [col_date] if temporal_origin is None else []
+        )
+        if missing:
+            extrema = STManager._extrema(geo_df, missing)
+            if envelope is None:
+                envelope = Envelope(*extrema[xname], *extrema[yname])
+            if temporal_origin is None:
+                temporal_origin = extrema[col_date][0]
+        grid = UniformGrid(envelope, partitions_x, partitions_y)
 
         def cell_ids(xs, ys):
             return grid.cell_ids_of_arrays(xs, ys)
@@ -163,17 +190,9 @@ class STManager:
             .with_column("cell_x", col("cell_id") % partitions_x)
             .with_column("cell_y", col("cell_id") // partitions_x)
         )
-        return st
-
-    @staticmethod
-    def _min_time(df: DataFrame, col_date: str) -> float:
-        lowest = np.inf
-        for part in df.select(col_date).iter_partitions():
-            if part.num_rows:
-                lowest = min(lowest, float(part.columns[col_date].min()))
-        if not np.isfinite(lowest):
-            raise ValueError("cannot derive a temporal origin from empty data")
-        return lowest
+        # A stream grows between actions: a recompute must see the new
+        # batches, so only a plan over fixed inputs is cached.
+        return st if _reads_stream(geo_df.plan) else st.cache()
 
     @staticmethod
     def get_st_grid_array(

@@ -36,17 +36,20 @@ Before execution, plans pass through a rule-based logical optimizer
 - **Limit pushdown** — ``Limit`` fuses with ``Limit`` and moves below
   row-count-preserving narrow ops.
 
-``Cache`` and ``MapPartitions`` are optimization barriers (the first
-holds materialized state, the second is schema-opaque).  Inspect what
-the optimizer did with ``df.explain(optimized=True)``, which renders
-the plan as written and the rewritten plan.
+``Cache`` and ``MapPartitions`` are optimization barriers: nothing is
+pushed through either (the first holds materialized state under its
+full schema, the second is schema-opaque).  The plan *beneath* a
+``Cache`` is the optimized, compiled plan of the DataFrame
+``cache()`` was called on.  Inspect what the optimizer did with
+``df.explain(optimized=True)``, which renders the plan as written and
+the rewritten plan.
 
 After the logical rewrite, a physical-planning pass
 (:func:`repro.engine.compile.compile_stages`) fuses each run of narrow
 operators into one compiled stage; :mod:`repro.engine.compile` is the
 one evaluator for every narrow operator the executor runs (a narrow
-node the pass never saw — ``optimize=False``, beneath a ``Cache`` —
-runs as a one-step stage).  ``Expr.evaluate`` remains as the public
+node the pass never saw — ``optimize=False`` — runs as a one-step
+stage).  ``Expr.evaluate`` remains as the public
 tree-walker for evaluating a single expression on a partition.
 
 Materializing operators — the ops whose state is O(dataset), not

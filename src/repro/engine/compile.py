@@ -41,9 +41,8 @@ Filter / Project / WithColumn / WithColumns / Drop nodes into a single
 applies the selection *once*, copying only the columns live downstream
 (selection-vector style), then computes projections over surviving
 rows only — instead of one full-partition materialization per
-operator.  A narrow node the pass never saw (``optimize=False``,
-beneath a ``Cache``, a drop-only chain) runs as a one-step stage
-(:func:`stage_runner`).
+operator.  A narrow node the pass never saw (``optimize=False``, a
+drop-only chain) runs as a one-step stage (:func:`stage_runner`).
 
 Thread safety: a ``CompiledExpr`` may be evaluated concurrently by the
 morsel-parallel executor, so scratch pools and the literal cache are
@@ -406,10 +405,11 @@ def compile_stages(node: P.PlanNode) -> P.PlanNode:
     :class:`~repro.engine.plan.CompiledStage` (with its runner built
     eagerly).
 
-    ``Cache`` subtrees are preserved untouched (their node instance
-    holds materialized partitions); a chain that carries no expression
-    at all — only ``Drop`` nodes — has nothing to compile and is kept
-    as it is.
+    A ``Cache`` node is kept as it is (the instance holds the
+    materialized partitions, and ``DataFrame.cache()`` built it on an
+    already-compiled plan); a chain that carries no expression at
+    all — only ``Drop`` nodes — has nothing to compile and is kept as
+    it is.
     """
     if isinstance(node, (P.Source, P.StreamingSource, P.Cache)):
         return node

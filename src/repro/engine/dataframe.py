@@ -140,8 +140,15 @@ class DataFrame:
         later executions (Spark ``persist`` semantics) — skips
         upstream recomputation when the DataFrame is iterated
         repeatedly (e.g. once per training epoch), at the cost of
-        keeping the partitions resident."""
-        return self._wrap(P.Cache(self.plan))
+        keeping the partitions resident for as long as a DataFrame
+        built on the cache is alive.
+
+        What sits beneath the cache is the plan this DataFrame would
+        execute — optimized and stage-compiled (or as written under
+        ``Session(optimize=False)``) — so the cold pass costs what the
+        uncached action does; nothing is pushed through the cache,
+        which holds this DataFrame's full schema."""
+        return self._wrap(P.Cache(self._execution_plan()))
 
     # ------------------------------------------------------------------
     # Actions (eager)

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from collections import deque
 
 import numpy as np
@@ -57,6 +58,7 @@ import numpy as np
 from repro.engine import plan as P
 from repro.engine.aggregates import ArrayGroupState
 from repro.engine.compile import _FUSABLE, stage_runner
+from repro.engine.optimizer import static_columns
 from repro.engine.partition import Partition
 
 
@@ -156,8 +158,8 @@ def _iterate_closing(node: P.PlanNode, ctx: _ExecContext):
 
 
 #: Nodes run by a StageRunner: a fused chain, or a narrow operator the
-#: stage compiler never saw (``optimize=False``, beneath a ``Cache``, a
-#: drop-only chain), which runs as a one-step stage.
+#: stage compiler never saw (``optimize=False``, a drop-only chain),
+#: which runs as a one-step stage.
 _STAGES = (P.CompiledStage, *_FUSABLE)
 
 
@@ -256,25 +258,61 @@ def _morsel_map(fn, parts, ctx: _ExecContext):
             future.cancel()
 
 
-def _run_cache(node: P.Cache, ctx: _ExecContext):
+def _drop_cached(meter, nbytes: int, spill, handles: list) -> None:
+    """Give back what a cache holds: its resident bytes on the meter,
+    its spilled partitions' files on disk."""
+    if meter is not None:
+        meter.release(nbytes)
+    for handle in handles:
+        spill.release(handle)
+
+
+def _fill_cache(node: P.Cache, ctx: _ExecContext):
+    """The cold pass: hand each partition on as it arrives and keep it
+    (on disk once the budget is full).  The node turns hot only when
+    its child is exhausted, so a consumer that stops early leaves it
+    cold and holding nothing.  What a hot node holds is given back
+    when the node is collected."""
     meter = ctx.meter
     budget = ctx.budget_share()
-    if node.materialized is None:
-        materialized = []
-        resident = 0
+    entries = []
+    resident = metered = 0
+    try:
         for part in ctx.iterate(node.child):
+            # A producer counts the partition it yielded until it is
+            # resumed; the cache takes the previous one over here, so
+            # no partition is on the meter twice.
+            if meter is not None:
+                meter.allocate(resident - metered)
+            metered = resident
             nbytes = part.nbytes
             if resident + nbytes > budget:
-                # Over budget: the overflow partitions live on disk
-                # and are restored on every replay.
-                materialized.append(ctx.spill.spill(part))
+                entries.append(ctx.spill.spill(part))
                 ctx.note_spill(node, nbytes)
             else:
                 resident += nbytes
-                if meter is not None:
-                    meter.allocate(nbytes)  # stays resident (no release)
-                materialized.append(part)
-        node.materialized = materialized
+                entries.append(part)
+            yield part
+        if meter is not None:
+            meter.allocate(resident - metered)
+        metered = resident
+        if node.materialized is None:
+            node.materialized = entries
+    finally:
+        handles = [e for e in entries if not isinstance(e, Partition)]
+        if node.materialized is entries:
+            weakref.finalize(
+                node, _drop_cached, meter, metered, ctx.spill, handles
+            )
+        else:
+            _drop_cached(meter, metered, ctx.spill, handles)
+
+
+def _run_cache(node: P.Cache, ctx: _ExecContext):
+    if node.materialized is None:
+        yield from _fill_cache(node, ctx)
+        return
+    meter = ctx.meter
     for entry in node.materialized:
         if isinstance(entry, Partition):
             yield entry
@@ -1433,49 +1471,4 @@ def _assemble_slices(pieces, target_dtypes: dict) -> Partition:
 
 def plan_column_names(node: P.PlanNode) -> list[str]:
     """Statically derive output column names of a plan."""
-    if isinstance(node, (P.Source, P.StreamingSource)):
-        return list(node.schema.names)
-    if isinstance(node, P.Project):
-        return [name for name, _ in node.exprs]
-    if isinstance(node, (P.Filter, P.Limit, P.OrderBy, P.Repartition)):
-        return plan_column_names(node.children[0])
-    if isinstance(node, P.WithColumn):
-        base = plan_column_names(node.child)
-        return base + ([node.name] if node.name not in base else [])
-    if isinstance(node, P.WithColumns):
-        base = plan_column_names(node.child)
-        for name, _ in node.items:
-            if name not in base:
-                base = base + [name]
-        return base
-    if isinstance(node, P.Drop):
-        dropped = set(node.names)
-        return [n for n in plan_column_names(node.child) if n not in dropped]
-    if isinstance(node, P.Union):
-        return plan_column_names(node.inputs[0])
-    if isinstance(node, P.GroupByAgg):
-        return list(node.keys) + [a.out_name for a in node.aggs]
-    if isinstance(node, P.Join):
-        left = plan_column_names(node.left)
-        right = [
-            n for n in plan_column_names(node.right) if n not in node.on
-        ]
-        return left + right
-    if isinstance(node, P.MapPartitions):
-        return plan_column_names(node.child)  # best effort
-    if isinstance(node, P.Cache):
-        return plan_column_names(node.child)
-    if isinstance(node, P.CompiledStage):
-        names = plan_column_names(node.child)
-        for kind, payload in node.steps:
-            if kind == "project":
-                names = [name for name, _ in payload]
-            elif kind == "with_columns":
-                for name, _ in payload:
-                    if name not in names:
-                        names = names + [name]
-            elif kind == "drop":
-                dropped = set(payload)
-                names = [n for n in names if n not in dropped]
-        return names
-    raise TypeError(f"unknown plan node {type(node).__name__}")
+    return static_columns(node, strict=False)

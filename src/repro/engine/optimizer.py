@@ -29,11 +29,12 @@ The rules:
   ``GroupByAgg``/``Join`` inputs to keys + referenced values, and wraps
   ``Source`` scans in a narrowing projection.
 
-Two node kinds are barriers: ``Cache`` (its subtree and node instance
-are preserved untouched so materialized partitions survive
-re-execution) and ``MapPartitions`` (the function is schema-opaque, so
-nothing is pushed past it and pruning restarts below it with the full
-schema).
+Two node kinds are barriers: ``Cache`` (nothing is pushed through it
+and its node instance is preserved, so materialized partitions survive
+re-execution; the plan beneath it was optimized and compiled when
+``DataFrame.cache()`` built the node) and ``MapPartitions`` (the
+function is schema-opaque, so nothing is pushed past it and pruning
+restarts below it with the full schema).
 """
 
 from __future__ import annotations
@@ -97,48 +98,61 @@ def _ordered(names, preference: list | None) -> list:
 
 
 # ----------------------------------------------------------------------
-# Static schema (strict: None when a MapPartitions makes it unknowable)
+# Static schema
 # ----------------------------------------------------------------------
-def static_columns(node: P.PlanNode) -> list | None:
-    """Output column names, or ``None`` below a schema-opaque node."""
+#: Nodes whose output carries their (first) input's column names.
+_KEEPS_NAMES = (
+    P.Filter, P.Limit, P.OrderBy, P.Repartition, P.Union, P.Cache,
+    P.MapPartitions, P.Join,
+)
+
+
+def static_columns(node: P.PlanNode, strict: bool = True) -> list | None:
+    """Output column names, derived from the plan alone — logical
+    nodes and the physical ``CompiledStage`` alike (a ``Cache`` sits on
+    a physical plan).  ``strict`` is the optimizer's view: ``None`` at
+    and above a schema-opaque ``MapPartitions``.  ``strict=False`` is
+    ``DataFrame.columns``' best effort: the function is taken to keep
+    its input's names."""
     if isinstance(node, (P.Source, P.StreamingSource)):
         return list(node.schema.names)
     if isinstance(node, P.Project):
         return [name for name, _ in node.exprs]
-    if isinstance(node, (P.Filter, P.Limit, P.OrderBy, P.Repartition)):
-        return static_columns(node.children[0])
-    if isinstance(node, P.WithColumn):
-        base = static_columns(node.child)
-        if base is None:
-            return None
-        return base + ([node.name] if node.name not in base else [])
-    if isinstance(node, P.WithColumns):
-        base = static_columns(node.child)
-        if base is None:
-            return None
-        for name, _ in node.items:
-            if name not in base:
-                base = base + [name]
-        return base
-    if isinstance(node, P.Drop):
-        base = static_columns(node.child)
-        if base is None:
-            return None
-        dropped = set(node.names)
-        return [n for n in base if n not in dropped]
-    if isinstance(node, P.Union):
-        return static_columns(node.inputs[0])
     if isinstance(node, P.GroupByAgg):
         return list(node.keys) + [a.out_name for a in node.aggs]
+    if isinstance(node, P.MapPartitions) and strict:
+        return None
+    if isinstance(node, P.CompiledStage):
+        steps = node.steps
+    elif isinstance(node, P.WithColumn):
+        steps = [("with_columns", [(node.name, node.expr)])]
+    elif isinstance(node, P.WithColumns):
+        steps = [("with_columns", node.items)]
+    elif isinstance(node, P.Drop):
+        steps = [("drop", node.names)]
+    elif isinstance(node, _KEEPS_NAMES):
+        steps = []
+    else:
+        raise TypeError(f"unknown plan node {type(node).__name__}")
+    names = static_columns(node.children[0], strict)
+    if names is None:
+        return None
     if isinstance(node, P.Join):
-        left = static_columns(node.left)
-        right = static_columns(node.right)
-        if left is None or right is None:
+        right = static_columns(node.right, strict)
+        if right is None:
             return None
-        return left + [n for n in right if n not in node.on]
-    if isinstance(node, P.Cache):
-        return static_columns(node.child)
-    return None  # MapPartitions and anything unknown
+        return names + [n for n in right if n not in node.on]
+    for kind, payload in steps:
+        if kind == "project":
+            names = [name for name, _ in payload]
+        elif kind == "with_columns":
+            for name, _ in payload:
+                if name not in names:
+                    names = names + [name]
+        elif kind == "drop":
+            dropped = set(payload)
+            names = [n for n in names if n not in dropped]
+    return names
 
 
 # ----------------------------------------------------------------------
@@ -389,7 +403,7 @@ def _prune(node: P.PlanNode, required: list | None) -> P.PlanNode:
     produce a superset of ``required`` (e.g. a filter's predicate
     columns); enclosing projections cut the excess."""
     if isinstance(node, P.Cache):
-        return node  # barrier: keep instance + subtree for replay
+        return node  # barrier: holds its full schema; keep the instance
 
     if isinstance(node, (P.Source, P.StreamingSource)):
         if required is None:

@@ -40,22 +40,11 @@ from importlib import import_module
 
 from repro.obs.profiler import op_span
 from repro.tensor.pool import default_pool
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, _logistic
 
 # The module object, not the same-named free function the package
 # re-exports: the ``_TRACE`` recording hook lives on the module.
 _tensor_mod = import_module("repro.tensor.tensor")
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """The same piecewise-stable logistic as :meth:`Tensor.sigmoid`,
-    kept expression-for-expression identical so fused and unfused
-    cells produce the same bits."""
-    positive = x >= 0
-    exp_neg_abs = np.exp(-np.abs(x))
-    return np.where(
-        positive, 1.0 / (1.0 + exp_neg_abs), exp_neg_abs / (1.0 + exp_neg_abs)
-    ).astype(x.dtype, copy=False)
 
 
 def fused_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -195,13 +184,13 @@ def fused_lstm_gates(gates: Tensor, c: Tensor, hidden: int):
         )
     h1, h2, h3 = hidden, 2 * hidden, 3 * hidden
     with op_span("ops_fused.lstm_gates") as _op:
-        # Contiguous per-gate copies (the unfused slice nodes make the
-        # same copies): every activation ufunc then runs at contiguous
-        # speed instead of striding over the packed buffer.
-        i = _sigmoid(np.ascontiguousarray(a[:, :h1]))
-        f = _sigmoid(np.ascontiguousarray(a[:, h1:h2]))
+        # Contiguous per-gate results (the unfused slice nodes make
+        # contiguous copies too): one strided read of the packed
+        # buffer per gate, everything after at contiguous speed.
+        i = _logistic(a[:, :h1])
+        f = _logistic(a[:, h1:h2])
         g = np.tanh(np.ascontiguousarray(a[:, h2:h3]))
-        o = _sigmoid(np.ascontiguousarray(a[:, h3:]))
+        o = _logistic(a[:, h3:])
         c_data = f * c.data + i * g
         t = np.tanh(c_data)
         h_data = o * t

@@ -79,6 +79,19 @@ def _is_basic_key(key) -> bool:
     )
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """Piecewise-stable logistic — ``1 / (1 + e)`` for ``x >= 0``,
+    ``e / (1 + e)`` below, with ``e = exp(-|x|)``: never exponentiates
+    a positive argument, so extreme inputs cannot overflow.  ``e <= 1``,
+    so the numerator is ``maximum(e, x >= 0)``: the same bits as
+    selecting a branch with ``np.where``, which does not vectorise."""
+    e = np.exp(-np.abs(x))
+    out = np.maximum(e, x >= 0)
+    e += 1.0
+    out /= e
+    return np.asarray(out, dtype=x.dtype)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``grad`` over axes that were broadcast to reach ``grad.shape``."""
     if grad.shape == shape:
@@ -564,15 +577,9 @@ class Tensor:
         return out
 
     def sigmoid(self):
-        # Piecewise-stable logistic: never exponentiates a positive
-        # argument, so extreme inputs cannot overflow.
         x = self.data
         with op_span("tensor.sigmoid"):
-            positive = x >= 0
-            exp_neg_abs = np.exp(-np.abs(x))
-            data = np.where(
-                positive, 1.0 / (1.0 + exp_neg_abs), exp_neg_abs / (1.0 + exp_neg_abs)
-            ).astype(x.dtype, copy=False)
+            data = _logistic(x)
 
         def backward(grad):
             with op_span("tensor.sigmoid.backward"):

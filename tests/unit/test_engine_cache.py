@@ -1,15 +1,40 @@
 """DataFrame.cache(): persist-and-replay semantics."""
 
+import gc
+import os
+
 import numpy as np
 import pytest
 
 from repro.engine import Session, col
+from repro.engine import plan as P
 from repro.utils.memory import MemoryMeter
 
 
 @pytest.fixture
 def session():
     return Session(default_parallelism=3)
+
+
+@pytest.fixture
+def unbudgeted(monkeypatch):
+    """Byte-exact meter assertions hold with everything resident: keep
+    the spill lane's forced budget out of the sessions a test builds."""
+    monkeypatch.delenv("REPRO_TEST_MEMORY_BUDGET", raising=False)
+
+
+def _pipeline(session):
+    return (
+        session.create_dataframe(
+            {"x": np.arange(40, dtype=np.int64),
+             "f": np.linspace(-1.0, 1.0, 40),
+             "waste": np.zeros(40)}
+        )
+        .filter(col("x") % 3 != 0)
+        .with_column("y", col("f") * col("x") + 0.5)
+        .select("y", "x")
+        .drop("x")
+    )
 
 
 class TestCache:
@@ -40,44 +65,151 @@ class TestCache:
         assert df.collect() == df.collect()
         assert df.columns == ["x", "y"]
 
-    def test_narrow_ops_beneath_cache_same_bits_as_uncached(self, session):
-        """The stage compiler stops at a Cache node, so the narrow
-        operators beneath it run un-fused, one stage each — with the
-        same bits as the fused uncached plan, cold and replayed."""
-        def pipeline():
-            return (
-                session.create_dataframe(
-                    {"x": np.arange(40, dtype=np.int64),
-                     "f": np.linspace(-1.0, 1.0, 40)}
-                )
-                .filter(col("x") % 3 != 0)
-                .with_column("y", col("f") * col("x") + 0.5)
-                .select("y", "x")
-                .drop("x")
+    def test_narrow_ops_beneath_cache_same_bits_as_uncached(self):
+        """What sits beneath a Cache is what the uncached DataFrame
+        would execute — optimized and stage-compiled, or as written
+        under ``optimize=False`` — with the same bits, cold and hot."""
+        for optimize in (True, False):
+            session = Session(default_parallelism=3, optimize=optimize)
+            uncached = _pipeline(session)
+            expected = uncached.to_columns()
+            cached = _pipeline(session).cache()
+            beneath = cached.plan.child.describe()
+            assert beneath == uncached._execution_plan().describe()
+            assert beneath.startswith(
+                "CompiledStage[" if optimize else "Drop["
             )
+            assert "Cache[cold]" in cached.explain()
+            for _ in range(2):
+                got = cached.to_columns()
+                assert "Cache[hot]" in cached.explain()
+                assert list(got) == list(expected)
+                for name in got:
+                    assert got[name].dtype == expected[name].dtype
+                    np.testing.assert_array_equal(got[name], expected[name])
 
-        expected = pipeline().to_columns()
-        cached = pipeline().cache()
-        for _ in range(2):
-            got = cached.to_columns()
-            assert list(got) == list(expected)
-            for name in got:
-                assert got[name].dtype == expected[name].dtype
-                np.testing.assert_array_equal(got[name], expected[name])
+    def test_analyze_shows_the_compiled_chain_beneath_a_cold_cache(
+        self, session
+    ):
+        def chain(df):
+            rendered = df.explain(analyze=True)
+            return [
+                line.split("  (")[0].strip()
+                for line in rendered.splitlines()
+                if "CompiledStage" in line or "Source" in line
+            ]
+
+        assert chain(_pipeline(session).cache()) == chain(_pipeline(session))
+
+    def test_pruned_beneath_but_nothing_pushed_through(self, session):
+        cached = _pipeline(session).with_column("z", col("y") * 2).cache()
+        stage = cached.plan.child
+        # Pruning reached the scan: the unused source column is cut in
+        # the stage's first projection.
+        assert isinstance(stage, P.CompiledStage)
+        assert "waste" not in stage.describe()
+        cached.count()
+        node = cached.plan
+        narrowed = cached.select("z").filter(col("z") > 0)
+        executed = narrowed._execution_plan()
+        # The hot node survives the optimizer with its subtree and
+        # keeps its full schema: the projection and the filter stay
+        # above it.
+        assert executed.child is node and node.child is stage
+        assert len(node.materialized) == 3
+        assert all(list(p.columns) == ["y", "z"] for p in cached.iter_partitions())
+        np.testing.assert_array_equal(
+            narrowed.to_columns()["z"],
+            cached.to_columns()["z"][cached.to_columns()["z"] > 0],
+        )
+
+    def test_early_stop_leaves_the_node_cold(self, tmp_path):
+        """A consumer that stops before the child is exhausted (limit /
+        take) must not leave a half-filled cache behind: the node stays
+        cold, holds nothing on the meter or on disk, and the next full
+        action fills it."""
+        calls = []
+
+        def spy(part):
+            calls.append(part.num_rows)
+            return part
+
+        meter = MemoryMeter()
+        session = Session(
+            default_parallelism=4, meter=meter,
+            memory_budget=64, spill_dir=str(tmp_path),
+        )
+        cached = (
+            session.create_dataframe({"x": np.arange(40, dtype=np.int64)})
+            .map_partitions(spy)
+            .cache()
+        )
+        assert cached.take(3) == [{"x": 0}, {"x": 1}, {"x": 2}]
+        assert len(calls) == 1  # the fill streams: one partition pulled
+        assert "Cache[cold]" in cached.explain()
+        assert meter.current == 0
+        spill_dir = session.spill_manager.directory
+        assert spill_dir is None or os.listdir(spill_dir) == []
+        assert cached.count() == 40
+        assert "Cache[hot]" in cached.explain()
+        assert len(calls) == 1 + 4
+        np.testing.assert_array_equal(cached.to_columns()["x"], np.arange(40))
+        assert len(calls) == 1 + 4
+        session.close()
 
     def test_downstream_ops_work(self, session):
         df = session.create_dataframe({"x": np.arange(10)}).cache()
         assert df.filter(col("x") > 7).count() == 2
 
-    def test_cached_memory_stays_resident(self, session):
+    def test_cached_memory_stays_resident(self, unbudgeted):
         meter = MemoryMeter()
         metered = Session(default_parallelism=2, meter=meter)
         df = metered.create_dataframe(
             {"x": np.arange(1000, dtype=np.float64)}
         ).cache()
         df.count()
-        # Cached partitions remain allocated after the action.
-        assert meter.current >= 1000 * 8
+        # Cached partitions remain allocated after the action, and were
+        # never on the meter twice while the cold pass handed them over
+        # from the scan (the parent peaked at 12000).
+        assert meter.current == 1000 * 8
+        assert meter.peak == 1000 * 8
+
+    def test_cached_memory_released_when_the_node_is_collected(
+        self, unbudgeted
+    ):
+        meter = MemoryMeter()
+        metered = Session(default_parallelism=2, meter=meter)
+        meter.allocate(100)  # somebody else's bytes stay put
+        for _ in range(3):
+            df = metered.create_dataframe(
+                {"x": np.arange(1000, dtype=np.float64)}
+            ).cache()
+            df.count()
+            assert meter.current >= 100 + 8000
+        # The session keeps its most recent executed plan
+        # (``last_plan``, for profiles); the earlier two are gone.
+        del df
+        gc.collect()
+        assert meter.current == 100 + 8000
+        del metered
+        gc.collect()
+        assert meter.current == 100
+
+    def test_spilled_cache_files_deleted_with_the_node(self, tmp_path):
+        session = Session(
+            default_parallelism=4, memory_budget=64, spill_dir=str(tmp_path)
+        )
+        df = session.create_dataframe(
+            {"x": np.arange(400, dtype=np.int64)}
+        ).cache()
+        assert df.count() == 400
+        spill_dir = session.spill_manager.directory
+        assert len(os.listdir(spill_dir)) == 4
+        session.last_plan = None
+        del df
+        gc.collect()
+        assert os.listdir(spill_dir) == []
+        session.close()
 
     def test_explain_shows_state(self, session):
         df = session.create_dataframe({"x": [1]}).cache()

@@ -255,3 +255,157 @@ class TestGridUpdate:
         assert updates.value == before_updates + 1
         assert touched.value == before_touched + 2
         assert obs.registry.gauge("st.grid.alloc_bytes").value >= 0
+
+
+def _records(rng, n=600):
+    return {
+        "lat": rng.uniform(0, 4, n),
+        "lon": rng.uniform(0, 8, n),
+        "t": rng.uniform(0, 3600, n),
+        "fare": rng.uniform(1, 20, n),
+    }
+
+
+def _grid_frame(session, records, **kwargs):
+    spatial = STManager.add_spatial_points(
+        session.create_dataframe(records), "lat", "lon", "point"
+    )
+    kwargs.setdefault("envelope", Envelope(0, 8, 0, 4))
+    kwargs.setdefault("temporal_origin", 0.0)
+    return STManager.get_st_grid_dataframe(
+        spatial, "point", 4, 2, "t", 600.0,
+        aggregations=[agg.mean("fare", "mean_fare")], **kwargs,
+    )
+
+
+def _snapshot(df):
+    """Every byte a frame yields, partition by partition."""
+    return [
+        {name: values.tobytes() for name, values in part.columns.items()}
+        for part in df.iter_partitions()
+    ]
+
+
+class TestCachedGridFrame:
+    """``get_st_grid_dataframe`` returns its aggregate behind a Cache:
+    the plan over the records runs once however often the frame is
+    consumed."""
+
+    def test_missing_envelope_and_origin_cost_one_scan(self, session, rng):
+        scans = []
+
+        def spy(part):
+            scans.append(part.num_rows)
+            return part
+
+        records = _records(rng)
+        spatial = STManager.add_spatial_points(
+            session.create_dataframe(records), "lat", "lon", "point"
+        ).map_partitions(spy)
+        st = STManager.get_st_grid_dataframe(spatial, "point", 4, 2, "t", 600.0)
+        assert len(scans) == 3  # one pass finds all five extrema
+        rows = st.collect()
+        assert len(scans) == 6  # ... and the aggregate is the second
+        assert st.collect() == rows
+        assert len(scans) == 6  # replayed from the cache
+        explicit = STManager.get_st_grid_dataframe(
+            spatial, "point", 4, 2, "t", 600.0,
+            envelope=STManager.compute_envelope(spatial, "point"),
+            temporal_origin=float(records["t"].min()),
+        )
+        assert explicit.collect() == rows
+
+    def test_consumers_never_mutate_the_cached_partitions(self, session, rng):
+        from repro.core.converter import DFToTorchConverter, SpatiotemporalSpec
+
+        st_df = _grid_frame(session, _records(rng))
+        before = _snapshot(st_df)
+        tensor = STManager.get_st_grid_array(st_df, 4, 2)
+        tensor = STManager.update_st_grid_array(tensor, st_df, 4, 2)
+        tensor *= 2.0
+        spec = SpatiotemporalSpec(4, 2, value_columns=("count", "mean_fare"))
+        for x, y in DFToTorchConverter(spec).convert(st_df, batch_size=2):
+            x.data[...] = -1.0
+            y.data[...] = -1.0
+        assert _snapshot(st_df) == before
+        STManager.release_st_grid_array(tensor)
+
+    def test_stream_sourced_frame_is_not_cached(self, session, rng):
+        stream = session.stream(
+            [("lat", np.float64), ("lon", np.float64), ("t", np.float64)]
+        )
+        stream.append({"lat": [0.5, 0.5], "lon": [0.5, 6.5], "t": [0.0, 0.0]})
+        spatial = STManager.add_spatial_points(
+            stream.view(), "lat", "lon", "point"
+        )
+        st = STManager.get_st_grid_dataframe(
+            spatial, "point", 4, 2, "t", 600.0,
+            envelope=Envelope(0, 8, 0, 4), temporal_origin=0.0,
+        )
+        assert "Cache" not in st.explain()
+        assert sorted(r["cell_id"] for r in st.collect()) == [0, 3]
+        stream.append({"lat": [3.5], "lon": [0.5], "t": [700.0]})
+        # The second action recomputes over the grown stream.
+        got = {(r["time_step"], r["cell_id"]): r["count"] for r in st.collect()}
+        assert got == {(0, 0): 1, (0, 3): 1, (1, 4): 1}
+
+    def test_spills_under_a_budget_smaller_than_the_aggregate(
+        self, rng, tmp_path
+    ):
+        from repro.engine.executor import iter_partitions
+        from repro.engine.spill import SpillError
+
+        records = _records(rng)
+        expected = STManager.get_st_grid_array(
+            _grid_frame(Session(default_parallelism=3, memory_budget=1 << 30),
+                        records),
+            4, 2, value_columns=["count", "mean_fare"],
+        ).copy()
+        session = Session(
+            default_parallelism=3, memory_budget=64, spill_dir=str(tmp_path)
+        )
+        st_df = _grid_frame(session, records)
+        for _ in range(2):  # cold, then restored from disk
+            tensor = STManager.get_st_grid_array(
+                st_df, 4, 2, value_columns=["count", "mean_fare"]
+            )
+            np.testing.assert_array_equal(tensor, expected)
+            STManager.release_st_grid_array(tensor)
+        assert session.spill_manager.stats()["partitions_spilled"] == 1
+        assert session.spill_manager.stats()["bytes_restored"] > 0
+        with pytest.raises(SpillError, match="spill manager"):
+            list(iter_partitions(st_df.plan))
+        session.close()
+
+    def test_meter_returns_to_baseline_when_grids_are_dropped(
+        self, rng, monkeypatch
+    ):
+        import gc
+
+        from repro.engine.dataframe import DataFrame
+        from repro.utils.memory import MemoryMeter
+
+        monkeypatch.delenv("REPRO_TEST_MEMORY_BUDGET", raising=False)
+        records = _records(rng)
+        meter = MemoryMeter()
+        session = Session(default_parallelism=3, meter=meter)
+        for _ in range(3):
+            st_df = _grid_frame(session, records)
+            STManager.release_st_grid_array(
+                STManager.get_st_grid_array(st_df, 4, 2)
+            )
+        aggregate = sum(p.nbytes for p in st_df.iter_partitions())
+        assert meter.current == aggregate  # the earlier two were given back
+        # The cold pass held nothing twice: the peak is the uncached
+        # plan's, or the resident aggregate beside a replay's nothing.
+        reference = MemoryMeter()
+        uncached = DataFrame(  # the compiled plan beneath the cache, as is
+            Session(default_parallelism=3, meter=reference, optimize=False),
+            st_df.plan.child,
+        )
+        uncached.count()
+        assert reference.current == 0
+        assert meter.peak <= reference.peak + aggregate
+        del st_df, session
+        gc.collect()
+        assert meter.current == 0

@@ -150,6 +150,38 @@ class TestUnaryGradients:
         assert_grad_close(t.grad, numeric)
         t.zero_grad()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_same_bits_as_the_branching_logistic(self, dtype, rng):
+        """``Tensor.sigmoid`` and the fused LSTM gates share one
+        branch-free logistic; it must give the bits of the piecewise
+        form it replaced — ``1/(1+e)`` for ``x >= 0``, ``e/(1+e)``
+        below, ``e = exp(-|x|)`` — special values and strided views
+        included."""
+        from repro.tensor.tensor import _logistic
+
+        def branching(x):
+            e = np.exp(-np.abs(x))
+            return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(
+                x.dtype, copy=False
+            )
+
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-40, -1e-40,
+                   88.0, -88.0, 745.0, -745.0, 1.0, -1.0]
+        for scale in (1.0, 10.0, 100.0):
+            x = np.concatenate(
+                [special, rng.standard_normal(20_000) * scale]
+            ).astype(dtype)
+            for view in (x, x.reshape(-1, 7)[:, 2:5], np.asarray(x[5])):
+                got = _logistic(view)
+                assert got.dtype == dtype and got.shape == view.shape
+                assert got.tobytes() == branching(view).tobytes()
+                if dtype is np.float32:  # op outputs are float32
+                    out = Tensor(view).sigmoid().data
+                    assert out.tobytes() == got.tobytes()
+        assert _logistic(np.array([-np.inf, 0.0, np.inf], dtype=dtype)).tolist() == [
+            0.0, 0.5, 1.0,
+        ]
+
     def test_clip_grad(self):
         t = Tensor([-2.0, 0.5, 2.0], requires_grad=True)
         t.clip(-1.0, 1.0).sum().backward()
