@@ -7,9 +7,8 @@ Standalone (no pytest) so CI and future PRs can diff keyed timings:
 
 Keys: the vectorized vs per-row 50k x 50k key join, a 500k-row
 group-by, the optimizer on/off prune-heavy workload, the fused
-expression-stage pipeline with its 2-thread morsel scaling, the
-out-of-core order_by under a memory budget (peak bytes
-+ spill slowdown), incremental streaming maintenance (delta
+expression-stage pipeline, the out-of-core order_by under a memory
+budget (peak bytes + spill slowdown), incremental streaming maintenance (delta
 aggregates + in-place grid-tensor updates) vs full recomputation at
 three backlog sizes, the Figure 8 tensor-preparation leg, and a small
 training epoch measuring the cost of the obs layer + dormant profiler
@@ -328,19 +327,18 @@ def bench_train_overhead() -> dict:
 def bench_convlstm_runtime() -> dict:
     """The memory-aware training runtime on the paper's ConvLSTM.
 
-    One small ConvLSTM epoch under the fused runtime (fused gate
-    kernel, flat-buffer Adam, ``backward(free_graph=True)``) against
-    the reference configuration (unfused cells, per-parameter Adam,
-    retained graphs).  The two runs must end with bit-identical
-    parameters — the fused runtime is a pure perf change.
+    One small ConvLSTM epoch with ``backward(free_graph=True)`` (the
+    ``Trainer`` default) against the same model with retained graphs.
+    The two runs must end with bit-identical parameters — graph
+    freeing is a pure memory change.
 
     Keys (gated by scripts/diff_bench.py):
 
-    - ``epoch_time_convlstm_s`` — fused epoch wall time (best of 3).
-    - ``peak_activation_bytes`` — tracemalloc peak over one fused
-      epoch; graph freeing releases every intermediate during the
-      backward walk, so this sits far below the retained-graph peak
-      (also recorded, as ``peak_activation_bytes_retained``).
+    - ``epoch_time_convlstm_s`` — epoch wall time (best of 7).
+    - ``peak_activation_bytes`` — tracemalloc peak over one epoch;
+      graph freeing releases every intermediate during the backward
+      walk, so this sits far below the retained-graph peak (also
+      recorded, as ``peak_activation_bytes_retained``).
     """
     import tracemalloc
 
@@ -359,10 +357,9 @@ def bench_convlstm_runtime() -> dict:
         for _ in range(4)
     ]
 
-    def make(fused: bool):
-        model = ConvLSTM(2, [4], 3, rng=np.random.default_rng(0), fused=fused)
-        opt = Adam(list(model.parameters()), lr=1e-3, fused=fused)
-        return model, opt
+    def make():
+        model = ConvLSTM(2, [4], 3, rng=np.random.default_rng(0))
+        return model, Adam(list(model.parameters()), lr=1e-3)
 
     def epoch(model, opt, free_graph: bool) -> None:
         for x, y in frames:
@@ -371,68 +368,50 @@ def bench_convlstm_runtime() -> dict:
             loss.backward(free_graph=free_graph)
             opt.step()
 
-    # Bit-identity first (also serves as warmup for both paths).
-    fused_model, fused_opt = make(True)
-    ref_model, ref_opt = make(False)
-    epoch(fused_model, fused_opt, free_graph=True)
-    epoch(ref_model, ref_opt, free_graph=False)
-    for a, b in zip(fused_model.parameters(), ref_model.parameters()):
+    # Bit-identity first (also serves as warmup).
+    model, opt = make()
+    retained_model, retained_opt = make()
+    epoch(model, opt, free_graph=True)
+    epoch(retained_model, retained_opt, free_graph=False)
+    for a, b in zip(model.parameters(), retained_model.parameters()):
         assert np.array_equal(a.data, b.data), (
-            "fused ConvLSTM runtime diverged from the reference path"
+            "graph-freeing ConvLSTM epoch diverged from the retained-graph one"
         )
 
-    # Interleaved best-of-N timing, same scheme as bench_observability.
-    # N is higher than the other stages: a fused epoch is ~30ms, so
-    # scheduler jitter shows up unless the min has enough draws.
-    repeats = 7
-    epoch(fused_model, fused_opt, free_graph=True)  # second warmup: pool hot
-    epoch(ref_model, ref_opt, free_graph=False)
-    fused_s = ref_s = float("inf")
-    for _ in range(repeats):
+    # Best-of-N: an epoch is ~25ms, so scheduler jitter shows up
+    # unless the min has enough draws.
+    epoch(model, opt, free_graph=True)  # second warmup: pool hot
+    epoch_s = float("inf")
+    for _ in range(7):
         started = time.perf_counter()
-        epoch(fused_model, fused_opt, free_graph=True)
-        fused_s = min(fused_s, time.perf_counter() - started)
-        started = time.perf_counter()
-        epoch(ref_model, ref_opt, free_graph=False)
-        ref_s = min(ref_s, time.perf_counter() - started)
+        epoch(model, opt, free_graph=True)
+        epoch_s = min(epoch_s, time.perf_counter() - started)
 
     # Peak traced bytes over one epoch (numpy buffers register with
     # tracemalloc).  Separate pass: tracing slows the epoch, so it
     # must not share the timing runs above.
     peaks = {}
-    for key, (model, opt, free) in {
-        "peak_activation_bytes": (fused_model, fused_opt, True),
-        "peak_activation_bytes_retained": (ref_model, ref_opt, False),
+    for key, (traced_model, traced_opt, free) in {
+        "peak_activation_bytes": (model, opt, True),
+        "peak_activation_bytes_retained": (retained_model, retained_opt, False),
     }.items():
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            epoch(model, opt, free)
+            epoch(traced_model, traced_opt, free)
             peaks[key] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     return {
-        "epoch_time_convlstm_s": fused_s,
-        "epoch_time_convlstm_reference_s": ref_s,
-        "convlstm_speedup": ref_s / fused_s,
+        "epoch_time_convlstm_s": epoch_s,
         **peaks,
         "tensor_pool": default_pool().stats(),
     }
 
 
 def bench_expr_pipeline(n: int = 400_000, parts: int = 8) -> dict:
-    """A fused Filter -> Project -> WithColumn stage, serial and
-    morsel-parallel.
-
-    ``parallel_scaling_2t`` (gated by scripts/diff_bench.py) is serial
-    wall time over ``Session(parallelism=2)`` wall time for the same
-    pipeline, interleaved best-of-N, results asserted bit-identical
-    before timing.  On a multi-core host numpy ufuncs release the GIL
-    and this exceeds 1; on a single-core container thread switching
-    makes it ~1.0 or slightly below — the honest measured value is
-    recorded either way.
-    """
+    """A fused Filter -> Project -> WithColumn stage, best of 7."""
     rng = np.random.default_rng(17)
     data = {
         "a": rng.integers(0, 1_000, n).astype(np.int64),
@@ -449,38 +428,21 @@ def bench_expr_pipeline(n: int = 400_000, parts: int = 8) -> dict:
             .select("a", "x", "y")
         )
 
-    serial_df = pipeline(Session(default_parallelism=parts))
-    two_df = pipeline(Session(default_parallelism=parts, parallelism=2))
+    df = pipeline(Session(default_parallelism=parts))
+    df.to_columns()  # warmup
 
-    # Bit-identity of the two modes (doubles as warmup).
-    ref = serial_df.to_columns()
-    out = two_df.to_columns()
-    for name in ref:
-        assert out[name].dtype == ref[name].dtype
-        assert np.array_equal(out[name], ref[name]), (
-            "morsel-parallel pipeline diverged from serial"
-        )
-
-    def drain(df) -> float:
+    def drain() -> float:
         started = time.perf_counter()
         for _ in df.iter_partitions():
             pass
         return time.perf_counter() - started
 
     with obs.disabled():  # measure the engine, not the metering
-        repeats = 7
-        serial_s = two_thread_s = float("inf")
-        for _ in range(repeats):
-            serial_s = min(serial_s, drain(serial_df))
-            two_thread_s = min(two_thread_s, drain(two_df))
+        compiled_s = min(drain() for _ in range(7))
 
     return {
         "expr_pipeline_rows": n,
-        "expr_pipeline_compiled_s": serial_s,
-        "expr_pipeline_2t_s": two_thread_s,
-        "parallel_scaling_2t": serial_s / two_thread_s,
-        # Context for the scaling number: >1 needs >1 core.
-        "parallel_scaling_cpu_count": os.cpu_count(),
+        "expr_pipeline_compiled_s": compiled_s,
     }
 
 

@@ -28,9 +28,9 @@
 #      regenerates BENCH_engine.json (incl. per-operator breakdown)
 #  10. bench diff: the fresh BENCH_engine.json must not regress the
 #      watched keys (obs overhead, join speedup, ConvLSTM epoch time,
-#      peak activation bytes, 2-thread morsel scaling, spill peak
-#      bytes + slowdown, telemetry-runtime overhead, streaming update
-#      speedup + p99 latency) >25% vs the committed one;
+#      peak activation bytes, spill peak bytes + slowdown,
+#      telemetry-runtime overhead, streaming update speedup + p99
+#      latency) >25% vs the committed one;
 #      obs_runtime_overhead_ratio must stay under an absolute 1.10
 #      cap and stream_update_speedup above an absolute 10x floor
 #  11. join ablation: benchmarks/bench_ablation_join.py (~3 s) joins

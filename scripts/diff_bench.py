@@ -10,13 +10,10 @@ regenerating BENCH_engine.json):
   the join workload; higher is worse.
 - ``join_speedup`` — vectorized join vs the per-row reference; lower
   is worse.
-- ``epoch_time_convlstm_s`` — fused-runtime ConvLSTM epoch wall time;
-  higher is worse.
+- ``epoch_time_convlstm_s`` — ConvLSTM epoch wall time; higher is
+  worse.
 - ``peak_activation_bytes`` — tracemalloc peak of the graph-freeing
   ConvLSTM epoch; higher is worse.
-- ``parallel_scaling_2t`` — serial over 2-thread morsel wall time;
-  lower is worse.  (Bounded by the host's core count — ~1.0 on a
-  single-core runner; the committed baseline is what the gate holds.)
 - ``order_by_spill_peak_bytes`` — metered peak resident bytes of the
   budgeted out-of-core sort; higher is worse (the whole point of the
   spill paths is that this stays pinned near the budget).
@@ -59,7 +56,6 @@ WATCHED = {
     "join_speedup": "higher",
     "epoch_time_convlstm_s": "lower",
     "peak_activation_bytes": "lower",
-    "parallel_scaling_2t": "higher",
     "order_by_spill_peak_bytes": "lower",
     "spill_slowdown": "lower",
     "obs_runtime_overhead_ratio": "lower",

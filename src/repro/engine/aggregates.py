@@ -8,10 +8,10 @@ measures.
 
 Every aggregate here is *mergeable*: its per-partition partial is a
 fixed-size summary that a two-accumulator ``merge`` combines without
-seeing the input rows again.  That property is what the spill paths,
-the morsel-parallel executor, and the incremental streaming layer
-(:mod:`repro.engine.streaming`) all rely on — and it is why ``var`` /
-``std`` carry a Chan-style ``(mean, M2)`` pair instead of a naive
+seeing the input rows again.  That property is what the spill paths
+and the incremental streaming layer (:mod:`repro.engine.streaming`)
+rely on — and it is why ``var`` / ``std`` carry a Chan-style
+``(mean, M2)`` pair instead of a naive
 sum-of-squares (numerically unstable) or the raw values
 (non-mergeable), and why ``count_distinct`` carries the value *set*
 rather than a count (counts of distinct values do not add).

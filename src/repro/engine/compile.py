@@ -44,8 +44,8 @@ rows only — instead of one full-partition materialization per
 operator.  A narrow node the pass never saw (``optimize=False``, a
 drop-only chain) runs as a one-step stage (:func:`stage_runner`).
 
-Thread safety: a ``CompiledExpr`` may be evaluated concurrently by the
-morsel-parallel executor, so scratch pools and the literal cache are
+Thread safety: user threads may run the same compiled ``DataFrame``
+concurrently, so scratch pools and the literal cache are
 per-thread (``threading.local``); the dtype records are shared but
 write-once-idempotent (concurrent recorders write identical values).
 """

@@ -50,13 +50,7 @@ class DataFrame:
 
             plan = self._execution_plan()
             stats = PlanStats()
-            for _ in iter_partitions(
-                plan,
-                meter=self.session.meter,
-                stats=stats,
-                parallelism=self.session.parallelism,
-                spill=self.session.spill_manager,
-            ):
+            for _ in self._run(plan, stats):
                 pass
             stats.flush_to_registry(plan)
             return "== Analyzed Plan ==\n" + stats.render(plan)
@@ -188,13 +182,14 @@ class DataFrame:
 
         plan = self._execution_plan(optimize)
         if not obs.enabled():
-            return iter_partitions(
-                plan,
-                meter=self.session.meter,
-                parallelism=self.session.parallelism,
-                spill=self.session.spill_manager,
-            )
+            return self._run(plan, None)
         return self._observed_partitions(plan)
+
+    def _run(self, plan: P.PlanNode, stats):
+        session = self.session
+        return iter_partitions(
+            plan, meter=session.meter, stats=stats, spill=session.spill_manager
+        )
 
     def _observed_partitions(self, plan: P.PlanNode):
         from repro import obs
@@ -207,22 +202,14 @@ class DataFrame:
         session.last_plan = plan
         session.last_query_id = query_id
         obs.registry.counter("engine.queries").inc()
-        # The query span stays open on the driver stack while the
+        # The query span stays open on this thread's stack while the
         # consumer pulls partitions, so every span opened during
-        # execution — operators, spill I/O, and (via the captured
-        # parent in _morsel_map) worker-thread morsels — nests under
-        # it: one connected tree per query.
+        # execution (spill I/O) nests under it: one connected tree per
+        # query.
         span = obs.tracer.start_span("engine.query")
         span.set("query_id", query_id)
-        span.set("parallelism", session.parallelism)
         try:
-            yield from iter_partitions(
-                plan,
-                meter=session.meter,
-                stats=stats,
-                parallelism=session.parallelism,
-                spill=session.spill_manager,
-            )
+            yield from self._run(plan, stats)
         finally:
             # Flush even when the consumer stops early (limit / take):
             # whatever was pulled is what the registry should see.
@@ -283,7 +270,6 @@ class DataFrame:
             "schema_version": SCHEMA_VERSION,
             "query_id": session.last_query_id,
             "session": {
-                "parallelism": session.parallelism,
                 "optimize": session.optimize,
                 "memory_budget": session.memory_budget,
                 "default_parallelism": session.default_parallelism,

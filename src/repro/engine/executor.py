@@ -34,16 +34,7 @@ observes exactly these allocations, which is how the Figure 8 bench
 measures the engine's peak working set (and how an artificial memory
 cap can make it fail, for symmetry with the baseline's OOM).
 
-**Morsel-parallel mode** (``parallelism > 1``): stages fan their
-per-partition work out over a bounded ``ThreadPoolExecutor`` — numpy
-ufuncs release the GIL, so stage compute runs concurrently while the
-driver thread keeps pulling child partitions.  Results flow through an
-*ordered* bounded prefetch window (``2 * parallelism`` in-flight
-partitions), so output order is deterministic, bit-identical to serial
-execution, and the out-of-core guarantee degrades gracefully to
-O(parallelism) resident partitions.  All other operators, and all
-metering, stay on the driver thread — worker threads only ever run
-pure per-partition compute.
+Every operator runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -51,7 +42,6 @@ from __future__ import annotations
 import math
 import time
 import weakref
-from collections import deque
 
 import numpy as np
 
@@ -64,18 +54,15 @@ from repro.engine.partition import Partition
 
 class _ExecContext:
     """Per-execution state threaded through the operator tree: the
-    memory meter, the PlanStats observer, the session's SpillManager
-    (out-of-core execution), and the (lazily created) morsel thread
-    pool."""
+    memory meter, the PlanStats observer and the session's SpillManager
+    (out-of-core execution)."""
 
-    __slots__ = ("meter", "stats", "parallelism", "spill", "_pool")
+    __slots__ = ("meter", "stats", "spill")
 
-    def __init__(self, meter, stats, parallelism, spill=None):
+    def __init__(self, meter, stats, spill=None):
         self.meter = meter
         self.stats = stats
-        self.parallelism = max(1, int(parallelism))
         self.spill = spill
-        self._pool = None
 
     def budget_share(self, divisor: int = 1):
         """The session memory budget divided by ``divisor`` (at least
@@ -97,29 +84,8 @@ class _ExecContext:
             return _iter_node(node, self)
         return self.stats.observe(node, _iter_node(node, self))
 
-    def pool(self):
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
 
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.parallelism,
-                thread_name_prefix="repro-morsel",
-            )
-        return self._pool
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-
-def iter_partitions(
-    node: P.PlanNode,
-    meter=None,
-    stats=None,
-    parallelism: int = 1,
-    spill=None,
-):
+def iter_partitions(node: P.PlanNode, meter=None, stats=None, spill=None):
     """Yield the partitions produced by a plan node.
 
     ``stats`` (a :class:`repro.obs.PlanStats`) meters every operator
@@ -130,11 +96,6 @@ def iter_partitions(
     their contents, so traced results are bit-identical to untraced
     ones.
 
-    ``parallelism`` > 1 enables morsel-parallel execution of narrow
-    stages over a thread pool with an ordered prefetch window of
-    ``2 * parallelism`` in-flight partitions; results are identical to
-    serial execution.
-
     ``spill`` (a :class:`repro.engine.spill.SpillManager` with a
     ``budget``) bounds the materializing operators — order_by,
     repartition, the join build side, cache: they keep at most the
@@ -142,19 +103,7 @@ def iter_partitions(
     bit-identical to running with no budget (``spill=None``), which
     is the same code with nothing ever over budget.
     """
-    ctx = _ExecContext(meter, stats, parallelism, spill)
-    if ctx.parallelism <= 1:
-        return ctx.iterate(node)
-    return _iterate_closing(node, ctx)
-
-
-def _iterate_closing(node: P.PlanNode, ctx: _ExecContext):
-    """Parallel top-level entry: guarantee the worker pool dies with
-    the generator, even when the consumer stops early."""
-    try:
-        yield from ctx.iterate(node)
-    finally:
-        ctx.close()
+    return _ExecContext(meter, stats, spill).iterate(node)
 
 
 #: Nodes run by a StageRunner: a fused chain, or a narrow operator the
@@ -195,67 +144,14 @@ def _iter_node(node: P.PlanNode, ctx: _ExecContext):
 def _run_stage(node: P.PlanNode, ctx: _ExecContext):
     runner = stage_runner(node)
     stats = ctx.stats
-    if stats is None:
-        apply = runner
-    else:
-        # Record pure compute time (excluding child pulls and queue
-        # waits) so explain(analyze=True) can report per-stage
-        # rows/sec.  add_work is thread-safe: in parallel mode this
-        # runs on worker threads.
-        perf_counter = time.perf_counter
-
-        def apply(part, _runner=runner):
-            started = perf_counter()
-            out = _runner(part)
-            stats.add_work(node, perf_counter() - started)
-            return out
-
-    parts = ctx.iterate(node.child)
-    if ctx.parallelism > 1:
-        yield from _morsel_map(apply, parts, ctx)
-    else:
-        for part in parts:
-            yield apply(part)
-
-
-def _morsel_map(fn, parts, ctx: _ExecContext):
-    """Ordered, bounded fan-out: submit up to ``2 * parallelism`` morsels,
-    yield strictly in submission order.  FIFO completion keeps results
-    bit-identical to serial execution; the bound keeps at most
-    O(parallelism) partitions resident.
-
-    Trace context crosses the fan-out: the driver's current span is
-    captured here and passed as the explicit parent of each
-    worker-side ``engine.morsel`` span, so a parallel query still
-    yields one connected span tree (the morsel spans land under the
-    driver's ``engine.query`` span even though they time on
-    ``repro-morsel-*`` threads)."""
-    from repro import obs
-
-    tracer = obs.tracer
-    parent = tracer.current if tracer.enabled else None
-    if parent is not None:
-        inner = fn
-
-        def fn(part, _inner=inner, _parent=parent):
-            with tracer.span("engine.morsel", parent=_parent) as span:
-                out = _inner(part)
-                span.add("rows", out.num_rows)
-                return out
-
-    pool = ctx.pool()
-    depth = 2 * ctx.parallelism
-    pending: deque = deque()
-    try:
-        for part in parts:
-            pending.append(pool.submit(fn, part))
-            if len(pending) >= depth:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
+    for part in ctx.iterate(node.child):
+        started = time.perf_counter()
+        out = runner(part)
+        if stats is not None:
+            # Pure compute time (excluding child pulls), so
+            # explain(analyze=True) can report per-stage rows/sec.
+            stats.add_work(node, time.perf_counter() - started)
+        yield out
 
 
 def _drop_cached(meter, nbytes: int, spill, handles: list) -> None:
@@ -368,15 +264,15 @@ def _run_streaming_source(node: P.StreamingSource, ctx: _ExecContext):
 
 def _run_limit(node: P.Limit, ctx: _ExecContext):
     remaining = node.n
+    if remaining <= 0:
+        return
     for part in ctx.iterate(node.child):
-        if remaining <= 0:
-            return
-        if part.num_rows <= remaining:
-            remaining -= part.num_rows
-            yield part
-        else:
+        if part.num_rows >= remaining:
+            # The limit is met: return without resuming the child.
             yield part.take(remaining)
             return
+        remaining -= part.num_rows
+        yield part
 
 
 # ----------------------------------------------------------------------

@@ -156,8 +156,7 @@ class CompiledStage(PlanNode):
     Expr)])`` / ``("drop", [names])`` steps, applied bottom-up.  The
     executor runs the whole chain as one per-partition call —
     predicate first, selection applied once, projections computed over
-    surviving rows only — and the morsel-parallel mode fans these
-    calls out across a thread pool.
+    surviving rows only.
     """
 
     child: PlanNode

@@ -29,11 +29,6 @@ class Session:
         benchmarks or to debug a plan exactly as written — each narrow
         operator then runs as its own one-step stage, with
         bit-identical results.
-    parallelism:
-        Worker threads for morsel-parallel execution of narrow stages
-        (default 1 = serial), with ``2 * parallelism`` morsels in
-        flight per stage.  Stage compute runs inside numpy ufuncs,
-        which release the GIL.
     memory_budget:
         Soft cap (bytes) on what the *materializing* operators —
         ``order_by``, ``repartition``, the join build side, ``cache``
@@ -52,18 +47,15 @@ class Session:
         default_parallelism: int = 4,
         meter: MemoryMeter | None = None,
         optimize: bool = True,
-        parallelism: int = 1,
         memory_budget: int | None = None,
         spill_dir: str | None = None,
     ):
         check_positive(default_parallelism, "default_parallelism")
-        check_positive(parallelism, "parallelism")
         if memory_budget is not None:
             check_positive(memory_budget, "memory_budget")
         self.default_parallelism = default_parallelism
         self.meter = meter
         self.optimize = optimize
-        self.parallelism = parallelism
         self.memory_budget = memory_budget
         self.spill_dir = spill_dir
         self._spill_manager = None

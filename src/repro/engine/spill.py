@@ -23,8 +23,8 @@ temp dir (or ``Session(spill_dir=...)``), removed by
 ``Session.close()`` / context-manager exit, and — via
 ``weakref.finalize`` — at interpreter exit even when nobody closed the
 session.  A failed write cleans up its partial files and leaves the
-manager usable; restores are thread-safe (``Session(parallelism=N)``
-morsel workers may restore concurrently).
+manager usable; restores are thread-safe (user threads sharing a
+session may restore concurrently).
 
 **Accounting.**  All activity is counted both on the manager
 (``bytes_written`` / ``bytes_restored`` / ``files_written`` /
@@ -294,7 +294,7 @@ class SpillableBuffer:
     would exceed ``budget``; from then on incoming partitions spill to
     disk.  :meth:`replay` yields the partitions back in insertion
     order (restoring spilled ones on the fly), any number of times.
-    Used by the executor's ``cache`` / ``repartition`` / join probe
+    Used by the executor's ``repartition`` and grace-join probe
     buffering.
     """
 
@@ -303,7 +303,6 @@ class SpillableBuffer:
         self._budget = budget
         self._entries: list = []  # Partition | SpillHandle
         self.in_memory_bytes = 0
-        self.spilled_bytes = 0
         self.num_rows = 0
 
     def __len__(self) -> int:
@@ -319,7 +318,6 @@ class SpillableBuffer:
         ):
             handle = self._manager.spill(part)
             self._entries.append(handle)
-            self.spilled_bytes += nbytes
             return nbytes
         self._entries.append(part)
         self.in_memory_bytes += nbytes
@@ -332,9 +330,6 @@ class SpillableBuffer:
                 yield self._manager.restore(entry)
             else:
                 yield entry
-
-    def entry_rows(self) -> list:
-        return [entry.num_rows for entry in self._entries]
 
     def release(self) -> None:
         """Drop in-memory partitions and delete spilled files."""

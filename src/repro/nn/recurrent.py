@@ -1,17 +1,16 @@
 """Recurrent cells: LSTM and the convolutional LSTM of Shi et al.
 (NIPS 2015), the building block of the paper's ConvLSTM model.
 
-Both cells default to the fused gate kernel
+Both cells apply their gates through the fused kernel
 (:func:`repro.tensor.ops_fused.fused_lstm_gates`): one packed
 activation pass and two graph nodes per step instead of thirteen.
-``fused=False`` keeps the original chain of elementwise autograd ops;
-the two paths produce bit-identical values and gradients (pinned by
-``tests/property/test_property_fused.py``).
+The chain of elementwise autograd ops it replaces is
+``tests/tensor_oracle.py::oracle_lstm_gates``; the two agree bit for
+bit in values and gradients (``tests/property/test_property_fused.py``).
 """
 
 from __future__ import annotations
 
-from repro.nn import functional as F
 from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
 from repro.nn.module import Module
@@ -25,12 +24,10 @@ class LSTMCell(Module):
     State is a ``(h, c)`` pair of (N, hidden_size) tensors.
     """
 
-    def __init__(self, input_size: int, hidden_size: int, rng=None,
-                 fused: bool = True):
+    def __init__(self, input_size: int, hidden_size: int, rng=None):
         super().__init__()
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.fused = fused
         self.gates = Linear(input_size + hidden_size, 4 * hidden_size, rng=rng)
 
     def init_state(self, batch_size: int):
@@ -42,16 +39,7 @@ class LSTMCell(Module):
             state = self.init_state(x.shape[0])
         h, c = state
         gates = self.gates(concatenate([x, h], axis=1))
-        hs = self.hidden_size
-        if self.fused:
-            h_next, c_next = fused_lstm_gates(gates, c, hs)
-            return h_next, (h_next, c_next)
-        i = gates[:, 0 * hs : 1 * hs].sigmoid()
-        f = gates[:, 1 * hs : 2 * hs].sigmoid()
-        g = gates[:, 2 * hs : 3 * hs].tanh()
-        o = gates[:, 3 * hs : 4 * hs].sigmoid()
-        c_next = f * c + i * g
-        h_next = o * c_next.tanh()
+        h_next, c_next = fused_lstm_gates(gates, c, self.hidden_size)
         return h_next, (h_next, c_next)
 
 
@@ -65,14 +53,12 @@ class ConvLSTMCell(Module):
         hidden_channels: int,
         kernel_size: int = 3,
         rng=None,
-        fused: bool = True,
     ):
         super().__init__()
         if kernel_size % 2 == 0:
             raise ValueError("kernel_size must be odd to preserve spatial size")
         self.in_channels = in_channels
         self.hidden_channels = hidden_channels
-        self.fused = fused
         self.gates = Conv2d(
             in_channels + hidden_channels,
             4 * hidden_channels,
@@ -90,16 +76,7 @@ class ConvLSTMCell(Module):
             state = self.init_state(x.shape[0], x.shape[2], x.shape[3])
         h, c = state
         gates = self.gates(concatenate([x, h], axis=1))
-        hc = self.hidden_channels
-        if self.fused:
-            h_next, c_next = fused_lstm_gates(gates, c, hc)
-            return h_next, (h_next, c_next)
-        i = gates[:, 0 * hc : 1 * hc].sigmoid()
-        f = gates[:, 1 * hc : 2 * hc].sigmoid()
-        g = gates[:, 2 * hc : 3 * hc].tanh()
-        o = gates[:, 3 * hc : 4 * hc].sigmoid()
-        c_next = f * c + i * g
-        h_next = o * c_next.tanh()
+        h_next, c_next = fused_lstm_gates(gates, c, self.hidden_channels)
         return h_next, (h_next, c_next)
 
 
@@ -116,7 +93,6 @@ class ConvLSTM(Module):
         hidden_channels,
         kernel_size: int = 3,
         rng=None,
-        fused: bool = True,
     ):
         super().__init__()
         if isinstance(hidden_channels, int):
@@ -126,9 +102,7 @@ class ConvLSTM(Module):
         cells = []
         channels = in_channels
         for hidden in hidden_channels:
-            cells.append(
-                ConvLSTMCell(channels, hidden, kernel_size, rng=rng, fused=fused)
-            )
+            cells.append(ConvLSTMCell(channels, hidden, kernel_size, rng=rng))
             channels = hidden
         self.cells = ModuleList(cells)
         self.hidden_channels = list(hidden_channels)

@@ -30,7 +30,7 @@ import re
 import tempfile
 import time
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -170,7 +170,7 @@ def to_prometheus(registry=None) -> str:
 
 #: Virtual thread ids in the Chrome trace: profiler events on one
 #: lane, spans from the first-seen (driver) thread on another, and
-#: each further real thread (morsel workers, the telemetry flusher)
+#: each further real thread (user threads, the telemetry flusher)
 #: on its own lane — chrome://tracing / Perfetto draw them as stacked
 #: flame graphs of the same run.
 PROFILER_TID = 0

@@ -11,8 +11,8 @@ updates, guarded by the module-wide enabled flag
 partition / batch / epoch — never per row.
 
 Instruments are thread-safe: every mutation takes a per-instrument
-lock, so morsel-parallel stage workers (see ``repro.engine.executor``)
-can record concurrently without losing increments.  Reads
+lock, so user threads and the telemetry flusher can record
+concurrently without losing increments.  Reads
 (``.value``, ``summary()``) stay lock-free — a snapshot taken mid-run
 may be one update stale, never corrupt.
 """

@@ -20,10 +20,8 @@ Semantics worth pinning down:
 - A node that was never pulled (e.g. below an exhausted ``Limit``)
   still renders, with zero partitions.
 - ``work_s`` is *pure compute* time, reported only by operators that
-  measure it themselves (compiled stages).  Unlike ``elapsed_s`` it is
-  summed across morsel-parallel workers, so with N threads it can
-  exceed wall time; ``add_work`` is the one cross-thread entry point
-  and takes a lock.
+  measure it themselves (compiled stages).  ``add_work`` takes a
+  lock, so threads sharing one ``PlanStats`` lose no update.
 """
 
 from __future__ import annotations
@@ -69,8 +67,7 @@ class PlanStats:
         return stats
 
     def add_work(self, plan_node, seconds: float) -> None:
-        """Credit pure compute time to an operator.  Thread-safe: this
-        is the only PlanStats method morsel workers call."""
+        """Credit pure compute time to an operator.  Thread-safe."""
         stats = self.node(plan_node)
         with self._lock:
             stats.work_s += seconds

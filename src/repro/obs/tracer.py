@@ -10,13 +10,13 @@ overhead beyond one attribute check.
 
 Trace context crosses threads.  Every span carries a process-unique
 ``span_id`` plus its parent's id, and the tracer keeps one nesting
-stack *per thread*, so morsel-pool workers (``repro-morsel-*``), spill
-I/O, and DataLoader fetches each nest correctly on their own thread.
-To attach a worker-side span to a driver-side parent, capture the
-driver span (``tracer.current``) before the fan-out and pass it as
+stack *per thread*, so user threads, spill I/O, and DataLoader fetches
+each nest correctly on their own thread.  To attach a span opened on
+another thread to a parent on this one, capture the parent
+(``tracer.current``) before handing the work over and pass it as
 ``tracer.span(name, parent=captured)`` — the child lands in the
-parent's subtree even though it ran on another thread, so a query's
-span tree stays connected end-to-end.
+parent's subtree even though it ran on another thread, so the span
+tree stays connected end-to-end.
 """
 
 from __future__ import annotations

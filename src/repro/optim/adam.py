@@ -1,26 +1,25 @@
 """Adam optimizer (Kingma & Ba, 2015) — the optimizer used for every
 experiment in the paper.
 
-By default the step runs over one contiguous flat buffer
-(:class:`repro.optim.flat.FlatParamBuffer`): parameter data, first and
-second moments each live in a single array and the update is ~14
-full-buffer ufuncs with ``out=``, instead of a Python loop allocating
-five temporaries per parameter.  ``fused=False`` keeps the reference
-per-parameter loop; both paths produce bit-identical parameters
-(pinned by ``tests/property/test_property_fused.py``).
+:class:`~repro.optim.optimizer.Optimizer` picks the step.  The flat one
+holds parameter data, first and second moments each in a single array
+and is ~14 full-buffer ufuncs with ``out=``, instead of a Python loop
+allocating five temporaries per parameter; both steps produce the bits
+of ``tests/tensor_oracle.py::oracle_adam_step`` (pinned by
+``tests/property/test_property_fused.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.obs.profiler import op_span
-from repro.optim.flat import FlatParamBuffer
 from repro.optim.optimizer import Optimizer
 
 
 class Adam(Optimizer):
     """Adam with bias-corrected first/second moment estimates."""
+
+    _span = "optim.adam.step"
 
     def __init__(
         self,
@@ -29,49 +28,24 @@ class Adam(Optimizer):
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        fused: bool = True,
     ):
         super().__init__(params, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self._t = 0
-        if fused:
-            try:
-                self._buf = FlatParamBuffer(self.params)
-            except TypeError:
-                fused = False
-        self.fused = fused
-        if fused:
-            self._m_flat = np.zeros(self._buf.size, dtype=self._buf.dtype)
-            self._v_flat = np.zeros(self._buf.size, dtype=self._buf.dtype)
-            self._g_flat = np.empty(self._buf.size, dtype=self._buf.dtype)
-            self._scratch = np.empty(self._buf.size, dtype=self._buf.dtype)
-        else:
-            self._m = [np.zeros_like(p.data) for p in self.params]
-            self._v = [np.zeros_like(p.data) for p in self.params]
+        self._m_flat, self._m = self._zero_state()
+        self._v_flat, self._v = self._zero_state()
 
     def step(self) -> None:
         self._t += 1
-        if not self.fused:
-            return self._step_reference()
-        if not self._buf.views_intact():
-            # load_state_dict rebound some param.data — re-adopt it.
-            self._buf.reflatten()
-        with op_span("optim.adam.step"):
-            if self._buf.gather_grads(self._g_flat):
-                self._step_flat()
-            else:
-                self._step_partial()
+        super().step()
 
-    # ------------------------------------------------------------------
-    # Fused paths
-    # ------------------------------------------------------------------
     def _step_flat(self) -> None:
         """Whole-model update as full-buffer ufuncs.
 
-        Every line reproduces one sub-expression of the reference step
-        in the same evaluation order (IEEE multiplication commutes, so
+        Every line reproduces one sub-expression of the per-parameter
+        step in the same evaluation order (IEEE multiplication commutes, so
         ``out * scalar`` matches ``scalar * out`` bitwise).
         """
         b1, b2 = self.beta1, self.beta2
@@ -101,9 +75,9 @@ class Adam(Optimizer):
         np.subtract(P, T, out=P)
 
     def _step_partial(self) -> None:
-        """Per-parameter update against the flat-buffer views, used
-        when some gradients are missing (the reference loop skips
-        those parameters and leaves their moments untouched)."""
+        """In-place per-parameter update, used when some gradients are
+        missing (those parameters are skipped and their moments left
+        untouched) or the parameters' dtypes differ."""
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self._t
         bias2 = 1.0 - b2**self._t
@@ -113,8 +87,7 @@ class Adam(Optimizer):
             grad = param.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data
-            m = self._buf.view(self._m_flat, i)
-            v = self._buf.view(self._v_flat, i)
+            m, v = self._m[i], self._v[i]
             m[...] = b1 * m + (1 - b1) * grad
             v[...] = b2 * v + (1 - b2) * grad * grad
             m_hat = m / bias1
@@ -122,22 +95,3 @@ class Adam(Optimizer):
             param.data[...] = param.data - self.lr * m_hat / (
                 np.sqrt(v_hat) + self.eps
             )
-
-    # ------------------------------------------------------------------
-    # Reference path (fused=False) — kept verbatim as the numerics pin
-    # ------------------------------------------------------------------
-    def _step_reference(self) -> None:
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1**self._t
-        bias2 = 1.0 - b2**self._t
-        for i, param in enumerate(self.params):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            self._m[i] = b1 * self._m[i] + (1 - b1) * grad
-            self._v[i] = b2 * self._v[i] + (1 - b2) * grad * grad
-            m_hat = self._m[i] / bias1
-            v_hat = self._v[i] / bias2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

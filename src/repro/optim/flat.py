@@ -1,4 +1,4 @@
-"""Flat-buffer parameter storage for fused optimizer stepping.
+"""Flat-buffer parameter storage for whole-model optimizer steps.
 
 :class:`FlatParamBuffer` re-materializes a parameter list as views of
 one contiguous buffer so an optimizer can run its whole update as a
@@ -9,14 +9,14 @@ buffer, which every tensor op reads transparently.
 
 Bit-identity: the optimizer updates are elementwise, so applying the
 same scalar/array expression over the concatenated buffer produces
-exactly the bits the per-parameter loop would — provided the fused
-step reproduces the reference expression order operation for
+exactly the bits the per-parameter loop would — provided the flat
+step reproduces the per-parameter expression order operation for
 operation (pinned by ``tests/property/test_property_fused.py``).
 
 ``load_state_dict`` rebinds ``param.data`` to a fresh array, which
 silently detaches a parameter from the buffer.  :meth:`views_intact`
 detects that (``data.base is buffer``) and :meth:`reflatten` re-adopts
-the new values, so fused optimizers survive checkpoint restores.
+the new values, so the optimizers survive checkpoint restores.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ class FlatParamBuffer:
         """Copy every parameter gradient into ``out`` (flat, same dtype).
 
         Returns False (leaving ``out`` unspecified) if any gradient is
-        missing — callers then take the per-parameter partial path that
-        mirrors the reference optimizers' ``grad is None`` skip.
+        missing — callers then take the per-parameter path, which
+        skips parameters whose ``grad is None``.
         """
         for p in self.params:
             if p.grad is None:

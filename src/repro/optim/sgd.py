@@ -1,57 +1,29 @@
 """Stochastic gradient descent with optional momentum.
 
-Defaults to the flat-buffer fused step (see
-:class:`repro.optim.flat.FlatParamBuffer` and :mod:`repro.optim.adam`
-for the scheme); ``fused=False`` keeps the reference per-parameter
-loop.  Both paths produce bit-identical parameters.
+:class:`~repro.optim.optimizer.Optimizer` picks the flat or the
+per-parameter step; both produce the bits of
+``tests/tensor_oracle.py::oracle_sgd_step``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.obs.profiler import op_span
-from repro.optim.flat import FlatParamBuffer
 from repro.optim.optimizer import Optimizer
 
 
 class SGD(Optimizer):
     """SGD update: ``p -= lr * (momentum_buffer or grad)``."""
 
+    _span = "optim.sgd.step"
+
     def __init__(self, params, lr: float = 0.01, momentum: float = 0.0,
-                 weight_decay: float = 0.0, fused: bool = True):
+                 weight_decay: float = 0.0):
         super().__init__(params, lr)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        if fused:
-            try:
-                self._buf = FlatParamBuffer(self.params)
-            except TypeError:
-                fused = False
-        self.fused = fused
-        if fused:
-            # Flat zeros match the reference's lazy np.zeros_like init:
-            # momentum*0 + grad on first use is the same expression.
-            self._vel_flat = (
-                np.zeros(self._buf.size, dtype=self._buf.dtype)
-                if momentum
-                else None
-            )
-            self._g_flat = np.empty(self._buf.size, dtype=self._buf.dtype)
-            self._scratch = np.empty(self._buf.size, dtype=self._buf.dtype)
-        else:
-            self._velocity = [None] * len(self.params)
-
-    def step(self) -> None:
-        if not self.fused:
-            return self._step_reference()
-        if not self._buf.views_intact():
-            self._buf.reflatten()
-        with op_span("optim.sgd.step"):
-            if self._buf.gather_grads(self._g_flat):
-                self._step_flat()
-            else:
-                self._step_partial()
+        if momentum:
+            self._vel_flat, self._vel = self._zero_state()
 
     def _step_flat(self) -> None:
         P, G, T = self._buf.flat, self._g_flat, self._scratch
@@ -75,24 +47,7 @@ class SGD(Optimizer):
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data
             if self.momentum:
-                vel = self._buf.view(self._vel_flat, i)
+                vel = self._vel[i]
                 vel[...] = self.momentum * vel + grad
                 grad = vel
             param.data[...] = param.data - self.lr * grad
-
-    # ------------------------------------------------------------------
-    # Reference path (fused=False) — kept verbatim as the numerics pin
-    # ------------------------------------------------------------------
-    def _step_reference(self) -> None:
-        for i, param in enumerate(self.params):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                if self._velocity[i] is None:
-                    self._velocity[i] = np.zeros_like(param.data)
-                self._velocity[i] = self.momentum * self._velocity[i] + grad
-                grad = self._velocity[i]
-            param.data = param.data - self.lr * grad

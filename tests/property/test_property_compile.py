@@ -2,20 +2,22 @@
 tree-walking ``Expr.evaluate``.
 
 Every test builds one pipeline and evaluates it twice — once through
-the engine (stages fused and run through ``CompiledExpr``, possibly
-morsel-parallel), once through ``tests/plan_oracle.py`` (the logical
-plan walked with ``Expr.evaluate``) — and asserts dtype *and* value
+the engine (stages fused and run through ``CompiledExpr``), once
+through ``tests/plan_oracle.py`` (the logical plan walked with
+``Expr.evaluate``) — and asserts dtype *and* value
 equality with ``array_equal``, not ``isclose``: the compiled path must
 produce the exact same bits, including NaN/inf patterns from division
 by zero, NEP-50 promotion results, and object-dtype comparison outputs.
 """
 
+import threading
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Session, col, lit, udf
+from repro.engine.executor import iter_partitions
 from tests.plan_oracle import oracle_columns
 
 floats = st.floats(
@@ -35,7 +37,6 @@ def mixed_frames(draw):
         draw(st.lists(st.booleans(), min_size=n, max_size=n)),
         draw(st.lists(words, min_size=n, max_size=n)),
         draw(st.integers(min_value=1, max_value=4)),  # partitions
-        draw(st.integers(min_value=1, max_value=3)),  # parallelism
     )
 
 
@@ -58,8 +59,8 @@ def assert_frames_identical(left: dict, right: dict):
 
 
 def run_both(frame, build):
-    i, f, b, s, parts, parallelism = frame
-    session = Session(default_parallelism=parts, parallelism=parallelism)
+    i, f, b, s, parts = frame
+    session = Session(default_parallelism=parts)
     df = build(
         session.create_dataframe(_data(i, f, b, s), num_partitions=parts)
     )
@@ -77,10 +78,6 @@ def test_arithmetic_chain_identical(frame):
     )
 
 
-# np.errstate is thread-local, so a morsel worker can emit the divide
-# warning even when the driver suppresses it; values are unaffected.
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @settings(max_examples=40, deadline=None)
 @given(mixed_frames())
 def test_division_by_zero_identical(frame):
@@ -154,23 +151,34 @@ def test_udf_stage_identical(frame):
 @settings(max_examples=30, deadline=None)
 @given(mixed_frames())
 def test_parallel_identical_to_serial(frame):
-    """Morsel-parallel output must equal serial output bit-for-bit,
-    in the same partition order."""
-    i, f, b, s, parts, _ = frame
-    data = _data(i, f, b, s)
+    """Two user threads pulling the same compiled DataFrame at once
+    each get the serial output bit-for-bit, in the same partition
+    order — ``CompiledExpr`` keeps its scratch state per thread."""
+    i, f, b, s, parts = frame
+    df = (
+        Session(default_parallelism=parts)
+        .create_dataframe(_data(i, f, b, s), num_partitions=parts)
+        .filter(col("i") % 3 != 0)
+        .with_column("z", col("f") * col("i") - lit(1.5))
+        .select("z", "s")
+    )
+    plan = df._execution_plan()
+    serial_parts = list(iter_partitions(plan))
+    pulled = {}
 
-    def build(session):
-        df = session.create_dataframe(data, num_partitions=parts)
-        return (
-            df.filter(col("i") % 3 != 0)
-            .with_column("z", col("f") * col("i") - lit(1.5))
-            .select("z", "s")
-        )
+    def pull(slot):
+        pulled[slot] = [list(iter_partitions(plan)) for _ in range(3)]
 
-    serial = build(Session(default_parallelism=parts))
-    parallel = build(Session(default_parallelism=parts, parallelism=3))
-    serial_parts = list(serial.iter_partitions())
-    parallel_parts = list(parallel.iter_partitions())
-    assert len(serial_parts) == len(parallel_parts)
-    for left, right in zip(serial_parts, parallel_parts):
-        assert_frames_identical(dict(left.columns), dict(right.columns))
+    threads = [threading.Thread(target=pull, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert sorted(pulled) == [0, 1]  # both finished, neither raised
+    for runs in pulled.values():
+        for parallel_parts in runs:
+            assert len(serial_parts) == len(parallel_parts)
+            for left, right in zip(serial_parts, parallel_parts):
+                assert_frames_identical(
+                    dict(left.columns), dict(right.columns)
+                )

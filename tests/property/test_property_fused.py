@@ -1,9 +1,10 @@
 """Property-based tests: every fused fast path — graph-freeing
-backward, fused LSTM/ConvLSTM gate kernels, flat-buffer Adam/SGD —
-produces *bit-identical* parameters to the reference implementation it
-replaces, for arbitrary shapes, seeds, and hyperparameters; and the
-pooled buffers the batch-norm / pooling kernels hold across a step are
-never recycled while their graph is alive."""
+backward, fused LSTM/ConvLSTM gate kernels, flat-buffer and in-place
+Adam/SGD — produces *bit-identical* parameters to the reference
+formulation it replaced (``tests/tensor_oracle.py``), for arbitrary
+shapes, seeds, dtypes and hyperparameters; and the pooled buffers the
+batch-norm / pooling kernels hold across a step are never recycled
+while their graph is alive."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,8 +15,13 @@ from repro.nn import functional as F
 from repro.nn.recurrent import ConvLSTMCell, LSTMCell
 from repro.optim.adam import Adam
 from repro.optim.sgd import SGD
-from repro.tensor import Tensor, default_pool
+from repro.tensor import Tensor, concatenate, default_pool
 from repro.tensor.ops_fused import batch_norm2d
+from tests.tensor_oracle import (
+    oracle_adam_step,
+    oracle_lstm_gates,
+    oracle_sgd_step,
+)
 
 
 def _params_equal(a, b):
@@ -147,8 +153,37 @@ def test_pool_never_recycles_a_live_batch_norm_buffer(shape, seed):
 
 
 # ----------------------------------------------------------------------
-# fused gate kernels == unfused elementwise chains
+# fused gate kernels == the elementwise chain (oracle_lstm_gates)
 # ----------------------------------------------------------------------
+def _oracle_cell(cell, hidden):
+    """``cell``'s forward with the gate tail swapped for the oracle
+    chain: same parameters, same gate transform."""
+    def forward(x, state):
+        if state is None:
+            state = cell.init_state(x.shape[0], *x.shape[2:])
+        h, c = state
+        gates = cell.gates(concatenate([x, h], axis=1))
+        h_next, c_next = oracle_lstm_gates(gates, c, hidden)
+        return h_next, (h_next, c_next)
+
+    return forward
+
+
+def _unroll(make_cell, hidden, oracle, in_shape, steps, seed):
+    cell = make_cell(np.random.default_rng(seed))
+    forward = _oracle_cell(cell, hidden) if oracle else cell
+    rng = np.random.default_rng(seed + 1)
+    state = None
+    loss = None
+    for _ in range(steps):
+        x = Tensor(rng.standard_normal(in_shape).astype(np.float32))
+        out, state = forward(x, state)
+        term = (out * out).sum()
+        loss = term if loss is None else loss + term
+    loss.backward()
+    return out.data.copy(), list(cell.parameters())
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     st.integers(min_value=1, max_value=5),   # batch
@@ -158,22 +193,14 @@ def test_pool_never_recycles_a_live_batch_norm_buffer(shape, seed):
     st.integers(min_value=0, max_value=9999),
 )
 def test_fused_lstm_cell_is_bit_identical(batch, nin, hidden, steps, seed):
-    def run(fused):
-        cell = LSTMCell(nin, hidden, rng=np.random.default_rng(seed),
-                        fused=fused)
-        rng = np.random.default_rng(seed + 1)
-        state = None
-        loss = None
-        for _ in range(steps):
-            x = Tensor(rng.standard_normal((batch, nin)).astype(np.float32))
-            out, state = cell(x, state)
-            term = (out * out).sum()
-            loss = term if loss is None else loss + term
-        loss.backward()
-        return out.data.copy(), list(cell.parameters())
+    def run(oracle):
+        return _unroll(
+            lambda rng: LSTMCell(nin, hidden, rng=rng),
+            hidden, oracle, (batch, nin), steps, seed,
+        )
 
-    out_f, params_f = run(True)
-    out_u, params_u = run(False)
+    out_f, params_f = run(False)
+    out_u, params_u = run(True)
     assert np.array_equal(out_f, out_u)
     assert _grads_equal(params_f, params_u)
 
@@ -189,30 +216,20 @@ def test_fused_lstm_cell_is_bit_identical(batch, nin, hidden, steps, seed):
 )
 def test_fused_convlstm_cell_is_bit_identical(batch, cin, hid, size, steps,
                                               seed):
-    def run(fused):
-        cell = ConvLSTMCell(cin, hid, 3, rng=np.random.default_rng(seed),
-                            fused=fused)
-        rng = np.random.default_rng(seed + 1)
-        state = None
-        loss = None
-        for _ in range(steps):
-            x = Tensor(
-                rng.standard_normal((batch, cin, size, size)).astype(np.float32)
-            )
-            out, state = cell(x, state)
-            term = (out * out).sum()
-            loss = term if loss is None else loss + term
-        loss.backward()
-        return out.data.copy(), list(cell.parameters())
+    def run(oracle):
+        return _unroll(
+            lambda rng: ConvLSTMCell(cin, hid, 3, rng=rng),
+            hid, oracle, (batch, cin, size, size), steps, seed,
+        )
 
-    out_f, params_f = run(True)
-    out_u, params_u = run(False)
+    out_f, params_f = run(False)
+    out_u, params_u = run(True)
     assert np.array_equal(out_f, out_u)
     assert _grads_equal(params_f, params_u)
 
 
 # ----------------------------------------------------------------------
-# flat-buffer optimizers == reference per-parameter loops
+# Adam / SGD == the per-parameter reference steps (oracle_*_step)
 # ----------------------------------------------------------------------
 @st.composite
 def optimizer_cases(draw):
@@ -226,62 +243,83 @@ def optimizer_cases(draw):
             max_size=4,
         )
     )
+    # One dtype → the flat step; mixed → the in-place per-parameter one.
+    dtypes = draw(
+        st.one_of(
+            st.just([np.float32] * len(shapes)),
+            st.lists(
+                st.sampled_from([np.float32, np.float64]),
+                min_size=len(shapes),
+                max_size=len(shapes),
+            ),
+        )
+    )
     steps = draw(st.integers(min_value=1, max_value=10))
     seed = draw(st.integers(min_value=0, max_value=9999))
     weight_decay = draw(st.sampled_from([0.0, 0.01]))
-    drop_grads = draw(st.booleans())
-    return shapes, steps, seed, weight_decay, drop_grads
+    drop_grads = draw(st.sampled_from(["none", "some", "all"]))
+    return list(zip(shapes, dtypes)), steps, seed, weight_decay, drop_grads
 
 
-def _train_params(opt_factory, shapes, steps, seed, drop_grads):
+def _assert_matches_oracle(opt_factory, oracle_step, case):
+    """Step the library optimizer and the oracle over the same
+    gradients: equal bits and dtypes after every step, and no step
+    rebinds a ``param.data``."""
+    specs, steps, seed, _, drop_grads = case
     rng = np.random.default_rng(seed)
     params = [
-        Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
-        for s in shapes
+        Tensor(rng.standard_normal(shape), requires_grad=True, dtype=dtype)
+        for shape, dtype in specs
     ]
+    expected = [p.data.copy() for p in params]
     opt = opt_factory(params)
+    bound = [p.data for p in params]  # the optimizer's flat-buffer views
     grad_rng = np.random.default_rng(seed + 1)
     for step in range(steps):
         opt.zero_grad()
+        grads = []
         for i, p in enumerate(params):
-            if drop_grads and (step + i) % 3 == 0:
-                continue  # reference path skips grad-less params
-            p._accumulate(
-                grad_rng.standard_normal(p.data.shape).astype(np.float32)
+            if drop_grads == "all" or (
+                drop_grads == "some" and (step + i) % 3 == 0
+            ):
+                grads.append(None)
+                continue
+            grads.append(
+                grad_rng.standard_normal(p.data.shape).astype(p.data.dtype)
             )
+            p._accumulate(grads[-1].copy())
         opt.step()
-    return [p.data.copy() for p in params]
+        oracle_step(expected, grads, step + 1)
+        for p, want, data in zip(params, expected, bound):
+            assert p.data is data
+            assert p.data.dtype == want.dtype
+            assert np.array_equal(p.data, want)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(optimizer_cases())
 def test_flat_adam_is_bit_identical(case):
-    shapes, steps, seed, wd, drop = case
-    fused = _train_params(
-        lambda ps: Adam(ps, lr=1e-2, weight_decay=wd, fused=True),
-        shapes, steps, seed, drop,
+    wd = case[3]
+    m = [np.zeros(shape, dtype) for shape, dtype in case[0]]
+    v = [np.zeros(shape, dtype) for shape, dtype in case[0]]
+    _assert_matches_oracle(
+        lambda ps: Adam(ps, lr=1e-2, weight_decay=wd),
+        lambda data, grads, t: oracle_adam_step(
+            data, grads, m, v, t, lr=1e-2, weight_decay=wd
+        ),
+        case,
     )
-    ref = _train_params(
-        lambda ps: Adam(ps, lr=1e-2, weight_decay=wd, fused=False),
-        shapes, steps, seed, drop,
-    )
-    for a, b in zip(fused, ref):
-        assert np.array_equal(a, b)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(optimizer_cases(), st.sampled_from([0.0, 0.9]))
 def test_flat_sgd_is_bit_identical(case, momentum):
-    shapes, steps, seed, wd, drop = case
-    fused = _train_params(
-        lambda ps: SGD(ps, lr=0.05, momentum=momentum, weight_decay=wd,
-                       fused=True),
-        shapes, steps, seed, drop,
+    wd = case[3]
+    velocity = [None] * len(case[0])
+    _assert_matches_oracle(
+        lambda ps: SGD(ps, lr=0.05, momentum=momentum, weight_decay=wd),
+        lambda data, grads, t: oracle_sgd_step(
+            data, grads, velocity, lr=0.05, momentum=momentum, weight_decay=wd
+        ),
+        case,
     )
-    ref = _train_params(
-        lambda ps: SGD(ps, lr=0.05, momentum=momentum, weight_decay=wd,
-                       fused=False),
-        shapes, steps, seed, drop,
-    )
-    for a, b in zip(fused, ref):
-        assert np.array_equal(a, b)

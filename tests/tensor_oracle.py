@@ -1,4 +1,13 @@
-"""Reference formulations of the batch-norm and 2-D window ops.
+"""Reference formulations of the kernels ``repro.tensor`` /
+``repro.nn`` / ``repro.optim`` run as one fused piece.
+
+**LSTM gates and optimizer steps** (bottom of the file): the six-node
+elementwise gate tail ``LSTMCell`` / ``ConvLSTMCell`` ran before
+``ops_fused.fused_lstm_gates``, and the per-parameter Adam / SGD loops
+that allocate a fresh array per update.  ``test_property_fused.py``
+holds the library to them bit for bit.
+
+**Batch norm and 2-D window ops:**
 
 These are the forms ``repro.tensor`` / ``repro.nn`` ran before
 ``ops_fused.batch_norm2d`` and the strided-tap pooling kernels replaced
@@ -70,3 +79,52 @@ def oracle_upsample_nearest2d(x: Tensor, scale: int) -> Tensor:
         x._accumulate(_blocks(grad, scale).sum(axis=(3, 5)))
 
     return Tensor._make(out, (x,), backward)
+
+
+def oracle_lstm_gates(gates: Tensor, c_prev: Tensor, hidden: int):
+    """``(h_next, c_next)`` from packed ``[i | f | g | o]`` gate
+    pre-activations (axis 1), as a chain of elementwise autograd ops."""
+    i = gates[:, 0 * hidden : 1 * hidden].sigmoid()
+    f = gates[:, 1 * hidden : 2 * hidden].sigmoid()
+    g = gates[:, 2 * hidden : 3 * hidden].tanh()
+    o = gates[:, 3 * hidden : 4 * hidden].sigmoid()
+    c_next = f * c_prev + i * g
+    h_next = o * c_next.tanh()
+    return h_next, c_next
+
+
+def oracle_adam_step(
+    data, grads, m, v, t, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0
+):
+    """Step ``t`` (1-based) of Adam over parallel lists of arrays;
+    ``data`` / ``m`` / ``v`` entries are replaced by fresh arrays, a
+    parameter whose gradient is ``None`` is skipped."""
+    b1, b2 = betas
+    bias1 = 1.0 - b1**t
+    bias2 = 1.0 - b2**t
+    for i, grad in enumerate(grads):
+        if grad is None:
+            continue
+        if weight_decay:
+            grad = grad + weight_decay * data[i]
+        m[i] = b1 * m[i] + (1 - b1) * grad
+        v[i] = b2 * v[i] + (1 - b2) * grad * grad
+        m_hat = m[i] / bias1
+        v_hat = v[i] / bias2
+        data[i] = data[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def oracle_sgd_step(data, grads, velocity, lr, momentum=0.0, weight_decay=0.0):
+    """One SGD step over parallel lists of arrays; ``velocity`` entries
+    start as ``None`` and are created on first use."""
+    for i, grad in enumerate(grads):
+        if grad is None:
+            continue
+        if weight_decay:
+            grad = grad + weight_decay * data[i]
+        if momentum:
+            if velocity[i] is None:
+                velocity[i] = np.zeros_like(data[i])
+            velocity[i] = momentum * velocity[i] + grad
+            grad = velocity[i]
+        data[i] = data[i] - lr * grad

@@ -150,11 +150,15 @@ class TestCache:
         assert meter.current == 0
         spill_dir = session.spill_manager.directory
         assert spill_dir is None or os.listdir(spill_dir) == []
+        # A limit that lands on a partition boundary pulls none extra.
+        assert len(cached.take(10)) == 10
+        assert len(calls) == 2
+        assert "Cache[cold]" in cached.explain()
         assert cached.count() == 40
         assert "Cache[hot]" in cached.explain()
-        assert len(calls) == 1 + 4
+        assert len(calls) == 2 + 4
         np.testing.assert_array_equal(cached.to_columns()["x"], np.arange(40))
-        assert len(calls) == 1 + 4
+        assert len(calls) == 2 + 4
         session.close()
 
     def test_downstream_ops_work(self, session):

@@ -1,8 +1,8 @@
-"""Tests for the expression/stage compiler and morsel-parallel
-execution (``repro.engine.compile``, executor parallel path).
+"""Tests for the expression/stage compiler (``repro.engine.compile``)
+and the executor's stage path.
 
-The contract under test everywhere: compiled execution — serial or
-parallel — is *bit-identical* to the tree-walking ``Expr.evaluate``.
+The contract under test everywhere: compiled execution is
+*bit-identical* to the tree-walking ``Expr.evaluate``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import pytest
 from repro.engine import Session, col, lit, udf
 from repro.engine import plan as P
 from repro.engine.compile import (
-    CompiledExpr,
     StageRunner,
     compile_expr,
     compile_stages,
@@ -313,65 +312,6 @@ class TestExecutorFastPath:
         assert out["a"].dtype == np.int64
 
 
-class TestMorselParallel:
-    def _pipeline(self, session, n=2000, parts=7):
-        df = session.create_dataframe(
-            {
-                "a": np.arange(n, dtype=np.int64),
-                "b": np.linspace(-1, 1, n),
-            },
-            num_partitions=parts,
-        )
-        return (
-            df.filter((col("a") % 7 != 0) & (col("b") < lit(0.9)))
-            .with_column("c", col("a") * col("b") + lit(3.0))
-            .select("a", "c")
-        )
-
-    def test_parallel_matches_serial_bitwise(self):
-        serial = self._pipeline(Session(default_parallelism=4)).to_columns()
-        parallel = self._pipeline(
-            Session(default_parallelism=4, parallelism=3)
-        ).to_columns()
-        assert list(serial) == list(parallel)
-        for name in serial:
-            assert_identical(parallel[name], serial[name])
-
-    def test_parallel_preserves_partition_order(self):
-        session = Session(default_parallelism=4, parallelism=2)
-        df = self._pipeline(session)
-        sizes = [p.num_rows for p in df.iter_partitions()]
-        serial_sizes = [
-            p.num_rows
-            for p in self._pipeline(Session(default_parallelism=4)).iter_partitions()
-        ]
-        assert sizes == serial_sizes
-
-    def test_parallel_early_stop_shuts_down_cleanly(self):
-        session = Session(default_parallelism=4, parallelism=2)
-        df = self._pipeline(session)
-        it = df.iter_partitions()
-        next(it)
-        it.close()  # must not hang or leak the pool
-
-    def test_parallel_udf_errors_propagate(self):
-        session = Session(default_parallelism=4, parallelism=2)
-        df = session.create_dataframe(
-            {"a": np.arange(20, dtype=np.int64)}, num_partitions=4
-        )
-
-        def boom(a):
-            raise RuntimeError("udf failure")
-
-        bad = df.with_column("c", udf(boom, [col("a")], "boom"))
-        with pytest.raises(RuntimeError, match="udf failure"):
-            bad.collect()
-
-    def test_session_validates_parallelism(self):
-        with pytest.raises(ValueError):
-            Session(parallelism=0)
-
-
 class TestAnalyzeIntegration:
     def test_compiled_stage_reports_work_and_rows_per_s(self):
         from repro import obs
@@ -387,29 +327,6 @@ class TestAnalyzeIntegration:
             assert "CompiledStage[" in text
             assert "work=" in text
             assert "rows_per_s=" in text
-        finally:
-            obs.reset()
-
-    def test_parallel_analyze_counts_match_serial(self):
-        from repro import obs
-
-        obs.reset()
-        obs.set_enabled(True)
-        try:
-            def run(parallelism):
-                session = Session(
-                    default_parallelism=4, parallelism=parallelism
-                )
-                df = session.create_dataframe(
-                    {"a": np.arange(200, dtype=np.int64)},
-                    num_partitions=4,
-                ).filter(col("a") % 2 == 0)
-                list(df.iter_partitions())
-                stats = session.last_plan_stats
-                root = stats.node(session.last_plan)
-                return root.rows_out, root.partitions
-
-            assert run(1) == run(2)
         finally:
             obs.reset()
 

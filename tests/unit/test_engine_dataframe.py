@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine import Session, agg, col, lit, udf
+from repro.engine import Session, agg, col, lit
 from repro.engine.partition import Partition
 
 
@@ -54,6 +54,10 @@ class TestCreation:
         assert out.count() == 0
         assert out.columns == ["x"]
 
+    def test_session_takes_no_parallelism(self):
+        with pytest.raises(TypeError):
+            Session(parallelism=2)
+
 
 class TestNarrowOps:
     def test_select_names(self, df):
@@ -102,6 +106,27 @@ class TestNarrowOps:
     def test_limit_across_partitions(self, df):
         assert df.limit(8).count() == 8
         assert [r["x"] for r in df.limit(5).collect()] == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "n, pulled", [(0, 0), (100, 1), (150, 2), (200, 2), (1000, 4)]
+    )
+    def test_limit_pulls_only_the_partitions_it_needs(self, n, pulled):
+        calls = []
+
+        def spy(part):
+            calls.append(part.num_rows)
+            return part
+
+        df = (
+            Session()
+            .create_dataframe({"x": np.arange(400)}, num_partitions=4)
+            .map_partitions(spy)
+            .limit(n)
+        )
+        np.testing.assert_array_equal(
+            df.to_columns()["x"], np.arange(min(n, 400))
+        )
+        assert calls == [100] * pulled
 
     def test_take(self, df):
         assert len(df.take(4)) == 4

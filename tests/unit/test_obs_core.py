@@ -201,7 +201,7 @@ class TestExport:
     def test_snapshot_schema(self):
         obs.registry.counter("x").inc()
         snap = obs.export.snapshot()
-        assert snap["schema_version"] == 1
+        assert snap["schema_version"] == 2
         assert snap["metrics"]["counters"]["x"] == 1
         assert "traces" not in snap
 

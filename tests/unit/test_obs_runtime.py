@@ -422,16 +422,16 @@ class TestQueryProfiles:
         assert span.elapsed_s > 0.0
 
     def test_profile_artifact_schema(self, tmp_path):
-        session = Session(parallelism=2)
+        session = Session()
         df = self._frame(session).filter(col("v") > 0.1).with_column(
             "w", col("v") * 2.0
         )
         path = str(tmp_path / "profile.json")
         rows = df.collect(profile=path)
         payload = json.loads(open(path).read())
+        assert payload["schema_version"] == 2
         assert payload["query_id"] == session.last_query_id
         assert payload["session"] == {
-            "parallelism": 2,
             "optimize": True,
             "memory_budget": session.memory_budget,
             "default_parallelism": 4,
@@ -450,34 +450,45 @@ class TestQueryProfiles:
                 df.collect(profile=str(tmp_path / "p.json"))
 
     def test_parallel_spilled_query_has_one_connected_span_tree(self):
-        # The acceptance criterion: parallelism=2 + a forced memory
-        # budget produce morsel and spill spans, every one of them
-        # reachable from (and correctly parented under) the single
-        # engine.query root.
-        with Session(parallelism=2, memory_budget=1, default_parallelism=4) as session:
-            df = (
-                self._frame(session, n=400)
-                .with_column("w", col("v") * 3.0)
-                .filter(col("v") >= 0.0)
-                .order_by("k")
-            )
-            df.collect()
-            root = session.last_query_span
+        # Two user threads each run a query under a forced memory
+        # budget at the same time.  Each query's spill spans are all
+        # reachable from (and correctly parented under) its own single
+        # engine.query root, on its own thread — the tracer's nesting
+        # stack is per thread.
+        roots = {}
+
+        def query(slot):
+            with Session(memory_budget=1, default_parallelism=4) as session:
+                (
+                    self._frame(session, n=400)
+                    .with_column("w", col("v") * 3.0)
+                    .filter(col("v") >= 0.0)
+                    .order_by("k")
+                    .collect()
+                )
+                roots[slot] = session.last_query_span
+
+        threads = [threading.Thread(target=query, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert sorted(roots) == [0, 1]
+        assert roots[0].thread_id != roots[1].thread_id
+        for root in roots.values():
             spans = list(root.walk())
             names = {s.name for s in spans}
-            assert "engine.morsel" in names
+            assert root.name == "engine.query"
             assert "engine.spill.write" in names
             assert "engine.spill.read" in names
             ids = {s.span_id for s in spans}
             for span in spans:
+                assert span.thread_id == root.thread_id
                 if span is root:
                     assert span.parent is None
                 else:
                     assert span.parent is not None
                     assert span.parent_id in ids
-            # morsel spans ran on worker threads yet parent into the tree
-            morsels = [s for s in spans if s.name == "engine.morsel"]
-            assert any(s.thread_id != root.thread_id for s in morsels)
 
 
 class TestTraceReasonCounters:

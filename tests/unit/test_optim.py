@@ -7,6 +7,7 @@ from repro import nn
 from repro.nn.module import Parameter
 from repro.optim import SGD, Adam, StepLR
 from repro.tensor import Tensor
+from tests.tensor_oracle import oracle_adam_step, oracle_sgd_step
 
 
 def _param(values):
@@ -98,6 +99,83 @@ class TestAdam:
             opt.step()
         assert layer.weight.data[0, 0] == pytest.approx(2.0, abs=0.05)
         assert layer.bias.data[0] == pytest.approx(1.0, abs=0.05)
+
+
+class TestStepInPlace:
+    """A step never rebinds or re-types a parameter, whichever of the
+    flat and the per-parameter update runs."""
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("kind", ["adam", "sgd", "sgd_momentum"])
+    def test_mixed_dtypes_match_oracle_at_own_dtype(self, kind, weight_decay):
+        rng = np.random.default_rng(0)
+        dtypes = [np.float32, np.float64, np.float32]
+        params = [
+            Tensor(rng.standard_normal((3, 2)), requires_grad=True, dtype=d)
+            for d in dtypes
+        ]
+        expected = [p.data.copy() for p in params]
+        if kind == "adam":
+            opt = Adam(params, lr=1e-2, weight_decay=weight_decay)
+            m = [np.zeros_like(e) for e in expected]
+            v = [np.zeros_like(e) for e in expected]
+
+            def oracle(grads, t):
+                oracle_adam_step(
+                    expected, grads, m, v, t, 1e-2, weight_decay=weight_decay
+                )
+        else:
+            momentum = 0.9 if kind == "sgd_momentum" else 0.0
+            opt = SGD(
+                params, lr=0.05, momentum=momentum, weight_decay=weight_decay
+            )
+            velocity = [None] * len(params)
+
+            def oracle(grads, t):
+                oracle_sgd_step(
+                    expected, grads, velocity, 0.05, momentum, weight_decay
+                )
+
+        bound = [p.data for p in params]
+        for t in range(1, 11):
+            grads = [
+                rng.standard_normal(p.shape).astype(p.dtype) for p in params
+            ]
+            for p, g in zip(params, grads):
+                p.grad = g.copy()
+            opt.step()
+            oracle(grads, t)
+            for p, want, data in zip(params, expected, bound):
+                assert p.data is data
+                assert p.data.dtype == want.dtype
+                assert np.array_equal(p.data, want)
+
+    @pytest.mark.parametrize(
+        "make", [lambda ps: Adam(ps), lambda ps: SGD(ps, momentum=0.9)]
+    )
+    @pytest.mark.parametrize("others", [[], [np.float64]])
+    def test_float64_gradient_leaves_float32_parameter_float32(
+        self, make, others
+    ):
+        params = [
+            Tensor(np.ones(4), requires_grad=True, dtype=d)
+            for d in [np.float32, *others]
+        ]
+        opt = make(params)
+        data = params[0].data
+        for _ in range(2):
+            for p in params:
+                p.grad = np.full(4, 0.5, dtype=np.float64)
+            opt.step()
+        assert params[0].data is data
+        assert data.dtype == np.float32
+        assert np.all(data < 1.0)
+
+    def test_no_fused_switch(self):
+        with pytest.raises(TypeError):
+            Adam([_param([1.0])], fused=False)
+        with pytest.raises(TypeError):
+            SGD([_param([1.0])], fused=False)
 
 
 class TestStepLR:

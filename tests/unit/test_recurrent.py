@@ -78,6 +78,14 @@ class TestConvLSTM:
         with pytest.raises(ValueError, match="N, T, C, H, W"):
             nn.ConvLSTM(1, 2)(_x(rng, (1, 1, 4, 4)))
 
+    def test_no_fused_switch(self):
+        with pytest.raises(TypeError):
+            nn.ConvLSTM(1, [4], fused=False)
+        with pytest.raises(TypeError):
+            nn.ConvLSTMCell(1, 4, fused=False)
+        with pytest.raises(TypeError):
+            nn.LSTMCell(1, 4, fused=False)
+
     def test_temporal_dependence(self, rng):
         # Permuting the input sequence changes the final hidden state.
         model = nn.ConvLSTM(1, 3, rng=0)

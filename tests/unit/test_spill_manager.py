@@ -188,16 +188,28 @@ class TestThreadSafety:
         manager.close()
 
     def test_parallel_session_spill_correct(self, tmp_path):
+        """Two user threads sort through one budgeted session — one
+        SpillManager — at the same time."""
         data = {"x": np.random.default_rng(3).permutation(4000)}
-        with Session(
-            memory_budget=2048, spill_dir=str(tmp_path), parallelism=2
-        ) as session:
-            out = (
-                session.create_dataframe(data, num_partitions=8)
-                .order_by("x")
-                .to_columns()
-            )
-        np.testing.assert_array_equal(out["x"], np.arange(4000))
+        outs = {}
+        with Session(memory_budget=2048, spill_dir=str(tmp_path)) as session:
+            df = session.create_dataframe(data, num_partitions=8).order_by("x")
+            assert session.spill_manager is not None  # created before sharing
+
+            def sort(slot):
+                outs[slot] = df.to_columns()["x"]
+
+            threads = [
+                threading.Thread(target=sort, args=(k,)) for k in range(2)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert session.spill_manager.stats()["partitions_spilled"] > 0
+        assert sorted(outs) == [0, 1]
+        for out in outs.values():
+            np.testing.assert_array_equal(out, np.arange(4000))
 
 
 class TestSpillableBuffer:
