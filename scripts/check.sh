@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Repo health check, eleven gates:
 #   1. lint: ruff check (config in pyproject.toml); skipped with a
-#      note when ruff is not installed in the environment
+#      note when ruff is not installed in the environment; plus one
+#      grep: nothing under src/repro/spatial/ may name zipfile,
+#      savez or np.load — the .rtif store is one blob per tile
+#      (tests/data/golden_v1.rtif pins its bytes), not an npz archive
 #   2. tier-1: the full test suite (what the roadmap pins)
 #   3. fast lane: unit tests minus anything marked slow
 #   4. spill lane: the spill suites, and the cache + STManager suites
@@ -49,6 +52,8 @@ elif python -c "import ruff" >/dev/null 2>&1; then
 else
     echo "ruff not installed; skipping lint gate (pip install ruff to enable)"
 fi
+# (`set -e` does not act on a `!` pipeline, hence the explicit exit.)
+! grep -rnE --include='*.py' "zipfile|savez|np\.load" src/repro/spatial/ || exit 1
 
 echo "== tier-1: full suite =="
 python -m pytest -x -q

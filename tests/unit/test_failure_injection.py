@@ -4,6 +4,7 @@ The system should fail loudly and precisely, never silently corrupt.
 """
 
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -11,24 +12,111 @@ import pytest
 from repro.core.datasets.grid import BikeNYCDeepSTN
 from repro.engine import Session
 from repro.spatial import RasterTile, load_raster_folder, read_rtif, write_rtif
-from repro.spatial.raster_io import RTIF_EXTENSION
+from repro.spatial.raster_io import RTIF_EXTENSION, RtifError
+from tests import rtif_oracle
 
 
 class TestCorruptRasterFiles:
-    def test_truncated_rtif(self, tmp_path):
-        tile = RasterTile(np.zeros((1, 4, 4), dtype=np.float32))
-        path = write_rtif(tile, str(tmp_path / "tile"))
-        with open(path, "r+b") as handle:
-            handle.truncate(20)
-        with pytest.raises(Exception):
+    """Every way a tile file can be wrong is an ``RtifError`` naming
+    the path and the failed check — and never a tile."""
+
+    PIXELS = np.arange(32, dtype=np.float32).reshape(2, 4, 4)
+
+    def _tile_file(self, tmp_path) -> tuple:
+        path = write_rtif(
+            RasterTile(self.PIXELS, name="good"), str(tmp_path / "tile")
+        )
+        with open(path, "rb") as handle:
+            return path, handle.read()
+
+    def _read_damaged(self, path: str, blob: bytes, match=None) -> None:
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        with pytest.raises(RtifError, match=match) as caught:
             read_rtif(path)
+        assert path in str(caught.value)
+
+    def test_truncated_rtif(self, tmp_path):
+        path, blob = self._tile_file(tmp_path)
+        header_len = rtif_oracle.PREFIX.unpack_from(blob)[2]
+        body = rtif_oracle.PREFIX.size + header_len
+        for cut, check in (
+            (0, "shorter than the 13-byte prefix"),
+            (2, "shorter than the 13-byte prefix"),  # inside the magic
+            (12, "shorter than the 13-byte prefix"),
+            (13, "runs past the end"),
+            (body - 1, "runs past the end"),  # inside the header
+            (body, "checksum mismatch"),  # header whole, no payload
+            (body + 5, "checksum mismatch"),  # inside the payload
+            (len(blob) - 1, "checksum mismatch"),  # last byte gone
+        ):
+            self._read_damaged(path, blob[:cut], check)
+        for cut in range(len(blob)):
+            self._read_damaged(path, blob[:cut])
 
     def test_garbage_rtif(self, tmp_path):
         path = str(tmp_path / "junk") + RTIF_EXTENSION
+        self._read_damaged(path, b"this is not a raster tile", "magic")
+
+    def test_any_flipped_byte_is_detected(self, tmp_path):
+        path, blob = self._tile_file(tmp_path)
+        body = rtif_oracle.PREFIX.size + rtif_oracle.PREFIX.unpack_from(blob)[2]
+        for position, check in (
+            (0, "magic"),
+            (4, "format version"),
+            (9, "checksum mismatch"),  # the stored CRC itself
+            (20, "checksum mismatch"),  # a header byte
+            (body + 3, "checksum mismatch"),  # a payload byte
+        ):
+            damaged = bytearray(blob)
+            damaged[position] ^= 0x01
+            self._read_damaged(path, bytes(damaged), check)
+        for position in range(len(blob)):
+            damaged = bytearray(blob)
+            damaged[position] ^= 0x40
+            self._read_damaged(path, bytes(damaged))
+
+    def test_each_check_behind_a_valid_checksum(self, tmp_path):
+        # Files whose CRC matches what they hold, so the later checks
+        # are the ones that must refuse them.
+        path = str(tmp_path / "crafted") + RTIF_EXTENSION
+        header = rtif_oracle.header(self.PIXELS.shape)
+        payload = zlib.compress(rtif_oracle.planes(self.PIXELS))
+        for blob, check in (
+            (rtif_oracle.assemble(header, payload, version=2), "format version 2"),
+            (rtif_oracle.assemble(b"{not json", payload), "header"),
+            (rtif_oracle.assemble(b"\xff\xfe", payload), "header"),
+            (rtif_oracle.assemble(b'{"crs": "x"}', payload), "header"),
+            (rtif_oracle.assemble(header, payload[:-6]), "does not inflate"),
+            (rtif_oracle.assemble(header, b"no stream"), "does not inflate"),
+            (
+                rtif_oracle.assemble(
+                    rtif_oracle.header((3, 4, 4)), payload
+                ),
+                r"decodes to 128 bytes, shape \(3, 4, 4\) needs 192",
+            ),
+            (
+                rtif_oracle.assemble(
+                    rtif_oracle.header((1, 4, 4)), payload
+                ),
+                r"decodes to 128 bytes, shape \(1, 4, 4\) needs 64",
+            ),
+        ):
+            self._read_damaged(path, blob, check)
+        # The same parts, assembled untouched, are a tile.
         with open(path, "wb") as handle:
-            handle.write(b"this is not a numpy archive")
-        with pytest.raises(Exception):
+            handle.write(rtif_oracle.assemble(header, payload))
+        assert np.array_equal(read_rtif(path).data, self.PIXELS)
+
+    def test_inflate_failure_keeps_its_cause(self, tmp_path):
+        path = str(tmp_path / "stream") + RTIF_EXTENSION
+        with open(path, "wb") as handle:
+            handle.write(
+                rtif_oracle.assemble(rtif_oracle.header((1, 1, 1)), b"junk")
+            )
+        with pytest.raises(RtifError) as caught:
             read_rtif(path)
+        assert isinstance(caught.value.__cause__, zlib.error)
 
     def test_corrupt_tile_in_folder_fails_scan(self, tmp_path):
         folder = str(tmp_path / "tiles")
@@ -42,19 +130,18 @@ class TestCorruptRasterFiles:
             handle.write(b"junk")
         session = Session()
         df = load_raster_folder(session, folder, tiles_per_partition=1)
-        with pytest.raises(Exception):
+        with pytest.raises(RtifError, match="shorter than") as caught:
             df.collect()
+        assert bad in str(caught.value)
 
     def test_rtif_missing_bands_axis(self, tmp_path):
-        # Writing hand-rolled archives without the 3D contract fails
-        # at construction, not deep inside training.
+        # A well-formed file whose shape breaks the 3-D contract fails
+        # at construction, not deep inside training.  (The match string
+        # must not be satisfiable by this test's own tmp_path.)
         path = str(tmp_path / "flat") + RTIF_EXTENSION
-        np.savez_compressed(
-            path.removesuffix(".npz"),
-            data=np.zeros((4, 4), dtype=np.float32),
-            meta=np.frombuffer(b"{}", dtype=np.uint8),
-        )
-        with pytest.raises(ValueError, match="bands"):
+        with open(path, "wb") as handle:
+            handle.write(rtif_oracle.encode(np.zeros((4, 4), dtype=np.float32)))
+        with pytest.raises(ValueError, match=r"\(bands, height, width\)"):
             read_rtif(path)
 
 

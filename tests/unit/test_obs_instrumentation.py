@@ -1,7 +1,9 @@
-"""The built-in instrumentation points: spatial join, DFtoTorch
-converter, and Trainer all reporting into ``repro.obs.registry``."""
+"""The built-in instrumentation points: spatial join, raster I/O,
+DFtoTorch converter, and Trainer all reporting into ``repro.obs.registry``."""
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -15,7 +17,14 @@ from repro.engine import Session
 from repro.geometry import Envelope
 from repro.nn import Linear, MSELoss
 from repro.optim import Adam
-from repro.spatial import spatial_join_points_polygons
+from repro.spatial import (
+    RasterTile,
+    load_raster_folder,
+    read_rtif,
+    spatial_join_points_polygons,
+    write_raster_dataframe,
+    write_rtif,
+)
 from repro.tensor import Tensor
 from tests.spatial_oracle import oracle_join, split_on_diagonal
 
@@ -106,6 +115,57 @@ class TestSpatialJoinMetrics:
             self._run(session, rng, use_index=True)
         counters = obs.export.snapshot()["metrics"]["counters"]
         assert counters.get("spatial_join.index_probes", 0) == 0
+        assert not obs.tracer.roots
+
+
+class TestRasterIoSpans:
+    """One span per partition read and one per frame written, each
+    carrying enough to read compression ratio and MB/s off the trace."""
+
+    TILES, PER_PARTITION = 5, 2
+
+    def _spans(self, name: str) -> list:
+        return [
+            span
+            for root in obs.tracer.roots
+            for span in root.walk()
+            if span.name == name
+        ]
+
+    def test_read_partition_and_write_frame(self, session, rng, tmp_path):
+        src, dst = str(tmp_path / "src"), str(tmp_path / "dst")
+        os.makedirs(src)
+        for i in range(self.TILES):
+            tile = RasterTile(rng.random((2, 4, 4), dtype=np.float32), name=f"t{i}")
+            write_rtif(tile, os.path.join(src, f"t{i}"))
+        assert not obs.tracer.roots  # a lone write_rtif opens no span
+        df = load_raster_folder(session, src, tiles_per_partition=self.PER_PARTITION)
+        assert write_raster_dataframe(df, dst) == self.TILES
+
+        def folder_bytes(folder):
+            return sum(
+                os.path.getsize(os.path.join(folder, f)) for f in os.listdir(folder)
+            )
+
+        raw = self.TILES * 2 * 4 * 4 * 4
+        reads = self._spans("spatial.rtif.read_partition")
+        assert [s.counters["tiles"] for s in reads] == [2, 2, 1]
+        assert sum(s.counters["bytes_disk"] for s in reads) == folder_bytes(src)
+        assert sum(s.counters["bytes_raw"] for s in reads) == raw
+        (write,) = self._spans("spatial.rtif.write_frame")
+        assert write.counters == {
+            "tiles": self.TILES,
+            "bytes_disk": folder_bytes(dst),
+            "bytes_raw": raw,
+        }
+        # The frame streams: its partition reads happen inside the write.
+        assert all(span in list(write.walk()) for span in reads)
+
+    def test_per_sample_reads_stay_span_free(self, rng, tmp_path):
+        path = write_rtif(
+            RasterTile(rng.random((1, 2, 2), dtype=np.float32)), str(tmp_path / "t")
+        )
+        read_rtif(path)
         assert not obs.tracer.roots
 
 

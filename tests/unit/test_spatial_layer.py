@@ -193,7 +193,7 @@ class TestRasterIO:
         )
         path = write_rtif(tile, str(tmp_path / "tile_a"))
         loaded = read_rtif(path)
-        np.testing.assert_allclose(loaded.data, tile.data)
+        np.testing.assert_array_equal(loaded.data, tile.data)
         assert loaded.envelope == tile.envelope
         assert loaded.crs == "EPSG:9999"
         assert loaded.nodata == -1.0
@@ -232,6 +232,6 @@ class TestRasterIO:
         assert count == 3
         again = load_raster_folder(session, dst)
         for row in again.collect():
-            np.testing.assert_allclose(
+            np.testing.assert_array_equal(
                 row["tile"].data, originals[row["name"]]
             )
