@@ -41,7 +41,7 @@ def _triangles() -> list:
     return zones
 
 
-def _run_join(records: dict, polygons: list, use_index: bool) -> tuple[float, int]:
+def _time_join(records: dict, polygons: list, use_index: bool) -> tuple[float, int]:
     session = Session(default_parallelism=4)
     df = session.create_dataframe(records)
     started = time.perf_counter()
@@ -58,8 +58,8 @@ def test_ablation_spatial_join_index(benchmark, report, make_zones):
     polygons = make_zones()
 
     def run():
-        indexed_s, indexed_n = _run_join(records, polygons, use_index=True)
-        brute_s, brute_n = _run_join(records, polygons, use_index=False)
+        indexed_s, indexed_n = _time_join(records, polygons, use_index=True)
+        brute_s, brute_n = _time_join(records, polygons, use_index=False)
         return indexed_s, indexed_n, brute_s, brute_n
 
     indexed_s, indexed_n, brute_s, brute_n = benchmark.pedantic(

@@ -1,58 +1,15 @@
-"""Engine ablation: vectorized join vs the seed per-row join, and the
-logical-plan optimizer on vs off.
+"""Engine ablation: the logical-plan optimizer on vs off.
 
-Two workloads:
-
-- **join-heavy** — a 50k x 50k key join; the executor's factorize +
-  searchsorted probe against the seed's dict-build/per-row-probe
-  algorithm (preserved in ``run_quick.per_row_join``).
-- **prune-heavy** — a wide frame with an expensive unused UDF column,
-  narrowed to two columns; the optimizer's column pruning should drop
-  the UDF and the unused columns entirely.
+The workload is **prune-heavy** — a wide frame with an expensive unused
+UDF column, narrowed to two columns; the optimizer's column pruning
+should drop the UDF and the unused columns entirely.
 """
 
 from __future__ import annotations
 
-import time
-
 from repro.engine import Session
 
-from run_quick import (
-    bench_optimizer,
-    make_join_inputs,
-    per_row_join,
-    prune_heavy_frame,
-)
-
-
-def test_join_vectorized_vs_per_row(benchmark, report):
-    left_cols, right_cols = make_join_inputs()
-
-    def run():
-        session = Session(default_parallelism=4)
-        left = session.create_dataframe(left_cols)
-        right = session.create_dataframe(right_cols)
-        started = time.perf_counter()
-        vec_rows = left.join(right, on="k").count()
-        vectorized_s = time.perf_counter() - started
-
-        started = time.perf_counter()
-        reference = per_row_join(left_cols, right_cols, "k")
-        per_row_s = time.perf_counter() - started
-        return vectorized_s, per_row_s, vec_rows, len(reference["k"])
-
-    vectorized_s, per_row_s, vec_rows, ref_rows = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    report(
-        "Engine join: vectorized vs per-row\n"
-        "==================================\n"
-        f"vectorized: {vectorized_s:8.3f}s  ({vec_rows} rows)\n"
-        f"per-row:    {per_row_s:8.3f}s  ({ref_rows} rows)\n"
-        f"speedup:    {per_row_s / vectorized_s:8.1f}x"
-    )
-    assert vec_rows == ref_rows
-    assert per_row_s >= 5.0 * vectorized_s
+from run_quick import bench_optimizer, prune_heavy_frame
 
 
 def test_optimizer_prune_heavy(benchmark, report):

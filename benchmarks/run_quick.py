@@ -5,7 +5,7 @@ Standalone (no pytest) so CI and future PRs can diff keyed timings:
 
     python benchmarks/run_quick.py
 
-Keys: the vectorized vs per-row 50k x 50k key join, a 500k-row
+Keys: a 500k-row
 group-by, the optimizer on/off prune-heavy workload, the fused
 expression-stage pipeline, the out-of-core order_by under a memory
 budget (peak bytes + spill slowdown), incremental streaming maintenance (delta
@@ -29,71 +29,6 @@ import numpy as np  # noqa: E402
 
 from repro import obs  # noqa: E402
 from repro.engine import Session, agg, col, udf  # noqa: E402
-
-JOIN_ROWS = 50_000
-
-
-def make_join_inputs(n: int = JOIN_ROWS, seed: int = 3):
-    rng = np.random.default_rng(seed)
-    left = {
-        "k": rng.integers(0, n, n).astype(np.int64),
-        "lv": rng.uniform(0, 1, n),
-    }
-    right = {
-        "k": np.arange(n, dtype=np.int64),
-        "rv": rng.uniform(0, 1, n),
-    }
-    return left, right
-
-
-def per_row_join(left: dict, right: dict, on: str):
-    """The seed executor's join algorithm: dict build, per-row probe.
-
-    Kept here as the reference the vectorized join is measured
-    against, so the speedup claim stays reproducible after the seed
-    code is gone.
-    """
-    table: dict = {}
-    right_keys = right[on]
-    for i in range(len(right_keys)):
-        table.setdefault(right_keys[i], []).append(i)
-    left_keys = left[on]
-    left_idx: list[int] = []
-    right_idx: list[int] = []
-    for i in range(len(left_keys)):
-        for j in table.get(left_keys[i], ()):
-            left_idx.append(i)
-            right_idx.append(j)
-    li = np.asarray(left_idx, dtype=np.int64)
-    ri = np.asarray(right_idx, dtype=np.int64)
-    out = {name: arr[li] for name, arr in left.items()}
-    for name, arr in right.items():
-        if name != on:
-            out[name] = arr[ri]
-    return out
-
-
-def bench_join() -> dict:
-    left_cols, right_cols = make_join_inputs()
-    session = Session(default_parallelism=4)
-    left = session.create_dataframe(left_cols)
-    right = session.create_dataframe(right_cols)
-
-    started = time.perf_counter()
-    vec_rows = left.join(right, on="k").count()
-    vectorized_s = time.perf_counter() - started
-
-    started = time.perf_counter()
-    reference = per_row_join(left_cols, right_cols, "k")
-    per_row_s = time.perf_counter() - started
-
-    assert vec_rows == len(reference["k"])
-    return {
-        "join_rows": JOIN_ROWS,
-        "join_vectorized_s": vectorized_s,
-        "join_per_row_s": per_row_s,
-        "join_speedup": per_row_s / vectorized_s,
-    }
 
 
 def bench_groupby(n: int = 500_000, groups: int = 256) -> dict:
@@ -150,23 +85,21 @@ def bench_optimizer() -> dict:
 
 
 def bench_observability() -> dict:
-    """Cost of on-by-default instrumentation on the join workload:
-    the same count() with the obs layer enabled vs disabled.  The
-    acceptance bar is < 10% overhead (instrumentation is per
-    partition, never per row, so it should be far under).  Runs a 4x
-    larger join than bench_join so per-count time (~15ms) dwarfs
-    scheduler jitter."""
-    left_cols, right_cols = make_join_inputs(n=4 * JOIN_ROWS)
+    """Cost of on-by-default instrumentation on a group-by over the
+    prune-heavy frame (narrow stage + wide operator): the same count()
+    with the obs layer enabled vs disabled.  The acceptance bar is
+    < 10% overhead (instrumentation is per partition, never per row,
+    so it should be far under)."""
     session = Session(default_parallelism=4)
-    left = session.create_dataframe(left_cols)
-    right = session.create_dataframe(right_cols)
-    joined = left.join(right, on="k")
+    grouped = (
+        prune_heavy_frame(session).group_by("k").agg(agg.sum_("v", "s"))
+    )
 
-    joined.count()  # warm both paths once
+    grouped.count()  # warm both paths once
     with obs.disabled():
-        joined.count()
+        grouped.count()
 
-    # Best-of-N with the two paths interleaved: the join count is a
+    # Best-of-N with the two paths interleaved: the count is a
     # few ms, so separate measurement loops would let clock drift /
     # turbo state masquerade as instrumentation overhead.
     repeats = 9
@@ -174,17 +107,17 @@ def bench_observability() -> dict:
     rows_on = rows_off = None
     for _ in range(repeats):
         started = time.perf_counter()
-        rows_on = joined.count()
+        rows_on = grouped.count()
         obs_on_s = min(obs_on_s, time.perf_counter() - started)
         with obs.disabled():
             started = time.perf_counter()
-            rows_off = joined.count()
+            rows_off = grouped.count()
             obs_off_s = min(obs_off_s, time.perf_counter() - started)
 
     assert rows_on == rows_off
     return {
-        "join_obs_on_s": obs_on_s,
-        "join_obs_off_s": obs_off_s,
+        "obs_on_s": obs_on_s,
+        "obs_off_s": obs_off_s,
         "obs_overhead_ratio": obs_on_s / obs_off_s,
     }
 
@@ -651,7 +584,6 @@ def main() -> dict:
     obs.reset()  # per-operator breakdown covers exactly this run
     results: dict = {}
     stages = (
-        bench_join,
         bench_groupby,
         bench_optimizer,
         bench_observability,

@@ -1,14 +1,13 @@
-"""Bring-your-own-data: JSON-lines trip records -> custom dataset.
+"""Bring-your-own-data: CSV trip records -> custom dataset.
 
 Shows the custom-dataset path (paper Section III-A1): instead of a
-ready-to-use benchmark dataset, raw records are read from a JSON-lines
-file, preprocessed with ``STManager``, and wrapped directly as a
-``CustomGridDataset``.
+ready-to-use benchmark dataset, raw records are read from a CSV file
+(the format of the NYC-TLC trip listing), preprocessed with
+``STManager``, and wrapped directly as a ``CustomGridDataset``.
 
 Run:  python examples/custom_data_pipeline.py
 """
 
-import json
 import os
 import tempfile
 
@@ -16,6 +15,7 @@ from repro.core.datasets.grid import CustomGridDataset
 from repro.core.datasets.synth import generate_trip_records
 from repro.core.preprocessing.grid import STManager
 from repro.engine import Session
+from repro.engine.io_csv import write_csv
 from repro.geometry.envelope import Envelope
 
 CITY = Envelope(-74.05, -73.75, 40.6, 40.9)
@@ -24,34 +24,28 @@ STEP = 1800.0
 NUM_STEPS = 48 * 2
 
 
-def write_jsonl_records(path: str, num_records: int = 30_000) -> None:
-    """Pretend-export: trip records as a JSON-lines file."""
+def write_csv_records(session, path: str, num_records: int = 30_000) -> None:
+    """Pretend-export: trip records as a CSV file."""
     records = generate_trip_records(
         num_records, CITY, num_steps=NUM_STEPS, step_seconds=STEP, seed=11
     )
-    with open(path, "w") as handle:
-        for i in range(num_records):
-            handle.write(
-                json.dumps(
-                    {
-                        "lat": float(records["lat"][i]),
-                        "lon": float(records["lon"][i]),
-                        "pickup_time": float(records["pickup_time"][i]),
-                    }
-                )
-                + "\n"
-            )
+    write_csv(
+        session.create_dataframe(
+            {name: records[name] for name in ("lat", "lon", "pickup_time")}
+        ),
+        path,
+    )
 
 
 def main():
     workdir = tempfile.mkdtemp(prefix="custom_data_")
-    path = os.path.join(workdir, "trips.jsonl")
-    write_jsonl_records(path)
+    path = os.path.join(workdir, "trips.csv")
+    session = Session(default_parallelism=4)
+    write_csv_records(session, path)
     print(f"wrote raw records to {path}")
 
     # Scan the file lazily, partition by partition.
-    session = Session(default_parallelism=4)
-    df = session.read_jsonl(path, rows_per_partition=10_000)
+    df = session.read_csv(path, rows_per_partition=10_000)
     print(f"scanned {df.num_partitions()} partitions, {df.count()} records")
 
     # Raw records -> aggregated grid DataFrame -> trainable dataset.

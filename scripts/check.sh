@@ -30,7 +30,7 @@
 #   9. bench smoke: benchmarks/run_quick.py runs to completion and
 #      regenerates BENCH_engine.json (incl. per-operator breakdown)
 #  10. bench diff: the fresh BENCH_engine.json must not regress the
-#      watched keys (obs overhead, join speedup, ConvLSTM epoch time,
+#      watched keys (obs overhead, ConvLSTM epoch time,
 #      peak activation bytes, spill peak bytes + slowdown,
 #      telemetry-runtime overhead, streaming update speedup + p99
 #      latency) >25% vs the committed one;

@@ -3,13 +3,11 @@
 
 Usage: python scripts/diff_bench.py BASELINE.json FRESH.json
 
-Guards the two headline health keys (scripts/check.sh runs this after
+Guards the headline health keys (scripts/check.sh runs this after
 regenerating BENCH_engine.json):
 
 - ``obs_overhead_ratio`` — cost of on-by-default instrumentation on
-  the join workload; higher is worse.
-- ``join_speedup`` — vectorized join vs the per-row reference; lower
-  is worse.
+  the prune-heavy group-by; higher is worse.
 - ``epoch_time_convlstm_s`` — ConvLSTM epoch wall time; higher is
   worse.
 - ``peak_activation_bytes`` — tracemalloc peak of the graph-freeing
@@ -53,7 +51,6 @@ TOLERANCE = 0.25
 #: key -> direction; "lower" means lower values are better.
 WATCHED = {
     "obs_overhead_ratio": "lower",
-    "join_speedup": "higher",
     "epoch_time_convlstm_s": "lower",
     "peak_activation_bytes": "lower",
     "order_by_spill_peak_bytes": "lower",

@@ -6,7 +6,7 @@ model mirrors PySpark:
 - a :class:`Session` creates DataFrames from rows, column dicts, or CSV;
 - a :class:`DataFrame` is a *lazy logical plan*; transformations
   (``select``, ``filter``, ``with_column``, ``group_by().agg``,
-  ``join``, ``union``, ``order_by``) build the plan;
+  ``union``, ``order_by``) build the plan;
 - actions (``collect``, ``count``, ``to_columns``, ``show``) execute it.
 
 Execution is partition-at-a-time: narrow operator chains are fused and
@@ -27,9 +27,7 @@ Before execution, plans pass through a rule-based logical optimizer
 - **Predicate pushdown** — filters move below ``Project`` /
   ``WithColumn`` (by substituting the column definitions into the
   predicate, never duplicating UDFs), below ``Drop``/``Union``/
-  ``OrderBy``, into ``GroupByAgg`` when key-only, and into join
-  inputs (key-only conjuncts reach both sides; side-local conjuncts
-  reach their side where the join type allows it).
+  ``OrderBy``, and into ``GroupByAgg`` when key-only.
 - **Fusion** — adjacent ``Filter`` nodes AND-combine;
   ``Project∘Project`` collapses via substitution; ``WithColumn``
   chains fuse into one :class:`repro.engine.plan.WithColumns`.
@@ -53,17 +51,15 @@ stage).  ``Expr.evaluate`` remains as the public
 tree-walker for evaluating a single expression on a partition.
 
 Materializing operators — the ops whose state is O(dataset), not
-O(partition): ``order_by``, ``repartition`` (buffer everything before
-emitting), ``cache`` (keeps results resident), the build side of
-``join``, and the per-group state of ``group_by().agg`` (one
+O(partition): ``order_by`` (buffers everything before emitting),
+``cache`` (keeps results resident), and ``group_by().agg`` (one
 vectorized state for every key type; non-numeric keys are
 dictionary-coded).  All of them report through the attached
-``MemoryMeter``.  The first four are parameterised by
+``MemoryMeter``.  The first two are parameterised by
 ``Session(memory_budget=bytes)``: input beyond the budget spills to
 disk through the session's :class:`repro.engine.spill.SpillManager`
-(``order_by`` becomes an external merge sort, ``join``
-grace-partitions an oversized build side, ``cache``/``repartition``
-buffer through spillable overflow); with no budget the same operators
+(``order_by`` becomes an external merge sort, ``cache`` keeps the
+overflow partitions on disk); with no budget the same operators
 never spill.  Results are bit-identical at every budget.  Spill
 failures surface as :class:`SpillError`; activity lands in
 ``repro.obs`` under ``engine.spill.*`` and as ``spilled=`` in
@@ -78,28 +74,21 @@ the plan and renders the tree annotated with the live stats.
 
 from repro.engine.session import Session
 from repro.engine.dataframe import DataFrame
-from repro.engine.expressions import col, lit, udf, Expr
+from repro.engine.expressions import col, lit, udf
 from repro.engine.schema import Schema, Field
 from repro.engine.partition import Partition
-from repro.engine.optimizer import optimize
 from repro.engine.spill import SpillError
-from repro.engine.streaming import Stream, StreamingAggregation, WindowSpec
 from repro.engine import aggregates as agg
 
 __all__ = [
     "Session",
     "DataFrame",
-    "optimize",
     "col",
     "lit",
     "udf",
-    "Expr",
     "Schema",
     "Field",
     "Partition",
     "SpillError",
-    "Stream",
-    "StreamingAggregation",
-    "WindowSpec",
     "agg",
 ]

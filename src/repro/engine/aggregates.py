@@ -8,13 +8,8 @@ measures.
 
 Every aggregate here is *mergeable*: its per-partition partial is a
 fixed-size summary that a two-accumulator ``merge`` combines without
-seeing the input rows again.  That property is what the spill paths
-and the incremental streaming layer (:mod:`repro.engine.streaming`)
-rely on — and it is why ``var`` / ``std`` carry a Chan-style
-``(mean, M2)`` pair instead of a naive
-sum-of-squares (numerically unstable) or the raw values
-(non-mergeable), and why ``count_distinct`` carries the value *set*
-rather than a count (counts of distinct values do not add).
+seeing the input rows again.  That property is what the incremental
+streaming layer (:mod:`repro.engine.streaming`) relies on.
 
 :class:`ArrayGroupState` is the vectorized form of that merge — whole
 accumulator arrays, one merge per partition, keyed by one
@@ -41,18 +36,9 @@ class AggSpec:
 
     out_name: str
     column: str  # "*" for count
-    kind: str  # count | sum | min | max | mean | var | std | count_distinct
+    kind: str  # count | sum | min | max | mean
 
-    _KINDS = (
-        "count",
-        "sum",
-        "min",
-        "max",
-        "mean",
-        "var",
-        "std",
-        "count_distinct",
-    )
+    _KINDS = ("count", "sum", "min", "max", "mean")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -81,44 +67,6 @@ def max_(column: str, name: str | None = None) -> AggSpec:
 
 def mean(column: str, name: str | None = None) -> AggSpec:
     return AggSpec(name or f"mean_{column}", column, "mean")
-
-
-def var_(column: str, name: str | None = None) -> AggSpec:
-    """Sample variance (ddof=1); NaN for groups with fewer than 2 rows."""
-    return AggSpec(name or f"var_{column}", column, "var")
-
-
-def std_(column: str, name: str | None = None) -> AggSpec:
-    """Sample standard deviation (ddof=1); NaN below 2 rows."""
-    return AggSpec(name or f"std_{column}", column, "std")
-
-
-def count_distinct(column: str, name: str | None = None) -> AggSpec:
-    return AggSpec(name or f"count_distinct_{column}", column, "count_distinct")
-
-
-def _moment_partial(vals: np.ndarray, inverse: np.ndarray, counts):
-    """Per-group (mean, M2) pairs via a two-pass bincount."""
-    num_groups = len(counts)
-    sums = np.bincount(inverse, weights=vals, minlength=num_groups)
-    means = sums / counts
-    dev = vals - means[inverse]
-    m2 = np.bincount(inverse, weights=dev * dev, minlength=num_groups)
-    return means, m2
-
-
-def _distinct_sets(vals: np.ndarray, inverse: np.ndarray, num_groups: int):
-    """Per-group sets of distinct values (object list of Python sets)."""
-    order = np.argsort(inverse, kind="stable")
-    sorted_inverse = inverse[order]
-    sorted_vals = vals[order]
-    boundaries = np.flatnonzero(np.diff(sorted_inverse)) + 1
-    starts = np.concatenate(([0], boundaries))
-    stops = np.concatenate((boundaries, [len(sorted_vals)]))
-    sets = [set() for _ in range(num_groups)]
-    for g, start, stop in zip(sorted_inverse[starts], starts, stops):
-        sets[g] = set(sorted_vals[start:stop].tolist())
-    return sets
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +201,7 @@ def _dictionary_codes(codes: dict, values: np.ndarray) -> np.ndarray:
 # What a group no partition has reached yet holds, by aggregate kind
 # (0.0 for the others); merging a partial into it yields the partial
 # bit for bit.
-_EMPTY = {"min": np.inf, "max": -np.inf, "count_distinct": None}
+_EMPTY = {"min": np.inf, "max": -np.inf}
 
 
 def empty_group_partition(keys, specs):
@@ -281,9 +229,8 @@ class ArrayGroupState:
     dtype each key column is restored to on output.
 
     ``values[i]`` is the state of ``specs[i]``: a float64 array for
-    sum/mean/min/max, a ``(means, m2s)`` array pair for var/std, an
-    object array of Python sets for count_distinct, ``None`` for count
-    (the shared ``counts`` array is its state).
+    sum/mean/min/max, ``None`` for count (the shared ``counts`` array
+    is its state).
 
     :meth:`update` returns the merged-state positions of the groups the
     incoming partition touched — the batch executor ignores this, the
@@ -311,22 +258,12 @@ class ArrayGroupState:
     def nbytes(self) -> int:
         # Rough dict-entry estimate for the dictionary-coded columns.
         total = sum(64 * len(m) for m in self._code_maps.values())
-        for arr in [self.keys, self.counts, self._codes]:
+        for arr in [self.keys, self.counts, self._codes, *self.values]:
             if arr is not None:
                 total += arr.nbytes
-        for spec, value in zip(self.specs, self.values):
-            if value is None:
-                continue
-            if spec.kind in ("var", "std"):
-                total += value[0].nbytes + value[1].nbytes
-            elif spec.kind == "count_distinct":
-                # Rough per-set estimate: dict header + one slot/value.
-                total += sum(64 + 32 * len(s) for s in value)
-            else:
-                total += value.nbytes
         return total
 
-    def _partials(self, uniques, inverse, counts, part):
+    def _partials(self, uniques, inverse, part):
         partials = []
         for spec in self.specs:
             if spec.kind == "count":
@@ -340,14 +277,9 @@ class ArrayGroupState:
             elif spec.kind == "min":
                 partial = np.full(len(uniques), np.inf)
                 np.minimum.at(partial, inverse, vals)
-            elif spec.kind == "max":
+            else:
                 partial = np.full(len(uniques), -np.inf)
                 np.maximum.at(partial, inverse, vals)
-            elif spec.kind in ("var", "std"):
-                partial = _moment_partial(vals, inverse, counts)
-            else:
-                partial = np.empty(len(uniques), dtype=object)
-                partial[:] = _distinct_sets(vals, inverse, len(uniques))
             partials.append(partial)
         return partials
 
@@ -403,7 +335,7 @@ class ArrayGroupState:
         key rows)."""
         stacked = self._stack_keys(key_columns)
         uniques, inverse, counts = unique_rows(stacked)
-        partials = self._partials(uniques, inverse, counts, part)
+        partials = self._partials(uniques, inverse, part)
 
         if self.keys is None:
             self.keys = uniques
@@ -417,7 +349,6 @@ class ArrayGroupState:
         if fresh.any():
             self._insert(slots[fresh], uniques[fresh], codes[fresh])
             slots += np.cumsum(fresh) - fresh
-        old_counts = self.counts[slots]
         self.counts[slots] += counts
         for spec, value, partial in zip(self.specs, self.values, partials):
             if spec.kind in ("sum", "mean"):
@@ -426,14 +357,6 @@ class ArrayGroupState:
                 value[slots] = np.minimum(value[slots], partial)
             elif spec.kind == "max":
                 value[slots] = np.maximum(value[slots], partial)
-            elif spec.kind in ("var", "std"):
-                self._merge_moments(value, slots, old_counts, counts, partial)
-            elif spec.kind == "count_distinct":
-                for slot, incoming in zip(slots, partial):
-                    existing = value[slot]
-                    value[slot] = (
-                        incoming if existing is None else existing | incoming
-                    )
         return slots
 
     def _encode(self, uniques: np.ndarray) -> np.ndarray:
@@ -463,40 +386,12 @@ class ArrayGroupState:
         self._codes = grown(self._codes, codes)
         self.counts = grown(self.counts, 0)
         for i, (spec, value) in enumerate(zip(self.specs, self.values)):
-            empty = _EMPTY.get(spec.kind, 0.0)
-            if spec.kind in ("var", "std"):
-                self.values[i] = (grown(value[0], empty), grown(value[1], empty))
-            elif value is not None:
-                self.values[i] = grown(value, empty)
-
-    @staticmethod
-    def _merge_moments(value, slots, old_counts, counts, partial) -> None:
-        """Vectorized in-place Chan merge of (mean, M2) pairs at
-        ``slots``; groups unseen before take the incoming partial bit
-        for bit."""
-        means, m2s = value
-        na = old_counts.astype(np.float64)
-        nb = counts.astype(np.float64)
-        pm, pm2 = partial
-        ma = means[slots]
-        m2a = m2s[slots]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            n = na + nb
-            delta = pm - ma
-            ratio = nb / n
-            merged_mean = ma + delta * ratio
-            merged_m2 = m2a + pm2 + delta * delta * (na * ratio)
-        fresh = na == 0
-        if fresh.any():
-            merged_mean = np.where(fresh, pm, merged_mean)
-            merged_m2 = np.where(fresh, pm2, merged_m2)
-        means[slots] = merged_mean
-        m2s[slots] = merged_m2
+            if value is not None:
+                self.values[i] = grown(value, _EMPTY.get(spec.kind, 0.0))
 
     def select(self, where: np.ndarray) -> "ArrayGroupState":
-        """A new state holding only the groups ``where`` picks — a
-        boolean mask or an array of positions, in that order
-        (accumulator arrays copied, sets shared)."""
+        """A new state holding only the groups at the positions
+        ``where``, in that order (accumulator arrays copied)."""
         out = ArrayGroupState(self.specs)
         out.key_dtypes = self.key_dtypes
         out._code_maps = self._code_maps
@@ -508,12 +403,7 @@ class ArrayGroupState:
         out.keys = keys
         out.counts = self.counts[where]
         out.values = [
-            None
-            if value is None
-            else (value[0][where], value[1][where])
-            if spec.kind in ("var", "std")
-            else value[where]
-            for spec, value in zip(self.specs, self.values)
+            None if value is None else value[where] for value in self.values
         ]
         if self._packing is not None:
             out._packing = self._packing
@@ -526,16 +416,6 @@ class ArrayGroupState:
         self.values = other.values
         self._packing = other._packing
         self._codes = other._codes
-
-    def compact(self, mask: np.ndarray) -> int:
-        """Drop the groups where ``mask`` is False (watermark
-        eviction); returns how many groups were evicted."""
-        if self.keys is None:
-            return 0
-        evicted = int(len(self.keys) - np.count_nonzero(mask))
-        if evicted:
-            self._adopt(self.select(mask))
-        return evicted
 
     def to_partition(self, keys):
         """Finalize every group as one partition: the key columns
@@ -565,19 +445,6 @@ class ArrayGroupState:
                 columns[spec.out_name] = self.counts.copy()
             elif spec.kind == "mean":
                 columns[spec.out_name] = value / self.counts
-            elif spec.kind in ("var", "std"):
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    out = value[1] / (self.counts - 1)
-                out = np.where(self.counts < 2, np.nan, out)
-                if spec.kind == "std":
-                    out = np.sqrt(out)
-                columns[spec.out_name] = out
-            elif spec.kind == "count_distinct":
-                columns[spec.out_name] = np.fromiter(
-                    (len(s) for s in value),
-                    dtype=np.int64,
-                    count=len(value),
-                )
             else:
                 columns[spec.out_name] = value.copy()
         return Partition(columns)

@@ -113,17 +113,9 @@ class DataFrame:
         """Start a grouped aggregation."""
         return GroupedDataFrame(self, [str(k) for k in keys])
 
-    def join(self, other: "DataFrame", on, how: str = "inner") -> "DataFrame":
-        """Hash join; the right side is the broadcast build side."""
-        on = [on] if isinstance(on, str) else list(on)
-        return self._wrap(P.Join(self.plan, other.plan, on, how))
-
     def order_by(self, *keys, ascending: bool = True) -> "DataFrame":
         """Globally sort (materializing operator)."""
         return self._wrap(P.OrderBy(self.plan, list(keys), ascending))
-
-    def repartition(self, num_partitions: int) -> "DataFrame":
-        return self._wrap(P.Repartition(self.plan, num_partitions))
 
     def map_partitions(self, fn, label: str = "map_partitions") -> "DataFrame":
         """Apply ``fn(Partition) -> Partition`` to each partition."""

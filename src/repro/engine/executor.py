@@ -10,20 +10,16 @@ map_partitions / union / limit they are fully pipelined: one input
 partition is pulled, transformed, yielded, and released before the next
 is pulled, so the working set stays O(partition).
 
-Wide operators hold only their *state*: the factorized key codes for
-joins (build side), the per-group accumulator arrays for aggregation,
-and the input buffer for order_by, repartition and cache (the
+Wide operators hold only their *state*: the per-group accumulator
+arrays for aggregation, and the input buffer for order_by and cache (the
 materializing operators, as in Spark).  The materializing operators
 are parameterised by the session memory budget: what exceeds it spills
-to disk through the session's SpillManager (external merge sort, grace
-hash join, spillable buffers); with no budget nothing ever exceeds it
+to disk through the session's SpillManager (external merge sort,
+cached partitions kept on disk); with no budget nothing ever exceeds it
 and the same code runs entirely in memory.  Results are bit-identical
 at every budget.
 
-Joins and group-bys are vectorized end to end.  The join factorizes
-the build side's (possibly multi-column) keys into dense integer codes
-once, then probes each left partition with ``searchsorted`` range
-lookups — no per-row Python.  Group-by keeps per-group accumulator
+Group-by is vectorized end to end: it keeps per-group accumulator
 *arrays* (:class:`~repro.engine.aggregates.ArrayGroupState`), packs
 each key row into one order-preserving int64 code, and merges each
 partition's partial aggregates by ``searchsorted`` + scatter updates;
@@ -97,8 +93,8 @@ def iter_partitions(node: P.PlanNode, meter=None, stats=None, spill=None):
     ones.
 
     ``spill`` (a :class:`repro.engine.spill.SpillManager` with a
-    ``budget``) bounds the materializing operators — order_by,
-    repartition, the join build side, cache: they keep at most the
+    ``budget``) bounds the materializing operators — order_by and
+    cache, the two that buffer their input: they keep at most the
     budget resident and spill the rest to disk, producing results
     bit-identical to running with no budget (``spill=None``), which
     is the same code with nothing ever over budget.
@@ -129,12 +125,8 @@ def _iter_node(node: P.PlanNode, ctx: _ExecContext):
             yield node.fn(part)
     elif isinstance(node, P.GroupByAgg):
         yield from _run_group_by(node, ctx)
-    elif isinstance(node, P.Join):
-        yield from _run_join(node, ctx)
     elif isinstance(node, P.OrderBy):
         yield from _run_order_by(node, ctx)
-    elif isinstance(node, P.Repartition):
-        yield from _run_repartition(node, ctx)
     elif isinstance(node, P.Cache):
         yield from _run_cache(node, ctx)
     else:
@@ -306,575 +298,6 @@ def _run_group_by(node: P.GroupByAgg, ctx: _ExecContext):
     finally:
         if meter is not None:
             meter.release(out.nbytes)
-
-
-# ----------------------------------------------------------------------
-# Join: vectorized key factorization + searchsorted range probes
-# ----------------------------------------------------------------------
-class _ColumnCodec:
-    """Factorization of one build-side key column.
-
-    Numeric columns keep their sorted uniques and map probe values with
-    ``searchsorted``; object columns (strings, geometries) fall back to
-    a value -> code dict.  Probe values absent from the build side get
-    code -1.
-    """
-
-    __slots__ = ("uniques", "mapping", "size", "dense", "base")
-
-    # Dense-range integer keys are coded as ``value - min`` directly —
-    # no factorization pass at all — as long as the implied code range
-    # (and the per-code tables sized by it) stays proportionate to the
-    # build side.  Unused codes in the range simply get count zero.
-    _DENSE_SLACK = 4
-    _DENSE_MIN = 1 << 20
-
-    def __init__(self, arr: np.ndarray):
-        self.dense = False
-        self.base = 0
-        self.uniques = None
-        self.mapping = None
-        if arr.dtype == object:
-            mapping: dict = {}
-            for value in arr:
-                mapping.setdefault(value, len(mapping))
-            self.mapping = mapping
-            self.size = len(mapping)
-            return
-        if arr.dtype.kind in "iub" and len(arr):
-            low, high = int(arr.min()), int(arr.max())
-            span = high - low + 1
-            if (
-                span <= max(self._DENSE_SLACK * len(arr), self._DENSE_MIN)
-                and -(1 << 62) < low
-                and high < (1 << 62)
-            ):
-                self.dense = True
-                self.base = low
-                self.size = span
-                return
-        self.uniques = np.unique(arr)
-        self.size = len(self.uniques)
-
-    def encode_build(self, arr: np.ndarray) -> np.ndarray:
-        return self.encode_probe(arr)
-
-    def encode_probe(self, arr: np.ndarray) -> np.ndarray:
-        if self.mapping is not None or arr.dtype == object:
-            mapping = self.mapping
-            if mapping is None:
-                mapping = {v: i for i, v in enumerate(self.uniques)}
-                self.mapping = mapping
-            return np.fromiter(
-                (mapping.get(v, -1) for v in arr),
-                dtype=np.int64,
-                count=len(arr),
-            )
-        if self.dense:
-            if arr.dtype.kind not in "iub":
-                arr = np.asarray(arr)
-                with np.errstate(invalid="ignore"):
-                    whole = arr.astype(np.int64)
-                    exact = whole == arr
-                offsets = whole - self.base
-                valid = exact & (offsets >= 0) & (offsets < self.size)
-            else:
-                offsets = arr.astype(np.int64) - self.base
-                valid = (offsets >= 0) & (offsets < self.size)
-            return np.where(valid, offsets, -1)
-        idx = np.searchsorted(self.uniques, arr)
-        idx = np.minimum(idx, self.size - 1)
-        with np.errstate(invalid="ignore"):
-            valid = self.uniques[idx] == arr
-        return np.where(valid, idx, -1).astype(np.int64)
-
-    @property
-    def nbytes(self) -> int:
-        if self.uniques is not None:
-            return int(self.uniques.nbytes)
-        if self.dense:
-            return 0  # per-code tables are counted by the build
-        return self.size * 64  # rough dict-entry estimate
-
-
-class _HashJoinBuild:
-    """Build side of the broadcast hash join, fully vectorized.
-
-    Multi-column keys are folded into one dense int64 code per row by
-    factorizing each column, then pairwise combining and re-compressing
-    (keeping magnitudes < n_right² so the fold can never overflow).
-    Because the final codes are dense 0..U-1, the row ranges per code
-    are direct-indexed tables (``bincount`` + prefix sums): probing a
-    left partition costs one encode pass plus fancy indexing, with no
-    per-row Python and no binary search over the build rows.  Within
-    one key the matched build rows keep their original order,
-    preserving the per-row hash table's output ordering.
-    """
-
-    def __init__(self, right: Partition, on: list):
-        self.codecs = []
-        self.combine_uniques = []  # compressed code values per fold step
-        codes = None
-        for name in on:
-            arr = right.columns[name]
-            codec = _ColumnCodec(arr)
-            self.codecs.append(codec)
-            column_codes = codec.encode_build(arr)
-            if codes is None:
-                codes = column_codes
-            else:
-                codes = codes * (codec.size + 1) + column_codes
-                uniques, codes = np.unique(codes, return_inverse=True)
-                codes = codes.reshape(-1).astype(np.int64)
-                self.combine_uniques.append(uniques)
-        self.num_codes = (
-            self.codecs[0].size if len(on) == 1 else len(self.combine_uniques[-1])
-        )
-        self.order = np.argsort(codes, kind="stable")
-        counts = np.bincount(codes, minlength=self.num_codes)
-        self.count_by_code = counts.astype(np.int64)
-        self.start_by_code = np.concatenate(
-            ([0], np.cumsum(self.count_by_code)[:-1])
-        )
-
-    def probe_codes(self, part: Partition, on: list) -> np.ndarray:
-        codes = None
-        step = 0
-        for codec, name in zip(self.codecs, on):
-            column_codes = codec.encode_probe(
-                np.asarray(part.columns[name])
-            )
-            if codes is None:
-                codes = column_codes
-            else:
-                missing = (codes < 0) | (column_codes < 0)
-                codes = codes * (codec.size + 1) + column_codes
-                uniques = self.combine_uniques[step]
-                step += 1
-                idx = np.searchsorted(uniques, codes)
-                idx = np.minimum(idx, len(uniques) - 1)
-                valid = (uniques[idx] == codes) & ~missing
-                codes = np.where(valid, idx, -1).astype(np.int64)
-        return codes
-
-    def probe(self, part: Partition, on: list):
-        """Return (left_idx, right_idx, match_counts) for one left
-        partition, matching the per-row build/probe output order."""
-        codes = self.probe_codes(part, on)
-        hit = codes >= 0
-        safe = np.where(hit, codes, 0)
-        counts = np.where(hit, self.count_by_code[safe], 0)
-        starts = self.start_by_code[safe]
-        total = int(counts.sum())
-        left_idx = np.repeat(
-            np.arange(part.num_rows, dtype=np.int64), counts
-        )
-        cumulative = np.cumsum(counts)
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            cumulative - counts, counts
-        )
-        right_idx = self.order[np.repeat(starts, counts) + within]
-        return left_idx, right_idx, counts
-
-    @property
-    def nbytes(self) -> int:
-        total = int(
-            self.order.nbytes
-            + self.count_by_code.nbytes
-            + self.start_by_code.nbytes
-        )
-        for codec in self.codecs:
-            total += codec.nbytes
-        for uniques in self.combine_uniques:
-            total += int(uniques.nbytes)
-        return total
-
-
-def _left_join_promote(arr: np.ndarray) -> np.ndarray:
-    """Right-side value columns of a left join are promoted explicitly:
-    integer/bool become float64 so unmatched rows can hold NaN with a
-    dtype that does not depend on which partitions had matches."""
-    if arr.dtype.kind in "iub":
-        return arr.astype(np.float64)
-    return arr
-
-
-def _null_fill(dtype: np.dtype, n: int) -> np.ndarray:
-    """Unmatched-row fill for a right column, sentinel chosen per dtype:
-    NaN for floats (and promoted int/bool), NaT for datetimes, NaN
-    boxed in object arrays otherwise."""
-    if dtype.kind in "iub":
-        return np.full(n, np.nan, dtype=np.float64)
-    if dtype.kind in "fc":
-        return np.full(n, np.nan, dtype=dtype)
-    if dtype.kind in "mM":
-        return np.full(n, dtype.type("NaT"), dtype=dtype)
-    out = np.empty(n, dtype=object)
-    out[:] = np.nan
-    return out
-
-
-def _join_probe_stream(node: P.Join, ctx: _ExecContext, right_parts):
-    """Build over the buffered right side, probe the streaming left
-    side.  The caller owns the build buffer's memory accounting; this
-    meters only the probe tables."""
-    meter = ctx.meter
-    probe_nbytes = 0
-    try:
-        right = Partition.concat(right_parts) if right_parts else None
-        build = None
-        right_value_names: list = []
-        if right is not None:
-            build = _HashJoinBuild(right, node.on)
-            right_value_names = [
-                n for n in right.columns if n not in node.on
-            ]
-            probe_nbytes = build.nbytes
-            if meter is not None:
-                meter.allocate(probe_nbytes)
-        promote = node.how == "left"
-
-        for part in ctx.iterate(node.left):
-            if part.num_rows == 0:
-                continue
-            if build is None:
-                left_idx = np.empty(0, dtype=np.int64)
-                right_idx = left_idx
-                counts = np.zeros(part.num_rows, dtype=np.int64)
-            else:
-                left_idx, right_idx, counts = build.probe(part, node.on)
-            columns = {
-                name: arr[left_idx] for name, arr in part.columns.items()
-            }
-            for name in right_value_names:
-                matched = right.columns[name][right_idx]
-                columns[name] = (
-                    _left_join_promote(matched) if promote else matched
-                )
-            matched_part = Partition(columns)
-            if node.how == "left":
-                unmatched = np.nonzero(counts == 0)[0]
-                if len(unmatched):
-                    null_cols = {
-                        name: arr[unmatched]
-                        for name, arr in part.columns.items()
-                    }
-                    for name in right_value_names:
-                        null_cols[name] = _null_fill(
-                            right.columns[name].dtype, len(unmatched)
-                        )
-                    matched_part = Partition.concat(
-                        [matched_part, Partition(null_cols)]
-                    )
-            yield matched_part
-    finally:
-        if meter is not None:
-            meter.release(probe_nbytes)
-
-
-def _run_join(node: P.Join, ctx: _ExecContext):
-    """Broadcast hash join: buffer the build (right) side up to the
-    memory budget; if it fits, build over the buffered partitions and
-    probe the streaming left side, otherwise switch to the
-    grace-partitioned spill path."""
-    meter = ctx.meter
-    budget = ctx.budget_share()
-    buffered: list = []
-    buffered_bytes = 0
-    over = False
-    right_iter = ctx.iterate(node.right)
-    for part in right_iter:
-        if part.num_rows == 0:
-            continue
-        buffered.append(part)
-        buffered_bytes += part.nbytes
-        if meter is not None:
-            meter.allocate(part.nbytes)
-        if buffered_bytes > budget:
-            over = True
-            break
-    if not over:
-        try:
-            yield from _join_probe_stream(node, ctx, buffered)
-        finally:
-            if meter is not None:
-                meter.release(buffered_bytes)
-        return
-    yield from _join_grace(node, ctx, buffered, right_iter, buffered_bytes)
-
-
-#: Hash buckets for the grace join; each bucket's build table is
-#: restored (and built) independently, so the resident build state is
-#: roughly build_bytes / _GRACE_BUCKETS.
-_GRACE_BUCKETS = 8
-_BUCKET_COL = "__repro_bucket__"
-_LEFT_IDX_COL = "__repro_left_idx__"
-
-
-def _grace_column_hash(arr: np.ndarray) -> np.ndarray:
-    """Per-row uint64 hash of one key column, consistent across the
-    dtypes the probe codecs already match across: int 3, float 3.0,
-    bool True and a Python ``3`` in an object column all hash alike.
-    Non-integral floats hash by bit pattern (they can only ever match
-    other floats); unhashable objects fall into bucket 0 on both
-    sides, which degrades distribution, never correctness."""
-    n = len(arr)
-    if arr.dtype == object:
-        out = np.empty(n, dtype=np.uint64)
-        for i, value in enumerate(arr):
-            try:
-                out[i] = np.uint64(hash(value) & 0xFFFFFFFFFFFFFFFF)
-            except TypeError:
-                out[i] = np.uint64(0)
-        return out
-    if arr.dtype.kind in "iub":
-        return arr.astype(np.int64).astype(np.uint64)
-    if arr.dtype.kind in "mM":
-        return arr.astype(np.int64).astype(np.uint64)
-    if arr.dtype.kind == "f":
-        arr64 = np.ascontiguousarray(arr, dtype=np.float64)
-        with np.errstate(invalid="ignore"):
-            whole = arr64.astype(np.int64)
-            exact = np.isfinite(arr64) & (whole == arr64)
-        return np.where(
-            exact, whole.astype(np.uint64), arr64.view(np.uint64)
-        )
-    return np.zeros(n, dtype=np.uint64)
-
-
-def _grace_bucket_codes(part: Partition, on: list, nb: int) -> np.ndarray:
-    mixed = np.zeros(part.num_rows, dtype=np.uint64)
-    for name in on:
-        mixed = mixed * np.uint64(1_000_003) + _grace_column_hash(
-            part.columns[name]
-        )
-    return (mixed % np.uint64(nb)).astype(np.int64)
-
-
-def _join_grace(
-    node: P.Join, ctx: _ExecContext, buffered, right_iter, buffered_bytes
-):
-    """Grace-style partitioned join: hash-partition the build side into
-    spilled buckets, buffer (and spill) the probe side, then join one
-    bucket's build table at a time.  Because every row of one key lands
-    in exactly one bucket (in original build order), re-sorting each
-    probe partition's matches by probe-row position reproduces the
-    in-memory join's output bit for bit."""
-    from repro.engine.spill import SpillableBuffer, SpillHandle
-
-    meter = ctx.meter
-    spill = ctx.spill
-    on = node.on
-    nb = _GRACE_BUCKETS
-    per_bucket_budget = ctx.budget_share(2 * nb)
-    bucket_pending: list = [[] for _ in range(nb)]
-    bucket_pending_bytes = [0] * nb
-    bucket_handles: list = [[] for _ in range(nb)]
-    target_dtypes: dict | None = None
-    column_order: list | None = None
-
-    def flush_bucket(b: int) -> None:
-        merged = Partition.concat(bucket_pending[b])
-        bucket_pending[b].clear()
-        if meter is not None:
-            meter.release(bucket_pending_bytes[b])
-        bucket_pending_bytes[b] = 0
-        bucket_handles[b].append(spill.spill(merged))
-        ctx.note_spill(node, merged.nbytes)
-
-    def route(part: Partition) -> None:
-        nonlocal target_dtypes, column_order
-        if column_order is None:
-            column_order = list(part.columns)
-        target_dtypes = _accumulate_dtypes(target_dtypes, part)
-        codes = _grace_bucket_codes(part, on, nb)
-        for b in range(nb):
-            sel = np.flatnonzero(codes == b)
-            if not len(sel):
-                continue
-            sub = Partition._from_arrays(
-                {n: a[sel] for n, a in part.columns.items()}, len(sel)
-            )
-            bucket_pending[b].append(sub)
-            nbytes = sub.nbytes
-            bucket_pending_bytes[b] += nbytes
-            if meter is not None:
-                meter.allocate(nbytes)
-            if bucket_pending_bytes[b] >= per_bucket_budget:
-                flush_bucket(b)
-
-    # ---- Phase 1: hash-partition the build side into spilled buckets.
-    for part in buffered:
-        route(part)
-    buffered.clear()
-    if meter is not None:
-        meter.release(buffered_bytes)
-    for part in right_iter:
-        if part.num_rows == 0:
-            continue
-        route(part)
-    for b in range(nb):
-        if bucket_pending[b]:
-            flush_bucket(b)
-
-    # ---- Phase 2: buffer the probe side (bucket codes ride along so
-    # the per-bucket probe pass never recomputes hashes).
-    left_buf = SpillableBuffer(spill, ctx.budget_share(2))
-    for part in ctx.iterate(node.left):
-        if part.num_rows == 0:
-            continue
-        codes = _grace_bucket_codes(part, on, nb)
-        stored = part.with_column(_BUCKET_COL, codes)
-        spilled = left_buf.append(stored)
-        if spilled:
-            ctx.note_spill(node, spilled)
-        elif meter is not None:
-            meter.allocate(stored.nbytes)
-
-    promote = node.how == "left"
-    right_value_names = [
-        n for n in (column_order or []) if n not in on
-    ]
-    # Per probe partition: the match pieces each bucket produced, in
-    # bucket order (Partition or SpillHandle).
-    pieces: list = [[] for _ in range(len(left_buf))]
-    pieces_mem = 0
-    piece_budget = ctx.budget_share(4)
-
-    try:
-        # ---- Phase 3: per bucket — restore, build once, probe every
-        # buffered probe partition's rows for that bucket.
-        for b in range(nb):
-            handles = bucket_handles[b]
-            if not handles:
-                continue
-            bucket_parts = []
-            for handle in handles:
-                bucket_parts.append(spill.restore(handle))
-                spill.release(handle)
-            handles.clear()
-            raw = Partition.concat(bucket_parts)
-            del bucket_parts
-            # Cast to the dtypes a whole-build concat would have
-            # produced, so matched values are bit-identical to the
-            # under-budget join even with mixed-dtype build partitions.
-            cast_cols = {}
-            for name in column_order:
-                arr = raw.columns[name]
-                target = target_dtypes[name]
-                cast_cols[name] = (
-                    arr if arr.dtype == target else arr.astype(target)
-                )
-            bucket_right = Partition._from_arrays(cast_cols, raw.num_rows)
-            build = _HashJoinBuild(bucket_right, on)
-            state_nbytes = bucket_right.nbytes + build.nbytes
-            if meter is not None:
-                meter.allocate(state_nbytes)
-            try:
-                for i, part in enumerate(left_buf.replay()):
-                    sel = np.flatnonzero(part.columns[_BUCKET_COL] == b)
-                    if not len(sel):
-                        continue
-                    sub = Partition._from_arrays(
-                        {
-                            n: part.columns[n][sel]
-                            for n in part.columns
-                            if n != _BUCKET_COL
-                        },
-                        len(sel),
-                    )
-                    left_idx, right_idx, _counts = build.probe(sub, on)
-                    if not len(left_idx):
-                        continue
-                    piece_cols = {_LEFT_IDX_COL: sel[left_idx]}
-                    for name in right_value_names:
-                        matched = bucket_right.columns[name][right_idx]
-                        piece_cols[name] = (
-                            _left_join_promote(matched)
-                            if promote
-                            else matched
-                        )
-                    piece = Partition._from_arrays(
-                        piece_cols, len(left_idx)
-                    )
-                    nbytes = piece.nbytes
-                    if pieces_mem + nbytes > piece_budget:
-                        pieces[i].append(spill.spill(piece))
-                        ctx.note_spill(node, nbytes)
-                    else:
-                        pieces[i].append(piece)
-                        pieces_mem += nbytes
-                        if meter is not None:
-                            meter.allocate(nbytes)
-            finally:
-                if meter is not None:
-                    meter.release(state_nbytes)
-
-        # ---- Phase 4: per probe partition — stitch the bucket pieces
-        # back into probe-row order and emit, matching the in-memory
-        # join's per-partition output exactly.
-        for i, part in enumerate(left_buf.replay()):
-            restored = []
-            for entry in pieces[i]:
-                if isinstance(entry, SpillHandle):
-                    restored.append(spill.restore(entry))
-                    spill.release(entry)
-                else:
-                    restored.append(entry)
-            pieces[i] = []
-            left_names = [n for n in part.columns if n != _BUCKET_COL]
-            if restored:
-                li = _concat_arrays(
-                    [r.columns[_LEFT_IDX_COL] for r in restored]
-                )
-                order = np.argsort(li, kind="stable")
-                li_sorted = li[order]
-                columns = {
-                    n: part.columns[n][li_sorted] for n in left_names
-                }
-                for name in right_value_names:
-                    vals = _concat_arrays(
-                        [r.columns[name] for r in restored]
-                    )
-                    columns[name] = vals[order]
-            else:
-                li_sorted = np.empty(0, dtype=np.int64)
-                columns = {
-                    n: part.columns[n][li_sorted] for n in left_names
-                }
-                for name in right_value_names:
-                    empty = np.empty(0, dtype=target_dtypes[name])
-                    columns[name] = (
-                        _left_join_promote(empty) if promote else empty
-                    )
-            matched_part = Partition(columns)
-            if node.how == "left":
-                counts = np.bincount(
-                    li_sorted, minlength=part.num_rows
-                ) if len(li_sorted) else np.zeros(
-                    part.num_rows, dtype=np.int64
-                )
-                unmatched = np.nonzero(counts == 0)[0]
-                if len(unmatched):
-                    null_cols = {
-                        n: part.columns[n][unmatched] for n in left_names
-                    }
-                    for name in right_value_names:
-                        null_cols[name] = _null_fill(
-                            target_dtypes[name], len(unmatched)
-                        )
-                    matched_part = Partition.concat(
-                        [matched_part, Partition(null_cols)]
-                    )
-            yield matched_part
-    finally:
-        if meter is not None:
-            meter.release(left_buf.in_memory_bytes + pieces_mem)
-        left_buf.release()
-
-
-def _concat_arrays(arrays: list) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _accumulate_dtypes(acc: dict | None, part: Partition) -> dict:
@@ -1284,85 +707,6 @@ def _last_group_start(head, keys, order, safe: int) -> int:
                 neq &= ~(np.isnan(vals[1:]) & np.isnan(vals[:-1]))
             change[1:] |= neq
     return int(np.flatnonzero(change)[-1])
-
-
-def _run_repartition(node: P.Repartition, ctx: _ExecContext):
-    """Repartition is a materializing operator like order_by: the
-    whole input is buffered (input beyond half the memory budget
-    spills), then the output slices are assembled by streaming the
-    buffer back — each column cast to the dtype a whole-input concat
-    would produce, so slice contents do not depend on what spilled."""
-    from repro.engine.spill import SpillableBuffer
-
-    meter = ctx.meter
-    buf = SpillableBuffer(ctx.spill, ctx.budget_share(2))
-    target_dtypes: dict | None = None
-    saw_input = False
-    for part in ctx.iterate(node.child):
-        saw_input = True
-        target_dtypes = _accumulate_dtypes(target_dtypes, part)
-        spilled = buf.append(part)
-        if spilled:
-            ctx.note_spill(node, spilled)
-        elif meter is not None:
-            meter.allocate(part.nbytes)
-    try:
-        if not saw_input:
-            return
-        n = buf.num_rows
-        k = max(1, int(node.num_partitions))
-        bounds = np.linspace(0, n, k + 1).astype(int)
-        stream = buf.replay()
-        current: Partition | None = None
-        cur_off = 0
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            want = int(stop - start)
-            if want <= 0:
-                continue
-            pieces = []
-            got = 0
-            while got < want:
-                if current is None or cur_off >= current.num_rows:
-                    current = next(stream)
-                    cur_off = 0
-                    if current.num_rows == 0:
-                        current = None
-                        continue
-                take = min(want - got, current.num_rows - cur_off)
-                pieces.append((current, cur_off, cur_off + take))
-                cur_off += take
-                got += take
-            out = _assemble_slices(pieces, target_dtypes)
-            out_nbytes = out.nbytes
-            if meter is not None:
-                meter.allocate(out_nbytes)
-            try:
-                yield out
-            finally:
-                if meter is not None:
-                    meter.release(out_nbytes)
-    finally:
-        if meter is not None:
-            meter.release(buf.in_memory_bytes)
-        buf.release()
-
-
-def _assemble_slices(pieces, target_dtypes: dict) -> Partition:
-    columns = {}
-    for name, target in target_dtypes.items():
-        arrays = []
-        for part, start, stop in pieces:
-            arr = part.columns[name][start:stop]
-            if arr.dtype != target:
-                arr = arr.astype(target)
-            arrays.append(arr)
-        columns[name] = (
-            arrays[0].copy()
-            if len(arrays) == 1
-            else np.concatenate(arrays)
-        )
-    num_rows = sum(stop - start for _, start, stop in pieces)
-    return Partition._from_arrays(columns, num_rows)
 
 
 def plan_column_names(node: P.PlanNode) -> list[str]:

@@ -81,7 +81,19 @@ def _read_range(path: str, schema: Schema, start: int, stop: int, header: bool) 
         reader = csv.reader(handle)
         if header:
             next(reader, None)
-        rows = list(itertools.islice(reader, start, stop))
+        # Blank records are skipped only after the slice, so row ranges
+        # stay aligned with _count_data_rows.
+        width = len(schema.fields)
+        rows = []
+        for n, row in enumerate(itertools.islice(reader, start, stop), start + 1):
+            if not row:
+                continue
+            if len(row) != width:
+                raise ValueError(
+                    f"{path}: record {n}: expected {width} fields, "
+                    f"got {len(row)}"
+                )
+            rows.append(row)
     columns = {}
     for i, field in enumerate(schema.fields):
         raw = [row[i] for row in rows]

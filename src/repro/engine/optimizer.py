@@ -8,10 +8,7 @@ The rules:
   so each partition is masked once.
 - **Predicate pushdown** — filters move below ``Project`` /
   ``WithColumn`` / ``Drop`` / ``Union`` / ``OrderBy``; key-only
-  predicates move below ``GroupByAgg`` and into *both* sides of an
-  inner ``Join``; side-local predicates move into their join side
-  (right-side pushdown only for inner joins — a left join keeps
-  unmatched left rows that an early right filter would change).
+  predicates move below ``GroupByAgg``.
   Predicates are rewritten through projections by expression
   substitution; a predicate is never pushed through a UDF-bearing
   computed column it depends on (UDFs are opaque and must not be
@@ -26,7 +23,7 @@ The rules:
   their minimum.
 - **Column pruning** — a top-down pass computes the columns each
   subtree must produce, drops computed columns nobody reads, narrows
-  ``GroupByAgg``/``Join`` inputs to keys + referenced values, and wraps
+  ``GroupByAgg`` inputs to keys + referenced values, and wraps
   ``Source`` scans in a narrowing projection.
 
 Two node kinds are barriers: ``Cache`` (nothing is pushed through it
@@ -102,8 +99,7 @@ def _ordered(names, preference: list | None) -> list:
 # ----------------------------------------------------------------------
 #: Nodes whose output carries their (first) input's column names.
 _KEEPS_NAMES = (
-    P.Filter, P.Limit, P.OrderBy, P.Repartition, P.Union, P.Cache,
-    P.MapPartitions, P.Join,
+    P.Filter, P.Limit, P.OrderBy, P.Union, P.Cache, P.MapPartitions,
 )
 
 
@@ -137,11 +133,6 @@ def static_columns(node: P.PlanNode, strict: bool = True) -> list | None:
     names = static_columns(node.children[0], strict)
     if names is None:
         return None
-    if isinstance(node, P.Join):
-        right = static_columns(node.right, strict)
-        if right is None:
-            return None
-        return names + [n for n in right if n not in node.on]
     for kind, payload in steps:
         if kind == "project":
             names = [name for name, _ in payload]
@@ -204,14 +195,10 @@ def _with_children(node: P.PlanNode, children: list) -> P.PlanNode:
         return P.Limit(children[0], node.n)
     if isinstance(node, P.GroupByAgg):
         return P.GroupByAgg(children[0], node.keys, node.aggs)
-    if isinstance(node, P.Join):
-        return P.Join(children[0], children[1], node.on, node.how)
     if isinstance(node, P.OrderBy):
         return P.OrderBy(children[0], node.keys, node.ascending)
     if isinstance(node, P.MapPartitions):
         return P.MapPartitions(children[0], node.fn, node.label)
-    if isinstance(node, P.Repartition):
-        return P.Repartition(children[0], node.num_partitions)
     raise TypeError(f"unknown plan node {type(node).__name__}")
 
 
@@ -320,43 +307,7 @@ def _rewrite_filter(node: P.Filter):
         )
         return P.Filter(new, _conjoin(kept)) if kept else new
 
-    if isinstance(child, P.Join):
-        return _push_filter_into_join(child, predicate)
-
     return None
-
-
-def _push_filter_into_join(join: P.Join, predicate: Expr):
-    left_cols = static_columns(join.left)
-    right_cols = static_columns(join.right)
-    if left_cols is None or right_cols is None:
-        return None
-    on = set(join.on)
-    left_set, right_set = set(left_cols), set(right_cols)
-    left_push, right_push, kept = [], [], []
-    for conjunct in _conjuncts(predicate):
-        refs = conjunct.references()
-        if refs <= on and join.how == "inner":
-            left_push.append(conjunct)
-            right_push.append(conjunct)
-        elif refs <= left_set:
-            left_push.append(conjunct)
-        elif refs <= right_set and join.how == "inner":
-            right_push.append(conjunct)
-        else:
-            kept.append(conjunct)
-    if not left_push and not right_push:
-        return None
-    left = (
-        P.Filter(join.left, _conjoin(left_push)) if left_push else join.left
-    )
-    right = (
-        P.Filter(join.right, _conjoin(right_push))
-        if right_push
-        else join.right
-    )
-    new = P.Join(left, right, join.on, join.how)
-    return P.Filter(new, _conjoin(kept)) if kept else new
 
 
 def _rewrite_project(node: P.Project):
@@ -490,11 +441,6 @@ def _prune(node: P.PlanNode, required: list | None) -> P.PlanNode:
             _prune(node.child, child_req), node.keys, node.ascending
         )
 
-    if isinstance(node, P.Repartition):
-        return P.Repartition(
-            _prune(node.child, required), node.num_partitions
-        )
-
     if isinstance(node, P.MapPartitions):
         # Opaque function: it may read (or emit) anything.
         return P.MapPartitions(_prune(node.child, None), node.fn, node.label)
@@ -516,26 +462,6 @@ def _prune(node: P.PlanNode, required: list | None) -> P.PlanNode:
         child_req = _ordered(child_refs, static_columns(node.child))
         return P.GroupByAgg(
             _prune(node.child, child_req), node.keys, kept_aggs
-        )
-
-    if isinstance(node, P.Join):
-        left_cols = static_columns(node.left)
-        right_cols = static_columns(node.right)
-        if required is None or left_cols is None or right_cols is None:
-            return P.Join(
-                _prune(node.left, None),
-                _prune(node.right, None),
-                node.on,
-                node.how,
-            )
-        wanted = set(required) | set(node.on)
-        left_req = [c for c in left_cols if c in wanted]
-        right_req = [c for c in right_cols if c in wanted]
-        return P.Join(
-            _prune(node.left, left_req),
-            _prune(node.right, right_req),
-            node.on,
-            node.how,
         )
 
     raise TypeError(f"unknown plan node {type(node).__name__}")

@@ -222,22 +222,6 @@ class GroupByAgg(PlanNode):
 
 
 @dataclass
-class Join(PlanNode):
-    left: PlanNode
-    right: PlanNode
-    on: list
-    how: str = "inner"
-
-    def __post_init__(self):
-        self.children = (self.left, self.right)
-        if self.how not in ("inner", "left"):
-            raise ValueError(f"unsupported join type {self.how!r}")
-
-    def _label(self):
-        return f"Join[{self.how}, on={self.on}]"
-
-
-@dataclass
 class OrderBy(PlanNode):
     child: PlanNode
     keys: list
@@ -264,18 +248,6 @@ class MapPartitions(PlanNode):
 
     def _label(self):
         return f"MapPartitions[{self.label}]"
-
-
-@dataclass
-class Repartition(PlanNode):
-    child: PlanNode
-    num_partitions: int
-
-    def __post_init__(self):
-        self.children = (self.child,)
-
-    def _label(self):
-        return f"Repartition[{self.num_partitions}]"
 
 
 @dataclass

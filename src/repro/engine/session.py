@@ -31,7 +31,7 @@ class Session:
         bit-identical results.
     memory_budget:
         Soft cap (bytes) on what the *materializing* operators —
-        ``order_by``, ``repartition``, the join build side, ``cache``
+        ``order_by`` (its sort buffer) and ``cache`` (its partitions)
         — may keep resident.  Input beyond the budget spills to disk
         through the session's :class:`SpillManager` and is restored on
         demand, so datasets larger than memory still execute; results
@@ -174,19 +174,6 @@ class Session:
             path, schema, rows_per_partition=rows_per_partition, header=header
         )
         return DataFrame(self, P.Source(factories, schema))
-
-    def read_jsonl(
-        self,
-        path: str,
-        schema: Schema | None = None,
-        rows_per_partition: int = 100_000,
-    ) -> DataFrame:
-        """Scan a JSON-lines file as a partitioned DataFrame."""
-        from repro.engine.io_jsonl import read_jsonl
-
-        return read_jsonl(
-            self, path, schema=schema, rows_per_partition=rows_per_partition
-        )
 
     def stream(self, schema, retain: bool = True):
         """Open an append-only ingestion stream (see

@@ -1,8 +1,8 @@
 """Spill-to-disk: out-of-core execution for materializing operators.
 
 The engine's narrow operators stream with an O(partition) working set,
-but the materializing operators — ``order_by``, ``repartition``, the
-join build side, ``cache`` — buffer their whole input.  A
+but the materializing operators — ``order_by`` and ``cache`` —
+buffer their whole input.  A
 :class:`SpillManager` (owned by ``Session(memory_budget=...)``) lets
 them trade that residency for disk: partitions are serialized to a
 compact columnar on-disk format and restored on demand, so datasets
@@ -285,56 +285,3 @@ class SpillManager:
                 "spill_seconds": self.spill_seconds,
                 "restore_seconds": self.restore_seconds,
             }
-
-
-class SpillableBuffer:
-    """An append-then-replay partition buffer with bounded residency.
-
-    Partitions are kept in memory until the running in-memory total
-    would exceed ``budget``; from then on incoming partitions spill to
-    disk.  :meth:`replay` yields the partitions back in insertion
-    order (restoring spilled ones on the fly), any number of times.
-    Used by the executor's ``repartition`` and grace-join probe
-    buffering.
-    """
-
-    def __init__(self, manager: SpillManager, budget: int | None):
-        self._manager = manager
-        self._budget = budget
-        self._entries: list = []  # Partition | SpillHandle
-        self.in_memory_bytes = 0
-        self.num_rows = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def append(self, part: Partition) -> int:
-        """Add one partition; returns bytes spilled (0 if kept)."""
-        self.num_rows += part.num_rows
-        nbytes = part.nbytes
-        if (
-            self._budget is not None
-            and self.in_memory_bytes + nbytes > self._budget
-        ):
-            handle = self._manager.spill(part)
-            self._entries.append(handle)
-            return nbytes
-        self._entries.append(part)
-        self.in_memory_bytes += nbytes
-        return 0
-
-    def replay(self):
-        """Yield the buffered partitions in insertion order."""
-        for entry in self._entries:
-            if isinstance(entry, SpillHandle):
-                yield self._manager.restore(entry)
-            else:
-                yield entry
-
-    def release(self) -> None:
-        """Drop in-memory partitions and delete spilled files."""
-        for entry in self._entries:
-            if isinstance(entry, SpillHandle):
-                self._manager.release(entry)
-        self._entries.clear()
-        self.in_memory_bytes = 0

@@ -9,7 +9,7 @@ O(history).  This module makes it O(batch):
   :class:`~repro.engine.partition.Partition` on an append-only
   :class:`~repro.engine.plan.StreamingSource` plan node, so
   ``Stream.view()`` is an ordinary lazy DataFrame over the full
-  retained history — filters, joins, and batch group-bys all work.
+  retained history — filters and batch group-bys all work.
 - :class:`StreamingAggregation` (``stream.aggregate(...)``) maintains
   group-by state *incrementally*: a :class:`DeltaState` persists the
   batch executor's :class:`~repro.engine.aggregates.ArrayGroupState`
@@ -19,11 +19,6 @@ O(history).  This module makes it O(batch):
   result is bit-identical to ``view().group_by(...).agg(...)`` — not
   approximately equal, equal (pinned by
   ``tests/property/test_property_streaming.py``).
-- :class:`WindowSpec` adds tumbling/sliding *event-time* windows with
-  a watermark: rows older than ``max_event_time - watermark_delay``
-  whose window has closed are dropped as late, and closed windows are
-  finalized and evicted from the live state, so state stays bounded
-  by the number of *open* windows rather than by history.
 
 Per-batch deltas (``StreamingAggregation.delta()``) feed downstream
 incremental maintenance — most importantly
@@ -31,9 +26,9 @@ incremental maintenance — most importantly
 (cell, timestep) entries of an existing grid tensor.
 
 Observability: every append is traced (``engine.stream.append`` span)
-and metered — ``engine.stream.batches`` / ``rows`` / ``late_rows`` /
-``evicted_windows`` counters, an ``engine.stream.state_groups`` gauge,
-and two :class:`~repro.obs.metrics.WindowedHistogram` latency classes:
+and metered — ``engine.stream.batches`` / ``rows`` counters, an
+``engine.stream.state_groups`` gauge, and two
+:class:`~repro.obs.metrics.WindowedHistogram` latency classes:
 ``engine.stream.update_seconds`` (time to absorb one batch) and
 ``engine.stream.batch_lag_seconds`` (gap between consecutive appends,
 i.e. how far behind real time an exporter reading the stream could
@@ -56,13 +51,7 @@ __all__ = [
     "DeltaState",
     "Stream",
     "StreamingAggregation",
-    "WindowSpec",
-    "WINDOW_COLUMN",
 ]
-
-#: Name of the event-time window key column a windowed aggregation
-#: prepends to the user's group keys (the window's inclusive start).
-WINDOW_COLUMN = "window_start"
 
 _metrics = None
 
@@ -76,8 +65,6 @@ def _stream_metrics():
         _metrics = {
             "batches": obs.registry.counter("engine.stream.batches"),
             "rows": obs.registry.counter("engine.stream.rows"),
-            "late_rows": obs.registry.counter("engine.stream.late_rows"),
-            "evicted": obs.registry.counter("engine.stream.evicted_windows"),
             "groups": obs.registry.gauge("engine.stream.state_groups"),
             "update_s": obs.registry.windowed_histogram(
                 "engine.stream.update_seconds"
@@ -87,67 +74,6 @@ def _stream_metrics():
             ),
         }
     return _metrics
-
-
-class WindowSpec:
-    """An event-time window assignment over a timestamp column.
-
-    ``size`` is the window length in event-time units; ``slide``
-    (default ``size``) is the hop between window starts.  With
-    ``slide == size`` windows tumble (each event belongs to exactly
-    one window); with ``slide < size`` they overlap and each event
-    belongs to ``ceil(size / slide)`` candidate windows.  ``origin``
-    anchors the window grid (window starts are
-    ``origin + k * slide``).
-    """
-
-    __slots__ = ("time_column", "size", "slide", "origin")
-
-    def __init__(
-        self,
-        time_column: str,
-        size: float,
-        slide: float | None = None,
-        origin: float = 0.0,
-    ):
-        if size <= 0:
-            raise ValueError("window size must be positive")
-        slide = size if slide is None else slide
-        if slide <= 0 or slide > size:
-            raise ValueError("slide must satisfy 0 < slide <= size")
-        self.time_column = time_column
-        self.size = float(size)
-        self.slide = float(slide)
-        self.origin = float(origin)
-
-    def assign(self, times: np.ndarray):
-        """Map event times to (row_index, window_start) pairs.
-
-        Tumbling windows return one pair per row (row_index is just
-        arange); sliding windows replicate rows into every window that
-        covers them.  Assignment is pure float arithmetic on the event
-        times, so it is deterministic and independent of batching.
-        """
-        times = np.asarray(times, dtype=np.float64)
-        last_start = (
-            np.floor((times - self.origin) / self.slide) * self.slide
-            + self.origin
-        )
-        if self.slide == self.size:
-            return np.arange(len(times), dtype=np.int64), last_start
-        num_candidates = int(np.ceil(self.size / self.slide))
-        offsets = np.arange(num_candidates, dtype=np.float64) * self.slide
-        starts = last_start[:, None] - offsets[None, :]
-        covered = times[:, None] < starts + self.size
-        idx, which = np.nonzero(covered)
-        return idx.astype(np.int64), starts[idx, which]
-
-    def __repr__(self):
-        kind = "tumbling" if self.slide == self.size else "sliding"
-        return (
-            f"WindowSpec({kind}, {self.time_column!r}, size={self.size}, "
-            f"slide={self.slide}, origin={self.origin})"
-        )
 
 
 class DeltaState:
@@ -160,7 +86,7 @@ class DeltaState:
     group-by over those partitions performs, making the maintained
     accumulators bit-identical to a full recompute.  On top of that it
     tracks which groups the most recent batch touched (for delta
-    emission) and supports watermark eviction of closed groups.
+    emission).
     """
 
     def __init__(self, keys: list, specs: list):
@@ -202,148 +128,41 @@ class DeltaState:
         the rows a downstream incremental consumer must re-apply."""
         return self.state.select(self.last_changed).to_partition(self.keys)
 
-    def evict_below(self, key_index: int, threshold: float) -> Partition:
-        """Finalize and remove every group whose ``key_index``-th key
-        is at or below ``threshold``; returns the evicted groups as a
-        partition (the "closed windows" emission)."""
-        if self.state.num_groups == 0:
-            return self.state.to_partition(self.keys)
-        column = self.state.keys[:, key_index].astype(np.float64)
-        closing = column <= threshold
-        closed = self.state.select(closing).to_partition(self.keys)
-        self.state.compact(~closing)
-        # Positions shift after compaction; a delta computed before the
-        # eviction no longer indexes this state.
-        self.last_changed = np.empty(0, dtype=np.int64)
-        return closed
-
 
 class StreamingAggregation:
     """A continuously maintained ``group_by(...).agg(...)`` over a
-    :class:`Stream`, optionally windowed by event time.
+    :class:`Stream`.
 
-    Non-windowed: state is keyed by the group keys and grows with the
-    number of distinct groups.  ``to_partition()`` equals
+    State is keyed by the group keys and grows with the number of
+    distinct groups.  ``to_partition()`` equals
     ``stream.view().group_by(*keys).agg(*specs)`` bit for bit.
-
-    Windowed: each row is first assigned to its event-time window(s);
-    state is keyed by ``(window_start, *keys)``.  A watermark trails
-    the maximum event time seen by ``watermark_delay``; rows whose
-    window closed before the watermark are dropped as late, and closed
-    windows are finalized into :attr:`closed` and evicted so live
-    state stays bounded.
     """
 
-    def __init__(
-        self,
-        stream: "Stream",
-        keys: list,
-        specs: list,
-        window: WindowSpec | None = None,
-        watermark_delay: float = 0.0,
-    ):
+    def __init__(self, stream: "Stream", keys: list, specs: list):
         for spec in specs:
             if not isinstance(spec, AggSpec):
                 raise TypeError(f"expected AggSpec, got {spec!r}")
-        if watermark_delay < 0:
-            raise ValueError("watermark_delay must be >= 0")
         self.stream = stream
         self.group_keys = list(keys)
         self.specs = list(specs)
-        self.window = window
-        self.watermark_delay = float(watermark_delay)
-        self.watermark = -np.inf
-        state_keys = (
-            [WINDOW_COLUMN] + self.group_keys
-            if window is not None
-            else self.group_keys
-        )
-        self.delta_state = DeltaState(state_keys, self.specs)
-        #: Finalized partitions of windows the watermark has closed.
-        self.closed: list[Partition] = []
+        self.delta_state = DeltaState(self.group_keys, self.specs)
         self.rows_ingested = 0
-        self.rows_late = 0
-        self.windows_evicted = 0
 
     # ------------------------------------------------------------------
     # Ingestion (driven by Stream.append)
     # ------------------------------------------------------------------
-    def _ingest(self, part: Partition) -> dict:
-        if self.window is None:
-            changed = self.delta_state.update(part)
-            self.rows_ingested += part.num_rows
-            return {"rows": part.num_rows, "late": 0, "evicted": 0,
-                    "changed_groups": changed}
-        expanded, late = self._expand(part)
-        changed = self.delta_state.update(expanded)
-        evicted = 0
-        times = part.columns[self.window.time_column]
-        if part.num_rows:
-            fresh = float(np.max(np.asarray(times, dtype=np.float64)))
-            self.watermark = max(self.watermark, fresh - self.watermark_delay)
-            evicted = self._evict()
+    def _ingest(self, part: Partition) -> int:
+        """Merge one micro-batch; returns the groups it touched."""
+        changed = self.delta_state.update(part)
         self.rows_ingested += part.num_rows
-        self.rows_late += late
-        self.windows_evicted += evicted
-        return {"rows": part.num_rows, "late": late, "evicted": evicted,
-                "changed_groups": changed}
-
-    def _expand(self, part: Partition):
-        """Window-assign a batch: replicate rows into their windows,
-        drop rows whose window the current watermark already closed.
-
-        The late count is per dropped row->window *assignment*, not
-        per row: under a sliding window a row can be late for its
-        oldest window yet on time for a newer one, and the count is
-        the contributions actually discarded."""
-        window = self.window
-        needed = list(
-            dict.fromkeys(
-                self.group_keys
-                + [s.column for s in self.specs if s.column != "*"]
-            )
-        )
-        if part.num_rows == 0:
-            columns = {WINDOW_COLUMN: np.empty(0, dtype=np.float64)}
-            for name in needed:
-                columns[name] = part.columns[name]
-            return Partition(columns), 0
-        times = np.asarray(
-            part.columns[window.time_column], dtype=np.float64
-        )
-        idx, starts = window.assign(times)
-        on_time = starts + window.size > self.watermark
-        late = int(len(on_time) - np.count_nonzero(on_time))
-        if late:
-            idx, starts = idx[on_time], starts[on_time]
-        columns = {WINDOW_COLUMN: starts}
-        for name in needed:
-            columns[name] = np.asarray(part.columns[name])[idx]
-        return Partition(columns), late
-
-    def _evict(self) -> int:
-        state = self.delta_state
-        if state.num_groups == 0:
-            return 0
-        # A window [s, s + size) is closed once the watermark reaches
-        # its end: s + size <= watermark.  Late-row filtering in
-        # _expand keeps exactly the complement, so no accepted row can
-        # ever belong to an evicted window.
-        threshold = self.watermark - self.window.size
-        closing = state.state.keys[:, 0].astype(np.float64) <= threshold
-        if not closing.any():
-            return 0
-        closed = state.evict_below(0, threshold)
-        self.closed.append(closed)
-        return closed.num_rows
+        return changed
 
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
     @property
     def keys(self) -> list:
-        """The state's key columns (``window_start`` first when
-        windowed)."""
+        """The state's key columns."""
         return list(self.delta_state.keys)
 
     @property
@@ -357,7 +176,7 @@ class StreamingAggregation:
         return self.delta_state.nbytes
 
     def to_partition(self) -> Partition:
-        """The live (open) state finalized as one partition."""
+        """The current state finalized as one partition."""
         return self.delta_state.to_partition()
 
     def to_columns(self) -> dict:
@@ -369,23 +188,10 @@ class StreamingAggregation:
         grid maintenance."""
         return self.delta_state.delta_partition()
 
-    def snapshot_partition(self) -> Partition:
-        """Closed windows plus live state as one partition (all groups
-        ever finalized, each exactly once)."""
-        parts = [p for p in self.closed if p.num_rows] + [self.to_partition()]
-        return Partition.concat(parts)
-
     def recompute_dataframe(self) -> DataFrame:
         """The equivalent *batch* computation over the stream's full
         retained history — what this aggregation maintains
-        incrementally.  Only defined for non-windowed aggregations
-        (windowed results depend on arrival order through the
-        watermark, which a batch plan cannot express)."""
-        if self.window is not None:
-            raise ValueError(
-                "windowed aggregations have no batch-equivalent plan; "
-                "compare against a per-batch replay instead"
-            )
+        incrementally."""
         return (
             self.stream.view()
             .group_by(*self.group_keys)
@@ -448,8 +254,7 @@ class Stream:
         Coerces ``data`` to the stream schema, retains it on the
         streaming source (when ``retain=True``), and pushes it through
         every registered aggregation.  Returns per-append stats:
-        ``rows``, ``late_rows``, ``evicted_windows``,
-        ``changed_groups``, ``update_seconds``.
+        ``rows``, ``changed_groups``, ``update_seconds``.
         """
         from repro import obs
 
@@ -464,32 +269,22 @@ class Stream:
         with obs.tracer.span("engine.stream.append") as span:
             if self.retain:
                 self.source.append(part)
-            late = evicted = changed = 0
+            changed = 0
             for aggregation in self.aggregations:
-                stats = aggregation._ingest(part)
-                late += stats["late"]
-                evicted += stats["evicted"]
-                changed += stats["changed_groups"]
+                changed += aggregation._ingest(part)
             span.add("rows", part.num_rows)
-            span.add("late_rows", late)
         elapsed = time.perf_counter() - started
 
         self.batches_ingested += 1
         self.rows_ingested += part.num_rows
         metrics["batches"].inc()
         metrics["rows"].inc(part.num_rows)
-        if late:
-            metrics["late_rows"].inc(late)
-        if evicted:
-            metrics["evicted"].inc(evicted)
         metrics["groups"].set(
             sum(a.num_groups for a in self.aggregations)
         )
         metrics["update_s"].observe(elapsed)
         return {
             "rows": part.num_rows,
-            "late_rows": late,
-            "evicted_windows": evicted,
             "changed_groups": changed,
             "update_seconds": elapsed,
         }
@@ -508,13 +303,7 @@ class Stream:
             )
         return DataFrame(self.session, self.source)
 
-    def aggregate(
-        self,
-        keys,
-        specs,
-        window: WindowSpec | None = None,
-        watermark_delay: float = 0.0,
-    ) -> StreamingAggregation:
+    def aggregate(self, keys, specs) -> StreamingAggregation:
         """Register an incrementally maintained aggregation.
 
         ``keys`` are group-key column names; ``specs`` are
@@ -524,9 +313,7 @@ class Stream:
         """
         if isinstance(keys, str):
             keys = [keys]
-        aggregation = StreamingAggregation(
-            self, list(keys), list(specs), window, watermark_delay
-        )
+        aggregation = StreamingAggregation(self, list(keys), list(specs))
         for part in self.source.batches:
             aggregation._ingest(part)
         self.aggregations.append(aggregation)

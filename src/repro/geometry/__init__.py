@@ -1,28 +1,21 @@
 """Computational geometry: the spatial-type layer under the engine.
 
 Substitutes the geometry core of Apache Sedona / Shapely: point,
-envelope, polygon, and linestring types; containment/intersection
-predicates; uniform-grid and STR-tree spatial indexes; and the grid
+envelope and polygon types; containment/intersection predicates; the
+STR-tree spatial index; and the grid
 partitioner that the preprocessing module uses to rasterize space.
 """
 
 from repro.geometry.point import Point
 from repro.geometry.envelope import Envelope
 from repro.geometry.polygon import Polygon
-from repro.geometry.linestring import LineString
 from repro.geometry.grid import UniformGrid
 from repro.geometry.index.strtree import STRTree
-from repro.geometry.index.gridindex import GridIndex
-from repro.geometry.crs import EquirectangularCRS, haversine_distance_m
 
 __all__ = [
     "Point",
     "Envelope",
     "Polygon",
-    "LineString",
     "UniformGrid",
     "STRTree",
-    "GridIndex",
-    "EquirectangularCRS",
-    "haversine_distance_m",
 ]

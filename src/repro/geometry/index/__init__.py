@@ -1,6 +1,5 @@
-"""Spatial indexes used by the spatial join."""
+"""The spatial index used by the spatial join."""
 
 from repro.geometry.index.strtree import STRTree
-from repro.geometry.index.gridindex import GridIndex
 
-__all__ = ["STRTree", "GridIndex"]
+__all__ = ["STRTree"]

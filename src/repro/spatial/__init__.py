@@ -2,18 +2,12 @@
 
 Provides:
 
-- spatial column helpers (point construction, grid-cell assignment);
 - a grid-partitioned spatial join (points vs polygon/envelope sets);
 - the :class:`RasterTile` container plus a GeoTIFF-like on-disk format
   (``.rtif``) with reader/writer, and raster DataFrames whose rows are
   whole tiles.
 """
 
-from repro.spatial.functions import (
-    add_point_column,
-    assign_grid_cells,
-    point_in_envelope,
-)
 from repro.spatial.spatial_join import spatial_join_points_polygons
 from repro.spatial.raster import RasterTile
 from repro.spatial.raster_io import (
@@ -24,9 +18,6 @@ from repro.spatial.raster_io import (
 )
 
 __all__ = [
-    "add_point_column",
-    "assign_grid_cells",
-    "point_in_envelope",
     "spatial_join_points_polygons",
     "RasterTile",
     "read_rtif",

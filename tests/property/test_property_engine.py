@@ -105,32 +105,13 @@ def test_limit_bounds(frame, n):
     assert df.limit(n).count() == min(n, len(keys))
 
 
-@settings(max_examples=40, deadline=None)
-@given(frames())
-def test_join_with_self_keys(frame):
-    keys, values, parts = frame
-    df = _df(keys, values, parts)
-    unique_keys = sorted(set(keys))
-    session = Session(default_parallelism=2)
-    if not unique_keys:
-        return
-    right = session.create_dataframe(
-        {"k": np.asarray(unique_keys, dtype=np.int64),
-         "tag": np.asarray(unique_keys, dtype=np.int64) * 10}
-    )
-    rows = df.join(right, on="k").collect()
-    assert len(rows) == len(keys)  # every row matches exactly once
-    assert all(r["tag"] == r["k"] * 10 for r in rows)
-
-
 # ----------------------------------------------------------------------
 # Non-numeric group keys: dictionary-coded inside the one group-by state
 # ----------------------------------------------------------------------
 WORDS = ["apple", "pear", "quince", "", "apple "]
 ALL_AGGS = [
     agg.count(name="n"), agg.sum_("v", "s"), agg.min_("v", "lo"),
-    agg.max_("v", "hi"), agg.mean("v", "m"), agg.var_("v", "var"),
-    agg.std_("v", "std"), agg.count_distinct("v", "nd"),
+    agg.max_("v", "hi"), agg.mean("v", "m"),
 ]
 #: name -> how a drawn list of word indices becomes that key column.
 KEY_COLUMNS = {
@@ -176,7 +157,7 @@ def keyed_frames(draw):
 
 
 def _grouped(columns: dict, names, cuts):
-    """``group_by(*names)`` over all eight aggregate kinds, with the
+    """``group_by(*names)`` over all five aggregate kinds, with the
     frame cut into explicit (possibly empty) partitions; rows keyed by
     their group-key tuple."""
     n = len(columns["v"])

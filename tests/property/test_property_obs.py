@@ -45,8 +45,8 @@ def pipelines(draw):
     ops = draw(
         st.lists(
             st.sampled_from(
-                ["filter", "with_column", "select", "limit", "join",
-                 "group_by", "order_by", "repartition"]
+                ["filter", "with_column", "select", "limit", "group_by",
+                 "order_by"]
             ),
             min_size=0,
             max_size=4,
@@ -75,14 +75,6 @@ def _build(session, frame, ops, limit_n, threshold):
             df = df.select("k", "v")
         elif op == "limit":
             df = df.limit(limit_n)
-        elif op == "join" and "k" in cols:
-            right = session.create_dataframe(
-                {
-                    "k": np.arange(6, dtype=np.int64),
-                    "w": np.arange(6, dtype=np.float64) / 3.0,
-                }
-            )
-            df = df.join(right, on="k")
         elif op == "group_by" and {"k", "v"} <= cols:
             df = (
                 df.group_by("k")
@@ -90,8 +82,6 @@ def _build(session, frame, ops, limit_n, threshold):
             )
         elif op == "order_by" and "k" in cols:
             df = df.order_by("k")
-        elif op == "repartition":
-            df = df.repartition(3)
     return df
 
 

@@ -2,7 +2,7 @@
 
 Random plans are composed from the full transformation vocabulary
 (project / filter / with_column incl. UDFs / drop / limit / union /
-order_by / join / group_by) over randomly generated partitioned data,
+order_by / group_by) over randomly generated partitioned data,
 and executed twice — optimizer off and optimizer on.  The collected
 rows must be identical (same order, same values, NaN == NaN)."""
 
@@ -45,7 +45,7 @@ def programs(draw):
         if len(columns) > 1:
             choices += ["select", "drop"]
         if "k" in columns:
-            choices += ["order_by", "join", "group_by", "union"]
+            choices += ["order_by", "group_by", "union"]
         kind = draw(st.sampled_from(choices))
         if kind == "filter":
             target = draw(st.sampled_from(columns))
@@ -79,10 +79,6 @@ def programs(draw):
             ops.append(("order_by", "k"))
         elif kind == "union":
             ops.append(("union",))
-        elif kind == "join":
-            ops.append(("join", draw(st.sampled_from(["inner", "left"]))))
-            if "tag" not in columns:
-                columns.append("tag")
         elif kind == "group_by":
             value = draw(st.sampled_from(columns))
             ops.append(("group_by", value))
@@ -98,12 +94,6 @@ def _run(n, parts, ops, optimize_flag):
             "k": rng.integers(0, 6, n).astype(np.int64),
             "v": np.round(rng.uniform(-5, 5, n), 3),
             "w": np.round(rng.uniform(0, 10, n), 3),
-        }
-    )
-    right = session.create_dataframe(
-        {
-            "k": np.arange(0, 4, dtype=np.int64),
-            "tag": np.arange(0, 4, dtype=np.int64) * 100,
         }
     )
     for op in ops:
@@ -128,8 +118,6 @@ def _run(n, parts, ops, optimize_flag):
             df = df.order_by(op[1])
         elif kind == "union":
             df = df.union(df)
-        elif kind == "join":
-            df = df.join(right.select(*(["k", "tag"])), on="k", how=op[1])
         elif kind == "group_by":
             df = df.group_by("k").agg(
                 agg.sum_(op[1], "s"), agg.count(name="n")

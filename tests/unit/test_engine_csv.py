@@ -57,6 +57,14 @@ class TestScan:
         with pytest.raises(FileNotFoundError):
             df.count()
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # csv.reader yields [] for a blank or trailing empty line; the
+        # row ranges still count it, so it must vanish inside one.
+        path = tmp_path / "blank.csv"
+        path.write_text("a,b\n1,2\n\n3,4\n\n")
+        df = Session().read_csv(str(path), rows_per_partition=2)
+        assert df.collect() == [{"a": 1, "b": 2}, {"a": 3, "b": 4}]
+
     def test_filter_pushdown_streaming(self, csv_file):
         from repro.engine.expressions import col
 

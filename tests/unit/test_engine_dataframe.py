@@ -209,41 +209,6 @@ class TestGroupBy:
             agg.AggSpec("out", "x", "median")
 
 
-class TestJoin:
-    def test_inner(self, df, session):
-        right = session.create_dataframe(
-            {"g": [0, 1], "label": np.array(["zero", "one"], dtype=object)}
-        )
-        rows = df.join(right, on="g").collect()
-        assert len(rows) == 7  # g==2 rows dropped
-        assert all("label" in r for r in rows)
-
-    def test_left(self, df, session):
-        right = session.create_dataframe(
-            {"g": [0], "label": np.array(["zero"], dtype=object)}
-        )
-        rows = df.join(right, on="g", how="left").collect()
-        assert len(rows) == 10
-        unmatched = [r for r in rows if r["g"] != 0]
-        assert all(np.isnan(r["label"]) for r in unmatched)
-
-    def test_one_to_many(self, session):
-        left = session.create_dataframe({"k": [1, 2]})
-        right = session.create_dataframe({"k": [1, 1, 3], "v": [10.0, 20.0, 30.0]})
-        rows = left.join(right, on="k").collect()
-        assert sorted(r["v"] for r in rows) == [10.0, 20.0]
-
-    def test_multi_key_join(self, session):
-        left = session.create_dataframe({"a": [1, 1], "b": [1, 2], "x": [5, 6]})
-        right = session.create_dataframe({"a": [1], "b": [2], "y": [9]})
-        rows = left.join(right, on=["a", "b"]).collect()
-        assert len(rows) == 1 and rows[0]["x"] == 6
-
-    def test_unknown_how(self, df):
-        with pytest.raises(ValueError):
-            df.join(df, on="g", how="outer")
-
-
 class TestOrderAndShow:
     def test_order_by(self, session):
         out = session.create_dataframe({"x": [3, 1, 2]})
@@ -266,11 +231,6 @@ class TestOrderAndShow:
     def test_explain(self, df):
         plan = df.filter(col("x") > 1).select("x").explain()
         assert "Project" in plan and "Filter" in plan and "Source" in plan
-
-    def test_repartition(self, df):
-        out = df.repartition(5)
-        assert out.num_partitions() == 5
-        assert out.count() == 10
 
     def test_to_columns(self, df):
         cols = df.to_columns()

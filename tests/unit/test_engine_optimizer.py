@@ -1,14 +1,12 @@
 """The logical-plan optimizer: each rule firing, each rule correctly
-not firing, and the executor changes that ride along (vectorized join
-dtype policy, repartition metering)."""
+not firing, and the vectorized group-by that rode along."""
 
 import numpy as np
 import pytest
 
 from repro.engine import Session, agg, col, lit, udf
 from repro.engine import plan as P
-from repro.engine.optimizer import optimize, static_columns
-from repro.utils.memory import MemoryMeter
+from repro.engine.optimizer import optimize
 
 
 @pytest.fixture
@@ -132,64 +130,6 @@ class TestFilterRules:
         assert isinstance(opt.child, P.MapPartitions)
 
 
-class TestJoinFilterPushdown:
-    def _sides(self, session):
-        left = session.create_dataframe(
-            {"k": np.array([1, 2, 3]), "lv": np.array([1.0, 2.0, 3.0])}
-        )
-        right = session.create_dataframe(
-            {"k": np.array([2, 3, 4]), "rv": np.array([20.0, 30.0, 40.0])}
-        )
-        return left, right
-
-    def test_key_filter_reaches_both_sides_inner(self, session):
-        left, right = self._sides(session)
-        plan = left.join(right, on="k").filter(col("k") > 1).plan
-        opt = optimize(plan)
-        join = _find(opt, P.Join)[0]
-        assert isinstance(join.left, P.Filter)
-        assert isinstance(join.right, P.Filter)
-
-    def test_side_filters_reach_their_side(self, session):
-        left, right = self._sides(session)
-        plan = (
-            left.join(right, on="k")
-            .filter((col("lv") > 1) & (col("rv") > 20))
-            .plan
-        )
-        opt = optimize(plan)
-        join = _find(opt, P.Join)[0]
-        assert isinstance(join.left, P.Filter)
-        assert "lv" in join.left.predicate.references()
-        assert isinstance(join.right, P.Filter)
-        assert "rv" in join.right.predicate.references()
-
-    def test_right_filter_not_pushed_on_left_join(self, session):
-        left, right = self._sides(session)
-        plan = (
-            left.join(right, on="k", how="left")
-            .filter(col("rv") > 20)
-            .plan
-        )
-        opt = optimize(plan)
-        # Pushing rv > 20 into the right side would turn unmatched
-        # left rows (rv = NaN) into matched-then-filtered rows.
-        assert isinstance(opt, P.Filter)
-        join = _find(opt, P.Join)[0]
-        assert not isinstance(join.right, P.Filter)
-
-    def test_left_filter_pushed_on_left_join(self, session):
-        left, right = self._sides(session)
-        plan = (
-            left.join(right, on="k", how="left")
-            .filter(col("lv") > 1)
-            .plan
-        )
-        opt = optimize(plan)
-        join = _find(opt, P.Join)[0]
-        assert isinstance(join.left, P.Filter)
-
-
 class TestFusionAndLimit:
     def test_project_project_fuses(self, df):
         plan = (
@@ -261,19 +201,6 @@ class TestColumnPruning:
         gb = _find(opt, P.GroupByAgg)[0]
         assert [a.out_name for a in gb.aggs] == ["s"]
 
-    def test_join_sides_narrowed(self, session):
-        left = session.create_dataframe(
-            {"k": np.array([1, 2]), "lv": [1.0, 2.0], "junk": [0.0, 0.0]}
-        )
-        right = session.create_dataframe(
-            {"k": np.array([1, 2]), "rv": [5.0, 6.0], "waste": [0.0, 0.0]}
-        )
-        plan = left.join(right, on="k").select("k", "lv", "rv").plan
-        opt = optimize(plan)
-        join = _find(opt, P.Join)[0]
-        assert "junk" not in static_columns(join.left)
-        assert "waste" not in static_columns(join.right)
-
     def test_pruning_stops_at_map_partitions(self, df):
         plan = (
             df.map_partitions(lambda p: p, label="opaque").select("a").plan
@@ -325,98 +252,6 @@ class TestWiring:
         assert "CompiledStage[Project(a)" in optimized
 
 
-class TestLeftJoinDtypePolicy:
-    def _joined(self, session, how="left"):
-        left = session.create_dataframe({"k": np.array([1, 2], dtype=np.int64)})
-        right = session.create_dataframe(
-            {
-                "k": np.array([1], dtype=np.int64),
-                "n": np.array([7], dtype=np.int64),
-                "flag": np.array([True]),
-                "f": np.array([1.5], dtype=np.float64),
-            }
-        )
-        return left.join(right, on="k", how=how).order_by("k")
-
-    def test_int_and_bool_promoted_to_float(self, session):
-        cols = self._joined(session).to_columns()
-        assert cols["n"].dtype == np.float64
-        assert cols["flag"].dtype == np.float64
-        assert cols["n"][0] == 7.0 and np.isnan(cols["n"][1])
-        assert cols["flag"][0] == 1.0 and np.isnan(cols["flag"][1])
-
-    def test_float_column_keeps_dtype(self, session):
-        cols = self._joined(session).to_columns()
-        assert cols["f"].dtype == np.float64
-        assert cols["f"][0] == 1.5 and np.isnan(cols["f"][1])
-
-    def test_promotion_applies_even_when_all_rows_match(self, session):
-        # Dtype must not depend on whether any partition had misses.
-        left = session.create_dataframe({"k": np.array([1], dtype=np.int64)})
-        right = session.create_dataframe(
-            {"k": np.array([1], dtype=np.int64), "n": np.array([7], dtype=np.int64)}
-        )
-        cols = left.join(right, on="k", how="left").to_columns()
-        assert cols["n"].dtype == np.float64
-
-    def test_inner_join_keeps_int_dtype(self, session):
-        left = session.create_dataframe({"k": np.array([1], dtype=np.int64)})
-        right = session.create_dataframe(
-            {"k": np.array([1], dtype=np.int64), "n": np.array([7], dtype=np.int64)}
-        )
-        cols = left.join(right, on="k", how="inner").to_columns()
-        assert cols["n"].dtype == np.int64
-
-
-class TestVectorizedJoinSemantics:
-    def test_duplicate_build_keys_keep_right_order(self, session):
-        left = session.create_dataframe({"k": np.array([1])}, num_partitions=1)
-        right = session.create_dataframe(
-            {"k": np.array([1, 1, 1]), "v": np.array([10.0, 20.0, 30.0])},
-            num_partitions=2,
-        )
-        rows = left.join(right, on="k").collect()
-        assert [r["v"] for r in rows] == [10.0, 20.0, 30.0]
-
-    def test_multi_column_keys(self, session):
-        left = session.create_dataframe(
-            {
-                "a": np.array([1, 1, 2, 9]),
-                "b": np.array([1, 2, 1, 9]),
-                "lv": np.array([0.1, 0.2, 0.3, 0.4]),
-            }
-        )
-        right = session.create_dataframe(
-            {
-                "a": np.array([1, 2, 1]),
-                "b": np.array([2, 1, 9]),
-                "rv": np.array([12.0, 21.0, 19.0]),
-            }
-        )
-        rows = left.join(right, on=["a", "b"]).collect()
-        got = {(r["a"], r["b"]): r["rv"] for r in rows}
-        assert got == {(1, 2): 12.0, (2, 1): 21.0}
-
-    def test_object_keys(self, session):
-        left = session.create_dataframe(
-            {"k": ["x", "y", "z"], "lv": [1.0, 2.0, 3.0]}
-        )
-        right = session.create_dataframe({"k": ["y", "x"], "rv": [25.0, 15.0]})
-        rows = left.join(right, on="k").collect()
-        got = {r["k"]: r["rv"] for r in rows}
-        assert got == {"x": 15.0, "y": 25.0}
-
-    def test_left_join_preserves_left_order(self, session):
-        left = session.create_dataframe(
-            {"k": np.array([3, 1, 7, 1])}, num_partitions=1
-        )
-        right = session.create_dataframe({"k": np.array([1]), "v": [9.0]})
-        rows = left.join(right, on="k", how="left").collect()
-        # Matched rows first (left order), then unmatched (left order):
-        # the per-row implementation's per-partition layout.
-        assert [r["k"] for r in rows] == [1, 1, 3, 7]
-
-
 class TestVectorizedGroupBySemantics:
     def test_mid_stream_object_key_conversion(self):
         session = Session(default_parallelism=1)
@@ -451,16 +286,3 @@ class TestVectorizedGroupBySemantics:
         for r in rows:
             assert r["s"] == r["n"] and r["lo"] == 1.0 and r["hi"] == 1.0
             assert r["m"] == 1.0
-
-
-class TestRepartitionMetering:
-    def test_repartition_materialization_is_metered(self):
-        meter = MemoryMeter()
-        session = Session(default_parallelism=4, meter=meter)
-        n = 10_000
-        df = session.create_dataframe({"x": np.arange(n, dtype=np.float64)})
-        df.repartition(2).count()
-        # The whole dataset is resident during the reshuffle and the
-        # meter must see it (it previously only saw single partitions).
-        assert meter.peak >= n * 8
-        assert meter.current == 0

@@ -34,23 +34,16 @@ class TestDescribe:
         assert lines[0].startswith("Limit")
         assert lines[-1].strip().startswith("Source")
 
-    def test_join_and_union_labels(self, session):
+    def test_union_label(self, session):
         a = session.create_dataframe({"k": [1]})
         b = session.create_dataframe({"k": [2]})
         assert "Union[2 inputs]" in a.union(b).explain()
-        j = a.join(b, on="k", how="left")
-        assert "Join[left, on=['k']]" in j.explain()
 
     def test_map_partitions_label(self, session):
         df = session.create_dataframe({"k": [1]}).map_partitions(
             lambda p: p, label="my_step"
         )
         assert "MapPartitions[my_step]" in df.explain()
-
-    def test_repartition_label(self, session):
-        df = session.create_dataframe({"k": [1]}).repartition(3)
-        assert "Repartition[3]" in df.explain()
-
 
 class TestDispatch:
     def test_unknown_node_rejected(self):
@@ -67,22 +60,13 @@ class TestDispatch:
         with pytest.raises(TypeError):
             plan_column_names(Alien())
 
-    def test_invalid_join_type_at_construction(self, session):
-        df = session.create_dataframe({"k": [1]})
-        with pytest.raises(ValueError):
-            P.Join(df.plan, df.plan, ["k"], how="cross")
-
-
 class TestColumnNames:
     def test_through_every_node(self, session):
         df = session.create_dataframe({"a": [1], "b": [2.0]})
         assert df.order_by("a").columns == ["a", "b"]
         assert df.limit(1).columns == ["a", "b"]
-        assert df.repartition(2).columns == ["a", "b"]
         assert df.union(df).columns == ["a", "b"]
         assert df.cache().columns == ["a", "b"]
         assert df.map_partitions(lambda p: p).columns == ["a", "b"]
         grouped = df.group_by("a").agg(agg.count(name="n"))
         assert grouped.columns == ["a", "n"]
-        joined = df.join(df.select("a"), on="a")
-        assert joined.columns == ["a", "b"]

@@ -173,7 +173,9 @@ class TestMalformedCsv:
         path.write_text("a,b\n1,2\n3\n")
         session = Session()
         df = session.read_csv(str(path))
-        with pytest.raises(Exception):
+        with pytest.raises(
+            ValueError, match=r"ragged\.csv: record 2: expected 2 fields, got 1"
+        ):
             df.collect()
 
 

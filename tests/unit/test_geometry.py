@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geometry import Envelope, LineString, Point, Polygon, UniformGrid
+from repro.geometry import Envelope, Point, Polygon, UniformGrid
 
 
 class TestPoint:
@@ -119,20 +119,6 @@ class TestPolygon:
             True, False, False,
         ]
         assert poly.contains_points([], []).tolist() == []
-
-
-class TestLineString:
-    def test_length(self):
-        line = LineString([(0, 0), (3, 4), (3, 8)])
-        assert line.length == pytest.approx(9.0)
-
-    def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            LineString([(0, 0)])
-
-    def test_envelope(self):
-        line = LineString([(0, 5), (2, -1)])
-        assert line.envelope.min_y == -1
 
 
 class TestUniformGrid:

@@ -38,18 +38,23 @@ def mask_times(text: str) -> str:
     return re.sub(r"rows_per_s=\d+", "rows_per_s=*", text)
 
 
-def join_groupby_pipeline(session):
-    left = session.create_dataframe(
+def union_groupby_pipeline(session):
+    first = session.create_dataframe(
         {
             "k": (np.arange(10, dtype=np.int64) % 3),
             "v": np.arange(10, dtype=np.float64),
+            "w": np.ones(10),
         }
     )
-    right = session.create_dataframe(
-        {"k": np.arange(3, dtype=np.int64), "w": np.ones(3)}
+    second = session.create_dataframe(
+        {
+            "k": np.arange(3, dtype=np.int64),
+            "v": np.arange(3, dtype=np.float64) + 1,
+            "w": np.ones(3),
+        }
     )
     return (
-        left.join(right, on="k")
+        first.union(second)
         .filter(col("v") > 1)
         .group_by("k")
         .agg(agg.sum_("v", "s"))
@@ -58,53 +63,53 @@ def join_groupby_pipeline(session):
 
 class TestExplainGolden:
     def test_logical_plan_golden(self, session):
-        df = join_groupby_pipeline(session)
+        df = union_groupby_pipeline(session)
         expected = textwrap.dedent(
             """\
             GroupByAgg[keys=['k'], aggs=(s)]
               Filter[(v > lit(1))]
-                Join[inner, on=['k']]
+                Union[2 inputs]
                   Source[2 partitions]
                   Source[2 partitions]"""
         )
         assert df.explain() == expected
 
     def test_optimized_plan_golden(self, session):
-        df = join_groupby_pipeline(session)
+        df = union_groupby_pipeline(session)
         expected = textwrap.dedent(
             """\
             == Logical Plan ==
             GroupByAgg[keys=['k'], aggs=(s)]
               Filter[(v > lit(1))]
-                Join[inner, on=['k']]
+                Union[2 inputs]
                   Source[2 partitions]
                   Source[2 partitions]
             == Optimized Plan ==
             GroupByAgg[keys=['k'], aggs=(s)]
-              Join[inner, on=['k']]
-                CompiledStage[Filter((v > lit(1)))]
+              Union[2 inputs]
+                CompiledStage[Filter((v > lit(1))) -> Project(k, v)]
                   Source[2 partitions]
-                CompiledStage[Project(k)]
+                CompiledStage[Filter((v > lit(1))) -> Project(k, v)]
                   Source[2 partitions]"""
         )
         assert df.explain(optimized=True) == expected
 
     def test_analyze_golden(self, session):
-        df = join_groupby_pipeline(session)
+        df = union_groupby_pipeline(session)
         expected = textwrap.dedent(
             """\
             == Analyzed Plan ==
-            GroupByAgg[keys=['k'], aggs=(s)]  (rows_in=8 rows_out=3 partitions=1 time=* peak_part_bytes=48)
-              Join[inner, on=['k']]  (rows_in=11 rows_out=8 partitions=2 time=* peak_part_bytes=80)
-                CompiledStage[Filter((v > lit(1)))]  (rows_in=10 rows_out=8 partitions=2 time=* peak_part_bytes=80 work=* rows_per_s=*)
-                  Source[2 partitions]  (rows_out=10 partitions=2 time=* peak_part_bytes=80)
-                CompiledStage[Project(k)]  (rows_in=3 rows_out=3 partitions=2 time=* peak_part_bytes=16 work=* rows_per_s=*)
-                  Source[2 partitions]  (rows_out=3 partitions=2 time=* peak_part_bytes=32)"""
+            GroupByAgg[keys=['k'], aggs=(s)]  (rows_in=10 rows_out=3 partitions=1 time=* peak_part_bytes=48)
+              Union[2 inputs]  (rows_in=10 rows_out=10 partitions=4 time=* peak_part_bytes=80)
+                CompiledStage[Filter((v > lit(1))) -> Project(k, v)]  (rows_in=10 rows_out=8 partitions=2 time=* peak_part_bytes=80 work=* rows_per_s=*)
+                  Source[2 partitions]  (rows_out=10 partitions=2 time=* peak_part_bytes=120)
+                CompiledStage[Filter((v > lit(1))) -> Project(k, v)]  (rows_in=3 rows_out=2 partitions=2 time=* peak_part_bytes=32 work=* rows_per_s=*)
+                  Source[2 partitions]  (rows_out=3 partitions=2 time=* peak_part_bytes=48)"""
         )
         assert mask_times(df.explain(analyze=True)) == expected
 
     def test_analyze_is_deterministic_across_runs(self, session):
-        df = join_groupby_pipeline(session)
+        df = union_groupby_pipeline(session)
         first = mask_times(df.explain(analyze=True))
         second = mask_times(df.explain(analyze=True))
         assert first == second
@@ -112,20 +117,20 @@ class TestExplainGolden:
 
 class TestAnalyzeSemantics:
     def test_analyze_does_not_change_results(self, session):
-        df = join_groupby_pipeline(session)
+        df = union_groupby_pipeline(session)
         before = df.collect()
         df.explain(analyze=True)
         assert df.collect() == before
 
     def test_analyze_feeds_registry(self, session):
-        join_groupby_pipeline(session).explain(analyze=True)
+        union_groupby_pipeline(session).explain(analyze=True)
         breakdown = obs.export.operator_breakdown()
         assert breakdown["GroupByAgg"]["rows_out"] == 3
-        assert breakdown["Join"]["rows_out"] == 8
+        assert breakdown["Union"]["rows_out"] == 10
         assert breakdown["Source"]["partitions"] == 4
 
     def test_actions_record_last_plan_stats(self, session):
-        df = join_groupby_pipeline(session)
+        df = union_groupby_pipeline(session)
         rows = df.collect()
         stats = session.last_plan_stats
         assert stats is not None
@@ -135,7 +140,7 @@ class TestAnalyzeSemantics:
         assert "GroupByAgg" in rendered and "rows_out=3" in rendered
 
     def test_disabled_obs_skips_plan_stats(self, session):
-        df = join_groupby_pipeline(session)
+        df = union_groupby_pipeline(session)
         with obs.disabled():
             df.collect()
         assert session.last_plan_stats is None

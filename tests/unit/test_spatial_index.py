@@ -1,9 +1,9 @@
-"""STR-tree and grid spatial hash indexes."""
+"""The STR-tree spatial index."""
 
 import numpy as np
 import pytest
 
-from repro.geometry import Envelope, GridIndex, Point, STRTree
+from repro.geometry import Envelope, Point, STRTree
 
 
 def _random_envelopes(rng, n):
@@ -84,35 +84,3 @@ class TestSTRTree:
         tree = STRTree([(Envelope(0, 1, 0, 1), 0)])
         index, _ = tree.query_points([np.nan, 0.5, 0.5], [0.5, np.nan, 0.5])
         assert index.tolist() == [2]
-
-
-class TestGridIndex:
-    def test_insert_and_envelope_query(self):
-        idx = GridIndex(cell_size=1.0)
-        idx.insert_point(Point(0.5, 0.5), "a")
-        idx.insert_point(Point(5.5, 5.5), "b")
-        assert len(idx) == 2
-        assert set(idx.query_envelope(Envelope(0, 1, 0, 1))) == {"a"}
-        assert set(idx.query_envelope(Envelope(0, 6, 0, 6))) == {"a", "b"}
-
-    def test_radius_query_exact(self, rng):
-        idx = GridIndex(cell_size=2.0)
-        points = [
-            Point(rng.uniform(0, 20), rng.uniform(0, 20)) for _ in range(200)
-        ]
-        for i, p in enumerate(points):
-            idx.insert_point(p, i)
-        center = Point(10, 10)
-        expected = {
-            i for i, p in enumerate(points) if p.distance(center) <= 4.0
-        }
-        assert set(idx.query_radius(center, 4.0)) == expected
-
-    def test_negative_coordinates(self):
-        idx = GridIndex(cell_size=1.0)
-        idx.insert_point(Point(-3.5, -0.5), "neg")
-        assert set(idx.query_envelope(Envelope(-4, -3, -1, 0))) == {"neg"}
-
-    def test_invalid_cell_size(self):
-        with pytest.raises(ValueError):
-            GridIndex(cell_size=0)

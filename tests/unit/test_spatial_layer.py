@@ -1,4 +1,4 @@
-"""Spatial DataFrame functions, the spatial join, and raster I/O."""
+"""The spatial join and raster I/O."""
 
 import os
 
@@ -7,13 +7,10 @@ import pytest
 
 from repro.core.preprocessing.grid import SpacePartition
 from repro.engine import Session
-from repro.geometry import Envelope, Point, Polygon, STRTree, UniformGrid
+from repro.geometry import Envelope, Polygon, STRTree
 from repro.spatial import (
     RasterTile,
-    add_point_column,
-    assign_grid_cells,
     load_raster_folder,
-    point_in_envelope,
     read_rtif,
     spatial_join_points_polygons,
     write_raster_dataframe,
@@ -36,26 +33,6 @@ def points_df(session, rng):
             "lat": rng.uniform(0, 10, 50),
         }
     )
-
-
-class TestSpatialFunctions:
-    def test_add_point_column(self, points_df):
-        out = add_point_column(points_df, "lat", "lon", alias="pt")
-        rows = out.collect()
-        assert all(isinstance(r["pt"], Point) for r in rows)
-        assert rows[0]["pt"].x == rows[0]["lon"]
-
-    def test_assign_grid_cells_matches_scalar(self, points_df, rng):
-        grid = UniformGrid(Envelope(0, 10, 0, 10), 4, 4)
-        out = assign_grid_cells(points_df, grid, "lon", "lat")
-        for row in out.collect():
-            expected = grid.cell_id_of(Point(row["lon"], row["lat"]))
-            assert row["cell_id"] == (-1 if expected is None else expected)
-
-    def test_point_in_envelope(self, session):
-        df = session.create_dataframe({"lon": [1.0, 5.0], "lat": [1.0, 20.0]})
-        out = point_in_envelope(df, Envelope(0, 10, 0, 10), "lon", "lat")
-        assert [r["inside"] for r in out.collect()] == [True, False]
 
 
 class TestSpatialJoin:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.engine import Session
 from repro.engine.partition import Partition
-from repro.engine.spill import SpillableBuffer, SpillManager
+from repro.engine.spill import SpillManager
 
 
 def _object_col(values):
@@ -210,25 +210,6 @@ class TestThreadSafety:
         assert sorted(outs) == [0, 1]
         for out in outs.values():
             np.testing.assert_array_equal(out, np.arange(4000))
-
-
-class TestSpillableBuffer:
-    def test_overflow_spills_and_replays_in_order(self, tmp_path):
-        manager = SpillManager(budget=1, root=str(tmp_path))
-        buf = SpillableBuffer(manager, budget=200)
-        parts = [
-            Partition({"x": np.full(10, i, dtype=np.int64)}) for i in range(5)
-        ]
-        spilled = [buf.append(p) for p in parts]
-        assert buf.in_memory_bytes <= 200
-        assert sum(1 for s in spilled if s > 0) >= 2
-        assert buf.num_rows == 50
-        for expected, part in enumerate(buf.replay()):
-            assert part.columns["x"][0] == expected
-        # replay is repeatable
-        assert sum(p.num_rows for p in buf.replay()) == 50
-        buf.release()
-        manager.close()
 
 
 class TestObservability:

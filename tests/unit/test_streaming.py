@@ -1,13 +1,12 @@
 """Unit tests for the incremental streaming layer
 (:mod:`repro.engine.streaming`): stream ingestion, the live view,
-delta-maintained aggregation, event-time windows with watermarks, and
-the new mergeable aggregate kinds (var / std / count_distinct)."""
+and delta-maintained aggregation."""
 
 import numpy as np
 import pytest
 
-from repro.engine import Schema, Session, WindowSpec, agg, col
-from repro.engine.streaming import WINDOW_COLUMN, DeltaState
+from repro.engine import Schema, Session, agg, col
+from repro.engine.streaming import DeltaState
 
 
 def _session():
@@ -103,9 +102,6 @@ class TestDeltaMaintainedAggregation:
                 agg.min_("v"),
                 agg.max_("v"),
                 agg.mean("v"),
-                agg.var_("v"),
-                agg.std_("v"),
-                agg.count_distinct("v"),
             ],
         )
         rng = np.random.default_rng(7)
@@ -183,171 +179,11 @@ class TestDeltaMaintainedAggregation:
         assert state.delta_partition().num_rows == 0
 
 
-class TestEventTimeWindows:
-    def test_tumbling_assignment(self):
-        spec = WindowSpec("t", size=10.0)
-        idx, starts = spec.assign(np.array([0.0, 9.9, 10.0, 25.0]))
-        assert idx.tolist() == [0, 1, 2, 3]
-        assert starts.tolist() == [0.0, 0.0, 10.0, 20.0]
-
-    def test_sliding_assignment_replicates_rows(self):
-        spec = WindowSpec("t", size=10.0, slide=5.0)
-        idx, starts = spec.assign(np.array([7.0]))
-        assert idx.tolist() == [0, 0]
-        assert sorted(starts.tolist()) == [0.0, 5.0]
-
-    def test_invalid_window_spec(self):
-        with pytest.raises(ValueError):
-            WindowSpec("t", size=0.0)
-        with pytest.raises(ValueError):
-            WindowSpec("t", size=5.0, slide=10.0)
-
-    def test_windowed_counts(self):
-        stream = _session().stream(_schema())
-        live = stream.aggregate(
-            ["cell"],
-            [agg.count(name="n")],
-            window=WindowSpec("t", size=10.0),
-            watermark_delay=100.0,  # keep everything open
-        )
-        stream.append(
-            {"t": [1.0, 5.0, 11.0], "cell": [0, 0, 0], "v": [0.0] * 3}
-        )
-        out = live.to_columns()
-        assert out[WINDOW_COLUMN].tolist() == [0.0, 10.0]
-        assert out["n"].tolist() == [2, 1]
-
-    def test_watermark_drops_late_rows(self):
-        stream = _session().stream(_schema())
-        live = stream.aggregate(
-            [],
-            [agg.count(name="n")],
-            window=WindowSpec("t", size=10.0),
-            watermark_delay=0.0,
-        )
-        stream.append({"t": [25.0], "cell": [0], "v": [0.0]})
-        # Watermark is now 25: windows [0,10) and [10,20) are closed.
-        stats = stream.append({"t": [3.0], "cell": [0], "v": [0.0]})
-        assert stats["late_rows"] == 1
-        assert live.rows_late == 1
-        snap = live.snapshot_partition()
-        assert snap.columns["n"].sum() == 1  # late row never counted
-
-    def test_watermark_evicts_closed_windows(self):
-        stream = _session().stream(_schema())
-        live = stream.aggregate(
-            [],
-            [agg.count(name="n"), agg.sum_("v")],
-            window=WindowSpec("t", size=10.0),
-            watermark_delay=5.0,
-        )
-        stream.append({"t": [1.0, 2.0], "cell": [0, 0], "v": [1.0, 2.0]})
-        assert live.num_groups == 1
-        stats = stream.append({"t": [30.0], "cell": [0], "v": [3.0]})
-        # Watermark 25 closes [0,10): evicted into .closed, state keeps
-        # only the open [30,40) window.
-        assert stats["evicted_windows"] == 1
-        assert live.num_groups == 1
-        closed = live.closed[-1]
-        assert closed.columns[WINDOW_COLUMN].tolist() == [0.0]
-        assert closed.columns["n"].tolist() == [2]
-        assert closed.columns["sum_v"].tolist() == [3.0]
-        snap = live.snapshot_partition()
-        assert snap.columns["n"].sum() == 3
-
-    def test_in_window_late_arrival_still_merges(self):
-        stream = _session().stream(_schema())
-        live = stream.aggregate(
-            [],
-            [agg.count(name="n")],
-            window=WindowSpec("t", size=10.0),
-            watermark_delay=10.0,
-        )
-        stream.append({"t": [12.0], "cell": [0], "v": [0.0]})
-        # Watermark 2: [0,10) still open, so an out-of-order t=5 row
-        # within the allowed delay merges normally.
-        stats = stream.append({"t": [5.0], "cell": [0], "v": [0.0]})
-        assert stats["late_rows"] == 0
-        out = live.to_columns()
-        assert out[WINDOW_COLUMN].tolist() == [0.0, 10.0]
-        assert out["n"].tolist() == [1, 1]
-
-    def test_windowed_recompute_dataframe_raises(self):
-        stream = _session().stream(_schema())
-        live = stream.aggregate(
-            [], [agg.count(name="n")], window=WindowSpec("t", size=10.0)
-        )
-        with pytest.raises(ValueError, match="batch-equivalent"):
-            live.recompute_dataframe()
-
-
-class TestNewAggregateKinds:
-    def test_var_std_match_numpy(self):
-        session = _session()
-        rng = np.random.default_rng(3)
-        k = rng.integers(0, 4, 100)
-        v = rng.normal(size=100)
-        df = session.create_dataframe({"k": k, "v": v}, num_partitions=3)
-        out = (
-            df.group_by("k")
-            .agg(agg.var_("v"), agg.std_("v"))
-            .order_by("k")
-            .to_columns()
-        )
-        for i, g in enumerate(out["k"]):
-            sel = v[k == g]
-            assert np.isclose(out["var_v"][i], sel.var(ddof=1))
-            assert np.isclose(out["std_v"][i], sel.std(ddof=1))
-
-    def test_var_single_row_group_is_nan(self):
-        session = _session()
-        df = session.create_dataframe({"k": [1, 2, 2], "v": [5.0, 1.0, 3.0]})
-        out = (
-            df.group_by("k")
-            .agg(agg.var_("v"), agg.std_("v"))
-            .order_by("k")
-            .to_columns()
-        )
-        assert np.isnan(out["var_v"][0]) and np.isnan(out["std_v"][0])
-        assert out["var_v"][1] == 2.0
-
-    def test_count_distinct(self):
-        session = _session()
-        df = session.create_dataframe(
-            {"k": [1, 1, 1, 2], "v": [3.0, 3.0, 4.0, 3.0]}, num_partitions=3
-        )
-        out = (
-            df.group_by("k")
-            .agg(agg.count_distinct("v"))
-            .order_by("k")
-            .to_columns()
-        )
-        assert out["count_distinct_v"].dtype == np.int64
-        assert out["count_distinct_v"].tolist() == [2, 1]
-
-    def test_new_kinds_on_object_keys(self):
-        session = _session()
-        keys = np.empty(4, dtype=object)
-        keys[:] = ["a", "a", "b", "b"]
-        df = session.create_dataframe(
-            {"k": keys, "v": [1.0, 3.0, 2.0, 2.0]}, num_partitions=2
-        )
-        out = df.group_by("k").agg(
-            agg.var_("v"), agg.std_("v"), agg.count_distinct("v")
-        ).to_columns()
-        got = {
-            k: (var, std, cd)
-            for k, var, std, cd in zip(
-                out["k"], out["var_v"], out["std_v"], out["count_distinct_v"]
-            )
-        }
-        assert got["a"][0] == 2.0 and np.isclose(got["a"][1], np.sqrt(2.0))
-        assert got["a"][2] == 2
-        assert got["b"][0] == 0.0 and got["b"][2] == 1
-
+class TestAggregateKinds:
     def test_unknown_kind_still_rejected(self):
-        with pytest.raises(ValueError, match="unknown aggregate"):
-            agg.AggSpec("out", "x", "median")
+        for kind in ("median", "var", "std"):
+            with pytest.raises(ValueError, match="unknown aggregate"):
+                agg.AggSpec("out", "x", kind)
 
 
 class TestStreamObservability:
