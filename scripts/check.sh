@@ -23,7 +23,9 @@
 #   7. streaming lane: the streaming unit + property suites again
 #      under a forced memory budget AND the live exporter at once, so
 #      incremental ingestion runs with spill-capable sessions and the
-#      telemetry runtime racing the delta-maintenance hot path
+#      telemetry runtime racing the delta-maintenance hot path; with
+#      them the group-state insertion tests (reserved buffers vs the
+#      copying oracle, in-place merges, the packed key index)
 #   8. pipeline smoke: benchmarks/pipeline/run.py --smoke runs the five
 #      BENCHMARK.json workloads end to end at reduced size (~12 s),
 #      each checked against its numpy oracle
@@ -87,7 +89,9 @@ REPRO_TEST_MEMORY_BUDGET=4096 \
     REPRO_OBS_EXPORT=1 REPRO_OBS_EXPORT_DIR="$stream_export_dir" \
     python -m pytest -q \
     tests/unit/test_streaming.py \
-    tests/property/test_property_streaming.py
+    tests/property/test_property_streaming.py \
+    tests/unit/test_engine_edge_cases.py::TestMergeInPlace \
+    tests/property/test_property_engine.py::test_packed_key_index_equals_unique_axis0_oracle
 rm -rf "$stream_export_dir"
 
 echo "== pipeline smoke: five workloads end to end =="

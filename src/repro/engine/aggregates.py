@@ -14,8 +14,11 @@ streaming layer (:mod:`repro.engine.streaming`) relies on.
 :class:`ArrayGroupState` is the vectorized form of that merge — whole
 accumulator arrays, one merge per partition, keyed by one
 order-preserving int64 code per key row (:class:`KeyPacking`): a
-partition is grouped by a 1-D integer ``np.unique`` and its groups are
-found in the state by ``searchsorted``, then scattered in or inserted.
+partition's rows are packed once, grouped by a 1-D integer
+``np.unique``, and their groups found in the state by ``searchsorted``,
+then scattered in or inserted — an insert moves only the state's rows
+from the first insertion point on, within geometrically reserved
+buffers.
 Both the batch group-by executor and the streaming ``DeltaState`` run
 *this exact class*, which is what makes incrementally maintained
 results bit-identical to a from-scratch recompute over the same
@@ -172,17 +175,19 @@ class KeyPacking:
         return code
 
 
-def unique_rows(rows: np.ndarray):
-    """``(uniques, inverse, counts)`` of a numeric key matrix: its
-    distinct rows in lexicographic order, each row's position among
-    them and the rows per distinct row — one 1-D integer ``np.unique``
-    over the packed row codes."""
-    codes = KeyPacking(rows).codes
-    _, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
+def unique_rows(rows: np.ndarray, codes: np.ndarray):
+    """``(uniques, unique codes, inverse, counts)`` of a numeric key
+    matrix given its rows' order-preserving codes (a
+    :class:`KeyPacking`'s): its distinct rows in lexicographic order,
+    their codes, each row's position among them and the rows per
+    distinct row — one 1-D integer ``np.unique`` over the codes."""
+    ucodes, inverse, counts = np.unique(
+        codes, return_inverse=True, return_counts=True
+    )
     # Any member stands for its group: grouped rows are equal.
     member = np.empty(len(counts), dtype=np.intp)
     member[inverse] = np.arange(len(rows))
-    return rows[member], inverse, counts
+    return rows[member], ucodes, inverse, counts
 
 
 # ----------------------------------------------------------------------
@@ -203,6 +208,12 @@ def _dictionary_codes(codes: dict, values: np.ndarray) -> np.ndarray:
 # bit for bit.
 _EMPTY = {"min": np.inf, "max": -np.inf}
 
+# Capacity, as a multiple of the groups, reserved when a merge
+# outgrows the state's buffers: geometric growth, so the head of the
+# state is copied a logarithmic number of times over a stream, not
+# once per merge that brings new groups.
+_GROWTH = 1.5
+
 
 def empty_group_partition(keys, specs):
     from repro.engine.partition import Partition
@@ -216,10 +227,18 @@ class ArrayGroupState:
     """Per-group accumulators held as whole arrays, one vectorized
     merge per partition.  This is the engine's only group-by state.
 
-    A merge groups the partition in O(rows log rows), finds and
-    scatters into its groups in place in O(groups log state), and
-    copies the state only to insert new groups; the state's codes are
-    re-packed only when a key column outgrows their range or dictionary.
+    A merge packs the partition's key rows once under the state's
+    codes and groups them in O(rows log rows), finds and scatters into
+    its groups in place in O(groups log state), and inserts new groups
+    by moving only the rows from the first insertion point onward; the
+    state's codes are re-packed only when a key column outgrows their
+    range or dictionary.
+
+    ``keys``, ``_codes``, ``counts`` and the accumulators are views of
+    the first ``num_groups`` rows of reserved buffers (``_buffers``, in
+    that order) once a merge has inserted groups; the buffers grow
+    geometrically, and whatever replaces one of those arrays wholesale
+    drops them.  :attr:`nbytes` counts the reserved capacity.
 
     ``keys`` is one numeric matrix of unique key rows in lexicographic
     order (NaN last, all NaN of a column one key).  A non-numeric
@@ -249,6 +268,9 @@ class ArrayGroupState:
         # None until a merge needs them or after ``keys`` was rewritten.
         self._packing: KeyPacking | None = None
         self._codes: np.ndarray | None = None
+        # Reserved buffers behind the arrays of ``_arrays()``, or None
+        # while those arrays are exactly ``num_groups`` long.
+        self._buffers: list | None = None
 
     @property
     def num_groups(self) -> int:
@@ -258,10 +280,19 @@ class ArrayGroupState:
     def nbytes(self) -> int:
         # Rough dict-entry estimate for the dictionary-coded columns.
         total = sum(64 * len(m) for m in self._code_maps.values())
-        for arr in [self.keys, self.counts, self._codes, *self.values]:
-            if arr is not None:
-                total += arr.nbytes
-        return total
+        arrays = self._buffers
+        if arrays is None:
+            arrays = [self.keys, self._codes, self.counts, *self.values]
+        return total + sum(arr.nbytes for arr in arrays if arr is not None)
+
+    def _arrays(self) -> list:
+        """The per-group arrays an insert grows, in ``_buffers`` order."""
+        return [
+            self.keys,
+            self._codes,
+            self.counts,
+            *(value for value in self.values if value is not None),
+        ]
 
     def _partials(self, uniques, inverse, part):
         partials = []
@@ -311,7 +342,7 @@ class ArrayGroupState:
         dtype = np.result_type(stacked.dtype, self.keys.dtype)
         if dtype != self.keys.dtype:
             self.keys = self.keys.astype(dtype)
-            self._packing = self._codes = None
+            self._packing = self._codes = self._buffers = None
         return stacked.astype(dtype, copy=False)
 
     def _start_coding(self, i: int, seen: np.dtype) -> None:
@@ -334,16 +365,26 @@ class ArrayGroupState:
         the touched groups (aligned with the partition's sorted unique
         key rows)."""
         stacked = self._stack_keys(key_columns)
-        uniques, inverse, counts = unique_rows(stacked)
+        # Pack the rows once: under the state's codes when they cover
+        # the batch, else under a packing fitted to the batch alone.
+        # Both preserve row order, so the groups come out the same.
+        packing = self._packing
+        codes = None if packing is None else packing.encode(stacked)
+        if codes is None:
+            packing = KeyPacking(stacked)
+            codes = packing.codes
+        uniques, codes, inverse, counts = unique_rows(stacked, codes)
         partials = self._partials(uniques, inverse, part)
 
         if self.keys is None:
             self.keys = uniques
             self.counts = counts
             self.values = partials
+            self._packing, self._codes = packing, codes
             return np.arange(len(uniques), dtype=np.int64)
 
-        codes = self._encode(uniques)
+        if packing is not self._packing:
+            codes = self._repack(uniques)
         slots = np.searchsorted(self._codes, codes)
         fresh = self._codes.take(slots, mode="clip") != codes
         if fresh.any():
@@ -359,35 +400,62 @@ class ArrayGroupState:
                 value[slots] = np.maximum(value[slots], partial)
         return slots
 
-    def _encode(self, uniques: np.ndarray) -> np.ndarray:
-        """Packed codes of ``uniques`` under the state's packing, which
-        is first re-fitted — with the state's own codes — when a row
-        falls outside it: a column's range or dictionary grew."""
-        codes = None if self._packing is None else self._packing.encode(uniques)
-        if codes is None:
-            self._packing = KeyPacking(np.concatenate([self.keys, uniques]))
-            self._codes = self._packing.codes[: len(self.keys)]
-            codes = self._packing.codes[len(self.keys) :]
-        return codes
+    def _repack(self, uniques: np.ndarray) -> np.ndarray:
+        """Re-fit the state's packing to its own key rows plus
+        ``uniques`` — a column's range or dictionary grew past it —
+        and return the packed codes of ``uniques``."""
+        self._packing = KeyPacking(np.concatenate([self.keys, uniques]))
+        self._codes = self._packing.codes[: len(self.keys)]
+        self._buffers = None
+        return self._packing.codes[len(self.keys) :]
 
     def _insert(self, at, keys, codes) -> None:
         """Insert empty groups with the given key rows and codes before
-        the state positions ``at`` (ascending) — the one O(state) step
-        of a merge, taken only when a partition brings new groups."""
-        head = at[0]
+        the state positions ``at`` (ascending).  Rows before ``at[0]``
+        stay where they are; event-time streams insert near the end of
+        the state, so an insert moves a short tail, in place while the
+        reserved buffers have room."""
+        old = len(self.keys)
+        new, head = old + len(at), int(at[0])
+        # Placement plan for the rows from ``head`` on: the i-th new
+        # group lands at at[i] + i, every old row moves up by the
+        # number of new groups inserted at or before it.
+        placed = at - head + np.arange(len(at))
+        moved = np.arange(old - head)
+        moved += np.searchsorted(at - head, moved, side="right")
 
-        def grown(arr, values):
-            # Groups before the first insertion are one block copy;
-            # event-time streams insert near the end of the state.
-            tail = np.insert(arr[head:], at - head, values, axis=0)
-            return np.concatenate([arr[:head], tail])
+        arrays = self._arrays()
+        buffers = self._buffers
+        if buffers is None or len(buffers[0]) < new:
+            capacity = int(new * _GROWTH)
+            buffers = []
+            for arr in arrays:
+                buffer = np.empty((capacity, *arr.shape[1:]), dtype=arr.dtype)
+                buffer[:head] = arr[:head]
+                buffers.append(buffer)
+            self._buffers = buffers
+        fills = [
+            keys,
+            codes,
+            0,
+            *(
+                _EMPTY.get(spec.kind, 0.0)
+                for spec, value in zip(self.specs, self.values)
+                if value is not None
+            ),
+        ]
+        for buffer, arr, fill in zip(buffers, arrays, fills):
+            tail = buffer[head:new]
+            # In place the source overlaps the target; numpy reads an
+            # overlapping right-hand side before it writes.
+            tail[moved] = arr[head:]
+            tail[placed] = fill
 
-        self.keys = grown(self.keys, keys)
-        self._codes = grown(self._codes, codes)
-        self.counts = grown(self.counts, 0)
-        for i, (spec, value) in enumerate(zip(self.specs, self.values)):
-            if value is not None:
-                self.values[i] = grown(value, _EMPTY.get(spec.kind, 0.0))
+        self.keys, self._codes, self.counts = (b[:new] for b in buffers[:3])
+        grown = iter(buffers[3:])
+        self.values = [
+            None if value is None else next(grown)[:new] for value in self.values
+        ]
 
     def select(self, where: np.ndarray) -> "ArrayGroupState":
         """A new state holding only the groups at the positions
@@ -416,6 +484,7 @@ class ArrayGroupState:
         self.values = other.values
         self._packing = other._packing
         self._codes = other._codes
+        self._buffers = other._buffers
 
     def to_partition(self, keys):
         """Finalize every group as one partition: the key columns

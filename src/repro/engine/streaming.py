@@ -20,6 +20,11 @@ O(history).  This module makes it O(batch):
   approximately equal, equal (pinned by
   ``tests/property/test_property_streaming.py``).
 
+An append applies whole or not at all: key and aggregated columns are
+checked numeric when an aggregation registers, and a batch is cast to
+the schema — a NaN bound for an integer field raises ``ValueError`` —
+before it reaches the history or any state.
+
 Per-batch deltas (``StreamingAggregation.delta()``) feed downstream
 incremental maintenance — most importantly
 ``STManager.update_st_grid_array``, which scatters only the touched
@@ -110,11 +115,6 @@ class DeltaState:
             self.last_changed = np.empty(0, dtype=np.int64)
             return 0
         key_columns = [part.columns[k] for k in self.keys]
-        if any(np.asarray(c).dtype.kind in "OUS" for c in key_columns):
-            raise TypeError(
-                "streaming aggregation state requires numeric group keys; "
-                f"got non-numeric keys {self.keys}"
-            )
         self.last_changed = self.state.update(key_columns, part)
         return len(self.last_changed)
 
@@ -142,6 +142,16 @@ class StreamingAggregation:
         for spec in specs:
             if not isinstance(spec, AggSpec):
                 raise TypeError(f"expected AggSpec, got {spec!r}")
+        # Checked here, against the schema every batch is cast to, so
+        # no append can fail half-way through the merges.
+        merged = [spec.column for spec in specs if spec.kind != "count"]
+        for name in [*keys, *merged]:
+            dtype = np.dtype(stream.schema[name].dtype)
+            if dtype.kind in "OUS":
+                raise TypeError(
+                    "streaming aggregation requires numeric group keys and "
+                    f"aggregated columns; column {name!r} has dtype {dtype}"
+                )
         self.stream = stream
         self.group_keys = list(keys)
         self.specs = list(specs)
@@ -171,8 +181,9 @@ class StreamingAggregation:
 
     @property
     def state_nbytes(self) -> int:
-        """Estimated bytes of live aggregate state — the bound on
-        ingestion memory when the stream runs ``retain=False``."""
+        """Estimated bytes of live aggregate state, reserved capacity
+        included — the bound on ingestion memory when the stream runs
+        ``retain=False``."""
         return self.delta_state.nbytes
 
     def to_partition(self) -> Partition:
@@ -244,7 +255,14 @@ class Stream:
         for field in self.schema.fields:
             arr = np.asarray(arrays[field.name])
             if arr.dtype != field.dtype:
-                arr = arr.astype(field.dtype)
+                try:
+                    with np.errstate(invalid="raise"):
+                        arr = arr.astype(field.dtype)
+                except FloatingPointError:
+                    raise ValueError(
+                        f"column {field.name!r}: NaN, infinite or out-of-range "
+                        f"values cannot be cast to {np.dtype(field.dtype)}"
+                    ) from None
             columns[field.name] = arr
         return Partition(columns)
 
@@ -254,17 +272,19 @@ class Stream:
         Coerces ``data`` to the stream schema, retains it on the
         streaming source (when ``retain=True``), and pushes it through
         every registered aggregation.  Returns per-append stats:
-        ``rows``, ``changed_groups``, ``update_seconds``.
+        ``rows``, ``changed_groups``, ``update_seconds``.  A batch the
+        schema rejects raises before anything — history, aggregations,
+        counters — has changed.
         """
         from repro import obs
 
+        part = self._coerce(data)
         metrics = _stream_metrics()
         now = time.monotonic()
         if self._last_append_monotonic is not None:
             metrics["lag_s"].observe(now - self._last_append_monotonic)
         self._last_append_monotonic = now
 
-        part = self._coerce(data)
         started = time.perf_counter()
         with obs.tracer.span("engine.stream.append") as span:
             if self.retain:
@@ -310,6 +330,8 @@ class Stream:
         :class:`~repro.engine.aggregates.AggSpec` (use the ``agg``
         helpers).  Batches appended from now on update it in O(batch);
         batches appended before registration are folded in once here.
+        A key or aggregated column whose schema dtype is not numeric
+        raises ``TypeError``.
         """
         if isinstance(keys, str):
             keys = [keys]

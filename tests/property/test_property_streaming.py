@@ -11,6 +11,10 @@ event times:
 - **Grid tensors** — ``STManager.update_st_grid_array`` applied per
   batch delta equals ``get_st_grid_array`` rebuilt from scratch.
 
+A third pins the state's growth: merging into reserved buffers equals
+the whole-array ``np.insert`` + ``np.concatenate`` rebuild it replaced
+(``tests/group_state_oracle.py``), array for array.
+
 Comparisons use dtype checks plus ``np.testing.assert_array_equal``
 (NaN-exact), never ``isclose``: the incremental paths must produce the
 same bits, because both run the same ``ArrayGroupState`` merges in the
@@ -23,6 +27,9 @@ from hypothesis import strategies as st
 
 from repro.core.preprocessing.grid import STManager as stm
 from repro.engine import Session, agg
+from repro.engine.aggregates import ArrayGroupState
+from repro.engine.partition import Partition
+from tests.group_state_oracle import OracleGroupState
 
 # Event times from a coarse lattice and rounded values, so duplicate
 # keys and values are common.
@@ -143,3 +150,65 @@ def test_incremental_grid_tensor_equals_rebuild(batches):
     assert tensor.dtype == rebuilt.dtype
     np.testing.assert_array_equal(tensor, rebuilt)
     stm.release_st_grid_array(rebuilt)
+
+
+@st.composite
+def insert_rounds(draw):
+    """Batches of group keys placed against the keys merged so far — in
+    front of them, interleaved between them or past the end — with
+    keys already present mixed in.  One or two key columns; the key
+    dtype is drawn per batch, so the state widens mid-stream."""
+    present = sorted(
+        set(draw(st.lists(st.integers(0, 60).map(lambda i: 4 * i), min_size=1)))
+    )
+    batches = [present]
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        lo, hi = present[0], present[-1]
+        where = draw(st.sampled_from(["front", "interleaved", "end"]))
+        low, high = {
+            "front": (lo - 40, lo - 1),
+            "interleaved": (lo, hi),
+            "end": (hi + 1, hi + 40),
+        }[where]
+        fresh = draw(st.lists(st.integers(low, high), min_size=1, max_size=12))
+        again = draw(st.lists(st.sampled_from(present), max_size=6))
+        batches.append(fresh + again)
+        present = sorted(set(present).union(fresh))
+    dtypes = draw(
+        st.lists(
+            st.sampled_from([np.int32, np.int64, np.float64]),
+            min_size=len(batches),
+            max_size=len(batches),
+        )
+    )
+    weights = [
+        np.asarray(draw(st.lists(values, min_size=len(b), max_size=len(b))))
+        for b in batches
+    ]
+    return draw(st.booleans()), list(zip(batches, dtypes, weights))
+
+
+@settings(max_examples=80, deadline=None)
+@given(insert_rounds())
+def test_buffered_insert_equals_copying_oracle(rounds):
+    two_columns, batches = rounds
+    state, oracle = ArrayGroupState(ALL_SPECS), OracleGroupState(ALL_SPECS)
+    for keys, dtype, weights in batches:
+        k = np.asarray(keys, dtype=np.int64)
+        # (k // 7, k % 7) orders as k does: two columns, same placements.
+        columns = [k // 7, k % 7] if two_columns else [k]
+        columns = [c.astype(dtype) for c in columns]
+        part = Partition({"v": weights})
+        np.testing.assert_array_equal(
+            state.update(columns, part), oracle.update(columns, part)
+        )
+        got, want = state._arrays(), oracle._arrays()
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        assert state.nbytes >= oracle.nbytes
+    assert_identical(
+        dict(state.to_partition(["a", "b"][: len(columns)]).columns),
+        dict(oracle.to_partition(["a", "b"][: len(columns)]).columns),
+    )

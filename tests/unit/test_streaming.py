@@ -1,12 +1,19 @@
 """Unit tests for the incremental streaming layer
 (:mod:`repro.engine.streaming`): stream ingestion, the live view,
-and delta-maintained aggregation."""
+delta-maintained aggregation, rejected batches, and the reserved
+buffers the group state inserts into."""
+
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.engine import Schema, Session, agg, col
+from repro.engine.aggregates import ArrayGroupState
+from repro.engine.partition import Partition
 from repro.engine.streaming import DeltaState
+from repro.utils.memory import MemoryMeter
+from tests.group_state_oracle import OracleGroupState
 
 
 def _session():
@@ -165,18 +172,217 @@ class TestDeltaMaintainedAggregation:
         assert live.num_groups == 2
 
     def test_object_keys_rejected(self):
+        # At registration, from the schema: an append can no longer
+        # merge into one aggregation and then fail on the next.
         session = _session()
-        stream = session.stream([("k", object), ("v", np.float64)])
-        live = stream.aggregate(["k"], [agg.count(name="n")])
-        assert live is not None
-        with pytest.raises(TypeError, match="numeric group keys"):
-            stream.append({"k": np.array(["a"], dtype=object), "v": [1.0]})
+        stream = session.stream(
+            [("k", object), ("cell", np.int64), ("v", np.float64)]
+        )
+        live = stream.aggregate(["cell"], [agg.sum_("v")])
+        with pytest.raises(TypeError, match="numeric group keys.*'k'"):
+            stream.aggregate(["k"], [agg.count(name="n")])
+        with pytest.raises(TypeError, match="'k'"):
+            stream.aggregate(["cell"], [agg.mean("k")])
+        assert stream.aggregations == [live]
+        stream.append(
+            {"k": np.array(["a", "b"], dtype=object), "cell": [0, 1], "v": [1.0, 2.0]}
+        )
+        assert stream.batches_ingested == 1
+        assert live.to_columns()["sum_v"].tolist() == [1.0, 2.0]
+
+    def test_unknown_column_rejected_at_registration(self):
+        stream = _session().stream(_schema())
+        with pytest.raises(KeyError, match="'nope'"):
+            stream.aggregate(["nope"], [agg.count(name="n")])
+        with pytest.raises(KeyError, match="'w'"):
+            stream.aggregate(["cell"], [agg.max_("w")])
+        assert stream.aggregations == []
 
     def test_delta_state_empty_partitions(self):
         state = DeltaState(["k"], [agg.count(name="n")])
         out = state.to_partition()
         assert out.num_rows == 0
         assert state.delta_partition().num_rows == 0
+
+
+class TestRejectedBatches:
+    """A batch the schema rejects raises before the history, any
+    aggregation or any counter has moved."""
+
+    GOOD = {"t": [1.0, 2.0, 3.0], "cell": [4, 0, 4], "v": [1.0, -2.0, 0.5]}
+    BAD = {
+        "nan time": ({"t": [5.0], "cell": [np.nan], "v": [1.0]}, "'cell'"),
+        "inf time": ({"t": [5.0], "cell": [-np.inf], "v": [1.0]}, "'cell'"),
+        "out of range": ({"t": [5.0], "cell": [1e30], "v": [1.0]}, "'cell'"),
+        "missing column": ({"t": [5.0], "cell": [7]}, "missing columns"),
+        "string value": ({"t": [5.0], "cell": [7], "v": ["x"]}, "x"),
+    }
+
+    @staticmethod
+    def _observed(stream):
+        from repro import obs
+
+        return {
+            "history": [
+                {n: c.copy() for n, c in p.columns.items()}
+                for p in stream.source.batches
+            ],
+            "aggregations": [
+                (
+                    {n: c.copy() for n, c in live.to_partition().columns.items()},
+                    {n: c.copy() for n, c in live.delta().columns.items()},
+                    live.rows_ingested,
+                )
+                for live in stream.aggregations
+            ],
+            "stream": (stream.batches_ingested, stream.rows_ingested),
+            "counters": [
+                obs.registry.counter(f"engine.stream.{name}").value
+                for name in ("batches", "rows")
+            ],
+        }
+
+    @pytest.mark.parametrize("case", list(BAD))
+    def test_rejected_batch_changes_nothing(self, case):
+        batch, message = self.BAD[case]
+        stream = _session().stream(_schema())
+        stream.aggregate(["cell"], [agg.count(name="n"), agg.min_("v")])
+        stream.aggregate(["t", "cell"], [agg.mean("v"), agg.max_("v")])
+        stream.append(self.GOOD)
+        before = self._observed(stream)
+        with pytest.raises(ValueError, match=message):
+            stream.append(batch)
+        np.testing.assert_equal(self._observed(stream), before)
+        stream.append(self.GOOD)  # still ingesting
+        assert stream.batches_ingested == 2
+
+    def test_nan_time_step_never_becomes_a_group(self):
+        stream = _session().stream(
+            [("time_step", np.int64), ("cell_id", np.int64), ("v", np.float64)]
+        )
+        live = stream.aggregate(["time_step"], [agg.count(name="n")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a typed error, not a warning
+            with pytest.raises(ValueError, match="'time_step'.*int64"):
+                stream.append(
+                    {"time_step": [np.nan, 2.0], "cell_id": [0, 1], "v": [1.0, 1.0]}
+                )
+        assert live.num_groups == 0
+        stream.append({"time_step": [2.0], "cell_id": [1], "v": [1.0]})
+        assert live.to_columns()["time_step"].tolist() == [2]
+
+
+class TestReservedGroupBuffers:
+    """``ArrayGroupState`` inserts into reserved buffers: a tail insert
+    that fits moves no head row, and ``nbytes`` counts the capacity."""
+
+    SPECS = [agg.count(name="n"), agg.sum_("v"), agg.min_("v"), agg.max_("v")]
+
+    @staticmethod
+    def _batch(cells):
+        cells = np.asarray(list(cells), dtype=np.int64)
+        return {
+            "t": np.zeros(len(cells)),
+            "cell": cells,
+            "v": np.linspace(-1.0, 1.0, len(cells)),
+        }
+
+    def test_tail_insert_within_capacity_keeps_head_rows(self):
+        stream = _session().stream(_schema(), retain=False)
+        live = stream.aggregate(["cell"], self.SPECS)
+        state = live.delta_state.state
+        stream.append(self._batch(range(100)))
+        stream.append(self._batch(range(100, 110)))  # first insert reserves
+        assert state.num_groups == 110
+        assert len(state._buffers[0]) >= 113
+        heads = [arr[:110].copy() for arr in state._arrays()]
+        before = state._arrays()
+
+        stream.append(self._batch([5, 112, 110, 111]))
+
+        assert state.num_groups == 113
+        untouched = np.arange(110) != 5
+        for old, new, head in zip(before, state._arrays(), heads):
+            assert np.shares_memory(old, new[:110])
+            np.testing.assert_array_equal(new[:110][untouched], head[untouched])
+        assert state.keys[-3:, 0].tolist() == [110, 111, 112]
+        assert state.counts[[5, 110, 111, 112]].tolist() == [2, 1, 1, 1]
+
+    def _merger(self):
+        """``(state, merge)``: ``merge(*key_columns)`` merges into the
+        state and into the copying oracle and checks they agree."""
+        state = ArrayGroupState(self.SPECS)
+        oracle = OracleGroupState(self.SPECS)
+
+        def merge(*columns):
+            columns = [np.asarray(c, dtype=np.int64) for c in columns]
+            part = Partition({"v": np.linspace(-1.0, 1.0, len(columns[0]))})
+            got = state.update(columns, part)
+            np.testing.assert_array_equal(got, oracle.update(columns, part))
+            for arr, want in zip(state._arrays(), oracle._arrays()):
+                assert arr.dtype == want.dtype
+                np.testing.assert_array_equal(arr, want)
+
+        return state, merge
+
+    def test_insert_past_capacity_reallocates_and_matches_oracle(self):
+        state, merge = self._merger()
+        merge(range(0, 40, 2))
+        merge([1, 3])
+        capacity = len(state._buffers[0])
+        # Fill the reserve exactly, in place, then one group past it.
+        merge(range(41, 41 + 2 * (capacity - state.num_groups), 2))
+        assert state.num_groups == capacity
+        assert len(state._buffers[0]) == capacity
+        first = state._buffers[0]
+        merge([-1])
+        assert state._buffers[0] is not first
+        assert len(state._buffers[0]) > state.num_groups
+
+    def test_repack_then_tail_insert_matches_oracle(self):
+        # The second key column outgrows its span: every code changes,
+        # while the new group still lands at the end of the state.
+        state, merge = self._merger()
+        merge([0, 1], [0, 0])
+        merge([1], [1])  # reserves buffers
+        codes = state._codes.copy()
+        merge([1, 1], [5, 0])
+        assert state._codes[:3].tolist() != codes.tolist()
+        merge([1, 0], [2, 4])
+
+    def test_nbytes_counts_reserved_capacity(self):
+        stream = _session().stream(_schema(), retain=False)
+        live = stream.aggregate(["cell"], self.SPECS)
+        state = live.delta_state.state
+        for start in range(0, 400, 40):
+            stream.append(self._batch(range(start, start + 40)))
+        reserved = sum(buffer.nbytes for buffer in state._buffers)
+        assert reserved > sum(arr.nbytes for arr in state._arrays())
+        assert live.state_nbytes >= reserved
+
+    def test_meter_returns_to_baseline_after_budgeted_group_by(self):
+        meter = MemoryMeter()
+        meter.allocate(100)  # somebody else's bytes stay put
+        columns = [
+            {"k": np.arange(a, a + 50, dtype=np.int64), "v": np.ones(50)}
+            for a in range(0, 200, 50)
+        ]
+        session = Session(meter=meter, memory_budget=1 << 20)
+        factories = [lambda c=c: Partition(c) for c in columns]
+        schema = Schema([("k", np.int64), ("v", np.float64)])
+        out = (
+            session.from_partitions(factories, schema)
+            .group_by("k")
+            .agg(*self.SPECS)
+            .to_columns()
+        )
+        assert out["k"].tolist() == list(range(200))
+        reference = ArrayGroupState(self.SPECS)
+        for c in columns:
+            reference.update([c["k"]], Partition(c))
+        assert reference._buffers is not None
+        assert meter.peak >= 100 + reference.nbytes
+        assert meter.current == 100
 
 
 class TestAggregateKinds:
