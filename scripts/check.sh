@@ -16,7 +16,9 @@
 #   5. traced lane: the training + trace suites again under a forced
 #      REPRO_TRACE=1, so every Trainer.fit in those tests runs through
 #      the tape record / guard / fallback / replay path (replay re-runs
-#      the recorded eager ops) instead of the plain eager loop
+#      the recorded eager ops) instead of the plain eager loop; with
+#      them the array-pool demand suite, whose 20-step runs must keep
+#      the same hits, misses and flat retained bytes when replayed
 #   6. obs-export lane: the unit suite again under REPRO_OBS_EXPORT=1,
 #      so every test runs with the background telemetry flusher live
 #      (exercises the exporter racing real workloads)
@@ -75,6 +77,7 @@ echo "== traced lane: forced REPRO_TRACE =="
 REPRO_TRACE=1 python -m pytest -q \
     tests/unit/test_training.py \
     tests/unit/test_trace.py \
+    tests/unit/test_pool_demand.py \
     tests/property/test_property_trace.py
 
 echo "== obs-export lane: background flusher live =="

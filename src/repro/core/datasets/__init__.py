@@ -1,6 +1,7 @@
 """GeoTorchAI benchmark datasets (grid spatiotemporal + raster)."""
 
 from repro.core.datasets import grid, raster
+from repro.core.datasets.base import DatasetCacheError
 from repro.core.datasets.registry import DATASET_REGISTRY, DatasetInfo
 
-__all__ = ["grid", "raster", "DATASET_REGISTRY", "DatasetInfo"]
+__all__ = ["grid", "raster", "DATASET_REGISTRY", "DatasetCacheError", "DatasetInfo"]

@@ -8,14 +8,94 @@ Grid datasets implement the paper's three temporal representations
   models (``set_sequential_representation``);
 - **periodical** — closeness / period / trend feature groups for
   ST-ResNet-style models (``set_periodical_representation``).
+
+The named file-backed datasets of both kinds cache their generated
+arrays through :func:`load_or_generate`.
 """
 
 from __future__ import annotations
+
+import json
+import os
+import zipfile
+import zlib
 
 import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.utils.validation import check_positive
+
+
+class DatasetCacheError(ValueError):
+    """A dataset cache's ``data.npz`` matches the requested config but
+    cannot be read.  The message names the file, which is left as it
+    was found."""
+
+
+def load_or_generate(directory: str, config: dict, generate, download: bool) -> dict:
+    """The named arrays cached under ``directory`` for ``config``;
+    on a miss, ``generate()``'s ``{name: array}`` dict, cached there.
+
+    The cache is ``data.npz`` plus the ``config.json`` it was made
+    from, and it is fresh only when that config equals ``config``: a
+    ``data.npz`` without one is stale, whatever produced it, and is
+    regenerated.  Both files are written to ``<path>.tmp`` first, the
+    old config is removed, and the two are ``os.replace``d into place
+    config last — a write that fails leaves the previous cache
+    loadable, and a crash between the renames leaves a stale
+    ``data.npz``, never one paired with another config.
+    """
+    data_path = os.path.join(directory, "data.npz")
+    config_path = os.path.join(directory, "config.json")
+    wanted = json.loads(json.dumps(config, default=_json_scalar))
+    if os.path.exists(data_path) and _cached_config(config_path) == wanted:
+        try:
+            with np.load(data_path) as archive:
+                return {name: archive[name] for name in archive.files}
+        except (
+            OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, zlib.error
+        ) as exc:
+            raise DatasetCacheError(
+                f"unreadable dataset cache {data_path}: {exc}"
+            ) from exc
+    if not download:
+        raise FileNotFoundError(
+            f"no cached dataset under {directory} and download=False"
+        )
+    arrays = generate()
+    os.makedirs(directory, exist_ok=True)
+    data_tmp, config_tmp = data_path + ".tmp", config_path + ".tmp"
+    try:
+        with open(data_tmp, "wb") as handle:
+            np.savez(handle, **arrays)
+        with open(config_tmp, "w") as handle:
+            json.dump(wanted, handle)
+    except BaseException:
+        for tmp in (data_tmp, config_tmp):
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise
+    if os.path.exists(config_path):
+        os.remove(config_path)
+    os.replace(data_tmp, data_path)
+    os.replace(config_tmp, config_path)
+    return arrays
+
+
+def _cached_config(path: str):
+    """The config a cache was made from, or None without a readable one."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except (OSError, ValueError):
+        return None
+
+
+def _json_scalar(value):
+    """numpy scalars in a generator config, as plain Python numbers."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} in a dataset config is not JSON")
 
 
 class GridDataset(Dataset):

@@ -4,17 +4,15 @@ Real GeoTorchAI datasets download an archive on first use and then
 load from ``root``.  Here "download" means running the deterministic
 synthetic generator once and caching the tensor under ``root``;
 subsequent constructions load the cached file, so the on-disk
-layout and load path match the original design.
+layout and load path match the original design (cache rules:
+:func:`~repro.core.datasets.base.load_or_generate`).
 """
 
 from __future__ import annotations
 
-import json
 import os
 
-import numpy as np
-
-from repro.core.datasets.base import GridDataset
+from repro.core.datasets.base import GridDataset, load_or_generate
 
 
 class FileBackedGridDataset(GridDataset):
@@ -35,9 +33,12 @@ class FileBackedGridDataset(GridDataset):
         transform=None,
         download: bool = True,
     ):
-        tensor = self._load_or_generate(
-            root, generator, generator_config, download
-        )
+        tensor = load_or_generate(
+            os.path.join(root, self.DATASET_NAME),
+            generator_config,
+            lambda: {"st_tensor": generator(**generator_config)},
+            download,
+        )["st_tensor"]
         super().__init__(
             tensor,
             lead_time=lead_time,
@@ -47,44 +48,3 @@ class FileBackedGridDataset(GridDataset):
             transform=transform,
         )
         self.root = root
-
-    @classmethod
-    def _dataset_dir(cls, root: str) -> str:
-        return os.path.join(root, cls.DATASET_NAME)
-
-    @classmethod
-    def _data_path(cls, root: str) -> str:
-        return os.path.join(cls._dataset_dir(root), "data.npz")
-
-    @classmethod
-    def _config_path(cls, root: str) -> str:
-        return os.path.join(cls._dataset_dir(root), "config.json")
-
-    def _load_or_generate(self, root, generator, config, download) -> np.ndarray:
-        data_path = self._data_path(root)
-        config_path = self._config_path(root)
-        if os.path.exists(data_path):
-            if os.path.exists(config_path):
-                with open(config_path) as handle:
-                    cached = json.load(handle)
-                if cached == _jsonable(config):
-                    with np.load(data_path) as archive:
-                        return archive["st_tensor"]
-            else:
-                with np.load(data_path) as archive:
-                    return archive["st_tensor"]
-        if not download:
-            raise FileNotFoundError(
-                f"{self.DATASET_NAME} not found under {root} and "
-                f"download=False"
-            )
-        tensor = generator(**config)
-        os.makedirs(self._dataset_dir(root), exist_ok=True)
-        np.savez(data_path.removesuffix(".npz"), st_tensor=tensor)
-        with open(config_path, "w") as handle:
-            json.dump(_jsonable(config), handle)
-        return tensor
-
-
-def _jsonable(config: dict) -> dict:
-    return {k: (int(v) if isinstance(v, np.integer) else v) for k, v in config.items()}

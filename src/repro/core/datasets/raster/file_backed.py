@@ -3,12 +3,9 @@ pattern as the grid side)."""
 
 from __future__ import annotations
 
-import json
 import os
 
-import numpy as np
-
-from repro.core.datasets.base import RasterDataset
+from repro.core.datasets.base import RasterDataset, load_or_generate
 
 
 class FileBackedRasterDataset(RasterDataset):
@@ -26,9 +23,17 @@ class FileBackedRasterDataset(RasterDataset):
         include_additional_features: bool = False,
         download: bool = True,
     ):
-        images, labels = self._load_or_generate(
-            root, generator, generator_config, download
+        def generate():
+            images, labels = generator(**generator_config)
+            return {"images": images, "labels": labels}
+
+        cached = load_or_generate(
+            os.path.join(root, self.DATASET_NAME),
+            generator_config,
+            generate,
+            download,
         )
+        images, labels = cached["images"], cached["labels"]
         super().__init__(
             images,
             labels,
@@ -37,30 +42,3 @@ class FileBackedRasterDataset(RasterDataset):
             include_additional_features=include_additional_features,
         )
         self.root = root
-
-    @classmethod
-    def _dataset_dir(cls, root: str) -> str:
-        return os.path.join(root, cls.DATASET_NAME)
-
-    def _load_or_generate(self, root, generator, config, download):
-        data_path = os.path.join(self._dataset_dir(root), "data.npz")
-        config_path = os.path.join(self._dataset_dir(root), "config.json")
-        if os.path.exists(data_path):
-            fresh = True
-            if os.path.exists(config_path):
-                with open(config_path) as handle:
-                    fresh = json.load(handle) == config
-            if fresh:
-                with np.load(data_path) as archive:
-                    return archive["images"], archive["labels"]
-        if not download:
-            raise FileNotFoundError(
-                f"{self.DATASET_NAME} not found under {root} and "
-                f"download=False"
-            )
-        images, labels = generator(**config)
-        os.makedirs(self._dataset_dir(root), exist_ok=True)
-        np.savez(data_path.removesuffix(".npz"), images=images, labels=labels)
-        with open(config_path, "w") as handle:
-            json.dump(config, handle)
-        return images, labels

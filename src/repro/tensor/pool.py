@@ -23,10 +23,21 @@ Hits and misses are counted into the process-wide metrics registry as
 for arrays :meth:`release` refused), so ``obs.export.snapshot()`` and
 ``BENCH_engine.json`` show whether the pool is working.
 
-The pool is bounded (``max_bytes`` total, ``max_per_key`` arrays per
-bucket); overflow releases are dropped on the floor and garbage
-collected as usual.  Access is process-wide through
-:func:`default_pool`; tests construct private instances.
+Each ``(shape, dtype)`` bucket keeps at most that key's *demand*: the
+most arrays of the key that have been out at once, counted as acquires
+minus releases (never below 0).  A key nothing acquires keeps nothing
+— a freed gradient whose shape no kernel asks for is not held — and a
+key acquired k at a time keeps k, so every array a later acquire could
+take is still retained.  An array acquired and then dropped without a
+release (a conv's padded input, a weight gradient ``zero_grad``
+discards) stays counted as out, so such a key's demand only grows; its
+bucket is still bounded by what is released into it.  ``max_bytes`` is
+the one absolute bound: many distinct shapes (ragged last batches)
+could otherwise add keys without limit.  Releases over either bound are
+dropped and garbage collected as usual.  Access is process-wide through
+:func:`default_pool`; tests construct private instances
+(``tests/pool_oracle.py`` keeps the old flat 32-per-key cap as a
+reference).
 """
 
 from __future__ import annotations
@@ -52,11 +63,10 @@ def _counter_triple():
 class ArrayPool:
     """Bounded free-list of numpy arrays keyed by ``(shape, dtype)``."""
 
-    def __init__(self, max_bytes: int = 256 * 1024 * 1024, max_per_key: int = 32):
-        if max_bytes < 0 or max_per_key < 1:
-            raise ValueError("max_bytes must be >= 0 and max_per_key >= 1")
+    def __init__(self, max_bytes: int = 256 * 1024 * 1024):
+        if max_bytes < 0:
+            raise ValueError("max_bytes must be >= 0")
         self.max_bytes = max_bytes
-        self.max_per_key = max_per_key
         self.bytes = 0
         self.hits = 0
         self.misses = 0
@@ -68,8 +78,11 @@ class ArrayPool:
         self.reject_bytes = 0
         self.reject_per_key = 0
         self._buckets: dict[tuple, list[np.ndarray]] = {}
-        # Deepest each bucket has ever been: reveals whether
-        # ``max_per_key`` is the binding constraint for a shape.
+        # Arrays of each key out now (acquires - releases, floored at
+        # 0) and the most ever out at once: the bucket's cap.
+        self._out: dict[tuple, int] = {}
+        self._demand: dict[tuple, int] = {}
+        # Deepest each bucket has ever been (never above its demand).
         self._high_water: dict[tuple, int] = {}
 
     def __len__(self) -> int:
@@ -84,7 +97,12 @@ class ArrayPool:
         pool has one, freshly allocated otherwise.  ``zero=True``
         guarantees all-zero contents either way."""
         hit, miss, _ = _counter_triple()
-        bucket = self._buckets.get(self._key(shape, dtype))
+        key = self._key(shape, dtype)
+        out = self._out.get(key, 0) + 1
+        self._out[key] = out
+        if out > self._demand.get(key, 0):
+            self._demand[key] = out
+        bucket = self._buckets.get(key)
         if bucket:
             arr = bucket.pop()
             self.bytes -= arr.nbytes
@@ -105,7 +123,7 @@ class ArrayPool:
         Returns True when the array was pooled.  Anything that could
         alias other live memory — views, non-owning wrappers,
         non-contiguous layouts — is rejected, as is overflow beyond
-        the byte / per-key caps.
+        ``max_bytes`` or beyond the key's demand.
         """
         if (
             not isinstance(arr, np.ndarray)
@@ -118,18 +136,21 @@ class ArrayPool:
             self.reject_alias += 1
             _counter_triple()[2].inc()
             return False
+        key = self._key(arr.shape, arr.dtype)
+        out = self._out.get(key, 0)
+        if out:
+            self._out[key] = out - 1
         if self.bytes + arr.nbytes > self.max_bytes:
             self.rejects += 1
             self.reject_bytes += 1
             _counter_triple()[2].inc()
             return False
-        key = self._key(arr.shape, arr.dtype)
-        bucket = self._buckets.setdefault(key, [])
-        if len(bucket) >= self.max_per_key:
+        if len(self._buckets.get(key, ())) >= self._demand.get(key, 0):
             self.rejects += 1
             self.reject_per_key += 1
             _counter_triple()[2].inc()
             return False
+        bucket = self._buckets.setdefault(key, [])
         bucket.append(arr)
         depth = len(bucket)
         if depth > self._high_water.get(key, 0):
@@ -140,6 +161,8 @@ class ArrayPool:
     def reset(self) -> None:
         """Drop every cached array and zero the local statistics."""
         self._buckets.clear()
+        self._out.clear()
+        self._demand.clear()
         self._high_water.clear()
         self.bytes = 0
         self.hits = 0
@@ -153,9 +176,12 @@ class ArrayPool:
         """Snapshot of pool effectiveness.
 
         Besides the raw counters this reports ``hit_rate`` (fraction of
-        acquires served from cache), the reject-reason breakdown, and
+        acquires served from cache), the reject-reason breakdown
+        (``reject_per_key`` counts releases beyond the key's demand),
         ``high_water`` — the deepest each ``(shape, dtype)`` bucket has
-        been, keyed by its repr.  For the process-wide pool the derived
+        been — and ``demand``, each key's cap, both keyed by
+        ``"<shape>:<dtype>"``; a bucket's high water never exceeds its
+        demand.  For the process-wide pool the derived
         values are also pushed to ``tensor.pool.*`` gauges so they land
         in ``obs.export.snapshot()`` next to the hit/miss counters.
         """
@@ -171,11 +197,9 @@ class ArrayPool:
             "reject_alias": self.reject_alias,
             "reject_bytes": self.reject_bytes,
             "reject_per_key": self.reject_per_key,
-            "high_water": {
-                f"{shape}:{dtype}": depth
-                for (shape, dtype), depth in sorted(self._high_water.items())
-            },
+            "high_water": _by_key(self._high_water),
             "high_water_max": max(self._high_water.values(), default=0),
+            "demand": _by_key(self._demand),
         }
         if self is _DEFAULT:
             self.publish_gauges()
@@ -206,6 +230,12 @@ class ArrayPool:
         for name, value in values.items():
             registry.gauge(name).set(value)
         return values
+
+
+def _by_key(counts: dict) -> dict:
+    return {
+        f"{shape}:{dtype}": n for (shape, dtype), n in sorted(counts.items())
+    }
 
 
 _DEFAULT = ArrayPool()

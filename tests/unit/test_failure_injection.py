@@ -9,6 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.core.datasets import DatasetCacheError
 from repro.core.datasets.grid import BikeNYCDeepSTN
 from repro.engine import Session
 from repro.spatial import RasterTile, load_raster_folder, read_rtif, write_rtif
@@ -180,14 +181,70 @@ class TestMalformedCsv:
 
 
 class TestCorruptDatasetCache:
+    """The cache under ``root/<name>/`` is ``data.npz`` plus the
+    ``config.json`` that made it: a damaged one is a typed error that
+    leaves the file alone, a half-made one is regenerated, and a failed
+    write leaves the previous one loadable."""
+
     def test_corrupt_npz_detected(self, tmp_path):
         root = str(tmp_path)
-        ds = BikeNYCDeepSTN(root, num_steps=50)
+        BikeNYCDeepSTN(root, num_steps=50)
         data_path = os.path.join(root, "bike_nyc_deepstn", "data.npz")
         with open(data_path, "wb") as handle:
             handle.write(b"corrupted")
-        with pytest.raises(Exception):
+        with pytest.raises(DatasetCacheError) as caught:
             BikeNYCDeepSTN(root, num_steps=50)
+        assert data_path in str(caught.value)
+        with open(data_path, "rb") as handle:
+            assert handle.read() == b"corrupted"  # left as found
+
+    @pytest.mark.parametrize("damage", [b"", b"PK\x03\x04 cut short"])
+    def test_truncated_npz_is_the_same_error(self, tmp_path, damage):
+        root = str(tmp_path)
+        BikeNYCDeepSTN(root, num_steps=50)
+        data_path = os.path.join(root, "bike_nyc_deepstn", "data.npz")
+        with open(data_path, "wb") as handle:
+            handle.write(damage)
+        with pytest.raises(DatasetCacheError, match="data.npz"):
+            BikeNYCDeepSTN(root, num_steps=50)
+
+    def test_npz_without_config_is_regenerated(self, tmp_path):
+        root = str(tmp_path)
+        directory = os.path.join(root, "bike_nyc_deepstn")
+        BikeNYCDeepSTN(root, num_steps=60)
+        os.remove(os.path.join(directory, "config.json"))
+        # data.npz holds 60 steps; with no config to vouch for it, a
+        # 50-step request must not get them.
+        assert BikeNYCDeepSTN(root, num_steps=50).num_timesteps == 50
+        assert sorted(os.listdir(directory)) == ["config.json", "data.npz"]
+
+    def test_failed_write_keeps_the_old_cache(self, tmp_path, monkeypatch):
+        root = str(tmp_path)
+        directory = os.path.join(root, "bike_nyc_deepstn")
+        old = BikeNYCDeepSTN(root, num_steps=50).frames
+
+        def disk_full(handle, **arrays):
+            handle.write(b"PK\x03\x04 partial")
+            raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "savez", disk_full)
+            with pytest.raises(OSError, match="No space"):
+                BikeNYCDeepSTN(root, num_steps=70)
+        assert sorted(os.listdir(directory)) == ["config.json", "data.npz"]
+        again = BikeNYCDeepSTN(root, num_steps=50, download=False)
+        np.testing.assert_array_equal(again.frames, old)
+
+    def test_raster_cache_shares_the_rules(self, tmp_path):
+        from repro.core.datasets.raster import SAT4
+
+        root = str(tmp_path)
+        SAT4(root, num_images=8)
+        data_path = os.path.join(root, "sat4", "data.npz")
+        with open(data_path, "wb") as handle:
+            handle.write(b"corrupted")
+        with pytest.raises(DatasetCacheError, match="sat4"):
+            SAT4(root, num_images=8)
 
     def test_stale_config_triggers_regeneration(self, tmp_path):
         root = str(tmp_path)

@@ -109,14 +109,17 @@ class TestArrayPool:
         assert len(pool) == 0
 
     def test_bounded_by_bytes_and_per_key(self):
-        pool = ArrayPool(max_bytes=100, max_per_key=1)
+        pool = ArrayPool(max_bytes=200)
         a = pool.acquire((10,))          # 40 bytes
-        b = pool.acquire((10,))
-        assert pool.release(a)
-        assert not pool.release(b)       # per-key cap
-        big = np.zeros(1000, dtype=np.float32)
+        b = pool.acquire((10,))          # two out at once: demand 2
+        assert pool.release(a) and pool.release(b)
+        assert not pool.release(np.zeros(10, dtype=np.float32))  # demand
+        big = pool.acquire((50,))        # 200 bytes
         assert not pool.release(big)     # byte cap
-        assert pool.bytes == 40
+        stats = pool.stats()
+        assert (stats["arrays"], stats["bytes"]) == (2, 80)
+        assert (stats["reject_per_key"], stats["reject_bytes"]) == (1, 1)
+        assert stats["demand"] == {"(10,):<f4": 2, "(50,):<f4": 1}
 
     def test_reset(self):
         pool = ArrayPool()
@@ -127,6 +130,7 @@ class TestArrayPool:
             "arrays": 0, "bytes": 0, "hits": 0, "misses": 0, "rejects": 0,
             "hit_rate": 0.0, "reject_alias": 0, "reject_bytes": 0,
             "reject_per_key": 0, "high_water": {}, "high_water_max": 0,
+            "demand": {},
         }
 
     def test_dtype_keyed(self):

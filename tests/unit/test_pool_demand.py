@@ -1,0 +1,148 @@
+"""Demand-bounded array pool: unit cases for the retention rule, and
+20-step training runs with the demand pool and the flat-cap oracle
+(``tests/pool_oracle.py``) each swapped in as the process pool.
+
+A bucket keeps at most its key's demand — the most arrays of the key
+out at once — so against the oracle, which keeps 32 of every key, the
+runs must agree bit for bit, make the same hits and misses from the
+second step on, and retain no more bytes.  Retained bytes must also be
+flat from step 2 to step 20: arrays that are acquired and then dropped
+without a release (``conv_dw``'s ``dw`` after ``zero_grad``, a conv's
+padded input) must not grow a bucket step after step.  ``check.sh``
+runs this file again under ``REPRO_TRACE=1``, where every step after
+the first is a tape replay.
+"""
+
+import inspect
+
+import numpy as np
+import pytest
+
+from repro.core.models.grid import ConvLSTMModel, STResNet
+from repro.core.models.raster import SatCNN
+from repro.core.training import (
+    Trainer,
+    classification_batch,
+    periodical_batch,
+    sequential_batch,
+)
+from repro.nn import CrossEntropyLoss, MSELoss
+from repro.optim import Adam
+from repro.tensor import pool as pool_module
+from repro.tensor.pool import ArrayPool
+from tests.pool_oracle import OracleArrayPool
+
+STEPS = 20
+N, H, W = 2, 6, 8
+
+
+class TestDemandCap:
+    def test_never_acquired_key_rejects_its_first_release(self):
+        pool = ArrayPool()
+        assert not pool.release(np.ones(4, dtype=np.float32))
+        stats = pool.stats()
+        assert (stats["arrays"], stats["bytes"]) == (0, 0)
+        assert stats["reject_per_key"] == 1
+        assert stats["demand"] == {}
+
+    def test_out_count_never_goes_below_zero(self):
+        pool = ArrayPool()
+        assert pool.release(pool.acquire((4,)))
+        # Releases of arrays the pool never handed out cannot bank
+        # credit against later acquires: two out at once is demand 2.
+        for _ in range(2):
+            assert not pool.release(np.ones(4, dtype=np.float32))
+        a, b = pool.acquire((4,)), pool.acquire((4,))
+        assert pool.stats()["demand"] == {"(4,):<f4": 2}
+        assert pool.release(a) and pool.release(b)
+        assert len(pool) == 2
+
+    # The third release with two out, zero=True on a hit and max_bytes
+    # rejecting within demand are test_graph_free.py's TestArrayPool
+    # and test_trace.py's TestPoolStats cases.
+
+    def test_max_per_key_is_gone(self):
+        assert list(inspect.signature(ArrayPool).parameters) == ["max_bytes"]
+        with pytest.raises(TypeError):
+            ArrayPool(max_per_key=32)
+
+
+# ----------------------------------------------------------------------
+# 20 training steps, demand pool vs flat-cap oracle
+# ----------------------------------------------------------------------
+def convlstm(rng):
+    model = ConvLSTMModel(1, (4,), rng=0)
+    batches = [
+        (
+            rng.standard_normal((N, 4, 1, H, W)).astype(np.float32),
+            rng.standard_normal((N, 1, H, W)).astype(np.float32),
+        )
+        for _ in range(STEPS)
+    ]
+    return model, sequential_batch, MSELoss(), batches
+
+
+def st_resnet(rng):
+    model = STResNet(3, 1, 1, 1, H, W, nb_residual_units=2, nb_filters=4, rng=0)
+    batches = [
+        {
+            "x_closeness": rng.standard_normal((N, 3, H, W)).astype(np.float32),
+            "x_period": rng.standard_normal((N, 1, H, W)).astype(np.float32),
+            "x_trend": rng.standard_normal((N, 1, H, W)).astype(np.float32),
+            "y_data": rng.standard_normal((N, 1, H, W)).astype(np.float32),
+        }
+        for _ in range(STEPS)
+    ]
+    return model, periodical_batch, MSELoss(), batches
+
+
+def sat_cnn(rng):
+    model = SatCNN(4, 8, 8, 3, base_filters=2, rng=0)
+    batches = [
+        (
+            rng.standard_normal((N, 4, 8, 8)).astype(np.float32),
+            rng.integers(0, 3, N),
+        )
+        for _ in range(STEPS)
+    ]
+    return model, classification_batch, CrossEntropyLoss(), batches
+
+
+def train(monkeypatch, pool, make):
+    """Per-step losses, final parameters and pool stats after each of
+    ``STEPS`` steps with ``pool`` as the process pool."""
+    monkeypatch.setattr(pool_module, "_DEFAULT", pool)
+    model, adapter, loss_fn, batches = make(np.random.default_rng(3))
+    trainer = Trainer(model, Adam(model.parameters(), lr=1e-2), loss_fn, adapter)
+    losses, readings = [], []
+    for batch in batches:
+        # ``fit`` reads REPRO_TRACE; the trainer keeps its trace session
+        # across calls, so steps 2.. replay under the traced lane.
+        losses.append(trainer.fit([batch], epochs=1).train_losses[0])
+        readings.append(pool.stats())
+    session = trainer.trace_session
+    if session is not None and session.stats()["state"] != "disabled":
+        assert session.stats()["replays"] == STEPS - 1  # not SatCNN: batch norm
+    return losses, [p.data.copy() for p in model.parameters()], readings
+
+
+def per_step(readings, field):
+    return [b[field] - a[field] for a, b in zip(readings, readings[1:])]
+
+
+@pytest.mark.parametrize("make", [convlstm, st_resnet, sat_cnn])
+def test_demand_pool_matches_the_flat_cap_oracle(monkeypatch, make):
+    losses, params, demand = train(monkeypatch, ArrayPool(), make)
+    o_losses, o_params, oracle = train(monkeypatch, OracleArrayPool(), make)
+
+    assert losses == o_losses
+    assert all(np.array_equal(p, q) for p, q in zip(params, o_params))
+    for field in ("hits", "misses"):
+        assert per_step(demand, field) == per_step(oracle, field), field
+    assert all(d["bytes"] <= o["bytes"] for d, o in zip(demand, oracle))
+    assert len({d["bytes"] for d in demand[1:]}) == 1
+    assert demand[-1]["bytes"] < oracle[-1]["bytes"]
+    final = demand[-1]
+    assert all(
+        depth <= final["demand"][key] for key, depth in final["high_water"].items()
+    )

@@ -433,22 +433,24 @@ class TestPoolStats:
     def test_stats_fields_and_high_water(self):
         from repro.tensor import ArrayPool
 
-        pool = ArrayPool(max_per_key=2)
+        pool = ArrayPool()
         a = pool.acquire((4,), np.float32)
         pool.release(a)
         b = pool.acquire((4,), np.float32)  # hit
         assert b is a
-        pool.release(b)
-        pool.release(np.ones(4, dtype=np.float32))  # depth 2 = high water
-        pool.release(np.ones(4, dtype=np.float32))  # over per-key cap
+        c = pool.acquire((4,), np.float32)  # miss: two out, demand 2
+        assert pool.release(b) and pool.release(c)  # depth 2 = high water
+        assert not pool.release(np.ones(4, dtype=np.float32))  # over demand
         pool.release(np.ones((2, 2), dtype=np.float32)[:, :1])  # view
         stats = pool.stats()
-        assert stats["hit_rate"] == pytest.approx(0.5)
+        assert stats["hit_rate"] == pytest.approx(1 / 3)
+        assert (stats["hits"], stats["misses"], stats["rejects"]) == (1, 2, 2)
         assert stats["reject_per_key"] == 1
         assert stats["reject_alias"] == 1
         assert stats["reject_bytes"] == 0
         assert stats["high_water_max"] == 2
         assert stats["high_water"] == {"(4,):<f4": 2}
+        assert stats["demand"] == {"(4,):<f4": 2}
 
     def test_reject_bytes_counted(self):
         from repro.tensor import ArrayPool
