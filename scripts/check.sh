@@ -18,7 +18,9 @@
 #      the tape record / guard / fallback / replay path (replay re-runs
 #      the recorded eager ops) instead of the plain eager loop; with
 #      them the array-pool demand suite, whose 20-step runs must keep
-#      the same hits, misses and flat retained bytes when replayed
+#      the same hits, misses and flat retained bytes when replayed, and
+#      the tiled-conv and fused-kernel properties, so replayed steps run
+#      through the image-tiled conv forward and the packed gate backward
 #   6. obs-export lane: the unit suite again under REPRO_OBS_EXPORT=1,
 #      so every test runs with the background telemetry flusher live
 #      (exercises the exporter racing real workloads)
@@ -78,7 +80,9 @@ REPRO_TRACE=1 python -m pytest -q \
     tests/unit/test_training.py \
     tests/unit/test_trace.py \
     tests/unit/test_pool_demand.py \
-    tests/property/test_property_trace.py
+    tests/property/test_property_trace.py \
+    tests/property/test_property_conv_tiles.py \
+    tests/property/test_property_fused.py
 
 echo "== obs-export lane: background flusher live =="
 obs_export_dir="$(mktemp -d)"

@@ -3,17 +3,19 @@
 ``conv2d`` has two execution strategies selected by the active backend
 (:mod:`repro.tensor.backend`):
 
-- ``accelerated``: channel-major im2col + BLAS gemm.  The
-  ``(C*KH*KW, N*OH*OW)`` column buffer is filled by *one* strided copy
-  of a window view of the padded input (:func:`im2col`), the forward
-  is ``weight2d @ cols`` written out C-contiguous NCHW in the pass
-  that adds the bias, ``dw`` is ``grad_fm @ cols.T`` landing in
-  ``(F, C, KH, KW)`` order, and ``dx`` is either the forward kernel
-  run again over the padded gradient and the flipped kernel or one
-  gemm plus ``KH*KW`` window adds (:func:`dx_by_correlation` picks).
-  Every transient is pooled; the column buffer is released after the
-  forward gemm and refilled in backward.  The kernels are module-level
-  functions over caller-supplied buffers; ``conv2d`` hands them pooled
+- ``accelerated``: channel-major im2col + BLAS gemm.  The forward runs
+  per L2-sized tile of whole images (:func:`_tile_bounds`): the tile's
+  im2col (*one* strided copy of a window view of the padded input)
+  fills a prefix of the column buffer, its gemm a prefix of the
+  scratch, and the bias pass the tile's part of the C-contiguous NCHW
+  output.  ``dw`` is ``cols @ grad_fm.T`` (one gemm, BLAS's fast
+  orientation) transposed into ``(F, C, KH, KW)``, and ``dx`` is
+  either the forward kernel run again over the padded gradient and the
+  flipped kernel or one gemm plus ``KH*KW`` window adds
+  (:func:`dx_by_correlation` picks).  Every transient is pooled (tiles
+  use prefixes); the column buffer is released after the forward gemm
+  and refilled in backward.  The kernels are module-level functions
+  over caller-supplied buffers; ``conv2d`` hands them pooled
   transients, and a traced step (:mod:`repro.tensor.trace`) replays by
   calling ``conv2d`` itself.
 - ``naive``: per-output-pixel loops — the reference implementation
@@ -67,6 +69,25 @@ def check_conv_args(stride, padding, activation=None) -> None:
 # Module-level functions over caller-supplied buffers; ``conv2d`` below
 # passes pooled transients.
 
+# Column bytes per forward tile: best of a 256 KiB - 4 MiB sweep on a
+# 2 MiB-per-core L2 (docs/PERFORMANCE.md section M).
+_TILE_BYTES = 1 << 20
+# OpenBLAS rounds smaller gemms, one-row weights (gemv) and float64 tile
+# edges differently from the whole product; only tiles that run the
+# whole product's kernel keep every bit.
+_MIN_TILE_MACS = 10**6
+
+
+def _tile_bounds(n, f, k, per_image, dtype) -> list:
+    """Image boundaries of the forward tiles, sizes within one image."""
+    if dtype != np.float32 or f < 2:
+        return [0, n]
+    per_tile = max(1, _TILE_BYTES // (4 * k * per_image))
+    fewest = -(-_MIN_TILE_MACS // (f * k * per_image))
+    tiles = max(1, min(-(-n // per_tile), n // fewest))
+    return [n * t // tiles for t in range(tiles + 1)]
+
+
 def pad_into(buf: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Write ``x`` into the centre of the larger ``buf``, whose border
     the caller keeps zero."""
@@ -104,22 +125,29 @@ def im2col(xp, kh, kw, stride, oh, ow, cols) -> np.ndarray:
 def conv_forward(xp, w, bias, stride, out, cols, fm, mask=None) -> None:
     """``out`` ``(N, F, OH, OW)``, C-contiguous, = ``w`` correlated with
     ``xp`` (+ ``bias``; ReLU'd when ``mask`` is given, which receives
-    ``out > 0``).  ``cols`` is left holding im2col(``xp``); ``fm``
-    ``(F, N*OH*OW)`` is gemm scratch."""
-    f, _, kh, kw = w.shape
+    ``out > 0``).  Runs per tile of images, each in a prefix of the
+    column buffer ``cols`` and of the gemm scratch ``fm``."""
+    f, c, kh, kw = w.shape
     n, _, oh, ow = out.shape
-    im2col(xp, kh, kw, stride, oh, ow, cols)
-    np.dot(w.reshape(f, -1), cols, out=fm)
-    fm4 = fm.reshape(f, n, oh, ow).transpose(1, 0, 2, 3)
-    if bias is None:
-        np.copyto(out, fm4)
-    else:
-        np.add(fm4, bias.reshape(1, f, 1, 1), out=out)
-    if mask is not None:
-        # Same expression as Tensor.relu so fused == composed bitwise;
-        # only the mask is saved, not a pre-activation copy.
-        np.greater(out, 0, out=mask)
-        np.multiply(out, mask, out=out)
+    w2d = w.reshape(f, -1)  # a copy for dx's flipped kernel: make it once
+    k, per_image = c * kh * kw, oh * ow
+    bounds = _tile_bounds(n, f, k, per_image, cols.dtype)
+    for s, e in zip(bounds, bounds[1:]):
+        r = (e - s) * per_image
+        tile_cols = cols.reshape(-1)[: k * r].reshape(k, r)
+        im2col(xp[s:e], kh, kw, stride, oh, ow, tile_cols)
+        tile_fm = fm.reshape(-1)[: f * r].reshape(f, r)
+        np.dot(w2d, tile_cols, out=tile_fm)
+        fm4 = tile_fm.reshape(f, e - s, oh, ow).transpose(1, 0, 2, 3)
+        if bias is None:
+            np.copyto(out[s:e], fm4)
+        else:
+            np.add(fm4, bias.reshape(1, f, 1, 1), out=out[s:e])
+        if mask is not None:
+            # Same expression as Tensor.relu so fused == composed
+            # bitwise; only the mask is saved, not a pre-activation copy.
+            np.greater(out[s:e], 0, out=mask[s:e])
+            np.multiply(out[s:e], mask[s:e], out=out[s:e])
 
 
 def grad_feature_major(grad, gfm) -> np.ndarray:
@@ -130,11 +158,11 @@ def grad_feature_major(grad, gfm) -> np.ndarray:
 
 
 def conv_dw(gfm, cols, w_shape) -> np.ndarray:
-    """Weight gradient ``gfm @ cols.T`` in ``(F, C, KH, KW)`` order, in
-    an array that owns its memory (the accumulator may adopt it as
-    ``weight.grad``, and the pool takes it back later)."""
+    """Weight gradient in ``(F, C, KH, KW)`` order, in an array that owns
+    its memory (the accumulator may adopt it as ``weight.grad``, and the
+    pool takes it back later).  ``cols @ gfm.T``: faster gemm, same bits."""
     dw = default_pool().acquire(w_shape, cols.dtype)
-    np.dot(gfm, cols.T, out=dw.reshape(w_shape[0], -1))
+    np.copyto(dw.reshape(w_shape[0], -1), np.dot(cols, gfm.T).T)
     return dw
 
 

@@ -12,7 +12,7 @@ allocation) — into two graph nodes:
 
 The gate blocks are copied out of the packed ``(N, 4H, ...)`` buffer
 once (contiguous, so every activation ufunc runs at unit stride) and
-the backward writes all four gate gradients into **one** packed
+the backward writes all four gate gradients into **one** pooled packed
 gradient buffer instead of four full-size scatter arrays, so a cell
 step builds 2 closures instead of 13 and skips the four zero-filled
 scatter buffers plus three full-size adds the slice nodes would pay.
@@ -197,28 +197,34 @@ def fused_lstm_gates(gates: Tensor, c: Tensor, hidden: int):
         _op.set_bytes(4 * i.nbytes + c_data.nbytes + h_data.nbytes)
 
     c_prev = c.data
-    # ``h_next``'s backward runs before ``c_next``'s (reverse topo), so
-    # the o-gate gradient is handed across through this cell and the
-    # c-gate backward emits all four blocks as ONE packed concatenate —
-    # no zero-filled scatter buffer, no strided read-modify-writes.
+    # ``h_next``'s backward runs first (reverse topo): it acquires the
+    # packed gate gradient, fills the o-block and hands it across
+    # through this cell; ``c_next``'s fills the rest in place.
     handoff: dict = {}
 
     def backward_c(dcn):
         with op_span("ops_fused.lstm_gates.backward"):
             if gates.requires_grad:
+                pool = default_pool()
+                packed = handoff.pop("packed", None)
+                if packed is None:  # h_next never received a gradient
+                    packed = pool.acquire(a.shape, np.result_type(dcn, t))
+                    packed[:, h3:] = 0
                 # Same association order as the unfused mul/sigmoid/
                 # tanh closures: ((dcn * g) * i) * (1 - i) etc.
-                di = ((dcn * g) * i) * (1.0 - i)
-                df = ((dcn * c_prev) * f) * (1.0 - f)
-                dg = (dcn * i) * (1.0 - g**2)
-                do = handoff.pop("do", None)
-                if do is None:  # h_next never received a gradient
-                    do = np.zeros_like(o)
-                packed = np.concatenate((di, df, dg, do), axis=1)
+                one_minus = pool.acquire(i.shape, i.dtype)
+                di, df, dg = packed[:, :h1], packed[:, h1:h2], packed[:, h2:h3]
+                np.multiply(dcn, g, out=di)
+                di *= i
+                di *= np.subtract(1.0, i, out=one_minus)
+                np.multiply(dcn, c_prev, out=df)
+                df *= f
+                df *= np.subtract(1.0, f, out=one_minus)
+                np.multiply(dcn, i, out=dg)
+                np.multiply(g, g, out=one_minus)  # g**2
+                dg *= np.subtract(1.0, one_minus, out=one_minus)
+                pool.release(one_minus)
                 gates._accumulate(packed, donate=True)
-                pool = default_pool()
-                for block in (di, df, dg, do):
-                    pool.release(block)
             if c.requires_grad:
                 c._accumulate(dcn * f, donate=True)
 
@@ -227,7 +233,13 @@ def fused_lstm_gates(gates: Tensor, c: Tensor, hidden: int):
     def backward_h(dh):
         with op_span("ops_fused.lstm_gates.backward"):
             if gates.requires_grad:
-                handoff["do"] = ((dh * t) * o) * (1.0 - o)
+                packed = default_pool().acquire(a.shape, np.result_type(dh, t))
+                handoff["packed"] = packed
+                # The i-block is free scratch until backward_c fills it.
+                do, one_minus = packed[:, h3:], packed[:, :h1]
+                np.multiply(dh, t, out=do)
+                do *= o
+                do *= np.subtract(1.0, o, out=one_minus)
             if c_next.requires_grad:
                 c_next._accumulate((dh * o) * (1.0 - t**2), donate=True)
 

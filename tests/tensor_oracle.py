@@ -7,6 +7,13 @@ elementwise gate tail ``LSTMCell`` / ``ConvLSTMCell`` ran before
 that allocate a fresh array per update.  ``test_property_fused.py``
 holds the library to them bit for bit.
 
+**Convolution** (``oracle_conv_forward`` / ``oracle_conv_dw``): the
+accelerated conv kernels before the forward ran in image tiles and the
+weight gradient took the ``cols @ grad_fm.T`` orientation — one
+im2col and one gemm over every column.
+``tests/property/test_property_conv_tiles.py`` holds the library to
+them bit for bit.
+
 **Batch norm and 2-D window ops:**
 
 These are the forms ``repro.tensor`` / ``repro.nn`` ran before
@@ -24,6 +31,33 @@ from __future__ import annotations
 import numpy as np
 
 from repro.tensor import Tensor
+from repro.tensor.ops_conv import im2col
+
+
+def oracle_conv_forward(xp, w, bias, stride, out, cols, fm, mask=None) -> None:
+    """``out`` ``(N, F, OH, OW)`` = ``w`` correlated with ``xp`` (+
+    ``bias``; ReLU'd when ``mask`` is given, which receives ``out > 0``),
+    through one im2col into all of ``cols`` and one gemm into all of
+    ``fm``."""
+    f, _, kh, kw = w.shape
+    n, _, oh, ow = out.shape
+    im2col(xp, kh, kw, stride, oh, ow, cols)
+    np.dot(w.reshape(f, -1), cols, out=fm)
+    fm4 = fm.reshape(f, n, oh, ow).transpose(1, 0, 2, 3)
+    if bias is None:
+        np.copyto(out, fm4)
+    else:
+        np.add(fm4, bias.reshape(1, f, 1, 1), out=out)
+    if mask is not None:
+        np.greater(out, 0, out=mask)
+        np.multiply(out, mask, out=out)
+
+
+def oracle_conv_dw(gfm, cols, w_shape) -> np.ndarray:
+    """Weight gradient ``gfm @ cols.T`` in ``(F, C, KH, KW)`` order."""
+    dw = np.empty(w_shape, cols.dtype)
+    np.dot(gfm, cols.T, out=dw.reshape(w_shape[0], -1))
+    return dw
 
 
 def oracle_batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):

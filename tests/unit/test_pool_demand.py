@@ -10,7 +10,8 @@ flat from step 2 to step 20: arrays that are acquired and then dropped
 without a release (``conv_dw``'s ``dw`` after ``zero_grad``, a conv's
 padded input) must not grow a bucket step after step.  ``check.sh``
 runs this file again under ``REPRO_TRACE=1``, where every step after
-the first is a tape replay.
+the first is a tape replay.  Last, SatCNN steps with the conv forward
+split into one-image tiles acquire exactly the keys they did untiled.
 """
 
 import inspect
@@ -28,6 +29,7 @@ from repro.core.training import (
 )
 from repro.nn import CrossEntropyLoss, MSELoss
 from repro.optim import Adam
+from repro.tensor import ops_conv
 from repro.tensor import pool as pool_module
 from repro.tensor.pool import ArrayPool
 from tests.pool_oracle import OracleArrayPool
@@ -146,3 +148,39 @@ def test_demand_pool_matches_the_flat_cap_oracle(monkeypatch, make):
     assert all(
         depth <= final["demand"][key] for key, depth in final["high_water"].items()
     )
+
+
+# Every key three raster_e2e-shaped SatCNN steps (batch 3) acquire, as
+# read before the conv forward ran in image tiles.
+SATCNN_KEYS = {
+    "(144, 3072):<f4", "(144, 768):<f4", "(16, 16, 3, 3):<f4",
+    "(16, 3072):<f4", "(288, 768):<f4", "(3, 10):<f4",
+    "(3, 16, 16, 16):<f4", "(3, 16, 16, 16):|u1", "(3, 16, 18, 18):<f4",
+    "(3, 16, 32, 32):<f4", "(3, 16, 34, 34):<f4", "(3, 32, 16, 16):<f4",
+    "(3, 32, 18, 18):<f4", "(3, 32, 8, 8):<f4", "(3, 32, 8, 8):|u1",
+    "(32, 16, 3, 3):<f4", "(32, 32, 3, 3):<f4", "(32, 768):<f4",
+    "(4, 3, 16, 16, 16):|b1", "(4, 3, 32, 8, 8):|b1",
+}
+
+
+def test_conv_tiles_live_in_the_untiled_buffers(monkeypatch):
+    """One image per tile, and still exactly the untiled pool keys: a
+    tile fills a prefix of the full-size column and gemm buffers, and
+    the weight gradient's gemm result is not pooled."""
+    monkeypatch.setattr(ops_conv, "_TILE_BYTES", 1)
+    assert len(ops_conv._tile_bounds(3, 16, 144, 32 * 32, np.float32)) == 4
+    pool = ArrayPool()
+    monkeypatch.setattr(pool_module, "_DEFAULT", pool)
+    rng = np.random.default_rng(3)
+    model = SatCNN(16, 32, 32, 10, rng=0)
+    trainer = Trainer(
+        model, Adam(model.parameters(), lr=1e-2), CrossEntropyLoss(),
+        classification_batch,
+    )
+    for _ in range(3):
+        batch = (
+            rng.standard_normal((3, 16, 32, 32)).astype(np.float32),
+            rng.integers(0, 10, 3),
+        )
+        trainer.fit([batch], epochs=1)
+    assert set(pool.stats()["demand"]) == SATCNN_KEYS

@@ -5,10 +5,48 @@ import pytest
 
 from repro import nn
 from repro.tensor import Tensor
+from repro.tensor.ops_fused import fused_lstm_gates
+from tests.conftest import assert_grad_close, numeric_gradient
 
 
 def _x(rng, shape):
     return Tensor(rng.random(shape, dtype=np.float32) - 0.5)
+
+
+class TestFusedGatesGradcheck:
+    """Finite differences through ``fused_lstm_gates`` w.r.t. float64
+    ``gates`` and ``c``.  Outputs are stored float32 (``Tensor``
+    downcasts them), hence 1e-3.  A loss of ``c`` alone never sends
+    ``h_next`` a gradient: the o-block of the gate gradient is then
+    the zero-filled one."""
+
+    @pytest.mark.parametrize(
+        "block", [(3, 2), (2, 2, 3, 4)], ids=["lstm", "convlstm"]
+    )
+    @pytest.mark.parametrize("uses", ["h_and_c", "c_only", "h_only"])
+    def test_gradcheck(self, rng, block, uses):
+        hidden = block[1]
+        gates = Tensor(
+            rng.standard_normal((block[0], 4 * hidden, *block[2:])),
+            requires_grad=True, dtype=np.float64,
+        )
+        c = Tensor(rng.standard_normal(block), requires_grad=True, dtype=np.float64)
+        wh, wc = Tensor(rng.standard_normal(block)), Tensor(rng.standard_normal(block))
+
+        def fn():
+            h, c_next = fused_lstm_gates(gates, c, hidden)
+            if uses == "h_only":
+                return (h * wh).sum()
+            if uses == "c_only":
+                return (c_next * wc).sum()
+            return (h * wh).sum() + (c_next * wc).sum()
+
+        fn().backward()
+        for leaf in (gates, c):
+            assert leaf.grad.dtype == np.float64
+            assert_grad_close(leaf.grad, numeric_gradient(fn, leaf), rtol=1e-3)
+        if uses == "c_only":
+            assert not gates.grad[:, 3 * hidden :].any()
 
 
 class TestLSTMCell:
