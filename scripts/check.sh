@@ -7,8 +7,10 @@
 #      (tests/data/golden_v1.rtif pins its bytes), not an npz archive
 #   2. tier-1: the full test suite (what the roadmap pins)
 #   3. fast lane: unit tests minus anything marked slow
-#   4. spill lane: the spill suites, and the cache + STManager suites
-#      (get_st_grid_dataframe caches its aggregate), again under a
+#   4. spill lane: the spill suites, the cache + STManager suites
+#      (get_st_grid_dataframe caches its aggregate) and the group-state
+#      form tests (code-addressed vs sorted, the stream that re-packs
+#      and compacts, the metered group-by), again under a
 #      forced REPRO_TEST_MEMORY_BUDGET (read by tests/conftest.py,
 #      which hands the budget to every Session a test builds without
 #      one), so the over-budget branches of the materializing
@@ -29,7 +31,8 @@
 #      incremental ingestion runs with spill-capable sessions and the
 #      telemetry runtime racing the delta-maintenance hot path; with
 #      them the group-state insertion tests (reserved buffers vs the
-#      copying oracle, in-place merges, the packed key index)
+#      copying oracle, in-place merges, the packed key index) and the
+#      code-addressed vs sorted form property
 #   8. pipeline smoke: benchmarks/pipeline/run.py --smoke runs the five
 #      BENCHMARK.json workloads end to end at reduced size (~12 s),
 #      each checked against its numpy oracle
@@ -73,7 +76,10 @@ REPRO_TEST_MEMORY_BUDGET=4096 python -m pytest -q \
     tests/unit/test_spill_faults.py \
     tests/unit/test_engine_cache.py \
     tests/unit/test_st_manager.py \
-    tests/property/test_property_spill.py
+    tests/property/test_property_spill.py \
+    tests/property/test_property_group_state.py \
+    tests/unit/test_streaming.py::TestCodeAddressedStream \
+    tests/unit/test_streaming.py::TestReservedGroupBuffers::test_meter_returns_to_baseline_after_budgeted_group_by
 
 echo "== traced lane: forced REPRO_TRACE =="
 REPRO_TRACE=1 python -m pytest -q \
@@ -97,6 +103,7 @@ REPRO_TEST_MEMORY_BUDGET=4096 \
     python -m pytest -q \
     tests/unit/test_streaming.py \
     tests/property/test_property_streaming.py \
+    tests/property/test_property_group_state.py \
     tests/unit/test_engine_edge_cases.py::TestMergeInPlace \
     tests/property/test_property_engine.py::test_packed_key_index_equals_unique_axis0_oracle
 rm -rf "$stream_export_dir"

@@ -13,12 +13,19 @@ streaming layer (:mod:`repro.engine.streaming`) relies on.
 
 :class:`ArrayGroupState` is the vectorized form of that merge — whole
 accumulator arrays, one merge per partition, keyed by one
-order-preserving int64 code per key row (:class:`KeyPacking`): a
-partition's rows are packed once, grouped by a 1-D integer
-``np.unique``, and their groups found in the state by ``searchsorted``,
-then scattered in or inserted — an insert moves only the state's rows
-from the first insertion point on, within geometrically reserved
-buffers.
+order-preserving int64 code per key row (:class:`KeyPacking`), packed
+once per partition.  While the codes are small — integer keys whose
+highest code stays below a few slots per partition row, the
+``time_step × cell_id`` grid of Figure 8 — the code *is* the group's
+address: a merge counts the rows into per-code slots and folds the
+partials over them in O(rows + slots), with no sort, search or insert.
+Otherwise (float, dictionary-coded or wide keys) a partition's rows
+are grouped by a 1-D integer ``np.unique`` in O(rows log rows), found
+in the state's sorted codes by ``searchsorted``, then scattered in or
+inserted — an insert moves only the state's rows from the first
+insertion point on, within geometrically reserved buffers.  A state
+starts in the first form when its first partition allows it and
+compacts into the second, once, when a later one does not.
 Both the batch group-by executor and the streaming ``DeltaState`` run
 *this exact class*, which is what makes incrementally maintained
 results bit-identical to a from-scratch recompute over the same
@@ -133,6 +140,22 @@ class KeyPacking:
     def encode(self, rows: np.ndarray):
         return self._pack(rows, fit=False)
 
+    @property
+    def offset_coded(self) -> bool:
+        """Every column offset-coded and no prefix folded: a code is
+        then a plain mixed-radix number that :meth:`decode` inverts."""
+        return all(t is None and f is None for _, t, _, f in self._columns)
+
+    def decode(self, codes: np.ndarray) -> np.ndarray:
+        """The int64 key rows of ``codes`` under an offset-coded
+        packing: per column, ``lo + digit``."""
+        columns = []
+        for lo, _, span, _ in reversed(self._columns):
+            codes, digits = np.divmod(codes, span)
+            digits += lo
+            columns.append(digits)
+        return np.stack(columns[::-1], axis=1)
+
     @staticmethod
     def _fit_column(col, whole, code, radix):
         if whole is not None and whole[2] - whole[1] < _OFFSET_RANGE:
@@ -207,6 +230,7 @@ def _dictionary_codes(codes: dict, values: np.ndarray) -> np.ndarray:
 # (0.0 for the others); merging a partial into it yields the partial
 # bit for bit.
 _EMPTY = {"min": np.inf, "max": -np.inf}
+_FOLD = {"min": np.minimum, "max": np.maximum}
 
 # Capacity, as a multiple of the groups, reserved when a merge
 # outgrows the state's buffers: geometric growth, so the head of the
@@ -214,12 +238,23 @@ _EMPTY = {"min": np.inf, "max": -np.inf}
 # once per merge that brings new groups.
 _GROWTH = 1.5
 
+# The code-addressed form keeps one slot per packed code up to the
+# highest seen, while that code is below this many slots per row of
+# the largest partition merged so far: its arrays stay a small
+# multiple of one partition, however sparse the codes.
+_DENSE_SLOTS_PER_ROW = 8
 
-def empty_group_partition(keys, specs):
+
+def empty_group_partition(keys, specs, key_dtypes=None):
+    """The zero-row group-by output: key columns in ``key_dtypes``
+    (float64 where unknown), int64 counts, float64 accumulators."""
     from repro.engine.partition import Partition
 
-    cols = {k: np.empty(0) for k in keys}
-    cols.update({s.out_name: np.empty(0) for s in specs})
+    dtypes = key_dtypes or [np.float64] * len(keys)
+    cols = {k: np.empty(0, dtype=dtype) for k, dtype in zip(keys, dtypes)}
+    for s in specs:
+        dtype = np.int64 if s.kind == "count" else np.float64
+        cols[s.out_name] = np.empty(0, dtype=dtype)
     return Partition(cols)
 
 
@@ -227,74 +262,133 @@ class ArrayGroupState:
     """Per-group accumulators held as whole arrays, one vectorized
     merge per partition.  This is the engine's only group-by state.
 
-    A merge packs the partition's key rows once under the state's
-    codes and groups them in O(rows log rows), finds and scatters into
-    its groups in place in O(groups log state), and inserts new groups
-    by moving only the rows from the first insertion point onward; the
-    state's codes are re-packed only when a key column outgrows their
-    range or dictionary.
+    It holds its groups in one of two forms:
 
-    ``keys``, ``_codes``, ``counts`` and the accumulators are views of
-    the first ``num_groups`` rows of reserved buffers (``_buffers``, in
-    that order) once a merge has inserted groups; the buffers grow
-    geometrically, and whatever replaces one of those arrays wholesale
-    drops them.  :attr:`nbytes` counts the reserved capacity.
+    - **Code-addressed**, while the key matrix is integer or bool, its
+      :class:`KeyPacking` offset-codes every column (no dictionary
+      table, no fold), no column is dictionary-coded and the highest
+      packed code is below ``_DENSE_SLOTS_PER_ROW`` times the rows of
+      the largest partition merged so far.  ``_code_counts[c]`` and
+      ``_code_values[i][c]`` are the group whose code is ``c`` (a zero
+      count: no group), in arrays sized to the highest code seen and
+      grown ×1.5.  A merge packs the rows, counts them into the slots
+      with one ``bincount`` and folds each accumulator's partial into
+      the slots it touched: O(rows + slots), no sort, search or
+      insert.  A partition outside the packing's ranges re-packs the
+      state in this form while the rule still holds.
+    - **Sorted**, for everything else.  A code-addressed state the rule
+      no longer admits (a code past the bound, a column turning
+      dictionary-coded or widening its dtype) *compacts* into this form
+      once — ``flatnonzero`` of the counts lists the codes in key order
+      and each key decodes as ``lo + digit`` — and stays in it.  A merge
+      groups the partition's packed rows by ``np.unique`` in
+      O(rows log rows), finds them in the state's ascending ``_codes``
+      by ``searchsorted`` in O(groups log state), scatters in place and
+      inserts new groups, moving only the rows from the first insertion
+      point on.  ``_keys``, ``_codes``, ``_counts`` and the accumulators
+      are views of the first ``num_groups`` rows of reserved buffers
+      (``_buffers``, in that order, grown ×1.5) once a merge has
+      inserted groups.  The codes are re-packed only when a key column
+      outgrows their range or dictionary.
+
+    Both forms compute a partition's per-group partials with the same
+    ``bincount`` / ``ufunc.at`` and fold them with the same
+    :meth:`_fold`, over the touched groups in key order — the same
+    operands at the same array positions — so the form changes no
+    output bit, NaN payloads included.  What the class answers means
+    the same in both:
 
     ``keys`` is one numeric matrix of unique key rows in lexicographic
     order (NaN last, all NaN of a column one key).  A non-numeric
     (``O``/``U``/``S``) key column is dictionary-coded: the matrix holds
     int64 codes in first-seen order, ``_code_maps`` holds the value →
     code dict, and :meth:`to_partition` decodes.  ``key_dtypes`` is the
-    dtype each key column is restored to on output.
+    dtype each key column is restored to on output.  ``counts`` is the
+    rows per group; ``values[i]`` is the state of ``specs[i]``: a
+    float64 array for sum/mean/min/max, ``None`` for count (``counts``
+    is its state).  In the code-addressed form these three are built on
+    each read.
 
-    ``values[i]`` is the state of ``specs[i]``: a float64 array for
-    sum/mean/min/max, ``None`` for count (the shared ``counts`` array
-    is its state).
-
-    :meth:`update` returns the merged-state positions of the groups the
-    incoming partition touched — the batch executor ignores this, the
-    streaming :class:`~repro.engine.streaming.DeltaState` uses it to
-    emit per-batch deltas.
+    :meth:`update` returns the ranks, in ``keys`` order, of the groups
+    the incoming partition touched — the batch executor ignores this,
+    the streaming :class:`~repro.engine.streaming.DeltaState` uses it
+    to emit per-batch deltas.  :attr:`nbytes` counts the arrays held,
+    reserved capacity included.
     """
 
     def __init__(self, specs):
         self.specs = specs
-        self.keys: np.ndarray | None = None  # (G, K) unique key rows
-        self.counts: np.ndarray | None = None  # (G,) int64 rows per group
-        self.values: list = [None] * len(specs)
         self.key_dtypes: list | None = None  # per key column, for output
         self._code_maps: dict = {}  # key column index -> {value: code}
-        # Packed codes of ``keys`` (ascending) under ``_packing``; both
-        # None until a merge needs them or after ``keys`` was rewritten.
+        # Packs key rows in both forms; None until a merge needs it or
+        # after the sorted form's keys were rewritten.
         self._packing: KeyPacking | None = None
+        self._max_rows = 0  # rows of the largest partition merged
+        # Sorted form: unique key rows, their packed codes (ascending),
+        # rows per group and accumulators (None for count).
+        self._keys: np.ndarray | None = None
         self._codes: np.ndarray | None = None
+        self._counts: np.ndarray | None = None
+        self._values: list = [None] * len(specs)
         # Reserved buffers behind the arrays of ``_arrays()``, or None
         # while those arrays are exactly ``num_groups`` long.
         self._buffers: list | None = None
+        # Code-addressed form (None in the sorted form): rows and
+        # accumulators per packed code, live below ``_span``.
+        self._code_counts: np.ndarray | None = None
+        self._code_values: list | None = None
+        self._span = 0
+        self._groups = 0
+        self._row_dtype: np.dtype | None = None  # of the key matrix
 
     @property
     def num_groups(self) -> int:
-        return 0 if self.keys is None else len(self.keys)
+        if self._code_counts is not None:
+            return self._groups
+        return 0 if self._keys is None else len(self._keys)
+
+    @property
+    def keys(self) -> np.ndarray | None:
+        return self._sorted()._keys
+
+    @property
+    def counts(self) -> np.ndarray | None:
+        return self._sorted()._counts
+
+    @property
+    def values(self) -> list:
+        return self._sorted()._values
 
     @property
     def nbytes(self) -> int:
         # Rough dict-entry estimate for the dictionary-coded columns.
         total = sum(64 * len(m) for m in self._code_maps.values())
-        arrays = self._buffers
-        if arrays is None:
-            arrays = [self.keys, self._codes, self.counts, *self.values]
+        if self._code_counts is not None:
+            arrays = [self._code_counts, *self._code_values]
+        elif self._buffers is not None:
+            arrays = self._buffers
+        else:
+            arrays = [self._keys, self._codes, self._counts, *self._values]
         return total + sum(arr.nbytes for arr in arrays if arr is not None)
 
+    def _sorted(self) -> "ArrayGroupState":
+        """This state if it is in the sorted form, else a sorted copy."""
+        if self._code_counts is None:
+            return self
+        return self._gather(self._group_codes())
+
     def _arrays(self) -> list:
-        """The per-group arrays an insert grows, in ``_buffers`` order."""
+        """The sorted form's per-group arrays, in ``_buffers`` order."""
         return [
-            self.keys,
+            self._keys,
             self._codes,
-            self.counts,
-            *(value for value in self.values if value is not None),
+            self._counts,
+            *(value for value in self._values if value is not None),
         ]
 
-    def _partials(self, uniques, inverse, part):
+    def _partials(self, index, size, part):
+        """Per spec, the partition's partial over ``size`` groups with
+        row ``r`` in group ``index[r]`` (``None`` for count)."""
         partials = []
         for spec in self.specs:
             if spec.kind == "count":
@@ -302,15 +396,10 @@ class ArrayGroupState:
                 continue
             vals = np.asarray(part.columns[spec.column], dtype=np.float64)
             if spec.kind in ("sum", "mean"):
-                partial = np.bincount(
-                    inverse, weights=vals, minlength=len(uniques)
-                )
-            elif spec.kind == "min":
-                partial = np.full(len(uniques), np.inf)
-                np.minimum.at(partial, inverse, vals)
+                partial = np.bincount(index, weights=vals, minlength=size)
             else:
-                partial = np.full(len(uniques), -np.inf)
-                np.maximum.at(partial, inverse, vals)
+                partial = np.full(size, _EMPTY[spec.kind])
+                _FOLD[spec.kind].at(partial, index, vals)
             partials.append(partial)
         return partials
 
@@ -321,7 +410,7 @@ class ArrayGroupState:
         one arriving after its column went non-numeric) is replaced by
         its dictionary codes."""
         arrays = [np.asarray(col) for col in key_columns]
-        if self.key_dtypes is None:
+        if self.num_groups == 0:
             self.key_dtypes = [arr.dtype for arr in arrays]
         for i, arr in enumerate(arrays):
             seen = self.key_dtypes[i]
@@ -337,11 +426,13 @@ class ArrayGroupState:
             if i in self._code_maps:
                 arrays[i] = _dictionary_codes(self._code_maps[i], arr)
         stacked = np.stack(arrays, axis=1)
-        if self.keys is None:
+        if self.num_groups == 0:
             return stacked
-        dtype = np.result_type(stacked.dtype, self.keys.dtype)
-        if dtype != self.keys.dtype:
-            self.keys = self.keys.astype(dtype)
+        held = self._keys.dtype if self._code_counts is None else self._row_dtype
+        dtype = np.result_type(stacked.dtype, held)
+        if dtype != held:
+            self._compact()
+            self._keys = self._keys.astype(dtype)
             self._packing = self._codes = self._buffers = None
         return stacked.astype(dtype, copy=False)
 
@@ -349,37 +440,72 @@ class ArrayGroupState:
         """Key column ``i`` turned non-numeric: from here on it lives
         in the matrix as dictionary codes, so groups accumulated while
         it was still numeric (dtype ``seen``) are re-coded in place."""
+        self._compact()
         codes = self._code_maps[i] = {}
-        if self.keys is None:
+        if self._keys is None:
             return
-        columns = [self.keys[:, j] for j in range(self.keys.shape[1])]
+        columns = [self._keys[:, j] for j in range(self._keys.shape[1])]
         columns[i] = _dictionary_codes(codes, columns[i].astype(seen))
-        self.keys = np.stack(columns, axis=1)
+        self._keys = np.stack(columns, axis=1)
         # First-seen codes do not follow the column's numeric order.
         self._packing = self._codes = None
-        self._adopt(self.select(np.argsort(KeyPacking(self.keys).codes)))
+        self._adopt(self.select(np.argsort(KeyPacking(self._keys).codes)))
+
+    def _addressable(self, packing: KeyPacking, highest: int, dtype) -> bool:
+        """The form rule: may groups whose key matrix has ``dtype``,
+        packed by ``packing`` with codes up to ``highest``, be held
+        code-addressed?"""
+        return (
+            dtype.kind in "iub"
+            and not self._code_maps
+            and packing.offset_coded
+            and highest < _DENSE_SLOTS_PER_ROW * self._max_rows
+        )
 
     def update(self, key_columns, part) -> np.ndarray:
-        """Merge one (non-empty) partition's rows, grouped by its key
-        columns, into the state; returns the merged-state indices of
-        the touched groups (aligned with the partition's sorted unique
-        key rows)."""
+        """Merge one partition's rows, grouped by its key columns, into
+        the state; returns the ranks in ``keys`` of the touched groups
+        (aligned with the partition's sorted unique key rows).  An empty
+        partition merges nothing; while no row has been merged, the
+        first one sets the output's key dtypes."""
+        if part.num_rows == 0:
+            if self.key_dtypes is None:
+                self.key_dtypes = [np.asarray(col).dtype for col in key_columns]
+            return np.empty(0, dtype=np.int64)
         stacked = self._stack_keys(key_columns)
+        self._max_rows = max(self._max_rows, len(stacked))
         # Pack the rows once: under the state's codes when they cover
         # the batch, else under a packing fitted to the batch alone.
         # Both preserve row order, so the groups come out the same.
         packing = self._packing
         codes = None if packing is None else packing.encode(stacked)
+        if self._code_counts is not None and codes is None:
+            codes = self._repack_addressed(stacked)
+            packing = self._packing
+        if self._code_counts is not None:
+            highest = max(self._span - 1, int(codes.max()))
+            if self._addressable(packing, highest, stacked.dtype):
+                return self._merge_addressed(codes, highest, part)
+            self._compact()
         if codes is None:
             packing = KeyPacking(stacked)
             codes = packing.codes
-        uniques, codes, inverse, counts = unique_rows(stacked, codes)
-        partials = self._partials(uniques, inverse, part)
+        if self._keys is None:
+            # The first rows merged: a state starts code-addressed when
+            # the rule admits them, or never.
+            highest = int(codes.max())
+            if self._addressable(packing, highest, stacked.dtype):
+                self._packing, self._row_dtype = packing, stacked.dtype
+                none = codes[:0]  # no groups yet
+                self._address(highest + 1, none, none, [none] * len(self.specs))
+                return self._merge_addressed(codes, highest, part)
 
-        if self.keys is None:
-            self.keys = uniques
-            self.counts = counts
-            self.values = partials
+        uniques, codes, inverse, counts = unique_rows(stacked, codes)
+        partials = self._partials(inverse, len(uniques), part)
+        if self._keys is None:
+            self._keys = uniques
+            self._counts = counts
+            self._values = partials
             self._packing, self._codes = packing, codes
             return np.arange(len(uniques), dtype=np.int64)
 
@@ -390,24 +516,131 @@ class ArrayGroupState:
         if fresh.any():
             self._insert(slots[fresh], uniques[fresh], codes[fresh])
             slots += np.cumsum(fresh) - fresh
-        self.counts[slots] += counts
-        for spec, value, partial in zip(self.specs, self.values, partials):
-            if spec.kind in ("sum", "mean"):
-                value[slots] += partial
-            elif spec.kind == "min":
-                value[slots] = np.minimum(value[slots], partial)
-            elif spec.kind == "max":
-                value[slots] = np.maximum(value[slots], partial)
+        self._counts[slots] += counts
+        self._fold(self._values, slots, partials)
         return slots
 
+    def _fold(self, values, slots, partials) -> None:
+        """Fold each spec's per-group partial into its state at
+        ``slots`` — the one place either form merges a float."""
+        for spec, value, partial in zip(self.specs, values, partials):
+            if spec.kind in ("sum", "mean"):
+                value[slots] += partial
+            elif spec.kind in _FOLD:
+                value[slots] = _FOLD[spec.kind](value[slots], partial)
+
+    # -- code-addressed form --------------------------------------------
+    def _group_codes(self) -> np.ndarray:
+        """The codes of the code-addressed groups, ascending."""
+        return np.flatnonzero(self._code_counts[: self._span] != 0)
+
+    def _decode(self, codes: np.ndarray) -> np.ndarray:
+        return self._packing.decode(codes).astype(self._row_dtype, copy=False)
+
+    def _address(self, span: int, codes, counts, values) -> None:
+        """Hold the groups with packed ``codes``, their ``counts`` and
+        per-spec ``values`` code-addressed, in ``span`` slots."""
+        self._code_counts = np.zeros(span, dtype=np.int64)
+        self._code_counts[codes] = counts
+        self._code_values = []
+        for spec, value in zip(self.specs, values):
+            slots = None
+            if spec.kind != "count":
+                slots = np.full(span, _EMPTY.get(spec.kind, 0.0))
+                slots[codes] = value
+            self._code_values.append(slots)
+        self._span, self._groups = span, len(codes)
+
+    def _merge_addressed(self, codes, highest: int, part) -> np.ndarray:
+        if highest >= self._span:
+            self._reserve(highest + 1)
+        span = self._span
+        added = np.bincount(codes, minlength=span)
+        counts = self._code_counts[:span]
+        counts += added
+        held = np.flatnonzero(counts != 0)
+        self._groups = len(held)
+        # A touched group's rank is its position among the held codes.
+        ranks = np.flatnonzero(added[held] != 0)
+        touched = held[ranks]
+        # Fold only the touched slots, in key order: the sorted form's
+        # operands at the same positions, so even the NaN an add of two
+        # NaNs keeps (which depends on the lane) is the same.
+        partials = self._partials(codes, span, part)
+        self._fold(
+            self._code_values,
+            touched,
+            [None if partial is None else partial[touched] for partial in partials],
+        )
+        return ranks
+
+    def _reserve(self, span: int) -> None:
+        """Make the codes below ``span`` live, growing the slot arrays
+        ×1.5 (within the form's bound) when they are too short."""
+        capacity = len(self._code_counts)
+        if span > capacity:
+            bound = _DENSE_SLOTS_PER_ROW * self._max_rows
+            capacity = max(span, min(int(capacity * _GROWTH), bound))
+
+            def grown(arr, fill):
+                out = np.full(capacity, fill, dtype=arr.dtype)
+                out[: len(arr)] = arr
+                return out
+
+            self._code_counts = grown(self._code_counts, 0)
+            self._code_values = [
+                None if value is None else grown(value, _EMPTY.get(spec.kind, 0.0))
+                for spec, value in zip(self.specs, self._code_values)
+            ]
+        self._span = span
+
+    def _repack_addressed(self, stacked: np.ndarray) -> np.ndarray:
+        """The partition has a key outside the packing's ranges: re-fit
+        the packing to the state's groups plus its rows and move the
+        groups to their new codes — code-addressed while the rule admits
+        them, else compacted into the sorted form.  Returns the
+        partition's codes under the new packing."""
+        held = self._group_codes()
+        packing = KeyPacking(np.concatenate([self._decode(held), stacked]))
+        moved, codes = packing.codes[: len(held)], packing.codes[len(held) :]
+        highest = int(packing.codes.max())
+        if self._addressable(packing, highest, stacked.dtype):
+            values = [None if v is None else v[held] for v in self._code_values]
+            self._address(highest + 1, moved, self._code_counts[held], values)
+        else:
+            self._compact()
+            self._codes = moved
+        self._packing = packing
+        return codes
+
+    def _gather(self, codes: np.ndarray) -> "ArrayGroupState":
+        """A new sorted-form state holding the code-addressed groups
+        ``codes``, in that order (arrays copied)."""
+        out = ArrayGroupState(self.specs)
+        out.key_dtypes = self.key_dtypes
+        out._code_maps = self._code_maps
+        if len(codes):
+            out._keys = self._decode(codes)
+            out._counts = self._code_counts[codes]
+            out._values = [None if v is None else v[codes] for v in self._code_values]
+            out._packing, out._codes = self._packing, codes
+        return out
+
+    def _compact(self) -> None:
+        """Leave the code-addressed form for the sorted one, for good;
+        a no-op in the sorted form."""
+        if self._code_counts is not None:
+            self._adopt(self._gather(self._group_codes()))
+
+    # -- sorted form ------------------------------------------------------
     def _repack(self, uniques: np.ndarray) -> np.ndarray:
         """Re-fit the state's packing to its own key rows plus
         ``uniques`` — a column's range or dictionary grew past it —
         and return the packed codes of ``uniques``."""
-        self._packing = KeyPacking(np.concatenate([self.keys, uniques]))
-        self._codes = self._packing.codes[: len(self.keys)]
+        self._packing = KeyPacking(np.concatenate([self._keys, uniques]))
+        self._codes = self._packing.codes[: len(self._keys)]
         self._buffers = None
-        return self._packing.codes[len(self.keys) :]
+        return self._packing.codes[len(self._keys) :]
 
     def _insert(self, at, keys, codes) -> None:
         """Insert empty groups with the given key rows and codes before
@@ -415,7 +648,7 @@ class ArrayGroupState:
         stay where they are; event-time streams insert near the end of
         the state, so an insert moves a short tail, in place while the
         reserved buffers have room."""
-        old = len(self.keys)
+        old = len(self._keys)
         new, head = old + len(at), int(at[0])
         # Placement plan for the rows from ``head`` on: the i-th new
         # group lands at at[i] + i, every old row moves up by the
@@ -440,7 +673,7 @@ class ArrayGroupState:
             0,
             *(
                 _EMPTY.get(spec.kind, 0.0)
-                for spec, value in zip(self.specs, self.values)
+                for spec, value in zip(self.specs, self._values)
                 if value is not None
             ),
         ]
@@ -451,27 +684,29 @@ class ArrayGroupState:
             tail[moved] = arr[head:]
             tail[placed] = fill
 
-        self.keys, self._codes, self.counts = (b[:new] for b in buffers[:3])
+        self._keys, self._codes, self._counts = (b[:new] for b in buffers[:3])
         grown = iter(buffers[3:])
-        self.values = [
-            None if value is None else next(grown)[:new] for value in self.values
+        self._values = [
+            None if value is None else next(grown)[:new] for value in self._values
         ]
 
     def select(self, where: np.ndarray) -> "ArrayGroupState":
-        """A new state holding only the groups at the positions
+        """A new sorted-form state holding only the groups at the ranks
         ``where``, in that order (accumulator arrays copied)."""
+        if self._code_counts is not None:
+            return self._gather(self._group_codes()[where])
         out = ArrayGroupState(self.specs)
         out.key_dtypes = self.key_dtypes
         out._code_maps = self._code_maps
-        if self.keys is None:
+        if self._keys is None:
             return out
-        keys = self.keys[where]
+        keys = self._keys[where]
         if len(keys) == 0:
             return out
-        out.keys = keys
-        out.counts = self.counts[where]
-        out.values = [
-            None if value is None else value[where] for value in self.values
+        out._keys = keys
+        out._counts = self._counts[where]
+        out._values = [
+            None if value is None else value[where] for value in self._values
         ]
         if self._packing is not None:
             out._packing = self._packing
@@ -479,12 +714,14 @@ class ArrayGroupState:
         return out
 
     def _adopt(self, other: "ArrayGroupState") -> None:
-        self.keys = other.keys
-        self.counts = other.counts
-        self.values = other.values
+        """Take over ``other``'s sorted-form groups."""
+        self._keys = other._keys
+        self._counts = other._counts
+        self._values = other._values
         self._packing = other._packing
         self._codes = other._codes
         self._buffers = other._buffers
+        self._code_counts = self._code_values = None
 
     def to_partition(self, keys):
         """Finalize every group as one partition: the key columns
@@ -492,28 +729,30 @@ class ArrayGroupState:
         one column per aggregate."""
         from repro.engine.partition import Partition
 
-        if self.keys is None:
-            return empty_group_partition(keys, self.specs)
+        if self._code_counts is not None:
+            return self._sorted().to_partition(keys)
+        if self._keys is None:
+            return empty_group_partition(keys, self.specs, self.key_dtypes)
         columns = {}
         for i, (key_name, dtype) in enumerate(zip(keys, self.key_dtypes)):
             codes = self._code_maps.get(i)
             if codes is None:
-                columns[key_name] = self.keys[:, i].astype(dtype)
+                columns[key_name] = self._keys[:, i].astype(dtype)
                 continue
             # Filled element by element: a bulk assignment would try
             # to unpack sequence-valued keys (tuples).
             table = np.empty(len(codes), dtype=object)
             for code, value in enumerate(codes):
                 table[code] = value
-            columns[key_name] = table[self.keys[:, i].astype(np.int64)].astype(
+            columns[key_name] = table[self._keys[:, i].astype(np.int64)].astype(
                 dtype
             )
         for spec_index, spec in enumerate(self.specs):
-            value = self.values[spec_index]
+            value = self._values[spec_index]
             if spec.kind == "count":
-                columns[spec.out_name] = self.counts.copy()
+                columns[spec.out_name] = self._counts.copy()
             elif spec.kind == "mean":
-                columns[spec.out_name] = value / self.counts
+                columns[spec.out_name] = value / self._counts
             else:
                 columns[spec.out_name] = value.copy()
         return Partition(columns)

@@ -22,7 +22,8 @@ at every budget.
 Group-by is vectorized end to end: it keeps per-group accumulator
 *arrays* (:class:`~repro.engine.aggregates.ArrayGroupState`), packs
 each key row into one order-preserving int64 code, and merges each
-partition's partial aggregates by ``searchsorted`` + scatter updates;
+partition's partial aggregates into slots addressed by that code while
+the codes are few, by ``searchsorted`` + scatter updates otherwise;
 non-numeric key columns are dictionary-coded to integers first.
 
 A :class:`~repro.utils.memory.MemoryMeter` passed via ``meter``
@@ -281,8 +282,6 @@ def _run_group_by(node: P.GroupByAgg, ctx: _ExecContext):
     state_nbytes = 0
 
     for part in ctx.iterate(node.child):
-        if part.num_rows == 0:
-            continue
         state.update([part.columns[k] for k in keys], part)
         if meter is not None:
             new_nbytes = state.nbytes

@@ -111,9 +111,6 @@ class DeltaState:
     def update(self, part: Partition) -> int:
         """Merge one micro-batch; returns the number of distinct
         groups it touched."""
-        if part.num_rows == 0:
-            self.last_changed = np.empty(0, dtype=np.int64)
-            return 0
         key_columns = [part.columns[k] for k in self.keys]
         self.last_changed = self.state.update(key_columns, part)
         return len(self.last_changed)

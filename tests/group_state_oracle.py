@@ -1,8 +1,16 @@
-"""Reference growth for the group-by state: the whole-array
-``np.insert`` + ``np.concatenate`` copy ``ArrayGroupState._insert``
-made on every merge that brought new groups, before the state kept its
-arrays in reserved buffers.  The engine no longer calls it; the
-insertion property tests hold the buffered insert to it, bit for bit.
+"""Reference forms of the group-by state.
+
+``SortedGroupState`` is ``ArrayGroupState`` held in its sorted form
+from the first merge on: it overrides only the form rule, so every
+merge runs the ``np.unique`` / ``searchsorted`` / insert path the
+code-addressed form replaces.  The property tests hold the
+code-addressed form to it, bit for bit.
+
+``OracleGroupState`` is that sorted form growing the way
+``ArrayGroupState._insert`` did on every merge that brought new groups
+before the state kept its arrays in reserved buffers: the whole-array
+``np.insert`` + ``np.concatenate`` copy.  The engine no longer calls
+it; the insertion tests hold the buffered insert to it.
 """
 
 from __future__ import annotations
@@ -15,8 +23,15 @@ from repro.engine.aggregates import ArrayGroupState
 EMPTY = {"min": np.inf, "max": -np.inf}
 
 
-class OracleGroupState(ArrayGroupState):
-    """``ArrayGroupState`` whose inserts rebuild every array exactly
+class SortedGroupState(ArrayGroupState):
+    """``ArrayGroupState`` that never holds its groups code-addressed."""
+
+    def _addressable(self, packing, highest, dtype) -> bool:
+        return False
+
+
+class OracleGroupState(SortedGroupState):
+    """The sorted form whose inserts rebuild every array exactly
     ``num_groups`` long; every other step is the engine's own."""
 
     def _insert(self, at, keys, codes) -> None:
@@ -26,9 +41,9 @@ class OracleGroupState(ArrayGroupState):
             tail = np.insert(arr[head:], at - head, values, axis=0)
             return np.concatenate([arr[:head], tail])
 
-        self.keys = grown(self.keys, keys)
+        self._keys = grown(self._keys, keys)
         self._codes = grown(self._codes, codes)
-        self.counts = grown(self.counts, 0)
-        for i, (spec, value) in enumerate(zip(self.specs, self.values)):
+        self._counts = grown(self._counts, 0)
+        for i, (spec, value) in enumerate(zip(self.specs, self._values)):
             if value is not None:
-                self.values[i] = grown(value, EMPTY.get(spec.kind, 0.0))
+                self._values[i] = grown(value, EMPTY.get(spec.kind, 0.0))

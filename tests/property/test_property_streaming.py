@@ -11,9 +11,9 @@ event times:
 - **Grid tensors** — ``STManager.update_st_grid_array`` applied per
   batch delta equals ``get_st_grid_array`` rebuilt from scratch.
 
-A third pins the state's growth: merging into reserved buffers equals
-the whole-array ``np.insert`` + ``np.concatenate`` rebuild it replaced
-(``tests/group_state_oracle.py``), array for array.
+A third pins the sorted form's growth: merging into reserved buffers
+equals the whole-array ``np.insert`` + ``np.concatenate`` rebuild it
+replaced (``tests/group_state_oracle.py``), array for array.
 
 Comparisons use dtype checks plus ``np.testing.assert_array_equal``
 (NaN-exact), never ``isclose``: the incremental paths must produce the
@@ -27,9 +27,8 @@ from hypothesis import strategies as st
 
 from repro.core.preprocessing.grid import STManager as stm
 from repro.engine import Session, agg
-from repro.engine.aggregates import ArrayGroupState
 from repro.engine.partition import Partition
-from tests.group_state_oracle import OracleGroupState
+from tests.group_state_oracle import OracleGroupState, SortedGroupState
 
 # Event times from a coarse lattice and rounded values, so duplicate
 # keys and values are common.
@@ -192,7 +191,7 @@ def insert_rounds(draw):
 @given(insert_rounds())
 def test_buffered_insert_equals_copying_oracle(rounds):
     two_columns, batches = rounds
-    state, oracle = ArrayGroupState(ALL_SPECS), OracleGroupState(ALL_SPECS)
+    state, oracle = SortedGroupState(ALL_SPECS), OracleGroupState(ALL_SPECS)
     for keys, dtype, weights in batches:
         k = np.asarray(keys, dtype=np.int64)
         # (k // 7, k % 7) orders as k does: two columns, same placements.

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.engine import Session, agg, col
-from repro.engine.aggregates import ArrayGroupState
 from repro.engine.partition import Partition
 from repro.engine.schema import Field, Schema
+from tests.group_state_oracle import SortedGroupState
 
 
 @pytest.fixture
@@ -36,6 +36,24 @@ class TestEmptyInputs:
 
     def test_empty_group_by(self, empty):
         assert empty.group_by("k").agg(agg.sum_("v", "s")).collect() == []
+
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_empty_group_by_keeps_dtypes(self, session, filtered):
+        # Keys as the (empty) input had them, the dtypes a non-empty
+        # result has for the aggregates.
+        rows = 0 if not filtered else 5
+        df = session.create_dataframe(
+            {"k": np.arange(rows, dtype=np.int32), "v": np.ones(rows)}
+        )
+        if filtered:
+            df = df.filter(col("v") > 1)
+        out = df.group_by("k").agg(agg.count(), agg.sum_("v")).to_columns()
+        assert {name: c.dtype for name, c in out.items()} == {
+            "k": np.int32,
+            "count": np.int64,
+            "sum_v": np.float64,
+        }
+        assert all(len(c) == 0 for c in out.values())
 
     def test_empty_union(self, empty):
         assert empty.union(empty).count() == 0
@@ -156,7 +174,9 @@ class TestNaNGroupKeys:
 
 class TestMergeInPlace:
     def test_batch_without_new_groups_rebuilds_nothing(self):
-        state = ArrayGroupState(
+        # The sorted form's in-place scatter (these keys would otherwise
+        # be held code-addressed, whose arrays are built on each read).
+        state = SortedGroupState(
             [agg.count(), agg.sum_("v"), agg.min_("v"), agg.max_("v")]
         )
 

@@ -1,19 +1,20 @@
 """Unit tests for the incremental streaming layer
 (:mod:`repro.engine.streaming`): stream ingestion, the live view,
-delta-maintained aggregation, rejected batches, and the reserved
-buffers the group state inserts into."""
+delta-maintained aggregation, rejected batches, the reserved buffers
+the sorted group state inserts into, and the code-addressed state's
+transitions and memory accounting."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.engine import Schema, Session, agg, col
+from repro.engine import Schema, Session, agg, col, executor
 from repro.engine.aggregates import ArrayGroupState
 from repro.engine.partition import Partition
 from repro.engine.streaming import DeltaState
 from repro.utils.memory import MemoryMeter
-from tests.group_state_oracle import OracleGroupState
+from tests.group_state_oracle import OracleGroupState, SortedGroupState
 
 
 def _session():
@@ -198,6 +199,26 @@ class TestDeltaMaintainedAggregation:
             stream.aggregate(["cell"], [agg.max_("w")])
         assert stream.aggregations == []
 
+    def test_delta_after_empty_append_keeps_dtypes(self):
+        stream = _session().stream(
+            [("time_step", np.int64), ("cell_id", np.int64), ("v", np.float64)]
+        )
+        live = stream.aggregate(
+            ["time_step", "cell_id"], [agg.count(name="count"), agg.mean("v")]
+        )
+        empty = {"time_step": [], "cell_id": [], "v": []}
+        want = {
+            "time_step": np.int64,
+            "cell_id": np.int64,
+            "count": np.int64,
+            "mean_v": np.float64,
+        }
+        for batch in (empty, {"time_step": [3], "cell_id": [7], "v": [1.0]}, empty):
+            stream.append(batch)
+            for part in (live.delta(), live.to_partition()):
+                assert {n: c.dtype for n, c in part.columns.items()} == want
+        assert live.delta().num_rows == 0
+
     def test_delta_state_empty_partitions(self):
         state = DeltaState(["k"], [agg.count(name="n")])
         out = state.to_partition()
@@ -273,10 +294,19 @@ class TestRejectedBatches:
 
 
 class TestReservedGroupBuffers:
-    """``ArrayGroupState`` inserts into reserved buffers: a tail insert
-    that fits moves no head row, and ``nbytes`` counts the capacity."""
+    """The sorted form inserts into reserved buffers: a tail insert
+    that fits moves no head row, and ``nbytes`` counts the capacity.
+    These keys would be held code-addressed, so the streams here run
+    ``SortedGroupState``, the engine's sorted form."""
 
     SPECS = [agg.count(name="n"), agg.sum_("v"), agg.min_("v"), agg.max_("v")]
+
+    @staticmethod
+    def _sorted_stream():
+        stream = _session().stream(_schema(), retain=False)
+        live = stream.aggregate(["cell"], TestReservedGroupBuffers.SPECS)
+        live.delta_state.state = SortedGroupState(TestReservedGroupBuffers.SPECS)
+        return stream, live
 
     @staticmethod
     def _batch(cells):
@@ -288,8 +318,7 @@ class TestReservedGroupBuffers:
         }
 
     def test_tail_insert_within_capacity_keeps_head_rows(self):
-        stream = _session().stream(_schema(), retain=False)
-        live = stream.aggregate(["cell"], self.SPECS)
+        stream, live = self._sorted_stream()
         state = live.delta_state.state
         stream.append(self._batch(range(100)))
         stream.append(self._batch(range(100, 110)))  # first insert reserves
@@ -311,7 +340,7 @@ class TestReservedGroupBuffers:
     def _merger(self):
         """``(state, merge)``: ``merge(*key_columns)`` merges into the
         state and into the copying oracle and checks they agree."""
-        state = ArrayGroupState(self.SPECS)
+        state = SortedGroupState(self.SPECS)
         oracle = OracleGroupState(self.SPECS)
 
         def merge(*columns):
@@ -351,8 +380,7 @@ class TestReservedGroupBuffers:
         merge([1, 0], [2, 4])
 
     def test_nbytes_counts_reserved_capacity(self):
-        stream = _session().stream(_schema(), retain=False)
-        live = stream.aggregate(["cell"], self.SPECS)
+        stream, live = self._sorted_stream()
         state = live.delta_state.state
         for start in range(0, 400, 40):
             stream.append(self._batch(range(start, start + 40)))
@@ -360,29 +388,103 @@ class TestReservedGroupBuffers:
         assert reserved > sum(arr.nbytes for arr in state._arrays())
         assert live.state_nbytes >= reserved
 
-    def test_meter_returns_to_baseline_after_budgeted_group_by(self):
-        meter = MemoryMeter()
-        meter.allocate(100)  # somebody else's bytes stay put
+    def test_meter_returns_to_baseline_after_budgeted_group_by(self, monkeypatch):
+        # Both forms: these keys stay code-addressed (200 codes for 50
+        # rows a partition); the sorted form reserves insert buffers.
         columns = [
             {"k": np.arange(a, a + 50, dtype=np.int64), "v": np.ones(50)}
             for a in range(0, 200, 50)
         ]
-        session = Session(meter=meter, memory_budget=1 << 20)
-        factories = [lambda c=c: Partition(c) for c in columns]
-        schema = Schema([("k", np.int64), ("v", np.float64)])
-        out = (
-            session.from_partitions(factories, schema)
-            .group_by("k")
-            .agg(*self.SPECS)
-            .to_columns()
-        )
-        assert out["k"].tolist() == list(range(200))
-        reference = ArrayGroupState(self.SPECS)
-        for c in columns:
-            reference.update([c["k"]], Partition(c))
-        assert reference._buffers is not None
-        assert meter.peak >= 100 + reference.nbytes
-        assert meter.current == 100
+        for form in (ArrayGroupState, SortedGroupState):
+            monkeypatch.setattr(executor, "ArrayGroupState", form)
+            meter = MemoryMeter()
+            meter.allocate(100)  # somebody else's bytes stay put
+            session = Session(meter=meter, memory_budget=1 << 20)
+            factories = [lambda c=c: Partition(c) for c in columns]
+            schema = Schema([("k", np.int64), ("v", np.float64)])
+            out = (
+                session.from_partitions(factories, schema)
+                .group_by("k")
+                .agg(*self.SPECS)
+                .to_columns()
+            )
+            assert out["k"].tolist() == list(range(200))
+            reference = form(self.SPECS)
+            for c in columns:
+                reference.update([c["k"]], Partition(c))
+            if form is SortedGroupState:
+                assert reference._buffers is not None
+                held = reference._buffers
+            else:
+                assert reference._code_counts is not None
+                held = [reference._code_counts, *reference._code_values]
+            assert reference.nbytes >= sum(a.nbytes for a in held if a is not None)
+            assert meter.peak >= 100 + reference.nbytes
+            assert meter.current == 100
+
+
+class TestCodeAddressedStream:
+    """A miniature ``stream_ingest``: event time creeps forward, so the
+    state starts code-addressed, re-packs as ``time_step`` outgrows its
+    range, and compacts into the sorted form once the highest code
+    passes 8 slots per batch row.  Every append must leave the same
+    bits as the same stream held sorted throughout and as a recompute."""
+
+    SCHEMA = [("time_step", np.int64), ("cell_id", np.int64), ("v", np.float64)]
+    SPECS = [
+        agg.count(name="count"),
+        agg.sum_("v"),
+        agg.min_("v"),
+        agg.max_("v"),
+        agg.mean("v", "mean_v"),
+    ]
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        assert list(got.columns) == list(want.columns)
+        for name, column in got.columns.items():
+            assert column.dtype == want.columns[name].dtype, name
+            assert column.tobytes() == want.columns[name].tobytes(), name
+
+    @np.errstate(invalid="ignore")
+    def test_transitions_match_sorted_stream_and_recompute(self):
+        from repro import obs
+
+        gauge = obs.registry.gauge("engine.stream.state_groups")
+        streams = []
+        for form in (ArrayGroupState, SortedGroupState):
+            stream = _session().stream(self.SCHEMA)
+            live = stream.aggregate(["time_step", "cell_id"], self.SPECS)
+            live.delta_state.state = form(self.SPECS)
+            streams.append((stream, live))
+        state = streams[0][1].delta_state.state
+        rng = np.random.default_rng(5)
+        forms, packings = [], []
+        for k in range(36):
+            rows = 0 if k == 4 else 50
+            batch = {
+                "time_step": np.maximum(k // 2 + rng.integers(-1, 2, rows), 0),
+                "cell_id": rng.integers(0, 12, rows),
+                "v": rng.choice([np.nan, -0.0, 0.0, np.inf, 1.25, -3.5], rows),
+            }
+            for stream, live in streams:
+                stream.append(batch)
+                assert gauge.value == live.num_groups
+            (_, live), (_, reference) = streams
+            assert live.num_groups == reference.num_groups
+            self._assert_same_bits(live.delta(), reference.delta())
+            self._assert_same_bits(live.to_partition(), reference.to_partition())
+            self._assert_same_bits(
+                live.to_partition(),
+                Partition(live.recompute_dataframe().to_columns()),
+            )
+            forms.append(state._code_counts is not None)
+            packings.append(state._packing)
+        # Code-addressed first, sorted at the end, never back.
+        addressed = forms.index(False)
+        assert addressed > 0 and not any(forms[addressed:])
+        # At least one re-pack while code-addressed.
+        assert len({id(p) for p in packings[:addressed]}) > 1
 
 
 class TestAggregateKinds:
