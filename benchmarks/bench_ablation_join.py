@@ -5,11 +5,14 @@ makes the engine's point-in-polygon aggregation scale; disabling it
 degrades the join to O(points x polygons).
 
 Both arms run the same batched pipeline and the same ray-casting
-kernel (``repro.geometry.polygon.ray_cast``); they differ only in where
-the candidate (point, polygon) pairs come from — ``use_index=True``
-probes the STR-tree, ``use_index=False`` pairs every point with every
-polygon.  Two zone sets: the grid's own rectangles, and the same cells
-split on a diagonal (no zone is its envelope, the TLC taxi-zone case).
+arithmetic; they differ only in where the candidate (point, polygon)
+pairs come from — ``use_index=True`` probes the STR-tree's cell table
+(``STRTree.query_points``: the polygons whose closed envelope holds the
+point, then ``repro.geometry.polygon.ray_crossings``), ``use_index=False``
+pairs every point with every polygon (then ``ray_cast``, which runs the
+envelope test first).  Two zone sets: the grid's own rectangles, and the
+same cells split on a diagonal (no zone is its envelope, the TLC
+taxi-zone case).
 """
 
 from __future__ import annotations

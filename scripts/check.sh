@@ -10,7 +10,9 @@
 #   4. spill lane: the spill suites, the cache + STManager suites
 #      (get_st_grid_dataframe caches its aggregate) and the group-state
 #      form tests (code-addressed vs sorted, the stream that re-packs
-#      and compacts, the metered group-by), again under a
+#      and compacts, the metered group-by) and the spatial-join suites
+#      (the cell-table probe vs the scalar tree walk, the join vs the
+#      per-row oracle, a join feeding a group-by), again under a
 #      forced REPRO_TEST_MEMORY_BUDGET (read by tests/conftest.py,
 #      which hands the budget to every Session a test builds without
 #      one), so the over-budget branches of the materializing
@@ -79,7 +81,9 @@ REPRO_TEST_MEMORY_BUDGET=4096 python -m pytest -q \
     tests/property/test_property_spill.py \
     tests/property/test_property_group_state.py \
     tests/unit/test_streaming.py::TestCodeAddressedStream \
-    tests/unit/test_streaming.py::TestReservedGroupBuffers::test_meter_returns_to_baseline_after_budgeted_group_by
+    tests/unit/test_streaming.py::TestReservedGroupBuffers::test_meter_returns_to_baseline_after_budgeted_group_by \
+    tests/unit/test_spatial_index.py \
+    tests/property/test_property_spatial_join.py
 
 echo "== traced lane: forced REPRO_TRACE =="
 REPRO_TRACE=1 python -m pytest -q \

@@ -100,9 +100,10 @@ class Partition:
     def rows(self):
         """Iterate rows as dicts (slow path: display, tests)."""
         names = list(self.columns)
-        arrays = [self.columns[n] for n in names]
-        for i in range(self.num_rows):
-            yield {name: arr[i] for name, arr in zip(names, arrays)}
+        if not names:  # no column to zip, but the rows still exist
+            yield from ({} for _ in range(self.num_rows))
+        for values in zip(*self.columns.values()):
+            yield dict(zip(names, values))
 
     def take(self, n: int) -> "Partition":
         return Partition(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,8 @@ class Envelope:
     max_y: float
 
     def __post_init__(self):
-        if self.min_x > self.max_x or self.min_y > self.max_y:
+        # Written as "not <=" so that a NaN bound is rejected too.
+        if not (self.min_x <= self.max_x and self.min_y <= self.max_y):
             raise ValueError(
                 f"degenerate envelope: ({self.min_x}, {self.max_x}, "
                 f"{self.min_y}, {self.max_y})"
@@ -27,11 +29,15 @@ class Envelope:
 
     @classmethod
     def of_points(cls, points) -> "Envelope":
-        """Smallest envelope covering an iterable of points."""
+        """Smallest envelope covering an iterable of points; a NaN
+        coordinate anywhere is a ``ValueError`` (``min``/``max`` would
+        skip it unless it came first)."""
         xs = [p.x for p in points]
         ys = [p.y for p in points]
         if not xs:
             raise ValueError("cannot build an envelope from zero points")
+        if any(map(math.isnan, xs + ys)):
+            raise ValueError("cannot build an envelope from a NaN coordinate")
         return cls(min(xs), max(xs), min(ys), max(ys))
 
     @property

@@ -1,7 +1,9 @@
 """Simple polygon geometry with ray-casting containment:
 ``Polygon.contains_point`` is the scalar definition, ``ray_cast`` the
-same arithmetic over arrays of (point, polygon) pairs — the one kernel
-behind ``Polygon.contains_points`` and the spatial join."""
+same arithmetic over arrays of (point, polygon) pairs — the kernel
+behind ``Polygon.contains_points`` and the brute-force spatial join —
+and ``ray_crossings`` its crossing half, which the indexed join calls
+on candidates whose envelope test the index has already run."""
 
 from __future__ import annotations
 
@@ -101,18 +103,29 @@ def pack_rings(polygons) -> tuple:
 def ray_cast(rings, xs, ys, point, ring) -> np.ndarray:
     """``Polygon.contains_point`` over pair arrays: is
     ``(xs[point[k]], ys[point[k]])`` inside polygon ``ring[k]`` of
-    ``rings`` (from ``pack_rings``)?  Closed envelope pre-test, crossing
-    test and ``x_at`` expression are the scalar method's, so the answer
-    is too, bit for bit.  The loop runs over edge rank: step ``r`` takes
-    edge ``r`` of every pair whose ring has one, so the work is the sum
-    of ring sizes over the pairs that pass the envelope test."""
-    vx, vy, starts, sizes, bounds = rings
+    ``rings`` (from ``pack_rings``)?  The scalar method's closed
+    envelope pre-test, then ``ray_crossings`` on the pairs that pass, so
+    the answer is the scalar one, bit for bit."""
     inside = np.zeros(len(point), dtype=bool)
-    live = pairs_in_bounds(bounds, ring, xs, ys, point)
-    if not len(live):
+    live = pairs_in_bounds(rings[4], ring, xs, ys, point)
+    inside[live] = ray_crossings(rings, xs, ys, point[live], ring[live])
+    return inside
+
+
+def ray_crossings(rings, xs, ys, point, ring) -> np.ndarray:
+    """``ray_cast`` without the envelope pre-test, for pairs already
+    known to pass it (an ``STRTree.query_points`` candidate passed the
+    same closed test on the same envelope): the crossing test and
+    ``x_at`` expression of ``Polygon.contains_point``.  The loop runs
+    over edge rank: step ``r`` takes edge ``r`` of every pair whose ring
+    has one, so the work is the sum of ring sizes over the pairs."""
+    vx, vy, starts, sizes, _ = rings
+    inside = np.zeros(len(point), dtype=bool)
+    if not len(point):
         return inside
-    x, y = xs[point[live]], ys[point[live]]
-    first, size = starts[ring[live]], sizes[ring[live]]
+    live = np.arange(len(point))
+    x, y = xs[point], ys[point]
+    first, size = starts[ring], sizes[ring]
     smallest = size.min()
     for rank in range(size.max()):
         if rank >= smallest:

@@ -2,15 +2,17 @@
 
 The paper's preprocessing relies on Sedona's spatial join to aggregate
 point records into spatial units.  This module reproduces the join's
-structure: the polygon side is indexed once (an STR-tree over polygon
-envelopes, the "broadcast" side), and each point partition streams
-through it in fixed-size chunks, each three array steps whatever the
-polygons' shape: **probe** (``STRTree.query_points``: the candidate
-(point, polygon) pairs whose envelope holds the point), **contains**
-(``repro.geometry.polygon.ray_cast`` keeps the pairs whose polygon
-does, with ``Polygon.contains_point``'s arithmetic) and **reduce** (a
-point inside several polygons keeps the lowest id).  Nothing runs per
-row, and no intermediate outgrows ``_CHUNK_PAIRS``.
+structure: the polygon side is indexed once (an ``STRTree`` over
+polygon envelopes, the "broadcast" side), and each point partition
+streams through it in fixed-size chunks, each three array steps
+whatever the polygons' shape: **probe** (``STRTree.query_points``
+looks each point's cell up in the tree's quantile cell table and keeps
+the (point, polygon) pairs whose closed envelope holds the point),
+**contains** (``repro.geometry.polygon.ray_crossings`` keeps the pairs
+whose polygon does, with ``Polygon.contains_point``'s arithmetic — the
+envelope test is not run twice) and **reduce** (a point inside several
+polygons keeps the lowest id).  Nothing runs per row, and no
+intermediate outgrows ``_CHUNK_PAIRS``.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ import numpy as np
 from repro.engine.dataframe import DataFrame
 from repro.engine.partition import Partition
 from repro.geometry.index.strtree import STRTree
-from repro.geometry.polygon import pack_rings, ray_cast
+from repro.geometry.polygon import pack_rings, ray_cast, ray_crossings
 
 #: Pairs one probe step may create: a chunk is this many points divided
-#: by the step's fan-out — the tree's node capacity (8 192 points), or
-#: every polygon without the index.  Probing 50k-row partitions whole
-#: was slower and peaked 12 MiB higher (docs/PERFORMANCE.md §E).
+#: by the step's fan-out — the longest cell list of the tree's table
+#: (8 on ``zone_join``: 8 192 points), or every polygon without the
+#: index.  Probing 50k-row partitions whole was slower and peaked
+#: 12 MiB higher (docs/PERFORMANCE.md §E).
 _CHUNK_PAIRS = 1 << 16
 
 
@@ -59,7 +62,7 @@ def spatial_join_points_polygons(
     every_polygon = np.arange(len(polygons))
     entries = [(poly.envelope, k) for k, poly in enumerate(polygons)]
     tree = STRTree(entries) if use_index else None
-    fan_out = tree.node_capacity if use_index else len(polygons)
+    fan_out = tree.max_cell_entries if use_index else len(polygons)
     chunk = max(1, _CHUNK_PAIRS // fan_out)
 
     def join_partition(part: Partition) -> Partition:
@@ -79,7 +82,9 @@ def spatial_join_points_polygons(
                     poly = np.tile(every_polygon, len(cx))
             candidate_pairs += len(point)
             with obs.tracer.span("spatial_join.contains"):
-                inside = ray_cast(rings, cx, cy, point, poly)
+                # The probe ran the closed envelope test already.
+                contains = ray_crossings if use_index else ray_cast
+                inside = contains(rings, cx, cy, point, poly)
                 point, poly = point[inside], poly[inside]
                 # ``point`` is non-decreasing: each run is one point's
                 # matches, and the run's smallest id is the winner.

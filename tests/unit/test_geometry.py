@@ -69,6 +69,23 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             Envelope.of_points([])
 
+    @pytest.mark.parametrize("bad", range(4))
+    def test_nan_bound_rejected(self, bad):
+        """Regression: ``nan > x`` is False, so NaN bounds used to pass
+        and such an envelope intersected every query on that axis."""
+        bounds = [0.0, 1.0, 0.0, 1.0]
+        bounds[bad] = np.nan
+        with pytest.raises(ValueError, match="degenerate"):
+            Envelope(*bounds)
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_of_points_rejects_nan_anywhere(self, at):
+        # min/max skip a NaN that is not first, so this needs its own check.
+        points = [Point(0, 0), Point(1, 2), Point(2, 1)]
+        points[at] = Point(points[at].x, np.nan) if at == 1 else Point(np.nan, 0)
+        with pytest.raises(ValueError, match="NaN"):
+            Envelope.of_points(points)
+
 
 class TestPolygon:
     def test_needs_three_vertices(self):
@@ -98,6 +115,17 @@ class TestPolygon:
         poly = Polygon([(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)])
         assert poly.contains_point(Point(1, 3))
         assert not poly.contains_point(Point(3, 3))
+
+    @pytest.mark.parametrize(
+        "ring",
+        [[(np.nan, 0), (1, 0), (1, 1)], [(0, 0), (1, np.nan), (1, 1)]],
+    )
+    def test_nan_vertex_rejected(self, ring):
+        """Regression: a NaN first vertex gave the envelope
+        ``(nan, nan, 0, 1)``, which the scalar index walk returned for
+        every point in its y-range and the batched probe never did."""
+        with pytest.raises(ValueError):
+            Polygon(ring)
 
     def test_tuple_vertices_accepted(self):
         assert Polygon([(0, 0), (1, 0), (0, 1)]).envelope.max_x == 1

@@ -63,6 +63,30 @@ class TestOperations:
         rows = list(part.rows())
         assert rows[1] == {"a": 1, "b": 1.5}
 
+    def test_rows_equal_the_per_index_loop(self):
+        objects = np.empty(3, dtype=object)
+        objects[:] = ["a", None, (1, 2)]
+        part = Partition(
+            {
+                "i": np.array([1, -2, 3], dtype=np.int32),
+                "f": np.array([0.5, -0.0, np.inf]),
+                "b": np.array([True, False, True]),
+                "o": objects,
+                "u": np.array([7, 8, 9], dtype=np.uint8),
+            }
+        )
+
+        def typed(rows):
+            return [[(k, type(v), repr(v)) for k, v in row.items()] for row in rows]
+
+        loop = [
+            {name: arr[i] for name, arr in part.columns.items()}
+            for i in range(part.num_rows)
+        ]
+        assert typed(part.rows()) == typed(loop)
+        assert list(Partition({"o": objects[:0], "f": np.empty(0)}).rows()) == []
+        assert list(Partition._from_arrays({}, 3).rows()) == [{}, {}, {}]
+
     def test_concat(self, part):
         out = Partition.concat([part, part])
         assert out.num_rows == 10
