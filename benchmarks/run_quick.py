@@ -122,70 +122,6 @@ def bench_observability() -> dict:
     }
 
 
-def bench_obs_runtime(n: int = 400_000, parts: int = 8) -> dict:
-    """Cost of the background telemetry runtime (daemon flusher +
-    resource sampler + rolling exports) on a fused expression
-    pipeline, vs the same pipeline with obs on but no runtime.
-
-    Both paths run with the obs layer *enabled* — the runtime's own
-    cost is the delta being measured, not the instrumentation's.  The
-    flusher runs on a deliberately aggressive 50ms interval (20x the
-    default rate) so any contention it causes is visible; start/stop
-    sit outside the timed region.  Interleaved best-of-N like
-    :func:`bench_observability`.  Gated key (scripts/diff_bench.py):
-    ``obs_runtime_overhead_ratio`` must stay < 1.10.
-    """
-    import shutil
-    import tempfile
-
-    from repro.obs.runtime import EVENTS_FILE, TelemetryRuntime
-
-    rng = np.random.default_rng(23)
-    data = {
-        "a": rng.integers(0, 1_000, n).astype(np.int64),
-        "b": rng.uniform(-1, 1, n),
-        "c": rng.uniform(0, 10, n),
-    }
-    session = Session(default_parallelism=parts)
-    df = (
-        session.create_dataframe(data, num_partitions=parts)
-        .filter((col("b") > -0.5) & (col("a") % 7 != 0))
-        .with_column("x", col("b") * col("c") + col("a"))
-        .with_column("y", col("x") * 0.5 - col("c"))
-        .select("a", "x", "y")
-    )
-
-    def drain() -> float:
-        started = time.perf_counter()
-        for _ in df.iter_partitions():
-            pass
-        return time.perf_counter() - started
-
-    drain()  # warm (compile the stage, touch the data once)
-
-    directory = tempfile.mkdtemp(prefix="repro-obs-bench-")
-    runtime = TelemetryRuntime(directory, interval_s=0.05)
-    try:
-        repeats = 7
-        on_s = off_s = float("inf")
-        for _ in range(repeats):
-            off_s = min(off_s, drain())
-            runtime.start()
-            on_s = min(on_s, drain())
-            runtime.stop()
-        assert runtime.flush_count > 0
-        assert os.path.exists(os.path.join(directory, EVENTS_FILE))
-    finally:
-        runtime.stop()
-        shutil.rmtree(directory, ignore_errors=True)
-
-    return {
-        "obs_runtime_on_s": on_s,
-        "obs_runtime_off_s": off_s,
-        "obs_runtime_overhead_ratio": on_s / off_s,
-    }
-
-
 def bench_train_overhead() -> dict:
     """Cost of the instrumentation riding on the training stack.
 
@@ -587,7 +523,6 @@ def main() -> dict:
         bench_groupby,
         bench_optimizer,
         bench_observability,
-        bench_obs_runtime,
         bench_train_overhead,
         bench_convlstm_runtime,
         bench_expr_pipeline,

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo health check, eleven gates:
+# Repo health check, ten gates:
 #   1. lint: ruff check (config in pyproject.toml); skipped with a
 #      note when ruff is not installed in the environment; plus one
 #      grep: nothing under src/repro/spatial/ may name zipfile,
@@ -25,29 +25,23 @@
 #      the same hits, misses and flat retained bytes when replayed, and
 #      the tiled-conv and fused-kernel properties, so replayed steps run
 #      through the image-tiled conv forward and the packed gate backward
-#   6. obs-export lane: the unit suite again under REPRO_OBS_EXPORT=1,
-#      so every test runs with the background telemetry flusher live
-#      (exercises the exporter racing real workloads)
-#   7. streaming lane: the streaming unit + property suites again
-#      under a forced memory budget AND the live exporter at once, so
-#      incremental ingestion runs with spill-capable sessions and the
-#      telemetry runtime racing the delta-maintenance hot path; with
-#      them the group-state insertion tests (reserved buffers vs the
-#      copying oracle, in-place merges, the packed key index) and the
-#      code-addressed vs sorted form property
-#   8. pipeline smoke: benchmarks/pipeline/run.py --smoke runs the five
+#   6. streaming lane: the streaming unit + property suites again
+#      under a forced memory budget, so incremental ingestion runs
+#      with spill-capable sessions; with them the group-state
+#      insertion tests (reserved buffers vs the copying oracle,
+#      in-place merges, the packed key index) and the code-addressed
+#      vs sorted form property
+#   7. pipeline smoke: benchmarks/pipeline/run.py --smoke runs the five
 #      BENCHMARK.json workloads end to end at reduced size (~12 s),
 #      each checked against its numpy oracle
-#   9. bench smoke: benchmarks/run_quick.py runs to completion and
+#   8. bench smoke: benchmarks/run_quick.py runs to completion and
 #      regenerates BENCH_engine.json (incl. per-operator breakdown)
-#  10. bench diff: the fresh BENCH_engine.json must not regress the
+#   9. bench diff: the fresh BENCH_engine.json must not regress the
 #      watched keys (obs overhead, ConvLSTM epoch time,
 #      peak activation bytes, spill peak bytes + slowdown,
-#      telemetry-runtime overhead, streaming update speedup + p99
-#      latency) >25% vs the committed one;
-#      obs_runtime_overhead_ratio must stay under an absolute 1.10
-#      cap and stream_update_speedup above an absolute 10x floor
-#  11. join ablation: benchmarks/bench_ablation_join.py (~3 s) joins
+#      streaming update speedup + p99 latency) >25% vs the committed
+#      one; stream_update_speedup must stay above an absolute 10x floor
+#  10. join ablation: benchmarks/bench_ablation_join.py (~3 s) joins
 #      20k points to 768 rectangles and 1 536 triangles with and
 #      without the STR-tree — same kernel, different candidates — and
 #      requires identical matches and brute force > 3x the indexed arm
@@ -94,23 +88,13 @@ REPRO_TRACE=1 python -m pytest -q \
     tests/property/test_property_conv_tiles.py \
     tests/property/test_property_fused.py
 
-echo "== obs-export lane: background flusher live =="
-obs_export_dir="$(mktemp -d)"
-REPRO_OBS_EXPORT=1 REPRO_OBS_EXPORT_DIR="$obs_export_dir" \
-    python -m pytest tests/unit -q -m "not slow"
-rm -rf "$obs_export_dir"
-
-echo "== streaming lane: budgeted sessions + live exporter =="
-stream_export_dir="$(mktemp -d)"
-REPRO_TEST_MEMORY_BUDGET=4096 \
-    REPRO_OBS_EXPORT=1 REPRO_OBS_EXPORT_DIR="$stream_export_dir" \
-    python -m pytest -q \
+echo "== streaming lane: budgeted sessions =="
+REPRO_TEST_MEMORY_BUDGET=4096 python -m pytest -q \
     tests/unit/test_streaming.py \
     tests/property/test_property_streaming.py \
     tests/property/test_property_group_state.py \
     tests/unit/test_engine_edge_cases.py::TestMergeInPlace \
     tests/property/test_property_engine.py::test_packed_key_index_equals_unique_axis0_oracle
-rm -rf "$stream_export_dir"
 
 echo "== pipeline smoke: five workloads end to end =="
 python benchmarks/pipeline/run.py --smoke

@@ -17,11 +17,6 @@ regenerating BENCH_engine.json):
   spill paths is that this stays pinned near the budget).
 - ``spill_slowdown`` — spilled over in-memory order_by wall time;
   higher is worse.
-- ``obs_runtime_overhead_ratio`` — fused-pipeline drain with the
-  background telemetry flusher live (50ms interval) over the same
-  drain without it; higher is worse.  Also capped **absolutely** at
-  1.10 (the runtime must cost < 10% regardless of what the committed
-  baseline says).
 - ``stream_update_speedup`` — full recompute (group-by over retained
   history + grid-tensor rebuild) over one incremental streaming
   update (append + delta scatter) at the largest backlog; lower is
@@ -34,11 +29,10 @@ regenerating BENCH_engine.json):
   largest backlog; higher is worse.
 
 A key regresses when it moves more than ``TOLERANCE`` (25%) in its bad
-direction.  ``ABS_LIMITS`` keys additionally fail when the fresh value
-exceeds the absolute cap, and ``ABS_FLOORS`` keys when it falls below
-the absolute floor, baseline or no baseline.  Missing keys in the
-baseline (older file layouts) are skipped with a note rather than
-failed, so the gate stays usable across layout changes.
+direction.  ``ABS_FLOORS`` keys additionally fail when the fresh value
+falls below the absolute floor, baseline or no baseline.  Missing keys
+in the baseline (older file layouts) are skipped with a note rather
+than failed, so the gate stays usable across layout changes.
 """
 
 from __future__ import annotations
@@ -55,19 +49,12 @@ WATCHED = {
     "peak_activation_bytes": "lower",
     "order_by_spill_peak_bytes": "lower",
     "spill_slowdown": "lower",
-    "obs_runtime_overhead_ratio": "lower",
     "stream_update_speedup": "higher",
     "stream_update_p99_ms": "lower",
 }
 
-#: key -> hard ceiling on the *fresh* value, independent of baseline
+#: key -> hard floor on the *fresh* value, independent of baseline
 #: drift — a ratcheting baseline must never launder an absolute bar.
-ABS_LIMITS = {
-    "obs_runtime_overhead_ratio": 1.10,
-}
-
-#: key -> hard floor on the *fresh* value, the mirror of ABS_LIMITS
-#: for higher-is-better keys.
 ABS_FLOORS = {
     "stream_update_speedup": 10.0,
 }
@@ -98,14 +85,6 @@ def main(argv: list[str]) -> int:
         fresh = json.load(handle)
 
     failures = []
-    for key, limit in ABS_LIMITS.items():
-        if key not in fresh:
-            continue  # handled (or skipped) by the relative gate below
-        value = float(fresh[key])
-        if value > limit:
-            failures.append(f"{key}: {value:.4f} exceeds absolute cap {limit}")
-        else:
-            print(f"diff_bench: {key}: fresh={value:.4f} <= cap {limit} ok")
     for key, floor in ABS_FLOORS.items():
         if key not in fresh:
             continue  # handled (or skipped) by the relative gate below

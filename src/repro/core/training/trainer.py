@@ -257,12 +257,7 @@ class Trainer:
                     elapsed = time.perf_counter() - started
                 span.set("epoch", epoch + 1)
                 span.set("train_loss", train_loss)
-                # Latency-class → windowed histogram (exact-rank tail
-                # quantiles); loss stays a reservoir histogram (a
-                # value-distribution metric).
-                obs.registry.windowed_histogram(
-                    "trainer.epoch_seconds"
-                ).observe(elapsed)
+                obs.registry.histogram("trainer.epoch_seconds").observe(elapsed)
                 obs.registry.histogram("trainer.train_loss").observe(train_loss)
                 result.epoch_seconds.append(elapsed)
                 result.train_losses.append(train_loss)

@@ -2,7 +2,7 @@
 
 Each yielded batch is metered (``dataloader.batches`` /
 ``dataloader.samples`` counters and a ``dataloader.batch_fetch_seconds``
-windowed histogram, mirroring the converter's ``converter.*`` naming) so
+histogram, mirroring the converter's ``converter.*`` naming) so
 profiles can tell a data-bound epoch from a compute-bound one; when a
 :class:`~repro.obs.profiler.Profiler` is active, every fetch also
 records a ``dataloader.fetch`` event on the profiler timeline.
@@ -88,9 +88,7 @@ class DataLoader:
                 elapsed = time.perf_counter() - fetch_started
                 obs.registry.counter("dataloader.batches").inc()
                 obs.registry.counter("dataloader.samples").inc(len(idx))
-                # Latency-class metric: windowed log-bucket histogram
-                # (exact-rank tail quantiles over the recent window).
-                obs.registry.windowed_histogram(
+                obs.registry.histogram(
                     "dataloader.batch_fetch_seconds"
                 ).observe(elapsed)
             yield batch

@@ -209,72 +209,12 @@ class DataFrame:
             obs.tracer.end_span(span)
             session.last_query_span = span
 
-    def collect(
-        self, optimize: bool | None = None, profile: str | None = None
-    ) -> list[dict]:
-        """Materialize all rows as dicts (test/debug path).
-
-        With ``profile=<path>``, also write a self-contained query
-        profile artifact (JSON: query id, session config, plan text,
-        per-operator stats incl. compile/spill flags, and the query's
-        span tree) after the run — requires the observability layer to
-        be enabled.  See docs/OBSERVABILITY.md for the schema."""
-        if profile is not None:
-            from repro import obs
-
-            if not obs.enabled():
-                raise RuntimeError(
-                    "collect(profile=...) needs the observability layer; "
-                    "it is currently disabled (repro.obs.set_enabled)"
-                )
+    def collect(self, optimize: bool | None = None) -> list[dict]:
+        """Materialize all rows as dicts (test/debug path)."""
         rows = []
         for part in self.iter_partitions(optimize):
             rows.extend(part.rows())
-        if profile is not None:
-            self.write_profile(profile)
         return rows
-
-    def write_profile(self, path: str) -> dict:
-        """Write the most recent metered execution of this session as
-        a self-contained profile JSON (atomic write); returns the
-        payload.  Valid after any observed action on this session."""
-        from repro.obs.export import SCHEMA_VERSION, atomic_write_json
-
-        session = self.session
-        plan = session.last_plan
-        stats = session.last_plan_stats
-        if plan is None or stats is None:
-            raise RuntimeError(
-                "no metered execution to profile: run an action with "
-                "observability enabled first"
-            )
-        operators = stats.to_dict(plan)
-        flat: list[dict] = [operators]
-        spilled = 0
-        compiled = False
-        for node in flat:
-            flat.extend(node.get("children", ()))
-            spilled += node.get("spilled_bytes", 0)
-            if node["operator"].startswith("CompiledStage"):
-                compiled = True
-        span = session.last_query_span
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "query_id": session.last_query_id,
-            "session": {
-                "optimize": session.optimize,
-                "memory_budget": session.memory_budget,
-                "default_parallelism": session.default_parallelism,
-            },
-            "plan": plan.describe().splitlines(),
-            "compiled": compiled,
-            "spilled": spilled > 0,
-            "spilled_bytes": spilled,
-            "operators": operators,
-            "trace": span.to_dict() if span is not None else None,
-        }
-        atomic_write_json(path, payload)
-        return payload
 
     def count(self) -> int:
         """Number of rows."""

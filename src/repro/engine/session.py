@@ -71,7 +71,7 @@ class Session:
     def next_query_id(self) -> int:
         """Assign the next query id (1-based, unique per session).
         Every metered execution gets one; it tags the ``engine.query``
-        span and names the profile artifact a query emits."""
+        span."""
         self._query_seq += 1
         return self._query_seq
 

@@ -61,28 +61,6 @@ class SpillError(RuntimeError):
     truncated spill file, unexpected on-disk contents)."""
 
 
-#: Every live SpillManager, so the telemetry resource sampler can sum
-#: process-wide spill totals each tick without owning the sessions.
-_LIVE_MANAGERS: "weakref.WeakSet[SpillManager]" = weakref.WeakSet()
-
-
-def live_spill_totals() -> dict:
-    """Aggregate counters across all live spill managers (gauges
-    published as ``engine.spill.*`` by the resource sampler)."""
-    totals = {
-        "live_managers": 0,
-        "live_bytes_written": 0,
-        "live_bytes_restored": 0,
-        "live_partitions": 0,
-    }
-    for manager in list(_LIVE_MANAGERS):
-        totals["live_managers"] += 1
-        totals["live_bytes_written"] += manager.bytes_written
-        totals["live_bytes_restored"] += manager.bytes_restored
-        totals["live_partitions"] += manager.partitions_spilled
-    return totals
-
-
 class SpillHandle:
     """In-memory descriptor of one spilled partition.
 
@@ -126,7 +104,6 @@ class SpillManager:
         self.bytes_restored = 0
         self.spill_seconds = 0.0
         self.restore_seconds = 0.0
-        _LIVE_MANAGERS.add(self)
 
     # ------------------------------------------------------------------
     # Directory lifecycle

@@ -32,12 +32,9 @@ incremental maintenance — most importantly
 
 Observability: every append is traced (``engine.stream.append`` span)
 and metered — ``engine.stream.batches`` / ``rows`` counters, an
-``engine.stream.state_groups`` gauge, and two
-:class:`~repro.obs.metrics.WindowedHistogram` latency classes:
+``engine.stream.state_groups`` gauge, and two histograms:
 ``engine.stream.update_seconds`` (time to absorb one batch) and
-``engine.stream.batch_lag_seconds`` (gap between consecutive appends,
-i.e. how far behind real time an exporter reading the stream could
-be).
+``engine.stream.batch_lag_seconds`` (gap between consecutive appends).
 """
 
 from __future__ import annotations
@@ -71,12 +68,8 @@ def _stream_metrics():
             "batches": obs.registry.counter("engine.stream.batches"),
             "rows": obs.registry.counter("engine.stream.rows"),
             "groups": obs.registry.gauge("engine.stream.state_groups"),
-            "update_s": obs.registry.windowed_histogram(
-                "engine.stream.update_seconds"
-            ),
-            "lag_s": obs.registry.windowed_histogram(
-                "engine.stream.batch_lag_seconds"
-            ),
+            "update_s": obs.registry.histogram("engine.stream.update_seconds"),
+            "lag_s": obs.registry.histogram("engine.stream.batch_lag_seconds"),
         }
     return _metrics
 

@@ -34,20 +34,13 @@ bit-identical results to unobserved runs (pinned by
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 from repro.obs import export, profiler
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    WindowedHistogram,
-)
-from repro.obs.plan_stats import NodeStats, PlanStats
-from repro.obs.profiler import Profiler, ProfilerAction, schedule
-from repro.obs.tracer import NULL_SPAN, Span, Tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.plan_stats import PlanStats
+from repro.obs.profiler import Profiler, schedule
+from repro.obs.tracer import Tracer
 
 _ENABLED = True
 
@@ -86,75 +79,11 @@ def reset() -> None:
     tracer.reset()
 
 
-_runtime = None  # process-wide TelemetryRuntime, if started
-
-
-def start_runtime(directory: str | None = None, interval_s: float | None = None, **kw):
-    """Start (or return) the process-wide
-    :class:`~repro.obs.runtime.TelemetryRuntime`.
-
-    ``directory`` defaults to ``$REPRO_OBS_EXPORT_DIR`` or a fresh
-    ``repro-obs-*`` temp directory; ``interval_s`` defaults to
-    ``$REPRO_OBS_FLUSH_S`` or 1.0.  Idempotent: a second call returns
-    the already-running runtime.
-    """
-    global _runtime
-    if _runtime is not None:
-        return _runtime
-    from repro.obs.runtime import TelemetryRuntime
-
-    if directory is None:
-        directory = os.environ.get("REPRO_OBS_EXPORT_DIR")
-    if directory is None:
-        import tempfile
-
-        directory = tempfile.mkdtemp(prefix="repro-obs-")
-    if interval_s is None:
-        interval_s = float(os.environ.get("REPRO_OBS_FLUSH_S", "1.0"))
-    _runtime = TelemetryRuntime(directory, interval_s=interval_s, **kw)
-    _runtime.start()
-    return _runtime
-
-
-def get_runtime():
-    """The process-wide TelemetryRuntime, or ``None`` if not started.
-    (Named ``get_runtime`` because ``obs.runtime`` is the submodule.)"""
-    return _runtime
-
-
-def stop_runtime() -> None:
-    """Stop and forget the process-wide runtime (final flush included)."""
-    global _runtime
-    if _runtime is not None:
-        _runtime.stop()
-        _runtime = None
-
-
-# REPRO_OBS_EXPORT=1 starts the background exporter for the whole
-# process — the check.sh obs-export lane runs the tier-1 suite this
-# way so every test executes with the flusher live.
-if os.environ.get("REPRO_OBS_EXPORT", "") not in ("", "0"):
-    start_runtime()
-
-
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "WindowedHistogram",
-    "start_runtime",
-    "stop_runtime",
-    "get_runtime",
-    "NodeStats",
     "PlanStats",
     "Profiler",
-    "ProfilerAction",
     "schedule",
     "profiler",
-    "Span",
-    "Tracer",
-    "NULL_SPAN",
     "registry",
     "tracer",
     "enabled",

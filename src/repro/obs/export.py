@@ -1,20 +1,25 @@
 """Metrics export: snapshot the registry (and optionally traces) as
-plain dicts / JSON.
+plain dicts / JSON, and spans + profiler events as a Chrome trace.
 
-Schema (``schema_version`` 1)::
+Schema (``schema_version`` 3)::
 
     {
-      "schema_version": 1,
+      "schema_version": 3,
       "metrics": {
         "counters":   {"<name>": <number>, ...},
         "gauges":     {"<name>": <number>, ...},
-        "histograms": {"<name>": {"count": int, "sum": float,
-                                   "min": float, "max": float,
-                                   "mean": float, "p50": float,
-                                   "p90": float, "p99": float}, ...}
+        "histograms": {"<name>": {"count": int, "nan_count": int,
+                                   "sum": float, "min": float,
+                                   "max": float, "mean": float,
+                                   "p50": float, "p90": float,
+                                   "p99": float}, ...}
       },
       "traces": [<span dict>, ...]          # only when include_traces
     }
+
+Histogram fields describe the non-NaN observations (``nan_count``
+counts the NaN ones); with no non-NaN observation, ``min`` through
+``p99`` are ``null``.
 
 Per-operator engine metrics live under ``engine.op.<Operator>.*``;
 :func:`operator_breakdown` regroups them into one dict per operator,
@@ -26,30 +31,10 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import tempfile
 import time
 
-SCHEMA_VERSION = 2
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``
-    in the same directory) — readers never see a truncated file."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=".tmp-" + os.path.basename(path) + "-"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+SCHEMA_VERSION = 3
 
 
 def atomic_write_json(path: str, payload, indent: int = 2, sort_keys: bool = True) -> None:
@@ -117,62 +102,10 @@ def operator_breakdown(registry=None) -> dict:
     return {op: dict(sorted(fields.items())) for op, fields in sorted(out.items())}
 
 
-_PROM_BAD = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _prom_name(name: str) -> str:
-    return "repro_" + _PROM_BAD.sub("_", name)
-
-
-def _prom_value(value) -> str:
-    if value is None:
-        return "NaN"
-    return repr(float(value))
-
-
-def to_prometheus(registry=None) -> str:
-    """Render the registry in Prometheus text exposition format.
-
-    Counters become ``repro_<name>_total``, gauges ``repro_<name>``,
-    and both histogram kinds become summaries (``{quantile="..."}``
-    series plus ``_count``/``_sum``); metric names are sanitized to
-    ``[a-zA-Z0-9_:]``.  Scrape-ready output for the file written each
-    tick by :class:`repro.obs.runtime.TelemetryRuntime`.
-    """
-    from repro import obs
-
-    registry = registry if registry is not None else obs.registry
-    snap = registry.snapshot()
-    lines: list[str] = []
-    for name, value in snap["counters"].items():
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom}_total counter")
-        lines.append(f"{prom}_total {_prom_value(value)}")
-    for name, value in snap["gauges"].items():
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} gauge")
-        lines.append(f"{prom} {_prom_value(value)}")
-    quantile_keys = (("0.5", "p50"), ("0.9", "p90"), ("0.95", "p95"), ("0.99", "p99"))
-    for section in ("histograms", "windowed"):
-        for name, summary in snap.get(section, {}).items():
-            prom = _prom_name(name)
-            lines.append(f"# TYPE {prom} summary")
-            for quantile, key in quantile_keys:
-                if key in summary:
-                    lines.append(
-                        f'{prom}{{quantile="{quantile}"}} '
-                        f"{_prom_value(summary[key])}"
-                    )
-            lines.append(f"{prom}_count {_prom_value(summary['count'])}")
-            lines.append(f"{prom}_sum {_prom_value(summary['sum'])}")
-    return "\n".join(lines) + "\n"
-
-
 #: Virtual thread ids in the Chrome trace: profiler events on one
 #: lane, spans from the first-seen (driver) thread on another, and
-#: each further real thread (user threads, the telemetry flusher)
-#: on its own lane — chrome://tracing / Perfetto draw them as stacked
-#: flame graphs of the same run.
+#: each further real thread on its own lane — chrome://tracing /
+#: Perfetto draw them as stacked flame graphs of the same run.
 PROFILER_TID = 0
 TRACER_TID = 1
 
@@ -226,15 +159,28 @@ def _span_to_trace_events(
         _span_to_trace_events(child, pid, events, tids)
 
 
-def chrome_trace_for_spans(
-    spans, *, profiler=None, open_spans=(), path: str | None = None
+def to_chrome_trace(
+    path: str | None = None, *, tracer=None, profiler=None,
+    include_open: bool = True,
 ) -> dict:
-    """Chrome Trace Event Format dict for an explicit span iterable
-    (each exported with its full subtree).  Spans from different
-    threads land on distinct ``tid`` lanes named after the thread, and
-    every event carries ``span_id``/``parent_id`` args so parentage
-    survives across lanes.  ``open_spans`` are drawn with their
-    duration extended to now and an ``"open": true`` arg."""
+    """Render tracer spans and profiler events as Chrome Trace Event
+    Format JSON (open in ``chrome://tracing`` or Perfetto).
+
+    Every timed entry is a complete event (``"ph": "X"``) carrying
+    ``name``/``ph``/``ts``/``dur``/``pid``/``tid``; timestamps are
+    microseconds on the ``perf_counter`` timebase.  ``tracer`` defaults
+    to the process-wide :data:`repro.obs.tracer`; pass a
+    :class:`~repro.obs.profiler.Profiler` to interleave its module/op
+    events.  Spans from different threads land on distinct ``tid``
+    lanes named after the thread, and every span event carries
+    ``span_id``/``parent_id`` args so parentage survives across lanes.
+    Spans still open at export time are included (duration extended to
+    now, ``"open": true`` in args) unless ``include_open=False``.  When
+    ``path`` is given the JSON is also written there atomically.
+    """
+    from repro import obs
+
+    tracer = tracer if tracer is not None else obs.tracer
     pid = os.getpid()
     events: list[dict] = [
         {"name": "process_name", "ph": "M", "pid": pid, "tid": PROFILER_TID,
@@ -263,39 +209,13 @@ def chrome_trace_for_spans(
                 }
             )
     tids: dict[int, int] = {}
-    for span in spans:
+    for span in list(tracer.roots):
         _span_to_trace_events(span, pid, events, tids)
-    if open_spans:
+    if include_open:
         now_s = time.perf_counter()
-        for span in open_spans:
+        for span in tracer.open_spans():
             _span_to_trace_events(span, pid, events, tids, now_s=now_s)
     trace = {"traceEvents": events, "displayTimeUnit": "ms"}
     if path is not None:
         atomic_write_json(path, trace, sort_keys=False)
     return trace
-
-
-def to_chrome_trace(
-    path: str | None = None, *, tracer=None, profiler=None,
-    include_open: bool = True,
-) -> dict:
-    """Render tracer spans and profiler events as Chrome Trace Event
-    Format JSON (open in ``chrome://tracing`` or Perfetto).
-
-    Every timed entry is a complete event (``"ph": "X"``) carrying
-    ``name``/``ph``/``ts``/``dur``/``pid``/``tid``; timestamps are
-    microseconds on the ``perf_counter`` timebase.  ``tracer`` defaults
-    to the process-wide :data:`repro.obs.tracer`; pass a
-    :class:`~repro.obs.profiler.Profiler` to interleave its module/op
-    events.  Spans still open at export time are included (duration
-    extended to now, ``"open": true`` in args) unless
-    ``include_open=False``.  When ``path`` is given the JSON is also
-    written there atomically.
-    """
-    from repro import obs
-
-    tracer = tracer if tracer is not None else obs.tracer
-    open_spans = tracer.open_spans() if include_open else ()
-    return chrome_trace_for_spans(
-        list(tracer.roots), profiler=profiler, open_spans=open_spans, path=path
-    )

@@ -44,7 +44,7 @@ class Span:
 
     __slots__ = (
         "name", "parent", "children", "start_s", "elapsed_s", "counters",
-        "attrs", "span_id", "thread_id", "thread_name", "root_seq",
+        "attrs", "span_id", "thread_id", "thread_name",
     )
 
     def __init__(self, name: str, parent: "Span | None" = None):
@@ -59,7 +59,6 @@ class Span:
         thread = threading.current_thread()
         self.thread_id = thread.ident or 0
         self.thread_name = thread.name
-        self.root_seq = 0  # assigned by the tracer when retained as a root
 
     @property
     def parent_id(self) -> int | None:
@@ -114,7 +113,6 @@ class _NullSpan:
     span_id = 0
     thread_id = 0
     thread_name = ""
-    root_seq = 0
 
     def add(self, counter, amount=1):
         pass
@@ -137,10 +135,7 @@ class Tracer:
 
     Finished root spans are retained in ``roots`` (a bounded deque —
     old traces fall off rather than growing without limit) for
-    inspection and export.  Each retained root gets a monotonically
-    increasing ``root_seq`` (never reset) so incremental exporters like
-    :class:`repro.obs.runtime.TelemetryRuntime` can drain only roots
-    they have not yet seen.
+    inspection and export.
     """
 
     def __init__(self, enabled: bool = True, max_roots: int = 1024):
@@ -148,7 +143,6 @@ class Tracer:
         self.roots: deque[Span] = deque(maxlen=max_roots)
         self._stacks: dict[int, list[Span]] = {}
         self._lock = threading.Lock()
-        self._root_seq = 0
 
     def _stack(self) -> list:
         tid = threading.get_ident()
@@ -203,8 +197,6 @@ class Tracer:
             span.parent.children.append(span)
         else:
             with self._lock:
-                self._root_seq += 1
-                span.root_seq = self._root_seq
                 self.roots.append(span)
 
     @contextmanager
@@ -227,9 +219,7 @@ class Tracer:
         return out
 
     def reset(self) -> None:
-        """Drop retained roots and all per-thread stacks.  The root
-        sequence counter is *not* reset — it must stay monotonic so
-        incremental exporters never re-export after a reset."""
+        """Drop retained roots and all per-thread stacks."""
         with self._lock:
             self.roots.clear()
             self._stacks.clear()

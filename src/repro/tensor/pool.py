@@ -202,34 +202,19 @@ class ArrayPool:
             "demand": _by_key(self._demand),
         }
         if self is _DEFAULT:
-            self.publish_gauges()
-        return out
-
-    def publish_gauges(self, registry=None) -> dict:
-        """Push the derived pool state to ``tensor.pool.*`` gauges and
-        return the name → value mapping.  Called by :meth:`stats` for
-        the process-wide pool, and every tick by the telemetry
-        resource sampler so the gauges stay continuously fresh instead
-        of only updating when somebody asks for stats."""
-        if registry is None:
             from repro import obs
 
-            registry = obs.registry
-        acquires = self.hits + self.misses
-        values = {
-            "tensor.pool.hit_rate": self.hits / acquires if acquires else 0.0,
-            "tensor.pool.bytes": self.bytes,
-            "tensor.pool.arrays": len(self),
-            "tensor.pool.high_water_max": max(
-                self._high_water.values(), default=0
-            ),
-            "tensor.pool.reject_alias": self.reject_alias,
-            "tensor.pool.reject_bytes": self.reject_bytes,
-            "tensor.pool.reject_per_key": self.reject_per_key,
-        }
-        for name, value in values.items():
-            registry.gauge(name).set(value)
-        return values
+            for key in _GAUGED:
+                obs.registry.gauge(f"tensor.pool.{key}").set(out[key])
+        return out
+
+
+#: The :meth:`ArrayPool.stats` fields the process-wide pool publishes
+#: as ``tensor.pool.<field>`` gauges.
+_GAUGED = (
+    "hit_rate", "bytes", "arrays", "high_water_max", "reject_alias",
+    "reject_bytes", "reject_per_key",
+)
 
 
 def _by_key(counts: dict) -> dict:

@@ -148,38 +148,3 @@ def test_action_path_stats_agree_with_result(pipeline):
     assert stats is not None
     assert stats.node(session.last_plan).rows_out == len(rows)
 
-
-@settings(max_examples=30, deadline=None)
-@given(pipelines())
-def test_runtime_and_parallel_spans_do_not_perturb_results(pipeline):
-    """The full telemetry stack live at once — background flusher on a
-    short interval (its thread snapshots spans the query thread is
-    writing), metered execution — must stay bit-identical to a fully
-    unobserved run."""
-    import tempfile
-
-    from repro.obs.runtime import TelemetryRuntime
-
-    frame, ops, limit_n, threshold = pipeline
-    session = Session(default_parallelism=frame[2])
-    df = _build(session, frame, ops, limit_n, threshold)
-
-    obs.set_enabled(True)
-    directory = tempfile.mkdtemp(prefix="repro-obs-prop-")
-    try:
-        with TelemetryRuntime(directory, interval_s=0.005) as runtime:
-            observed = _columns_of(df)
-        assert runtime.flush_count >= 1  # final flush always runs
-        with obs.disabled():
-            unobserved = _columns_of(df)
-    finally:
-        import shutil
-
-        obs.set_enabled(True)
-        shutil.rmtree(directory, ignore_errors=True)
-
-    assert set(observed) == set(unobserved)
-    for name in observed:
-        a, b = observed[name], unobserved[name]
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()

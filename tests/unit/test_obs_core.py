@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
+import threading
 
+import numpy as np
 import pytest
 
 from repro import obs
+from repro.engine import Session, col
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.tracer import NULL_SPAN
 
@@ -91,6 +95,141 @@ class TestSpans:
         assert [s.name for s in tracer.roots] == ["s6", "s7", "s8", "s9"]
 
 
+class TestCrossThreadSpans:
+    def test_explicit_parent_attaches_across_threads(self):
+        tracer = Tracer()
+        with tracer.span("outer") as outer:
+            def work():
+                with tracer.span("worker", parent=outer) as span:
+                    span.add("n", 1)
+
+            threads = [threading.Thread(target=work) for _ in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        assert len(outer.children) == 3
+        for child in outer.children:
+            assert child.parent is outer
+            assert child.parent_id == outer.span_id
+            assert child.thread_id != outer.thread_id
+
+    def test_worker_nesting_is_per_thread(self):
+        tracer = Tracer()
+        seen = {}
+
+        def work(name):
+            with tracer.span(f"{name}.outer"):
+                with tracer.span(f"{name}.inner") as inner:
+                    seen[name] = inner.parent.name
+
+        threads = [
+            threading.Thread(target=work, args=(f"t{i}",)) for i in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert seen == {"t0": "t0.outer", "t1": "t1.outer"}
+
+    def test_parent_none_forces_root(self):
+        tracer = Tracer()
+        with tracer.span("outer"):
+            with tracer.span("detached", parent=None):
+                pass
+        names = [s.name for s in tracer.roots]
+        assert names == ["detached", "outer"]
+
+    def test_non_lifo_exit_tolerated(self):
+        tracer = Tracer()
+        a = tracer.start_span("a")
+        b = tracer.start_span("b")
+        tracer.end_span(a)  # out of order: a exits while b still open
+        tracer.end_span(b)
+        assert [s.name for s in tracer.roots] == ["a"]
+        assert a.children[0] is b
+
+    def test_open_spans_snapshot_and_reset(self):
+        tracer = Tracer()
+        with tracer.span("one"):
+            pass
+        span = tracer.start_span("open")
+        assert [s.name for s in tracer.open_spans()] == ["open"]
+        tracer.reset()
+        assert tracer.open_spans() == [] and not tracer.roots
+        tracer.end_span(span)
+        with tracer.span("two"):
+            pass
+        assert [s.name for s in tracer.roots] == ["open", "two"]
+
+
+class TestQuerySpans:
+    def _frame(self, session, n=200):
+        return session.create_dataframe(
+            {
+                "k": np.arange(n, dtype=np.int64) % 7,
+                "v": np.linspace(0.0, 1.0, n),
+            }
+        )
+
+    def test_session_assigns_query_ids(self):
+        session = Session()
+        df = self._frame(session)
+        df.collect()
+        first = session.last_query_id
+        df.count()
+        assert session.last_query_id == first + 1
+
+    def test_query_span_tagged_and_retained(self):
+        session = Session()
+        self._frame(session).collect()
+        span = session.last_query_span
+        assert span is not None and span.name == "engine.query"
+        assert span.attrs["query_id"] == session.last_query_id
+        assert span.elapsed_s > 0.0
+
+    def test_parallel_spilled_query_has_one_connected_span_tree(self):
+        # Two user threads each run a query under a forced memory
+        # budget at the same time.  Each query's spill spans are all
+        # reachable from (and correctly parented under) its own single
+        # engine.query root, on its own thread — the tracer's nesting
+        # stack is per thread.
+        roots = {}
+
+        def query(slot):
+            with Session(memory_budget=1, default_parallelism=4) as session:
+                (
+                    self._frame(session, n=400)
+                    .with_column("w", col("v") * 3.0)
+                    .filter(col("v") >= 0.0)
+                    .order_by("k")
+                    .collect()
+                )
+                roots[slot] = session.last_query_span
+
+        threads = [threading.Thread(target=query, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert sorted(roots) == [0, 1]
+        assert roots[0].thread_id != roots[1].thread_id
+        for root in roots.values():
+            spans = list(root.walk())
+            names = {s.name for s in spans}
+            assert root.name == "engine.query"
+            assert "engine.spill.write" in names
+            assert "engine.spill.read" in names
+            ids = {s.span_id for s in spans}
+            for span in spans:
+                assert span.thread_id == root.thread_id
+                if span is root:
+                    assert span.parent is None
+                else:
+                    assert span.parent is not None
+                    assert span.parent_id in ids
+
+
 class TestMetrics:
     def test_counter_int_and_float_increments(self):
         registry = MetricsRegistry()
@@ -125,7 +264,8 @@ class TestMetrics:
         assert h.percentile(99) == pytest.approx(99.01)
         summary = h.summary()
         assert list(summary) == [
-            "count", "sum", "min", "max", "mean", "p50", "p90", "p99",
+            "count", "nan_count", "sum", "min", "max", "mean", "p50", "p90",
+            "p99",
         ]
 
     def test_histogram_decimation_keeps_exact_scalars(self):
@@ -137,6 +277,44 @@ class TestMetrics:
         assert h.total == sum(range(100))
         assert h.min == 0.0 and h.max == 99.0
         assert len(h.values) <= 8
+
+    def test_nan_is_counted_apart_and_poisons_nothing(self):
+        h = MetricsRegistry().histogram("h")
+        for v in (float("nan"), 1.0, 2.0, 3.0):
+            h.observe(v)
+        summary = h.summary()
+        assert summary["count"] == 3 and summary["nan_count"] == 1
+        assert summary["sum"] == 6.0
+        assert summary["min"] == 1.0 and summary["max"] == 3.0
+        assert summary["mean"] == 2.0
+        assert summary["p50"] == 2.0
+        assert not math.isnan(summary["p90"])
+        assert not math.isnan(summary["p99"])
+
+    def test_nan_after_decimation_leaves_percentiles_finite(self):
+        h = MetricsRegistry().histogram("h", max_values=8)
+        for v in range(100):
+            h.observe(v)
+        h.observe(float("nan"))
+        h.observe(100.0)
+        assert len(h.values) <= 8
+        assert h.count == 101 and h.nan_count == 1
+        assert h.total == sum(range(101))
+        assert h.max == 100.0
+        summary = h.summary()
+        for key in ("p50", "p90", "p99"):
+            assert 0.0 <= summary[key] <= 100.0
+
+    def test_all_nan_histogram_reads_empty(self):
+        h = MetricsRegistry().histogram("h")
+        for _ in range(3):
+            h.observe(float("nan"))
+        summary = h.summary()
+        assert summary["count"] == 0 and summary["nan_count"] == 3
+        for key in ("min", "max", "mean", "p50", "p90", "p99"):
+            assert summary[key] is None
+        h.reset()
+        assert h.nan_count == 0
 
     def test_empty_histogram_summary(self):
         h = MetricsRegistry().histogram("h")
@@ -201,7 +379,7 @@ class TestExport:
     def test_snapshot_schema(self):
         obs.registry.counter("x").inc()
         snap = obs.export.snapshot()
-        assert snap["schema_version"] == 2
+        assert snap["schema_version"] == 3
         assert snap["metrics"]["counters"]["x"] == 1
         assert "traces" not in snap
 

@@ -224,10 +224,8 @@ class TestTrainerMetrics:
     def test_epoch_histograms_recorded(self, rng):
         trainer, loader = _regression_trainer(rng)
         result = trainer.fit(loader, epochs=3)
-        metrics = obs.export.snapshot()["metrics"]
-        # epoch time is a latency-class metric -> windowed histogram
-        assert metrics["windowed"]["trainer.epoch_seconds"]["count"] == 3
-        hists = metrics["histograms"]
+        hists = obs.export.snapshot()["metrics"]["histograms"]
+        assert hists["trainer.epoch_seconds"]["count"] == 3
         assert hists["trainer.train_loss"]["count"] == 3
         assert hists["trainer.train_loss"]["min"] == min(result.train_losses)
 
@@ -251,7 +249,5 @@ class TestTrainerMetrics:
         with obs.disabled():
             result = trainer.fit(loader, epochs=2)
         assert len(result.train_losses) == 2
-        metrics = obs.export.snapshot()["metrics"]
-        assert metrics.get("windowed", {}).get(
-            "trainer.epoch_seconds", {"count": 0}
-        )["count"] == 0
+        hists = obs.export.snapshot()["metrics"]["histograms"]
+        assert hists.get("trainer.epoch_seconds", {"count": 0})["count"] == 0

@@ -287,7 +287,7 @@ class TestTrainerIntegration:
         snap = obs.registry.snapshot()
         assert snap["counters"]["dataloader.batches"] == 3
         assert snap["counters"]["dataloader.samples"] == 12
-        hist = snap["windowed"]["dataloader.batch_fetch_seconds"]
+        hist = snap["histograms"]["dataloader.batch_fetch_seconds"]
         assert hist["count"] == 3
 
     def test_dataloader_metrics_disabled_noop(self):

@@ -508,8 +508,8 @@ class TestStreamObservability:
     def test_update_latency_histogram_observes(self):
         from repro import obs
 
-        hist = obs.registry.windowed_histogram("engine.stream.update_seconds")
-        before = hist.summary().get("count", 0)
+        hist = obs.registry.histogram("engine.stream.update_seconds")
+        before = hist.count
         stream = _session().stream(_schema())
         stream.append({"t": [1.0], "cell": [0], "v": [0.0]})
-        assert hist.summary().get("count", 0) == before + 1
+        assert hist.count == before + 1

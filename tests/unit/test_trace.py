@@ -610,3 +610,38 @@ class TestConvKernelSharing:
             assert eager["conv_forward"] == (3 if correlate else 2)
             assert eager["conv_dx_scatter"] == (0 if correlate else 1)
             assert eager["conv_dw"] == eager["grad_feature_major"] == 2
+
+
+class TestTraceReasonCounters:
+    @staticmethod
+    def counter(name):
+        from repro import obs
+
+        return obs.registry.counter(name).value
+
+    def test_signature_mismatch_fallback_reason_counted(self):
+        rng = np.random.default_rng(0)
+        model = nn.Linear(6, 3, rng=rng)
+        session = TraceSession(model, F.mse_loss)
+        reason = "tensor.trace.fallback.signature_mismatch"
+        before = self.counter(reason), self.counter("tensor.trace.fallback")
+        for n in (4, 2):  # capture, then a signature mismatch
+            x, y = batch(rng, n)
+            session.step((x,), y)
+            clear_grads(model)
+        assert self.counter(reason) == before[0] + 1
+        assert self.counter("tensor.trace.fallback") >= before[1] + 1
+
+    def test_invalidate_reason_counted(self):
+        rng = np.random.default_rng(1)
+        model = nn.Linear(6, 3, rng=rng)
+        session = TraceSession(model, F.mse_loss)
+        reason = "tensor.trace.invalidate.parameter_or_module_mode_change"
+        before = self.counter(reason)
+        x, y = batch(rng)
+        session.step((x,), y)
+        # swap a parameter identity: guard trips, trace invalidates
+        model.weight = type(model.weight)(model.weight.data.copy())
+        clear_grads(model)
+        session.step((x,), y)
+        assert self.counter(reason) == before + 1
