@@ -7,8 +7,7 @@ Standalone (no pytest) so CI and future PRs can diff keyed timings:
 
 Keys: a 500k-row
 group-by, the optimizer on/off prune-heavy workload, the fused
-expression-stage pipeline, the out-of-core order_by under a memory
-budget (peak bytes + spill slowdown), incremental streaming maintenance (delta
+expression-stage pipeline, incremental streaming maintenance (delta
 aggregates + in-place grid-tensor updates) vs full recomputation at
 three backlog sizes, the Figure 8 tensor-preparation leg, and a small
 training epoch measuring the cost of the obs layer + dormant profiler
@@ -315,88 +314,6 @@ def bench_expr_pipeline(n: int = 400_000, parts: int = 8) -> dict:
     }
 
 
-def bench_spill(n: int = 300_000, parts: int = 32) -> dict:
-    """Out-of-core ``order_by`` under ``Session(memory_budget=...)``.
-
-    The dataset is ~4x the budget, so the external merge sort must
-    spill; results are asserted bit-identical to the unbounded sort
-    before timing.  Keys (gated by scripts/diff_bench.py):
-
-    - ``order_by_spill_peak_bytes`` — metered peak resident partition
-      bytes under the budget.  The acceptance bar is <= ~1.5x the
-      budget (also recorded, as ``spill_memory_budget_bytes``); the
-      unbounded peak (~dataset size) is recorded alongside for scale.
-    - ``spill_slowdown`` — spilled wall time over in-memory wall time,
-      the honesty check: spilling trades speed for bounded memory and
-      the ratio documents the price.
-    """
-    from repro.utils.memory import MemoryMeter
-
-    rng = np.random.default_rng(23)
-    data = {
-        "k": rng.permutation(n).astype(np.int64),
-        "v": rng.uniform(0, 1, n),
-    }
-    dataset_bytes = n * 16
-    budget = dataset_bytes // 4
-
-    unbounded_meter = MemoryMeter()
-    unbounded = Session(default_parallelism=parts, meter=unbounded_meter)
-    reference = (
-        unbounded.create_dataframe(data, num_partitions=parts)
-        .order_by("k")
-        .to_columns()
-    )
-
-    spill_meter = MemoryMeter()
-    with Session(
-        default_parallelism=parts,
-        meter=spill_meter,
-        memory_budget=budget,
-    ) as session:
-        spilled_df = session.create_dataframe(
-            data, num_partitions=parts
-        ).order_by("k")
-        out = spilled_df.to_columns()
-        for name in reference:
-            assert out[name].dtype == reference[name].dtype
-            assert np.array_equal(out[name], reference[name]), (
-                "spilled order_by diverged from the in-memory sort"
-            )
-        spill_stats = session.spill_manager.stats()
-        assert spill_stats["partitions_spilled"] > 0, (
-            "budget was meant to force spilling"
-        )
-
-        def drain(df) -> float:
-            started = time.perf_counter()
-            for _ in df.iter_partitions():
-                pass
-            return time.perf_counter() - started
-
-        in_memory_df = (
-            unbounded.create_dataframe(data, num_partitions=parts)
-            .order_by("k")
-        )
-        with obs.disabled():
-            repeats = 3
-            spilled_s = in_memory_s = float("inf")
-            for _ in range(repeats):
-                spilled_s = min(spilled_s, drain(spilled_df))
-                in_memory_s = min(in_memory_s, drain(in_memory_df))
-
-    return {
-        "spill_rows": n,
-        "spill_memory_budget_bytes": budget,
-        "order_by_spill_peak_bytes": spill_meter.peak,
-        "order_by_unbounded_peak_bytes": unbounded_meter.peak,
-        "order_by_spilled_s": spilled_s,
-        "order_by_in_memory_s": in_memory_s,
-        "spill_slowdown": spilled_s / in_memory_s,
-        "spill_bytes_written": spill_stats["bytes_written"],
-    }
-
-
 def bench_streaming(batch_rows: int = 2_000) -> dict:
     """Incremental streaming maintenance vs full recomputation.
 
@@ -526,7 +443,6 @@ def main() -> dict:
         bench_train_overhead,
         bench_convlstm_runtime,
         bench_expr_pipeline,
-        bench_spill,
         bench_streaming,
         bench_fig8_leg,
     )

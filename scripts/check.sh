@@ -15,8 +15,8 @@
 #      per-row oracle, a join feeding a group-by), again under a
 #      forced REPRO_TEST_MEMORY_BUDGET (read by tests/conftest.py,
 #      which hands the budget to every Session a test builds without
-#      one), so the over-budget branches of the materializing
-#      operators run even where a test forgot to pass memory_budget=
+#      one), so the cache's over-budget (spilling) branch runs even
+#      where a test forgot to pass memory_budget=
 #   5. traced lane: the training + trace suites again under a forced
 #      REPRO_TRACE=1, so every Trainer.fit in those tests runs through
 #      the tape record / guard / fallback / replay path (replay re-runs
@@ -38,7 +38,7 @@
 #      regenerates BENCH_engine.json (incl. per-operator breakdown)
 #   9. bench diff: the fresh BENCH_engine.json must not regress the
 #      watched keys (obs overhead, ConvLSTM epoch time,
-#      peak activation bytes, spill peak bytes + slowdown,
+#      peak activation bytes,
 #      streaming update speedup + p99 latency) >25% vs the committed
 #      one; stream_update_speedup must stay above an absolute 10x floor
 #  10. join ablation: benchmarks/bench_ablation_join.py (~3 s) joins

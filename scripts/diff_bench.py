@@ -12,11 +12,6 @@ regenerating BENCH_engine.json):
   worse.
 - ``peak_activation_bytes`` — tracemalloc peak of the graph-freeing
   ConvLSTM epoch; higher is worse.
-- ``order_by_spill_peak_bytes`` — metered peak resident bytes of the
-  budgeted out-of-core sort; higher is worse (the whole point of the
-  spill paths is that this stays pinned near the budget).
-- ``spill_slowdown`` — spilled over in-memory order_by wall time;
-  higher is worse.
 - ``stream_update_speedup`` — full recompute (group-by over retained
   history + grid-tensor rebuild) over one incremental streaming
   update (append + delta scatter) at the largest backlog; lower is
@@ -47,8 +42,6 @@ WATCHED = {
     "obs_overhead_ratio": "lower",
     "epoch_time_convlstm_s": "lower",
     "peak_activation_bytes": "lower",
-    "order_by_spill_peak_bytes": "lower",
-    "spill_slowdown": "lower",
     "stream_update_speedup": "higher",
     "stream_update_p99_ms": "lower",
 }

@@ -9,6 +9,11 @@ The paper's Section III-C module, in two stages (Figure 7):
   fixed-size batches of :class:`~repro.tensor.Tensor`, applying
   user transformations on the way (Petastorm's role).
 
+Spatiotemporal rows must arrive in time order — ``group_by(time,
+cell)`` emits them so — and a cell id must lie inside the grid; the
+converter checks both and raises :class:`FrameOrderError` (a
+``ValueError``) or ``ValueError`` instead of sorting or wrapping.
+
 :class:`DFToTorchConverter` wires the two together behind one call.
 """
 
@@ -17,7 +22,7 @@ from repro.core.converter.specs import (
     SegmentationSpec,
     SpatiotemporalSpec,
 )
-from repro.core.converter.df_formatter import DFFormatter
+from repro.core.converter.df_formatter import DFFormatter, FrameOrderError
 from repro.core.converter.row_transformer import RowTransformer
 from repro.core.converter.converter import DFToTorchConverter
 
@@ -26,6 +31,7 @@ __all__ = [
     "SegmentationSpec",
     "SpatiotemporalSpec",
     "DFFormatter",
+    "FrameOrderError",
     "RowTransformer",
     "DFToTorchConverter",
 ]

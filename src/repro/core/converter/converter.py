@@ -33,9 +33,9 @@ class DFToTorchConverter:
     ) -> RowTransformer:
         """Return a re-iterable stream of training batches.
 
-        ``shuffle_buffer > 0`` enables approximate streaming shuffle
-        (not meaningful for the spatiotemporal spec, whose frames must
-        stay in temporal order).
+        ``shuffle_buffer > 0`` enables approximate streaming shuffle;
+        it raises ``ValueError`` for the spatiotemporal spec, whose
+        frames must stay in temporal order.
         """
         formatted = self._formatter.format(df)
         return RowTransformer(

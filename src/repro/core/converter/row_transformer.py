@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.converter.df_formatter import FrameOrderError
 from repro.core.converter.specs import SpatiotemporalSpec
 from repro.engine.dataframe import DataFrame
 from repro.tensor import Tensor
@@ -21,7 +22,9 @@ class RowTransformer:
     ``shuffle_buffer`` enables Petastorm-style approximate shuffling:
     samples pass through a fixed-size reservoir and leave it in random
     order, decorrelating batches from partition order without a
-    global shuffle.
+    global shuffle.  A spatiotemporal spec takes no shuffle: its
+    frames are sliced out of the formatter's per-partition blocks and
+    paired in time order.
     """
 
     def __init__(
@@ -37,6 +40,11 @@ class RowTransformer:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         if shuffle_buffer < 0:
             raise ValueError("shuffle_buffer must be >= 0")
+        if shuffle_buffer and isinstance(spec, SpatiotemporalSpec):
+            raise ValueError(
+                "shuffle_buffer must be 0 for a spatiotemporal spec: its "
+                "frames are paired in time order"
+            )
         self.df = formatted_df
         self.batch_size = batch_size
         self.transform = transform
@@ -109,26 +117,51 @@ class RowTransformer:
             yield self._collate(pending)
 
     def _iter_spatiotemporal(self):
-        """Pair consecutive frames as (x_t, y_{t+lead}) across
-        partition boundaries using a small carry buffer."""
-        lead = self.spec.lead_time
-        buffer: list[np.ndarray] = []
-        pending: list[tuple] = []
+        """Pair frame ``i`` with frame ``i + lead`` across partition
+        boundaries, slicing each partition's frame block into batches.
+
+        ``frames`` holds what is not yet emitted as an x, the ``lead``
+        frames after it and the last frame seen, which is held back: a
+        step that continues into the next partition is folded into it
+        (the cells that partition wrote overwrite, as in one ordered
+        partition).  A partition starting before it raises
+        :class:`FrameOrderError`."""
+        lead, size = self.spec.lead_time, self.batch_size
+        frames, last = None, None
         for part in self.df.iter_partitions():
-            buffer.extend(part.columns["__x"])
-            # Emit (frame_i, frame_{i+lead}) pairs; each x leaves the
-            # buffer once emitted, so nothing repeats across partitions.
-            while len(buffer) > lead:
-                x = buffer.pop(0)
-                y = buffer[lead - 1]
-                if self.transform is not None:
-                    x = self.transform(x)
-                pending.append((x, y))
-                if len(pending) == self.batch_size:
-                    yield self._collate(pending)
-                    pending = []
-        if pending:
-            yield self._collate(pending)
+            steps, block = part.columns["__t"], part.columns["__x"]
+            if not len(steps):
+                continue
+            if last is not None and steps[0] < last:
+                raise FrameOrderError()
+            if steps[0] == last:
+                np.copyto(frames[-1], block[0], where=part.columns["__w"][0])
+                block = block[1:]
+            fresh = frames is None
+            frames = block if fresh else np.concatenate([frames, block])
+            last = steps[-1]
+            # Whole batches of pairs whose frames are all complete.
+            ready = (len(frames) - 1 - lead) // size * size
+            if ready > 0:
+                yield from self._frame_batches(frames[: ready + lead])
+                frames = frames[ready:]
+            if fresh:
+                frames = frames.copy()  # never write into a partition
+        if frames is not None:
+            yield from self._frame_batches(frames)
+
+    def _frame_batches(self, frames):
+        """Batches of ``(frames[i], frames[i + lead])``; ``transform``
+        runs on each x frame."""
+        lead = self.spec.lead_time
+        for start in range(0, len(frames) - lead, self.batch_size):
+            xs = frames[start : min(start + self.batch_size, len(frames) - lead)]
+            ys = frames[start + lead : start + lead + len(xs)]
+            if self.transform is None:
+                xs = xs.copy()
+            else:
+                xs = np.stack([np.asarray(self.transform(x)) for x in xs])
+            yield Tensor(xs), Tensor(ys.copy())
 
     @staticmethod
     def _collate(samples: list[tuple]) -> tuple:

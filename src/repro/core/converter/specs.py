@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.utils.validation import check_positive
+
 
 @dataclass(frozen=True)
 class ClassificationSpec:
@@ -29,7 +31,9 @@ class SegmentationSpec:
 class SpatiotemporalSpec:
     """Aggregated spatiotemporal rows (``STManager`` output): sparse
     (time_step, cell_id, value...) records to be scattered into dense
-    (C, H, W) frames, then paired as (frame_t, frame_{t+lead})."""
+    (C, H, W) frames, then paired as (frame_t, frame_{t+lead}).  The
+    rows must arrive in time order, as ``group_by(time, cell)`` emits
+    them."""
 
     partitions_x: int
     partitions_y: int
@@ -37,3 +41,8 @@ class SpatiotemporalSpec:
     lead_time: int = 1
     time_column: str = "time_step"
     cell_column: str = "cell_id"
+
+    def __post_init__(self):
+        check_positive(self.partitions_x, "partitions_x")
+        check_positive(self.partitions_y, "partitions_y")
+        check_positive(self.lead_time, "lead_time")

@@ -31,7 +31,7 @@ from repro.engine.dataframe import DataFrame
 from repro.engine.expressions import col, udf
 from repro.geometry.envelope import Envelope
 from repro.geometry.grid import UniformGrid
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_cells, check_positive
 
 
 def _x_col(geometry: str) -> str:
@@ -66,6 +66,19 @@ def _grid_metric_handles():
             "cells_touched": obs.registry.counter("st.grid.cells_touched"),
         }
     return _grid_metrics
+
+
+def _scatter(tensor, part, cells, bound: int, value_columns) -> int:
+    """Write a part's rows whose step lies in ``[0, bound)`` into the
+    ``(T, H, W, C)`` ``tensor``; returns how many rows were written."""
+    steps = np.asarray(part.columns["time_step"], dtype=np.int64)
+    valid = (steps >= 0) & (steps < bound)
+    steps, cells = steps[valid], cells[valid]
+    ys, xs = np.divmod(cells, tensor.shape[2])
+    for channel, name in enumerate(value_columns):
+        values = np.asarray(part.columns[name], dtype=np.float32)[valid]
+        tensor[steps, ys, xs, channel] = values
+    return len(steps)
 
 
 def _acquire_grid_tensor(shape) -> np.ndarray:
@@ -212,7 +225,9 @@ class STManager:
         either way), so repeated materializations recycle one buffer —
         hand a tensor you are done with back via
         :meth:`release_st_grid_array` to close the loop.  Allocation
-        size is published as the ``st.grid.alloc_bytes`` gauge.
+        size is published as the ``st.grid.alloc_bytes`` gauge.  A
+        ``cell_id`` outside ``[0, partitions_x * partitions_y)`` raises
+        ``ValueError``.
         """
         value_columns = value_columns or ["count"]
         if num_steps is None:
@@ -231,17 +246,11 @@ class STManager:
         tensor = _acquire_grid_tensor(
             (num_steps, partitions_y, partitions_x, len(value_columns))
         )
+        num_cells = partitions_x * partitions_y
         for part in iterator:
-            if part.num_rows == 0:
-                continue
-            steps = np.asarray(part.columns["time_step"], dtype=np.int64)
-            cells = np.asarray(part.columns["cell_id"], dtype=np.int64)
-            valid = (steps >= 0) & (steps < num_steps)
-            steps, cells = steps[valid], cells[valid]
-            ys, xs = cells // partitions_x, cells % partitions_x
-            for channel, name in enumerate(value_columns):
-                values = np.asarray(part.columns[name], dtype=np.float32)[valid]
-                tensor[steps, ys, xs, channel] = values
+            if part.num_rows:
+                cells = check_cells(part.columns["cell_id"], num_cells)
+                _scatter(tensor, part, cells, num_steps, value_columns)
         return tensor
 
     @staticmethod
@@ -274,7 +283,8 @@ class STManager:
         old buffer released back to the pool.  The possibly-new tensor
         is returned — always use the return value.  With ``num_steps``
         fixed, out-of-range steps are dropped exactly as
-        :meth:`get_st_grid_array` drops them.
+        :meth:`get_st_grid_array` drops them.  A ``cell_id`` outside
+        the grid raises ``ValueError`` before anything is written.
         """
         check_positive(partitions_x, "partitions_x")
         check_positive(partitions_y, "partitions_y")
@@ -294,6 +304,10 @@ class STManager:
             else list(delta.iter_partitions())
         )
         parts = [p for p in parts if p.num_rows]
+        # Every part is checked before the first write: a bad delta
+        # leaves the tensor as it was.
+        num_cells = partitions_x * partitions_y
+        cells_of = [check_cells(p.columns["cell_id"], num_cells) for p in parts]
         metrics = _grid_metric_handles()
         metrics["updates"].inc()
         if not parts:
@@ -314,17 +328,10 @@ class STManager:
         else:
             bound = num_steps
 
-        touched = 0
-        for part in parts:
-            steps = np.asarray(part.columns["time_step"], dtype=np.int64)
-            cells = np.asarray(part.columns["cell_id"], dtype=np.int64)
-            valid = (steps >= 0) & (steps < bound)
-            steps, cells = steps[valid], cells[valid]
-            ys, xs = cells // partitions_x, cells % partitions_x
-            for channel, name in enumerate(value_columns):
-                values = np.asarray(part.columns[name], dtype=np.float32)[valid]
-                array[steps, ys, xs, channel] = values
-            touched += len(steps)
+        touched = sum(
+            _scatter(array, part, cells, bound, value_columns)
+            for part, cells in zip(parts, cells_of)
+        )
         metrics["cells_touched"].inc(touched)
         return array
 

@@ -6,7 +6,7 @@ model mirrors PySpark:
 - a :class:`Session` creates DataFrames from rows, column dicts, or CSV;
 - a :class:`DataFrame` is a *lazy logical plan*; transformations
   (``select``, ``filter``, ``with_column``, ``group_by().agg``,
-  ``union``, ``order_by``) build the plan;
+  ``union``) build the plan;
 - actions (``collect``, ``count``, ``to_columns``, ``show``) execute it.
 
 Execution is partition-at-a-time: narrow operator chains are fused and
@@ -26,8 +26,8 @@ Before execution, plans pass through a rule-based logical optimizer
   them, wide ``Project``/``WithColumn`` chains shed unused outputs.
 - **Predicate pushdown** — filters move below ``Project`` /
   ``WithColumn`` (by substituting the column definitions into the
-  predicate, never duplicating UDFs), below ``Drop``/``Union``/
-  ``OrderBy``, and into ``GroupByAgg`` when key-only.
+  predicate, never duplicating UDFs), below ``Drop``/``Union``, and
+  into ``GroupByAgg`` when key-only.
 - **Fusion** — adjacent ``Filter`` nodes AND-combine;
   ``Project∘Project`` collapses via substitution; ``WithColumn``
   chains fuse into one :class:`repro.engine.plan.WithColumns`.
@@ -50,18 +50,17 @@ node the pass never saw — ``optimize=False`` — runs as a one-step
 stage).  ``Expr.evaluate`` remains as the public
 tree-walker for evaluating a single expression on a partition.
 
-Materializing operators — the ops whose state is O(dataset), not
-O(partition): ``order_by`` (buffers everything before emitting),
-``cache`` (keeps results resident), and ``group_by().agg`` (one
-vectorized state for every key type; non-numeric keys are
-dictionary-coded).  All of them report through the attached
-``MemoryMeter``.  The first two are parameterised by
-``Session(memory_budget=bytes)``: input beyond the budget spills to
-disk through the session's :class:`repro.engine.spill.SpillManager`
-(``order_by`` becomes an external merge sort, ``cache`` keeps the
-overflow partitions on disk); with no budget the same operators
-never spill.  Results are bit-identical at every budget.  Spill
-failures surface as :class:`SpillError`; activity lands in
+The ops whose state is O(dataset), not O(partition): ``cache`` (keeps
+results resident) and ``group_by().agg`` (one vectorized state for
+every key type; non-numeric keys are dictionary-coded).  Both report
+through the attached ``MemoryMeter``.  The group-by emits one
+partition in ascending key order for numeric keys, which is the order
+the spatiotemporal converter requires; there is no sort operator.
+``cache``, the one materializing operator, is parameterised by
+``Session(memory_budget=bytes)``: partitions beyond the budget spill
+to disk through the session's :class:`repro.engine.spill.SpillManager`;
+with no budget nothing spills.  Results are bit-identical at every
+budget.  Spill failures surface as :class:`SpillError`; activity lands in
 ``repro.obs`` under ``engine.spill.*`` and as ``spilled=`` in
 ``explain(analyze=True)``.
 

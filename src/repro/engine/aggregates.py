@@ -726,7 +726,11 @@ class ArrayGroupState:
     def to_partition(self, keys):
         """Finalize every group as one partition: the key columns
         (named ``keys``, restored to their input dtypes) followed by
-        one column per aggregate."""
+        one column per aggregate, in ``keys`` order.  For numeric keys
+        that is ascending key order (a stable ``lexsort`` of the output
+        is the identity; the spatiotemporal converter relies on it).  A
+        non-numeric key column is ordered by its first-seen dictionary
+        codes, not by value: such output is not sorted."""
         from repro.engine.partition import Partition
 
         if self._code_counts is not None:

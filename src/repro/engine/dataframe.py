@@ -113,10 +113,6 @@ class DataFrame:
         """Start a grouped aggregation."""
         return GroupedDataFrame(self, [str(k) for k in keys])
 
-    def order_by(self, *keys, ascending: bool = True) -> "DataFrame":
-        """Globally sort (materializing operator)."""
-        return self._wrap(P.OrderBy(self.plan, list(keys), ascending))
-
     def map_partitions(self, fn, label: str = "map_partitions") -> "DataFrame":
         """Apply ``fn(Partition) -> Partition`` to each partition."""
         return self._wrap(P.MapPartitions(self.plan, fn, label))

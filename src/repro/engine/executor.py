@@ -11,13 +11,12 @@ partition is pulled, transformed, yielded, and released before the next
 is pulled, so the working set stays O(partition).
 
 Wide operators hold only their *state*: the per-group accumulator
-arrays for aggregation, and the input buffer for order_by and cache (the
-materializing operators, as in Spark).  The materializing operators
-are parameterised by the session memory budget: what exceeds it spills
-to disk through the session's SpillManager (external merge sort,
-cached partitions kept on disk); with no budget nothing ever exceeds it
-and the same code runs entirely in memory.  Results are bit-identical
-at every budget.
+arrays for aggregation, and the cached partitions for cache — the one
+materializing operator, as Spark's ``persist``.  A cache is
+parameterised by the session memory budget: what exceeds it spills to
+disk through the session's SpillManager; with no budget nothing ever
+exceeds it and the same code runs entirely in memory.  Results are
+bit-identical at every budget.
 
 Group-by is vectorized end to end: it keeps per-group accumulator
 *arrays* (:class:`~repro.engine.aggregates.ArrayGroupState`), packs
@@ -40,8 +39,6 @@ import math
 import time
 import weakref
 
-import numpy as np
-
 from repro.engine import plan as P
 from repro.engine.aggregates import ArrayGroupState
 from repro.engine.compile import _FUSABLE, stage_runner
@@ -60,15 +57,6 @@ class _ExecContext:
         self.meter = meter
         self.stats = stats
         self.spill = spill
-
-    def budget_share(self, divisor: int = 1):
-        """The session memory budget divided by ``divisor`` (at least
-        one byte).  Without a budget the share is infinite: no byte
-        count ever exceeds it, so the materializing operators never
-        spill and run their under-budget (in-memory) case."""
-        if self.spill is None or self.spill.budget is None:
-            return math.inf
-        return max(1, self.spill.budget // divisor)
 
     def note_spill(self, node: P.PlanNode, nbytes: int) -> None:
         """Credit spilled bytes to the operator that wrote them, for
@@ -94,11 +82,11 @@ def iter_partitions(node: P.PlanNode, meter=None, stats=None, spill=None):
     ones.
 
     ``spill`` (a :class:`repro.engine.spill.SpillManager` with a
-    ``budget``) bounds the materializing operators — order_by and
-    cache, the two that buffer their input: they keep at most the
-    budget resident and spill the rest to disk, producing results
-    bit-identical to running with no budget (``spill=None``), which
-    is the same code with nothing ever over budget.
+    ``budget``) bounds ``cache``, the one operator that buffers its
+    input: it keeps at most the budget resident and spills the rest
+    to disk, producing results bit-identical to running with no budget
+    (``spill=None``), which is the same code with nothing ever over
+    budget.
     """
     return _ExecContext(meter, stats, spill).iterate(node)
 
@@ -126,8 +114,6 @@ def _iter_node(node: P.PlanNode, ctx: _ExecContext):
             yield node.fn(part)
     elif isinstance(node, P.GroupByAgg):
         yield from _run_group_by(node, ctx)
-    elif isinstance(node, P.OrderBy):
-        yield from _run_order_by(node, ctx)
     elif isinstance(node, P.Cache):
         yield from _run_cache(node, ctx)
     else:
@@ -163,7 +149,10 @@ def _fill_cache(node: P.Cache, ctx: _ExecContext):
     cold and holding nothing.  What a hot node holds is given back
     when the node is collected."""
     meter = ctx.meter
-    budget = ctx.budget_share()
+    # Without a budget nothing ever exceeds it: the cache never spills.
+    budget = math.inf
+    if ctx.spill is not None and ctx.spill.budget is not None:
+        budget = max(1, ctx.spill.budget)
     entries = []
     resident = metered = 0
     try:
@@ -297,415 +286,6 @@ def _run_group_by(node: P.GroupByAgg, ctx: _ExecContext):
     finally:
         if meter is not None:
             meter.release(out.nbytes)
-
-
-def _accumulate_dtypes(acc: dict | None, part: Partition) -> dict:
-    """Fold one partition's column dtypes into the running
-    ``np.result_type`` accumulation (what a whole-input concat would
-    promote each column to — ``Partition.concat`` skips empty
-    partitions, so they do not vote here either)."""
-    if part.num_rows == 0:
-        return acc
-    if acc is None:
-        return {n: a.dtype for n, a in part.columns.items()}
-    for name, arr in part.columns.items():
-        prev = acc.get(name)
-        if prev is None:
-            acc[name] = arr.dtype
-        elif prev != arr.dtype:
-            acc[name] = np.result_type(prev, arr.dtype)
-    return acc
-
-
-#: External-merge-sort tuning.  A run flushes at budget/_RUN_DIVISOR so
-#: the transient flush peak (pending + concat + sorted run with its
-#: int64 tiebreak column) stays within the budget; spilled runs are
-#: chunked at budget/_CHUNK_DIVISOR so a merge holding one chunk per
-#: run stays around budget/2; more than _MERGE_FANIN runs triggers a
-#: cascade pass that re-merges groups into longer runs.
-_RUN_DIVISOR = 3
-_CHUNK_DIVISOR = 16
-_MERGE_FANIN = 8
-#: Hidden tiebreak column: the global arrival index of every row.  It
-#: makes the sort order *total*, so k-way merge output is exactly the
-#: in-memory stable lexsort (and its reverse for descending).
-_SPILL_IDX = "__repro_spill_idx__"
-
-
-def _order_by_memory_parts(node: P.OrderBy, ctx: _ExecContext, parts):
-    meter = ctx.meter
-    # Partition.concat handles all-empty inputs (schema-preserving
-    # empty result), so no non-empty filtering is needed here.
-    if not parts:
-        return
-    whole = Partition.concat(parts)
-    if meter is not None:
-        meter.allocate(whole.nbytes)
-    try:
-        key_arrays = [whole.columns[k] for k in reversed(node.keys)]
-        order = np.lexsort(key_arrays)
-        if not node.ascending:
-            order = order[::-1]
-        yield Partition(
-            {name: arr[order] for name, arr in whole.columns.items()}
-        )
-    finally:
-        if meter is not None:
-            meter.release(whole.nbytes)
-
-
-def _spill_chunked(part: Partition, chunk_bytes: int, ctx, node) -> list:
-    """Spill one (sorted) partition as a sequence of row chunks of
-    roughly ``chunk_bytes`` each; returns the chunk handles in order."""
-    n = part.num_rows
-    per_row = max(1, part.nbytes // max(1, n))
-    rows_per_chunk = max(1, int(chunk_bytes // per_row))
-    handles = []
-    for start in range(0, n, rows_per_chunk):
-        stop = min(n, start + rows_per_chunk)
-        chunk = Partition._from_arrays(
-            {name: arr[start:stop] for name, arr in part.columns.items()},
-            stop - start,
-        )
-        handles.append(ctx.spill.spill(chunk))
-        ctx.note_spill(node, chunk.nbytes)
-    return handles
-
-
-def _run_order_by(node: P.OrderBy, ctx: _ExecContext):
-    """Global sort; an external merge sort once the input outgrows the
-    memory budget.
-
-    Input partitions are buffered until ~budget/3, then sorted into a
-    *run* (with the arrival-index tiebreak column attached) and spilled
-    in chunks.  Runs are k-way merged by replaying one chunk per run at
-    a time — the merge itself re-uses ``np.lexsort``, so NaN and object
-    key comparisons behave exactly like the single in-memory lexsort
-    that input under the run budget gets.
-    """
-    meter = ctx.meter
-    spill = ctx.spill
-    run_budget = ctx.budget_share(_RUN_DIVISOR)
-    chunk_bytes = ctx.budget_share(_CHUNK_DIVISOR)
-    pending: list = []
-    pending_bytes = 0
-    next_idx = 0
-    runs: list = []  # list of chunk-handle lists, each run sorted asc
-    run_dtypes: list = []
-    target_dtypes: dict | None = None
-
-    def flush_run() -> None:
-        nonlocal pending_bytes, next_idx
-        whole = Partition.concat(pending)
-        pending.clear()
-        if meter is not None:
-            meter.allocate(whole.nbytes)
-            meter.release(pending_bytes)
-        pending_bytes = 0
-        run_nbytes = 0
-        try:
-            idx = np.arange(
-                next_idx, next_idx + whole.num_rows, dtype=np.int64
-            )
-            next_idx += whole.num_rows
-            key_arrays = [idx] + [
-                whole.columns[k] for k in reversed(node.keys)
-            ]
-            order = np.lexsort(key_arrays)
-            sorted_cols = {
-                name: arr[order] for name, arr in whole.columns.items()
-            }
-            sorted_cols[_SPILL_IDX] = idx[order]
-            run = Partition._from_arrays(sorted_cols, whole.num_rows)
-            run_nbytes = run.nbytes
-            if meter is not None:
-                meter.allocate(run_nbytes)
-            run_dtypes.append(
-                {n: a.dtype for n, a in whole.columns.items()}
-            )
-            runs.append(_spill_chunked(run, chunk_bytes, ctx, node))
-        finally:
-            if meter is not None:
-                meter.release(whole.nbytes + run_nbytes)
-
-    try:
-        for part in ctx.iterate(node.child):
-            nbytes = part.nbytes
-            # Flush *before* appending when this partition would push
-            # pending past the run budget, so the buffered run never
-            # overshoots by a whole (possibly large) partition.
-            if (
-                pending
-                and pending_bytes + nbytes > run_budget
-                and any(p.num_rows for p in pending)
-            ):
-                flush_run()
-            pending.append(part)
-            pending_bytes += nbytes
-            if meter is not None:
-                meter.allocate(nbytes)
-            target_dtypes = _accumulate_dtypes(target_dtypes, part)
-            if pending_bytes >= run_budget and any(
-                p.num_rows for p in pending
-            ):
-                flush_run()
-
-        if not runs:
-            # Everything fit under the run budget: one in-memory sort.
-            parts, pending = pending, []
-            if meter is not None:
-                meter.release(pending_bytes)
-            pending_bytes = 0
-            yield from _order_by_memory_parts(node, ctx, parts)
-            return
-        if pending:
-            if any(p.num_rows for p in pending):
-                flush_run()
-            else:
-                # Trailing all-empty partitions contribute no rows.
-                pending.clear()
-                if meter is not None:
-                    meter.release(pending_bytes)
-                pending_bytes = 0
-
-        if any(
-            dtypes[name] != target_dtypes[name]
-            for dtypes in run_dtypes
-            for name in dtypes
-        ):
-            # A column promoted differently across runs than the whole
-            # concat would have: merging on mismatched dtypes cannot be
-            # bit-identical, so restore everything and re-run the
-            # in-memory sort (rare — mixed-dtype partitions).
-            yield from _order_by_restore_fallback(node, ctx, runs)
-            return
-
-        # Cascade: cap merge fan-in so resident chunks stay bounded.
-        while len(runs) > _MERGE_FANIN:
-            merged_runs = []
-            for i in range(0, len(runs), _MERGE_FANIN):
-                group = runs[i : i + _MERGE_FANIN]
-                if len(group) == 1:
-                    merged_runs.append(group[0])
-                    continue
-                handles: list = []
-                batch: list = []
-                batch_bytes = 0
-                for piece in _merge_spilled_runs(
-                    group, node.keys, True, ctx, node, strip=False
-                ):
-                    batch.append(piece)
-                    batch_bytes += piece.nbytes
-                    if batch_bytes >= chunk_bytes:
-                        merged = (
-                            Partition.concat(batch)
-                            if len(batch) > 1
-                            else batch[0]
-                        )
-                        handles.extend(
-                            _spill_chunked(merged, chunk_bytes, ctx, node)
-                        )
-                        batch = []
-                        batch_bytes = 0
-                if batch:
-                    merged = (
-                        Partition.concat(batch)
-                        if len(batch) > 1
-                        else batch[0]
-                    )
-                    handles.extend(
-                        _spill_chunked(merged, chunk_bytes, ctx, node)
-                    )
-                merged_runs.append(handles)
-            runs = merged_runs
-
-        yield from _merge_spilled_runs(
-            runs, node.keys, node.ascending, ctx, node, strip=True
-        )
-    finally:
-        if meter is not None and pending_bytes:
-            meter.release(pending_bytes)
-
-
-def _order_by_restore_fallback(node: P.OrderBy, ctx: _ExecContext, runs):
-    spill = ctx.spill
-    parts = []
-    for handles in runs:
-        for handle in handles:
-            parts.append(spill.restore(handle))
-            spill.release(handle)
-    whole = Partition.concat(parts)
-    del parts
-    arrival = np.argsort(whole.columns[_SPILL_IDX], kind="stable")
-    restored = Partition._from_arrays(
-        {
-            name: arr[arrival]
-            for name, arr in whole.columns.items()
-            if name != _SPILL_IDX
-        },
-        whole.num_rows,
-    )
-    yield from _order_by_memory_parts(node, ctx, [restored])
-
-
-def _merge_spilled_runs(runs, keys, ascending, ctx, node, strip):
-    """K-way merge of sorted spilled runs, one resident chunk per run.
-
-    Runs are stored ascending; for a descending sort the chunks are
-    read last-to-first with rows reversed, which turns each run into a
-    descending sequence and keeps the merge logic identical.  Each
-    round lexsorts the concatenated head chunks (arrival-index column
-    as the least-significant key, so the order is total) and emits the
-    *safe prefix*: every row that precedes the last loaded row of each
-    run that still has unread chunks — rows no unseen chunk can beat.
-
-    Emissions are additionally cut at sort-key group boundaries, so
-    rows with equal keys never straddle two output partitions — the
-    invariant ``order_by`` consumers rely on ("every timestep lands in
-    one place", ``df_formatter``).  A single key group larger than a
-    chunk grows the resident buffers until its end is seen.
-    """
-    spill = ctx.spill
-    meter = ctx.meter
-    remaining = [list(handles) for handles in runs]
-    if not ascending:
-        for handles in remaining:
-            handles.reverse()
-    buffers: list = [None] * len(remaining)
-    buf_bytes = [0] * len(remaining)
-
-    def load(r: int) -> None:
-        handle = remaining[r].pop(0)
-        part = spill.restore(handle)
-        spill.release(handle)
-        if not ascending:
-            part = Partition._from_arrays(
-                {n: a[::-1] for n, a in part.columns.items()},
-                part.num_rows,
-            )
-        if buffers[r] is None:
-            buffers[r] = part
-        else:
-            buffers[r] = Partition.concat([buffers[r], part])
-        nbytes = part.nbytes
-        buf_bytes[r] += nbytes
-        if meter is not None:
-            meter.allocate(nbytes)
-
-    try:
-        grow_run: int | None = None
-        while True:
-            for r in range(len(remaining)):
-                if remaining[r] and (grow_run == r or buffers[r] is None):
-                    load(r)
-            grow_run = None
-            live = [r for r in range(len(remaining)) if buffers[r] is not None]
-            if not live:
-                return
-            offsets = np.cumsum(
-                [0] + [buffers[r].num_rows for r in live]
-            )
-            head = Partition.concat([buffers[r] for r in live])
-            key_arrays = [head.columns[_SPILL_IDX]] + [
-                head.columns[k] for k in reversed(keys)
-            ]
-            order = np.lexsort(key_arrays)
-            if not ascending:
-                order = order[::-1]
-            pos = np.empty(len(order), dtype=np.int64)
-            pos[order] = np.arange(len(order))
-            final = not any(remaining[r] for r in live)
-            safe = head.num_rows
-            limiting = None
-            for j, r in enumerate(live):
-                if remaining[r]:
-                    boundary = int(pos[offsets[j + 1] - 1])
-                    if boundary + 1 < safe or limiting is None:
-                        limiting = r
-                    safe = min(safe, boundary + 1)
-            if not final:
-                # An unseen row can still belong to the key group of
-                # the last safe row, so only whole groups up to that
-                # one may be emitted.  When nothing is emittable, pull
-                # the next chunk of the run that limits the safe
-                # prefix and retry.
-                safe = _last_group_start(head, keys, order, safe)
-                if safe == 0:
-                    grow_run = limiting
-                    continue
-            emit = order[:safe]
-            out = Partition._from_arrays(
-                {
-                    name: head.columns[name][emit]
-                    for name in head.columns
-                    if not strip or name != _SPILL_IDX
-                },
-                safe,
-            )
-            consumed = np.bincount(
-                np.searchsorted(offsets[1:], emit, side="right"),
-                minlength=len(live),
-            )
-            out_nbytes = out.nbytes
-            if meter is not None:
-                meter.allocate(out_nbytes)
-            try:
-                yield out
-            finally:
-                if meter is not None:
-                    meter.release(out_nbytes)
-            for j, r in enumerate(live):
-                used = int(consumed[j])
-                buf = buffers[r]
-                if used == buf.num_rows:
-                    buffers[r] = None
-                    if meter is not None:
-                        meter.release(buf_bytes[r])
-                    buf_bytes[r] = 0
-                elif used:
-                    buffers[r] = Partition._from_arrays(
-                        {
-                            n: a[used:]
-                            for n, a in buf.columns.items()
-                        },
-                        buf.num_rows - used,
-                    )
-                    # Re-estimate so partially consumed buffers do not
-                    # stay metered at full size (group-cut leftovers
-                    # mean buffers rarely empty completely).
-                    left_bytes = buffers[r].nbytes
-                    if meter is not None and left_bytes < buf_bytes[r]:
-                        meter.release(buf_bytes[r] - left_bytes)
-                        buf_bytes[r] = left_bytes
-    finally:
-        if meter is not None:
-            meter.release(sum(buf_bytes))
-        for handles in remaining:
-            for handle in handles:
-                spill.release(handle)
-
-
-def _last_group_start(head, keys, order, safe: int) -> int:
-    """Start index (in output order) of the key group containing row
-    ``safe - 1``: emitting ``order[:start]`` contains only complete
-    sort-key groups.  Returns 0 when the whole prefix is one group."""
-    if safe == 0:
-        return 0
-    idx = order[:safe]
-    change = np.zeros(safe, dtype=bool)
-    change[0] = True
-    if safe > 1:
-        for key in keys:
-            col = head.columns[key]
-            vals = col[idx]
-            neq = vals[1:] != vals[:-1]
-            if col.dtype.kind == "f":
-                # NaN != NaN would make every NaN row its own group;
-                # consecutive NaNs are one group, like the in-memory
-                # single-partition output keeps them together.
-                neq &= ~(np.isnan(vals[1:]) & np.isnan(vals[:-1]))
-            change[1:] |= neq
-    return int(np.flatnonzero(change)[-1])
 
 
 def plan_column_names(node: P.PlanNode) -> list[str]:

@@ -7,7 +7,7 @@ The rules:
 - **Filter fusion** — adjacent ``Filter`` nodes become one conjunction,
   so each partition is masked once.
 - **Predicate pushdown** — filters move below ``Project`` /
-  ``WithColumn`` / ``Drop`` / ``Union`` / ``OrderBy``; key-only
+  ``WithColumn`` / ``Drop`` / ``Union``; key-only
   predicates move below ``GroupByAgg``.
   Predicates are rewritten through projections by expression
   substitution; a predicate is never pushed through a UDF-bearing
@@ -99,7 +99,7 @@ def _ordered(names, preference: list | None) -> list:
 # ----------------------------------------------------------------------
 #: Nodes whose output carries their (first) input's column names.
 _KEEPS_NAMES = (
-    P.Filter, P.Limit, P.OrderBy, P.Union, P.Cache, P.MapPartitions,
+    P.Filter, P.Limit, P.Union, P.Cache, P.MapPartitions,
 )
 
 
@@ -195,8 +195,6 @@ def _with_children(node: P.PlanNode, children: list) -> P.PlanNode:
         return P.Limit(children[0], node.n)
     if isinstance(node, P.GroupByAgg):
         return P.GroupByAgg(children[0], node.keys, node.aggs)
-    if isinstance(node, P.OrderBy):
-        return P.OrderBy(children[0], node.keys, node.ascending)
     if isinstance(node, P.MapPartitions):
         return P.MapPartitions(children[0], node.fn, node.label)
     raise TypeError(f"unknown plan node {type(node).__name__}")
@@ -287,11 +285,6 @@ def _rewrite_filter(node: P.Filter):
 
     if isinstance(child, P.Union):
         return P.Union([P.Filter(i, predicate) for i in child.inputs])
-
-    if isinstance(child, P.OrderBy):
-        return P.OrderBy(
-            P.Filter(child.child, predicate), child.keys, child.ascending
-        )
 
     if isinstance(child, P.GroupByAgg):
         keys = set(child.keys)
@@ -429,17 +422,6 @@ def _prune(node: P.PlanNode, required: list | None) -> P.PlanNode:
 
     if isinstance(node, P.Limit):
         return P.Limit(_prune(node.child, required), node.n)
-
-    if isinstance(node, P.OrderBy):
-        if required is None:
-            child_req = None
-        else:
-            child_req = _ordered(
-                set(required) | set(node.keys), static_columns(node.child)
-            )
-        return P.OrderBy(
-            _prune(node.child, child_req), node.keys, node.ascending
-        )
 
     if isinstance(node, P.MapPartitions):
         # Opaque function: it may read (or emit) anything.

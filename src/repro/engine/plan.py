@@ -222,20 +222,6 @@ class GroupByAgg(PlanNode):
 
 
 @dataclass
-class OrderBy(PlanNode):
-    child: PlanNode
-    keys: list
-    ascending: bool = True
-
-    def __post_init__(self):
-        self.children = (self.child,)
-
-    def _label(self):
-        direction = "asc" if self.ascending else "desc"
-        return f"OrderBy[{self.keys} {direction}]"
-
-
-@dataclass
 class MapPartitions(PlanNode):
     """Apply ``fn(Partition) -> Partition`` to every partition."""
 

@@ -30,11 +30,10 @@ class Session:
         operator then runs as its own one-step stage, with
         bit-identical results.
     memory_budget:
-        Soft cap (bytes) on what the *materializing* operators —
-        ``order_by`` (its sort buffer) and ``cache`` (its partitions)
-        — may keep resident.  Input beyond the budget spills to disk
-        through the session's :class:`SpillManager` and is restored on
-        demand, so datasets larger than memory still execute; results
+        Soft cap (bytes) on what ``cache``, the one materializing
+        operator, may keep resident.  Partitions beyond the budget
+        spill to disk through the session's :class:`SpillManager` and
+        are restored on demand, so datasets larger than memory still execute; results
         are bit-identical at every budget.  Default ``None``: no cap,
         nothing spills.
     spill_dir:

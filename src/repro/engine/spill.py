@@ -1,10 +1,9 @@
-"""Spill-to-disk: out-of-core execution for materializing operators.
+"""Spill-to-disk: out-of-core execution for the materializing operator.
 
 The engine's narrow operators stream with an O(partition) working set,
-but the materializing operators — ``order_by`` and ``cache`` —
-buffer their whole input.  A
-:class:`SpillManager` (owned by ``Session(memory_budget=...)``) lets
-them trade that residency for disk: partitions are serialized to a
+but ``cache``, the one materializing operator, holds its whole input.
+A :class:`SpillManager` (owned by ``Session(memory_budget=...)``) lets
+it trade that residency for disk: partitions are serialized to a
 compact columnar on-disk format and restored on demand, so datasets
 larger than the budget still execute — the Spark/Petastorm behaviour
 the DESIGN substitution promises (PAPER.md §2, Fig 8).
@@ -84,8 +83,8 @@ class SpillManager:
     """Serializes partitions to a temp directory and restores them.
 
     One manager per :class:`~repro.engine.session.Session`; the
-    ``budget`` (bytes) is advisory state the executor's materializing
-    operators consult to decide *when* to spill — the manager itself
+    ``budget`` (bytes) is advisory state the executor's ``cache``
+    consults to decide *when* to spill — the manager itself
     only moves partitions to and from disk.
     """
 

@@ -44,3 +44,11 @@ def oracle_partitions(node: P.PlanNode) -> list:
 def oracle_columns(df) -> dict:
     """``df.to_columns()`` as the oracle computes it."""
     return dict(Partition.concat(oracle_partitions(df.plan)).columns)
+
+
+def oracle_sorted(columns: dict, keys) -> dict:
+    """``columns`` reordered by a stable in-memory ``lexsort`` over
+    ``keys``, first key most significant (NaN last) — the reference
+    for any output claimed to be in key order."""
+    order = np.lexsort([columns[k] for k in reversed(keys)])
+    return {name: arr[order] for name, arr in columns.items()}

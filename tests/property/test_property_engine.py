@@ -82,15 +82,6 @@ def test_groupby_matches_reference(frame):
 
 @settings(max_examples=40, deadline=None)
 @given(frames())
-def test_order_by_sorted(frame):
-    keys, values, parts = frame
-    df = _df(keys, values, parts)
-    ordered = [r["v"] for r in df.order_by("v").collect()]
-    assert ordered == sorted(values)
-
-
-@settings(max_examples=40, deadline=None)
-@given(frames())
 def test_union_doubles(frame):
     keys, values, parts = frame
     df = _df(keys, values, parts)

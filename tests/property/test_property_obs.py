@@ -45,8 +45,7 @@ def pipelines(draw):
     ops = draw(
         st.lists(
             st.sampled_from(
-                ["filter", "with_column", "select", "limit", "group_by",
-                 "order_by"]
+                ["filter", "with_column", "select", "limit", "group_by"]
             ),
             min_size=0,
             max_size=4,
@@ -80,8 +79,6 @@ def _build(session, frame, ops, limit_n, threshold):
                 df.group_by("k")
                 .agg(agg.sum_("v", "v"), agg.count(name="n"))
             )
-        elif op == "order_by" and "k" in cols:
-            df = df.order_by("k")
     return df
 
 

@@ -2,7 +2,7 @@
 
 Random plans are composed from the full transformation vocabulary
 (project / filter / with_column incl. UDFs / drop / limit / union /
-order_by / group_by) over randomly generated partitioned data,
+group_by) over randomly generated partitioned data,
 and executed twice — optimizer off and optimizer on.  The collected
 rows must be identical (same order, same values, NaN == NaN)."""
 
@@ -45,7 +45,7 @@ def programs(draw):
         if len(columns) > 1:
             choices += ["select", "drop"]
         if "k" in columns:
-            choices += ["order_by", "group_by", "union"]
+            choices += ["group_by", "union"]
         kind = draw(st.sampled_from(choices))
         if kind == "filter":
             target = draw(st.sampled_from(columns))
@@ -75,8 +75,6 @@ def programs(draw):
             columns = [c for c in columns if c != victim]
         elif kind == "limit":
             ops.append(("limit", draw(st.integers(min_value=0, max_value=50))))
-        elif kind == "order_by":
-            ops.append(("order_by", "k"))
         elif kind == "union":
             ops.append(("union",))
         elif kind == "group_by":
@@ -114,8 +112,6 @@ def _run(n, parts, ops, optimize_flag):
             df = df.drop(op[1])
         elif kind == "limit":
             df = df.limit(op[1])
-        elif kind == "order_by":
-            df = df.order_by(op[1])
         elif kind == "union":
             df = df.union(df)
         elif kind == "group_by":

@@ -7,11 +7,12 @@ from repro.core.converter import (
     ClassificationSpec,
     DFFormatter,
     DFToTorchConverter,
+    FrameOrderError,
     RowTransformer,
     SegmentationSpec,
     SpatiotemporalSpec,
 )
-from repro.engine import Session
+from repro.engine import Session, agg
 from repro.spatial import RasterTile
 from repro.tensor import Tensor
 
@@ -137,18 +138,134 @@ class TestSpatiotemporalConversion:
         assert x.numpy().sum() == 5.0
         assert y.numpy()[0, 0, 1, 1] == 7.0
 
-    def test_formatter_orders_time(self, session):
+    def test_unordered_input_raises_typed_error(self, session):
         rows = [
             {"time_step": 5, "cell_id": 0, "count": 6.0},
             {"time_step": 1, "cell_id": 0, "count": 2.0},
             {"time_step": 3, "cell_id": 0, "count": 4.0},
         ]
-        df = session.create_dataframe(rows)
         spec = SpatiotemporalSpec(partitions_x=1, partitions_y=1)
-        formatted = DFFormatter(spec).format(df)
-        parts = list(formatted.iter_partitions())
-        ts = np.concatenate([p.columns["__t"] for p in parts])
-        np.testing.assert_array_equal(ts, [1, 3, 5])
+        # Out of order within one partition: the formatter refuses it.
+        one = Session(default_parallelism=1).create_dataframe(rows)
+        with pytest.raises(FrameOrderError, match=r"group_by\(time, cell\)"):
+            list(DFFormatter(spec).format(one).iter_partitions())
+        # Out of order across partitions: the row transformer does.
+        three = session.create_dataframe(rows)
+        assert three.num_partitions() == 3
+        with pytest.raises(FrameOrderError, match=r"group_by\(time, cell\)"):
+            list(DFToTorchConverter(spec).convert(three))
+        # group_by(time, cell) is the way to an ordered frame.
+        ordered = three.group_by("time_step", "cell_id").agg(
+            agg.sum_("count", "count")
+        )
+        x, y = next(iter(DFToTorchConverter(spec).convert(ordered)))
+        np.testing.assert_array_equal(x.numpy().ravel(), [2.0, 4.0])
+        np.testing.assert_array_equal(y.numpy().ravel(), [4.0, 6.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5])
+    def test_non_integral_time_step_raises(self, bad):
+        # A NaN step used to become a frame stamped INT64_MIN, emitted
+        # first.
+        df = Session(default_parallelism=1).create_dataframe(
+            {
+                "time_step": np.array([0.0, bad, 2.0]),
+                "cell_id": np.array([0, 0, 0]),
+                "count": np.array([1.0, 2.0, 3.0]),
+            }
+        )
+        spec = SpatiotemporalSpec(partitions_x=1, partitions_y=1)
+        with pytest.raises(FrameOrderError, match="not a finite whole number"):
+            list(DFToTorchConverter(spec).convert(df))
+
+    def test_integral_float_steps_accepted(self):
+        df = Session(default_parallelism=1).create_dataframe(
+            {
+                "time_step": np.array([0.0, 1.0, 2.0]),
+                "cell_id": np.array([0, 0, 0]),
+                "count": np.array([1.0, 2.0, 3.0]),
+            }
+        )
+        spec = SpatiotemporalSpec(partitions_x=1, partitions_y=1)
+        x, y = next(iter(DFToTorchConverter(spec).convert(df)))
+        np.testing.assert_array_equal(x.numpy().ravel(), [1.0, 2.0])
+        np.testing.assert_array_equal(y.numpy().ravel(), [2.0, 3.0])
+
+    @pytest.mark.parametrize("cell", [-1, 4])
+    def test_cell_outside_grid_raises(self, session, cell):
+        # -1 used to wrap into cell (1, 1); 4 raised a bare IndexError.
+        df = session.create_dataframe(
+            {
+                "time_step": np.array([0, 1]),
+                "cell_id": np.array([0, cell]),
+                "count": np.array([1.0, 2.0]),
+            }
+        )
+        spec = SpatiotemporalSpec(partitions_x=2, partitions_y=2)
+        with pytest.raises(ValueError, match=r"cell_id must be in \[0, 4\)"):
+            list(DFToTorchConverter(spec).convert(df))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"lead_time": 0},
+            {"lead_time": -1},
+            {"partitions_x": 0},
+            {"partitions_y": 0},
+        ],
+    )
+    def test_spec_rejects_non_positive_sizes(self, kwargs):
+        args = {"partitions_x": 2, "partitions_y": 2, **kwargs}
+        with pytest.raises(ValueError, match="must be positive"):
+            SpatiotemporalSpec(**args)
+
+    def test_transform_runs_on_each_x_frame(self, session):
+        df = self._sparse_df(session)
+        spec = SpatiotemporalSpec(partitions_x=3, partitions_y=2)
+        seen = []
+
+        def double(frame):
+            seen.append(frame.shape)
+            return frame * 2
+
+        converter = DFToTorchConverter(spec)
+        plain = list(converter.convert(df, batch_size=4))
+        doubled = list(converter.convert(df, batch_size=4, transform=double))
+        assert seen == [(1, 2, 3)] * 9
+        for (x, y), (x2, y2) in zip(plain, doubled):
+            np.testing.assert_array_equal(x2.numpy(), 2 * x.numpy())
+            np.testing.assert_array_equal(y2.numpy(), y.numpy())
+
+    def test_shuffle_buffer_rejected(self, session):
+        df = self._sparse_df(session)
+        spec = SpatiotemporalSpec(partitions_x=3, partitions_y=2)
+        with pytest.raises(ValueError, match="shuffle_buffer"):
+            DFToTorchConverter(spec).convert(df, shuffle_buffer=4)
+
+    @pytest.mark.parametrize("parts", [2, 3, 5, 7])
+    def test_step_split_across_partitions_is_one_frame(self, parts):
+        # Repeated (step, cell) rows, -0.0 over a value, a step spread
+        # over several partitions: every split gives the bytes of the
+        # one-partition result, where the later row wins.
+        rows = [
+            (0, 0, 1.0), (1, 0, 5.0), (1, 1, 2.0), (1, 2, 3.0),
+            (1, 0, -0.0), (1, 3, 4.0), (1, 1, 0.0), (2, 3, 6.0),
+            (2, 3, 7.0), (4, 2, 8.0), (4, 0, -1.0),
+        ]
+        data = {
+            "time_step": np.array([r[0] for r in rows]),
+            "cell_id": np.array([r[1] for r in rows]),
+            "count": np.array([r[2] for r in rows]),
+        }
+        spec = SpatiotemporalSpec(partitions_x=2, partitions_y=2)
+
+        def converted(parallelism):
+            df = Session(default_parallelism=parallelism).create_dataframe(data)
+            batches = DFToTorchConverter(spec).convert(df, batch_size=2)
+            return [(x.numpy().tobytes(), y.numpy().tobytes()) for x, y in batches]
+
+        expected = converted(1)
+        assert len(expected) == 2  # frames 0, 1, 2, 4 -> three pairs
+        assert converted(parts) == expected
 
 
 class TestRowTransformer:

@@ -302,15 +302,6 @@ class TestExecutorFastPath:
         out = list(iter_partitions(node))
         assert out[0] is src_part
 
-    def test_order_by_of_all_empty_inputs(self):
-        session = Session(default_parallelism=2)
-        df = session.create_dataframe(
-            {"a": np.array([1, 2], dtype=np.int64)}
-        ).filter(col("a") > 100)
-        out = df.order_by("a").to_columns()
-        assert out["a"].shape == (0,)
-        assert out["a"].dtype == np.int64
-
 
 class TestAnalyzeIntegration:
     def test_compiled_stage_reports_work_and_rows_per_s(self):

@@ -161,7 +161,6 @@ class TestGroupBy:
             df.group_by("g")
             .agg(agg.sum_("y", "total"), agg.mean("x", "avg_x"),
                  agg.min_("x", "lo"), agg.max_("x", "hi"))
-            .order_by("g")
             .collect()
         )
         assert rows[0]["total"] == 0 + 6 + 12 + 18
@@ -173,7 +172,7 @@ class TestGroupBy:
             {"a": [0, 0, 1, 1], "b": [0, 0, 0, 1], "v": [1.0, 2.0, 3.0, 4.0]}
         )
         rows = (
-            out.group_by("a", "b").agg(agg.sum_("v", "s")).order_by("a", "b").collect()
+            out.group_by("a", "b").agg(agg.sum_("v", "s")).collect()
         )
         assert [(r["a"], r["b"], r["s"]) for r in rows] == [
             (0, 0, 3.0), (1, 0, 3.0), (1, 1, 4.0),
@@ -210,19 +209,6 @@ class TestGroupBy:
 
 
 class TestOrderAndShow:
-    def test_order_by(self, session):
-        out = session.create_dataframe({"x": [3, 1, 2]})
-        assert [r["x"] for r in out.order_by("x").collect()] == [1, 2, 3]
-
-    def test_order_by_descending(self, session):
-        out = session.create_dataframe({"x": [3, 1, 2]})
-        assert [r["x"] for r in out.order_by("x", ascending=False).collect()] == [3, 2, 1]
-
-    def test_order_by_multi_key(self, session):
-        out = session.create_dataframe({"a": [1, 0, 1, 0], "b": [1, 2, 0, 1]})
-        rows = out.order_by("a", "b").collect()
-        assert [(r["a"], r["b"]) for r in rows] == [(0, 1), (0, 2), (1, 0), (1, 1)]
-
     def test_show_formats(self, df):
         text = df.show(3)
         assert "x" in text.splitlines()[0]

@@ -31,9 +31,6 @@ class TestEmptyInputs:
     def test_empty_select(self, empty):
         assert empty.select("k").count() == 0
 
-    def test_empty_order_by(self, empty):
-        assert empty.order_by("v").collect() == []
-
     def test_empty_group_by(self, empty):
         assert empty.group_by("k").agg(agg.sum_("v", "s")).collect() == []
 
@@ -83,7 +80,7 @@ class TestDegenerateArguments:
 
     def test_single_row_everything(self, session):
         df = session.create_dataframe({"k": [5], "v": [2.5]})
-        assert df.order_by("v").collect() == [{"k": 5, "v": 2.5}]
+        assert df.collect() == [{"k": 5, "v": 2.5}]
         grouped = df.group_by("k").agg(agg.mean("v", "m")).collect()
         assert grouped[0]["m"] == 2.5
 
@@ -107,7 +104,7 @@ class TestMixedDtypes:
         df = session.create_dataframe(
             {"k": [1.5, 1.5, 2.5], "v": [1.0, 2.0, 3.0]}
         )
-        rows = df.group_by("k").agg(agg.sum_("v", "s")).order_by("k").collect()
+        rows = df.group_by("k").agg(agg.sum_("v", "s")).collect()
         assert rows[0]["s"] == 3.0 and rows[1]["s"] == 3.0
 
     def test_mixed_int_float_keys(self, session):

@@ -4,7 +4,7 @@ not firing, and the vectorized group-by that rode along."""
 import numpy as np
 import pytest
 
-from repro.engine import Session, agg, col, lit, udf
+from repro.engine import Session, agg, col, udf
 from repro.engine import plan as P
 from repro.engine.optimizer import optimize
 
@@ -90,12 +90,6 @@ class TestFilterRules:
         opt = optimize(plan)
         assert isinstance(opt, P.Union)
         assert all(isinstance(i, P.Filter) for i in opt.inputs)
-
-    def test_filter_pushed_below_order_by(self, df):
-        plan = df.order_by("b").filter(col("a") > 2).plan
-        opt = optimize(plan)
-        assert isinstance(opt, P.OrderBy)
-        assert isinstance(opt.child, P.Filter)
 
     def test_key_filter_pushed_below_group_by(self, df):
         plan = (
@@ -223,7 +217,6 @@ class TestColumnPruning:
             df.with_column("d", col("a") * 2)
             .filter(col("d") > 2)
             .select("a", "d", "b")
-            .order_by("a")
         )
         assert out.collect(optimize=True) == out.collect(optimize=False)
 

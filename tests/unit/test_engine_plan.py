@@ -1,6 +1,5 @@
 """Logical plan nodes: labels, tree rendering, dispatch errors."""
 
-import numpy as np
 import pytest
 
 from repro.engine import Session, agg, col
@@ -22,11 +21,10 @@ class TestDescribe:
             .drop("v")
             .group_by("k")
             .agg(agg.sum_("w", "s"))
-            .order_by("s", ascending=False)
             .limit(5)
         )
         text = df.explain()
-        for label in ("Limit[5]", "OrderBy", "GroupByAgg", "Drop[v]",
+        for label in ("Limit[5]", "GroupByAgg", "Drop[v]",
                       "WithColumn[w]", "Filter", "Source"):
             assert label in text
         # Indentation encodes depth.
@@ -63,7 +61,6 @@ class TestDispatch:
 class TestColumnNames:
     def test_through_every_node(self, session):
         df = session.create_dataframe({"a": [1], "b": [2.0]})
-        assert df.order_by("a").columns == ["a", "b"]
         assert df.limit(1).columns == ["a", "b"]
         assert df.union(df).columns == ["a", "b"]
         assert df.cache().columns == ["a", "b"]

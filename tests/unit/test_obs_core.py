@@ -190,7 +190,8 @@ class TestQuerySpans:
 
     def test_parallel_spilled_query_has_one_connected_span_tree(self):
         # Two user threads each run a query under a forced memory
-        # budget at the same time.  Each query's spill spans are all
+        # budget at the same time: a cache filled (spill writes) and
+        # replayed (spill reads) by one union.  Each query's spill spans are all
         # reachable from (and correctly parented under) its own single
         # engine.query root, on its own thread — the tracer's nesting
         # stack is per thread.
@@ -198,13 +199,13 @@ class TestQuerySpans:
 
         def query(slot):
             with Session(memory_budget=1, default_parallelism=4) as session:
-                (
+                cached = (
                     self._frame(session, n=400)
                     .with_column("w", col("v") * 3.0)
                     .filter(col("v") >= 0.0)
-                    .order_by("k")
-                    .collect()
+                    .cache()
                 )
+                cached.union(cached).collect()
                 roots[slot] = session.last_query_span
 
         threads = [threading.Thread(target=query, args=(k,)) for k in range(2)]

@@ -89,12 +89,12 @@ class TestWriteFailures:
             np, "save", lambda *a, **k: (_ for _ in ()).throw(OSError("disk"))
         )
         with pytest.raises(SpillError):
-            df.order_by("x").collect()
+            df.cache().collect()
         monkeypatch.undo()
         # Narrow (non-materializing) work never needed the spill dir.
         assert df.count() == 1000
         # And materializing work recovers once the disk does.
-        out = df.order_by("x").to_columns()
+        out = df.cache().to_columns()
         np.testing.assert_array_equal(out["x"], np.arange(1000))
         session.close()
 

@@ -127,7 +127,7 @@ class TestLifecycle:
         df = session.create_dataframe(
             {"x": np.arange(2000, dtype=np.int64)}, num_partitions=8
         )
-        df.order_by("x").collect()
+        df.cache().collect()
         spill_dir = session.spill_manager.directory
         assert spill_dir is not None and os.path.isdir(spill_dir)
         session.close()
@@ -137,7 +137,7 @@ class TestLifecycle:
         with Session(memory_budget=128, spill_dir=str(tmp_path)) as session:
             session.create_dataframe(
                 {"x": np.arange(2000, dtype=np.int64)}, num_partitions=8
-            ).order_by("x").collect()
+            ).cache().collect()
             spill_dir = session.spill_manager.directory
         assert not os.path.exists(spill_dir)
 
@@ -188,28 +188,37 @@ class TestThreadSafety:
         manager.close()
 
     def test_parallel_session_spill_correct(self, tmp_path):
-        """Two user threads sort through one budgeted session — one
-        SpillManager — at the same time."""
+        """Two user threads each fill (spill) and replay their own
+        cache through one budgeted session — one SpillManager — at the
+        same time."""
         data = {"x": np.random.default_rng(3).permutation(4000)}
         outs = {}
         with Session(memory_budget=2048, spill_dir=str(tmp_path)) as session:
-            df = session.create_dataframe(data, num_partitions=8).order_by("x")
+            source = session.create_dataframe(data, num_partitions=8)
             assert session.spill_manager is not None  # created before sharing
+            start = threading.Barrier(2)
 
-            def sort(slot):
-                outs[slot] = df.to_columns()["x"]
+            def fill_and_replay(slot):
+                cached = source.cache()
+                start.wait(timeout=60)
+                fill = cached.to_columns()["x"]
+                outs[slot] = (fill, cached.to_columns()["x"])
 
             threads = [
-                threading.Thread(target=sort, args=(k,)) for k in range(2)
+                threading.Thread(target=fill_and_replay, args=(k,))
+                for k in range(2)
             ]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=60)
-            assert session.spill_manager.stats()["partitions_spilled"] > 0
+            # Every 4 000-byte partition is over the budget: both fills
+            # spill all eight.
+            assert session.spill_manager.stats()["partitions_spilled"] == 16
         assert sorted(outs) == [0, 1]
-        for out in outs.values():
-            np.testing.assert_array_equal(out, np.arange(4000))
+        for fill, replay in outs.values():
+            np.testing.assert_array_equal(fill, data["x"])
+            np.testing.assert_array_equal(replay, data["x"])
 
 
 class TestObservability:
@@ -217,7 +226,7 @@ class TestObservability:
         with Session(memory_budget=256, spill_dir=str(tmp_path)) as session:
             df = session.create_dataframe(
                 {"x": np.arange(2000, dtype=np.int64)}, num_partitions=8
-            ).order_by("x")
+            ).cache()
             rendered = df.explain(analyze=True)
         assert "spilled=" in rendered
 
@@ -225,15 +234,15 @@ class TestObservability:
         session = Session()
         df = session.create_dataframe(
             {"x": np.arange(100, dtype=np.int64)}, num_partitions=4
-        ).order_by("x")
+        ).cache()
         assert "spilled=" not in df.explain(analyze=True)
 
 
 class TestHeterogeneousDtypes:
-    def test_order_by_mixed_dtype_partitions_match_unbounded(self, tmp_path):
-        """Union of an int32 column with a float64 one: the spilled
-        sort falls back to restore-all so promotion matches the
-        in-memory whole-input concat exactly."""
+    def test_cache_mixed_dtype_partitions_match_unbounded(self, tmp_path):
+        """Union of an int32 column with a float64 one: each spilled
+        partition restores in its own dtype, so the replay's concat
+        promotes exactly like the in-memory one."""
 
         def build(session):
             left = session.create_dataframe(
@@ -242,7 +251,9 @@ class TestHeterogeneousDtypes:
             right = session.create_dataframe(
                 {"x": np.linspace(-200.0, 200.0, 400)}, num_partitions=4
             )
-            return left.union(right).order_by("x").to_columns()
+            cached = left.union(right).cache()
+            cached.count()
+            return cached.to_columns()
 
         reference = build(Session())
         with Session(memory_budget=512, spill_dir=str(tmp_path)) as spilling:

@@ -169,6 +169,19 @@ class TestGridArray:
         tensor = STManager.get_st_grid_array(st, 1, 1, num_steps=2)
         assert tensor.sum() == 1.0
 
+    @pytest.mark.parametrize("cell", [-1, 4])
+    def test_cell_outside_grid_raises(self, session, cell):
+        # -1 used to wrap into the last cell; 4 raised a bare IndexError.
+        st = session.create_dataframe(
+            {
+                "time_step": np.array([0, 0]),
+                "cell_id": np.array([0, cell]),
+                "count": np.array([1, 2]),
+            }
+        )
+        with pytest.raises(ValueError, match=r"cell_id must be in \[0, 4\)"):
+            STManager.get_st_grid_array(st, 2, 2, num_steps=1)
+
     def test_write_read_roundtrip(self, tmp_path):
         tensor = np.arange(24, dtype=np.float32).reshape(2, 3, 4, 1)
         path = STManager.write_st_grid_array(tensor, str(tmp_path / "t"))
@@ -227,6 +240,31 @@ class TestGridUpdate:
         assert out is tensor
         assert out[0, 0, 0, 0] == 1.0
         assert out.sum() == 1.0  # step 99 and -1 dropped, like the rebuild
+
+    @pytest.mark.parametrize("cell", [-1, 4])
+    def test_cell_outside_grid_leaves_tensor_unchanged(self, session, cell):
+        # The bad cell sits in the second part: the first part must not
+        # have been written when the delta is refused.
+        tensor = self._tensor()
+        tensor[:] = 7.0
+        delta = session.create_dataframe(
+            {
+                "time_step": np.array([0, 1]),
+                "cell_id": np.array([0, cell]),
+                "count": np.array([2.0, 5.0]),
+            },
+            num_partitions=2,
+        )
+        assert delta.num_partitions() == 2
+        with pytest.raises(ValueError, match=r"cell_id must be in \[0, 4\)"):
+            STManager.update_st_grid_array(tensor, delta, 2, 2)
+        assert (tensor == 7.0).all()
+        # Nor is a growing delta's tensor swapped for a larger one.
+        with pytest.raises(ValueError, match="cell_id"):
+            STManager.update_st_grid_array(
+                tensor, self._delta([9], [cell], [1.0]), 2, 2
+            )
+        assert (tensor == 7.0).all()
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
