@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo health check, ten gates:
+# Repo health check, eight gates:
 #   1. lint: ruff check (config in pyproject.toml); skipped with a
 #      note when ruff is not installed in the environment; plus one
 #      grep: nothing under src/repro/spatial/ may name zipfile,
@@ -7,17 +7,7 @@
 #      (tests/data/golden_v1.rtif pins its bytes), not an npz archive
 #   2. tier-1: the full test suite (what the roadmap pins)
 #   3. fast lane: unit tests minus anything marked slow
-#   4. spill lane: the spill suites, the cache + STManager suites
-#      (get_st_grid_dataframe caches its aggregate) and the group-state
-#      form tests (code-addressed vs sorted, the stream that re-packs
-#      and compacts, the metered group-by) and the spatial-join suites
-#      (the cell-table probe vs the scalar tree walk, the join vs the
-#      per-row oracle, a join feeding a group-by), again under a
-#      forced REPRO_TEST_MEMORY_BUDGET (read by tests/conftest.py,
-#      which hands the budget to every Session a test builds without
-#      one), so the cache's over-budget (spilling) branch runs even
-#      where a test forgot to pass memory_budget=
-#   5. traced lane: the training + trace suites again under a forced
+#   4. traced lane: the training + trace suites again under a forced
 #      REPRO_TRACE=1, so every Trainer.fit in those tests runs through
 #      the tape record / guard / fallback / replay path (replay re-runs
 #      the recorded eager ops) instead of the plain eager loop; with
@@ -25,23 +15,17 @@
 #      the same hits, misses and flat retained bytes when replayed, and
 #      the tiled-conv and fused-kernel properties, so replayed steps run
 #      through the image-tiled conv forward and the packed gate backward
-#   6. streaming lane: the streaming unit + property suites again
-#      under a forced memory budget, so incremental ingestion runs
-#      with spill-capable sessions; with them the group-state
-#      insertion tests (reserved buffers vs the copying oracle,
-#      in-place merges, the packed key index) and the code-addressed
-#      vs sorted form property
-#   7. pipeline smoke: benchmarks/pipeline/run.py --smoke runs the five
+#   5. pipeline smoke: benchmarks/pipeline/run.py --smoke runs the five
 #      BENCHMARK.json workloads end to end at reduced size (~12 s),
 #      each checked against its numpy oracle
-#   8. bench smoke: benchmarks/run_quick.py runs to completion and
+#   6. bench smoke: benchmarks/run_quick.py runs to completion and
 #      regenerates BENCH_engine.json (incl. per-operator breakdown)
-#   9. bench diff: the fresh BENCH_engine.json must not regress the
+#   7. bench diff: the fresh BENCH_engine.json must not regress the
 #      watched keys (obs overhead, ConvLSTM epoch time,
 #      peak activation bytes,
 #      streaming update speedup + p99 latency) >25% vs the committed
 #      one; stream_update_speedup must stay above an absolute 10x floor
-#  10. join ablation: benchmarks/bench_ablation_join.py (~3 s) joins
+#   8. join ablation: benchmarks/bench_ablation_join.py (~3 s) joins
 #      20k points to 768 rectangles and 1 536 triangles with and
 #      without the STR-tree — same kernel, different candidates — and
 #      requires identical matches and brute force > 3x the indexed arm
@@ -66,19 +50,6 @@ python -m pytest -x -q
 echo "== fast lane: unit, not slow =="
 python -m pytest tests/unit -q -m "not slow"
 
-echo "== spill lane: forced memory budget =="
-REPRO_TEST_MEMORY_BUDGET=4096 python -m pytest -q \
-    tests/unit/test_spill_manager.py \
-    tests/unit/test_spill_faults.py \
-    tests/unit/test_engine_cache.py \
-    tests/unit/test_st_manager.py \
-    tests/property/test_property_spill.py \
-    tests/property/test_property_group_state.py \
-    tests/unit/test_streaming.py::TestCodeAddressedStream \
-    tests/unit/test_streaming.py::TestReservedGroupBuffers::test_meter_returns_to_baseline_after_budgeted_group_by \
-    tests/unit/test_spatial_index.py \
-    tests/property/test_property_spatial_join.py
-
 echo "== traced lane: forced REPRO_TRACE =="
 REPRO_TRACE=1 python -m pytest -q \
     tests/unit/test_training.py \
@@ -87,14 +58,6 @@ REPRO_TRACE=1 python -m pytest -q \
     tests/property/test_property_trace.py \
     tests/property/test_property_conv_tiles.py \
     tests/property/test_property_fused.py
-
-echo "== streaming lane: budgeted sessions =="
-REPRO_TEST_MEMORY_BUDGET=4096 python -m pytest -q \
-    tests/unit/test_streaming.py \
-    tests/property/test_property_streaming.py \
-    tests/property/test_property_group_state.py \
-    tests/unit/test_engine_edge_cases.py::TestMergeInPlace \
-    tests/property/test_property_engine.py::test_packed_key_index_equals_unique_axis0_oracle
 
 echo "== pipeline smoke: five workloads end to end =="
 python benchmarks/pipeline/run.py --smoke

@@ -56,13 +56,10 @@ every key type; non-numeric keys are dictionary-coded).  Both report
 through the attached ``MemoryMeter``.  The group-by emits one
 partition in ascending key order for numeric keys, which is the order
 the spatiotemporal converter requires; there is no sort operator.
-``cache``, the one materializing operator, is parameterised by
-``Session(memory_budget=bytes)``: partitions beyond the budget spill
-to disk through the session's :class:`repro.engine.spill.SpillManager`;
-with no budget nothing spills.  Results are bit-identical at every
-budget.  Spill failures surface as :class:`SpillError`; activity lands in
-``repro.obs`` under ``engine.spill.*`` and as ``spilled=`` in
-``explain(analyze=True)``.
+``cache`` keeps what it holds in memory, on the meter; a meter with
+``cap_bytes`` refuses an allocation over the cap with
+:class:`repro.utils.memory.MemoryBudgetExceeded` and leaves the cache
+cold.
 
 Every action is metered by :mod:`repro.obs` (on by default, one
 switch, per-partition cost only): per-operator rows / partitions /
@@ -76,7 +73,6 @@ from repro.engine.dataframe import DataFrame
 from repro.engine.expressions import col, lit, udf
 from repro.engine.schema import Schema, Field
 from repro.engine.partition import Partition
-from repro.engine.spill import SpillError
 from repro.engine import aggregates as agg
 
 __all__ = [
@@ -88,6 +84,5 @@ __all__ = [
     "Schema",
     "Field",
     "Partition",
-    "SpillError",
     "agg",
 ]

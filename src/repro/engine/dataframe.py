@@ -174,10 +174,7 @@ class DataFrame:
         return self._observed_partitions(plan)
 
     def _run(self, plan: P.PlanNode, stats):
-        session = self.session
-        return iter_partitions(
-            plan, meter=session.meter, stats=stats, spill=session.spill_manager
-        )
+        return iter_partitions(plan, meter=self.session.meter, stats=stats)
 
     def _observed_partitions(self, plan: P.PlanNode):
         from repro import obs
@@ -192,8 +189,8 @@ class DataFrame:
         obs.registry.counter("engine.queries").inc()
         # The query span stays open on this thread's stack while the
         # consumer pulls partitions, so every span opened during
-        # execution (spill I/O) nests under it: one connected tree per
-        # query.
+        # execution (a map_partitions body's) nests under it: one
+        # connected tree per query.
         span = obs.tracer.start_span("engine.query")
         span.set("query_id", query_id)
         try:

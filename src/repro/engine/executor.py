@@ -12,11 +12,8 @@ is pulled, so the working set stays O(partition).
 
 Wide operators hold only their *state*: the per-group accumulator
 arrays for aggregation, and the cached partitions for cache — the one
-materializing operator, as Spark's ``persist``.  A cache is
-parameterised by the session memory budget: what exceeds it spills to
-disk through the session's SpillManager; with no budget nothing ever
-exceeds it and the same code runs entirely in memory.  Results are
-bit-identical at every budget.
+materializing operator, as Spark's ``persist``.  A cache keeps what it
+holds in memory, on the session's meter.
 
 Group-by is vectorized end to end: it keeps per-group accumulator
 *arrays* (:class:`~repro.engine.aggregates.ArrayGroupState`), packs
@@ -35,7 +32,6 @@ Every operator runs on the calling thread.
 
 from __future__ import annotations
 
-import math
 import time
 import weakref
 
@@ -43,26 +39,17 @@ from repro.engine import plan as P
 from repro.engine.aggregates import ArrayGroupState
 from repro.engine.compile import _FUSABLE, stage_runner
 from repro.engine.optimizer import static_columns
-from repro.engine.partition import Partition
 
 
 class _ExecContext:
     """Per-execution state threaded through the operator tree: the
-    memory meter, the PlanStats observer and the session's SpillManager
-    (out-of-core execution)."""
+    memory meter and the PlanStats observer."""
 
-    __slots__ = ("meter", "stats", "spill")
+    __slots__ = ("meter", "stats")
 
-    def __init__(self, meter, stats, spill=None):
+    def __init__(self, meter, stats):
         self.meter = meter
         self.stats = stats
-        self.spill = spill
-
-    def note_spill(self, node: P.PlanNode, nbytes: int) -> None:
-        """Credit spilled bytes to the operator that wrote them, for
-        the ``spilled=`` annotation in ``explain(analyze=True)``."""
-        if self.stats is not None:
-            self.stats.add_spill(node, nbytes)
 
     def iterate(self, node: P.PlanNode):
         if self.stats is None:
@@ -70,7 +57,7 @@ class _ExecContext:
         return self.stats.observe(node, _iter_node(node, self))
 
 
-def iter_partitions(node: P.PlanNode, meter=None, stats=None, spill=None):
+def iter_partitions(node: P.PlanNode, meter=None, stats=None):
     """Yield the partitions produced by a plan node.
 
     ``stats`` (a :class:`repro.obs.PlanStats`) meters every operator
@@ -80,15 +67,8 @@ def iter_partitions(node: P.PlanNode, meter=None, stats=None, spill=None):
     path.  Metering only observes pulled partitions; it never touches
     their contents, so traced results are bit-identical to untraced
     ones.
-
-    ``spill`` (a :class:`repro.engine.spill.SpillManager` with a
-    ``budget``) bounds ``cache``, the one operator that buffers its
-    input: it keeps at most the budget resident and spills the rest
-    to disk, producing results bit-identical to running with no budget
-    (``spill=None``), which is the same code with nothing ever over
-    budget.
     """
-    return _ExecContext(meter, stats, spill).iterate(node)
+    return _ExecContext(meter, stats).iterate(node)
 
 
 #: Nodes run by a StageRunner: a fused chain, or a narrow operator the
@@ -133,26 +113,18 @@ def _run_stage(node: P.PlanNode, ctx: _ExecContext):
         yield out
 
 
-def _drop_cached(meter, nbytes: int, spill, handles: list) -> None:
-    """Give back what a cache holds: its resident bytes on the meter,
-    its spilled partitions' files on disk."""
+def _release(meter, nbytes: int) -> None:
     if meter is not None:
         meter.release(nbytes)
-    for handle in handles:
-        spill.release(handle)
 
 
 def _fill_cache(node: P.Cache, ctx: _ExecContext):
-    """The cold pass: hand each partition on as it arrives and keep it
-    (on disk once the budget is full).  The node turns hot only when
-    its child is exhausted, so a consumer that stops early leaves it
-    cold and holding nothing.  What a hot node holds is given back
-    when the node is collected."""
+    """The cold pass: hand each partition on as it arrives and keep it.
+    The node turns hot only when its child is exhausted, so a consumer
+    that stops early (or a meter cap that refuses a partition) leaves
+    it cold and holding nothing.  What a hot node holds goes back on
+    the meter when the node is collected."""
     meter = ctx.meter
-    # Without a budget nothing ever exceeds it: the cache never spills.
-    budget = math.inf
-    if ctx.spill is not None and ctx.spill.budget is not None:
-        budget = max(1, ctx.spill.budget)
     entries = []
     resident = metered = 0
     try:
@@ -163,13 +135,8 @@ def _fill_cache(node: P.Cache, ctx: _ExecContext):
             if meter is not None:
                 meter.allocate(resident - metered)
             metered = resident
-            nbytes = part.nbytes
-            if resident + nbytes > budget:
-                entries.append(ctx.spill.spill(part))
-                ctx.note_spill(node, nbytes)
-            else:
-                resident += nbytes
-                entries.append(part)
+            resident += part.nbytes
+            entries.append(part)
             yield part
         if meter is not None:
             meter.allocate(resident - metered)
@@ -177,39 +144,17 @@ def _fill_cache(node: P.Cache, ctx: _ExecContext):
         if node.materialized is None:
             node.materialized = entries
     finally:
-        handles = [e for e in entries if not isinstance(e, Partition)]
         if node.materialized is entries:
-            weakref.finalize(
-                node, _drop_cached, meter, metered, ctx.spill, handles
-            )
+            weakref.finalize(node, _release, meter, metered)
         else:
-            _drop_cached(meter, metered, ctx.spill, handles)
+            _release(meter, metered)
 
 
 def _run_cache(node: P.Cache, ctx: _ExecContext):
     if node.materialized is None:
         yield from _fill_cache(node, ctx)
-        return
-    meter = ctx.meter
-    for entry in node.materialized:
-        if isinstance(entry, Partition):
-            yield entry
-            continue
-        if ctx.spill is None:
-            from repro.engine.spill import SpillError
-
-            raise SpillError(
-                "cache was spilled under a memory budget; replaying it "
-                "requires the owning session's spill manager"
-            )
-        part = ctx.spill.restore(entry)
-        if meter is not None:
-            meter.allocate(part.nbytes)
-        try:
-            yield part
-        finally:
-            if meter is not None:
-                meter.release(part.nbytes)
+    else:
+        yield from node.materialized
 
 
 def _run_source(node: P.Source, ctx: _ExecContext):
@@ -268,24 +213,26 @@ def _run_group_by(node: P.GroupByAgg, ctx: _ExecContext):
     meter = ctx.meter
     keys = node.keys
     state = ArrayGroupState(node.aggs)
-    state_nbytes = 0
-
-    for part in ctx.iterate(node.child):
-        state.update([part.columns[k] for k in keys], part)
-        if meter is not None:
-            new_nbytes = state.nbytes
-            meter.allocate(new_nbytes - state_nbytes)
-            state_nbytes = new_nbytes
-
-    out = state.to_partition(keys)
-    if meter is not None:
-        meter.release(state_nbytes)
-        meter.allocate(out.nbytes)
+    # Bytes this operator has on the meter: the state, then the output.
+    # Given back however the query ends, a refused allocation included.
+    held = 0
     try:
+        for part in ctx.iterate(node.child):
+            state.update([part.columns[k] for k in keys], part)
+            if meter is not None:
+                nbytes = state.nbytes
+                meter.allocate(nbytes - held)
+                held = nbytes
+
+        out = state.to_partition(keys)
+        if meter is not None:
+            meter.release(held)
+            held = 0
+            meter.allocate(out.nbytes)
+            held = out.nbytes
         yield out
     finally:
-        if meter is not None:
-            meter.release(out.nbytes)
+        _release(meter, held)
 
 
 def plan_column_names(node: P.PlanNode) -> list[str]:

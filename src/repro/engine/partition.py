@@ -62,8 +62,7 @@ class Partition:
         Object columns count their element payloads (sampled, so the
         estimate stays O(1) per column) on top of the pointer array —
         a flat per-pointer constant undercounts string/geometry columns
-        badly, which would let spill budgets overshoot by the payload
-        size.
+        badly, which would let the memory meter miss the payload size.
         """
         total = 0
         for arr in self.columns.values():

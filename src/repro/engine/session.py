@@ -22,23 +22,16 @@ class Session:
         How many partitions ``create_dataframe`` splits local data into.
     meter:
         Optional :class:`MemoryMeter` observing the engine working set
-        (used by the Figure 8 bench).
+        (used by the Figure 8 bench).  A meter with ``cap_bytes`` is the
+        engine's memory cap: a query it refuses raises
+        :class:`~repro.utils.memory.MemoryBudgetExceeded` and leaves the
+        meter as it found it.
     optimize:
         Run the rule-based logical-plan optimizer and the stage
         compiler before executing (default on).  Turn off for ablation
         benchmarks or to debug a plan exactly as written — each narrow
         operator then runs as its own one-step stage, with
         bit-identical results.
-    memory_budget:
-        Soft cap (bytes) on what ``cache``, the one materializing
-        operator, may keep resident.  Partitions beyond the budget
-        spill to disk through the session's :class:`SpillManager` and
-        are restored on demand, so datasets larger than memory still execute; results
-        are bit-identical at every budget.  Default ``None``: no cap,
-        nothing spills.
-    spill_dir:
-        Parent directory for the spill temp dir (default: the system
-        temp dir).  Only consulted when something actually spills.
     """
 
     def __init__(
@@ -46,18 +39,11 @@ class Session:
         default_parallelism: int = 4,
         meter: MemoryMeter | None = None,
         optimize: bool = True,
-        memory_budget: int | None = None,
-        spill_dir: str | None = None,
     ):
         check_positive(default_parallelism, "default_parallelism")
-        if memory_budget is not None:
-            check_positive(memory_budget, "memory_budget")
         self.default_parallelism = default_parallelism
         self.meter = meter
         self.optimize = optimize
-        self.memory_budget = memory_budget
-        self.spill_dir = spill_dir
-        self._spill_manager = None
         # Most recent metered execution (set by DataFrame actions when
         # repro.obs is enabled): the executed plan, its PlanStats, the
         # query id the session assigned, and the finished query span.
@@ -73,37 +59,6 @@ class Session:
         span."""
         self._query_seq += 1
         return self._query_seq
-
-    # ------------------------------------------------------------------
-    # Spill lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def spill_manager(self):
-        """The session's :class:`~repro.engine.spill.SpillManager`, or
-        ``None`` when no memory budget is set (never spill)."""
-        if self.memory_budget is None:
-            return None
-        if self._spill_manager is None:
-            from repro.engine.spill import SpillManager
-
-            self._spill_manager = SpillManager(
-                budget=self.memory_budget, root=self.spill_dir
-            )
-        return self._spill_manager
-
-    def close(self) -> None:
-        """Release session resources: deletes the spill directory and
-        every spilled partition.  Idempotent; the session remains
-        usable afterwards (a new spill dir is created on demand)."""
-        manager, self._spill_manager = self._spill_manager, None
-        if manager is not None:
-            manager.close()
-
-    def __enter__(self) -> "Session":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # DataFrame creation

@@ -40,7 +40,6 @@ class NodeStats:
         "elapsed_s",
         "peak_partition_bytes",
         "work_s",
-        "spilled_bytes",
     )
 
     def __init__(self):
@@ -49,7 +48,6 @@ class NodeStats:
         self.elapsed_s = 0.0
         self.peak_partition_bytes = 0
         self.work_s = 0.0
-        self.spilled_bytes = 0
 
 
 class PlanStats:
@@ -71,13 +69,6 @@ class PlanStats:
         stats = self.node(plan_node)
         with self._lock:
             stats.work_s += seconds
-
-    def add_spill(self, plan_node, nbytes: int) -> None:
-        """Credit bytes a materializing operator spilled to disk under
-        a memory budget.  Thread-safe, same contract as add_work."""
-        stats = self.node(plan_node)
-        with self._lock:
-            stats.spilled_bytes += nbytes
 
     def observe(self, plan_node, partitions):
         """Wrap an operator's partition generator, metering each pull."""
@@ -132,8 +123,6 @@ class PlanStats:
                 fields.append(
                     f"rows_per_s={stats.rows_out / stats.work_s:.0f}"
                 )
-            if stats.spilled_bytes > 0:
-                fields.append(f"spilled={stats.spilled_bytes}")
             line = f"{pad}{plan_node._label()}  ({' '.join(fields)})"
         lines = [line]
         for child in children:
@@ -156,8 +145,6 @@ class PlanStats:
             out["peak_partition_bytes"] = stats.peak_partition_bytes
             if stats.work_s > 0:
                 out["work_s"] = stats.work_s
-            if stats.spilled_bytes > 0:
-                out["spilled_bytes"] = stats.spilled_bytes
         children = [self.to_dict(c) for c in getattr(plan_node, "children", ())]
         if children:
             out["children"] = children
@@ -187,10 +174,6 @@ class PlanStats:
             registry.counter(f"{prefix}.seconds").inc(stats.elapsed_s)
             if stats.work_s > 0:
                 registry.counter(f"{prefix}.work_seconds").inc(stats.work_s)
-            if stats.spilled_bytes > 0:
-                registry.counter(f"{prefix}.spilled_bytes").inc(
-                    stats.spilled_bytes
-                )
             registry.gauge(f"{prefix}.peak_partition_bytes").set_max(
                 stats.peak_partition_bytes
             )

@@ -10,8 +10,8 @@ overhead beyond one attribute check.
 
 Trace context crosses threads.  Every span carries a process-unique
 ``span_id`` plus its parent's id, and the tracer keeps one nesting
-stack *per thread*, so user threads, spill I/O, and DataLoader fetches
-each nest correctly on their own thread.  To attach a span opened on
+stack *per thread*, so user threads and DataLoader fetches each nest
+correctly on their own thread.  To attach a span opened on
 another thread to a parent on this one, capture the parent
 (``tracer.current``) before handing the work over and pass it as
 ``tracer.span(name, parent=captured)`` — the child lands in the

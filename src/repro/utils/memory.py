@@ -62,14 +62,17 @@ class MemoryMeter:
         self.peak = 0
 
     def allocate(self, nbytes: int) -> None:
-        self.current += int(nbytes)
-        if self.current > self.peak:
-            self.peak = self.current
-        if self.cap_bytes is not None and self.current > self.cap_bytes:
+        """Count ``nbytes`` more.  An allocation over the cap is refused
+        before it is counted: ``current`` and ``peak`` stay as they were."""
+        current = self.current + int(nbytes)
+        if self.cap_bytes is not None and current > self.cap_bytes:
             raise MemoryBudgetExceeded(
-                f"working set {self.current} bytes exceeds cap "
+                f"working set {current} bytes exceeds cap "
                 f"{self.cap_bytes} bytes"
             )
+        self.current = current
+        if current > self.peak:
+            self.peak = current
 
     def allocate_obj(self, obj) -> int:
         nbytes = approx_nbytes(obj)

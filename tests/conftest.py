@@ -2,13 +2,8 @@
 
 from __future__ import annotations
 
-import functools
-import os
-
 import numpy as np
 import pytest
-
-from repro.engine import Session
 
 
 def pytest_collection_modifyitems(items):
@@ -18,25 +13,6 @@ def pytest_collection_modifyitems(items):
         path = str(getattr(item, "path", getattr(item, "fspath", "")))
         if "/tests/property/" in path.replace("\\", "/"):
             item.add_marker(pytest.mark.property)
-
-
-@pytest.fixture(autouse=True)
-def forced_memory_budget(monkeypatch):
-    """``REPRO_TEST_MEMORY_BUDGET=<bytes>`` gives every ``Session`` a
-    test builds without an explicit ``memory_budget`` that budget, so
-    the spill and streaming lanes of ``scripts/check.sh`` run the
-    out-of-core branches on small fixtures.  The variable is read here,
-    per ``Session()`` call, never by production code."""
-    init = Session.__init__
-
-    @functools.wraps(init)
-    def init_with_forced_budget(self, *args, **kwargs):
-        forced = os.environ.get("REPRO_TEST_MEMORY_BUDGET")
-        if forced and kwargs.get("memory_budget") is None:
-            kwargs["memory_budget"] = int(forced)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Session, "__init__", init_with_forced_budget)
 
 
 @pytest.fixture

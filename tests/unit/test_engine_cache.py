@@ -1,26 +1,18 @@
 """DataFrame.cache(): persist-and-replay semantics."""
 
 import gc
-import os
 
 import numpy as np
 import pytest
 
 from repro.engine import Session, col
 from repro.engine import plan as P
-from repro.utils.memory import MemoryMeter
+from repro.utils.memory import MemoryBudgetExceeded, MemoryMeter
 
 
 @pytest.fixture
 def session():
     return Session(default_parallelism=3)
-
-
-@pytest.fixture
-def unbudgeted(monkeypatch):
-    """Byte-exact meter assertions hold with everything resident: keep
-    the spill lane's forced budget out of the sessions a test builds."""
-    monkeypatch.delenv("REPRO_TEST_MEMORY_BUDGET", raising=False)
 
 
 def _pipeline(session):
@@ -123,11 +115,11 @@ class TestCache:
             cached.to_columns()["z"][cached.to_columns()["z"] > 0],
         )
 
-    def test_early_stop_leaves_the_node_cold(self, tmp_path):
+    def test_early_stop_leaves_the_node_cold(self):
         """A consumer that stops before the child is exhausted (limit /
         take) must not leave a half-filled cache behind: the node stays
-        cold, holds nothing on the meter or on disk, and the next full
-        action fills it."""
+        cold, holds nothing on the meter, and the next full action
+        fills it."""
         calls = []
 
         def spy(part):
@@ -135,10 +127,7 @@ class TestCache:
             return part
 
         meter = MemoryMeter()
-        session = Session(
-            default_parallelism=4, meter=meter,
-            memory_budget=64, spill_dir=str(tmp_path),
-        )
+        session = Session(default_parallelism=4, meter=meter)
         cached = (
             session.create_dataframe({"x": np.arange(40, dtype=np.int64)})
             .map_partitions(spy)
@@ -148,8 +137,6 @@ class TestCache:
         assert len(calls) == 1  # the fill streams: one partition pulled
         assert "Cache[cold]" in cached.explain()
         assert meter.current == 0
-        spill_dir = session.spill_manager.directory
-        assert spill_dir is None or os.listdir(spill_dir) == []
         # A limit that lands on a partition boundary pulls none extra.
         assert len(cached.take(10)) == 10
         assert len(calls) == 2
@@ -159,13 +146,12 @@ class TestCache:
         assert len(calls) == 2 + 4
         np.testing.assert_array_equal(cached.to_columns()["x"], np.arange(40))
         assert len(calls) == 2 + 4
-        session.close()
 
     def test_downstream_ops_work(self, session):
         df = session.create_dataframe({"x": np.arange(10)}).cache()
         assert df.filter(col("x") > 7).count() == 2
 
-    def test_cached_memory_stays_resident(self, unbudgeted):
+    def test_cached_memory_stays_resident(self):
         meter = MemoryMeter()
         metered = Session(default_parallelism=2, meter=meter)
         df = metered.create_dataframe(
@@ -178,9 +164,7 @@ class TestCache:
         assert meter.current == 1000 * 8
         assert meter.peak == 1000 * 8
 
-    def test_cached_memory_released_when_the_node_is_collected(
-        self, unbudgeted
-    ):
+    def test_cached_memory_released_when_the_node_is_collected(self):
         meter = MemoryMeter()
         metered = Session(default_parallelism=2, meter=meter)
         meter.allocate(100)  # somebody else's bytes stay put
@@ -199,21 +183,27 @@ class TestCache:
         gc.collect()
         assert meter.current == 100
 
-    def test_spilled_cache_files_deleted_with_the_node(self, tmp_path):
-        session = Session(
-            default_parallelism=4, memory_budget=64, spill_dir=str(tmp_path)
-        )
-        df = session.create_dataframe(
-            {"x": np.arange(400, dtype=np.int64)}
+    def test_refused_fill_leaves_the_node_cold_and_the_meter_as_found(self):
+        """A meter cap that refuses the cold pass mid-fill leaves the
+        meter at its pre-query value and the node cold; an uncapped
+        retry fills it with what an uncapped cache holds."""
+        meter = MemoryMeter(cap_bytes=5000)
+        session = Session(default_parallelism=4, meter=meter)
+        cached = session.create_dataframe(
+            {"x": np.arange(1000, dtype=np.int64)}
         ).cache()
-        assert df.count() == 400
-        spill_dir = session.spill_manager.directory
-        assert len(os.listdir(spill_dir)) == 4
-        session.last_plan = None
-        del df
-        gc.collect()
-        assert os.listdir(spill_dir) == []
-        session.close()
+        with pytest.raises(MemoryBudgetExceeded):
+            cached.count()
+        assert meter.current == 0
+        assert cached.plan.materialized is None
+        assert "Cache[cold]" in cached.explain()
+        meter.cap_bytes = None
+        assert cached.count() == 1000
+        assert meter.current == 1000 * 8
+        assert "Cache[hot]" in cached.explain()
+        got = cached.to_columns()["x"]
+        assert got.dtype == np.int64
+        assert got.tobytes() == np.arange(1000, dtype=np.int64).tobytes()
 
     def test_explain_shows_state(self, session):
         df = session.create_dataframe({"x": [1]}).cache()

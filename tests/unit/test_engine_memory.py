@@ -45,8 +45,11 @@ class TestMemoryMeter:
     def test_cap_raises(self):
         meter = MemoryMeter(cap_bytes=100)
         meter.allocate(90)
-        with pytest.raises(MemoryBudgetExceeded):
+        with pytest.raises(MemoryBudgetExceeded, match="110 bytes"):
             meter.allocate(20)
+        # The refused allocation is not counted.
+        assert meter.current == 90
+        assert meter.peak == 90
 
     def test_allocate_obj(self):
         meter = MemoryMeter()
@@ -100,3 +103,27 @@ class TestEngineStreaming:
         df = session.create_dataframe({"x": np.arange(1000)})
         df.count()
         assert meter.current == 0
+
+    def test_refused_group_by_gives_its_state_back(self):
+        """A cap that refuses the group-by's state mid-query leaves the
+        meter where the query found it, and an uncapped retry gives the
+        uncapped result bit for bit."""
+        data = {"k": np.arange(8000, dtype=np.int64)}
+        expected = (
+            Session(default_parallelism=8)
+            .create_dataframe(data).group_by("k").agg(agg.count())
+            .to_columns()
+        )
+        meter = MemoryMeter(cap_bytes=40_000)
+        session = Session(default_parallelism=8, meter=meter)
+        grouped = session.create_dataframe(data).group_by("k").agg(agg.count())
+        with pytest.raises(MemoryBudgetExceeded):
+            grouped.count()
+        assert meter.current == 0
+        meter.cap_bytes = None
+        got = grouped.to_columns()
+        assert meter.current == 0
+        assert list(got) == list(expected)
+        for name in expected:
+            assert got[name].dtype == expected[name].dtype
+            assert got[name].tobytes() == expected[name].tobytes()

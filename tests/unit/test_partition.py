@@ -117,9 +117,9 @@ class TestOperations:
 
     def test_nbytes_counts_object_payloads(self):
         """Regression: a flat per-pointer constant undercounted object
-        columns (1 KB strings estimated at 56 B/row), letting spill
-        budgets overshoot by the payload size.  The estimate must land
-        within 2x of the pickled size."""
+        columns (1 KB strings estimated at 56 B/row), so the memory
+        meter missed the payload size.  The estimate must land within
+        2x of the pickled size."""
         import pickle
 
         strings = np.empty(200, dtype=object)

@@ -46,12 +46,9 @@ ALLOWED = {
     "agg.sum_": "paper aggregate kind",
     "agg.min_": "paper aggregate kind",
     "agg.max_": "paper aggregate kind",
-    # Named by callers only when something goes wrong.
-    "engine.SpillError": "the typed error a failed spill raises",
     # Plumbing between Session and DataFrame, which share a package, so
     # the only callers there can be do not count.
     "Session.next_query_id": "DataFrame's metered actions draw ids from it",
-    "Session.spill_manager": "DataFrame hands it to the executor",
     # The observability switches and the report: what a run's
     # measurement reads or flips, not what the pipeline computes.
     "obs.export": "the report reads it: to_chrome_trace and dump_json",

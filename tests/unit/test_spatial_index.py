@@ -216,8 +216,7 @@ class TestCellTable:
     def test_join_over_clustered_zones_feeds_group_by(self, rng):
         """Many small triangles in one cluster plus a few that cover the
         extent (the case a uniform grid handles worst), joined and then
-        counted per zone.  ``scripts/check.sh``'s spill lane runs this
-        with a memory budget on the session."""
+        counted per zone."""
         centres = rng.normal(5, 0.3, (300, 1, 2))
         zones = [
             Polygon([tuple(v) for v in tri])

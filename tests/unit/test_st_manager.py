@@ -387,43 +387,44 @@ class TestCachedGridFrame:
         got = {(r["time_step"], r["cell_id"]): r["count"] for r in st.collect()}
         assert got == {(0, 0): 1, (0, 3): 1, (1, 4): 1}
 
-    def test_spills_under_a_budget_smaller_than_the_aggregate(
-        self, rng, tmp_path
-    ):
-        from repro.engine.executor import iter_partitions
-        from repro.engine.spill import SpillError
+    def test_capped_meter_refusal_leaves_the_aggregate_cold(self, rng):
+        """A meter cap one byte under the uncapped peak refuses the
+        query where the aggregate is built.  The meter is back where
+        the query found it, the cache is cold, and an uncapped retry
+        yields the uncapped frame and tensor bit for bit."""
+        from repro.utils.memory import MemoryBudgetExceeded, MemoryMeter
 
         records = _records(rng)
-        expected = STManager.get_st_grid_array(
-            _grid_frame(Session(default_parallelism=3, memory_budget=1 << 30),
-                        records),
-            4, 2, value_columns=["count", "mean_fare"],
-        ).copy()
-        session = Session(
-            default_parallelism=3, memory_budget=64, spill_dir=str(tmp_path)
+        reference = MemoryMeter()
+        expected_df = _grid_frame(
+            Session(default_parallelism=3, meter=reference), records
         )
-        st_df = _grid_frame(session, records)
-        for _ in range(2):  # cold, then restored from disk
+        expected = STManager.get_st_grid_array(
+            expected_df, 4, 2, value_columns=["count", "mean_fare"]
+        ).copy()
+        expected_parts = _snapshot(expected_df)
+
+        meter = MemoryMeter(cap_bytes=reference.peak - 1)
+        st_df = _grid_frame(Session(default_parallelism=3, meter=meter), records)
+        with pytest.raises(MemoryBudgetExceeded):
+            STManager.get_st_grid_array(st_df, 4, 2)
+        assert meter.current == 0
+        assert st_df.plan.materialized is None
+        meter.cap_bytes = None
+        for _ in range(2):  # cold, then replayed
             tensor = STManager.get_st_grid_array(
                 st_df, 4, 2, value_columns=["count", "mean_fare"]
             )
-            np.testing.assert_array_equal(tensor, expected)
+            assert tensor.tobytes() == expected.tobytes()
             STManager.release_st_grid_array(tensor)
-        assert session.spill_manager.stats()["partitions_spilled"] == 1
-        assert session.spill_manager.stats()["bytes_restored"] > 0
-        with pytest.raises(SpillError, match="spill manager"):
-            list(iter_partitions(st_df.plan))
-        session.close()
+        assert _snapshot(st_df) == expected_parts
 
-    def test_meter_returns_to_baseline_when_grids_are_dropped(
-        self, rng, monkeypatch
-    ):
+    def test_meter_returns_to_baseline_when_grids_are_dropped(self, rng):
         import gc
 
         from repro.engine.dataframe import DataFrame
         from repro.utils.memory import MemoryMeter
 
-        monkeypatch.delenv("REPRO_TEST_MEMORY_BUDGET", raising=False)
         records = _records(rng)
         meter = MemoryMeter()
         session = Session(default_parallelism=3, meter=meter)

@@ -399,7 +399,7 @@ class TestReservedGroupBuffers:
             monkeypatch.setattr(executor, "ArrayGroupState", form)
             meter = MemoryMeter()
             meter.allocate(100)  # somebody else's bytes stay put
-            session = Session(meter=meter, memory_budget=1 << 20)
+            session = Session(meter=meter)
             factories = [lambda c=c: Partition(c) for c in columns]
             schema = Schema([("k", np.int64), ("v", np.float64)])
             out = (
