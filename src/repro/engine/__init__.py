@@ -9,46 +9,33 @@ model mirrors PySpark:
   ``union``) build the plan;
 - actions (``collect``, ``count``, ``to_columns``, ``show``) execute it.
 
-Execution is partition-at-a-time: narrow operator chains are fused and
-stream one partition through the whole chain before the next is
-touched, so the working set is O(partition + result), not O(dataset) —
-the property the paper's Figure 8 attributes to Spark/Sedona.  A
+Execution is partition-at-a-time: narrow operators stream one
+partition through the whole chain before the next is touched, so the
+working set is O(partition + result), not O(dataset) — the property
+the paper's Figure 8 attributes to Spark/Sedona.  A
 :class:`repro.utils.memory.MemoryMeter` can be attached to observe (or
 cap) that working set.
 
-Before execution, plans pass through a rule-based logical optimizer
-(:mod:`repro.engine.optimizer`, default on; disable per session with
-``Session(optimize=False)`` or per action with
-``df.collect(optimize=False)``).  The rules:
+Before execution, every plan passes through a rule-based logical
+optimizer (:mod:`repro.engine.optimizer`) with two rewrites:
 
 - **Column pruning** — every operator is asked for only the columns
-  its ancestors actually read; sources get a projection inserted above
-  them, wide ``Project``/``WithColumn`` chains shed unused outputs.
-- **Predicate pushdown** — filters move below ``Project`` /
-  ``WithColumn`` (by substituting the column definitions into the
-  predicate, never duplicating UDFs), below ``Drop``/``Union``, and
-  into ``GroupByAgg`` when key-only.
-- **Fusion** — adjacent ``Filter`` nodes AND-combine;
-  ``Project∘Project`` collapses via substitution; ``WithColumn``
-  chains fuse into one :class:`repro.engine.plan.WithColumns`.
-- **Limit pushdown** — ``Limit`` fuses with ``Limit`` and moves below
-  row-count-preserving narrow ops.
+  its ancestors actually read; sources and filter inputs get a
+  narrowing projection, wide ``Project``/``WithColumn`` chains shed
+  unused outputs.
+- **Fusion** — ``WithColumn`` chains fuse into one
+  :class:`repro.engine.plan.WithColumns`.
 
-``Cache`` and ``MapPartitions`` are optimization barriers: nothing is
-pushed through either (the first holds materialized state under its
-full schema, the second is schema-opaque).  The plan *beneath* a
-``Cache`` is the optimized, compiled plan of the DataFrame
-``cache()`` was called on.  Inspect what the optimizer did with
-``df.explain(optimized=True)``, which renders the plan as written and
-the rewritten plan.
+``Cache`` and ``MapPartitions`` are optimization barriers (the first
+holds materialized state under its full schema, the second is
+schema-opaque).  The plan *beneath* a ``Cache`` is the optimized plan
+of the DataFrame ``cache()`` was called on.  Inspect what the
+optimizer did with ``df.explain(optimized=True)``, which renders the
+plan as written and the rewritten plan.
 
-After the logical rewrite, a physical-planning pass
-(:func:`repro.engine.compile.compile_stages`) fuses each run of narrow
-operators into one compiled stage; :mod:`repro.engine.compile` is the
-one evaluator for every narrow operator the executor runs (a narrow
-node the pass never saw — ``optimize=False`` — runs as a one-step
-stage).  ``Expr.evaluate`` remains as the public
-tree-walker for evaluating a single expression on a partition.
+The executor runs each narrow operator node by node with
+``Expr.evaluate``; a filter computes its selection once and gathers
+every column with it.
 
 The ops whose state is O(dataset), not O(partition): ``cache`` (keeps
 results resident) and ``group_by().agg`` (one vectorized state for

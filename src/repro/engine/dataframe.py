@@ -8,7 +8,9 @@ from repro.engine import plan as P
 from repro.engine.aggregates import AggSpec
 from repro.engine.executor import iter_partitions, plan_column_names
 from repro.engine.expressions import Column, Expr
+from repro.engine.optimizer import optimize
 from repro.engine.partition import Partition
+from repro.utils.validation import check_non_negative
 
 
 class DataFrame:
@@ -39,12 +41,11 @@ class DataFrame:
         the plan after the rule-based optimizer has rewritten it.
 
         With ``analyze=True``, *execute* the plan (as the session
-        would run it, optimizer and stage compiler included) and
-        render the executed tree annotated with live per-operator
-        statistics — rows in/out, partitions, cumulative wall time,
-        the largest partition each operator emitted, and for compiled
-        stages the pure compute time and rows/sec (Spark's ``EXPLAIN
-        ANALYZE``)."""
+        would run it, optimizer included) and render the executed tree
+        annotated with live per-operator statistics — rows in/out,
+        partitions, cumulative wall time, the largest partition each
+        operator emitted, and for narrow operators the pure compute
+        time and rows/sec (Spark's ``EXPLAIN ANALYZE``)."""
         if analyze:
             from repro.obs import PlanStats
 
@@ -60,7 +61,7 @@ class DataFrame:
             "== Logical Plan ==\n"
             + self.plan.describe()
             + "\n== Optimized Plan ==\n"
-            + self._execution_plan(optimize=True).describe()
+            + self._execution_plan().describe()
         )
 
     def __repr__(self):
@@ -107,6 +108,10 @@ class DataFrame:
         return self._wrap(P.Union([self.plan, other.plan]))
 
     def limit(self, n: int) -> "DataFrame":
+        """The first ``n`` rows; ``n`` must be a non-negative integer."""
+        if not isinstance(n, (int, np.integer)):
+            raise ValueError(f"limit must be an integer, got {n!r}")
+        check_non_negative(n, "limit")
         return self._wrap(P.Limit(self.plan, int(n)))
 
     def group_by(self, *keys) -> "GroupedDataFrame":
@@ -125,38 +130,24 @@ class DataFrame:
         keeping the partitions resident for as long as a DataFrame
         built on the cache is alive.
 
-        What sits beneath the cache is the plan this DataFrame would
-        execute — optimized and stage-compiled (or as written under
-        ``Session(optimize=False)``) — so the cold pass costs what the
-        uncached action does; nothing is pushed through the cache,
-        which holds this DataFrame's full schema."""
+        What sits beneath the cache is the optimized plan this
+        DataFrame would execute, so the cold pass costs what the
+        uncached action does; the cache holds this DataFrame's full
+        schema, and pruning above it stops at it."""
         return self._wrap(P.Cache(self._execution_plan()))
 
     # ------------------------------------------------------------------
     # Actions (eager)
     # ------------------------------------------------------------------
-    def _execution_plan(self, optimize: bool | None = None) -> P.PlanNode:
-        """The plan actually executed: optimized, with narrow chains
-        collapsed into compiled stages — or exactly as written when
-        optimization is turned off on the call or the session.
-
-        The optimized plan is memoized per DataFrame: plans are
-        immutable, and reusing the same physical tree across actions
-        keeps compiled-stage state (dtype records, scratch pools,
-        literal caches) warm for repeated executions such as
-        per-epoch iteration."""
-        if optimize is None:
-            optimize = getattr(self.session, "optimize", True)
-        if not optimize:
-            return self.plan
+    def _execution_plan(self) -> P.PlanNode:
+        """The plan actually executed: the optimized plan, memoized per
+        DataFrame (plans are immutable, so every action runs the same
+        tree)."""
         if self._optimized_plan is None:
-            from repro.engine.compile import compile_stages
-            from repro.engine.optimizer import optimize as _optimize
-
-            self._optimized_plan = compile_stages(_optimize(self.plan))
+            self._optimized_plan = optimize(self.plan)
         return self._optimized_plan
 
-    def iter_partitions(self, optimize: bool | None = None):
+    def iter_partitions(self):
         """Stream result partitions (the out-of-core access path used
         by the DFtoTorch converter).
 
@@ -168,7 +159,7 @@ class DataFrame:
         and clocks only — results are identical either way."""
         from repro import obs
 
-        plan = self._execution_plan(optimize)
+        plan = self._execution_plan()
         if not obs.enabled():
             return self._run(plan, None)
         return self._observed_partitions(plan)
@@ -202,10 +193,10 @@ class DataFrame:
             obs.tracer.end_span(span)
             session.last_query_span = span
 
-    def collect(self, optimize: bool | None = None) -> list[dict]:
+    def collect(self) -> list[dict]:
         """Materialize all rows as dicts (test/debug path)."""
         rows = []
-        for part in self.iter_partitions(optimize):
+        for part in self.iter_partitions():
             rows.extend(part.rows())
         return rows
 

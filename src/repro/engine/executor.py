@@ -2,10 +2,9 @@
 
 Every operator has exactly one implementation here.
 
-Narrow operators (project / filter / with_column / drop) run as
-*stages* — a fused :class:`~repro.engine.plan.CompiledStage`, or a
-one-step stage for a narrow node the stage compiler never saw — through
-:class:`~repro.engine.compile.StageRunner`.  Together with
+Narrow operators (project / filter / with_column / drop) run node by
+node, each expression through ``Expr.evaluate``; a filter computes its
+selection once and gathers every column with it.  Together with
 map_partitions / union / limit they are fully pipelined: one input
 partition is pulled, transformed, yielded, and released before the next
 is pulled, so the working set stays O(partition).
@@ -35,10 +34,12 @@ from __future__ import annotations
 import time
 import weakref
 
+import numpy as np
+
 from repro.engine import plan as P
 from repro.engine.aggregates import ArrayGroupState
-from repro.engine.compile import _FUSABLE, stage_runner
 from repro.engine.optimizer import static_columns
+from repro.engine.partition import Partition
 
 
 class _ExecContext:
@@ -71,19 +72,13 @@ def iter_partitions(node: P.PlanNode, meter=None, stats=None):
     return _ExecContext(meter, stats).iterate(node)
 
 
-#: Nodes run by a StageRunner: a fused chain, or a narrow operator the
-#: stage compiler never saw (``optimize=False``, a drop-only chain),
-#: which runs as a one-step stage.
-_STAGES = (P.CompiledStage, *_FUSABLE)
-
-
 def _iter_node(node: P.PlanNode, ctx: _ExecContext):
     if isinstance(node, P.Source):
         yield from _run_source(node, ctx)
     elif isinstance(node, P.StreamingSource):
         yield from _run_streaming_source(node, ctx)
-    elif isinstance(node, _STAGES):
-        yield from _run_stage(node, ctx)
+    elif type(node) in _NARROW:
+        yield from _run_narrow(node, ctx)
     elif isinstance(node, P.Union):
         for child in node.inputs:
             yield from ctx.iterate(child)
@@ -100,15 +95,68 @@ def _iter_node(node: P.PlanNode, ctx: _ExecContext):
         raise TypeError(f"unknown plan node {type(node).__name__}")
 
 
-def _run_stage(node: P.PlanNode, ctx: _ExecContext):
-    runner = stage_runner(node)
+def _filter(node: P.Filter, part: Partition) -> Partition:
+    mask = node.predicate.evaluate(part)
+    if mask.dtype != np.bool_:
+        raise TypeError(
+            f"filter predicate {node.predicate.name!r} evaluates to "
+            f"{mask.dtype}, not bool"
+        )
+    if mask.all():
+        return part  # nothing to drop: no copies
+    # One selection vector, applied with ``take``: boolean fancy
+    # indexing rescans the mask per column, while flatnonzero scans it
+    # once and ``take`` is a straight gather.
+    idx = np.flatnonzero(mask)
+    return Partition._from_arrays(
+        {name: arr.take(idx, axis=0) for name, arr in part.columns.items()},
+        len(idx),
+    )
+
+
+def _project(node: P.Project, part: Partition) -> Partition:
+    return Partition._from_arrays(
+        {name: expr.evaluate(part) for name, expr in node.exprs},
+        part.num_rows,
+    )
+
+
+def _with_columns(node, part: Partition) -> Partition:
+    """Items apply in order, each seeing the ones before it; a name
+    that exists already is replaced in its position."""
+    cols = dict(part.columns)
+    for name, expr in node.items:
+        cols[name] = expr.evaluate(Partition._from_arrays(cols, part.num_rows))
+    return Partition._from_arrays(cols, part.num_rows)
+
+
+def _drop(node: P.Drop, part: Partition) -> Partition:
+    dropped = set(node.names)
+    return Partition._from_arrays(
+        {n: a for n, a in part.columns.items() if n not in dropped},
+        part.num_rows,
+    )
+
+
+#: Narrow operators: one partition in, one partition out.
+_NARROW = {
+    P.Filter: _filter,
+    P.Project: _project,
+    P.WithColumn: _with_columns,
+    P.WithColumns: _with_columns,
+    P.Drop: _drop,
+}
+
+
+def _run_narrow(node: P.PlanNode, ctx: _ExecContext):
+    apply = _NARROW[type(node)]
     stats = ctx.stats
     for part in ctx.iterate(node.child):
         started = time.perf_counter()
-        out = runner(part)
+        out = apply(node, part)
         if stats is not None:
             # Pure compute time (excluding child pulls), so
-            # explain(analyze=True) can report per-stage rows/sec.
+            # explain(analyze=True) can report per-operator rows/sec.
             stats.add_work(node, time.perf_counter() - started)
         yield out
 

@@ -17,10 +17,8 @@ class Expr:
     name: str = "expr"
 
     def evaluate(self, partition: Partition) -> np.ndarray:
-        """Tree-walking evaluation over one partition.  The executor
-        runs the flat program :meth:`emit` produces instead; this is
-        the public single-expression evaluator and the reference the
-        tests hold the compiled programs to."""
+        """Tree-walking evaluation over one partition: the one
+        evaluator the executor runs every narrow operator with."""
         raise NotImplementedError
 
     def alias(self, name: str) -> "Expr":
@@ -30,23 +28,6 @@ class Expr:
     def references(self) -> set:
         """Names of the columns this expression reads."""
         return set()
-
-    def has_udf(self) -> bool:
-        """Whether a user function occurs anywhere in the tree.  UDFs
-        are treated as expensive/opaque: the optimizer never duplicates
-        them via substitution."""
-        return False
-
-    def substitute(self, mapping: dict) -> "Expr":
-        """Return a copy with ``Column`` references replaced by the
-        expressions in ``mapping`` (names absent from the mapping are
-        left as-is)."""
-        return self
-
-    def emit(self, program: list) -> None:
-        """Append this node's flat postfix instructions to ``program``
-        (see :mod:`repro.engine.compile` for the instruction set)."""
-        raise NotImplementedError
 
     # -- operator sugar -------------------------------------------------
     def _binary(self, other, fn, symbol):
@@ -130,12 +111,6 @@ class Column(Expr):
     def references(self) -> set:
         return {self.name}
 
-    def substitute(self, mapping: dict) -> Expr:
-        return mapping.get(self.name, self)
-
-    def emit(self, program: list) -> None:
-        program.append(("col", self.name))
-
     def __repr__(self):
         return f"col({self.name!r})"
 
@@ -154,19 +129,8 @@ class Literal(Expr):
             return out
         return np.full(partition.num_rows, self.value)
 
-    def emit(self, program: list) -> None:
-        program.append(("lit", self.value))
-
     def __repr__(self):
         return self.name
-
-
-def _operator_instruction(fn, nin: int, symbol: str) -> tuple:
-    """Numpy ufuncs get the replayable ``ufunc`` instruction; any other
-    function is a plain ``call``, like a UDF."""
-    if isinstance(fn, np.ufunc):
-        return ("ufunc", fn, nin)
-    return ("call", fn, nin, symbol)
 
 
 class BinaryOp(Expr):
@@ -182,22 +146,6 @@ class BinaryOp(Expr):
 
     def references(self) -> set:
         return self.left.references() | self.right.references()
-
-    def has_udf(self) -> bool:
-        return self.left.has_udf() or self.right.has_udf()
-
-    def substitute(self, mapping: dict) -> Expr:
-        return BinaryOp(
-            self.left.substitute(mapping),
-            self.right.substitute(mapping),
-            self.fn,
-            self.symbol,
-        )
-
-    def emit(self, program: list) -> None:
-        self.left.emit(program)
-        self.right.emit(program)
-        program.append(_operator_instruction(self.fn, 2, self.symbol))
 
     def __repr__(self):
         return self.name
@@ -216,16 +164,6 @@ class UnaryOp(Expr):
     def references(self) -> set:
         return self.operand.references()
 
-    def has_udf(self) -> bool:
-        return self.operand.has_udf()
-
-    def substitute(self, mapping: dict) -> Expr:
-        return UnaryOp(self.operand.substitute(mapping), self.fn, self.symbol)
-
-    def emit(self, program: list) -> None:
-        self.operand.emit(program)
-        program.append(_operator_instruction(self.fn, 1, self.symbol))
-
     def __repr__(self):
         return self.name
 
@@ -240,15 +178,6 @@ class Alias(Expr):
 
     def references(self) -> set:
         return self.inner.references()
-
-    def has_udf(self) -> bool:
-        return self.inner.has_udf()
-
-    def substitute(self, mapping: dict) -> Expr:
-        return Alias(self.inner.substitute(mapping), self.name)
-
-    def emit(self, program: list) -> None:
-        self.inner.emit(program)
 
     def __repr__(self):
         return f"{self.inner!r}.alias({self.name!r})"
@@ -267,21 +196,6 @@ class VectorUdf(Expr):
         for expr in self.inputs:
             refs |= expr.references()
         return refs
-
-    def has_udf(self) -> bool:
-        return True
-
-    def substitute(self, mapping: dict) -> Expr:
-        return VectorUdf(
-            self.fn,
-            [expr.substitute(mapping) for expr in self.inputs],
-            name=self.name,
-        )
-
-    def emit(self, program: list) -> None:
-        for expr in self.inputs:
-            expr.emit(program)
-        program.append(("call", self.fn, len(self.inputs), self.name))
 
     def evaluate(self, partition: Partition) -> np.ndarray:
         args = [expr.evaluate(partition) for expr in self.inputs]

@@ -48,7 +48,7 @@ class Partition:
     @classmethod
     def _from_arrays(cls, columns: dict, num_rows: int) -> "Partition":
         """Wrap already-validated numpy arrays without re-checking
-        lengths (hot path: the compiled stage runner builds every
+        lengths (hot path: the executor's narrow operators build every
         output partition through here)."""
         part = cls.__new__(cls)
         part.columns = columns

@@ -109,6 +109,11 @@ class WithColumn(PlanNode):
     def __post_init__(self):
         self.children = (self.child,)
 
+    @property
+    def items(self) -> list:
+        """The one ``(name, Expr)`` step, in :class:`WithColumns` form."""
+        return [(self.name, self.expr)]
+
     def _label(self):
         return f"WithColumn[{self.name}]"
 
@@ -143,45 +148,6 @@ class Drop(PlanNode):
 
     def _label(self):
         return f"Drop[{', '.join(self.names)}]"
-
-
-@dataclass
-class CompiledStage(PlanNode):
-    """A maximal chain of narrow operators fused into one compiled
-    physical stage (see :mod:`repro.engine.compile`).
-
-    Produced by the physical-planning pass (never by the DataFrame
-    API): ``steps`` is the ordered list of ``("filter", Expr)`` /
-    ``("project", [(name, Expr)])`` / ``("with_columns", [(name,
-    Expr)])`` / ``("drop", [names])`` steps, applied bottom-up.  The
-    executor runs the whole chain as one per-partition call —
-    predicate first, selection applied once, projections computed over
-    surviving rows only.
-    """
-
-    child: PlanNode
-    steps: list
-
-    def __post_init__(self):
-        self.children = (self.child,)
-        self._runner = None  # built lazily by repro.engine.compile
-
-    def _label(self):
-        bits = []
-        for kind, payload in self.steps:
-            if kind == "filter":
-                bits.append(f"Filter({payload.name})")
-            elif kind == "project":
-                bits.append(
-                    f"Project({', '.join(name for name, _ in payload)})"
-                )
-            elif kind == "with_columns":
-                bits.append(
-                    f"WithColumns({', '.join(name for name, _ in payload)})"
-                )
-            else:
-                bits.append(f"Drop({', '.join(payload)})")
-        return f"CompiledStage[{' -> '.join(bits)}]"
 
 
 @dataclass

@@ -26,24 +26,16 @@ class Session:
         engine's memory cap: a query it refuses raises
         :class:`~repro.utils.memory.MemoryBudgetExceeded` and leaves the
         meter as it found it.
-    optimize:
-        Run the rule-based logical-plan optimizer and the stage
-        compiler before executing (default on).  Turn off for ablation
-        benchmarks or to debug a plan exactly as written — each narrow
-        operator then runs as its own one-step stage, with
-        bit-identical results.
     """
 
     def __init__(
         self,
         default_parallelism: int = 4,
         meter: MemoryMeter | None = None,
-        optimize: bool = True,
     ):
         check_positive(default_parallelism, "default_parallelism")
         self.default_parallelism = default_parallelism
         self.meter = meter
-        self.optimize = optimize
         # Most recent metered execution (set by DataFrame actions when
         # repro.obs is enabled): the executed plan, its PlanStats, the
         # query id the session assigned, and the finished query span.

@@ -20,7 +20,7 @@ Semantics worth pinning down:
 - A node that was never pulled (e.g. below an exhausted ``Limit``)
   still renders, with zero partitions.
 - ``work_s`` is *pure compute* time, reported only by operators that
-  measure it themselves (compiled stages).  ``add_work`` takes a
+  measure it themselves (the narrow operators).  ``add_work`` takes a
   lock, so threads sharing one ``PlanStats`` lose no update.
 """
 

@@ -160,9 +160,15 @@ def grad_feature_major(grad, gfm) -> np.ndarray:
 def conv_dw(gfm, cols, w_shape) -> np.ndarray:
     """Weight gradient in ``(F, C, KH, KW)`` order, in an array that owns
     its memory (the accumulator may adopt it as ``weight.grad``, and the
-    pool takes it back later).  ``cols @ gfm.T``: faster gemm, same bits."""
+    pool takes it back later).  In float32 ``cols @ gfm.T``: faster gemm,
+    same bits.  A float64 gemm of the transposed shape can round
+    differently (AVX-512 dgemm kernels do), so float64 keeps ``gfm @
+    cols.T``."""
     dw = default_pool().acquire(w_shape, cols.dtype)
-    np.copyto(dw.reshape(w_shape[0], -1), np.dot(cols, gfm.T).T)
+    if cols.dtype == np.float32:
+        np.copyto(dw.reshape(w_shape[0], -1), np.dot(cols, gfm.T).T)
+    else:
+        np.dot(gfm, cols.T, out=dw.reshape(w_shape[0], -1))
     return dw
 
 

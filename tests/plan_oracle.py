@@ -1,10 +1,12 @@
 """Reference evaluator for narrow logical plans.
 
-Walks a DataFrame's *logical* plan exactly as written and evaluates
-every expression with the tree-walking ``Expr.evaluate`` — no
-optimizer, no stage compiler, no ``CompiledExpr``.  The engine's own
-executor runs every narrow operator through compiled stages, so this is
-the independent oracle the compile tests hold it to, bit for bit.
+Walks a DataFrame's *logical* plan exactly as written — no optimizer —
+and evaluates every expression with the tree-walking ``Expr.evaluate``,
+through ``Partition``'s own ``mask`` / ``with_column`` / ``drop``.  The
+executor runs the optimized plan with its own operator code (one
+selection vector per filter, partitions built without re-validation),
+so this is the reference the narrow-operator tests hold it to, bit for
+bit.
 """
 
 from __future__ import annotations

@@ -3,14 +3,17 @@
 Random plans are composed from the full transformation vocabulary
 (project / filter / with_column incl. UDFs / drop / limit / union /
 group_by) over randomly generated partitioned data,
-and executed twice — optimizer off and optimizer on.  The collected
-rows must be identical (same order, same values, NaN == NaN)."""
+and executed twice — the plan as written, straight through
+``executor.iter_partitions``, and the optimized plan every action
+runs.  The collected rows must be identical (same order, same values,
+NaN == NaN)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Session, agg, col, udf
+from repro.engine.executor import iter_partitions
 
 
 def _rows_equal(a, b) -> bool:
@@ -84,8 +87,8 @@ def programs(draw):
     return n, parts, ops
 
 
-def _run(n, parts, ops, optimize_flag):
-    session = Session(default_parallelism=parts, optimize=optimize_flag)
+def _build(n, parts, ops):
+    session = Session(default_parallelism=parts)
     rng = np.random.default_rng(7)
     df = session.create_dataframe(
         {
@@ -118,13 +121,12 @@ def _run(n, parts, ops, optimize_flag):
             df = df.group_by("k").agg(
                 agg.sum_(op[1], "s"), agg.count(name="n")
             )
-    return df.collect()
+    return df
 
 
 @settings(max_examples=60, deadline=None)
 @given(programs())
 def test_optimized_equals_unoptimized(program):
-    n, parts, ops = program
-    baseline = _run(n, parts, ops, optimize_flag=False)
-    optimized = _run(n, parts, ops, optimize_flag=True)
-    assert _rows_equal(baseline, optimized)
+    df = _build(*program)
+    baseline = [row for part in iter_partitions(df.plan) for row in part.rows()]
+    assert _rows_equal(baseline, df.collect())

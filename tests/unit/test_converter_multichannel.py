@@ -147,9 +147,7 @@ class TestOneFrameManyConsumers:
         assert group_bys.value - before == 1
         # The plan beneath the cache, run as an ordinary frame: four
         # actions, four aggregations, the same bits.
-        uncached = DataFrame(
-            Session(default_parallelism=2, optimize=False), st_df.plan.child
-        )
+        uncached = DataFrame(Session(default_parallelism=2), st_df.plan.child)
         ref_tensors, ref_epochs = consume(uncached)
         assert group_bys.value - before == 1 + 4
         for got, ref in zip(tensors + tensors[:1], ref_tensors + tensors[1:]):

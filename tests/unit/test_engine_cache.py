@@ -58,29 +58,25 @@ class TestCache:
         assert df.columns == ["x", "y"]
 
     def test_narrow_ops_beneath_cache_same_bits_as_uncached(self):
-        """What sits beneath a Cache is what the uncached DataFrame
-        would execute — optimized and stage-compiled, or as written
-        under ``optimize=False`` — with the same bits, cold and hot."""
-        for optimize in (True, False):
-            session = Session(default_parallelism=3, optimize=optimize)
-            uncached = _pipeline(session)
-            expected = uncached.to_columns()
-            cached = _pipeline(session).cache()
-            beneath = cached.plan.child.describe()
-            assert beneath == uncached._execution_plan().describe()
-            assert beneath.startswith(
-                "CompiledStage[" if optimize else "Drop["
-            )
-            assert "Cache[cold]" in cached.explain()
-            for _ in range(2):
-                got = cached.to_columns()
-                assert "Cache[hot]" in cached.explain()
-                assert list(got) == list(expected)
-                for name in got:
-                    assert got[name].dtype == expected[name].dtype
-                    np.testing.assert_array_equal(got[name], expected[name])
+        """What sits beneath a Cache is the optimized plan the uncached
+        DataFrame would execute, with the same bits, cold and hot."""
+        session = Session(default_parallelism=3)
+        uncached = _pipeline(session)
+        expected = uncached.to_columns()
+        cached = _pipeline(session).cache()
+        beneath = cached.plan.child.describe()
+        assert beneath == uncached._execution_plan().describe()
+        assert beneath.startswith("Drop[x]\n  Project[y]\n    WithColumns[y]")
+        assert "Cache[cold]" in cached.explain()
+        for _ in range(2):
+            got = cached.to_columns()
+            assert "Cache[hot]" in cached.explain()
+            assert list(got) == list(expected)
+            for name in got:
+                assert got[name].dtype == expected[name].dtype
+                np.testing.assert_array_equal(got[name], expected[name])
 
-    def test_analyze_shows_the_compiled_chain_beneath_a_cold_cache(
+    def test_analyze_shows_the_executed_chain_beneath_a_cold_cache(
         self, session
     ):
         def chain(df):
@@ -88,18 +84,20 @@ class TestCache:
             return [
                 line.split("  (")[0].strip()
                 for line in rendered.splitlines()
-                if "CompiledStage" in line or "Source" in line
+                if "Cache" not in line and "==" not in line
             ]
 
-        assert chain(_pipeline(session).cache()) == chain(_pipeline(session))
+        expected = chain(_pipeline(session))
+        assert expected[0] == "Drop[x]" and expected[-1].startswith("Source[")
+        assert chain(_pipeline(session).cache()) == expected
 
     def test_pruned_beneath_but_nothing_pushed_through(self, session):
         cached = _pipeline(session).with_column("z", col("y") * 2).cache()
         stage = cached.plan.child
-        # Pruning reached the scan: the unused source column is cut in
-        # the stage's first projection.
-        assert isinstance(stage, P.CompiledStage)
-        assert "waste" not in stage.describe()
+        # Pruning reached the scan: the unused source column is cut by
+        # a projection right above it.
+        assert isinstance(stage, P.WithColumns)
+        assert "Project[x, f]\n" in stage.describe()
         cached.count()
         node = cached.plan
         narrowed = cached.select("z").filter(col("z") > 0)
@@ -107,7 +105,8 @@ class TestCache:
         # The hot node survives the optimizer with its subtree and
         # keeps its full schema: the projection and the filter stay
         # above it.
-        assert executed.child is node and node.child is stage
+        assert isinstance(executed, P.Filter)
+        assert executed.child.child is node and node.child is stage
         assert len(node.materialized) == 3
         assert all(list(p.columns) == ["y", "z"] for p in cached.iter_partitions())
         np.testing.assert_array_equal(

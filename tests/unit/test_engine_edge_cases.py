@@ -73,6 +73,20 @@ class TestDegenerateArguments:
         df = session.create_dataframe({"x": [1, 2, 3]})
         assert df.limit(100).count() == 3
 
+    @pytest.mark.parametrize("n", [-1, 1.5, 2.0, "2"])
+    def test_limit_rejects_negative_or_non_integer(self, session, n):
+        """A negative limit used to return no rows and 1.5 used to
+        truncate to 1; both are caller errors."""
+        df = session.create_dataframe({"x": [1, 2, 3]})
+        with pytest.raises(ValueError, match="limit"):
+            df.limit(n)
+        with pytest.raises(ValueError, match="limit"):
+            df.take(n)
+
+    def test_limit_takes_numpy_integers(self, session):
+        df = session.create_dataframe({"x": [1, 2, 3]})
+        assert df.limit(np.int64(2)).count() == 2
+
     def test_filter_all_out_then_group(self, session):
         df = session.create_dataframe({"k": [1, 2], "v": [1.0, 2.0]})
         out = df.filter(col("v") > 100).group_by("k").count()

@@ -1,11 +1,13 @@
-"""The logical-plan optimizer: each rule firing, each rule correctly
-not firing, and the vectorized group-by that rode along."""
+"""The logical-plan optimizer: its two rewrites (column pruning and
+WithColumn fusion), the nodes it leaves where they were written, and
+the vectorized group-by that rode along."""
 
 import numpy as np
 import pytest
 
 from repro.engine import Session, agg, col, udf
 from repro.engine import plan as P
+from repro.engine.executor import iter_partitions
 from repro.engine.optimizer import optimize
 
 
@@ -34,32 +36,7 @@ def _find(node, node_type):
 
 
 class TestFilterRules:
-    def test_adjacent_filters_fuse(self, df):
-        plan = df.filter(col("a") > 1).filter(col("b") < 35).plan
-        opt = optimize(plan)
-        filters = _find(opt, P.Filter)
-        assert len(filters) == 1
-
-    def test_filter_pushed_below_project(self, df):
-        plan = df.select((col("a") * 2).alias("x"), "b").filter(col("b") > 15).plan
-        opt = optimize(plan)
-        assert isinstance(opt, P.Project)
-        assert isinstance(opt.child, P.Filter)
-
-    def test_filter_on_computed_column_substituted(self, df):
-        plan = df.select((col("a") * 2).alias("x")).filter(col("x") > 4).plan
-        opt = optimize(plan)
-        # The filter now runs on (a * 2) > 4 below the projection.
-        assert isinstance(opt, P.Project)
-        assert isinstance(opt.child, P.Filter)
-        assert "a" in opt.child.predicate.references()
-
-    def test_filter_pushed_below_with_column(self, df):
-        plan = df.with_column("d", col("a") + 1).filter(col("b") > 15).plan
-        opt = optimize(plan)
-        assert isinstance(opt, (P.WithColumn, P.WithColumns))
-        assert isinstance(opt.children[0], P.Filter)
-
+    """Filters stay where they were written."""
     def test_filter_not_pushed_past_udf_dependency(self, df):
         plan = (
             df.with_column("u", udf(lambda a: a * 2.0, ["a"], name="dbl"))
@@ -71,36 +48,6 @@ class TestFilterRules:
         # above the WithColumn so the UDF is never duplicated.
         assert isinstance(opt, P.Filter)
         assert isinstance(opt.child, (P.WithColumn, P.WithColumns))
-
-    def test_independent_conjunct_pushed_past_udf_column(self, df):
-        plan = (
-            df.with_column("u", udf(lambda a: a * 2.0, ["a"], name="dbl"))
-            .filter((col("u") > 4) & (col("b") > 15))
-            .plan
-        )
-        opt = optimize(plan)
-        # b > 15 slides below the UDF column; u > 4 stays above it.
-        assert isinstance(opt, P.Filter)
-        assert "u" in opt.predicate.references()
-        below = _find(opt.child, P.Filter)
-        assert below and "b" in below[0].predicate.references()
-
-    def test_filter_pushed_below_union(self, df):
-        plan = df.union(df).filter(col("a") > 2).plan
-        opt = optimize(plan)
-        assert isinstance(opt, P.Union)
-        assert all(isinstance(i, P.Filter) for i in opt.inputs)
-
-    def test_key_filter_pushed_below_group_by(self, df):
-        plan = (
-            df.group_by("a")
-            .agg(agg.sum_("b", "s"))
-            .filter(col("a") > 1)
-            .plan
-        )
-        opt = optimize(plan)
-        assert isinstance(opt, P.GroupByAgg)
-        assert _find(opt.child, P.Filter)  # filter now below the agg
 
     def test_aggregate_filter_stays_above_group_by(self, df):
         plan = (
@@ -125,17 +72,6 @@ class TestFilterRules:
 
 
 class TestFusionAndLimit:
-    def test_project_project_fuses(self, df):
-        plan = (
-            df.select((col("a") + 1).alias("x"), "b")
-            .select((col("x") * 2).alias("y"))
-            .plan
-        )
-        opt = optimize(plan)
-        projects = _find(opt, P.Project)
-        assert len(projects) == 1
-        assert isinstance(projects[0].child, P.Source)
-
     def test_with_column_chain_fuses(self, df):
         plan = (
             df.with_column("d", col("a") + 1)
@@ -153,17 +89,6 @@ class TestFusionAndLimit:
         df = session.create_dataframe({"x": [1.0, 2.0]})
         out = df.with_column("x", col("x") + 1).with_column("x", col("x") * 10)
         assert out.collect() == [{"x": 20.0}, {"x": 30.0}]
-
-    def test_limits_fuse_to_minimum(self, df):
-        opt = optimize(df.limit(5).limit(3).plan)
-        limits = _find(opt, P.Limit)
-        assert len(limits) == 1 and limits[0].n == 3
-
-    def test_limit_pushed_below_narrow_ops(self, df):
-        plan = df.select("a", "b").with_column("d", col("a") + 1).limit(2).plan
-        opt = optimize(plan)
-        limit = _find(opt, P.Limit)[0]
-        assert isinstance(limit.child, (P.Source, P.Project))
 
     def test_limit_not_pushed_below_filter(self, df):
         plan = df.filter(col("a") > 1).limit(2).plan
@@ -183,6 +108,22 @@ class TestColumnPruning:
         ]
         assert narrowing
         assert [name for name, _ in narrowing[0].exprs] == ["a"]
+
+    def test_filter_input_narrowed_to_live_columns(self, df):
+        """A filter gathers every column it is handed, so it is handed
+        only what its predicate and the operators above it read."""
+        out = (
+            df.with_column("d", col("c") * 2)
+            .filter(col("b") > 15)
+            .group_by("a")
+            .agg(agg.sum_("d", "s"))
+        )
+        opt = optimize(out.plan)
+        (flt,) = _find(opt, P.Filter)
+        assert isinstance(flt.child, P.Project)
+        assert [name for name, _ in flt.child.exprs] == ["a", "b", "d"]
+        as_written = [r for p in iter_partitions(out.plan) for r in p.rows()]
+        assert out.collect() == as_written
 
     def test_unused_aggregate_pruned(self, df):
         plan = (
@@ -218,15 +159,11 @@ class TestColumnPruning:
             .filter(col("d") > 2)
             .select("a", "d", "b")
         )
-        assert out.collect(optimize=True) == out.collect(optimize=False)
+        as_written = [r for p in iter_partitions(out.plan) for r in p.rows()]
+        assert out.collect() == as_written
 
 
 class TestWiring:
-    def test_session_flag_off(self):
-        session = Session(default_parallelism=2, optimize=False)
-        df = session.create_dataframe({"a": [1, 2, 3]})
-        assert df.filter(col("a") > 1).count() == 2
-
     def test_explain_default_is_logical_only(self, df):
         text = df.select("a").explain()
         assert "Logical Plan" not in text
@@ -238,11 +175,15 @@ class TestWiring:
         )
         assert "== Logical Plan ==" in text
         assert "== Optimized Plan ==" in text
-        # The optimized section shows the chain collapsed into one
-        # compiled stage, with the narrowed source scan as its first
-        # step.
+        # The optimized section shows the chain fused into one
+        # WithColumns over the narrowed source scan.
         optimized = text.split("== Optimized Plan ==")[1]
-        assert "CompiledStage[Project(a)" in optimized
+        assert optimized.strip().splitlines() == [
+            "Project[d]",
+            "  WithColumns[d]",
+            "    Project[a]",
+            "      Source[2 partitions]",
+        ]
 
 
 class TestVectorizedGroupBySemantics:

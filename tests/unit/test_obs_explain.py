@@ -86,11 +86,12 @@ class TestExplainGolden:
                   Source[2 partitions]
             == Optimized Plan ==
             GroupByAgg[keys=['k'], aggs=(s)]
-              Union[2 inputs]
-                CompiledStage[Filter((v > lit(1))) -> Project(k, v)]
-                  Source[2 partitions]
-                CompiledStage[Filter((v > lit(1))) -> Project(k, v)]
-                  Source[2 partitions]"""
+              Filter[(v > lit(1))]
+                Union[2 inputs]
+                  Project[k, v]
+                    Source[2 partitions]
+                  Project[k, v]
+                    Source[2 partitions]"""
         )
         assert df.explain(optimized=True) == expected
 
@@ -100,11 +101,12 @@ class TestExplainGolden:
             """\
             == Analyzed Plan ==
             GroupByAgg[keys=['k'], aggs=(s)]  (rows_in=10 rows_out=3 partitions=1 time=* peak_part_bytes=48)
-              Union[2 inputs]  (rows_in=10 rows_out=10 partitions=4 time=* peak_part_bytes=80)
-                CompiledStage[Filter((v > lit(1))) -> Project(k, v)]  (rows_in=10 rows_out=8 partitions=2 time=* peak_part_bytes=80 work=* rows_per_s=*)
-                  Source[2 partitions]  (rows_out=10 partitions=2 time=* peak_part_bytes=120)
-                CompiledStage[Filter((v > lit(1))) -> Project(k, v)]  (rows_in=3 rows_out=2 partitions=2 time=* peak_part_bytes=32 work=* rows_per_s=*)
-                  Source[2 partitions]  (rows_out=3 partitions=2 time=* peak_part_bytes=48)"""
+              Filter[(v > lit(1))]  (rows_in=13 rows_out=10 partitions=4 time=* peak_part_bytes=80 work=* rows_per_s=*)
+                Union[2 inputs]  (rows_in=13 rows_out=13 partitions=4 time=* peak_part_bytes=80)
+                  Project[k, v]  (rows_in=10 rows_out=10 partitions=2 time=* peak_part_bytes=80 work=* rows_per_s=*)
+                    Source[2 partitions]  (rows_out=10 partitions=2 time=* peak_part_bytes=120)
+                  Project[k, v]  (rows_in=3 rows_out=3 partitions=2 time=* peak_part_bytes=32 work=* rows_per_s=*)
+                    Source[2 partitions]  (rows_out=3 partitions=2 time=* peak_part_bytes=48)"""
         )
         assert mask_times(df.explain(analyze=True)) == expected
 
@@ -126,7 +128,8 @@ class TestAnalyzeSemantics:
         union_groupby_pipeline(session).explain(analyze=True)
         breakdown = obs.export.operator_breakdown()
         assert breakdown["GroupByAgg"]["rows_out"] == 3
-        assert breakdown["Union"]["rows_out"] == 10
+        assert breakdown["Union"]["rows_out"] == 13
+        assert breakdown["Filter"]["rows_out"] == 10
         assert breakdown["Source"]["partitions"] == 4
 
     def test_actions_record_last_plan_stats(self, session):

@@ -422,7 +422,7 @@ class TestCachedGridFrame:
     def test_meter_returns_to_baseline_when_grids_are_dropped(self, rng):
         import gc
 
-        from repro.engine.dataframe import DataFrame
+        from repro.engine.executor import iter_partitions
         from repro.utils.memory import MemoryMeter
 
         records = _records(rng)
@@ -438,11 +438,9 @@ class TestCachedGridFrame:
         # The cold pass held nothing twice: the peak is the uncached
         # plan's, or the resident aggregate beside a replay's nothing.
         reference = MemoryMeter()
-        uncached = DataFrame(  # the compiled plan beneath the cache, as is
-            Session(default_parallelism=3, meter=reference, optimize=False),
-            st_df.plan.child,
-        )
-        uncached.count()
+        # The plan beneath the cache, as is.
+        for _ in iter_partitions(st_df.plan.child, meter=reference):
+            pass
         assert reference.current == 0
         assert meter.peak <= reference.peak + aggregate
         del st_df, session

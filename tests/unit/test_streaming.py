@@ -80,7 +80,7 @@ class TestStreamView:
         stream = _session().stream(_schema())
         stream.append({"t": [1.0, 2.0], "cell": [0, 1], "v": [1.0, 2.0]})
         stream.append({"t": [3.0], "cell": [2], "v": [3.0]})
-        parts = list(stream.view().iter_partitions(optimize=False))
+        parts = list(stream.view().iter_partitions())
         assert [p.num_rows for p in parts] == [2, 1]
 
     def test_view_supports_engine_ops(self):
