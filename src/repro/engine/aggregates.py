@@ -15,10 +15,12 @@ streaming layer (:mod:`repro.engine.streaming`) relies on.
 accumulator arrays, one merge per partition, keyed by one
 order-preserving int64 code per key row (:class:`KeyPacking`), packed
 once per partition.  While the codes are small — integer keys whose
-highest code stays below a few slots per partition row, the
-``time_step × cell_id`` grid of Figure 8 — the code *is* the group's
-address: a merge counts the rows into per-code slots and folds the
-partials over them in O(rows + slots), with no sort, search or insert.
+highest code stays below a few slots per partition row or per group
+held, the ``time_step × cell_id`` grid of Figure 8 — the code *is* the
+group's address: a merge finds the codes the rows touch, by one
+counting pass over the slots (O(rows + slots)) or, for a batch much
+smaller than the slots, by sorting its own codes (O(rows log rows)),
+and folds the partials into those slots, with no search or insert.
 Otherwise (float, dictionary-coded or wide keys) a partition's rows
 are grouped by a 1-D integer ``np.unique`` in O(rows log rows), found
 in the state's sorted codes by ``searchsorted``, then scattered in or
@@ -149,12 +151,14 @@ class KeyPacking:
     def decode(self, codes: np.ndarray) -> np.ndarray:
         """The int64 key rows of ``codes`` under an offset-coded
         packing: per column, ``lo + digit``."""
-        columns = []
-        for lo, _, span, _ in reversed(self._columns):
-            codes, digits = np.divmod(codes, span)
-            digits += lo
-            columns.append(digits)
-        return np.stack(columns[::-1], axis=1)
+        rows = np.empty((len(codes), len(self._columns)), dtype=np.int64)
+        for j in range(len(self._columns) - 1, 0, -1):
+            codes, rows[:, j] = np.divmod(codes, self._columns[j][2])
+        rows[:, 0] = codes  # below the first column's span: its digit
+        for j, (lo, _, _, _) in enumerate(self._columns):
+            if lo:
+                rows[:, j] += lo
+        return rows
 
     @staticmethod
     def _fit_column(col, whole, code, radix):
@@ -240,9 +244,16 @@ _GROWTH = 1.5
 
 # The code-addressed form keeps one slot per packed code up to the
 # highest seen, while that code is below this many slots per row of
-# the largest partition merged so far: its arrays stay a small
-# multiple of one partition, however sparse the codes.
+# the largest partition merged so far or per group held, whichever is
+# more: its arrays stay a small multiple of the larger of one
+# partition and the state itself, however sparse the codes.
 _DENSE_SLOTS_PER_ROW = 8
+
+# A code-addressed merge finds its touched codes by sorting the batch's
+# own codes when the live slots outnumber its rows by more than this
+# factor, else by one counting pass over every slot (the crossover
+# measured in docs/measurements/stream_addressed.md).
+_SORT_SLOTS_PER_ROW = 8
 
 
 def empty_group_partition(keys, specs, key_dtypes=None):
@@ -268,14 +279,21 @@ class ArrayGroupState:
       :class:`KeyPacking` offset-codes every column (no dictionary
       table, no fold), no column is dictionary-coded and the highest
       packed code is below ``_DENSE_SLOTS_PER_ROW`` times the rows of
-      the largest partition merged so far.  ``_code_counts[c]`` and
-      ``_code_values[i][c]`` are the group whose code is ``c`` (a zero
-      count: no group), in arrays sized to the highest code seen and
-      grown ×1.5.  A merge packs the rows, counts them into the slots
-      with one ``bincount`` and folds each accumulator's partial into
-      the slots it touched: O(rows + slots), no sort, search or
-      insert.  A partition outside the packing's ranges re-packs the
-      state in this form while the rule still holds.
+      the largest partition merged so far or the groups held,
+      whichever is more — so a stream whose state outgrows its batches
+      keeps the form.  ``_code_counts[c]`` and ``_code_values[i][c]``
+      are the group whose code is ``c`` (a zero count: no group), in
+      arrays sized to the highest code seen and grown ×1.5.  A merge
+      packs the rows and finds the slots they touch in one of two
+      ways: while the live slots are at most
+      ``_SORT_SLOTS_PER_ROW`` per row, one ``bincount`` counts the rows
+      into every slot (O(rows + slots)); past that, ``np.sort`` of the
+      rows' codes lists the distinct ones and the int32 scratch
+      ``_slot_ranks`` maps each row to its group's rank among them
+      (O(rows log rows), whatever the slots).  Either way it folds
+      each accumulator's partial into the touched slots, with no
+      search or insert.  A partition outside the packing's ranges
+      re-packs the state in this form while the rule still holds.
     - **Sorted**, for everything else.  A code-addressed state the rule
       no longer admits (a code past the bound, a column turning
       dictionary-coded or widening its dtype) *compacts* into this form
@@ -309,11 +327,14 @@ class ArrayGroupState:
     is its state).  In the code-addressed form these three are built on
     each read.
 
-    :meth:`update` returns the ranks, in ``keys`` order, of the groups
-    the incoming partition touched — the batch executor ignores this,
-    the streaming :class:`~repro.engine.streaming.DeltaState` uses it
-    to emit per-batch deltas.  :attr:`nbytes` counts the arrays held,
-    reserved capacity included.
+    :meth:`update` returns how many groups the incoming partition
+    touched, and the state remembers them — codes in the
+    code-addressed form, ranks in the sorted form — until the next
+    merge: :meth:`touched` returns them as a sorted-form state in key
+    order, in O(touched).  The batch executor ignores this; the
+    streaming :class:`~repro.engine.streaming.DeltaState` emits its
+    per-batch deltas from it.  :attr:`nbytes` counts the arrays held,
+    reserved capacity and the slot → rank scratch included.
     """
 
     def __init__(self, specs):
@@ -339,6 +360,13 @@ class ArrayGroupState:
         self._code_values: list | None = None
         self._span = 0
         self._groups = 0
+        # Code-addressed scratch: slot -> rank among a sorting merge's
+        # touched codes, written only at those codes (int32: a rank is
+        # below a partition's rows).
+        self._slot_ranks: np.ndarray | None = None
+        # The last merge's touched groups, ascending: codes in the
+        # code-addressed form, ranks in the sorted form.
+        self._touched = np.empty(0, dtype=np.int64)
         self._row_dtype: np.dtype | None = None  # of the key matrix
 
     @property
@@ -364,7 +392,7 @@ class ArrayGroupState:
         # Rough dict-entry estimate for the dictionary-coded columns.
         total = sum(64 * len(m) for m in self._code_maps.values())
         if self._code_counts is not None:
-            arrays = [self._code_counts, *self._code_values]
+            arrays = [self._code_counts, *self._code_values, self._slot_ranks]
         elif self._buffers is not None:
             arrays = self._buffers
         else:
@@ -459,19 +487,25 @@ class ArrayGroupState:
             dtype.kind in "iub"
             and not self._code_maps
             and packing.offset_coded
-            and highest < _DENSE_SLOTS_PER_ROW * self._max_rows
+            and highest < _DENSE_SLOTS_PER_ROW * max(self._max_rows, self.num_groups)
         )
 
-    def update(self, key_columns, part) -> np.ndarray:
+    def _sorts(self, rows: int, slots: int) -> bool:
+        """The way rule: does a code-addressed merge of ``rows`` rows
+        into ``slots`` live slots find its codes by sorting them?"""
+        return rows * _SORT_SLOTS_PER_ROW < slots
+
+    def update(self, key_columns, part) -> int:
         """Merge one partition's rows, grouped by its key columns, into
-        the state; returns the ranks in ``keys`` of the touched groups
-        (aligned with the partition's sorted unique key rows).  An empty
-        partition merges nothing; while no row has been merged, the
-        first one sets the output's key dtypes."""
+        the state; returns the number of groups it touched, which
+        :meth:`touched` holds until the next merge.  An empty partition
+        merges nothing; while no row has been merged, the first one
+        sets the output's key dtypes."""
         if part.num_rows == 0:
             if self.key_dtypes is None:
                 self.key_dtypes = [np.asarray(col).dtype for col in key_columns]
-            return np.empty(0, dtype=np.int64)
+            self._touched = self._touched[:0]
+            return 0
         stacked = self._stack_keys(key_columns)
         self._max_rows = max(self._max_rows, len(stacked))
         # Pack the rows once: under the state's codes when they cover
@@ -507,7 +541,8 @@ class ArrayGroupState:
             self._counts = counts
             self._values = partials
             self._packing, self._codes = packing, codes
-            return np.arange(len(uniques), dtype=np.int64)
+            self._touched = np.arange(len(uniques))
+            return len(uniques)
 
         if packing is not self._packing:
             codes = self._repack(uniques)
@@ -518,7 +553,8 @@ class ArrayGroupState:
             slots += np.cumsum(fresh) - fresh
         self._counts[slots] += counts
         self._fold(self._values, slots, partials)
-        return slots
+        self._touched = slots
+        return len(slots)
 
     def _fold(self, values, slots, partials) -> None:
         """Fold each spec's per-group partial into its state at
@@ -550,36 +586,53 @@ class ArrayGroupState:
                 slots[codes] = value
             self._code_values.append(slots)
         self._span, self._groups = span, len(codes)
+        self._slot_ranks = None
 
-    def _merge_addressed(self, codes, highest: int, part) -> np.ndarray:
+    def _merge_addressed(self, codes, highest: int, part) -> int:
         if highest >= self._span:
             self._reserve(highest + 1)
         span = self._span
-        added = np.bincount(codes, minlength=span)
-        counts = self._code_counts[:span]
-        counts += added
-        held = np.flatnonzero(counts != 0)
-        self._groups = len(held)
-        # A touched group's rank is its position among the held codes.
-        ranks = np.flatnonzero(added[held] != 0)
-        touched = held[ranks]
+        counts = self._code_counts
+        if self._sorts(len(codes), span):
+            # Few rows, many slots: the batch's distinct codes by a sort
+            # of its own codes, and each row's rank among them through
+            # the slot -> rank scratch array.  O(rows log rows).
+            ordered = np.sort(codes)
+            first = np.empty(len(ordered), dtype=bool)
+            first[0] = True
+            np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+            touched = ordered[first]
+            if self._slot_ranks is None or len(self._slot_ranks) < span:
+                self._slot_ranks = np.empty(len(counts), dtype=np.int32)
+            self._slot_ranks[touched] = np.arange(len(touched), dtype=np.int32)
+            index = self._slot_ranks[codes]
+            held = counts[touched]
+            counts[touched] = held + np.bincount(index, minlength=len(touched))
+            partials = self._partials(index, len(touched), part)
+        else:
+            # One counting pass over the live slots: O(rows + slots).
+            added = np.bincount(codes, minlength=span)
+            touched = np.flatnonzero(added != 0)
+            held = counts[touched]
+            counts[:span] += added
+            partials = [
+                None if partial is None else partial[touched]
+                for partial in self._partials(codes, span, part)
+            ]
+        self._groups += len(touched) - int(np.count_nonzero(held))
         # Fold only the touched slots, in key order: the sorted form's
         # operands at the same positions, so even the NaN an add of two
         # NaNs keeps (which depends on the lane) is the same.
-        partials = self._partials(codes, span, part)
-        self._fold(
-            self._code_values,
-            touched,
-            [None if partial is None else partial[touched] for partial in partials],
-        )
-        return ranks
+        self._fold(self._code_values, touched, partials)
+        self._touched = touched
+        return len(touched)
 
     def _reserve(self, span: int) -> None:
         """Make the codes below ``span`` live, growing the slot arrays
         ×1.5 (within the form's bound) when they are too short."""
         capacity = len(self._code_counts)
         if span > capacity:
-            bound = _DENSE_SLOTS_PER_ROW * self._max_rows
+            bound = _DENSE_SLOTS_PER_ROW * max(self._max_rows, self._groups)
             capacity = max(span, min(int(capacity * _GROWTH), bound))
 
             def grown(arr, fill):
@@ -690,6 +743,14 @@ class ArrayGroupState:
             None if value is None else next(grown)[:new] for value in self._values
         ]
 
+    def touched(self) -> "ArrayGroupState":
+        """A new sorted-form state holding the groups the last merge
+        touched, in key order (arrays copied): O(touched) in either
+        form."""
+        if self._code_counts is not None:
+            return self._gather(self._touched)
+        return self.select(self._touched)
+
     def select(self, where: np.ndarray) -> "ArrayGroupState":
         """A new sorted-form state holding only the groups at the ranks
         ``where``, in that order (accumulator arrays copied)."""
@@ -721,7 +782,7 @@ class ArrayGroupState:
         self._packing = other._packing
         self._codes = other._codes
         self._buffers = other._buffers
-        self._code_counts = self._code_values = None
+        self._code_counts = self._code_values = self._slot_ranks = None
 
     def to_partition(self, keys):
         """Finalize every group as one partition: the key columns

@@ -22,8 +22,9 @@ O(history).  This module makes it O(batch):
 
 An append applies whole or not at all: key and aggregated columns are
 checked numeric when an aggregation registers, and a batch is cast to
-the schema — a NaN bound for an integer field raises ``ValueError`` —
-before it reaches the history or any state.
+the schema before it reaches the history or any state.  A column that
+is not 1-D, or a NaN, infinite or fractional value bound for an
+integer field, raises ``ValueError`` there.
 
 Per-batch deltas (``StreamingAggregation.delta()``) feed downstream
 incremental maintenance — most importantly
@@ -82,16 +83,15 @@ class DeltaState:
     class, not a reimplementation — so feeding it the micro-batches in
     arrival order performs exactly the partial-merge sequence a batch
     group-by over those partitions performs, making the maintained
-    accumulators bit-identical to a full recompute.  On top of that it
-    tracks which groups the most recent batch touched (for delta
-    emission).
+    accumulators bit-identical to a full recompute.  The state
+    remembers which groups its last merge touched, so a delta costs
+    O(touched groups), not O(state), in either of its forms.
     """
 
     def __init__(self, keys: list, specs: list):
         self.keys = list(keys)
         self.specs = list(specs)
         self.state = ArrayGroupState(self.specs)
-        self.last_changed = np.empty(0, dtype=np.int64)
 
     @property
     def num_groups(self) -> int:
@@ -104,9 +104,7 @@ class DeltaState:
     def update(self, part: Partition) -> int:
         """Merge one micro-batch; returns the number of distinct
         groups it touched."""
-        key_columns = [part.columns[k] for k in self.keys]
-        self.last_changed = self.state.update(key_columns, part)
-        return len(self.last_changed)
+        return self.state.update([part.columns[k] for k in self.keys], part)
 
     def to_partition(self) -> Partition:
         """The full current state finalized as one partition (same
@@ -116,7 +114,7 @@ class DeltaState:
     def delta_partition(self) -> Partition:
         """Only the groups the last ``update`` touched, finalized —
         the rows a downstream incremental consumer must re-apply."""
-        return self.state.select(self.last_changed).to_partition(self.keys)
+        return self.state.touched().to_partition(self.keys)
 
 
 class StreamingAggregation:
@@ -244,15 +242,27 @@ class Stream:
         columns = {}
         for field in self.schema.fields:
             arr = np.asarray(arrays[field.name])
+            if arr.ndim != 1:
+                raise ValueError(
+                    f"column {field.name!r}: expected a 1-D array of values, "
+                    f"got {arr.ndim}-D"
+                )
             if arr.dtype != field.dtype:
+                dtype = np.dtype(field.dtype)
                 try:
                     with np.errstate(invalid="raise"):
-                        arr = arr.astype(field.dtype)
+                        cast = arr.astype(dtype)
                 except FloatingPointError:
                     raise ValueError(
                         f"column {field.name!r}: NaN, infinite or out-of-range "
-                        f"values cannot be cast to {np.dtype(field.dtype)}"
+                        f"values cannot be cast to {dtype}"
                     ) from None
+                if arr.dtype.kind == "f" and dtype.kind in "iu" and (cast != arr).any():
+                    raise ValueError(
+                        f"column {field.name!r}: fractional values cannot be "
+                        f"cast to {dtype}"
+                    )
+                arr = cast
             columns[field.name] = arr
         return Partition(columns)
 

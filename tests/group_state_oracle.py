@@ -6,6 +6,12 @@ merge runs the ``np.unique`` / ``searchsorted`` / insert path the
 code-addressed form replaces.  The property tests hold the
 code-addressed form to it, bit for bit.
 
+``CountingGroupState`` and ``SortingGroupState`` are ``ArrayGroupState``
+with every code-addressed merge forced to one way of finding its
+touched codes — the counting pass over every slot, or the sort of the
+batch's own codes — whatever the batch and slot sizes: they override
+only the way rule.
+
 ``OracleGroupState`` is that sorted form growing the way
 ``ArrayGroupState._insert`` did on every merge that brought new groups
 before the state kept its arrays in reserved buffers: the whole-array
@@ -28,6 +34,20 @@ class SortedGroupState(ArrayGroupState):
 
     def _addressable(self, packing, highest, dtype) -> bool:
         return False
+
+
+class CountingGroupState(ArrayGroupState):
+    """``ArrayGroupState`` whose code-addressed merges always count."""
+
+    def _sorts(self, rows, slots) -> bool:
+        return False
+
+
+class SortingGroupState(ArrayGroupState):
+    """``ArrayGroupState`` whose code-addressed merges always sort."""
+
+    def _sorts(self, rows, slots) -> bool:
+        return True
 
 
 class OracleGroupState(SortedGroupState):

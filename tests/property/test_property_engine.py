@@ -263,7 +263,9 @@ def key_streams(draw):
 def test_packed_key_index_equals_unique_axis0_oracle(partitions):
     """Grouping a partition, and merging 1-4 partitions into one state,
     finds the distinct key rows, their order, each row's group and the
-    group sizes that ``np.unique(axis=0)`` finds."""
+    group sizes that ``np.unique(axis=0)`` finds; after each merge the
+    touched groups are the partition's distinct rows, finalized as the
+    state's groups with those keys."""
     state = ArrayGroupState([agg.count(), agg.sum_("v")])
     seen = []
     for columns in partitions:
@@ -276,14 +278,25 @@ def test_packed_key_index_equals_unique_axis0_oracle(partitions):
             continue  # the executor never merges an empty partition
         seen.append(rows)
         weights = np.arange(len(rows), dtype=np.float64)
-        touched = state.update(columns, Partition({"v": weights}))
+        distinct = oracle_unique_rows(rows)[0]
+        assert state.update(columns, Partition({"v": weights})) == len(distinct)
 
         every = np.concatenate(seen)
         uniques, inverse, counts = oracle_unique_rows(every)
         assert state.keys.dtype == uniques.dtype
         np.testing.assert_array_equal(state.keys, uniques)
         np.testing.assert_array_equal(state.counts, counts)
-        np.testing.assert_array_equal(touched, np.unique(inverse[-len(rows):]))
+        touched = state.touched()
+        np.testing.assert_array_equal(touched.keys, distinct)
+        names = [f"k{i}" for i in range(len(columns))]
+        # A uint64 column beside a signed one is held as float64, and its
+        # largest values do not cast back exactly; both sides cast alike.
+        with np.errstate(invalid="ignore"):
+            got = touched.to_partition(names).columns
+            want = state.select(np.unique(inverse[-len(rows):])).to_partition(names)
+        for name, column in want.columns.items():
+            assert got[name].dtype == column.dtype
+            np.testing.assert_array_equal(got[name], column)
         all_weights = np.concatenate([np.arange(len(r)) for r in seen])
         np.testing.assert_array_equal(
             state.values[1], np.bincount(inverse, weights=all_weights)

@@ -3,14 +3,18 @@ bit for bit.
 
 ``ArrayGroupState`` holds integer/bool keys with small packed codes
 code-addressed; ``SortedGroupState`` (``tests/group_state_oracle.py``)
-is the same class held sorted throughout.  Both merge the same
-partitions: 1-3 key columns of int8/int32/int64/uint8/bool, 1-5
-partitions whose key ranges sit below, at or above the form's
-slots-per-row bound and shift between partitions, so a state stays
-code-addressed, re-packs, compacts mid-way or never enters the form;
-every aggregate kind over values with NaN, +-0.0, +-inf and overflowing
-sums.  After every merge the two agree on ``update``'s return,
-``num_groups``, every array's bits and ``select(...).to_partition``.
+is the same class held sorted throughout.  The code-addressed state
+runs three times — choosing its merge way per batch, and forced to
+count (``CountingGroupState``) or to sort (``SortingGroupState``) on
+every merge — and each run merges the same partitions as the oracle:
+1-3 key columns of int8/int32/int64/uint8/bool, 1-5 partitions whose
+key ranges sit below, at or above the form's slots-per-row bound and
+shift between partitions, so a state stays code-addressed, re-packs,
+compacts mid-way or never enters the form; every aggregate kind over
+values with NaN, +-0.0, +-inf and overflowing sums.  After every merge
+the two agree on ``update``'s count of touched groups, the touched
+groups finalized, ``num_groups``, every array's bits and
+``select(...).to_partition``.
 """
 
 import numpy as np
@@ -20,7 +24,11 @@ from hypothesis import strategies as st
 from repro.engine import agg
 from repro.engine.aggregates import ArrayGroupState
 from repro.engine.partition import Partition
-from tests.group_state_oracle import SortedGroupState
+from tests.group_state_oracle import (
+    CountingGroupState,
+    SortedGroupState,
+    SortingGroupState,
+)
 
 SPECS = [
     agg.count(name="n"),
@@ -109,12 +117,21 @@ def held_bytes(state):
 @example((["int8"], [(4, "bound", -1), (11, "narrow", 0), (6, "narrow", 0)], False, 0))
 # Widening int8 -> int32 compacts.
 @example((["int8", "bool"], [(10, "narrow", 0), (10, "narrow", 0)], True, 4))
+# A small batch past the highest code grows the slots, then sorts.
+@example((["int64"], [(20, "rows", 0), (2, "rows", 12), (3, "narrow", 0)], False, 5))
+# A small batch below the packing's range re-packs, then sorts.
+@example((["int64"], [(20, "rows", 0), (2, "rows", -3), (2, "narrow", 0)], False, 6))
 @np.errstate(over="ignore", invalid="ignore")
 def test_code_addressed_state_equals_sorted(case):
+    for form in (ArrayGroupState, CountingGroupState, SortingGroupState):
+        assert_merges_equal_sorted(form, case)
+
+
+def assert_merges_equal_sorted(form, case):
     dtypes, parts, widen, seed = case
     rng = np.random.default_rng(seed)
     names = [f"k{i}" for i in range(len(dtypes))]
-    state, oracle = ArrayGroupState(SPECS), SortedGroupState(SPECS)
+    state, oracle = form(SPECS), SortedGroupState(SPECS)
     for p, (rows, width, shift) in enumerate(parts):
         last = widen and p == len(parts) - 1
         columns = [
@@ -123,9 +140,13 @@ def test_code_addressed_state_equals_sorted(case):
         ]
         part = Partition({"v": rng.choice(VALUES, rows)})
 
-        touched = state.update(columns, part)
-        assert_same_bits(touched, oracle.update(columns, part), "update")
+        assert state.update(columns, part) == oracle.update(columns, part)
+        assert_same_partition(
+            state.touched().to_partition(names),
+            oracle.touched().to_partition(names),
+        )
         assert state.num_groups == oracle.num_groups
+        assert type(state.num_groups) is int  # reported as JSON
         assert state.nbytes >= held_bytes(state)
         if oracle.num_groups == 0:
             assert state.keys is None and state.counts is None
@@ -138,9 +159,8 @@ def test_code_addressed_state_equals_sorted(case):
                 else:
                     assert_same_bits(got, want, spec.out_name)
         some = rng.permutation(oracle.num_groups)[: rng.integers(0, 4)]
-        for where in (touched, some):
-            assert_same_partition(
-                state.select(where).to_partition(names),
-                oracle.select(where).to_partition(names),
-            )
+        assert_same_partition(
+            state.select(some).to_partition(names),
+            oracle.select(some).to_partition(names),
+        )
     assert_same_partition(state.to_partition(names), oracle.to_partition(names))

@@ -203,8 +203,8 @@ class TestMergeInPlace:
 
         before = arrays()
         sums = state.values[1].copy()
-        touched = merge([3, 0, 0], [5, 6, 6])
-        assert touched.tolist() == [1, 5]
+        assert merge([3, 0, 0], [5, 6, 6]) == 2
+        assert state.touched().keys.tolist() == [[0, 6], [3, 5]]
         assert state.keys.tolist() == [[0, 5], [0, 6], [1, 5], [1, 6], [2, 5], [3, 5]]
         assert all(a is b for a, b in zip(before, arrays()))
         assert state.counts.tolist() == [1, 3, 1, 1, 1, 2]

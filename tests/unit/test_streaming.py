@@ -237,6 +237,15 @@ class TestRejectedBatches:
         "out of range": ({"t": [5.0], "cell": [1e30], "v": [1.0]}, "'cell'"),
         "missing column": ({"t": [5.0], "cell": [7]}, "missing columns"),
         "string value": ({"t": [5.0], "cell": [7], "v": ["x"]}, "x"),
+        "2-D column": (
+            {"t": [5.0, 6.0], "cell": [7, 8], "v": [[1.0], [2.0]]},
+            "'v'.*1-D",
+        ),
+        "0-d batch": ({"t": 5.0, "cell": 7, "v": 1.0}, "'t'.*1-D"),
+        "fractional key": (
+            {"t": [5.0], "cell": [1.5], "v": [1.0]},
+            "'cell'.*fractional",
+        ),
     }
 
     @staticmethod
@@ -425,10 +434,13 @@ class TestReservedGroupBuffers:
 
 class TestCodeAddressedStream:
     """A miniature ``stream_ingest``: event time creeps forward, so the
-    state starts code-addressed, re-packs as ``time_step`` outgrows its
-    range, and compacts into the sorted form once the highest code
-    passes 8 slots per batch row.  Every append must leave the same
-    bits as the same stream held sorted throughout and as a recompute."""
+    state starts code-addressed and re-packs as ``time_step`` outgrows
+    its range.  With dense steps the highest code stays below 8 slots
+    per group held, so the state stays code-addressed and its small
+    batches merge by sorting their codes; with sparse steps (every
+    10th) the codes outrun the groups and the state compacts into the
+    sorted form once.  Every append must leave the same bits as the
+    same stream held sorted throughout and as a recompute."""
 
     SCHEMA = [("time_step", np.int64), ("cell_id", np.int64), ("v", np.float64)]
     SPECS = [
@@ -447,7 +459,10 @@ class TestCodeAddressedStream:
             assert column.tobytes() == want.columns[name].tobytes(), name
 
     @np.errstate(invalid="ignore")
-    def test_transitions_match_sorted_stream_and_recompute(self):
+    def _stream(self, step: int):
+        """Per append, ``(code-addressed?, packing, sorted a batch
+        since the last re-pack?)`` of a stream whose time steps are
+        multiples of ``step``."""
         from repro import obs
 
         gauge = obs.registry.gauge("engine.stream.state_groups")
@@ -459,11 +474,11 @@ class TestCodeAddressedStream:
             streams.append((stream, live))
         state = streams[0][1].delta_state.state
         rng = np.random.default_rng(5)
-        forms, packings = [], []
+        seen = []
         for k in range(36):
             rows = 0 if k == 4 else 50
             batch = {
-                "time_step": np.maximum(k // 2 + rng.integers(-1, 2, rows), 0),
+                "time_step": step * np.maximum(k // 2 + rng.integers(-1, 2, rows), 0),
                 "cell_id": rng.integers(0, 12, rows),
                 "v": rng.choice([np.nan, -0.0, 0.0, np.inf, 1.25, -3.5], rows),
             }
@@ -478,13 +493,42 @@ class TestCodeAddressedStream:
                 live.to_partition(),
                 Partition(live.recompute_dataframe().to_columns()),
             )
-            forms.append(state._code_counts is not None)
-            packings.append(state._packing)
-        # Code-addressed first, sorted at the end, never back.
+            seen.append(
+                (
+                    state._code_counts is not None,
+                    state._packing,
+                    state._slot_ranks is not None,
+                )
+            )
+        return seen
+
+    def test_transitions_match_sorted_stream_and_recompute(self):
+        # Dense steps: code-addressed throughout, re-packing, and
+        # sorting the batches once the slots outnumber their rows 8:1.
+        forms, packings, sorts = zip(*self._stream(1))
+        assert all(forms)
+        assert len({id(p) for p in packings}) > 1
+        assert not sorts[0] and any(sorts)
+        # Sparse steps: code-addressed first, sorted at the end, never
+        # back.
+        forms, _, _ = zip(*self._stream(10))
         addressed = forms.index(False)
         assert addressed > 0 and not any(forms[addressed:])
-        # At least one re-pack while code-addressed.
-        assert len({id(p) for p in packings[:addressed]}) > 1
+
+    def test_nbytes_counts_slot_rank_scratch(self):
+        state = ArrayGroupState(self.SPECS)
+        v = np.linspace(-1.0, 1.0, 400)
+        state.update([np.arange(400) // 40, np.arange(400) % 40], Partition({"v": v}))
+        slots = [state._code_counts, *state._code_values]
+        assert state._slot_ranks is None
+        assert state.nbytes == sum(a.nbytes for a in slots if a is not None)
+        # 3 rows into 760 live slots: a sorting merge.
+        steps, cells = np.array([3, 3, 9]), np.array([0, 1, 39])
+        state.update([steps, cells], Partition({"v": v[:3]}))
+        ranks = state._slot_ranks
+        assert ranks.dtype == np.int32 and len(ranks) >= state._span
+        held = sum(a.nbytes for a in slots if a is not None)
+        assert state.nbytes == held + ranks.nbytes
 
 
 class TestAggregateKinds:
