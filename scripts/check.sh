@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # Repo health check, eight gates:
 #   1. lint: ruff check (config in pyproject.toml); skipped with a
-#      note when ruff is not installed in the environment; plus one
-#      grep: nothing under src/repro/spatial/ may name zipfile,
+#      note when ruff is not installed in the environment; plus two
+#      greps: nothing under src/repro/spatial/ may name zipfile,
 #      savez or np.load — the .rtif store is one blob per tile
-#      (tests/data/golden_v1.rtif pins its bytes), not an npz archive
+#      (tests/data/golden_v1.rtif pins its bytes), not an npz archive;
+#      and no file under src/ may import scipy at module level (an
+#      unindented `import scipy` / `from scipy`) — only the synthetic
+#      generators use it, through an import inside the function, so
+#      stream, join and engine processes never load it
 #   2. tier-1: the full test suite (what the roadmap pins)
 #   3. fast lane: unit tests minus anything marked slow
 #   4. traced lane: the training + trace suites again under a forced
@@ -43,6 +47,7 @@ else
 fi
 # (`set -e` does not act on a `!` pipeline, hence the explicit exit.)
 ! grep -rnE --include='*.py' "zipfile|savez|np\.load" src/repro/spatial/ || exit 1
+! grep -rnE --include='*.py' "^(import|from)[[:space:]]+scipy" src/ || exit 1
 
 echo "== tier-1: full suite =="
 python -m pytest -x -q

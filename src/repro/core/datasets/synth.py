@@ -23,15 +23,29 @@ carry class signal) — the two feature families DeepSAT-V2 fuses.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.utils.rng import default_rng
+from repro.utils.validation import check_non_negative, check_positive
+
+
+def _ndimage():
+    """``scipy.ndimage``, imported on first call.
+
+    Only the grid and raster generators filter or shift fields, and
+    importing scipy costs a process about a third of a second and
+    ~25 MiB, so everything else that imports this module (the trip
+    generator, and through ``repro.core.datasets`` every engine,
+    stream, join and converter caller) never loads it.
+    """
+    from scipy import ndimage
+
+    return ndimage
 
 
 def _smooth_field(rng, shape, sigma: float) -> np.ndarray:
     """A zero-mean, unit-variance, spatially smooth random field."""
     field = rng.standard_normal(shape)
-    field = ndimage.gaussian_filter(field, sigma=sigma, mode="wrap")
+    field = _ndimage().gaussian_filter(field, sigma=sigma, mode="wrap")
     std = field.std()
     return field / std if std > 0 else field
 
@@ -111,7 +125,7 @@ def generate_grid_tensor(
             innovation = _smooth_field(rng, (height, width), 2.0)
             state = ar_coeff * state + np.sqrt(1 - ar_coeff**2) * innovation
             if advection:
-                state = ndimage.shift(
+                state = _ndimage().shift(
                     state, (advection, advection / 2), mode="wrap", order=1
                 )
             ar[t] = state
@@ -216,6 +230,10 @@ def generate_trip_records(
     tensor-preparation experiment and the source of the
     YellowTrip-NYC dataset.
     """
+    check_non_negative(num_records, "num_records")
+    check_positive(num_steps, "num_steps")
+    check_positive(step_seconds, "step_seconds")
+    check_positive(hotspot_count, "hotspot_count")
     rng = default_rng(seed, label="trip_records")
     cx = rng.uniform(envelope.min_x, envelope.max_x, size=hotspot_count)
     cy = rng.uniform(envelope.min_y, envelope.max_y, size=hotspot_count)
@@ -335,7 +353,7 @@ def generate_segmentation_rasters(
         threshold = np.quantile(blob_field, 1.0 - cloud_fraction)
         mask = blob_field > threshold
         masks[n] = mask.astype(np.int64)
-        softness = ndimage.gaussian_filter(mask.astype(np.float64), 0.5)
+        softness = _ndimage().gaussian_filter(mask.astype(np.float64), 0.5)
         for b in range(bands):
             band = landscape + 0.08 * _smooth_field(rng, (height, width), 1.5)
             band = band + softness * (0.5 + 0.04 * rng.standard_normal())

@@ -53,6 +53,7 @@ from repro.engine.plan import Source
 from repro.engine.schema import Field, Schema
 from repro.geometry.envelope import Envelope
 from repro.spatial.raster import RasterTile
+from repro.utils.validation import check_positive
 
 RTIF_EXTENSION = ".rtif"
 
@@ -147,11 +148,14 @@ def read_rtif(path: str) -> RasterTile:
     try:
         meta = json.loads(bytes(blob[_PREFIX.size : payload_at]))
         shape = tuple(meta["shape"])
-        nbytes = 4 * math.prod(shape)
         envelope = Envelope(*meta["envelope"]) if meta["envelope"] else None
         crs, nodata, name = meta["crs"], meta["nodata"], meta["name"]
     except (ValueError, KeyError, TypeError) as exc:
         raise bad(f"header is not the expected JSON object ({exc!r})") from exc
+    # JSON ``true`` is a Python bool, an int subclass: test the type.
+    if not all(type(n) is int and n >= 0 for n in shape):
+        raise bad(f"header shape {list(shape)} is not a list of non-negative integers")
+    nbytes = 4 * math.prod(shape)
     try:
         raw = zlib.decompress(blob[payload_at:])
     except zlib.error as exc:
@@ -213,9 +217,16 @@ def load_raster_folder(
 ) -> DataFrame:
     """Scan a folder of ``.rtif`` tiles as a raster DataFrame.
 
-    Tiles are read lazily, ``tiles_per_partition`` at a time, during
-    execution — never all at once.
+    Tiles are read lazily, ``tiles_per_partition`` (a positive
+    integer) at a time, during execution — never all at once.
     """
+    if isinstance(tiles_per_partition, bool) or not isinstance(
+        tiles_per_partition, (int, np.integer)
+    ):
+        raise ValueError(
+            f"tiles_per_partition must be an integer, got {tiles_per_partition!r}"
+        )
+    check_positive(tiles_per_partition, "tiles_per_partition")
     paths = sorted(
         os.path.join(folder, f)
         for f in os.listdir(folder)

@@ -12,6 +12,11 @@ import zlib
 
 import numpy as np
 
+# numpy loads its random subpackage on first attribute access; every
+# generator handed out here needs it, so it loads with this module
+# rather than inside the first seeded call.
+import numpy.random  # noqa: F401
+
 _GLOBAL_SEED = 0
 
 

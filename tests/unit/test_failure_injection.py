@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.datasets import DatasetCacheError
 from repro.core.datasets.grid import BikeNYCDeepSTN
+from repro.core.preprocessing import load_geotiff_image
 from repro.engine import Session
 from repro.spatial import RasterTile, load_raster_folder, read_rtif, write_rtif
 from repro.spatial.raster_io import RTIF_EXTENSION, RtifError
@@ -109,6 +110,20 @@ class TestCorruptRasterFiles:
             handle.write(rtif_oracle.assemble(header, payload))
         assert np.array_equal(read_rtif(path).data, self.PIXELS)
 
+    @pytest.mark.parametrize(
+        "shape, pixels",
+        [((-1, -4), 4), ((2.0,), 2), ((True, 2), 2), (("2",), 2), ((2, None), 2)],
+    )
+    def test_shape_entries_must_be_non_negative_integers(
+        self, tmp_path, shape, pixels
+    ):
+        # The payload decodes to exactly 4 * prod(shape) bytes, so only
+        # the shape check stands between these files and numpy.
+        path = str(tmp_path / "shaped") + RTIF_EXTENSION
+        payload = zlib.compress(bytes(4 * pixels))
+        blob = rtif_oracle.assemble(rtif_oracle.header(shape), payload)
+        self._read_damaged(path, blob, "not a list of non-negative integers")
+
     def test_inflate_failure_keeps_its_cause(self, tmp_path):
         path = str(tmp_path / "stream") + RTIF_EXTENSION
         with open(path, "wb") as handle:
@@ -134,6 +149,26 @@ class TestCorruptRasterFiles:
         with pytest.raises(RtifError, match="shorter than") as caught:
             df.collect()
         assert bad in str(caught.value)
+
+    @pytest.mark.parametrize("tiles_per_partition", [-1, 0, 1.5, True, "2"])
+    def test_tiles_per_partition_must_be_a_positive_integer(
+        self, tmp_path, tiles_per_partition
+    ):
+        folder = str(tmp_path / "tiles")
+        os.makedirs(folder)
+        for i in range(3):
+            write_rtif(
+                RasterTile(np.zeros((1, 2, 2), dtype=np.float32)),
+                os.path.join(folder, f"t{i}"),
+            )
+        session = Session()
+        for load in (load_raster_folder, load_geotiff_image):
+            with pytest.raises(ValueError, match="tiles_per_partition"):
+                load(session, folder, tiles_per_partition=tiles_per_partition)
+        rows = load_raster_folder(
+            session, folder, tiles_per_partition=np.int64(2)
+        ).collect()
+        assert len(rows) == 3
 
     def test_rtif_missing_bands_axis(self, tmp_path):
         # A well-formed file whose shape breaks the 3-D contract fails

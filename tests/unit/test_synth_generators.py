@@ -153,6 +153,27 @@ class TestTripRecords:
         top_decile = np.sort(counts)[-10:].sum()
         assert top_decile > 0.35 * counts.sum()
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"step_seconds": 0.0}, "step_seconds"),
+            ({"step_seconds": -1800.0}, "step_seconds"),
+            ({"step_seconds": float("nan")}, "step_seconds"),
+            ({"num_steps": 0}, "num_steps"),
+            ({"num_steps": -3}, "num_steps"),
+            ({"num_records": -1}, "num_records"),
+            ({"hotspot_count": 0}, "hotspot_count"),
+        ],
+    )
+    def test_bad_arguments_are_named(self, kwargs, name):
+        args = {"num_records": 10, "num_steps": 4, **kwargs}
+        with pytest.raises(ValueError, match=name):
+            generate_trip_records(envelope=Envelope(0, 1, 0, 1), **args)
+
+    def test_no_records(self):
+        records = generate_trip_records(0, Envelope(0, 1, 0, 1), num_steps=4)
+        assert all(len(v) == 0 for v in records.values())
+
 
 class TestClassificationRasters:
     def test_between_class_separation(self):
