@@ -124,7 +124,7 @@ def bench_train_overhead() -> dict:
     """
     from repro import nn
     from repro.core.training import Trainer, classification_batch
-    from repro.data import DataLoader, TensorDataset
+    from repro.data import DataLoader
     from repro.obs.profiler import Profiler
     from repro.optim import Adam
 
@@ -132,7 +132,7 @@ def bench_train_overhead() -> dict:
     images = rng.normal(size=(96, 2, 16, 16)).astype(np.float32)
     labels = rng.integers(0, 4, 96)
     loader = DataLoader(
-        TensorDataset(images, labels), batch_size=16, shuffle=False
+        list(zip(images, labels)), batch_size=16, shuffle=False
     )
 
     def make_trainer() -> Trainer:

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo health check, eight gates:
+# Repo health check, nine gates:
 #   1. lint: ruff check (config in pyproject.toml); skipped with a
 #      note when ruff is not installed in the environment; plus two
 #      greps: nothing under src/repro/spatial/ may name zipfile,
@@ -22,14 +22,20 @@
 #   5. pipeline smoke: benchmarks/pipeline/run.py --smoke runs the five
 #      BENCHMARK.json workloads end to end at reduced size (~12 s),
 #      each checked against its numpy oracle
-#   6. bench smoke: benchmarks/run_quick.py runs to completion and
+#   6. paper runners: python -m repro.experiments.run all regenerates
+#      every table and figure (Fig 8, Tables IV-VIII, Fig 9) at a
+#      reduced scale (one seed, one epoch, 800 grid steps, 40 / 16
+#      images; ~100 s on a 2-core host), so a runner that still reaches
+#      deleted code fails here; it checks that they run, not what
+#      they claim
+#   7. bench smoke: benchmarks/run_quick.py runs to completion and
 #      regenerates BENCH_engine.json (incl. per-operator breakdown)
-#   7. bench diff: the fresh BENCH_engine.json must not regress the
+#   8. bench diff: the fresh BENCH_engine.json must not regress the
 #      watched keys (obs overhead, ConvLSTM epoch time,
 #      peak activation bytes,
 #      streaming update speedup + p99 latency) >25% vs the committed
 #      one; stream_update_speedup must stay above an absolute 10x floor
-#   8. join ablation: benchmarks/bench_ablation_join.py (~3 s) joins
+#   9. join ablation: benchmarks/bench_ablation_join.py (~3 s) joins
 #      20k points to 768 rectangles and 1 536 triangles with and
 #      without the STR-tree — same kernel, different candidates — and
 #      requires identical matches and brute force > 3x the indexed arm
@@ -67,9 +73,15 @@ REPRO_TRACE=1 python -m pytest -q \
 echo "== pipeline smoke: five workloads end to end =="
 python benchmarks/pipeline/run.py --smoke
 
+echo "== paper runners: every table and figure at reduced scale =="
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
+REPRO_SEEDS=1 REPRO_GRID_STEPS=800 REPRO_NUM_IMAGES=40 \
+    REPRO_NUM_SEG_IMAGES=16 REPRO_MAX_EPOCHS=1 \
+    python -m repro.experiments.run all --data-root "$scratch/data" >/dev/null
+
 echo "== bench smoke: run_quick =="
-baseline="$(mktemp)"
-trap 'rm -f "$baseline"' EXIT
+baseline="$scratch/BENCH_engine.json"
 cp BENCH_engine.json "$baseline"
 python benchmarks/run_quick.py
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import nn
-from repro.nn import functional as F
 from repro.nn.module import Parameter
 from repro.tensor import Tensor, concatenate
 
@@ -32,10 +31,11 @@ class ConvPlus(nn.Module):
         super().__init__()
         self.local = nn.Conv2d(in_channels, out_channels, 3, padding=1, rng=rng)
         self.global_fc = nn.Linear(in_channels, out_channels, rng=rng)
+        self.pool = nn.GlobalAvgPool2d()
 
     def forward(self, x):
         local = self.local(x)
-        pooled = F.global_avg_pool2d(x)  # (N, C)
+        pooled = self.pool(x)  # (N, C)
         glob = self.global_fc(pooled)  # (N, out)
         return local + glob.reshape(glob.shape[0], glob.shape[1], 1, 1)
 

@@ -1,20 +1,11 @@
 """Dataset and DataLoader abstractions (mirrors ``torch.utils.data``)."""
 
-from repro.data.dataset import (
-    Dataset,
-    TensorDataset,
-    Subset,
-    random_split,
-    sequential_split,
-)
-from repro.data.dataloader import DataLoader, default_collate
+from repro.data.dataset import Dataset, random_split, sequential_split
+from repro.data.dataloader import DataLoader
 
 __all__ = [
     "Dataset",
-    "TensorDataset",
-    "Subset",
     "random_split",
     "sequential_split",
     "DataLoader",
-    "default_collate",
 ]

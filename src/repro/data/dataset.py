@@ -22,25 +22,6 @@ class Dataset:
         raise NotImplementedError
 
 
-class TensorDataset(Dataset):
-    """Wrap equally-long arrays; indexing returns the i-th row tuple."""
-
-    def __init__(self, *arrays):
-        if not arrays:
-            raise ValueError("TensorDataset needs at least one array")
-        lengths = {len(a) for a in arrays}
-        if len(lengths) != 1:
-            raise ValueError(f"arrays have mismatched lengths: {lengths}")
-        self.arrays = [np.asarray(a) for a in arrays]
-
-    def __len__(self):
-        return len(self.arrays[0])
-
-    def __getitem__(self, index):
-        row = tuple(a[index] for a in self.arrays)
-        return row if len(row) > 1 else row[0]
-
-
 class Subset(Dataset):
     """A view of a dataset restricted to the given indices."""
 

@@ -4,51 +4,33 @@ API modeled on ``torch.nn``: layers are :class:`Module` subclasses
 holding :class:`Parameter` leaves; calling a module runs ``forward``.
 """
 
-from repro.nn.module import Module, Parameter, RemovableHandle
+from repro.nn.module import Module, Parameter
 from repro.nn.container import Sequential, ModuleList
 from repro.nn.linear import Linear
 from repro.nn.conv import Conv2d, ConvTranspose2d
-from repro.nn.pooling import MaxPool2d, AvgPool2d, UpsampleNearest2d, GlobalAvgPool2d
-from repro.nn.activations import ReLU, LeakyReLU, Sigmoid, Tanh, Softmax
-from repro.nn.normalization import BatchNorm2d, LayerNorm
+from repro.nn.pooling import MaxPool2d, GlobalAvgPool2d
+from repro.nn.activations import ReLU
+from repro.nn.normalization import BatchNorm2d
 from repro.nn.dropout import Dropout
-from repro.nn.recurrent import LSTMCell, ConvLSTMCell, ConvLSTM
-from repro.nn.loss import (
-    MSELoss,
-    L1Loss,
-    CrossEntropyLoss,
-    BCEWithLogitsLoss,
-)
-from repro.nn import functional, init
+from repro.nn.recurrent import ConvLSTM
+from repro.nn.loss import MSELoss, CrossEntropyLoss
+from repro.nn import functional
 
 __all__ = [
     "Module",
     "Parameter",
-    "RemovableHandle",
     "Sequential",
     "ModuleList",
     "Linear",
     "Conv2d",
     "ConvTranspose2d",
     "MaxPool2d",
-    "AvgPool2d",
-    "UpsampleNearest2d",
     "GlobalAvgPool2d",
     "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
-    "Softmax",
     "BatchNorm2d",
-    "LayerNorm",
     "Dropout",
-    "LSTMCell",
-    "ConvLSTMCell",
     "ConvLSTM",
     "MSELoss",
-    "L1Loss",
     "CrossEntropyLoss",
-    "BCEWithLogitsLoss",
     "functional",
-    "init",
 ]

@@ -2,53 +2,9 @@
 
 from __future__ import annotations
 
-from repro.nn import functional as F
 from repro.nn.module import Module
 
 
 class ReLU(Module):
     def forward(self, x):
         return x.relu()
-
-    def __repr__(self):
-        return "ReLU()"
-
-
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x):
-        return F.leaky_relu(x, self.negative_slope)
-
-    def __repr__(self):
-        return f"LeakyReLU(negative_slope={self.negative_slope})"
-
-
-class Sigmoid(Module):
-    def forward(self, x):
-        return x.sigmoid()
-
-    def __repr__(self):
-        return "Sigmoid()"
-
-
-class Tanh(Module):
-    def forward(self, x):
-        return x.tanh()
-
-    def __repr__(self):
-        return "Tanh()"
-
-
-class Softmax(Module):
-    def __init__(self, axis: int = -1):
-        super().__init__()
-        self.axis = axis
-
-    def forward(self, x):
-        return F.softmax(x, axis=self.axis)
-
-    def __repr__(self):
-        return f"Softmax(axis={self.axis})"

@@ -4,49 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor import Tensor, concatenate
+from repro.tensor import Tensor
 from repro.tensor.ops_conv import (  # noqa: F401  (re-exported)
-    avg_pool2d,
     conv2d,
     conv_transpose2d,
     global_avg_pool2d,
     max_pool2d,
-    upsample_nearest2d,
 )
 from repro.tensor.ops_fused import (  # noqa: F401  (re-exported)
     batch_norm2d,
     fused_linear,
     fused_lstm_gates,
 )
-
-
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
-def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
-    mask = x.data > 0
-    scale = mask + negative_slope * np.logical_not(mask)
-    data = x.data * scale
-
-    def backward(grad):
-        x._accumulate(grad * scale)
-
-    return Tensor._make(data, (x,), backward)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -81,51 +50,36 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     return (diff * diff).mean()
 
 
-def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
-    diff = pred - (target if isinstance(target, Tensor) else Tensor(target))
-    return diff.abs().mean()
+def _class_indices(target, num_classes: int) -> np.ndarray:
+    """``target`` as int64 class indices; ``ValueError`` unless every
+    one is a whole number in ``[0, num_classes)``.  A cast alone would
+    score ``-1`` as the last class, truncate ``1.5`` and turn NaN into
+    ``INT64_MIN``."""
+    values = np.asarray(target.data if isinstance(target, Tensor) else target)
+    ok = values.size == 0 or (0 <= values.min() and values.max() < num_classes)
+    indices = values.astype(np.int64) if ok else None
+    if not ok or (values.dtype.kind not in "biu"
+                  and not np.array_equal(indices, values)):
+        raise ValueError(
+            f"cross_entropy targets must be whole class indices in "
+            f"[0, {num_classes}), got min {values.min()} max {values.max()}"
+        )
+    return indices
 
 
 def cross_entropy(logits: Tensor, target) -> Tensor:
     """Mean cross entropy.  ``target`` holds integer class indices of
     shape matching ``logits`` minus the class axis (axis 1)."""
-    target_idx = np.asarray(target.data if isinstance(target, Tensor) else target)
-    target_idx = target_idx.astype(np.int64)
+    if logits.ndim not in (2, 4):
+        raise ValueError(f"unsupported logits rank {logits.ndim}")
+    target_idx = _class_indices(target, logits.shape[1])
     logp = log_softmax(logits, axis=1)
     if logits.ndim == 2:
         picked = logp[np.arange(logits.shape[0]), target_idx]
-    elif logits.ndim == 4:
+    else:
         n, _, h, w = logits.shape
         ni, hi, wi = np.meshgrid(
             np.arange(n), np.arange(h), np.arange(w), indexing="ij"
         )
         picked = logp[ni, target_idx, hi, wi]
-    else:
-        raise ValueError(f"unsupported logits rank {logits.ndim}")
     return -picked.mean()
-
-
-def bce_with_logits(logits: Tensor, target: Tensor) -> Tensor:
-    """Numerically-stable binary cross entropy on logits."""
-    t = target if isinstance(target, Tensor) else Tensor(target)
-    # max(x, 0) - x*t + log(1 + exp(-|x|))
-    relu_x = logits.relu()
-    abs_x = logits.abs()
-    softplus = ((-abs_x).exp() + 1.0).log()
-    return (relu_x - logits * t + softplus).mean()
-
-
-def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
-    """Integer index array -> one-hot float32 array (extra last axis)."""
-    indices = np.asarray(indices, dtype=np.int64)
-    out = np.zeros(indices.shape + (num_classes,), dtype=np.float32)
-    np.put_along_axis(out, indices[..., None], 1.0, axis=-1)
-    return out
-
-
-def pad2d(x: Tensor, pad_h: int, pad_w: int) -> Tensor:
-    return x.pad2d(pad_h, pad_w)
-
-
-def cat(tensors, axis: int = 0) -> Tensor:
-    return concatenate(tensors, axis=axis)

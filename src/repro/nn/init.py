@@ -17,14 +17,6 @@ def _fan_in_out(shape: tuple) -> tuple[int, int]:
     return size, size
 
 
-def xavier_uniform(shape, rng=None, gain: float = 1.0) -> np.ndarray:
-    """Glorot uniform initialization."""
-    fan_in, fan_out = _fan_in_out(tuple(shape))
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    gen = default_rng(rng)
-    return gen.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
 def kaiming_uniform(shape, rng=None) -> np.ndarray:
     """He uniform initialization (for ReLU networks)."""
     fan_in, _ = _fan_in_out(tuple(shape))

@@ -12,35 +12,9 @@ class MSELoss(Module):
     def forward(self, pred, target):
         return F.mse_loss(pred, target)
 
-    def __repr__(self):
-        return "MSELoss()"
-
-
-class L1Loss(Module):
-    """Mean absolute error."""
-
-    def forward(self, pred, target):
-        return F.l1_loss(pred, target)
-
-    def __repr__(self):
-        return "L1Loss()"
-
 
 class CrossEntropyLoss(Module):
     """Softmax cross entropy over class logits (axis 1)."""
 
     def forward(self, logits, target):
         return F.cross_entropy(logits, target)
-
-    def __repr__(self):
-        return "CrossEntropyLoss()"
-
-
-class BCEWithLogitsLoss(Module):
-    """Binary cross entropy computed stably from logits."""
-
-    def forward(self, logits, target):
-        return F.bce_with_logits(logits, target)
-
-    def __repr__(self):
-        return "BCEWithLogitsLoss()"

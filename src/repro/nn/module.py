@@ -1,9 +1,8 @@
 """The :class:`Module` base class and :class:`Parameter`.
 
-Attribute assignment auto-registers parameters, sub-modules, and
-buffers (non-trainable state such as BatchNorm running statistics), so
-``parameters()`` and ``state_dict()`` see the whole tree — the same
-convention as ``torch.nn.Module``.
+Attribute assignment auto-registers parameters and sub-modules, so
+``parameters()`` sees the whole tree — the same convention as
+``torch.nn.Module``.
 """
 
 from __future__ import annotations
@@ -30,12 +29,6 @@ class RemovableHandle:
     def remove(self) -> None:
         self._hooks.pop(self.id, None)
 
-    def __enter__(self) -> "RemovableHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.remove()
-
 
 class Parameter(Tensor):
     """A tensor that is a trainable leaf of a module."""
@@ -44,20 +37,11 @@ class Parameter(Tensor):
         super().__init__(np.asarray(data, dtype=dtype), requires_grad=True)
 
 
-class Buffer(Tensor):
-    """Non-trainable module state saved in ``state_dict`` (e.g. running
-    statistics)."""
-
-    def __init__(self, data, dtype=np.float32):
-        super().__init__(np.asarray(data, dtype=dtype), requires_grad=False)
-
-
 class Module:
     """Base class for all neural network layers and models."""
 
     def __init__(self):
         object.__setattr__(self, "_parameters", OrderedDict())
-        object.__setattr__(self, "_buffers", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
         object.__setattr__(self, "_forward_pre_hooks", OrderedDict())
         object.__setattr__(self, "_forward_hooks", OrderedDict())
@@ -69,16 +53,10 @@ class Module:
     def __setattr__(self, name, value):
         if isinstance(value, Parameter):
             self._parameters[name] = value
-            self._buffers.pop(name, None)
-            self._modules.pop(name, None)
-        elif isinstance(value, Buffer):
-            self._buffers[name] = value
-            self._parameters.pop(name, None)
             self._modules.pop(name, None)
         elif isinstance(value, Module):
             self._modules[name] = value
             self._parameters.pop(name, None)
-            self._buffers.pop(name, None)
         object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
@@ -95,18 +73,6 @@ class Module:
         """Yield all parameters in the module tree."""
         for _, param in self.named_parameters():
             yield param
-
-    def named_buffers(self, prefix: str = ""):
-        for name, buf in self._buffers.items():
-            yield (f"{prefix}{name}", buf)
-        for name, module in self._modules.items():
-            yield from module.named_buffers(prefix=f"{prefix}{name}.")
-
-    def modules(self):
-        """Yield this module and all descendants."""
-        yield self
-        for child in self._modules.values():
-            yield from child.modules()
 
     def named_modules(self, prefix: str = "", memo: set | None = None):
         """Yield ``(qualified_path, module)`` over the tree, visiting
@@ -127,7 +93,7 @@ class Module:
         return sum(p.size for p in self.parameters())
 
     # ------------------------------------------------------------------
-    # Modes and gradients
+    # Modes
     # ------------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
         """Set training mode recursively (affects Dropout/BatchNorm)."""
@@ -139,52 +105,6 @@ class Module:
     def eval(self) -> "Module":
         """Set inference mode recursively."""
         return self.train(False)
-
-    def zero_grad(self) -> None:
-        """Clear gradients of every parameter in the tree."""
-        for param in self.parameters():
-            param.zero_grad()
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def state_dict(self) -> "OrderedDict[str, np.ndarray]":
-        """Return a flat name -> array mapping of parameters + buffers."""
-        state = OrderedDict()
-        for name, param in self.named_parameters():
-            state[name] = param.data.copy()
-        for name, buf in self.named_buffers():
-            state[name] = buf.data.copy()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        """Load arrays produced by :meth:`state_dict` (strict match)."""
-        own = dict(self.named_parameters())
-        own.update(dict(self.named_buffers()))
-        missing = set(own) - set(state)
-        unexpected = set(state) - set(own)
-        if missing or unexpected:
-            raise KeyError(
-                f"state_dict mismatch; missing={sorted(missing)}, "
-                f"unexpected={sorted(unexpected)}"
-            )
-        for name, tensor_ in own.items():
-            value = np.asarray(state[name])
-            if value.shape != tensor_.data.shape:
-                raise ValueError(
-                    f"shape mismatch for {name}: "
-                    f"{value.shape} vs {tensor_.data.shape}"
-                )
-            tensor_.data = value.astype(tensor_.data.dtype, copy=True)
-
-    def save(self, path: str) -> None:
-        """Persist the state dict to an ``.npz`` file."""
-        np.savez(path, **self.state_dict())
-
-    def load(self, path: str) -> None:
-        """Load a state dict previously written by :meth:`save`."""
-        with np.load(path) as archive:
-            self.load_state_dict({k: archive[k] for k in archive.files})
 
     # ------------------------------------------------------------------
     # Hooks

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.nn import init
-from repro.nn.module import Buffer, Module, Parameter
+from repro.nn.module import Module, Parameter
 from repro.tensor import Tensor
 from repro.tensor.ops_fused import batch_norm2d
 
@@ -24,8 +24,8 @@ class BatchNorm2d(Module):
         self.momentum = momentum
         self.weight = Parameter(init.ones(num_features))
         self.bias = Parameter(init.zeros(num_features))
-        self.running_mean = Buffer(init.zeros(num_features))
-        self.running_var = Buffer(init.ones(num_features))
+        self.running_mean = Tensor(init.zeros(num_features))
+        self.running_var = Tensor(init.ones(num_features))
 
     def forward(self, x):
         if x.ndim != 4:
@@ -59,23 +59,3 @@ class BatchNorm2d(Module):
 
     def __repr__(self):
         return f"BatchNorm2d({self.num_features}, eps={self.eps})"
-
-
-class LayerNorm(Module):
-    """Layer normalization over the trailing feature axis."""
-
-    def __init__(self, num_features: int, eps: float = 1e-5):
-        super().__init__()
-        self.num_features = num_features
-        self.eps = eps
-        self.weight = Parameter(init.ones(num_features))
-        self.bias = Parameter(init.zeros(num_features))
-
-    def forward(self, x):
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        normed = (x - mean) * ((var + self.eps) ** -0.5)
-        return normed * self.weight + self.bias
-
-    def __repr__(self):
-        return f"LayerNorm({self.num_features}, eps={self.eps})"

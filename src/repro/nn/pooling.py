@@ -1,9 +1,10 @@
-"""Pooling and upsampling layers."""
+"""Pooling layers."""
 
 from __future__ import annotations
 
 from repro.nn import functional as F
 from repro.nn.module import Module
+from repro.tensor.ops_conv import check_pool_kernel
 
 
 class MaxPool2d(Module):
@@ -11,6 +12,7 @@ class MaxPool2d(Module):
 
     def __init__(self, kernel_size: int):
         super().__init__()
+        check_pool_kernel(kernel_size)
         self.kernel_size = kernel_size
 
     def forward(self, x):
@@ -18,34 +20,6 @@ class MaxPool2d(Module):
 
     def __repr__(self):
         return f"MaxPool2d(kernel_size={self.kernel_size})"
-
-
-class AvgPool2d(Module):
-    """Non-overlapping average pooling."""
-
-    def __init__(self, kernel_size: int):
-        super().__init__()
-        self.kernel_size = kernel_size
-
-    def forward(self, x):
-        return F.avg_pool2d(x, self.kernel_size)
-
-    def __repr__(self):
-        return f"AvgPool2d(kernel_size={self.kernel_size})"
-
-
-class UpsampleNearest2d(Module):
-    """Nearest-neighbour upsampling by an integer scale factor."""
-
-    def __init__(self, scale: int):
-        super().__init__()
-        self.scale = scale
-
-    def forward(self, x):
-        return F.upsample_nearest2d(x, self.scale)
-
-    def __repr__(self):
-        return f"UpsampleNearest2d(scale={self.scale})"
 
 
 class GlobalAvgPool2d(Module):

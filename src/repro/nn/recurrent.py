@@ -1,7 +1,7 @@
-"""Recurrent cells: LSTM and the convolutional LSTM of Shi et al.
-(NIPS 2015), the building block of the paper's ConvLSTM model.
+"""The convolutional LSTM of Shi et al. (NIPS 2015), the building
+block of the paper's ConvLSTM model.
 
-Both cells apply their gates through the fused kernel
+The cell applies its gates through the fused kernel
 (:func:`repro.tensor.ops_fused.fused_lstm_gates`): one packed
 activation pass and two graph nodes per step instead of thirteen.
 The chain of elementwise autograd ops it replaces is
@@ -12,35 +12,9 @@ bit in values and gradients (``tests/property/test_property_fused.py``).
 from __future__ import annotations
 
 from repro.nn.conv import Conv2d
-from repro.nn.linear import Linear
 from repro.nn.module import Module
 from repro.tensor import Tensor, concatenate, zeros
 from repro.tensor.ops_fused import fused_lstm_gates
-
-
-class LSTMCell(Module):
-    """Standard LSTM cell over flat feature vectors.
-
-    State is a ``(h, c)`` pair of (N, hidden_size) tensors.
-    """
-
-    def __init__(self, input_size: int, hidden_size: int, rng=None):
-        super().__init__()
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.gates = Linear(input_size + hidden_size, 4 * hidden_size, rng=rng)
-
-    def init_state(self, batch_size: int):
-        shape = (batch_size, self.hidden_size)
-        return zeros(shape), zeros(shape)
-
-    def forward(self, x, state=None):
-        if state is None:
-            state = self.init_state(x.shape[0])
-        h, c = state
-        gates = self.gates(concatenate([x, h], axis=1))
-        h_next, c_next = fused_lstm_gates(gates, c, self.hidden_size)
-        return h_next, (h_next, c_next)
 
 
 class ConvLSTMCell(Module):

@@ -3,8 +3,8 @@
 Four pieces, one switch:
 
 - :class:`Tracer` / :class:`Span` (``repro.obs.tracer``) — nested,
-  timed regions with attached counters; ``repro.utils.timing``
-  delegates here so the codebase has one timing substrate.
+  timed regions with attached counters: the codebase's one timing
+  substrate.
 - :class:`MetricsRegistry` (``repro.obs.metrics``) — process-wide
   counters / gauges / histograms that the engine executor, spatial
   join, DFtoTorch converter, and Trainer all record into.

@@ -158,13 +158,6 @@ def _flops_conv_transpose2d(module, args, output):
     return flops
 
 
-def _flops_lstm_cell(module, args, output):
-    # Elementwise gate combination only; the (I+H) x 4H affine map is
-    # the child ``gates`` Linear.
-    x = args[0]
-    return 9.0 * x.shape[0] * module.hidden_size
-
-
 def _flops_conv_lstm_cell(module, args, output):
     x = args[0]
     n, _, h, w = x.shape
@@ -186,18 +179,11 @@ FLOP_FORMULAS = {
     "Linear": _flops_linear,
     "Conv2d": _flops_conv2d,
     "ConvTranspose2d": _flops_conv_transpose2d,
-    "LSTMCell": _flops_lstm_cell,
     "ConvLSTMCell": _flops_conv_lstm_cell,
     "MaxPool2d": _flops_pool,
-    "AvgPool2d": _flops_pool,
     "GlobalAvgPool2d": _flops_per_output(1.0),
     "BatchNorm2d": _flops_per_output(5.0),
-    "LayerNorm": _flops_per_output(8.0),
     "ReLU": _flops_per_output(1.0),
-    "LeakyReLU": _flops_per_output(2.0),
-    "Sigmoid": _flops_per_output(4.0),
-    "Tanh": _flops_per_output(4.0),
-    "Softmax": _flops_per_output(5.0),
     "Dropout": _flops_per_output(1.0),
 }
 

@@ -4,9 +4,8 @@ A :class:`Span` is one timed region; entering a span inside another
 records parent/child nesting, so a trace reads like a call tree
 (epoch -> batch -> forward/backward, or action -> operator).  Spans
 always measure wall time when the tracer is enabled — they are the
-single timing substrate (``repro.utils.timing.Stopwatch`` delegates
-here) — and a disabled tracer hands out a shared no-op span with zero
-overhead beyond one attribute check.
+library's one timing substrate — and a disabled tracer hands out a
+shared no-op span with zero overhead beyond one attribute check.
 
 Trace context crosses threads.  Every span carries a process-unique
 ``span_id`` plus its parent's id, and the tracer keeps one nesting

@@ -1,8 +1,5 @@
-"""Optimizers and learning-rate schedulers."""
+"""The optimizer: Adam, the one every experiment in the paper uses."""
 
-from repro.optim.optimizer import Optimizer
-from repro.optim.sgd import SGD
 from repro.optim.adam import Adam
-from repro.optim.lr_scheduler import StepLR
 
-__all__ = ["Optimizer", "SGD", "Adam", "StepLR"]
+__all__ = ["Adam"]

@@ -1,25 +1,31 @@
 """Adam optimizer (Kingma & Ba, 2015) — the optimizer used for every
 experiment in the paper.
 
-:class:`~repro.optim.optimizer.Optimizer` picks the step.  The flat one
-holds parameter data, first and second moments each in a single array
-and is ~14 full-buffer ufuncs with ``out=``, instead of a Python loop
-allocating five temporaries per parameter; both steps produce the bits
-of ``tests/tensor_oracle.py::oracle_adam_step`` (pinned by
+Parameters that share a dtype are re-bound as views of one contiguous
+buffer (:class:`repro.optim.flat.FlatParamBuffer`), with the first and
+second moments in two more.  A step whose every gradient is present
+then runs ``_step_flat`` — the whole update as ~14 full-buffer ufuncs
+with ``out=``, instead of a Python loop allocating five temporaries
+per parameter; any other step — a missing gradient, mixed dtypes —
+runs ``_step_partial``, which updates each parameter in place.  Both
+write into the arrays ``param.data`` already names, so a step never
+rebinds or re-types a parameter, and both produce the bits of
+``tests/tensor_oracle.py::oracle_adam_step`` (pinned by
 ``tests/property/test_property_fused.py``).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.optim.optimizer import Optimizer
+from repro.obs.profiler import op_span
+from repro.optim.flat import FlatParamBuffer
 
 
-class Adam(Optimizer):
+class Adam:
     """Adam with bias-corrected first/second moment estimates."""
-
-    _span = "optim.adam.step"
 
     def __init__(
         self,
@@ -29,17 +35,60 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        super().__init__(params, lr)
+        self.params = list(params)
+        if not self.params:
+            raise ValueError("optimizer received an empty parameter list")
+        # Checked before any parameter is re-bound: a NaN lr or a beta
+        # of 1 makes every parameter non-finite on the first step.
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {lr!r}")
+        for name, beta in zip(("beta1", "beta2"), betas):
+            if not 0.0 <= beta < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {beta!r}")
+        for name, value in (("eps", eps), ("weight_decay", weight_decay)):
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
+        self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self._t = 0
+        try:
+            buf = self._buf = FlatParamBuffer(self.params)
+        except TypeError:  # mixed dtypes: every step is per-parameter
+            self._buf = None
+        else:
+            self._g_flat = np.empty(buf.size, dtype=buf.dtype)
+            self._scratch = np.empty(buf.size, dtype=buf.dtype)
         self._m_flat, self._m = self._zero_state()
         self._v_flat, self._v = self._zero_state()
 
+    def _zero_state(self):
+        """Zeroed per-parameter state as ``(flat, per_param)``: views
+        of one flat array beside the flat parameter buffer, or (mixed
+        dtypes, ``flat`` is None) an array per parameter."""
+        buf = self._buf
+        if buf is None:
+            return None, [np.zeros_like(p.data) for p in self.params]
+        flat = np.zeros(buf.size, dtype=buf.dtype)
+        return flat, [buf.view(flat, i) for i in range(len(self.params))]
+
+    def zero_grad(self) -> None:
+        """Clear gradients on all managed parameters."""
+        for param in self.params:
+            param.zero_grad()
+
     def step(self) -> None:
         self._t += 1
-        super().step()
+        buf = self._buf
+        if buf is not None and not buf.views_intact():
+            # A caller rebound some param.data — re-adopt it.
+            buf.reflatten()
+        with op_span("optim.adam.step"):
+            if buf is not None and buf.gather_grads(self._g_flat):
+                self._step_flat()
+            else:
+                self._step_partial()
 
     def _step_flat(self) -> None:
         """Whole-model update as full-buffer ufuncs.

@@ -13,10 +13,11 @@ exactly the bits the per-parameter loop would — provided the flat
 step reproduces the per-parameter expression order operation for
 operation (pinned by ``tests/property/test_property_fused.py``).
 
-``load_state_dict`` rebinds ``param.data`` to a fresh array, which
-silently detaches a parameter from the buffer.  :meth:`views_intact`
-detects that (``data.base is buffer``) and :meth:`reflatten` re-adopts
-the new values, so the optimizers survive checkpoint restores.
+Assigning a fresh array to ``param.data`` after the optimizer was
+built (nothing in the library does; a caller seeding weights may)
+would silently detach the parameter from the buffer.
+:meth:`views_intact` detects that (``data.base is buffer``) and
+:meth:`reflatten` re-adopts the new values before the next step.
 """
 
 from __future__ import annotations

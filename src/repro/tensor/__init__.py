@@ -8,8 +8,8 @@ topological ordering of that graph.
 Two execution backends are provided for the convolution-heavy
 primitives (see :mod:`repro.tensor.backend`):
 
-- ``"accelerated"`` — vectorized shift-and-add BLAS implementations;
-  stands in for the GPU runs in the paper's Figure 9.
+- ``"accelerated"`` — channel-major im2col and one BLAS gemm per
+  convolution; stands in for the GPU runs in the paper's Figure 9.
 - ``"naive"`` — straightforward Python-loop reference implementations;
   stands in for the CPU runs.
 
@@ -17,54 +17,26 @@ Both backends produce identical numerics; only speed differs, which is
 exactly the axis Figure 9 measures.
 """
 
-from repro.tensor.backend import (
-    get_backend,
-    set_backend,
-    use_backend,
-)
-from repro.tensor.pool import ArrayPool, default_pool
+from repro.tensor.backend import use_backend
+from repro.tensor.pool import default_pool
 from repro.tensor.tensor import (
     Tensor,
-    tensor,
     zeros,
-    ones,
-    full,
-    arange,
-    randn,
-    rand,
     no_grad,
-    is_grad_enabled,
     concatenate,
     stack,
-    where,
 )
 
-from repro.tensor.trace import (
-    TraceSession,
-    TraceRecorder,
-    notify_trace_unsafe,
-)
+from repro.tensor.trace import TraceSession, notify_trace_unsafe
 
 __all__ = [
     "Tensor",
-    "tensor",
     "zeros",
-    "ones",
-    "full",
-    "arange",
-    "randn",
-    "rand",
     "no_grad",
-    "is_grad_enabled",
     "concatenate",
     "stack",
-    "where",
-    "get_backend",
-    "set_backend",
     "use_backend",
-    "ArrayPool",
     "default_pool",
     "TraceSession",
-    "TraceRecorder",
     "notify_trace_unsafe",
 ]

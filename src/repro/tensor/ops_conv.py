@@ -460,7 +460,15 @@ def conv_transpose2d(
     return ret
 
 
+def check_pool_kernel(kernel) -> None:
+    """Reject a pooling window that is not a whole number of pixels:
+    0 divides by zero, a negative one indexes backwards."""
+    if not isinstance(kernel, (int, np.integer)) or kernel < 1:
+        raise ValueError(f"kernel must be an integer >= 1, got {kernel!r}")
+
+
 def _check_pool_args(shape, kernel: int, stride: int | None, op: str) -> None:
+    check_pool_kernel(kernel)
     if stride is not None and stride != kernel:
         raise NotImplementedError(f"{op} requires stride == kernel")
     _, _, h, w = shape
@@ -520,43 +528,6 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     ret = Tensor._make(out, (x,), backward)
     if _tensor_mod._TRACE is not None:
         _tensor_mod._TRACE.record(max_pool2d, (x,), (ret,), kernel, stride)
-    return ret
-
-
-def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Average pooling with stride == kernel."""
-    _check_pool_args(x.shape, kernel, stride, "avg_pool2d")
-    with op_span("ops_conv.avg_pool2d") as _op:
-        out = _tap_reduce(np.add, _taps(x.data, kernel)) / (kernel * kernel)
-        _op.set_bytes(out.nbytes)
-
-    def backward(grad):
-        with op_span("ops_conv.avg_pool2d.backward"):
-            dx = default_pool().acquire(x.shape, grad.dtype)
-            share = grad / (kernel * kernel)
-            for dx_tap in _taps(dx, kernel):
-                dx_tap[...] = share
-            x._accumulate(dx, donate=True)
-
-    ret = Tensor._make(out, (x,), backward)
-    if _tensor_mod._TRACE is not None:
-        _tensor_mod._TRACE.record(avg_pool2d, (x,), (ret,), kernel, stride)
-    return ret
-
-
-def upsample_nearest2d(x: Tensor, scale: int) -> Tensor:
-    """Nearest-neighbour upsampling by an integer factor."""
-    with op_span("ops_conv.upsample_nearest2d") as _op:
-        out = np.repeat(np.repeat(x.data, scale, axis=2), scale, axis=3)
-        _op.set_bytes(out.nbytes)
-
-    def backward(grad):
-        with op_span("ops_conv.upsample_nearest2d.backward"):
-            x._accumulate(_tap_reduce(np.add, _taps(grad, scale)), donate=True)
-
-    ret = Tensor._make(out, (x,), backward)
-    if _tensor_mod._TRACE is not None:
-        _tensor_mod._TRACE.record(upsample_nearest2d, (x,), (ret,), scale)
     return ret
 
 

@@ -1,6 +1,6 @@
 """Fused training kernels.
 
-:func:`fused_lstm_gates` collapses the LSTM/ConvLSTM gate tail — in
+:func:`fused_lstm_gates` collapses the ConvLSTM gate tail — in
 the unfused form 4 slice nodes, 4 activation nodes, 3 multiplies, an
 add, and a tanh (13 graph nodes, each with its own closure and output
 allocation) — into two graph nodes:
@@ -165,8 +165,7 @@ def fused_lstm_gates(gates: Tensor, c: Tensor, hidden: int):
     ----------
     gates:
         Pre-activation gates packed along axis 1 in ``[i, f, g, o]``
-        order: ``(N, 4*hidden)`` for :class:`~repro.nn.recurrent.LSTMCell`
-        or ``(N, 4*hidden, H, W)`` for
+        order, ``(N, 4*hidden, H, W)`` for
         :class:`~repro.nn.recurrent.ConvLSTMCell`.
     c:
         Previous cell state, shaped like one gate block.

@@ -38,11 +38,6 @@ def _count_freed(nbytes: int) -> None:
     _freed_counter.inc(nbytes)
 
 
-def is_grad_enabled() -> bool:
-    """Return True when operations record the autograd graph."""
-    return _grad_enabled
-
-
 @contextmanager
 def no_grad():
     """Disable graph recording within the block (inference mode)."""
@@ -173,16 +168,6 @@ class Tensor:
         if _TRACE is not None:
             _TRACE.record(Tensor.detach, (self,), (out,))
         return out
-
-    def copy(self) -> "Tensor":
-        if _TRACE is not None:
-            _TRACE.abort("Tensor.copy() inside the traced region")
-        return Tensor(self.data.copy(), requires_grad=False)
-
-    def astype(self, dtype) -> "Tensor":
-        if _TRACE is not None:
-            _TRACE.abort("Tensor.astype() inside the traced region")
-        return Tensor(self.data.astype(dtype), requires_grad=False)
 
     # ------------------------------------------------------------------
     # Autograd machinery
@@ -397,9 +382,6 @@ class Tensor:
             _TRACE.record(Tensor.__sub__, (self, other), (out,))
         return out
 
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         with op_span("tensor.mul"):
@@ -422,29 +404,6 @@ class Tensor:
         return out
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        data = self.data / other.data
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(
-                    _unbroadcast(grad / other.data, self.shape), donate=True
-                )
-            if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(-grad * self.data / other.data**2, other.shape),
-                    donate=True,
-                )
-
-        out = Tensor._make(data, (self, other), backward)
-        if _TRACE is not None:
-            _TRACE.record(Tensor.__truediv__, (self, other), (out,))
-        return out
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
 
     def __neg__(self):
         def backward(grad):
@@ -469,52 +428,6 @@ class Tensor:
         if _TRACE is not None:
             _TRACE.record(Tensor.__pow__, (self,), (out,), exponent)
         return out
-
-    def __matmul__(self, other):
-        other = self._coerce(other)
-        with op_span("tensor.matmul"):
-            data = self.data @ other.data
-
-        def backward(grad):
-            with op_span("tensor.matmul.backward"):
-                if self.requires_grad:
-                    if other.data.ndim == 1:
-                        g = np.outer(grad, other.data) if grad.ndim == 1 else (
-                            grad[..., None] * other.data
-                        )
-                    else:
-                        g = grad @ np.swapaxes(other.data, -1, -2)
-                    self._accumulate(_unbroadcast(np.asarray(g), self.shape))
-                if other.requires_grad:
-                    if self.data.ndim == 1:
-                        g = np.outer(self.data, grad)
-                    else:
-                        g = np.swapaxes(self.data, -1, -2) @ grad
-                    other._accumulate(_unbroadcast(np.asarray(g), other.shape))
-
-        out = Tensor._make(data, (self, other), backward)
-        if _TRACE is not None:
-            _TRACE.record(Tensor.__matmul__, (self, other), (out,))
-        return out
-
-    # ------------------------------------------------------------------
-    # Comparisons (non-differentiable; return plain bool tensors)
-    # ------------------------------------------------------------------
-    def __gt__(self, other):
-        other = self._coerce(other)
-        return Tensor(self.data > other.data)
-
-    def __lt__(self, other):
-        other = self._coerce(other)
-        return Tensor(self.data < other.data)
-
-    def __ge__(self, other):
-        other = self._coerce(other)
-        return Tensor(self.data >= other.data)
-
-    def __le__(self, other):
-        other = self._coerce(other)
-        return Tensor(self.data <= other.data)
 
     # ------------------------------------------------------------------
     # Unary math
@@ -541,28 +454,6 @@ class Tensor:
             _TRACE.record(Tensor.log, (self,), (out,))
         return out
 
-    def sqrt(self):
-        data = np.sqrt(self.data)
-
-        def backward(grad):
-            self._accumulate(grad * 0.5 / np.maximum(data, 1e-12), donate=True)
-
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record(Tensor.sqrt, (self,), (out,))
-        return out
-
-    def abs(self):
-        data = np.abs(self.data)
-
-        def backward(grad):
-            self._accumulate(grad * np.sign(self.data), donate=True)
-
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record(Tensor.abs, (self,), (out,))
-        return out
-
     def tanh(self):
         with op_span("tensor.tanh"):
             data = np.tanh(self.data)
@@ -576,20 +467,6 @@ class Tensor:
             _TRACE.record(Tensor.tanh, (self,), (out,))
         return out
 
-    def sigmoid(self):
-        x = self.data
-        with op_span("tensor.sigmoid"):
-            data = _logistic(x)
-
-        def backward(grad):
-            with op_span("tensor.sigmoid.backward"):
-                self._accumulate(grad * data * (1.0 - data), donate=True)
-
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record(Tensor.sigmoid, (self,), (out,))
-        return out
-
     def relu(self):
         mask = self.data > 0
         data = self.data * mask
@@ -601,15 +478,6 @@ class Tensor:
         if _TRACE is not None:
             _TRACE.record(Tensor.relu, (self,), (out,))
         return out
-
-    def clip(self, low, high):
-        data = np.clip(self.data, low, high)
-        mask = (self.data >= low) & (self.data <= high)
-
-        def backward(grad):
-            self._accumulate(grad * mask, donate=True)
-
-        return Tensor._make(data, (self,), backward)
 
     # ------------------------------------------------------------------
     # Reductions
@@ -642,12 +510,6 @@ class Tensor:
             count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def var(self, axis=None, keepdims: bool = False):
-        mu = self.mean(axis=axis, keepdims=True)
-        centered = self - mu
-        out = (centered * centered).mean(axis=axis, keepdims=keepdims)
-        return out
-
     def max(self, axis=None, keepdims: bool = False):
         data = self.data.max(axis=axis, keepdims=keepdims)
 
@@ -664,9 +526,6 @@ class Tensor:
             self._accumulate(mask * g / counts, donate=True)
 
         return Tensor._make(data, (self,), backward)
-
-    def min(self, axis=None, keepdims: bool = False):
-        return -((-self).max(axis=axis, keepdims=keepdims))
 
     # ------------------------------------------------------------------
     # Shape manipulation
@@ -688,53 +547,6 @@ class Tensor:
     def flatten(self, start_axis: int = 0):
         new_shape = self.shape[:start_axis] + (-1,)
         return self.reshape(*new_shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
-        data = self.data.transpose(axes)
-        inverse = np.argsort(axes)
-
-        def backward(grad):
-            self._accumulate(grad.transpose(inverse))
-
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record(Tensor.transpose, (self,), (out,), axes)
-        return out
-
-    @property
-    def T(self):
-        return self.transpose()
-
-    def swapaxes(self, a: int, b: int):
-        axes = list(range(self.ndim))
-        axes[a], axes[b] = axes[b], axes[a]
-        return self.transpose(*axes)
-
-    def expand_dims(self, axis: int):
-        data = np.expand_dims(self.data, axis)
-
-        def backward(grad):
-            self._accumulate(np.squeeze(grad, axis=axis))
-
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record(Tensor.expand_dims, (self,), (out,), axis)
-        return out
-
-    def squeeze(self, axis: int):
-        data = np.squeeze(self.data, axis=axis)
-
-        def backward(grad):
-            self._accumulate(np.expand_dims(grad, axis))
-
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record(Tensor.squeeze, (self,), (out,), axis)
-        return out
 
     def __getitem__(self, key):
         if isinstance(key, Tensor):
@@ -765,32 +577,10 @@ class Tensor:
                 _TRACE.abort("fancy indexing inside the traced region")
         return out
 
-    def pad2d(self, pad_h: int, pad_w: int, value: float = 0.0):
-        """Pad the last two axes symmetrically (NCHW convention)."""
-        if pad_h == 0 and pad_w == 0:
-            return self
-        width = [(0, 0)] * (self.ndim - 2) + [(pad_h, pad_h), (pad_w, pad_w)]
-        data = np.pad(self.data, width, constant_values=value)
-        h, w = self.shape[-2], self.shape[-1]
-
-        def backward(grad):
-            sl = (Ellipsis, slice(pad_h, pad_h + h), slice(pad_w, pad_w + w))
-            self._accumulate(grad[sl])
-
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record(Tensor.pad2d, (self,), (out,), pad_h, pad_w, value)
-        return out
-
 
 # ----------------------------------------------------------------------
 # Free functions
 # ----------------------------------------------------------------------
-def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
-    """Construct a tensor (alias of the constructor, PyTorch-style)."""
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
 def zeros(shape, requires_grad: bool = False, dtype=np.float32) -> Tensor:
     out = Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
     if _TRACE is not None and not requires_grad:
@@ -799,50 +589,6 @@ def zeros(shape, requires_grad: bool = False, dtype=np.float32) -> Tensor:
         # (recurrent init_state zeros enter traces this way).
         _TRACE.register_const(out)
     return out
-
-
-def ones(shape, requires_grad: bool = False, dtype=np.float32) -> Tensor:
-    out = Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-    if _TRACE is not None and not requires_grad:
-        _TRACE.register_const(out)
-    return out
-
-
-def full(shape, value, requires_grad: bool = False, dtype=np.float32) -> Tensor:
-    out = Tensor(np.full(shape, value, dtype=dtype), requires_grad=requires_grad)
-    if _TRACE is not None and not requires_grad:
-        _TRACE.register_const(out)
-    return out
-
-
-def arange(*args, dtype=np.float32) -> Tensor:
-    out = Tensor(np.arange(*args, dtype=dtype))
-    if _TRACE is not None:
-        _TRACE.register_const(out)
-    return out
-
-
-def randn(shape, rng=None, requires_grad: bool = False) -> Tensor:
-    from repro.utils.rng import default_rng
-
-    if _TRACE is not None:
-        _TRACE.abort("randn() inside the traced region (RNG-dependent)")
-    gen = default_rng(rng)
-    return Tensor(
-        gen.standard_normal(shape).astype(np.float32),
-        requires_grad=requires_grad,
-    )
-
-
-def rand(shape, rng=None, requires_grad: bool = False) -> Tensor:
-    from repro.utils.rng import default_rng
-
-    if _TRACE is not None:
-        _TRACE.abort("rand() inside the traced region (RNG-dependent)")
-    gen = default_rng(rng)
-    return Tensor(
-        gen.random(shape).astype(np.float32), requires_grad=requires_grad
-    )
 
 
 def concatenate(tensors, axis: int = 0) -> Tensor:
@@ -880,22 +626,3 @@ def stack(tensors, axis: int = 0) -> Tensor:
     if _TRACE is not None:
         _TRACE.record(lambda *ts: stack(ts, axis), tensors, (out,))
     return out
-
-
-def where(condition, a, b) -> Tensor:
-    """Differentiable select: ``condition ? a : b``."""
-    cond = condition.data if isinstance(condition, Tensor) else np.asarray(condition)
-    cond = cond.astype(bool)
-    a = Tensor._coerce(a)
-    b = Tensor._coerce(b)
-    data = np.where(cond, a.data, b.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(grad * cond, a.shape), donate=True)
-        if b.requires_grad:
-            b._accumulate(
-                _unbroadcast(grad * np.logical_not(cond), b.shape), donate=True
-            )
-
-    return Tensor._make(data, (a, b), backward)

@@ -1,24 +1,18 @@
-"""Shared utilities: seeding, timing, memory accounting, validation."""
+"""Shared utilities: seeding, memory accounting, validation."""
 
-from repro.utils.rng import default_rng, derive_seed
-from repro.utils.timing import Stopwatch, timed
+from repro.utils.rng import default_rng
 from repro.utils.memory import MemoryMeter, approx_nbytes
 from repro.utils.validation import (
     check_positive,
     check_non_negative,
     check_in_range,
-    check_type,
 )
 
 __all__ = [
     "default_rng",
-    "derive_seed",
-    "Stopwatch",
-    "timed",
     "MemoryMeter",
     "approx_nbytes",
     "check_positive",
     "check_non_negative",
     "check_in_range",
-    "check_type",
 ]

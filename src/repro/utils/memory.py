@@ -74,14 +74,5 @@ class MemoryMeter:
         if current > self.peak:
             self.peak = current
 
-    def allocate_obj(self, obj) -> int:
-        nbytes = approx_nbytes(obj)
-        self.allocate(nbytes)
-        return nbytes
-
     def release(self, nbytes: int) -> None:
         self.current = max(0, self.current - int(nbytes))
-
-    def reset(self) -> None:
-        self.current = 0
-        self.peak = 0

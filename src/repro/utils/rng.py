@@ -17,20 +17,6 @@ import numpy as np
 # rather than inside the first seeded call.
 import numpy.random  # noqa: F401
 
-_GLOBAL_SEED = 0
-
-
-def set_global_seed(seed: int) -> None:
-    """Set the fallback seed used when a component is given none."""
-    global _GLOBAL_SEED
-    _GLOBAL_SEED = int(seed)
-
-
-def get_global_seed() -> int:
-    """Return the current fallback seed."""
-    return _GLOBAL_SEED
-
-
 def derive_seed(parent_seed: int, label: str) -> int:
     """Derive a stable 32-bit sub-seed from a parent seed and a label.
 
@@ -47,7 +33,7 @@ def default_rng(seed=None, label: str | None = None) -> np.random.Generator:
     Parameters
     ----------
     seed:
-        ``None`` (use the global seed), an int, or an existing
+        ``None`` (seed 0), an int, or an existing
         ``Generator`` (returned unchanged, label ignored).
     label:
         Optional component label mixed into the seed via
@@ -55,7 +41,7 @@ def default_rng(seed=None, label: str | None = None) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    base = _GLOBAL_SEED if seed is None else int(seed)
+    base = 0 if seed is None else int(seed)
     if label is not None:
         base = derive_seed(base, label)
     return np.random.default_rng(base)

@@ -28,20 +28,6 @@ def check_in_range(value, low, high, name: str):
     return value
 
 
-def check_type(value, types, name: str):
-    """Raise ``TypeError`` unless ``value`` is an instance of ``types``."""
-    if not isinstance(value, types):
-        expected = (
-            types.__name__
-            if isinstance(types, type)
-            else " or ".join(t.__name__ for t in types)
-        )
-        raise TypeError(
-            f"{name} must be {expected}, got {type(value).__name__}"
-        )
-    return value
-
-
 def check_cells(column, num_cells: int, name: str = "cell_id"):
     """``column`` as int64 grid cell ids; raise ``ValueError`` unless
     every one lies in ``[0, num_cells)``.  A cell outside the grid

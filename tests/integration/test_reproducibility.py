@@ -31,7 +31,7 @@ def _train_once(seed: int = 3):
         model, Adam(model.parameters(), lr=2e-3), MSELoss(), periodical_batch
     )
     trainer.fit(loader, epochs=2)
-    return model.state_dict()
+    return {name: p.data.copy() for name, p in model.named_parameters()}
 
 
 class TestDeterminism:

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from repro import nn, obs
 from repro.core.training import Trainer, classification_batch
-from repro.data import DataLoader, TensorDataset
+from repro.data import DataLoader
 from repro.obs.profiler import Profiler, schedule
-from repro.optim import SGD
+from repro.optim import Adam
 
 
 @st.composite
@@ -42,7 +42,7 @@ def build(seed: int, hidden: int, mode: str):
     )
     trainer = Trainer(
         model,
-        SGD(model.parameters(), lr=0.05),
+        Adam(model.parameters(), lr=0.05),
         nn.CrossEntropyLoss(),
         classification_batch,
         training_mode=mode,
@@ -51,7 +51,7 @@ def build(seed: int, hidden: int, mode: str):
 
 
 def state_bytes(model) -> dict:
-    return {name: arr.tobytes() for name, arr in model.state_dict().items()}
+    return {name: p.data.tobytes() for name, p in model.named_parameters()}
 
 
 @settings(max_examples=20, deadline=None)
@@ -64,7 +64,7 @@ def test_profiled_training_bit_identical_state(setup):
 
     def run(profiler):
         loader = DataLoader(
-            TensorDataset(images, labels), batch_size=batch_size
+            list(zip(images, labels)), batch_size=batch_size
         )
         model, trainer = build(seed, hidden, mode)
         trainer.fit(loader, epochs=2, profiler=profiler)
@@ -89,7 +89,7 @@ def test_obs_disabled_training_bit_identical_state(seed):
     labels = rng.integers(0, 3, 8)
 
     def run():
-        loader = DataLoader(TensorDataset(images, labels), batch_size=4)
+        loader = DataLoader(list(zip(images, labels)), batch_size=4)
         model, trainer = build(seed, 3, "incremental")
         trainer.fit(loader, epochs=1)
         return state_bytes(model)

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from repro import nn
 from repro.nn import functional as F
-from repro.optim import SGD
-from repro.tensor import Tensor, TraceSession
+from repro.optim import Adam
+from repro.tensor import Tensor, TraceSession, concatenate, zeros
+from repro.tensor.ops_fused import fused_lstm_gates
 
 
 def _train_eager(model, batches, lr):
-    opt = SGD(list(model.parameters()), lr=lr)
+    opt = Adam(list(model.parameters()), lr=lr)
     losses = []
     for x, y in batches:
         opt.zero_grad()
@@ -27,7 +28,7 @@ def _train_eager(model, batches, lr):
 
 
 def _train_traced(model, batches, lr):
-    opt = SGD(list(model.parameters()), lr=lr)
+    opt = Adam(list(model.parameters()), lr=lr)
     session = TraceSession(model, F.mse_loss)
     losses = []
     for x, y in batches:
@@ -59,7 +60,7 @@ def _assert_identical(seed, make_model, make_batch, steps, lr=0.05):
 
 
 # ----------------------------------------------------------------------
-# unrolled LSTMCell
+# an unrolled LSTM over flat features (Linear gates + fused gate tail)
 # ----------------------------------------------------------------------
 @settings(max_examples=10, deadline=None)
 @given(
@@ -74,14 +75,16 @@ def test_traced_lstm_is_bit_identical(batch, nin, hidden, tsteps, steps, seed):
     class StepLSTM(nn.Module):
         def __init__(self, s):
             super().__init__()
-            self.cell = nn.LSTMCell(nin, hidden, rng=np.random.default_rng(s))
+            self.gates = nn.Linear(
+                nin + hidden, 4 * hidden, rng=np.random.default_rng(s)
+            )
             self.head = nn.Linear(hidden, 2, rng=np.random.default_rng(s + 1))
 
         def forward(self, x):
-            state = None
-            h = None
+            h, c = zeros((x.shape[0], hidden)), zeros((x.shape[0], hidden))
             for t in range(x.shape[1]):
-                h, state = self.cell(x[:, t], state)
+                gates = self.gates(concatenate([x[:, t], h], axis=1))
+                h, c = fused_lstm_gates(gates, c, hidden)
             return self.head(h)
 
     def make_batch(rng):

@@ -2,9 +2,9 @@
 ``repro.nn`` / ``repro.optim`` run as one fused piece.
 
 **LSTM gates and optimizer steps** (bottom of the file): the six-node
-elementwise gate tail ``LSTMCell`` / ``ConvLSTMCell`` ran before
-``ops_fused.fused_lstm_gates``, and the per-parameter Adam / SGD loops
-that allocate a fresh array per update.  ``test_property_fused.py``
+elementwise gate tail ``ConvLSTMCell`` ran before
+``ops_fused.fused_lstm_gates``, and the per-parameter Adam loop that
+allocates a fresh array per update.  ``test_property_fused.py``
 holds the library to them bit for bit.
 
 **Convolution** (``oracle_conv_forward`` / ``oracle_conv_dw``): the
@@ -17,13 +17,13 @@ them bit for bit.
 **Batch norm and 2-D window ops:**
 
 These are the forms ``repro.tensor`` / ``repro.nn`` ran before
-``ops_fused.batch_norm2d`` and the strided-tap pooling kernels replaced
-them: batch norm composed from ``mean`` / ``var`` / ``** -0.5`` and
-broadcast arithmetic (~16 autograd nodes), and pooling as a two-axis
-reduce over the ``(N, C, OH, k, OW, k)`` block view.  The library no
-longer calls them; the unit tests hold the kernels to them — max
-pooling bit for bit (it only selects values), the others to float32
-tolerance (they sum in a different order).
+``ops_fused.batch_norm2d`` and the strided-tap pooling kernel replaced
+them: batch norm composed from ``mean`` / variance / ``** -0.5`` and
+broadcast arithmetic (~16 autograd nodes), and max pooling as a
+two-axis reduce over the ``(N, C, OH, k, OW, k)`` block view.  The
+library no longer calls them; the unit tests hold the kernels to them —
+max pooling bit for bit (it only selects values), batch norm to
+float32 tolerance (it sums in a different order).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.tensor import Tensor
 from repro.tensor.ops_conv import im2col
+from repro.tensor.tensor import _logistic
 
 
 def oracle_conv_forward(xp, w, bias, stride, out, cols, fm, mask=None) -> None:
@@ -65,7 +66,8 @@ def oracle_batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-
     composed from differentiable tensor ops; ``mean`` / ``var`` are the
     ``(C,)`` batch statistics (biased variance)."""
     mean = x.mean(axis=(0, 2, 3), keepdims=True)
-    var = x.var(axis=(0, 2, 3), keepdims=True)
+    centered = x - mean
+    var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
     inv_std = (var + eps) ** -0.5
     normed = (x - mean) * inv_std
     out = normed * gamma.reshape(1, -1, 1, 1) + beta.reshape(1, -1, 1, 1)
@@ -91,37 +93,24 @@ def oracle_max_pool2d(x: Tensor, kernel: int) -> Tensor:
     return Tensor._make(out, (x,), backward)
 
 
-def oracle_avg_pool2d(x: Tensor, kernel: int) -> Tensor:
-    """Non-overlapping average pooling."""
-    out = _blocks(x.data, kernel).mean(axis=(3, 5))
+def _sigmoid(x: Tensor) -> Tensor:
+    """The logistic as its own autograd node (the tensor op the fused
+    gate kernel replaced)."""
+    data = _logistic(x.data)
 
     def backward(grad):
-        g = np.broadcast_to(
-            grad[:, :, :, None, :, None] / (kernel * kernel),
-            _blocks(x.data, kernel).shape,
-        )
-        x._accumulate(g.reshape(x.shape).copy())
+        x._accumulate(grad * data * (1.0 - data), donate=True)
 
-    return Tensor._make(out, (x,), backward)
-
-
-def oracle_upsample_nearest2d(x: Tensor, scale: int) -> Tensor:
-    """Nearest-neighbour upsampling; backward sums each block."""
-    out = np.repeat(np.repeat(x.data, scale, axis=2), scale, axis=3)
-
-    def backward(grad):
-        x._accumulate(_blocks(grad, scale).sum(axis=(3, 5)))
-
-    return Tensor._make(out, (x,), backward)
+    return Tensor._make(data, (x,), backward)
 
 
 def oracle_lstm_gates(gates: Tensor, c_prev: Tensor, hidden: int):
     """``(h_next, c_next)`` from packed ``[i | f | g | o]`` gate
     pre-activations (axis 1), as a chain of elementwise autograd ops."""
-    i = gates[:, 0 * hidden : 1 * hidden].sigmoid()
-    f = gates[:, 1 * hidden : 2 * hidden].sigmoid()
+    i = _sigmoid(gates[:, 0 * hidden : 1 * hidden])
+    f = _sigmoid(gates[:, 1 * hidden : 2 * hidden])
     g = gates[:, 2 * hidden : 3 * hidden].tanh()
-    o = gates[:, 3 * hidden : 4 * hidden].sigmoid()
+    o = _sigmoid(gates[:, 3 * hidden : 4 * hidden])
     c_next = f * c_prev + i * g
     h_next = o * c_next.tanh()
     return h_next, c_next
@@ -146,19 +135,3 @@ def oracle_adam_step(
         m_hat = m[i] / bias1
         v_hat = v[i] / bias2
         data[i] = data[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
-def oracle_sgd_step(data, grads, velocity, lr, momentum=0.0, weight_decay=0.0):
-    """One SGD step over parallel lists of arrays; ``velocity`` entries
-    start as ``None`` and are created on first use."""
-    for i, grad in enumerate(grads):
-        if grad is None:
-            continue
-        if weight_decay:
-            grad = grad + weight_decay * data[i]
-        if momentum:
-            if velocity[i] is None:
-                velocity[i] = np.zeros_like(data[i])
-            velocity[i] = momentum * velocity[i] + grad
-            grad = velocity[i]
-        data[i] = data[i] - lr * grad

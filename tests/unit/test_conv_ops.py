@@ -3,23 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, use_backend, get_backend, set_backend
+from repro.nn import MaxPool2d
+from repro.tensor import Tensor, use_backend
+from repro.tensor.backend import get_backend, set_backend
 from repro.tensor.ops_conv import (
-    avg_pool2d,
     conv2d,
     conv_transpose2d,
     conv_windows,
     global_avg_pool2d,
     max_pool2d,
-    upsample_nearest2d,
 )
 
 from tests.conftest import assert_grad_close, numeric_gradient
-from tests.tensor_oracle import (
-    oracle_avg_pool2d,
-    oracle_max_pool2d,
-    oracle_upsample_nearest2d,
-)
+from tests.tensor_oracle import oracle_max_pool2d
 
 
 def _rand(rng, shape, grad=True):
@@ -389,94 +385,20 @@ class TestPooling:
         with pytest.raises(ValueError, match="divisible"):
             max_pool2d(_rand(rng, (1, 1, 5, 4)), 2)
 
+    @pytest.mark.parametrize("kernel", [0, -2, 1.0, 2.5, "2"])
+    def test_max_pool_kernel_must_be_a_positive_int(self, rng, kernel):
+        # 0 divided by zero, -2 indexed backwards, 1.0 failed in range().
+        with pytest.raises(ValueError, match="kernel"):
+            max_pool2d(_rand(rng, (1, 1, 4, 4)), kernel)
+        with pytest.raises(ValueError, match="kernel"):
+            MaxPool2d(kernel)
+
     def test_max_pool_overlapping_unsupported(self, rng):
         with pytest.raises(NotImplementedError):
             max_pool2d(_rand(rng, (1, 1, 4, 4)), 2, stride=1)
-
-    def test_avg_pool_values(self):
-        x = Tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
-        out = avg_pool2d(x, 2)
-        np.testing.assert_allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avg_pool_grad(self):
-        x = Tensor(np.ones((1, 1, 4, 4), dtype=np.float32), requires_grad=True)
-        avg_pool2d(x, 2).sum().backward()
-        np.testing.assert_allclose(x.grad, np.full((1, 1, 4, 4), 0.25))
-
-    @pytest.mark.parametrize("kernel", [1, 2, 3])
-    def test_avg_pool_matches_block_reduce(self, rng, kernel):
-        data = rng.random((3, 2, 4 * kernel, 5 * kernel), dtype=np.float32) - 0.5
-        upstream = rng.random((3, 2, 4, 5), dtype=np.float32)
-        x, ref = Tensor(data, requires_grad=True), Tensor(data, requires_grad=True)
-        out, expected = avg_pool2d(x, kernel), oracle_avg_pool2d(ref, kernel)
-        np.testing.assert_allclose(out.data, expected.data, rtol=1e-5, atol=1e-7)
-        out.backward(upstream)
-        expected.backward(upstream)
-        # The backward only divides and copies: no summation to reorder.
-        assert x.grad.tobytes() == ref.grad.tobytes()
-        assert _owns(x.grad)
-
-    def test_avg_pool_integer_input_gives_float_mean(self):
-        x = Tensor(np.arange(16).reshape(1, 1, 4, 4))
-        np.testing.assert_array_equal(
-            avg_pool2d(x, 2).data[0, 0], [[2.5, 4.5], [10.5, 12.5]]
-        )
-
-    @pytest.mark.parametrize("kernel", [2, 3])
-    def test_avg_pool_gradcheck_float64(self, rng, kernel):
-        x = _rand64(rng, (2, 2, 2 * kernel, 3 * kernel))
-
-        def fn():
-            return (avg_pool2d(x, kernel) ** 2).sum()
-
-        fn().backward()
-        assert x.grad.dtype == np.float64
-        assert_grad_close(x.grad, numeric_gradient(fn, x), rtol=1e-3)
 
     def test_global_avg_pool(self, rng):
         x = _rand(rng, (2, 3, 4, 4), grad=False)
         np.testing.assert_allclose(
             global_avg_pool2d(x).data, x.data.mean(axis=(2, 3)), rtol=1e-5
         )
-
-
-class TestUpsample:
-    def test_values(self):
-        x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32))
-        out = upsample_nearest2d(x, 2)
-        assert out.shape == (1, 1, 4, 4)
-        np.testing.assert_allclose(out.data[0, 0, :2, :2], 1.0)
-        np.testing.assert_allclose(out.data[0, 0, 2:, 2:], 4.0)
-
-    def test_grad_sums_block(self):
-        x = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32), requires_grad=True)
-        upsample_nearest2d(x, 3).sum().backward()
-        np.testing.assert_allclose(x.grad, np.full((1, 1, 2, 2), 9.0))
-
-    @pytest.mark.parametrize("scale", [1, 2, 3])
-    def test_backward_matches_block_reduce(self, rng, scale):
-        data = rng.random((2, 3, 4, 5), dtype=np.float32)
-        # A transposed upstream gradient: the taps stride a non-contiguous
-        # array (``out.grad`` keeps the layout it is handed).
-        upstream = rng.random(
-            (2, 3, 5 * scale, 4 * scale), dtype=np.float32
-        ).transpose(0, 1, 3, 2)
-        x, ref = Tensor(data, requires_grad=True), Tensor(data, requires_grad=True)
-        out = upsample_nearest2d(x, scale)
-        expected = oracle_upsample_nearest2d(ref, scale)
-        np.testing.assert_array_equal(out.data, expected.data)
-        out.backward(upstream)
-        assert not out.grad.flags.c_contiguous
-        expected.backward(upstream)
-        np.testing.assert_allclose(x.grad, ref.grad, rtol=1e-5)
-        assert _owns(x.grad)
-
-    def test_gradcheck_float64(self, rng):
-        x = _rand64(rng, (2, 2, 3, 2))
-
-        def fn():
-            return (upsample_nearest2d(x, 2) ** 2).sum()
-
-        fn().backward()
-        assert x.grad.dtype == np.float64
-        assert_grad_close(x.grad, numeric_gradient(fn, x), rtol=1e-3)

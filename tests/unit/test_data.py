@@ -3,80 +3,55 @@
 import numpy as np
 import pytest
 
-from repro.data import (
-    DataLoader,
-    Dataset,
-    Subset,
-    TensorDataset,
-    default_collate,
-    random_split,
-    sequential_split,
-)
-
-
-class TestTensorDataset:
-    def test_tuple_items(self):
-        ds = TensorDataset(np.arange(5), np.arange(5) * 2)
-        assert ds[2] == (2, 4)
-        assert len(ds) == 5
-
-    def test_single_array_unwrapped(self):
-        ds = TensorDataset(np.arange(3))
-        assert ds[1] == 1
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatched"):
-            TensorDataset(np.arange(3), np.arange(4))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            TensorDataset()
+from repro.data import DataLoader, Dataset, random_split, sequential_split
+from repro.data.dataloader import default_collate
+from repro.data.dataset import Subset
 
 
 class TestSubsetAndSplits:
     def test_subset_indexing(self):
-        ds = TensorDataset(np.arange(10))
+        ds = np.arange(10)
         sub = Subset(ds, [9, 0, 5])
         assert [sub[i] for i in range(3)] == [9, 0, 5]
 
     def test_random_split_counts(self):
-        ds = TensorDataset(np.arange(10))
+        ds = np.arange(10)
         a, b = random_split(ds, [7, 3], rng=0)
         assert len(a) == 7 and len(b) == 3
 
     def test_random_split_fractions(self):
-        ds = TensorDataset(np.arange(10))
+        ds = np.arange(10)
         a, b = random_split(ds, [0.8, 0.2], rng=0)
         assert len(a) == 8 and len(b) == 2
 
     def test_random_split_partition_is_disjoint_cover(self):
-        ds = TensorDataset(np.arange(20))
+        ds = np.arange(20)
         parts = random_split(ds, [10, 5, 5], rng=1)
         seen = sorted(x for part in parts for x in (part[i] for i in range(len(part))))
         assert seen == list(range(20))
 
     def test_random_split_deterministic(self):
-        ds = TensorDataset(np.arange(10))
+        ds = np.arange(10)
         a1, _ = random_split(ds, [5, 5], rng=42)
         a2, _ = random_split(ds, [5, 5], rng=42)
         assert [a1[i] for i in range(5)] == [a2[i] for i in range(5)]
 
     def test_random_split_bad_lengths(self):
-        ds = TensorDataset(np.arange(10))
+        ds = np.arange(10)
         with pytest.raises(ValueError):
             random_split(ds, [5, 6])
         with pytest.raises(ValueError):
             random_split(ds, [0.5, 0.6])
 
     def test_sequential_split_preserves_order(self):
-        ds = TensorDataset(np.arange(10))
+        ds = np.arange(10)
         a, b, c = sequential_split(ds, [0.8, 0.1, 0.1])
         assert [a[i] for i in range(len(a))] == list(range(8))
         assert b[0] == 8 and c[0] == 9
 
     def test_sequential_split_fraction_check(self):
         with pytest.raises(ValueError):
-            sequential_split(TensorDataset(np.arange(4)), [0.5, 0.2])
+            sequential_split(np.arange(4), [0.5, 0.2])
 
 
 class TestCollate:
@@ -103,46 +78,46 @@ class TestCollate:
 
 class TestDataLoader:
     def test_batch_shapes(self):
-        ds = TensorDataset(np.arange(10), np.arange(10))
+        ds = list(zip(np.arange(10), np.arange(10)))
         loader = DataLoader(ds, batch_size=4)
         batches = list(loader)
         assert [len(b[0]) for b in batches] == [4, 4, 2]
         assert len(loader) == 3
 
     def test_drop_last(self):
-        ds = TensorDataset(np.arange(10))
+        ds = np.arange(10)
         loader = DataLoader(ds, batch_size=4, drop_last=True)
         assert [len(b) for b in loader] == [4, 4]
         assert len(loader) == 2
 
     def test_no_shuffle_order(self):
-        ds = TensorDataset(np.arange(6))
+        ds = np.arange(6)
         loader = DataLoader(ds, batch_size=3)
         first = next(iter(loader))
         assert first.tolist() == [0, 1, 2]
 
     def test_shuffle_changes_order_but_covers_all(self):
-        ds = TensorDataset(np.arange(32))
+        ds = np.arange(32)
         loader = DataLoader(ds, batch_size=32, shuffle=True, rng=0)
         batch = next(iter(loader))
         assert sorted(batch.tolist()) == list(range(32))
         assert batch.tolist() != list(range(32))
 
     def test_shuffle_reshuffles_each_epoch(self):
-        ds = TensorDataset(np.arange(16))
+        ds = np.arange(16)
         loader = DataLoader(ds, batch_size=16, shuffle=True, rng=0)
         first = next(iter(loader)).tolist()
         second = next(iter(loader)).tolist()
         assert first != second
 
     def test_custom_collate(self):
-        ds = TensorDataset(np.arange(4))
+        ds = np.arange(4)
         loader = DataLoader(ds, batch_size=2, collate_fn=lambda xs: sum(xs))
         assert [b for b in loader] == [1, 5]
 
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
-            DataLoader(TensorDataset(np.arange(3)), batch_size=0)
+            DataLoader(np.arange(3), batch_size=0)
 
     def test_dataset_protocol_abstract(self):
         base = Dataset()

@@ -51,18 +51,6 @@ class TestMemoryMeter:
         assert meter.current == 90
         assert meter.peak == 90
 
-    def test_allocate_obj(self):
-        meter = MemoryMeter()
-        nbytes = meter.allocate_obj(np.zeros(8))
-        assert nbytes == 64
-        assert meter.current == 64
-
-    def test_reset(self):
-        meter = MemoryMeter()
-        meter.allocate(10)
-        meter.reset()
-        assert meter.current == 0 and meter.peak == 0
-
 
 class TestEngineStreaming:
     def test_narrow_chain_peak_is_partition_sized(self):

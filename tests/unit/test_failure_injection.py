@@ -303,16 +303,8 @@ class TestHostileModelInputs:
         out = model(Tensor(x))
         assert np.isnan(out.data).any()
 
-    def test_inf_gradient_is_finite_after_clip(self):
-        from repro.tensor import Tensor
-
-        t = Tensor(np.array([1e30], dtype=np.float32), requires_grad=True)
-        clipped = t.clip(-1e6, 1e6)
-        (clipped * 2).sum().backward()
-        assert np.isfinite(t.grad).all()
-
     def test_zero_length_batch_rejected_by_collate(self):
-        from repro.data import default_collate
+        from repro.data.dataloader import default_collate
 
         with pytest.raises(IndexError):
             default_collate([])

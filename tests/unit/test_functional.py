@@ -28,38 +28,21 @@ class TestLinear:
 
 
 class TestActivationsFunctional:
-    def test_leaky_relu_gradcheck(self, rng):
-        x = Tensor(rng.standard_normal(8).astype(np.float32), requires_grad=True)
-
-        def fn():
-            return (F.leaky_relu(x, 0.1) ** 2).sum()
-
-        fn().backward()
-        assert_grad_close(x.grad, numeric_gradient(fn, x))
-
     def test_softmax_gradcheck(self, rng):
         x = Tensor(rng.random((2, 4)).astype(np.float32), requires_grad=True)
         target = rng.random((2, 4)).astype(np.float32)
 
         def fn():
-            return ((F.softmax(x) - Tensor(target)) ** 2).sum()
+            return ((F.log_softmax(x) - Tensor(target)) ** 2).sum()
 
         fn().backward()
         assert_grad_close(x.grad, numeric_gradient(fn, x))
 
     def test_softmax_invariant_to_shift(self, rng):
         x = rng.random((3, 5)).astype(np.float32)
-        a = F.softmax(Tensor(x)).data
-        b = F.softmax(Tensor(x + 100.0)).data
+        a = F.log_softmax(Tensor(x)).data
+        b = F.log_softmax(Tensor(x + 100.0)).data
         np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-6)
-
-    def test_relu_tanh_sigmoid_wrappers(self, rng):
-        x = Tensor(rng.standard_normal(5).astype(np.float32))
-        np.testing.assert_allclose(F.relu(x).data, np.maximum(x.data, 0))
-        np.testing.assert_allclose(F.tanh(x).data, np.tanh(x.data), rtol=1e-5)
-        np.testing.assert_allclose(
-            F.sigmoid(x).data, 1 / (1 + np.exp(-x.data)), rtol=1e-5
-        )
 
 
 class TestDropoutFunctional:
@@ -80,14 +63,3 @@ class TestDropoutFunctional:
         dropped = out.data == 0
         assert (x.grad[dropped] == 0).all()
         assert (x.grad[~dropped] == 2.0).all()
-
-
-class TestShapeHelpers:
-    def test_pad2d_wrapper(self, rng):
-        x = Tensor(rng.random((1, 1, 2, 2), dtype=np.float32))
-        assert F.pad2d(x, 1, 1).shape == (1, 1, 4, 4)
-
-    def test_cat_wrapper(self, rng):
-        a = Tensor(rng.random((2, 3), dtype=np.float32))
-        b = Tensor(rng.random((2, 2), dtype=np.float32))
-        assert F.cat([a, b], axis=1).shape == (2, 5)

@@ -7,6 +7,7 @@ import pytest
 from repro.nn.conv import Conv2d
 from repro.tensor import Tensor, use_backend
 from repro.tensor.ops_conv import conv2d
+from repro.tensor.ops_fused import fused_linear
 from repro.tensor.pool import ArrayPool
 
 
@@ -17,8 +18,8 @@ class TestFreeGraph:
     def _loss(self):
         x = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4) / 10,
                    requires_grad=True)
-        w = Tensor(np.ones((4, 2), dtype=np.float32) / 4, requires_grad=True)
-        h = (x @ w).tanh()
+        w = Tensor(np.ones((2, 4), dtype=np.float32) / 4, requires_grad=True)
+        h = fused_linear(x, w).tanh()
         return x, w, h, (h * h).sum()
 
     def test_gradients_match_retained_run(self):

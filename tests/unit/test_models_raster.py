@@ -90,10 +90,11 @@ class TestDeepSatV2:
         deep = SatCNN(4, 16, 16, 5, base_filters=16)
         shallow = DeepSatV2(4, 16, 16, 5, base_filters=16)
         deep_convs = sum(
-            1 for m in deep.modules() if m.__class__.__name__ == "Conv2d"
+            1 for _, m in deep.named_modules() if m.__class__.__name__ == "Conv2d"
         )
         shallow_convs = sum(
-            1 for m in shallow.modules() if m.__class__.__name__ == "Conv2d"
+            1 for _, m in shallow.named_modules()
+            if m.__class__.__name__ == "Conv2d"
         )
         assert shallow_convs < deep_convs
 

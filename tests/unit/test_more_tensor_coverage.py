@@ -25,19 +25,6 @@ class TestDtypes:
         t = Tensor([1.0, 2.0], dtype=np.float64)
         assert t.dtype == np.float64
 
-    def test_copy_vs_detach(self):
-        t = Tensor([1.0], requires_grad=True)
-        c = t.copy()
-        c.data[0] = 99.0
-        assert t.data[0] == 1.0  # copy is independent
-        d = t.detach()
-        d.data[0] = 42.0
-        assert t.data[0] == 42.0  # detach shares storage
-
-    def test_astype(self):
-        t = Tensor([1.5])
-        assert t.astype(np.int64).data.tolist() == [1]
-
 
 class TestEdgeShapes:
     def test_zero_row_batch_through_linear(self):
@@ -59,14 +46,6 @@ class TestEdgeShapes:
         t = Tensor(5.0, requires_grad=True)
         t.sum().backward()
         assert t.grad == 1.0
-
-    def test_1d_matmul_vector(self, rng):
-        a = Tensor(rng.random((3, 4), dtype=np.float32), requires_grad=True)
-        v = Tensor(rng.random(4, dtype=np.float32))
-        out = a @ v
-        assert out.shape == (3,)
-        out.sum().backward()
-        assert a.grad.shape == (3, 4)
 
 
 class TestGradModeWithModules:
@@ -104,15 +83,6 @@ class TestNumericalStability:
         out = F.log_softmax(logits)
         assert np.isfinite(out.data[0, 0])
         assert out.data[0, 1] < -400
-
-    def test_sqrt_at_zero_grad_finite(self):
-        t = Tensor([0.0], requires_grad=True)
-        t.sqrt().sum().backward()
-        assert np.isfinite(t.grad).all()
-
-    def test_var_of_constant_is_zero(self):
-        t = Tensor(np.full(10, 3.0, dtype=np.float32))
-        assert t.var().item() == pytest.approx(0.0, abs=1e-8)
 
     def test_batchnorm_constant_input(self):
         bn = nn.BatchNorm2d(1)

@@ -11,7 +11,7 @@ import pytest
 from repro import obs
 from repro.core.converter import ClassificationSpec, DFToTorchConverter
 from repro.core.training import Trainer
-from repro.data import DataLoader, TensorDataset
+from repro.data import DataLoader
 from repro.core.preprocessing.grid import SpacePartition
 from repro.engine import Session
 from repro.geometry import Envelope
@@ -207,7 +207,7 @@ class TestConverterMetrics:
 def _regression_trainer(rng, grad_clip=None):
     x = rng.random((32, 3)).astype(np.float32)
     y = (x @ np.array([[1.0], [-2.0], [0.5]], dtype=np.float32))
-    loader = DataLoader(TensorDataset(x, y), batch_size=8, shuffle=False)
+    loader = DataLoader(list(zip(x, y)), batch_size=8, shuffle=False)
     model = Linear(3, 1, rng=0)
     adapter = lambda batch: ((Tensor(batch[0]),), Tensor(batch[1]))
     trainer = Trainer(

@@ -13,7 +13,7 @@ import pytest
 
 from repro import nn, obs
 from repro.core.training import Trainer, classification_batch
-from repro.data import DataLoader, TensorDataset
+from repro.data import DataLoader
 from repro.obs.export import atomic_write_json, to_chrome_trace
 from repro.obs.profiler import (
     Profiler,
@@ -22,7 +22,8 @@ from repro.obs.profiler import (
     op_span,
     schedule,
 )
-from repro.optim import SGD
+from repro.nn.recurrent import ConvLSTMCell
+from repro.optim import Adam
 from repro.tensor import Tensor
 
 
@@ -164,15 +165,16 @@ class TestFlops:
         assert event.activation_bytes == out.data.nbytes
 
     def test_recurrent_formula_counts_cell_and_gates(self):
-        cell = nn.LSTMCell(2, 3, rng=0)
-        x = Tensor(np.zeros((4, 2), dtype=np.float32))
+        cell = ConvLSTMCell(2, 3, kernel_size=3, rng=0)
+        x = Tensor(np.zeros((4, 2, 2, 2), dtype=np.float32))
         with Profiler(cell) as prof:
             cell(x)
         by_name = {e.name: e for e in prof.events if e.kind == "module"}
-        assert by_name["LSTMCell"].flops == 9 * 4 * 3
-        # The (I+H) x 4H affine map is charged to the child Linear.
-        gates = by_name["LSTMCell.gates"]
-        assert gates.flops == 2 * 4 * (2 + 3) * 12 + 4 * 12
+        assert by_name["ConvLSTMCell"].flops == 9 * 4 * 3 * 2 * 2
+        # The (I+H) -> 4H gate convolution is charged to the child Conv2d.
+        gates = by_name["ConvLSTMCell.gates"]
+        outputs = 4 * 12 * 2 * 2
+        assert gates.flops == 2 * outputs * (2 + 3) * 3 * 3 + outputs
 
     def test_containers_contribute_zero_flops(self):
         model = small_model()
@@ -253,11 +255,11 @@ class TestTrainerIntegration:
         rng = np.random.default_rng(seed)
         images = rng.normal(size=(12, 1, 8, 8)).astype(np.float32)
         labels = rng.integers(0, 3, 12)
-        loader = DataLoader(TensorDataset(images, labels), batch_size=4)
+        loader = DataLoader(list(zip(images, labels)), batch_size=4)
         model = small_model()
         trainer = Trainer(
             model,
-            SGD(model.parameters(), lr=0.01),
+            Adam(model.parameters(), lr=0.01),
             nn.CrossEntropyLoss(),
             classification_batch,
         )

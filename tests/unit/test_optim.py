@@ -5,57 +5,34 @@ import pytest
 
 from repro import nn
 from repro.nn.module import Parameter
-from repro.optim import SGD, Adam, StepLR
+from repro.optim import Adam
 from repro.tensor import Tensor
-from tests.tensor_oracle import oracle_adam_step, oracle_sgd_step
+from tests.tensor_oracle import oracle_adam_step
 
 
 def _param(values):
     return Parameter(np.asarray(values, dtype=np.float32))
 
 
-class TestSGD:
-    def test_basic_step(self):
-        p = _param([1.0])
-        p.grad = np.array([0.5], dtype=np.float32)
-        SGD([p], lr=0.1).step()
-        assert p.data[0] == pytest.approx(0.95)
-
-    def test_momentum_accumulates(self):
-        p = _param([0.0])
-        opt = SGD([p], lr=1.0, momentum=0.9)
-        p.grad = np.array([1.0], dtype=np.float32)
-        opt.step()  # v=1, p=-1
-        p.grad = np.array([1.0], dtype=np.float32)
-        opt.step()  # v=1.9, p=-2.9
-        assert p.data[0] == pytest.approx(-2.9)
-
-    def test_weight_decay(self):
-        p = _param([1.0])
-        p.grad = np.array([0.0], dtype=np.float32)
-        SGD([p], lr=0.1, weight_decay=0.5).step()
-        assert p.data[0] == pytest.approx(0.95)
-
+class TestAdam:
     def test_skips_gradless(self):
         p = _param([1.0])
-        SGD([p], lr=0.1).step()
+        Adam([p], lr=0.1).step()
         assert p.data[0] == 1.0
 
     def test_rejects_empty_and_bad_lr(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
         with pytest.raises(ValueError):
-            SGD([_param([1.0])], lr=0.0)
+            Adam([_param([1.0])], lr=0.0)
 
     def test_zero_grad(self):
         p = _param([1.0])
         p.grad = np.array([1.0], dtype=np.float32)
-        opt = SGD([p], lr=0.1)
+        opt = Adam([p], lr=0.1)
         opt.zero_grad()
         assert p.grad is None
 
-
-class TestAdam:
     def test_first_step_magnitude(self):
         # With bias correction, the first Adam step is ~lr in magnitude.
         p = _param([0.0])
@@ -106,8 +83,7 @@ class TestStepInPlace:
     flat and the per-parameter update runs."""
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    @pytest.mark.parametrize("kind", ["adam", "sgd", "sgd_momentum"])
-    def test_mixed_dtypes_match_oracle_at_own_dtype(self, kind, weight_decay):
+    def test_mixed_dtypes_match_oracle_at_own_dtype(self, weight_decay):
         rng = np.random.default_rng(0)
         dtypes = [np.float32, np.float64, np.float32]
         params = [
@@ -115,26 +91,9 @@ class TestStepInPlace:
             for d in dtypes
         ]
         expected = [p.data.copy() for p in params]
-        if kind == "adam":
-            opt = Adam(params, lr=1e-2, weight_decay=weight_decay)
-            m = [np.zeros_like(e) for e in expected]
-            v = [np.zeros_like(e) for e in expected]
-
-            def oracle(grads, t):
-                oracle_adam_step(
-                    expected, grads, m, v, t, 1e-2, weight_decay=weight_decay
-                )
-        else:
-            momentum = 0.9 if kind == "sgd_momentum" else 0.0
-            opt = SGD(
-                params, lr=0.05, momentum=momentum, weight_decay=weight_decay
-            )
-            velocity = [None] * len(params)
-
-            def oracle(grads, t):
-                oracle_sgd_step(
-                    expected, grads, velocity, 0.05, momentum, weight_decay
-                )
+        opt = Adam(params, lr=1e-2, weight_decay=weight_decay)
+        m = [np.zeros_like(e) for e in expected]
+        v = [np.zeros_like(e) for e in expected]
 
         bound = [p.data for p in params]
         for t in range(1, 11):
@@ -144,24 +103,21 @@ class TestStepInPlace:
             for p, g in zip(params, grads):
                 p.grad = g.copy()
             opt.step()
-            oracle(grads, t)
+            oracle_adam_step(
+                expected, grads, m, v, t, 1e-2, weight_decay=weight_decay
+            )
             for p, want, data in zip(params, expected, bound):
                 assert p.data is data
                 assert p.data.dtype == want.dtype
                 assert np.array_equal(p.data, want)
 
-    @pytest.mark.parametrize(
-        "make", [lambda ps: Adam(ps), lambda ps: SGD(ps, momentum=0.9)]
-    )
     @pytest.mark.parametrize("others", [[], [np.float64]])
-    def test_float64_gradient_leaves_float32_parameter_float32(
-        self, make, others
-    ):
+    def test_float64_gradient_leaves_float32_parameter_float32(self, others):
         params = [
             Tensor(np.ones(4), requires_grad=True, dtype=d)
             for d in [np.float32, *others]
         ]
-        opt = make(params)
+        opt = Adam(params)
         data = params[0].data
         for _ in range(2):
             for p in params:
@@ -174,55 +130,31 @@ class TestStepInPlace:
     def test_no_fused_switch(self):
         with pytest.raises(TypeError):
             Adam([_param([1.0])], fused=False)
-        with pytest.raises(TypeError):
-            SGD([_param([1.0])], fused=False)
 
 
-class TestStepLR:
-    def test_decay_schedule(self):
+class TestAdamArguments:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"lr": float("nan")}, "lr"),
+        ({"lr": float("inf")}, "lr"),
+        ({"lr": 0.0}, "lr"),
+        ({"lr": -1e-3}, "lr"),
+        ({"betas": (1.0, 0.999)}, "beta1"),
+        ({"betas": (-0.1, 0.999)}, "beta1"),
+        ({"betas": (0.9, 1.5)}, "beta2"),
+        ({"betas": (0.9, float("nan"))}, "beta2"),
+        ({"eps": -1e-8}, "eps"),
+        ({"eps": float("nan")}, "eps"),
+        ({"weight_decay": -0.1}, "weight_decay"),
+    ])
+    def test_rejects_before_touching_the_parameters(self, kwargs, name):
+        # Each of these made every parameter non-finite on the first
+        # step, or was accepted silently.
+        p = _param([1.0, 2.0])
+        data = p.data
+        with pytest.raises(ValueError, match=name):
+            Adam([p], **kwargs)
+        assert p.data is data  # not re-bound into a flat buffer
+
+    def test_boundary_values_are_accepted(self):
         p = _param([1.0])
-        opt = Adam([p], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        sched.step()
-        assert sched.lr == pytest.approx(1.0)
-        sched.step()
-        assert sched.lr == pytest.approx(0.1)
-        sched.step()
-        sched.step()
-        assert sched.lr == pytest.approx(0.01)
-
-    def test_invalid_step_size(self):
-        with pytest.raises(ValueError):
-            StepLR(Adam([_param([1.0])], lr=0.1), step_size=0)
-        with pytest.raises(ValueError):
-            StepLR(Adam([_param([1.0])], lr=0.1), step_size=-3)
-
-    def test_step_size_one_decays_every_epoch(self):
-        opt = Adam([_param([1.0])], lr=1.0)
-        sched = StepLR(opt, step_size=1, gamma=0.5)
-        for expected in (0.5, 0.25, 0.125):
-            sched.step()
-            assert sched.lr == pytest.approx(expected)
-
-    def test_no_decay_before_first_boundary(self):
-        opt = Adam([_param([1.0])], lr=1.0)
-        sched = StepLR(opt, step_size=10, gamma=0.1)
-        for _ in range(9):
-            sched.step()
-            assert sched.lr == pytest.approx(1.0)
-        sched.step()  # epoch 10 is the boundary
-        assert sched.lr == pytest.approx(0.1)
-
-    def test_gamma_one_keeps_lr_constant(self):
-        opt = Adam([_param([1.0])], lr=0.3)
-        sched = StepLR(opt, step_size=2, gamma=1.0)
-        for _ in range(8):
-            sched.step()
-        assert sched.lr == pytest.approx(0.3)
-
-    def test_scheduler_mutates_optimizer_lr(self):
-        opt = Adam([_param([1.0])], lr=1.0)
-        sched = StepLR(opt, step_size=1, gamma=0.1)
-        sched.step()
-        assert opt.lr == pytest.approx(0.1)
-        assert sched.lr == opt.lr
+        Adam([p], lr=1e-3, betas=(0.0, 0.0), eps=0.0, weight_decay=0.0)

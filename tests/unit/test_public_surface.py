@@ -1,6 +1,6 @@
 """The surface census as a test: every public name of the engine,
-geometry, spatial and obs packages has a caller the paper pipeline
-wants.
+geometry, spatial and obs packages and of the training stack (tensor,
+nn, optim, data, utils) has a caller the paper pipeline wants.
 
 A name earns its place by being referenced from ``src/`` outside the
 package that defines it (``src/repro/experiments/`` included),
@@ -17,11 +17,18 @@ import inspect
 import os
 
 import repro
+import repro.data
 import repro.engine
 import repro.geometry
+import repro.nn
 import repro.obs
+import repro.optim
 import repro.spatial
+import repro.tensor
+import repro.utils
 from repro.engine import DataFrame, Session, agg
+from repro.nn import Module
+from repro.tensor import Tensor
 
 #: ``src/`` is wherever ``repro`` was imported from, so pointing
 #: PYTHONPATH at another checkout's ``src/`` censuses that checkout
@@ -29,7 +36,10 @@ from repro.engine import DataFrame, Session, agg
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-PACKAGES = ("engine", "geometry", "spatial", "obs")
+PACKAGES = (
+    "engine", "geometry", "spatial", "obs",
+    "tensor", "nn", "optim", "data", "utils",
+)
 
 #: name -> why it stays without a pipeline caller.
 ALLOWED = {
@@ -40,6 +50,7 @@ ALLOWED = {
     "DataFrame.drop": "interactive: the inverse of select",
     "DataFrame.columns": "interactive: schema introspection",
     "DataFrame.explain": "interactive: plan and EXPLAIN ANALYZE output",
+    "Tensor.numpy": "interactive: the array behind a tensor",
     "engine.lit": "interactive: an explicit literal operand, lit(1) - col('x')",
     # The paper's five aggregate kinds (Listing 8: count / sum / avg /
     # min / max); the pipelines here only ever ask for three of them.
@@ -54,6 +65,9 @@ ALLOWED = {
     "obs.export": "the report reads it: to_chrome_trace and dump_json",
     "obs.disabled": "the switch the bench and the bit-identity tests flip",
     "obs.reset": "zeroes the registry between measured runs",
+    # Module plumbing: the nn package's own callers do not count.
+    "Module.forward": "the method every layer overrides; __call__ runs it",
+    "Module.named_parameters": "parameters() is built on it",
 }
 
 
@@ -123,9 +137,12 @@ def _surface() -> list:
         if inspect.isfunction(member)
         and member.__annotations__.get("return") == "AggSpec"
     ]
-    for cls in (DataFrame, Session):
+    for cls, package in (
+        (DataFrame, "engine"), (Session, "engine"),
+        (Tensor, "tensor"), (Module, "nn"),
+    ):
         entries += [
-            (f"{cls.__name__}.{n}", "engine", n) for n in _public_methods(cls)
+            (f"{cls.__name__}.{n}", package, n) for n in _public_methods(cls)
         ]
     return entries
 

@@ -1,9 +1,10 @@
-"""LSTM and ConvLSTM cells."""
+"""The fused LSTM gate kernel and the ConvLSTM cell."""
 
 import numpy as np
 import pytest
 
 from repro import nn
+from repro.nn.recurrent import ConvLSTMCell
 from repro.tensor import Tensor
 from repro.tensor.ops_fused import fused_lstm_gates
 from tests.conftest import assert_grad_close, numeric_gradient
@@ -49,54 +50,20 @@ class TestFusedGatesGradcheck:
             assert not gates.grad[:, 3 * hidden :].any()
 
 
-class TestLSTMCell:
-    def test_shapes(self, rng):
-        cell = nn.LSTMCell(6, 4)
-        h, (h2, c2) = cell(_x(rng, (3, 6)))
-        assert h.shape == (3, 4)
-        assert h2 is h
-        assert c2.shape == (3, 4)
-
-    def test_state_threading(self, rng):
-        cell = nn.LSTMCell(6, 4)
-        x = _x(rng, (2, 6))
-        _, state = cell(x)
-        h2, _ = cell(x, state)
-        h_fresh, _ = cell(x)
-        # Same input but different state gives different output.
-        assert not np.allclose(h2.data, h_fresh.data)
-
-    def test_init_state_zero(self):
-        cell = nn.LSTMCell(3, 5)
-        h, c = cell.init_state(2)
-        assert h.data.sum() == 0 and c.shape == (2, 5)
-
-    def test_gradients_flow_through_time(self, rng):
-        cell = nn.LSTMCell(3, 3)
-        x = Tensor(rng.random((2, 3), dtype=np.float32), requires_grad=True)
-        state = None
-        for _ in range(4):
-            h, state = cell(x, state)
-        h.sum().backward()
-        assert x.grad is not None
-        assert np.abs(x.grad).sum() > 0
-        assert cell.gates.weight.grad is not None
-
-
 class TestConvLSTMCell:
     def test_shapes(self, rng):
-        cell = nn.ConvLSTMCell(2, 5, kernel_size=3)
+        cell = ConvLSTMCell(2, 5, kernel_size=3)
         h, (h2, c2) = cell(_x(rng, (2, 2, 6, 6)))
         assert h.shape == (2, 5, 6, 6)
         assert c2.shape == (2, 5, 6, 6)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
-            nn.ConvLSTMCell(2, 4, kernel_size=4)
+            ConvLSTMCell(2, 4, kernel_size=4)
 
     def test_bounded_state(self, rng):
         # Cell output h = o * tanh(c) is bounded by |tanh|.
-        cell = nn.ConvLSTMCell(1, 3)
+        cell = ConvLSTMCell(1, 3)
         x = Tensor(rng.random((1, 1, 4, 4), dtype=np.float32) * 100)
         h, _ = cell(x)
         assert np.abs(h.data).max() <= 1.0
@@ -120,9 +87,7 @@ class TestConvLSTM:
         with pytest.raises(TypeError):
             nn.ConvLSTM(1, [4], fused=False)
         with pytest.raises(TypeError):
-            nn.ConvLSTMCell(1, 4, fused=False)
-        with pytest.raises(TypeError):
-            nn.LSTMCell(1, 4, fused=False)
+            ConvLSTMCell(1, 4, fused=False)
 
     def test_temporal_dependence(self, rng):
         # Permuting the input sequence changes the final hidden state.

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, is_grad_enabled, no_grad
+from repro.tensor import Tensor, no_grad
+
+
+def is_grad_enabled() -> bool:
+    """Whether an op on a tracked tensor records a graph node."""
+    return (Tensor([1.0], requires_grad=True) * 2).requires_grad
 
 
 class TestBackwardBasics:

@@ -3,17 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor import (
-    Tensor,
-    arange,
-    concatenate,
-    full,
-    ones,
-    stack,
-    tensor,
-    where,
-    zeros,
-)
+from repro.tensor import Tensor, concatenate, stack, zeros
 
 from tests.conftest import assert_grad_close, numeric_gradient
 
@@ -34,10 +24,6 @@ class TestConstruction:
 
     def test_factories(self):
         assert zeros((2, 3)).shape == (2, 3)
-        assert ones((4,)).data.sum() == 4
-        assert full((2,), 7.0).data.tolist() == [7.0, 7.0]
-        assert arange(5).data.tolist() == [0, 1, 2, 3, 4]
-        assert tensor([1.0, 2.0]).shape == (2,)
 
     def test_repr_mentions_grad(self):
         assert "requires_grad" in repr(Tensor([1.0], requires_grad=True))
@@ -67,12 +53,9 @@ class TestArithmetic:
 
     def test_sub_rsub(self):
         assert (Tensor([5.0]) - 2).item() == 3.0
-        assert (10 - Tensor([4.0])).item() == 6.0
 
     def test_mul_div(self):
         assert (Tensor([3.0]) * Tensor([4.0])).item() == 12.0
-        assert (Tensor([8.0]) / 2).item() == 4.0
-        assert (8 / Tensor([2.0])).item() == 4.0
 
     def test_neg_pow(self):
         assert (-Tensor([2.0])).item() == -2.0
@@ -81,26 +64,6 @@ class TestArithmetic:
     def test_pow_requires_scalar(self):
         with pytest.raises(TypeError):
             Tensor([2.0]) ** Tensor([2.0])
-
-    def test_matmul_2d(self):
-        a = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
-        b = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4))
-        np.testing.assert_allclose(
-            (a @ b).data, a.data @ b.data
-        )
-
-    def test_matmul_batched(self, rng):
-        a = Tensor(rng.random((5, 2, 3), dtype=np.float32))
-        b = Tensor(rng.random((5, 3, 4), dtype=np.float32))
-        np.testing.assert_allclose(
-            (a @ b).data, a.data @ b.data, rtol=1e-6
-        )
-
-    def test_comparisons_not_tracked(self):
-        a = Tensor([1.0, 3.0], requires_grad=True)
-        out = a > 2.0
-        assert out.data.tolist() == [False, True]
-        assert not out.requires_grad
 
 
 class TestBroadcasting:
@@ -136,7 +99,7 @@ class TestBroadcasting:
 class TestUnaryGradients:
     @pytest.mark.parametrize(
         "op",
-        ["exp", "log", "sqrt", "tanh", "sigmoid", "relu", "abs"],
+        ["exp", "log", "tanh", "relu"],
     )
     def test_unary_gradcheck(self, op, rng):
         base = rng.random((3, 4)).astype(np.float32) + 0.5
@@ -152,11 +115,10 @@ class TestUnaryGradients:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sigmoid_same_bits_as_the_branching_logistic(self, dtype, rng):
-        """``Tensor.sigmoid`` and the fused LSTM gates share one
-        branch-free logistic; it must give the bits of the piecewise
-        form it replaced — ``1/(1+e)`` for ``x >= 0``, ``e/(1+e)``
-        below, ``e = exp(-|x|)`` — special values and strided views
-        included."""
+        """The fused LSTM gates' branch-free logistic must give the bits
+        of the piecewise form it replaced — ``1/(1+e)`` for ``x >= 0``,
+        ``e/(1+e)`` below, ``e = exp(-|x|)`` — special values and
+        strided views included."""
         from repro.tensor.tensor import _logistic
 
         def branching(x):
@@ -175,39 +137,9 @@ class TestUnaryGradients:
                 got = _logistic(view)
                 assert got.dtype == dtype and got.shape == view.shape
                 assert got.tobytes() == branching(view).tobytes()
-                if dtype is np.float32:  # op outputs are float32
-                    out = Tensor(view).sigmoid().data
-                    assert out.tobytes() == got.tobytes()
         assert _logistic(np.array([-np.inf, 0.0, np.inf], dtype=dtype)).tolist() == [
             0.0, 0.5, 1.0,
         ]
-
-    def test_clip_grad(self):
-        t = Tensor([-2.0, 0.5, 2.0], requires_grad=True)
-        t.clip(-1.0, 1.0).sum().backward()
-        assert t.grad.tolist() == [0.0, 1.0, 0.0]
-
-    def test_div_gradcheck(self, rng):
-        a = Tensor(rng.random(5).astype(np.float32) + 1.0, requires_grad=True)
-        b = Tensor(rng.random(5).astype(np.float32) + 1.0, requires_grad=True)
-
-        def fn():
-            return (a / b).sum()
-
-        fn().backward()
-        assert_grad_close(a.grad, numeric_gradient(fn, a))
-        assert_grad_close(b.grad, numeric_gradient(fn, b))
-
-    def test_matmul_gradcheck(self, rng):
-        a = Tensor(rng.random((2, 3)).astype(np.float32), requires_grad=True)
-        b = Tensor(rng.random((3, 2)).astype(np.float32), requires_grad=True)
-
-        def fn():
-            return ((a @ b) ** 2).sum()
-
-        fn().backward()
-        assert_grad_close(a.grad, numeric_gradient(fn, a))
-        assert_grad_close(b.grad, numeric_gradient(fn, b))
 
 
 class TestReductions:
@@ -233,10 +165,6 @@ class TestReductions:
         np.testing.assert_allclose(
             t.mean(axis=(0, 2)).data, t.data.mean(axis=(0, 2)), rtol=1e-5
         )
-
-    def test_var(self, rng):
-        t = Tensor(rng.random((10,), dtype=np.float32))
-        assert t.var().item() == pytest.approx(t.data.var(), rel=1e-4)
 
     def test_max_grad_spreads_over_ties(self):
         t = Tensor([1.0, 3.0, 3.0], requires_grad=True)
@@ -272,12 +200,6 @@ class TestReductions:
         former = (mask * g / mask.sum(axis=axes, keepdims=True)).astype(np.float32)
         assert t.grad.tobytes() == former.tobytes()
 
-    def test_min(self):
-        t = Tensor([3.0, 1.0, 2.0], requires_grad=True)
-        assert t.min().item() == 1.0
-        t.min().backward()
-        assert t.grad.tolist() == [0.0, 1.0, 0.0]
-
 
 class TestShapeOps:
     def test_reshape_roundtrip_grad(self, rng):
@@ -292,25 +214,6 @@ class TestShapeOps:
     def test_flatten(self):
         t = zeros((2, 3, 4))
         assert t.flatten(start_axis=1).shape == (2, 12)
-
-    def test_transpose_default(self, rng):
-        t = Tensor(rng.random((2, 3, 4), dtype=np.float32))
-        assert t.T.shape == (4, 3, 2)
-
-    def test_transpose_grad(self, rng):
-        t = Tensor(rng.random((2, 3), dtype=np.float32), requires_grad=True)
-        (t.transpose(1, 0) * 2).sum().backward()
-        np.testing.assert_allclose(t.grad, np.full((2, 3), 2.0))
-
-    def test_swapaxes(self):
-        t = zeros((2, 3, 4))
-        assert t.swapaxes(0, 2).shape == (4, 3, 2)
-
-    def test_expand_squeeze(self):
-        t = zeros((2, 3))
-        e = t.expand_dims(1)
-        assert e.shape == (2, 1, 3)
-        assert e.squeeze(1).shape == (2, 3)
 
     def test_getitem_slice_grad(self):
         t = Tensor(np.arange(6, dtype=np.float32), requires_grad=True)
@@ -327,17 +230,6 @@ class TestShapeOps:
         t = Tensor(np.arange(4, dtype=np.float32))
         key = Tensor(np.array([1, 3]))
         assert t[key].data.tolist() == [1.0, 3.0]
-
-    def test_pad2d(self):
-        t = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32), requires_grad=True)
-        padded = t.pad2d(1, 2)
-        assert padded.shape == (1, 1, 4, 6)
-        padded.sum().backward()
-        np.testing.assert_allclose(t.grad, np.ones((1, 1, 2, 2)))
-
-    def test_pad2d_zero_is_identity(self):
-        t = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32))
-        assert t.pad2d(0, 0) is t
 
 
 class TestCombinators:
@@ -363,14 +255,3 @@ class TestCombinators:
         (out * Tensor([[2.0], [3.0]])).sum().backward()
         assert a.grad.tolist() == [2.0]
         assert b.grad.tolist() == [3.0]
-
-    def test_where_values(self):
-        out = where(np.array([True, False]), Tensor([1.0, 1.0]), Tensor([9.0, 9.0]))
-        assert out.data.tolist() == [1.0, 9.0]
-
-    def test_where_grad(self):
-        a = Tensor([1.0, 1.0], requires_grad=True)
-        b = Tensor([2.0, 2.0], requires_grad=True)
-        where(np.array([True, False]), a, b).sum().backward()
-        assert a.grad.tolist() == [1.0, 0.0]
-        assert b.grad.tolist() == [0.0, 1.0]

@@ -17,9 +17,9 @@ from repro.core.training import (
     segmentation_batch,
     sequential_batch,
 )
-from repro.data import DataLoader, TensorDataset
+from repro.data import DataLoader
 from repro.nn import Linear, MSELoss
-from repro.optim import Adam, SGD
+from repro.optim import Adam
 from repro.tensor import Tensor
 
 
@@ -129,7 +129,7 @@ def _regression_setup(rng, n=64):
     x = rng.random((n, 3)).astype(np.float32)
     w = np.array([[1.0], [-2.0], [0.5]], dtype=np.float32)
     y = x @ w
-    ds = TensorDataset(x, y)
+    ds = list(zip(x, y))
     loader = DataLoader(ds, batch_size=16, shuffle=True, rng=0)
     model = Linear(3, 1, rng=0)
     adapter = lambda batch: ((Tensor(batch[0]),), Tensor(batch[1]))
@@ -146,7 +146,7 @@ class TestTrainer:
     def test_cumulative_mode(self, rng):
         model, loader, adapter = _regression_setup(rng)
         trainer = Trainer(
-            model, SGD(model.parameters(), lr=0.1), MSELoss(), adapter,
+            model, Adam(model.parameters(), lr=0.1), MSELoss(), adapter,
             training_mode="cumulative",
         )
         result = trainer.fit(loader, epochs=5)
@@ -198,10 +198,10 @@ class TestTrainer:
         drop = nn.Dropout(0.5)
         net = nn.Sequential(Linear(3, 1, rng=0), drop)
         loader = DataLoader(
-            TensorDataset(
+            list(zip(
                 rng.random((8, 3)).astype(np.float32),
                 rng.random((8, 1)).astype(np.float32),
-            ),
+            )),
             batch_size=4,
         )
         adapter = lambda batch: ((Tensor(batch[0]),), Tensor(batch[1]))

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.training import EarlyStopping, Trainer
 from repro.core.training.metrics import mae, rmse
-from repro.data import DataLoader, TensorDataset
+from repro.data import DataLoader
 from repro.nn import Linear, MSELoss
 from repro.optim import Adam
 from repro.tensor import Tensor
@@ -17,7 +17,7 @@ from repro.tensor import Tensor
 def _setup(rng, n=32):
     x = rng.random((n, 3)).astype(np.float32)
     y = (x @ np.array([[1.0], [-2.0], [0.5]], dtype=np.float32))
-    loader = DataLoader(TensorDataset(x, y), batch_size=8, shuffle=False)
+    loader = DataLoader(list(zip(x, y)), batch_size=8, shuffle=False)
     model = Linear(3, 1, rng=0)
     adapter = lambda batch: ((Tensor(batch[0]),), Tensor(batch[1]))
     trainer = Trainer(model, Adam(model.parameters()), MSELoss(), adapter)

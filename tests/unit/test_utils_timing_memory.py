@@ -1,104 +1,10 @@
-"""Coverage sweep: Stopwatch and MemoryMeter accumulation semantics,
-plus the Stopwatch -> obs-span delegation added with repro.obs."""
+"""Coverage sweep: MemoryMeter accumulation semantics."""
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from repro import obs
-from repro.utils.memory import (
-    MemoryBudgetExceeded,
-    MemoryMeter,
-    approx_nbytes,
-)
-from repro.utils.timing import Stopwatch, timed
-
-
-@pytest.fixture(autouse=True)
-def clean_obs():
-    obs.reset()
-    obs.set_enabled(True)
-    yield
-    obs.reset()
-    obs.set_enabled(True)
-
-
-class TestStopwatch:
-    def test_same_lap_accumulates(self):
-        sw = Stopwatch()
-        with sw.lap("work"):
-            time.sleep(0.001)
-        first = sw.laps["work"]
-        with sw.lap("work"):
-            time.sleep(0.001)
-        assert sw.laps["work"] > first
-        assert len(sw.laps) == 1
-
-    def test_total_sums_all_laps(self):
-        sw = Stopwatch()
-        with sw.lap("a"):
-            pass
-        with sw.lap("b"):
-            pass
-        assert sw.total == pytest.approx(sw.laps["a"] + sw.laps["b"])
-
-    def test_report_sorted_independent_of_insertion_order(self):
-        sw = Stopwatch()
-        with sw.lap("zulu"):
-            pass
-        with sw.lap("alpha"):
-            pass
-        lines = sw.report().splitlines()
-        assert lines[0].startswith("alpha:")
-        assert lines[1].startswith("zulu:")
-        assert lines[2].startswith("total:")
-
-    def test_as_dict_sorted_with_total(self):
-        sw = Stopwatch()
-        with sw.lap("b"):
-            pass
-        with sw.lap("a"):
-            pass
-        out = sw.as_dict()
-        assert list(out) == ["a", "b", "total"]
-        assert out["total"] == pytest.approx(sw.total)
-
-    def test_lap_records_span_on_tracer(self):
-        sw = Stopwatch()
-        with sw.lap("load"):
-            pass
-        names = [s.name for s in obs.tracer.roots]
-        assert "stopwatch.load" in names
-
-    def test_lap_times_with_obs_disabled(self):
-        sw = Stopwatch()
-        with obs.disabled():
-            with sw.lap("load"):
-                time.sleep(0.001)
-        assert sw.laps["load"] >= 0.001
-        assert not obs.tracer.roots
-
-    def test_lap_nests_under_open_span(self):
-        sw = Stopwatch()
-        with obs.tracer.span("outer") as outer:
-            with sw.lap("inner"):
-                pass
-        assert [c.name for c in outer.children] == ["stopwatch.inner"]
-
-    def test_exception_still_records_lap(self):
-        sw = Stopwatch()
-        with pytest.raises(RuntimeError):
-            with sw.lap("boom"):
-                raise RuntimeError("x")
-        assert "boom" in sw.laps
-
-    def test_timed_helper(self):
-        sink: dict = {}
-        with timed(sink, "step"):
-            time.sleep(0.001)
-        assert sink["step"] >= 0.001
+from repro.utils.memory import MemoryBudgetExceeded, MemoryMeter
 
 
 class TestMemoryMeter:
@@ -125,17 +31,3 @@ class TestMemoryMeter:
         meter.allocate(80)
         with pytest.raises(MemoryBudgetExceeded):
             meter.allocate(30)
-
-    def test_reset_clears_current_and_peak(self):
-        meter = MemoryMeter()
-        meter.allocate(64)
-        meter.reset()
-        assert meter.current == 0
-        assert meter.peak == 0
-
-    def test_allocate_obj_uses_approx_nbytes(self):
-        meter = MemoryMeter()
-        obj = [1, 2, 3]
-        nbytes = meter.allocate_obj(obj)
-        assert nbytes == approx_nbytes(obj)
-        assert meter.current == nbytes
