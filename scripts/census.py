@@ -11,10 +11,9 @@ counted too.  The runs:
 
 - ``benchmarks/pipeline/run.py --smoke``;
 - every ``examples/*.py``;
-- each ``python -m repro.experiments.run <artifact>`` at a reduced
-  scale (``SCALE`` below);
-- ``pytest benchmarks`` at the same scale, and
-  ``epoch_time.profile_table7`` called directly.
+- ``python -m repro.experiments.run all --scale smoke``: every paper
+  artifact and ablation, ``epoch_time.profile_table7`` included (the
+  Table VII runner profiles each model at the smoke scale).
 
 Every ``def`` in the censused packages (methods, properties and
 nested closures included) that no run started is listed, outermost
@@ -23,12 +22,12 @@ the per-package line totals count each body once.
 
     python scripts/census.py                       # tensor nn optim data utils
     python scripts/census.py --packages core       # another package
-    python scripts/census.py --skip benchmarks     # leave a run kind out
+    python scripts/census.py --skip examples       # leave a run kind out
 
 It is an artifact, not a gate: the full census takes several minutes.
 Dataset caches and run outputs go to a temporary directory; nothing in
-the checkout is written apart from ``benchmarks/results/`` and
-``benchmarks/pipeline/out/``, which are git-ignored.
+the checkout is written apart from ``benchmarks/pipeline/out/``, which
+is git-ignored.
 """
 
 from __future__ import annotations
@@ -45,18 +44,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 PACKAGES = ("tensor", "nn", "optim", "data", "utils")
-RUN_KINDS = ("pipeline", "examples", "experiments", "benchmarks")
-
-#: The reduced scale every paper runner and bench runs at.
-SCALE = {
-    "REPRO_SEEDS": "1",
-    "REPRO_GRID_STEPS": "800",
-    "REPRO_NUM_IMAGES": "40",
-    "REPRO_NUM_SEG_IMAGES": "16",
-    "REPRO_MAX_EPOCHS": "1",
-}
-
-ARTIFACTS = ("fig8", "table4", "table5", "table6", "table7", "fig9", "table8")
+RUN_KINDS = ("pipeline", "examples", "experiments")
 
 _SITECUSTOMIZE = '''\
 import os
@@ -101,15 +89,6 @@ if _OUT:
     threading.settrace(_trace)
 '''
 
-_PROFILE_TABLE7 = """\
-import tempfile
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.epoch_time import profile_table7
-with tempfile.TemporaryDirectory() as root:
-    profile_table7(root, ExperimentConfig())
-"""
-
-
 def _runs(kinds, data_root: str) -> list:
     """``(label, argv)`` of every run in the census."""
     py = sys.executable
@@ -121,16 +100,10 @@ def _runs(kinds, data_root: str) -> list:
         for path in sorted(glob.glob(os.path.join(ROOT, "examples", "*.py"))):
             runs.append((f"examples/{os.path.basename(path)}", [py, path]))
     if "experiments" in kinds:
-        for name in ARTIFACTS:
-            runs.append((f"experiments {name}", [
-                py, "-m", "repro.experiments.run", name,
-                "--data-root", data_root,
-            ]))
-    if "benchmarks" in kinds:
-        runs.append(("pytest benchmarks", [
-            py, "-m", "pytest", "benchmarks", "-q", "-p", "no:cacheprovider",
+        runs.append(("experiments all --scale smoke", [
+            py, "-m", "repro.experiments.run", "all", "--scale", "smoke",
+            "--data-root", data_root,
         ]))
-        runs.append(("epoch_time.profile_table7", [py, "-c", _PROFILE_TABLE7]))
     return runs
 
 
@@ -144,7 +117,7 @@ def record(kinds) -> set:
             os.makedirs(folder)
         with open(os.path.join(site, "sitecustomize.py"), "w") as handle:
             handle.write(_SITECUSTOMIZE)
-        env = dict(os.environ, **SCALE)
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join([site, SRC])
         env["CENSUS_OUT"] = out
         env["CENSUS_SRC"] = SRC + os.sep

@@ -1,12 +1,8 @@
-"""Experiment runners behind the benchmark harness.
+"""The paper's evaluation: one runner per artifact and the claims it
+checks.
 
-One module per paper artifact family; each exposes a ``run_*`` function
-returning plain dict/list results that the ``benchmarks/`` files format
-into the paper's tables and figures.  Scale knobs default to sizes that
-fit a single CPU core and are overridable (see
-:class:`repro.experiments.config.ExperimentConfig`).
+``python -m repro.experiments.run <artifact>|all [--scale smoke|paper]``
+regenerates each table and figure (:mod:`repro.experiments.artifacts`)
+and checks its claims.  Scale knobs live in
+:class:`repro.experiments.config.ExperimentConfig`.
 """
-
-from repro.experiments.config import ExperimentConfig, DEFAULT_CONFIG
-
-__all__ = ["ExperimentConfig", "DEFAULT_CONFIG"]

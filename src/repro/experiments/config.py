@@ -2,43 +2,29 @@
 
 The paper's experiments ran on a 120 GB / GPU workstation over months
 of real data; this reproduction runs on one CPU core.  Every knob that
-shrinks an experiment lives here, with environment-variable overrides
-so `pytest benchmarks/` can be scaled up on bigger machines:
+shrinks an experiment lives here, and the command line picks one of
+two named scales (``python -m repro.experiments.run --scale``):
 
-- ``REPRO_SEEDS``        — training repetitions per cell (paper: 5)
-- ``REPRO_GRID_STEPS``   — timesteps per grid dataset
-- ``REPRO_NUM_IMAGES``   — images per raster dataset
-- ``REPRO_MAX_EPOCHS``   — epoch cap per training run
+- ``paper`` — the defaults below: 2 seeds (paper: 5), 1 000 timesteps
+  per grid dataset, 300 / 80 images per raster dataset, 25 epochs;
+- ``smoke`` — 1 seed, 800 timesteps, 40 / 16 images, 1 epoch, for a
+  gate that checks the claims that resolve this small.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-
-
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    return int(value) if value else default
+from dataclasses import dataclass
 
 
 @dataclass
 class ExperimentConfig:
-    """Scale knobs shared by all benches."""
+    """Scale knobs shared by all experiment runners."""
 
-    seeds: int = field(default_factory=lambda: _env_int("REPRO_SEEDS", 2))
-    grid_steps: int = field(
-        default_factory=lambda: _env_int("REPRO_GRID_STEPS", 1000)
-    )
-    num_images: int = field(
-        default_factory=lambda: _env_int("REPRO_NUM_IMAGES", 300)
-    )
-    num_seg_images: int = field(
-        default_factory=lambda: _env_int("REPRO_NUM_SEG_IMAGES", 80)
-    )
-    max_epochs: int = field(
-        default_factory=lambda: _env_int("REPRO_MAX_EPOCHS", 25)
-    )
+    seeds: int = 2
+    grid_steps: int = 1000
+    num_images: int = 300
+    num_seg_images: int = 80
+    max_epochs: int = 25
     batch_size: int = 16
     patience: int = 6
     # Periodical representation lengths used across grid experiments.
@@ -51,5 +37,22 @@ class ExperimentConfig:
     seg_image_shape: tuple = (32, 32)
     cls_image_shape: tuple = (32, 32)
 
+    def __post_init__(self):
+        for name, least in (
+            ("seeds", 1), ("grid_steps", 1), ("max_epochs", 1),
+            ("batch_size", 1), ("patience", 1),
+            ("num_images", 0), ("num_seg_images", 0),
+        ):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(
+                    f"ExperimentConfig.{name} must be >= {least}, got {value}"
+                )
 
-DEFAULT_CONFIG = ExperimentConfig()
+
+#: Each scale's overrides of the defaults above.
+SCALES = {
+    "smoke": dict(seeds=1, grid_steps=800, num_images=40, num_seg_images=16,
+                  max_epochs=1),
+    "paper": {},
+}

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from repro.core.datasets.base import RasterDataset
 from repro.core.datasets.synth import generate_classification_rasters
 from repro.core.models.raster import SatCNN
 from repro.core.training import Trainer, classification_batch
 from repro.data import DataLoader
+from repro.experiments.tables import format_columns
 from repro.nn import CrossEntropyLoss
 from repro.optim import Adam
 from repro.tensor import use_backend
@@ -32,7 +31,7 @@ def epoch_time(
     bands: int,
     grid: int,
     backend: str,
-    num_images: int = 64,
+    num_images: int = 48,
     batch_size: int = 16,
     seed: int = 0,
     repeats: int = 2,
@@ -60,54 +59,33 @@ def epoch_time(
     return best
 
 
-def run_band_sweep(num_images: int = 64, grid: int = 32) -> list[dict]:
-    """Figure 9a: vary band count, fixed grid."""
-    rows = []
-    for bands in BAND_COUNTS:
-        for backend in ("accelerated", "naive"):
-            rows.append(
-                {
-                    "axis": "bands",
-                    "bands": bands,
-                    "grid": grid,
-                    "backend": backend,
-                    "seconds": epoch_time(
-                        bands, grid, backend, num_images=num_images
-                    ),
-                }
-            )
-    return rows
-
-
-def run_grid_sweep(num_images: int = 64, bands: int = 3) -> list[dict]:
-    """Figure 9b: vary grid size, fixed 3 RGB bands."""
-    rows = []
-    for grid in GRID_SIZES:
-        for backend in ("accelerated", "naive"):
-            rows.append(
-                {
-                    "axis": "grid",
-                    "bands": bands,
-                    "grid": grid,
-                    "backend": backend,
-                    "seconds": epoch_time(
-                        bands, grid, backend, num_images=num_images
-                    ),
-                }
-            )
-    return rows
+def run_figure9(num_images: int = 48) -> list[dict]:
+    """Figure 9a (band count varies, 32x32 grid), then 9b (grid size
+    varies, 3 RGB bands), each point on both backends."""
+    points = [("bands", bands, 32) for bands in BAND_COUNTS]
+    points += [("grid", 3, grid) for grid in GRID_SIZES]
+    return [
+        {
+            "axis": axis,
+            "bands": bands,
+            "grid": grid,
+            "backend": backend,
+            "seconds": epoch_time(bands, grid, backend, num_images=num_images),
+        }
+        for axis, bands, grid in points
+        for backend in ("accelerated", "naive")
+    ]
 
 
 def format_figure9(rows: list[dict]) -> str:
-    lines = [
+    return format_columns(
         "Figure 9: Epoch Time vs #Bands and Grid Shape",
-        "==============================================",
-        f"{'axis':>6s} {'bands':>6s} {'grid':>6s} {'backend':>12s} "
-        f"{'seconds':>9s}",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row['axis']:>6s} {row['bands']:>6d} {row['grid']:>6d} "
-            f"{row['backend']:>12s} {row['seconds']:>9.3f}"
-        )
-    return "\n".join(lines)
+        (
+            ("axis", 6, lambda r: r["axis"]),
+            ("bands", 6, lambda r: str(r["bands"])),
+            ("grid", 6, lambda r: str(r["grid"])),
+            ("backend", 12, lambda r: r["backend"]),
+            ("seconds", 9, lambda r: f"{r['seconds']:.3f}"),
+        ),
+        rows,
+    )

@@ -4,8 +4,6 @@ and report MAE/RMSE mean +- max deviation, in raw data units."""
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.datasets.base import GridDataset
@@ -113,7 +111,6 @@ def run_one(
         adapter,
         grad_clip=1.0,
     )
-    started = time.perf_counter()
     fit = trainer.fit(
         train_loader,
         val_loader,
@@ -128,7 +125,6 @@ def run_one(
         "mae": evaluation["mae"] * scale,
         "rmse": evaluation["rmse"] * scale,
         "epochs": fit.epochs_run,
-        "train_seconds": time.perf_counter() - started,
         "mean_epoch_seconds": fit.mean_epoch_seconds,
     }
 

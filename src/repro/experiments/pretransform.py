@@ -38,6 +38,7 @@ from repro.core.training import Trainer, classification_batch
 from repro.core.transforms import AppendNormalizedDifferenceIndex, Compose
 from repro.data import DataLoader, Dataset
 from repro.engine import Session
+from repro.experiments.tables import format_columns
 from repro.nn import CrossEntropyLoss
 from repro.optim import Adam
 from repro.spatial.raster import RasterTile
@@ -167,17 +168,15 @@ def run_pretransform_experiment(
 
 
 def format_table8(rows: list[dict]) -> str:
-    lines = [
+    return format_columns(
         "Table VIII: Elapsed Seconds for Training and Preprocessing Settings",
-        "====================================================================",
-        f"{'count':>6s} {'train_w_transforms':>19s} "
-        f"{'train_w_pretransforms':>22s} {'pretransform':>13s}",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row['transform_count']:>6d} "
-            f"{row['train_with_transforms_s']:>19.3f} "
-            f"{row['train_with_pretransforms_s']:>22.3f} "
-            f"{row['pretransform_s']:>13.3f}"
-        )
-    return "\n".join(lines)
+        (
+            ("count", 6, lambda r: str(r["transform_count"])),
+            ("train_w_transforms", 19,
+             lambda r: f"{r['train_with_transforms_s']:.3f}"),
+            ("train_w_pretransforms", 22,
+             lambda r: f"{r['train_with_pretransforms_s']:.3f}"),
+            ("pretransform", 13, lambda r: f"{r['pretransform_s']:.3f}"),
+        ),
+        rows,
+    )

@@ -3,8 +3,6 @@ the classification/segmentation rows of Table VII (epoch time)."""
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.datasets.raster import Cloud38, EuroSAT, SAT6
@@ -25,6 +23,7 @@ from repro.core.training import (
 )
 from repro.data import DataLoader, random_split
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.tables import format_columns
 from repro.nn import CrossEntropyLoss
 from repro.optim import Adam
 
@@ -106,16 +105,10 @@ def run_segmentation(
     train_loader = DataLoader(train, batch_size=8, shuffle=True, rng=seed)
     test_loader = DataLoader(test, batch_size=8)
 
-    builders = {
-        "FCN": lambda: FCN(dataset.num_bands, dataset.num_classes, rng=seed),
-        "UNet": lambda: UNet(dataset.num_bands, dataset.num_classes, rng=seed),
-        "UNet++": lambda: UNetPlusPlus(
-            dataset.num_bands, dataset.num_classes, rng=seed
-        ),
-    }
+    builders = {"FCN": FCN, "UNet": UNet, "UNet++": UNetPlusPlus}
     if model_name not in builders:
         raise ValueError(f"unknown segmentation model {model_name!r}")
-    model = builders[model_name]()
+    model = builders[model_name](dataset.num_bands, dataset.num_classes, rng=seed)
     trainer = Trainer(
         model,
         Adam(model.parameters(), lr=2e-3),
@@ -153,16 +146,13 @@ def aggregate_accuracy(cells: list[dict]) -> dict:
 
 def format_accuracy_table(rows: list[dict]) -> str:
     """Render the Table VI layout."""
-    lines = [
+    return format_columns(
         "Table VI: Accuracy of Raster Models",
-        "====================================",
-        f"{'Model':12s} {'Dataset':10s} {'Accuracy':>18s}",
-    ]
-    for row in rows:
-        acc = row["accuracy_mean"] * 100
-        dev = row["accuracy_dev"] * 100
-        lines.append(
-            f"{row['model']:12s} {row['dataset']:10s} "
-            f"{acc:9.3f}±{dev:.3f}%"
-        )
-    return "\n".join(lines)
+        (
+            ("Model", -12, lambda r: r["model"]),
+            ("Dataset", -10, lambda r: r["dataset"]),
+            ("Accuracy", 18, lambda r: f"{r['accuracy_mean'] * 100:.3f}"
+                                       f"±{r['accuracy_dev'] * 100:.3f}%"),
+        ),
+        rows,
+    )

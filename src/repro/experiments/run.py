@@ -1,157 +1,50 @@
-"""Command-line entry point for regenerating paper artifacts.
+"""Command-line entry point: regenerate the paper's artifacts and check
+their claims.
 
 Usage::
 
     python -m repro.experiments.run fig8
-    python -m repro.experiments.run table4 --data-root /tmp/data
-    python -m repro.experiments.run all
+    python -m repro.experiments.run table4 --scale smoke --data-root /tmp/data
+    python -m repro.experiments.run all --scale paper \\
+        --out docs/measurements/experiments.json
 
-Each artifact prints the same table its benchmark prints; the benches
-in ``benchmarks/`` add assertions on top of these runners.
+Each artifact (:data:`repro.experiments.artifacts.ARTIFACTS`) prints
+its table, then each of its claims with the margin it held or failed
+by.  The run exits 1 when a claim asserted at the chosen scale fails;
+a claim asserted only at the other scale is printed as not asserted
+and never fails the run.  ``--out`` writes one JSON file with the
+commit, date, core count, scale, every row and every claim.
 """
 
 from __future__ import annotations
 
 import argparse
+import datetime
+import json
+import os
+import subprocess
 import sys
-import tempfile
+import time
 
-from repro.experiments.config import ExperimentConfig
-
-ARTIFACTS = (
-    "fig8",
-    "table4",
-    "table5",
-    "table6",
-    "table7",
-    "fig9",
-    "table8",
-)
-
-
-def run_fig8(args, config) -> str:
-    from repro.experiments.fig8 import format_figure8, run_figure8
-
-    return format_figure8(run_figure8())
-
-
-def run_table4(args, config) -> str:
-    from repro.core.datasets.grid import BikeNYCDeepSTN, TaxiBJ21
-    from repro.experiments.grid_forecasting import format_table, run_matrix
-
-    factories = {
-        "BikeNYC-DeepSTN": lambda: BikeNYCDeepSTN(
-            args.data_root, num_steps=config.grid_steps
-        ),
-        "TaxiBJ21": lambda: TaxiBJ21(
-            args.data_root, num_steps=config.grid_steps, grid_shape=(16, 16)
-        ),
-    }
-    rows = run_matrix(factories, config)
-    return format_table(rows, "Table IV: Traffic Prediction (MAE / RMSE)")
-
-
-def run_table5(args, config) -> str:
-    from repro.core.datasets.grid import (
-        Temperature,
-        TotalCloudCover,
-        TotalPrecipitation,
-    )
-    from repro.experiments.grid_forecasting import format_table, run_matrix
-
-    factories = {
-        name: (
-            lambda cls=cls: cls(
-                args.data_root,
-                num_steps=config.grid_steps,
-                grid_shape=config.weather_grid,
-            )
-        )
-        for name, cls in (
-            ("Temperature", Temperature),
-            ("TotalPrecipitation", TotalPrecipitation),
-            ("TotalCloudCover", TotalCloudCover),
-        )
-    }
-    rows = run_matrix(factories, config)
-    return format_table(rows, "Table V: Weather Forecasting (MAE / RMSE)")
-
-
-def run_table6(args, config) -> str:
-    from repro.experiments.raster_tasks import (
-        aggregate_accuracy,
-        format_accuracy_table,
-        run_classification,
-        run_segmentation,
-    )
-
-    rows = []
-    for model in ("DeepSAT V2", "SatCNN"):
-        for dataset in ("EuroSAT", "SAT6"):
-            cells = [
-                run_classification(dataset, model, args.data_root, config, seed=s)
-                for s in range(config.seeds)
-            ]
-            rows.append(aggregate_accuracy(cells))
-    for model in ("UNet", "FCN", "UNet++"):
-        cells = [
-            run_segmentation(model, args.data_root, config, seed=s)
-            for s in range(config.seeds)
-        ]
-        rows.append(aggregate_accuracy(cells))
-    return format_accuracy_table(rows)
-
-
-def run_table7(args, config) -> str:
-    from repro.experiments.epoch_time import format_table7, run_table7
-
-    return format_table7(run_table7(args.data_root, config))
-
-
-def run_fig9(args, config) -> str:
-    from repro.experiments.fig9 import (
-        format_figure9,
-        run_band_sweep,
-        run_grid_sweep,
-    )
-
-    return format_figure9(run_band_sweep() + run_grid_sweep())
-
-
-def run_table8(args, config) -> str:
-    from repro.experiments.pretransform import (
-        format_table8,
-        run_pretransform_experiment,
-    )
-
-    with tempfile.TemporaryDirectory() as workdir:
-        rows = [
-            run_pretransform_experiment(count, workdir)
-            for count in (1, 2, 3, 4, 5)
-        ]
-    return format_table8(rows)
-
-
-_RUNNERS = {
-    "fig8": run_fig8,
-    "table4": run_table4,
-    "table5": run_table5,
-    "table6": run_table6,
-    "table7": run_table7,
-    "fig9": run_fig9,
-    "table8": run_table8,
-}
+from repro.experiments.artifacts import ARTIFACTS
+from repro.experiments.config import SCALES, ExperimentConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.run",
-        description="Regenerate a paper table/figure.",
+        description="Regenerate a paper table/figure and check its claims.",
     )
     parser.add_argument(
         "artifact",
-        choices=ARTIFACTS + ("all",),
+        choices=(*ARTIFACTS, "all"),
         help="which paper artifact to regenerate",
+    )
+    parser.add_argument(
+        "--scale",
+        choices=tuple(SCALES),
+        default="paper",
+        help="experiment size (default: paper)",
     )
     parser.add_argument(
         "--data-root",
@@ -159,21 +52,71 @@ def build_parser() -> argparse.ArgumentParser:
         help="dataset cache directory (default: ./data)",
     )
     parser.add_argument(
-        "--seeds", type=int, default=None, help="training seeds per cell"
+        "--out", default=None, help="write rows and claims to this JSON file"
     )
     return parser
 
 
+def _number(value) -> str:
+    return f"{value:.4g}" if isinstance(value, float) else str(value)
+
+
+def format_claim(claim: dict, scale: str) -> str:
+    if claim["asserted"]:
+        status = "held" if claim["held"] else "FAILED"
+    else:
+        status = f"not asserted at {scale}, {'held' if claim['held'] else 'failed'}"
+    return (
+        f"  [{status}] {claim['source']}: {claim['claim']}: margin "
+        f"{_number(claim['margin'])} ({claim['op']} {_number(claim['bound'])})"
+    )
+
+
+def _commit() -> str:
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = ExperimentConfig()
-    if args.seeds is not None:
-        config.seeds = args.seeds
-    names = ARTIFACTS if args.artifact == "all" else (args.artifact,)
+    config = ExperimentConfig(**SCALES[args.scale])
+    names = tuple(ARTIFACTS) if args.artifact == "all" else (args.artifact,)
+    results = {}
+    failed = []
     for name in names:
-        print(_RUNNERS[name](args, config))
-        print()
-    return 0
+        artifact = ARTIFACTS[name]
+        started = time.perf_counter()
+        table, rows = artifact.run(config, args.data_root)
+        seconds = time.perf_counter() - started
+        claims = [claim.check(rows, args.scale) for claim in artifact.claims]
+        print(table, "Claims:", *(format_claim(c, args.scale) for c in claims),
+              "", sep="\n", flush=True)
+        failed += [c for c in claims if c["asserted"] and not c["held"]]
+        results[name] = {"seconds": seconds, "rows": rows, "claims": claims}
+    asserted = sum(c["asserted"] for r in results.values() for c in r["claims"])
+    print(f"{asserted} claims asserted at scale {args.scale}, "
+          f"{len(failed)} failed")
+    print(*(format_claim(c, args.scale) for c in failed), sep="\n")
+    if args.out:
+        payload = {
+            "commit": _commit(),
+            "date": datetime.datetime.now(datetime.timezone.utc).isoformat(
+                timespec="seconds"
+            ),
+            "cpu_count": os.cpu_count(),
+            "scale": args.scale,
+            "artifacts": results,
+        }
+        with open(args.out, "w") as handle:
+            json.dump(payload, handle, indent=1, default=lambda v: v.tolist())
+            handle.write("\n")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

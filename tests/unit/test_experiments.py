@@ -1,9 +1,11 @@
 """Experiment runners: config, formatting, and small invocations."""
 
-import numpy as np
+import json
+
 import pytest
 
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.artifacts import ARTIFACTS, OPS, Artifact, Claim
+from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.fig8 import format_figure8
 from repro.experiments.fig9 import format_figure9
 from repro.experiments.grid_forecasting import format_table
@@ -12,6 +14,7 @@ from repro.experiments.raster_tasks import (
     aggregate_accuracy,
     format_accuracy_table,
 )
+from repro.experiments.run import main as run_main
 
 
 class TestConfig:
@@ -21,16 +24,75 @@ class TestConfig:
         assert config.grid_steps > 0
         assert config.len_closeness == 3
 
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEEDS", "7")
-        monkeypatch.setenv("REPRO_GRID_STEPS", "123")
-        config = ExperimentConfig()
-        assert config.seeds == 7
-        assert config.grid_steps == 123
+    @pytest.mark.parametrize(
+        "field", ["seeds", "grid_steps", "max_epochs", "batch_size", "patience"]
+    )
+    def test_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: 0})
 
-    def test_empty_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEEDS", "")
-        assert ExperimentConfig().seeds == 2
+    @pytest.mark.parametrize("field", ["num_images", "num_seg_images"])
+    def test_image_count_may_be_zero_not_negative(self, field):
+        assert getattr(ExperimentConfig(**{field: 0}), field) == 0
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: -1})
+
+    def test_smoke_scale(self):
+        smoke = ExperimentConfig(**SCALES["smoke"])
+        assert (smoke.seeds, smoke.grid_steps, smoke.max_epochs) == (1, 800, 1)
+        assert (smoke.num_images, smoke.num_seg_images) == (40, 16)
+        assert ExperimentConfig(**SCALES["paper"]) == ExperimentConfig()
+
+
+class TestClaimLoop:
+    @staticmethod
+    def _stub(monkeypatch, *claims):
+        rows = {"fast": 1.0, "slow": 3.0}
+        monkeypatch.setitem(
+            ARTIFACTS, "stub",
+            Artifact(lambda config, root: ("Stub table", rows), claims),
+        )
+
+    def test_failing_claim_fails_the_run(self, monkeypatch, capsys, tmp_path):
+        self._stub(
+            monkeypatch,
+            Claim("Table X", "slow / fast", lambda r: r["slow"] / r["fast"],
+                  ">", 5.0),
+        )
+        out_path = tmp_path / "result.json"
+        assert run_main(["stub", "--scale", "smoke", "--out", str(out_path)]) == 1
+        out = capsys.readouterr().out
+        assert "Stub table" in out
+        assert "Table X: slow / fast: margin 3 (> 5)" in out
+        assert "FAILED" in out
+        result = json.loads(out_path.read_text())
+        assert result["scale"] == "smoke"
+        assert result["cpu_count"] >= 1 and result["commit"] and result["date"]
+        assert result["artifacts"]["stub"]["rows"] == {"fast": 1.0, "slow": 3.0}
+        (claim,) = result["artifacts"]["stub"]["claims"]
+        assert claim["source"] == "Table X" and claim["margin"] == 3.0
+        assert claim["asserted"] and not claim["held"]
+
+    def test_paper_only_claim_not_asserted_at_smoke(self, monkeypatch, capsys):
+        self._stub(
+            monkeypatch,
+            Claim("Table X", "slow / fast", lambda r: r["slow"] / r["fast"],
+                  ">", 5.0, ("paper",)),
+            Claim("Table Y", "fast / slow", lambda r: r["fast"] / r["slow"],
+                  "<", 1),
+        )
+        assert run_main(["stub", "--scale", "smoke"]) == 0
+        out = capsys.readouterr().out
+        assert "[not asserted at smoke, failed] Table X: slow / fast" in out
+        assert "[held] Table Y: fast / slow" in out
+        assert run_main(["stub", "--scale", "paper"]) == 1
+
+    def test_every_artifact_has_a_sourced_claim(self):
+        for name, artifact in ARTIFACTS.items():
+            assert any(claim.source for claim in artifact.claims), name
+            for claim in artifact.claims:
+                assert claim.op in OPS, (name, claim.text)
+                assert set(claim.scales) <= {"smoke", "paper"}, (name, claim.text)
 
 
 class TestFormatting:

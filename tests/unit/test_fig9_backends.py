@@ -1,5 +1,5 @@
 """Fast unit-level checks of the Figure 9 mechanism (the full sweep
-runs in the benchmark)."""
+runs in ``python -m repro.experiments.run fig9``)."""
 
 import numpy as np
 

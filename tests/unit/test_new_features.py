@@ -112,7 +112,10 @@ class TestExperimentsCli:
         args = parser.parse_args(["fig8"])
         assert args.artifact == "fig8"
         assert set(ARTIFACTS) == {
-            "fig8", "table4", "table5", "table6", "table7", "fig9", "table8",
+            "catalog", "fig8", "table4", "table5", "table6", "table7", "fig9",
+            "table8", "ablation_join", "ablation_lazy",
+            "ablation_representation", "ablation_converter",
+            "ablation_repartition",
         }
 
     def test_unknown_artifact_rejected(self):
@@ -124,18 +127,13 @@ class TestExperimentsCli:
     def test_fig8_via_cli(self, capsys, monkeypatch):
         import repro.experiments.fig8 as fig8_mod
         from repro.experiments import run as run_mod
+        from repro.experiments.artifacts import Artifact
 
-        monkeypatch.setattr(
-            fig8_mod, "DEFAULT_SIZES", (2_000, 4_000), raising=True
-        )
-        monkeypatch.setattr(
-            run_mod,
-            "run_fig8",
-            lambda args, config: fig8_mod.format_figure8(
-                fig8_mod.run_figure8(sizes=(2_000, 4_000))
-            ),
-        )
-        run_mod._RUNNERS["fig8"] = run_mod.run_fig8
+        def small_fig8(config, data_root):
+            rows = fig8_mod.run_figure8(sizes=(2_000, 4_000))
+            return fig8_mod.format_figure8(rows), rows
+
+        monkeypatch.setitem(run_mod.ARTIFACTS, "fig8", Artifact(small_fig8, ()))
         assert run_mod.main(["fig8"]) == 0
         out = capsys.readouterr().out
         assert "Figure 8" in out

@@ -4,9 +4,8 @@ nn, optim, data, utils) has a caller the paper pipeline wants.
 
 A name earns its place by being referenced from ``src/`` outside the
 package that defines it (``src/repro/experiments/`` included),
-``examples/`` or ``benchmarks/pipeline/`` — tests and the legacy
-benchmark lane do not count — or by sitting in ``ALLOWED`` below with
-its reason.  A name that fails here gets a caller or gets deleted; it
+``examples/`` or ``benchmarks/pipeline/`` — tests do not count — or
+by sitting in ``ALLOWED`` below with its reason.  A name that fails here gets a caller or gets deleted; it
 does not get an allowlist entry for being convenient to keep.
 """
 
