@@ -3,7 +3,9 @@
 Shows the custom-dataset path (paper Section III-A1): instead of a
 ready-to-use benchmark dataset, raw records are read from a CSV file
 (the format of the NYC-TLC trip listing), preprocessed with
-``STManager``, and wrapped directly as a ``CustomGridDataset``.
+``STManager``, and wrapped directly as a ``CustomGridDataset``; the
+same aggregate frame then goes through the DFtoTorch converter's two
+stages by hand.
 
 Run:  python examples/custom_data_pipeline.py
 """
@@ -11,6 +13,7 @@ Run:  python examples/custom_data_pipeline.py
 import os
 import tempfile
 
+from repro.core.converter import DFFormatter, RowTransformer, SpatiotemporalSpec
 from repro.core.datasets.grid import CustomGridDataset
 from repro.core.datasets.synth import generate_trip_records
 from repro.core.preprocessing.grid import STManager
@@ -67,6 +70,14 @@ def main():
     x, y = dataset[0]
     print(f"custom dataset ready: {len(dataset)} samples, "
           f"history {x.shape} -> target {y.shape}")
+
+    # Section III-C: the DFtoTorch converter's two stages over the same
+    # aggregate frame, run by hand — the DF Formatter's distributed map
+    # into per-timestep frames, then the Row Transformer's batches.
+    spec = SpatiotemporalSpec(GRID_X, GRID_Y)
+    frames = DFFormatter(spec).format(st_df)
+    x, y = next(iter(RowTransformer(frames, 16, spec=spec)))
+    print(f"converter batch: frames {x.shape} -> next frames {y.shape}")
 
 
 if __name__ == "__main__":

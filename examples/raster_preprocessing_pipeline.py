@@ -5,7 +5,10 @@ GeoTIFF-like tiles as a raster DataFrame, chain transformation and
 feature-extraction operations (all lazy, fused into one streaming
 pass), write the result back, and stream training batches straight out
 of the DataFrame with the DFtoTorch converter — no driver-side
-collect.
+collect.  On the way it runs the rest of the preprocessing module's
+raster API once: the band ops and map algebra of ``RasterProcessing``,
+per-band means, GLCM texture features, and the on-the-fly
+spectral-index transforms the offline pass stands in for.
 
 Run:  python examples/raster_preprocessing_pipeline.py
 """
@@ -20,6 +23,12 @@ from repro.core.datasets.synth import generate_classification_rasters
 from repro.core.models.raster import SatCNN
 from repro.core.preprocessing import load_geotiff_image, write_geotiff_image
 from repro.core.preprocessing.raster import RasterProcessing
+from repro.core.preprocessing.raster.glcm import glcm_features
+from repro.core.transforms import (
+    AppendNormalizedDifferenceIndex,
+    AppendRatioIndex,
+    Compose,
+)
 from repro.engine import Session
 from repro.engine.partition import Partition
 from repro.nn import CrossEntropyLoss
@@ -42,6 +51,25 @@ def make_tile_folder(folder: str, num_images: int = 120):
     return labels
 
 
+def band_ops_tour(rs_df):
+    """Every remaining ``RasterProcessing`` band op on the raw tiles,
+    lazily chained, then run once: 13 bands in, 13 bands out."""
+    df = RasterProcessing.band_arithmetic(rs_df, 7, 3, "divide")  # NIR / red
+    df = RasterProcessing.bitwise_band_operation(df, 13, 13, "and")
+    df = RasterProcessing.mask_band_on_threshold(df, 13, threshold=1.0)
+    df = RasterProcessing.append_band(
+        df, lambda tile: tile.band(7) - tile.band(3), label="nir_minus_red"
+    )
+    for band in (15, 14, 13):  # drop the three derived bands again
+        df = RasterProcessing.delete_band(df, band)
+    df = RasterProcessing.get_band_means(df)
+    row = df.take(1)[0]
+    print(
+        f"band ops: {row['n_bands']} bands after the round trip; "
+        f"first tile's band means {np.round(row['band_means'][:3], 3)} ..."
+    )
+
+
 def main():
     workdir = tempfile.mkdtemp(prefix="raster_pipeline_")
     raw_dir = os.path.join(workdir, "raw")
@@ -60,6 +88,23 @@ def main():
     count = write_geotiff_image(rs_df, out_dir)
     print(f"wrote {count} transformed tiles to {out_dir}")
     print("plan executed:\n" + rs_df.explain())
+    band_ops_tour(load_geotiff_image(session, raw_dir, tiles_per_partition=32))
+
+    # The online counterparts (Table VIII): the same NDI appended on the
+    # fly by a transform, plus a NIR / red ratio band.
+    raw_tile = load_geotiff_image(session, raw_dir).take(1)[0]["tile"]
+    online = Compose(
+        [AppendNormalizedDifferenceIndex(7, 3), AppendRatioIndex(7, 3)]
+    )(raw_tile.data)
+    offline = load_geotiff_image(session, out_dir).take(1)[0]["tile"]
+    print(
+        f"online transforms: {online.shape[0]} bands; NDI band equals the "
+        f"offline one: {np.array_equal(online[13], offline.band(13))}"
+    )
+    texture = glcm_features(raw_tile.band(0))
+    print("GLCM texture of band 0: " + ", ".join(
+        f"{name} {value:.3f}" for name, value in texture.items()
+    ))
 
     # Section III-C: attach labels and stream training batches via the
     # DFtoTorch converter (DF Formatter + Row Transformer).

@@ -1,5 +1,5 @@
-"""Census by execution: the functions of the training stack that no
-paper run, example or benchmark executes.
+"""Census by execution: the functions of ``src/repro`` that no paper
+run, example or benchmark executes.
 
 Every run is a fresh interpreter started with a ``sitecustomize``
 module (written to a temporary directory put first on ``PYTHONPATH``)
@@ -13,15 +13,18 @@ counted too.  The runs:
 - every ``examples/*.py``;
 - ``python -m repro.experiments.run all --scale smoke``: every paper
   artifact and ablation, ``epoch_time.profile_table7`` included (the
-  Table VII runner profiles each model at the smoke scale).
+  Table VII runner profiles each model at the smoke scale);
+- ``benchmarks/run_quick.py``, which ``scripts/check.sh`` runs as its
+  bench smoke gate (a copy runs from the temporary directory, so the
+  ``BENCH_engine.json`` it writes lands there, not in the checkout).
 
 Every ``def`` in the censused packages (methods, properties and
 nested closures included) that no run started is listed, outermost
 first: a nested function of an unexecuted one is not listed again, so
 the per-package line totals count each body once.
 
-    python scripts/census.py                       # tensor nn optim data utils
-    python scripts/census.py --packages core       # another package
+    python scripts/census.py                       # every package
+    python scripts/census.py --packages core obs   # some of them
     python scripts/census.py --skip examples       # leave a run kind out
 
 It is an artifact, not a gate: the full census takes several minutes.
@@ -36,6 +39,7 @@ import argparse
 import ast
 import glob
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -43,8 +47,11 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
-PACKAGES = ("tensor", "nn", "optim", "data", "utils")
-RUN_KINDS = ("pipeline", "examples", "experiments")
+PACKAGES = tuple(sorted(
+    name for name in os.listdir(os.path.join(SRC, "repro"))
+    if os.path.isfile(os.path.join(SRC, "repro", name, "__init__.py"))
+))
+RUN_KINDS = ("pipeline", "examples", "experiments", "run_quick")
 
 _SITECUSTOMIZE = '''\
 import os
@@ -54,11 +61,14 @@ import threading
 _OUT = os.environ.get("CENSUS_OUT")
 if _OUT:
     _SRC = os.environ["CENSUS_SRC"]
-    _seen = set()
-    _add = _seen.add
+    # Keyed by id: code objects compare equal across files (two
+    # one-line properties alike in name and body), so a set would keep
+    # one and lose the other's file and line.
+    _seen = {}
 
     def _trace(frame, event, arg):
-        _add(frame.f_code)  # the global trace only sees "call"
+        code = frame.f_code  # the global trace only sees "call"
+        _seen[id(code)] = code
         return None
 
     def _dump():
@@ -67,7 +77,7 @@ if _OUT:
         rows = sorted(
             {
                 f"{code.co_filename}:{code.co_firstlineno}"
-                for code in list(_seen)
+                for code in list(_seen.values())
                 if code.co_filename.startswith(_SRC)
             }
         )
@@ -89,7 +99,7 @@ if _OUT:
     threading.settrace(_trace)
 '''
 
-def _runs(kinds, data_root: str) -> list:
+def _runs(kinds, work: str, data_root: str) -> list:
     """``(label, argv)`` of every run in the census."""
     py = sys.executable
     runs = []
@@ -104,6 +114,11 @@ def _runs(kinds, data_root: str) -> list:
             py, "-m", "repro.experiments.run", "all", "--scale", "smoke",
             "--data-root", data_root,
         ]))
+    if "run_quick" in kinds:
+        copy = os.path.join(work, "benchmarks", "run_quick.py")
+        os.makedirs(os.path.dirname(copy))
+        shutil.copy(os.path.join(ROOT, "benchmarks", "run_quick.py"), copy)
+        runs.append(("benchmarks/run_quick.py", [py, copy]))
     return runs
 
 
@@ -121,7 +136,7 @@ def record(kinds) -> set:
         env["PYTHONPATH"] = os.pathsep.join([site, SRC])
         env["CENSUS_OUT"] = out
         env["CENSUS_SRC"] = SRC + os.sep
-        for label, argv in _runs(kinds, data_root):
+        for label, argv in _runs(kinds, work, data_root):
             started = time.perf_counter()
             done = subprocess.run(
                 argv, cwd=work if label.startswith("examples") else ROOT,

@@ -65,16 +65,6 @@ class EagerGeoFrame:
         self.columns[alias] = geoms
         self.meter.allocate(self.num_rows * _POINT_OBJECT_BYTES)
 
-    def assign_cells(self, grid: UniformGrid, geometry_column: str = "geometry") -> None:
-        """Per-row point-in-cell assignment via the geometry objects."""
-        geoms = self.columns[geometry_column]
-        cells = np.empty(self.num_rows, dtype=np.int64)
-        for i in range(self.num_rows):
-            cell = grid.cell_id_of(geoms[i])
-            cells[i] = -1 if cell is None else cell
-        self.columns["cell_id"] = cells
-        self.meter.allocate(cells.nbytes)
-
     def sjoin_polygons(self, polygons: list, geometry_column: str = "geometry") -> None:
         """GeoPandas-style spatial join of points against a polygon
         layer: an R-tree narrows candidates, then an exact

@@ -19,7 +19,6 @@ converter checks both and raises :class:`FrameOrderError` (a
 
 from repro.core.converter.specs import (
     ClassificationSpec,
-    SegmentationSpec,
     SpatiotemporalSpec,
 )
 from repro.core.converter.df_formatter import DFFormatter, FrameOrderError
@@ -28,7 +27,6 @@ from repro.core.converter.converter import DFToTorchConverter
 
 __all__ = [
     "ClassificationSpec",
-    "SegmentationSpec",
     "SpatiotemporalSpec",
     "DFFormatter",
     "FrameOrderError",

@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.core.converter.specs import (
     ClassificationSpec,
-    SegmentationSpec,
     SpatiotemporalSpec,
 )
 from repro.engine.dataframe import DataFrame
@@ -41,8 +40,6 @@ class DFFormatter:
         spec = self.spec
         if isinstance(spec, ClassificationSpec):
             return self._format_classification(df, spec)
-        if isinstance(spec, SegmentationSpec):
-            return self._format_segmentation(df, spec)
         if isinstance(spec, SpatiotemporalSpec):
             return self._format_spatiotemporal(df, spec)
         raise TypeError(f"unknown spec {type(spec).__name__}")
@@ -74,19 +71,6 @@ class DFFormatter:
             return Partition(columns)
 
         return df.map_partitions(fn, label="df_formatter[classification]")
-
-    def _format_segmentation(self, df, spec) -> DataFrame:
-        def fn(part: Partition) -> Partition:
-            tiles = part.columns[spec.tile_column]
-            masks = part.columns[spec.mask_column]
-            xs = np.empty(len(tiles), dtype=object)
-            ys = np.empty(len(tiles), dtype=object)
-            for i in range(len(tiles)):
-                xs[i] = self._tile_array(tiles[i])
-                ys[i] = np.asarray(masks[i], dtype=np.int64)
-            return Partition({"__x": xs, "__y": ys})
-
-        return df.map_partitions(fn, label="df_formatter[segmentation]")
 
     def _format_spatiotemporal(self, df, spec) -> DataFrame:
         """Scatter sparse aggregate rows into dense per-timestep

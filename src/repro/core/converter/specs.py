@@ -20,14 +20,6 @@ class ClassificationSpec:
 
 
 @dataclass(frozen=True)
-class SegmentationSpec:
-    """Raster segmentation rows: a tile column and a mask column."""
-
-    tile_column: str = "tile"
-    mask_column: str = "mask"
-
-
-@dataclass(frozen=True)
 class SpatiotemporalSpec:
     """Aggregated spatiotemporal rows (``STManager`` output): sparse
     (time_step, cell_id, value...) records to be scattered into dense

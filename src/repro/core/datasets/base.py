@@ -163,12 +163,6 @@ class GridDataset(Dataset):
     def grid_width(self) -> int:
         return self.frames.shape[3]
 
-    def denormalize(self, values: np.ndarray) -> np.ndarray:
-        """Map normalized predictions back to the original scale."""
-        if not self.normalized or self._raw_max <= self._raw_min:
-            return values
-        return values * (self._raw_max - self._raw_min) + self._raw_min
-
     @property
     def scale(self) -> float:
         """Multiplier from normalized-error to raw-error units."""
@@ -226,10 +220,6 @@ class GridDataset(Dataset):
         self._len_trend = len_trend
         self._mode = self.PERIODICAL
         return self
-
-    @property
-    def representation(self) -> str:
-        return self._mode
 
     # ------------------------------------------------------------------
     # Indexing

@@ -2,8 +2,8 @@
 
 "GeoTorchAI datasets module provides classes that allow defining any
 custom datasets instead of relying only on ready-to-use benchmark
-datasets" — these load tensors produced offline (e.g. by the
-preprocessing module's ``write_st_grid_array``) or passed in memory.
+datasets" — these wrap a tensor passed in memory or one materialized
+from an ``STManager``-aggregated DataFrame.
 """
 
 from __future__ import annotations
@@ -19,12 +19,6 @@ class CustomGridDataset(GridDataset):
 
     def __init__(self, tensor, **kwargs):
         super().__init__(np.asarray(tensor, dtype=np.float32), **kwargs)
-
-    @classmethod
-    def from_file(cls, path: str, **kwargs) -> "CustomGridDataset":
-        """Load a tensor written by
-        :meth:`STManager.write_st_grid_array`."""
-        return cls(STManager.read_st_grid_array(path), **kwargs)
 
     @classmethod
     def from_st_dataframe(

@@ -1,42 +1,13 @@
 """Custom raster datasets (paper Section III-A1).
 
-Wraps user-provided imagery — in-memory arrays or an on-disk ``.rtif``
-tile folder — with the same band-selection / feature-extraction /
-transform machinery as the benchmark datasets.
+Wraps user-provided in-memory imagery with the same band-selection /
+feature-extraction / transform machinery as the benchmark datasets.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.core.datasets.base import RasterDataset
 
 
 class CustomRasterDataset(RasterDataset):
     """A raster dataset over user-provided (N, C, H, W) images."""
-
-    @classmethod
-    def from_folder(
-        cls,
-        session,
-        folder: str,
-        labels,
-        bands=None,
-        transform=None,
-        include_additional_features: bool = False,
-    ) -> "CustomRasterDataset":
-        """Bulk-load a folder of ``.rtif`` tiles (sorted by name) into
-        a dataset; ``labels`` must align with that order."""
-        from repro.spatial.raster_io import load_raster_folder
-
-        df = load_raster_folder(session, folder)
-        columns = df.to_columns()
-        order = np.argsort(columns["name"])
-        images = np.stack([columns["tile"][i].data for i in order])
-        return cls(
-            images,
-            np.asarray(labels),
-            bands=bands,
-            transform=transform,
-            include_additional_features=include_additional_features,
-        )

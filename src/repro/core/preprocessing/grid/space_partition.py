@@ -20,11 +20,6 @@ class SpacePartition:
     """Static facade for grid generation and repartitioning."""
 
     @staticmethod
-    def generate_grid(envelope: Envelope, partitions_x: int, partitions_y: int) -> UniformGrid:
-        """Equal-cell grid over an envelope."""
-        return UniformGrid(envelope, partitions_x, partitions_y)
-
-    @staticmethod
     def generate_grid_cells(
         envelope: Envelope, partitions_x: int, partitions_y: int
     ) -> list[Polygon]:
@@ -64,21 +59,3 @@ class SpacePartition:
             t, h // factor_y, factor_y, w // factor_x, factor_x, c
         )
         return reshaped.sum(axis=(2, 4))
-
-    @staticmethod
-    def stratified_sample_ids(
-        cell_ids: np.ndarray, fraction: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Spatially stratified sampling: keep ~``fraction`` of rows
-        *within every cell*, preserving the spatial distribution (used
-        to build the paper's 1.4M-row subset from one month of trips).
-        Returns a boolean keep-mask."""
-        if not 0 < fraction <= 1:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        cell_ids = np.asarray(cell_ids)
-        keep = np.zeros(len(cell_ids), dtype=bool)
-        for cell in np.unique(cell_ids):
-            idx = np.flatnonzero(cell_ids == cell)
-            take = max(1, int(round(len(idx) * fraction)))
-            keep[rng.choice(idx, size=take, replace=False)] = True
-        return keep

@@ -115,30 +115,25 @@ class STManager:
 
     @staticmethod
     def _extrema(df: DataFrame, names: list[str]) -> dict:
-        """Stream the dataset once: ``{name: (min, max)}`` of each
-        named column."""
+        """Stream the dataset once: ``{name: (min, max)}`` of the
+        finite values of each named column (a NaN or ±inf record is
+        dropped from the grid, so it bounds nothing)."""
         low = dict.fromkeys(names, np.inf)
         high = dict.fromkeys(names, -np.inf)
         for part in df.select(*names).iter_partitions():
-            if part.num_rows == 0:
-                continue
             for name in names:
                 values = part.columns[name]
-                low[name] = min(low[name], float(values.min()))
-                high[name] = max(high[name], float(values.max()))
-        if not np.isfinite(low[names[0]]):
-            raise ValueError(
-                "cannot compute an envelope or a temporal origin of an "
-                "empty DataFrame"
-            )
+                values = values[np.isfinite(values)]
+                if len(values):
+                    low[name] = min(low[name], float(values.min()))
+                    high[name] = max(high[name], float(values.max()))
+        for name in names:
+            if not np.isfinite(low[name]):
+                raise ValueError(
+                    "cannot compute an envelope or a temporal origin: "
+                    f"column {name!r} is empty or holds no finite value"
+                )
         return {name: (low[name], high[name]) for name in names}
-
-    @staticmethod
-    def compute_envelope(df: DataFrame, geometry: str = "point") -> Envelope:
-        """Stream the dataset once to find its bounding envelope."""
-        xname, yname = _x_col(geometry), _y_col(geometry)
-        extrema = STManager._extrema(df, [xname, yname])
-        return Envelope(*extrema[xname], *extrema[yname])
 
     @staticmethod
     def get_st_grid_dataframe(
@@ -157,7 +152,9 @@ class STManager:
         Returns a lazy DataFrame with columns ``time_step``,
         ``cell_id``, ``cell_x``, ``cell_y``, and ``count`` plus any
         extra ``aggregations``.  Records outside the grid envelope are
-        dropped (as spatial-join semantics drop non-matching points).
+        dropped (as spatial-join semantics drop non-matching points),
+        and so are records whose coordinate or timestamp is NaN or
+        ±inf.
 
         The frame is cached (:meth:`DataFrame.cache`): its first action
         runs the plan over ``geo_df``, and every later one — the grid
@@ -184,18 +181,29 @@ class STManager:
                 temporal_origin = extrema[col_date][0]
         grid = UniformGrid(envelope, partitions_x, partitions_y)
 
-        def cell_ids(xs, ys):
-            return grid.cell_ids_of_arrays(xs, ys)
+        # A finite sum means every value is finite: one pass and no
+        # mask on the common path.
+        def cell_ids(xs, ys, times):
+            ids = grid.cell_ids_of_arrays(xs, ys)
+            t = np.asarray(times, dtype=np.float64)
+            if not np.isfinite(t.sum()):
+                # A record without a finite time has no step: drop it
+                # as if it lay outside the envelope.
+                ids[~np.isfinite(t)] = -1
+            return ids
 
         def time_steps(times):
             t = np.asarray(times, dtype=np.float64)
-            return np.floor((t - temporal_origin) / step_duration_sec).astype(
-                np.int64
-            )
+            steps = np.floor((t - temporal_origin) / step_duration_sec)
+            if not np.isfinite(steps.sum()):
+                steps[~np.isfinite(steps)] = 0  # the cell filter drops these
+            return steps.astype(np.int64)
 
         specs = [count(name="count")] + list(aggregations or [])
         st = (
-            geo_df.with_column("cell_id", udf(cell_ids, [xname, yname], name="cell"))
+            geo_df.with_column(
+                "cell_id", udf(cell_ids, [xname, yname, col_date], name="cell")
+            )
             .with_column("time_step", udf(time_steps, [col_date], name="step"))
             .filter(col("cell_id") >= 0)
             .group_by("time_step", "cell_id")
@@ -343,42 +351,3 @@ class STManager:
         from repro.tensor.pool import default_pool
 
         return default_pool().release(array)
-
-    @staticmethod
-    def get_adjacency_dataframe(
-        session,
-        partitions_x: int,
-        partitions_y: int,
-        diagonal: bool = False,
-    ) -> DataFrame:
-        """Cell-adjacency pairs as a DataFrame (``cell_id``,
-        ``neighbor_id``) — the "calculating adjacency between grid
-        cells" preprocessing step, for graph-style consumers."""
-        check_positive(partitions_x, "partitions_x")
-        check_positive(partitions_y, "partitions_y")
-        grid = UniformGrid(
-            Envelope(0, partitions_x, 0, partitions_y),
-            partitions_x,
-            partitions_y,
-        )
-        adjacency = grid.adjacency_matrix(diagonal=diagonal)
-        cells, neighbors = np.nonzero(adjacency)
-        return session.create_dataframe(
-            {
-                "cell_id": cells.astype(np.int64),
-                "neighbor_id": neighbors.astype(np.int64),
-            }
-        )
-
-    @staticmethod
-    def write_st_grid_array(array: np.ndarray, path: str) -> str:
-        """Persist a prepared tensor for the datasets module to load."""
-        if not path.endswith(".npz"):
-            path = path + ".npz"
-        np.savez(path.removesuffix(".npz"), st_tensor=array)
-        return path
-
-    @staticmethod
-    def read_st_grid_array(path: str) -> np.ndarray:
-        with np.load(path) as archive:
-            return archive["st_tensor"]

@@ -1,14 +1,11 @@
 """Raster preprocessing: transformations, map algebra, and features."""
 
 from repro.core.preprocessing.raster.raster_processing import RasterProcessing
-from repro.core.preprocessing.raster.glcm import glcm_matrix, glcm_features
+from repro.core.preprocessing.raster.glcm import glcm_features
 from repro.core.preprocessing.raster import indices
-from repro.core.preprocessing.raster import features
 
 __all__ = [
     "RasterProcessing",
-    "glcm_matrix",
     "glcm_features",
     "indices",
-    "features",
 ]

@@ -1,8 +1,8 @@
-"""Spectral indices (map algebra over raster bands).
+"""The normalized difference index (map algebra over raster bands).
 
-All functions take (H, W) band arrays and return an (H, W) float32
-index.  The normalized-difference family uses a small epsilon to keep
-zero-denominator pixels finite.
+Takes two (H, W) band arrays and returns an (H, W) float32 index; a
+small epsilon keeps zero-denominator pixels finite.  NDVI, NDWI, NDBI
+and NBR are this index over the matching band pair.
 """
 
 from __future__ import annotations
@@ -17,62 +17,3 @@ def normalized_difference(band_a: np.ndarray, band_b: np.ndarray) -> np.ndarray:
     a = np.asarray(band_a, dtype=np.float64)
     b = np.asarray(band_b, dtype=np.float64)
     return ((a - b) / (a + b + _EPS)).astype(np.float32)
-
-
-def ndvi(nir: np.ndarray, red: np.ndarray) -> np.ndarray:
-    """Normalized Difference Vegetation Index."""
-    return normalized_difference(nir, red)
-
-
-def ndwi(green: np.ndarray, nir: np.ndarray) -> np.ndarray:
-    """Normalized Difference Water Index (McFeeters)."""
-    return normalized_difference(green, nir)
-
-
-def ndbi(swir: np.ndarray, nir: np.ndarray) -> np.ndarray:
-    """Normalized Difference Built-up Index."""
-    return normalized_difference(swir, nir)
-
-
-def nbr(nir: np.ndarray, swir: np.ndarray) -> np.ndarray:
-    """Normalized Burn Ratio."""
-    return normalized_difference(nir, swir)
-
-
-def savi(nir: np.ndarray, red: np.ndarray, soil_factor: float = 0.5) -> np.ndarray:
-    """Soil-Adjusted Vegetation Index."""
-    nir = np.asarray(nir, dtype=np.float64)
-    red = np.asarray(red, dtype=np.float64)
-    return (
-        (nir - red) / (nir + red + soil_factor + _EPS) * (1.0 + soil_factor)
-    ).astype(np.float32)
-
-
-def evi(
-    nir: np.ndarray,
-    red: np.ndarray,
-    blue: np.ndarray,
-    gain: float = 2.5,
-    c1: float = 6.0,
-    c2: float = 7.5,
-    offset: float = 1.0,
-) -> np.ndarray:
-    """Enhanced Vegetation Index."""
-    nir = np.asarray(nir, dtype=np.float64)
-    red = np.asarray(red, dtype=np.float64)
-    blue = np.asarray(blue, dtype=np.float64)
-    return (
-        gain * (nir - red) / (nir + c1 * red - c2 * blue + offset + _EPS)
-    ).astype(np.float32)
-
-
-def band_mean(band: np.ndarray) -> float:
-    return float(np.asarray(band, dtype=np.float64).mean())
-
-
-def band_mode(band: np.ndarray, bins: int = 64) -> float:
-    """Approximate mode via histogram binning."""
-    band = np.asarray(band, dtype=np.float64).ravel()
-    counts, edges = np.histogram(band, bins=bins)
-    peak = int(np.argmax(counts))
-    return float((edges[peak] + edges[peak + 1]) / 2)

@@ -5,7 +5,6 @@ from repro.core.training.early_stopping import EarlyStopping
 from repro.core.training.adapters import (
     periodical_batch,
     sequential_batch,
-    basic_batch,
     classification_batch,
     classification_with_features_batch,
     segmentation_batch,
@@ -22,7 +21,6 @@ __all__ = [
     "TrainingResult",
     "periodical_batch",
     "sequential_batch",
-    "basic_batch",
     "classification_batch",
     "classification_with_features_batch",
     "segmentation_batch",

@@ -33,12 +33,6 @@ def sequential_batch(batch: tuple):
     return (Tensor(x),), Tensor(y)
 
 
-def basic_batch(batch: tuple):
-    """(frame, future frame) batches for plain CNN forecasting."""
-    x, y = batch
-    return (Tensor(x),), Tensor(y)
-
-
 def classification_batch(batch: tuple):
     """(image, label) batches."""
     x, y = batch

@@ -27,10 +27,6 @@ class TrainingResult:
     epoch_seconds: list = field(default_factory=list)
 
     @property
-    def best_val_loss(self) -> float:
-        return min(self.val_losses) if self.val_losses else float("nan")
-
-    @property
     def mean_epoch_seconds(self) -> float:
         if not self.epoch_seconds:
             return float("nan")
@@ -84,13 +80,6 @@ class Trainer:
         self.grad_clip = grad_clip
         self.free_graph = free_graph
         self._trace_session = None
-
-    @property
-    def trace_session(self):
-        """The :class:`~repro.tensor.trace.TraceSession` driving traced
-        steps, or None when no traced epoch has run yet.  Exposes
-        ``stats()`` for tests and diagnostics."""
-        return self._trace_session
 
     def _ensure_trace_session(self):
         """The session for the trainer's *current* model, loss function

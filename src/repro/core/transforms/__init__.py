@@ -1,26 +1,13 @@
-"""Composable transforms for raster and grid samples."""
+"""Composable transforms for raster samples."""
 
 from repro.core.transforms.compose import Compose
 from repro.core.transforms.raster import (
     AppendNormalizedDifferenceIndex,
     AppendRatioIndex,
-    MinMaxNormalize,
-    Standardize,
-    DeleteBand,
-    InsertBand,
-    MaskBandOnThreshold,
 )
-from repro.core.transforms.grid import GridStandardize, ClipValues
 
 __all__ = [
     "Compose",
     "AppendNormalizedDifferenceIndex",
     "AppendRatioIndex",
-    "MinMaxNormalize",
-    "Standardize",
-    "DeleteBand",
-    "InsertBand",
-    "MaskBandOnThreshold",
-    "GridStandardize",
-    "ClipValues",
 ]

@@ -49,108 +49,3 @@ class AppendRatioIndex:
 
     def __repr__(self):
         return f"AppendRatioIndex({self.band_index1}, {self.band_index2})"
-
-
-class MinMaxNormalize:
-    """Scale every band to [0, 1] independently."""
-
-    def __call__(self, image: np.ndarray) -> np.ndarray:
-        out = np.empty_like(image, dtype=np.float32)
-        for b in range(image.shape[0]):
-            band = image[b]
-            low, high = band.min(), band.max()
-            out[b] = (band - low) / (high - low) if high > low else 0.0
-        return out
-
-    def __repr__(self):
-        return "MinMaxNormalize()"
-
-
-class Standardize:
-    """Z-score each band with given (or per-image) statistics."""
-
-    def __init__(self, mean=None, std=None):
-        self.mean = None if mean is None else np.asarray(mean, dtype=np.float32)
-        self.std = None if std is None else np.asarray(std, dtype=np.float32)
-
-    def __call__(self, image: np.ndarray) -> np.ndarray:
-        mean = (
-            self.mean.reshape(-1, 1, 1)
-            if self.mean is not None
-            else image.mean(axis=(1, 2), keepdims=True)
-        )
-        std = (
-            self.std.reshape(-1, 1, 1)
-            if self.std is not None
-            else image.std(axis=(1, 2), keepdims=True)
-        )
-        return ((image - mean) / np.maximum(std, 1e-8)).astype(np.float32)
-
-    def __repr__(self):
-        return "Standardize()"
-
-
-class DeleteBand:
-    """Remove one band."""
-
-    def __init__(self, band_index: int):
-        self.band_index = band_index
-
-    def __call__(self, image: np.ndarray) -> np.ndarray:
-        if not 0 <= self.band_index < image.shape[0]:
-            raise IndexError(
-                f"band {self.band_index} out of range for "
-                f"{image.shape[0]}-band image"
-            )
-        keep = [b for b in range(image.shape[0]) if b != self.band_index]
-        return image[keep]
-
-    def __repr__(self):
-        return f"DeleteBand({self.band_index})"
-
-
-class InsertBand:
-    """Insert a computed band at a position; ``band_fn(image) -> (H, W)``."""
-
-    def __init__(self, band_fn, position: int = -1):
-        self.band_fn = band_fn
-        self.position = position
-
-    def __call__(self, image: np.ndarray) -> np.ndarray:
-        band = np.asarray(self.band_fn(image), dtype=image.dtype)[None]
-        position = (
-            image.shape[0] + 1 + self.position
-            if self.position < 0
-            else self.position
-        )
-        return np.concatenate(
-            [image[:position], band, image[position:]], axis=0
-        )
-
-    def __repr__(self):
-        return f"InsertBand(position={self.position})"
-
-
-class MaskBandOnThreshold:
-    """Clamp pixels of one band beyond a threshold to ``fill``."""
-
-    def __init__(self, band_index: int, threshold: float, upper: bool = True,
-                 fill: float = 0.0):
-        self.band_index = band_index
-        self.threshold = threshold
-        self.upper = upper
-        self.fill = fill
-
-    def __call__(self, image: np.ndarray) -> np.ndarray:
-        out = image.copy()
-        band = out[self.band_index]
-        mask = band > self.threshold if self.upper else band < self.threshold
-        band[mask] = self.fill
-        return out
-
-    def __repr__(self):
-        side = "upper" if self.upper else "lower"
-        return (
-            f"MaskBandOnThreshold(band={self.band_index}, "
-            f"threshold={self.threshold}, {side})"
-        )

@@ -6,7 +6,7 @@ model mirrors PySpark:
 - a :class:`Session` creates DataFrames from rows, column dicts, or CSV;
 - a :class:`DataFrame` is a *lazy logical plan*; transformations
   (``select``, ``filter``, ``with_column``, ``group_by().agg``,
-  ``union``) build the plan;
+  ``map_partitions``, ``cache``) build the plan;
 - actions (``collect``, ``count``, ``to_columns``, ``show``) execute it.
 
 Execution is partition-at-a-time: narrow operators stream one

@@ -99,14 +99,6 @@ class DataFrame:
     def drop(self, *names) -> "DataFrame":
         return self._wrap(P.Drop(self.plan, list(names)))
 
-    def union(self, other: "DataFrame") -> "DataFrame":
-        """Concatenate rows (schemas must align by name)."""
-        if set(self.columns) != set(other.columns):
-            raise ValueError(
-                f"union column mismatch: {self.columns} vs {other.columns}"
-            )
-        return self._wrap(P.Union([self.plan, other.plan]))
-
     def limit(self, n: int) -> "DataFrame":
         """The first ``n`` rows; ``n`` must be a non-negative integer."""
         if not isinstance(n, (int, np.integer)):
@@ -259,8 +251,3 @@ class GroupedDataFrame:
         return self._df._wrap(
             P.GroupByAgg(self._df.plan, self._keys, list(specs))
         )
-
-    def count(self, name: str = "count") -> DataFrame:
-        from repro.engine.aggregates import count as count_spec
-
-        return self.agg(count_spec(name=name))

@@ -5,7 +5,7 @@ Every operator has exactly one implementation here.
 Narrow operators (project / filter / with_column / drop) run node by
 node, each expression through ``Expr.evaluate``; a filter computes its
 selection once and gathers every column with it.  Together with
-map_partitions / union / limit they are fully pipelined: one input
+map_partitions / limit they are fully pipelined: one input
 partition is pulled, transformed, yielded, and released before the next
 is pulled, so the working set stays O(partition).
 
@@ -79,9 +79,6 @@ def _iter_node(node: P.PlanNode, ctx: _ExecContext):
         yield from _run_streaming_source(node, ctx)
     elif type(node) in _NARROW:
         yield from _run_narrow(node, ctx)
-    elif isinstance(node, P.Union):
-        for child in node.inputs:
-            yield from ctx.iterate(child)
     elif isinstance(node, P.Limit):
         yield from _run_limit(node, ctx)
     elif isinstance(node, P.MapPartitions):

@@ -50,7 +50,7 @@ def _ordered(names, preference: list | None) -> list:
 # ----------------------------------------------------------------------
 #: Nodes whose output carries their (first) input's column names.
 _KEEPS_NAMES = (
-    P.Filter, P.Limit, P.Union, P.Cache, P.MapPartitions,
+    P.Filter, P.Limit, P.Cache, P.MapPartitions,
 )
 
 
@@ -161,20 +161,6 @@ def _prune(node: P.PlanNode, required: list | None) -> P.PlanNode:
     if isinstance(node, P.Drop):
         child_req = static_columns(node) if required is None else required
         return P.Drop(_prune(node.child, child_req), node.names)
-
-    if isinstance(node, P.Union):
-        inputs = [_prune(i, required) for i in node.inputs]
-        if required is not None:
-            # Re-project inputs so all branches yield the same columns
-            # in the same order (branches may retain different helper
-            # columns, e.g. a filter's predicate inputs).
-            inputs = [
-                i
-                if static_columns(i) == list(required)
-                else P.Project(i, [(c, Column(c)) for c in required])
-                for i in inputs
-            ]
-        return P.Union(inputs)
 
     if isinstance(node, P.Limit):
         return P.Limit(_prune(node.child, required), node.n)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.schema import Field, Schema
+from repro.engine.schema import Schema
 from repro.utils.memory import approx_nbytes
 
 
@@ -72,29 +72,10 @@ class Partition:
                 total += arr.nbytes
         return total
 
-    def schema(self) -> Schema:
-        return Schema(
-            [Field(name, arr.dtype) for name, arr in self.columns.items()]
-        )
-
-    def select(self, names) -> "Partition":
-        return Partition({name: self.columns[name] for name in names})
-
-    def mask(self, keep: np.ndarray) -> "Partition":
-        return Partition(
-            {name: arr[keep] for name, arr in self.columns.items()}
-        )
-
     def with_column(self, name: str, values: np.ndarray) -> "Partition":
         cols = dict(self.columns)
         cols[name] = values
         return Partition(cols)
-
-    def drop(self, names) -> "Partition":
-        names = set(names)
-        return Partition(
-            {n: a for n, a in self.columns.items() if n not in names}
-        )
 
     def rows(self):
         """Iterate rows as dicts (slow path: display, tests)."""

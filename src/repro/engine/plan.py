@@ -68,10 +68,6 @@ class StreamingSource(PlanNode):
     def append(self, partition) -> None:
         self.batches.append(partition)
 
-    @property
-    def num_rows(self) -> int:
-        return sum(p.num_rows for p in self.batches)
-
     def _label(self):
         return f"StreamingSource[{len(self.batches)} batches]"
 
@@ -148,17 +144,6 @@ class Drop(PlanNode):
 
     def _label(self):
         return f"Drop[{', '.join(self.names)}]"
-
-
-@dataclass
-class Union(PlanNode):
-    inputs: list
-
-    def __post_init__(self):
-        self.children = tuple(self.inputs)
-
-    def _label(self):
-        return f"Union[{len(self.inputs)} inputs]"
 
 
 @dataclass

@@ -35,9 +35,6 @@ class Schema:
     def names(self) -> list[str]:
         return [f.name for f in self.fields]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
     def __getitem__(self, name: str) -> Field:
         if name not in self._by_name:
             raise KeyError(
@@ -45,25 +42,6 @@ class Schema:
             )
         return self._by_name[name]
 
-    def __len__(self) -> int:
-        return len(self.fields)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Schema) and self.fields == other.fields
-
     def __repr__(self):
         inner = ", ".join(f"{f.name}: {np.dtype(f.dtype).name}" for f in self.fields)
         return f"Schema({inner})"
-
-    def select(self, names) -> "Schema":
-        return Schema([self[name] for name in names])
-
-    def with_field(self, name: str, dtype) -> "Schema":
-        """Schema after adding/replacing a column."""
-        fields = [f for f in self.fields if f.name != name]
-        fields.append(Field(name, np.dtype(dtype)))
-        return Schema(fields)
-
-    def drop(self, names) -> "Schema":
-        names = set(names)
-        return Schema([f for f in self.fields if f.name not in names])

@@ -136,10 +136,3 @@ class Session:
         from repro.engine.streaming import Stream
 
         return Stream(self, schema, retain=retain)
-
-    def range(self, n: int, num_partitions=None) -> DataFrame:
-        """A DataFrame with a single int column ``id`` of 0..n-1."""
-        return self.create_dataframe(
-            {"id": np.arange(int(n), dtype=np.int64)},
-            num_partitions=num_partitions,
-        )

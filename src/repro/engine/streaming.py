@@ -97,10 +97,6 @@ class DeltaState:
     def num_groups(self) -> int:
         return self.state.num_groups
 
-    @property
-    def nbytes(self) -> int:
-        return self.state.nbytes
-
     def update(self, part: Partition) -> int:
         """Merge one micro-batch; returns the number of distinct
         groups it touched."""
@@ -159,20 +155,8 @@ class StreamingAggregation:
     # Results
     # ------------------------------------------------------------------
     @property
-    def keys(self) -> list:
-        """The state's key columns."""
-        return list(self.delta_state.keys)
-
-    @property
     def num_groups(self) -> int:
         return self.delta_state.num_groups
-
-    @property
-    def state_nbytes(self) -> int:
-        """Estimated bytes of live aggregate state, reserved capacity
-        included — the bound on ingestion memory when the stream runs
-        ``retain=False``."""
-        return self.delta_state.nbytes
 
     def to_partition(self) -> Partition:
         """The current state finalized as one partition."""

@@ -49,10 +49,6 @@ class Envelope:
         return self.max_y - self.min_y
 
     @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
     def center(self) -> Point:
         return Point((self.min_x + self.max_x) / 2, (self.min_y + self.max_y) / 2)
 
@@ -63,29 +59,12 @@ class Envelope:
             and self.min_y <= point.y <= self.max_y
         )
 
-    def contains_envelope(self, other: "Envelope") -> bool:
-        return (
-            self.min_x <= other.min_x
-            and other.max_x <= self.max_x
-            and self.min_y <= other.min_y
-            and other.max_y <= self.max_y
-        )
-
     def intersects(self, other: "Envelope") -> bool:
         return not (
             other.min_x > self.max_x
             or other.max_x < self.min_x
             or other.min_y > self.max_y
             or other.max_y < self.min_y
-        )
-
-    def expand(self, margin: float) -> "Envelope":
-        """Return a copy grown by ``margin`` on every side."""
-        return Envelope(
-            self.min_x - margin,
-            self.max_x + margin,
-            self.min_y - margin,
-            self.max_y + margin,
         )
 
     def union(self, other: "Envelope") -> "Envelope":

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.envelope import Envelope
-from repro.geometry.point import Point
 from repro.utils.validation import check_positive
 
 
@@ -35,28 +34,9 @@ class UniformGrid:
         self.cell_width = envelope.width / nx
         self.cell_height = envelope.height / ny
 
-    @property
-    def num_cells(self) -> int:
-        return self.nx * self.ny
-
-    def cell_of(self, point: Point) -> tuple[int, int] | None:
-        """Return (i, j) of the cell containing the point, or None if
-        the point lies outside the envelope."""
-        if not self.envelope.contains_point(point):
-            return None
-        i = int((point.x - self.envelope.min_x) / self.cell_width)
-        j = int((point.y - self.envelope.min_y) / self.cell_height)
-        return (min(i, self.nx - 1), min(j, self.ny - 1))
-
-    def cell_id_of(self, point: Point) -> int | None:
-        cell = self.cell_of(point)
-        if cell is None:
-            return None
-        i, j = cell
-        return j * self.nx + i
-
     def cell_ids_of_arrays(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Vectorized cell assignment; -1 marks out-of-envelope points."""
+        """Vectorized cell assignment; -1 marks out-of-envelope points
+        (NaN and ±inf coordinates included)."""
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         inside = (
@@ -65,10 +45,13 @@ class UniformGrid:
             & (ys >= self.envelope.min_y)
             & (ys <= self.envelope.max_y)
         )
-        i = ((xs - self.envelope.min_x) / self.cell_width).astype(np.int64)
-        j = ((ys - self.envelope.min_y) / self.cell_height).astype(np.int64)
-        i = np.clip(i, 0, self.nx - 1)
-        j = np.clip(j, 0, self.ny - 1)
+        # Clamped into the grid before the integer cast, so no NaN, ±inf
+        # or far-off coordinate reaches it (fmin / fmax take the bound
+        # over a NaN); the rows outside the envelope become -1 below.
+        i = np.fmax(np.fmin((xs - self.envelope.min_x) / self.cell_width,
+                            self.nx - 1), 0).astype(np.int64)
+        j = np.fmax(np.fmin((ys - self.envelope.min_y) / self.cell_height,
+                            self.ny - 1), 0).astype(np.int64)
         ids = j * self.nx + i
         ids[~inside] = -1
         return ids
@@ -80,24 +63,6 @@ class UniformGrid:
         x0 = self.envelope.min_x + i * self.cell_width
         y0 = self.envelope.min_y + j * self.cell_height
         return Envelope(x0, x0 + self.cell_width, y0, y0 + self.cell_height)
-
-    def adjacency_matrix(self, diagonal: bool = False) -> np.ndarray:
-        """Cell adjacency (4-neighbour, or 8-neighbour when
-        ``diagonal``) as a dense {0,1} matrix — used for graph-style
-        downstream consumers."""
-        n = self.num_cells
-        adj = np.zeros((n, n), dtype=np.int8)
-        offsets = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-        if diagonal:
-            offsets += [(-1, -1), (-1, 1), (1, -1), (1, 1)]
-        for j in range(self.ny):
-            for i in range(self.nx):
-                a = j * self.nx + i
-                for di, dj in offsets:
-                    ni, nj = i + di, j + dj
-                    if 0 <= ni < self.nx and 0 <= nj < self.ny:
-                        adj[a, nj * self.nx + ni] = 1
-        return adj
 
     def __repr__(self):
         return f"UniformGrid({self.nx}x{self.ny} over {self.envelope})"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -13,21 +12,3 @@ class Point:
 
     x: float
     y: float
-
-    @property
-    def envelope(self) -> "Envelope":
-        from repro.geometry.envelope import Envelope
-
-        return Envelope(self.x, self.x, self.y, self.y)
-
-    def distance(self, other: "Point") -> float:
-        """Euclidean distance to another point."""
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def within(self, geometry) -> bool:
-        """True when the geometry contains this point."""
-        return geometry.contains_point(self)
-
-    def __iter__(self):
-        yield self.x
-        yield self.y

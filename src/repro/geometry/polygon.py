@@ -1,9 +1,9 @@
 """Simple polygon geometry with ray-casting containment:
 ``Polygon.contains_point`` is the scalar definition, ``ray_cast`` the
 same arithmetic over arrays of (point, polygon) pairs — the kernel
-behind ``Polygon.contains_points`` and the brute-force spatial join —
-and ``ray_crossings`` its crossing half, which the indexed join calls
-on candidates whose envelope test the index has already run."""
+behind the brute-force spatial join — and ``ray_crossings`` its
+crossing half, which the indexed join calls on candidates whose
+envelope test the index has already run."""
 
 from __future__ import annotations
 
@@ -30,16 +30,6 @@ class Polygon:
     def envelope(self) -> Envelope:
         return self._envelope
 
-    @property
-    def area(self) -> float:
-        """Unsigned shoelace area."""
-        total = 0.0
-        verts = self.vertices
-        for i, a in enumerate(verts):
-            b = verts[(i + 1) % len(verts)]
-            total += a.x * b.y - b.x * a.y
-        return abs(total) / 2.0
-
     def contains_point(self, point: Point) -> bool:
         """Ray-casting point-in-polygon (boundary counts as inside for
         vertices on horizontal edges; adequate for aggregation use)."""
@@ -57,33 +47,6 @@ class Polygon:
                     inside = not inside
             j = i
         return inside
-
-    def contains_points(self, xs, ys) -> np.ndarray:
-        """``contains_point`` for arrays of coordinates: a boolean
-        array equal, element for element, to the scalar method."""
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        every = np.arange(len(xs))
-        return ray_cast(pack_rings([self]), xs, ys, every, np.zeros_like(every))
-
-    def intersects_envelope(self, env: Envelope) -> bool:
-        """Conservative test: envelope overlap plus corner/vertex checks."""
-        if not self._envelope.intersects(env):
-            return False
-        corners = [
-            Point(env.min_x, env.min_y),
-            Point(env.min_x, env.max_y),
-            Point(env.max_x, env.min_y),
-            Point(env.max_x, env.max_y),
-        ]
-        if any(self.contains_point(c) for c in corners):
-            return True
-        if any(env.contains_point(v) for v in self.vertices):
-            return True
-        # Envelope fully inside polygon with no vertex containment is
-        # covered by corner checks; remaining rare edge-crossing cases
-        # are treated as intersecting (conservative).
-        return True
 
     def __repr__(self):
         return f"Polygon({len(self.vertices)} vertices)"

@@ -12,9 +12,8 @@ Four pieces, one switch:
   module/op attribution of the training stack: per-module-path wall
   time, analytic FLOPs, parameter/activation bytes, with a
   wait/warmup/active schedule (``Trainer.fit(profiler=...)``).
-- :mod:`repro.obs.export` — snapshot everything as a dict / JSON
-  (the per-operator breakdown embedded in ``BENCH_engine.json``) and
-  :func:`~repro.obs.export.to_chrome_trace` for chrome://tracing.
+- :mod:`repro.obs.export` — the per-operator breakdown and the atomic
+  JSON write behind ``BENCH_engine.json``.
 
 Instrumentation is **on by default but cheap**: recording happens per
 partition / batch / epoch (never per row) and every record call checks
@@ -28,7 +27,7 @@ bit-identical results to unobserved runs (pinned by
 >>> with obs.tracer.span("load") as span:
 ...     span.add("rows", 128)
 >>> obs.registry.counter("my.counter").inc()
->>> obs.export.snapshot()["metrics"]["counters"]["my.counter"]
+>>> obs.registry.snapshot()["counters"]["my.counter"]
 1
 """
 

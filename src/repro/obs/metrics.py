@@ -176,7 +176,7 @@ class MetricsRegistry:
 
     ``snapshot()`` renders everything to a plain dict (sorted names,
     so serialized output is stable); ``reset()`` zeroes every
-    instrument but keeps it registered; ``clear()`` drops them.
+    instrument but keeps it registered.
     """
 
     def __init__(self):
@@ -228,9 +228,3 @@ class MetricsRegistry:
         for group in (self._counters, self._gauges, self._histograms):
             for inst in group.values():
                 inst.reset()
-
-    def clear(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()

@@ -25,13 +25,13 @@ gates recording per training step so steady-state steps are profiled
 without warmup skew; :meth:`Trainer.fit(profiler=...)
 <repro.core.training.trainer.Trainer.fit>` steps the profiler once
 per batch.  Results are summarized by :meth:`Profiler.key_averages`
-(text table grouped by module path or op type) and exported to Chrome
-Trace Event Format by :func:`repro.obs.export.to_chrome_trace`.
+(one row per module path or op type; the Table VII runner reads its
+slowest modules and :meth:`Profiler.total_flops` from them).
 
 >>> from repro.obs.profiler import Profiler, schedule
 >>> prof = Profiler(model, schedule=schedule(wait=1, warmup=1, active=3))
 >>> trainer.fit(loader, epochs=1, profiler=prof)
->>> print(prof.key_averages().table())
+>>> prof.key_averages().rows[0]["name"]
 """
 
 from __future__ import annotations
@@ -95,9 +95,6 @@ class ProfilerEvent:
         self.activation_bytes = activation_bytes
         self.depth = depth          # nesting depth at entry
         self.step = step            # profiler step the event belongs to
-
-    def to_dict(self) -> dict:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
 
     def __repr__(self):
         return (
@@ -276,32 +273,16 @@ def op_span(name: str, kind: str = "op"):
     return _OpSpan(profiler, name, kind)
 
 
-def active_profiler() -> "Profiler | None":
-    """The profiler currently installed by :meth:`Profiler.start`."""
-    return _ACTIVE
-
-
 # ----------------------------------------------------------------------
 # Aggregation
 # ----------------------------------------------------------------------
 
 class KeyAverages:
-    """Aggregated view over profiler events; iterable list of row
-    dicts plus a formatted text table."""
+    """Aggregated view over profiler events: one row dict per key."""
 
     def __init__(self, rows: list[dict], group_by: str):
         self.rows = rows
         self.group_by = group_by
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self):
-        return len(self.rows)
-
-    @property
-    def total_flops(self) -> float:
-        return sum(row["flops"] for row in self.rows)
 
     @property
     def total_param_bytes(self) -> int:
@@ -309,53 +290,6 @@ class KeyAverages:
 
     def as_dicts(self) -> list[dict]:
         return [dict(row) for row in self.rows]
-
-    def table(self, sort_by: str = "self_time", row_limit: int | None = None) -> str:
-        """Render as a fixed-width text table.
-
-        ``sort_by``: ``self_time`` | ``total_time`` | ``flops`` |
-        ``name`` (name sort is fully deterministic — what the golden
-        test pins).
-        """
-        key_fns = {
-            "self_time": lambda r: (-r["self_s"], r["name"]),
-            "total_time": lambda r: (-r["total_s"], r["name"]),
-            "flops": lambda r: (-r["flops"], r["name"]),
-            "name": lambda r: r["name"],
-        }
-        if sort_by not in key_fns:
-            raise ValueError(
-                f"sort_by must be one of {sorted(key_fns)}, got {sort_by!r}"
-            )
-        rows = sorted(self.rows, key=key_fns[sort_by])
-        if row_limit is not None:
-            rows = rows[:row_limit]
-        header = (
-            f"{'name':<34s} {'type':<22s} {'calls':>6s} {'total_ms':>10s} "
-            f"{'self_ms':>10s} {'flops':>14s} {'param_B':>10s} {'act_B':>12s}"
-        )
-        rule = "-" * len(header)
-        lines = [rule, header, rule]
-        for row in rows:
-            name = row["name"]
-            if len(name) > 34:
-                name = "…" + name[-33:]
-            op_type = row["op_type"]
-            if len(op_type) > 22:
-                op_type = "…" + op_type[-21:]
-            lines.append(
-                f"{name:<34s} {op_type:<22s} {row['calls']:>6d} "
-                f"{row['total_s'] * 1e3:>10.3f} {row['self_s'] * 1e3:>10.3f} "
-                f"{int(row['flops']):>14d} {row['param_bytes']:>10d} "
-                f"{row['activation_bytes']:>12d}"
-            )
-        lines.append(rule)
-        lines.append(
-            f"total FLOPs {int(self.total_flops)} · "
-            f"param bytes {self.total_param_bytes} · rows {len(rows)}"
-        )
-        return "\n".join(lines)
-
 
 # ----------------------------------------------------------------------
 # The profiler

@@ -11,11 +11,11 @@ Trace context crosses threads.  Every span carries a process-unique
 ``span_id`` plus its parent's id, and the tracer keeps one nesting
 stack *per thread*, so user threads and DataLoader fetches each nest
 correctly on their own thread.  To attach a span opened on
-another thread to a parent on this one, capture the parent
-(``tracer.current``) before handing the work over and pass it as
-``tracer.span(name, parent=captured)`` — the child lands in the
-parent's subtree even though it ran on another thread, so the span
-tree stays connected end-to-end.
+another thread to a parent on this one, capture the parent (the span
+``with tracer.span(...)`` yields) before handing the work over and
+pass it as ``tracer.span(name, parent=captured)`` — the child lands
+in the parent's subtree even though it ran on another thread, so the
+span tree stays connected end-to-end.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ class Span:
         self.thread_id = thread.ident or 0
         self.thread_name = thread.name
 
-    @property
-    def parent_id(self) -> int | None:
-        return self.parent.span_id if self.parent is not None else None
-
     def add(self, counter: str, amount=1) -> None:
         """Accumulate a named counter on this span."""
         self.counters[counter] = self.counters.get(counter, 0) + amount
@@ -71,31 +67,6 @@ class Span:
         """Attach a key/value attribute to this span."""
         self.attrs[key] = value
 
-    def walk(self):
-        """Yield this span and every descendant, depth-first."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-    def to_dict(self) -> dict:
-        """Recursive plain-dict form (JSON-serializable)."""
-        out: dict = {
-            "name": self.name,
-            "elapsed_s": self.elapsed_s,
-            "span_id": self.span_id,
-        }
-        if self.parent is not None:
-            out["parent_id"] = self.parent.span_id
-        if self.thread_name != "MainThread":
-            out["thread"] = self.thread_name
-        if self.counters:
-            out["counters"] = dict(self.counters)
-        if self.attrs:
-            out["attrs"] = dict(self.attrs)
-        if self.children:
-            out["children"] = [c.to_dict() for c in self.children]
-        return out
-
 
 class _NullSpan:
     """Shared no-op span handed out by a disabled tracer."""
@@ -103,7 +74,6 @@ class _NullSpan:
     __slots__ = ()
     name = ""
     parent = None
-    parent_id = None
     children: list = []
     start_s = 0.0
     elapsed_s = 0.0
@@ -118,12 +88,6 @@ class _NullSpan:
 
     def set(self, key, value):
         pass
-
-    def walk(self):
-        return iter(())
-
-    def to_dict(self):
-        return {}
 
 
 NULL_SPAN = _NullSpan()
@@ -150,12 +114,6 @@ class Tracer:
             with self._lock:
                 stack = self._stacks.setdefault(tid, [])
         return stack
-
-    @property
-    def current(self) -> Span | None:
-        """The calling thread's innermost open span, if any."""
-        stack = self._stacks.get(threading.get_ident())
-        return stack[-1] if stack else None
 
     def start_span(self, name: str, parent=_INHERIT) -> Span:
         """Open a span without a context manager (pair with
@@ -205,17 +163,6 @@ class Tracer:
             yield span
         finally:
             self.end_span(span)
-
-    def open_spans(self) -> list[Span]:
-        """Snapshot of every span currently open on any thread,
-        outermost first per thread (used by the Chrome-trace export to
-        draw still-running regions)."""
-        with self._lock:
-            stacks = list(self._stacks.values())
-        out: list[Span] = []
-        for stack in stacks:
-            out.extend(list(stack))
-        return out
 
     def reset(self) -> None:
         """Drop retained roots and all per-thread stacks."""

@@ -2,7 +2,8 @@
 
 Walks a DataFrame's *logical* plan exactly as written — no optimizer —
 and evaluates every expression with the tree-walking ``Expr.evaluate``,
-through ``Partition``'s own ``mask`` / ``with_column`` / ``drop``.  The
+building each output ``Partition`` from whole columns (boolean masks,
+``with_column``, dict filtering).  The
 executor runs the optimized plan with its own operator code (one
 selection vector per filter, partitions built without re-validation),
 so this is the reference the narrow-operator tests hold it to, bit for
@@ -24,10 +25,13 @@ def oracle_partitions(node: P.PlanNode) -> list:
         return [factory() for factory in node.partition_factories]
     parts = oracle_partitions(node.child)
     if isinstance(node, P.Filter):
-        return [
-            part.mask(np.asarray(node.predicate.evaluate(part), dtype=bool))
-            for part in parts
-        ]
+        out = []
+        for part in parts:
+            keep = np.asarray(node.predicate.evaluate(part), dtype=bool)
+            out.append(
+                Partition({name: arr[keep] for name, arr in part.columns.items()})
+            )
+        return out
     if isinstance(node, P.Project):
         return [
             Partition({name: expr.evaluate(part) for name, expr in node.exprs})
@@ -39,7 +43,12 @@ def oracle_partitions(node: P.PlanNode) -> list:
             for part in parts
         ]
     if isinstance(node, P.Drop):
-        return [part.drop(node.names) for part in parts]
+        return [
+            Partition(
+                {n: a for n, a in part.columns.items() if n not in node.names}
+            )
+            for part in parts
+        ]
     raise TypeError(f"oracle cannot evaluate {type(node).__name__}")
 
 

@@ -25,7 +25,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.core.training import Trainer, basic_batch
+from repro.core.training import Trainer
 from repro.nn import MSELoss
 from repro.optim import Adam
 from repro.tensor import Tensor
@@ -41,6 +41,12 @@ from repro.tensor.ops_conv import (
     pad_into,
 )
 from tests.tensor_oracle import oracle_conv_dw, oracle_conv_forward
+
+
+def _pair_batch(batch):
+    """(frame, target frame) batches as the model's one input."""
+    x, y = batch
+    return (Tensor(x),), Tensor(y)
 
 
 @st.composite
@@ -195,7 +201,7 @@ def _train(monkeypatch, tile_bytes, seed):
         nn.ReLU(),
         nn.Conv2d(16, 16, 3, padding=1, rng=rng),
     )
-    trainer = Trainer(model, Adam(model.parameters(), lr=1e-2), MSELoss(), basic_batch)
+    trainer = Trainer(model, Adam(model.parameters(), lr=1e-2), MSELoss(), _pair_batch)
     losses = []
     for _ in range(STEPS):
         batch = (
@@ -203,7 +209,7 @@ def _train(monkeypatch, tile_bytes, seed):
             rng.standard_normal((8, 16, 24, 24)).astype(np.float32),
         )
         losses.append(trainer.fit([batch], epochs=1).train_losses[0])
-    session = trainer.trace_session
+    session = trainer._trace_session
     if session is not None:
         assert session.stats()["replays"] == STEPS - 1
     return losses, [p.data.copy() for p in model.parameters()]

@@ -81,14 +81,6 @@ def test_groupby_matches_reference(frame):
 
 
 @settings(max_examples=40, deadline=None)
-@given(frames())
-def test_union_doubles(frame):
-    keys, values, parts = frame
-    df = _df(keys, values, parts)
-    assert df.union(df).count() == 2 * len(keys)
-
-
-@settings(max_examples=40, deadline=None)
 @given(frames(), st.integers(min_value=0, max_value=100))
 def test_limit_bounds(frame, n):
     keys, values, parts = frame

@@ -117,7 +117,7 @@ def test_grid_dataset_normalization_bounds(tensor):
     ds = GridDataset(tensor, normalize=True)
     assert ds.frames.min() >= -1e-6
     assert ds.frames.max() <= 1.0 + 1e-6
-    # Denormalization inverts exactly at the extremes.
-    raw = ds.denormalize(ds.frames)
+    # The scale inverts the normalization exactly at the extremes.
+    raw = ds.frames * ds.scale + tensor.min()
     np.testing.assert_allclose(raw.min(), tensor.min(), atol=1e-4)
     np.testing.assert_allclose(raw.max(), tensor.max(), atol=1e-4)

@@ -48,7 +48,7 @@ def programs(draw):
         if len(columns) > 1:
             choices += ["select", "drop"]
         if "k" in columns:
-            choices += ["group_by", "union"]
+            choices += ["group_by"]
         kind = draw(st.sampled_from(choices))
         if kind == "filter":
             target = draw(st.sampled_from(columns))
@@ -78,8 +78,6 @@ def programs(draw):
             columns = [c for c in columns if c != victim]
         elif kind == "limit":
             ops.append(("limit", draw(st.integers(min_value=0, max_value=50))))
-        elif kind == "union":
-            ops.append(("union",))
         elif kind == "group_by":
             value = draw(st.sampled_from(columns))
             ops.append(("group_by", value))
@@ -115,8 +113,6 @@ def _build(n, parts, ops):
             df = df.drop(op[1])
         elif kind == "limit":
             df = df.limit(op[1])
-        elif kind == "union":
-            df = df.union(df)
         elif kind == "group_by":
             df = df.group_by("k").agg(
                 agg.sum_(op[1], "s"), agg.count(name="n")

@@ -1,6 +1,6 @@
 """The batched spatial join and its two kernels, held to the scalar
 methods they vectorise: ``STRTree.query_points`` to ``query_point``,
-``Polygon.contains_points`` to ``contains_point``, and the join to the
+``ray_cast`` to ``Polygon.contains_point``, and the join to the
 per-row loop in ``tests/spatial_oracle.py``."""
 
 import numpy as np
@@ -12,6 +12,7 @@ from repro.engine import Session
 from repro.engine.partition import Partition
 from repro.engine.schema import Field, Schema
 from repro.geometry import Envelope, Point, Polygon, STRTree
+from repro.geometry.polygon import pack_rings, ray_cast
 from repro.spatial import spatial_join_points_polygons
 from tests.spatial_oracle import oracle_join, split_on_diagonal
 
@@ -64,11 +65,13 @@ def test_query_points_equals_query_point(envelopes, node_capacity, points):
 
 @settings(max_examples=150, deadline=None)
 @given(rings(), st.lists(st.tuples(coordinate, coordinate), max_size=40))
-def test_contains_points_equals_contains_point(polygon, points):
+def test_ray_cast_equals_contains_point(polygon, points):
     xs = np.array([p[0] for p in points], dtype=np.float64)
     ys = np.array([p[1] for p in points], dtype=np.float64)
     expected = [polygon.contains_point(Point(x, y)) for x, y in points]
-    assert polygon.contains_points(xs, ys).tolist() == expected
+    every = np.arange(len(points))
+    got = ray_cast(pack_rings([polygon]), xs, ys, every, np.zeros_like(every))
+    assert got.tolist() == expected
 
 
 @st.composite

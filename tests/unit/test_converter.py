@@ -9,7 +9,6 @@ from repro.core.converter import (
     DFToTorchConverter,
     FrameOrderError,
     RowTransformer,
-    SegmentationSpec,
     SpatiotemporalSpec,
 )
 from repro.engine import Session, agg
@@ -80,22 +79,6 @@ class TestClassificationConversion:
         stream = DFToTorchConverter(ClassificationSpec()).convert(df, batch_size=4)
         assert len(list(stream)) == 2
         assert len(list(stream)) == 2  # second epoch works
-
-
-class TestSegmentationConversion:
-    def test_batches(self, session, rng):
-        n = 5
-        tiles = np.empty(n, dtype=object)
-        masks = np.empty(n, dtype=object)
-        for i in range(n):
-            tiles[i] = RasterTile(rng.random((2, 4, 4), dtype=np.float32))
-            masks[i] = rng.integers(0, 2, (4, 4))
-        df = session.create_dataframe({"tile": tiles, "mask": masks})
-        converter = DFToTorchConverter(SegmentationSpec())
-        x, y = next(iter(converter.convert(df, batch_size=5)))
-        assert x.shape == (5, 2, 4, 4)
-        assert y.shape == (5, 4, 4)
-        assert y.dtype == np.int64
 
 
 class TestSpatiotemporalConversion:

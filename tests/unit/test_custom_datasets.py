@@ -1,8 +1,6 @@
 """Custom dataset classes (paper Section III-A1) and the dataset
 registry's consistency with the concrete classes."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -16,9 +14,7 @@ from repro.core.datasets.raster import (
     SlumDetection,
 )
 from repro.core.datasets.registry import DATASET_REGISTRY
-from repro.core.preprocessing.grid import STManager
 from repro.engine import Session
-from repro.spatial import RasterTile, write_rtif
 
 
 class TestCustomGridDataset:
@@ -27,14 +23,6 @@ class TestCustomGridDataset:
         ds = CustomGridDataset(tensor)
         assert len(ds) == 29
         assert ds.num_channels == 1
-
-    def test_from_file(self, tmp_path, rng):
-        tensor = rng.random((20, 3, 3, 2)).astype(np.float32)
-        path = STManager.write_st_grid_array(tensor, str(tmp_path / "t"))
-        ds = CustomGridDataset.from_file(path, normalize=False)
-        np.testing.assert_allclose(
-            ds.frames, tensor.transpose(0, 3, 1, 2)
-        )
 
     def test_from_st_dataframe(self):
         session = Session(default_parallelism=2)
@@ -57,41 +45,6 @@ class TestCustomRasterDataset:
         images = rng.random((6, 3, 4, 4)).astype(np.float32)
         ds = CustomRasterDataset(images, np.arange(6))
         assert len(ds) == 6
-
-    def test_from_folder(self, tmp_path, rng):
-        folder = str(tmp_path / "tiles")
-        os.makedirs(folder)
-        originals = []
-        for i in range(4):
-            data = rng.random((2, 3, 3)).astype(np.float32)
-            originals.append(data)
-            write_rtif(
-                RasterTile(data, name=f"t{i}"), os.path.join(folder, f"t{i}")
-            )
-        session = Session(default_parallelism=2)
-        ds = CustomRasterDataset.from_folder(
-            session, folder, labels=np.arange(4)
-        )
-        assert len(ds) == 4
-        np.testing.assert_allclose(ds[2][0], originals[2])
-
-    def test_from_folder_with_bands_and_features(self, tmp_path, rng):
-        folder = str(tmp_path / "tiles")
-        os.makedirs(folder)
-        for i in range(3):
-            write_rtif(
-                RasterTile(rng.random((4, 6, 6), dtype=np.float32), name=f"t{i}"),
-                os.path.join(folder, f"t{i}"),
-            )
-        session = Session(default_parallelism=2)
-        ds = CustomRasterDataset.from_folder(
-            session, folder, labels=[0, 1, 0],
-            bands=[0, 2], include_additional_features=True,
-        )
-        image, label, feats = ds[0]
-        assert image.shape[0] == 2
-        assert feats.shape[0] == 6 + 2  # GLCM + band means
-
 
 class TestRegistryConsistency:
     """The catalog metadata must match the concrete classes."""

@@ -46,9 +46,6 @@ class TestCreation:
         out = session.create_dataframe({"x": np.arange(10)}, num_partitions=4)
         assert out.num_partitions() == 4
 
-    def test_range(self, session):
-        assert session.range(5).count() == 5
-
     def test_empty_dict_data(self, session):
         out = session.create_dataframe({"x": np.empty(0, dtype=np.int64)})
         assert out.count() == 0
@@ -92,13 +89,6 @@ class TestNarrowOps:
 
     def test_drop(self, df):
         assert df.drop("y").columns == ["x", "g"]
-
-    def test_union(self, df):
-        assert df.union(df).count() == 20
-
-    def test_union_schema_mismatch(self, df):
-        with pytest.raises(ValueError, match="mismatch"):
-            df.union(df.drop("y"))
 
     def test_limit_within_partition(self, df):
         assert df.limit(2).count() == 2
@@ -153,7 +143,7 @@ class TestNarrowOps:
 
 class TestGroupBy:
     def test_count(self, df):
-        out = {r["g"]: r["count"] for r in df.group_by("g").count().collect()}
+        out = {r["g"]: r["count"] for r in df.group_by("g").agg(agg.count()).collect()}
         assert out == {0: 4, 1: 3, 2: 3}
 
     def test_multiple_aggs(self, df):
@@ -179,7 +169,7 @@ class TestGroupBy:
         ]
 
     def test_group_keys_keep_int_dtype(self, df):
-        rows = df.group_by("g").count().collect()
+        rows = df.group_by("g").agg(agg.count()).collect()
         assert all(isinstance(r["g"], (int, np.integer)) for r in rows)
 
     def test_object_keys(self, session):
@@ -193,7 +183,7 @@ class TestGroupBy:
     def test_empty_group_by(self, session):
         out = session.create_dataframe({"k": np.empty(0, dtype=np.int64),
                                         "v": np.empty(0)})
-        assert out.group_by("k").count().count() == 0
+        assert out.group_by("k").agg(agg.count()).count() == 0
 
     def test_requires_key_and_spec(self, df):
         with pytest.raises(ValueError):

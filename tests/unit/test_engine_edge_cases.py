@@ -52,9 +52,6 @@ class TestEmptyInputs:
         }
         assert all(len(c) == 0 for c in out.values())
 
-    def test_empty_union(self, empty):
-        assert empty.union(empty).count() == 0
-
     def test_empty_to_columns(self, empty):
         cols = empty.to_columns()
         assert set(cols) == {"k", "v"}
@@ -89,7 +86,7 @@ class TestDegenerateArguments:
 
     def test_filter_all_out_then_group(self, session):
         df = session.create_dataframe({"k": [1, 2], "v": [1.0, 2.0]})
-        out = df.filter(col("v") > 100).group_by("k").count()
+        out = df.filter(col("v") > 100).group_by("k").agg(agg.count())
         assert out.collect() == []
 
     def test_single_row_everything(self, session):

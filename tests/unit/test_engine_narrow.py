@@ -18,6 +18,7 @@ from repro.engine import plan as P
 from repro.engine.executor import iter_partitions, plan_column_names
 from repro.engine.expressions import BinaryOp, UnaryOp
 from repro.engine.partition import Partition
+from repro.engine.schema import Field, Schema
 from tests.plan_oracle import oracle_partitions
 
 
@@ -33,7 +34,8 @@ def part():
 
 
 def _source(part):
-    return P.Source([lambda: part], part.schema())
+    schema = Schema([Field(n, a.dtype) for n, a in part.columns.items()])
+    return P.Source([lambda: part], schema)
 
 
 def run(node):

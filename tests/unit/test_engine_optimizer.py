@@ -5,7 +5,7 @@ the vectorized group-by that rode along."""
 import numpy as np
 import pytest
 
-from repro.engine import Session, agg, col, udf
+from repro.engine import Partition, Schema, Session, agg, col, udf
 from repro.engine import plan as P
 from repro.engine.executor import iter_partitions
 from repro.engine.optimizer import optimize
@@ -189,13 +189,15 @@ class TestWiring:
 class TestVectorizedGroupBySemantics:
     def test_mid_stream_object_key_conversion(self):
         session = Session(default_parallelism=1)
-        a = session.create_dataframe(
-            {"k": np.array([1, 2], dtype=np.int64), "v": [1.0, 2.0]}
-        )
+        a = {"k": np.array([1, 2], dtype=np.int64), "v": np.array([1.0, 2.0])}
         bk = np.empty(2, dtype=object)
         bk[:] = [1, 3]
-        b = session.create_dataframe({"k": bk, "v": [10.0, 20.0]})
-        rows = a.union(b).group_by("k").agg(agg.sum_("v", "s")).collect()
+        b = {"k": bk, "v": np.array([10.0, 20.0])}
+        df = session.from_partitions(
+            [lambda: Partition(a), lambda: Partition(b)],
+            Schema([("k", object), ("v", np.float64)]),
+        )
+        rows = df.group_by("k").agg(agg.sum_("v", "s")).collect()
         got = {int(r["k"]): r["s"] for r in rows}
         assert got == {1: 11.0, 2: 2.0, 3: 20.0}
 

@@ -32,11 +32,6 @@ class TestDescribe:
         assert lines[0].startswith("Limit")
         assert lines[-1].strip().startswith("Source")
 
-    def test_union_label(self, session):
-        a = session.create_dataframe({"k": [1]})
-        b = session.create_dataframe({"k": [2]})
-        assert "Union[2 inputs]" in a.union(b).explain()
-
     def test_map_partitions_label(self, session):
         df = session.create_dataframe({"k": [1]}).map_partitions(
             lambda p: p, label="my_step"
@@ -62,7 +57,6 @@ class TestColumnNames:
     def test_through_every_node(self, session):
         df = session.create_dataframe({"a": [1], "b": [2.0]})
         assert df.limit(1).columns == ["a", "b"]
-        assert df.union(df).columns == ["a", "b"]
         assert df.cache().columns == ["a", "b"]
         assert df.map_partitions(lambda p: p).columns == ["a", "b"]
         grouped = df.group_by("a").agg(agg.count(name="n"))

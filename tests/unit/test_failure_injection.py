@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.datasets import DatasetCacheError
+from repro.core.datasets.base import load_or_generate
 from repro.core.datasets.grid import BikeNYCDeepSTN
 from repro.core.preprocessing import load_geotiff_image
 from repro.engine import Session
@@ -290,6 +291,31 @@ class TestCorruptDatasetCache:
         # Mismatched config regenerates instead of loading stale data.
         ds = BikeNYCDeepSTN(root, num_steps=60)
         assert ds.num_timesteps == 60
+
+
+class TestDatasetCacheConfig:
+    def test_numpy_scalars_key_the_same_cache(self, tmp_path):
+        """A config holding numpy scalars is written as plain JSON
+        numbers, so it names the same cache as the plain config."""
+        calls = []
+
+        def generate():
+            calls.append(1)
+            return {"a": np.arange(3)}
+
+        config = {"n": np.int64(3), "f": np.float32(0.5)}
+        load_or_generate(str(tmp_path), config, generate, download=True)
+        out = load_or_generate(
+            str(tmp_path), {"n": 3, "f": 0.5}, generate, download=True
+        )
+        assert len(calls) == 1
+        assert out["a"].tolist() == [0, 1, 2]
+
+    def test_non_json_config_value_rejected(self, tmp_path):
+        with pytest.raises(TypeError, match="not JSON"):
+            load_or_generate(
+                str(tmp_path), {"bad": object()}, dict, download=True
+            )
 
 
 class TestHostileModelInputs:

@@ -1,51 +1,11 @@
-"""DeepSAT v1, converter shuffle buffer, adjacency DataFrame, and the
-experiments CLI."""
+"""Converter shuffle buffer and the experiments CLI."""
 
 import numpy as np
 import pytest
 
 from repro.core.converter import ClassificationSpec, DFToTorchConverter
-from repro.core.models.raster import DeepSat
-from repro.core.preprocessing.grid import STManager
 from repro.engine import Session
 from repro.spatial import RasterTile
-from repro.tensor import Tensor
-
-
-class TestDeepSat:
-    def test_forward_shape(self, rng):
-        model = DeepSat(num_features=12, num_classes=4, rng=0)
-        out = model(Tensor(rng.random((8, 12), dtype=np.float32)))
-        assert out.shape == (8, 4)
-
-    def test_feature_count_check(self, rng):
-        model = DeepSat(num_features=12, num_classes=4, rng=0)
-        with pytest.raises(ValueError, match="features"):
-            model(Tensor(rng.random((8, 10), dtype=np.float32)))
-
-    def test_learns_from_features(self, rng):
-        """DeepSAT classifies from handcrafted features alone."""
-        from repro.nn import CrossEntropyLoss
-        from repro.optim import Adam
-
-        n = 64
-        labels = rng.integers(0, 2, n)
-        feats = rng.random((n, 6)).astype(np.float32)
-        feats[labels == 1, 0] += 1.0  # informative feature
-        model = DeepSat(6, 2, hidden_sizes=(16,), dropout=0.0, rng=0)
-        opt = Adam(model.parameters(), lr=0.01)
-        loss_fn = CrossEntropyLoss()
-        for _ in range(80):
-            loss = loss_fn(model(Tensor(feats)), labels)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        preds = model(Tensor(feats)).data.argmax(axis=1)
-        assert (preds == labels).mean() > 0.9
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DeepSat(0, 2)
 
 
 class TestShuffleBuffer:
@@ -82,26 +42,6 @@ class TestShuffleBuffer:
         df = self._df(session, rng, n=4)
         with pytest.raises(ValueError):
             RowTransformer(df, batch_size=2, shuffle_buffer=-1)
-
-
-class TestAdjacencyDataFrame:
-    def test_four_neighbour_counts(self):
-        session = Session(default_parallelism=2)
-        df = STManager.get_adjacency_dataframe(session, 3, 2)
-        rows = df.collect()
-        # 3x2 grid: horizontal edges 2 per row x 2 rows = 4, vertical
-        # 3 -> 7 undirected edges -> 14 directed pairs.
-        assert len(rows) == 14
-        pairs = {(r["cell_id"], r["neighbor_id"]) for r in rows}
-        assert (0, 1) in pairs and (1, 0) in pairs
-        assert (0, 3) in pairs
-        assert (0, 4) not in pairs
-
-    def test_diagonal(self):
-        session = Session(default_parallelism=2)
-        df = STManager.get_adjacency_dataframe(session, 2, 2, diagonal=True)
-        pairs = {(r["cell_id"], r["neighbor_id"]) for r in df.collect()}
-        assert (0, 3) in pairs  # diagonal neighbour
 
 
 class TestExperimentsCli:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 
@@ -22,6 +21,13 @@ def clean_obs():
     yield
     obs.reset()
     obs.set_enabled(True)
+
+
+def _walk(span):
+    """A span and every descendant, depth-first."""
+    yield span
+    for child in span.children:
+        yield from _walk(child)
 
 
 class TestSpans:
@@ -62,15 +68,6 @@ class TestSpans:
         assert span.counters == {"rows": 5}
         assert span.attrs == {"stage": "load"}
 
-    def test_to_dict_is_json_serializable(self):
-        tracer = Tracer()
-        with tracer.span("outer") as outer:
-            with tracer.span("inner") as inner:
-                inner.add("n", 1)
-        payload = json.loads(json.dumps(outer.to_dict()))
-        assert payload["name"] == "outer"
-        assert payload["children"][0]["counters"] == {"n": 1}
-
     def test_disabled_tracer_hands_out_null_span(self):
         tracer = Tracer(enabled=False)
         with tracer.span("x") as span:
@@ -85,7 +82,9 @@ class TestSpans:
             with tracer.span("boom"):
                 raise RuntimeError("x")
         assert [s.name for s in tracer.roots] == ["boom"]
-        assert tracer.current is None
+        with tracer.span("after"):  # nothing left open to nest under
+            pass
+        assert [s.name for s in tracer.roots] == ["boom", "after"]
 
     def test_roots_bounded(self):
         tracer = Tracer(max_roots=4)
@@ -111,7 +110,6 @@ class TestCrossThreadSpans:
         assert len(outer.children) == 3
         for child in outer.children:
             assert child.parent is outer
-            assert child.parent_id == outer.span_id
             assert child.thread_id != outer.thread_id
 
     def test_worker_nesting_is_per_thread(self):
@@ -149,14 +147,17 @@ class TestCrossThreadSpans:
         assert [s.name for s in tracer.roots] == ["a"]
         assert a.children[0] is b
 
-    def test_open_spans_snapshot_and_reset(self):
+    def test_reset_drops_roots_and_open_stacks(self):
         tracer = Tracer()
         with tracer.span("one"):
             pass
         span = tracer.start_span("open")
-        assert [s.name for s in tracer.open_spans()] == ["open"]
         tracer.reset()
-        assert tracer.open_spans() == [] and not tracer.roots
+        assert not tracer.roots
+        with tracer.span("fresh"):  # "open" no longer parents it
+            pass
+        assert [s.name for s in tracer.roots] == ["fresh"]
+        tracer.reset()
         tracer.end_span(span)
         with tracer.span("two"):
             pass
@@ -191,7 +192,7 @@ class TestQuerySpans:
     def test_parallel_query_has_one_connected_span_tree(self):
         # Two user threads each run a query at the same time, in lock
         # step: a map_partitions body that opens a span per partition,
-        # under a cache filled and replayed by one union.  Each query's
+        # under a cache the query fills.  Each query's
         # partition spans are all reachable from (and correctly
         # parented under) its own single engine.query root, on its own
         # thread — the tracer's nesting stack is per thread.
@@ -212,7 +213,7 @@ class TestQuerySpans:
                 .map_partitions(body)
                 .cache()
             )
-            cached.union(cached).collect()
+            cached.collect()
             roots[slot] = session.last_query_span
 
         threads = [threading.Thread(target=query, args=(k,)) for k in range(2)]
@@ -223,10 +224,9 @@ class TestQuerySpans:
         assert sorted(roots) == [0, 1]
         assert roots[0].thread_id != roots[1].thread_id
         for root in roots.values():
-            spans = list(root.walk())
+            spans = list(_walk(root))
             assert root.name == "engine.query"
-            # The fill runs the body once per partition; the replay
-            # runs nothing.
+            # The fill runs the body once per partition.
             assert sum(s.name == "test.partition" for s in spans) == 4
             ids = {s.span_id for s in spans}
             for span in spans:
@@ -235,7 +235,7 @@ class TestQuerySpans:
                     assert span.parent is None
                 else:
                     assert span.parent is not None
-                    assert span.parent_id in ids
+                    assert span.parent.span_id in ids
 
 
 class TestMetrics:
@@ -344,12 +344,6 @@ class TestMetrics:
         assert registry.histogram("h") is h and h.count == 0
         assert h.summary()["p50"] is None
 
-    def test_registry_clear_drops_instruments(self):
-        registry = MetricsRegistry()
-        c = registry.counter("c")
-        registry.clear()
-        assert registry.counter("c") is not c
-
     def test_snapshot_shape_and_sorted_names(self):
         registry = MetricsRegistry()
         registry.counter("b").inc()
@@ -384,27 +378,6 @@ class TestEnabledFlag:
 
 
 class TestExport:
-    def test_snapshot_schema(self):
-        obs.registry.counter("x").inc()
-        snap = obs.export.snapshot()
-        assert snap["schema_version"] == 3
-        assert snap["metrics"]["counters"]["x"] == 1
-        assert "traces" not in snap
-
-    def test_snapshot_with_traces(self):
-        with obs.tracer.span("root"):
-            pass
-        snap = obs.export.snapshot(include_traces=True)
-        assert [t["name"] for t in snap["traces"]] == ["root"]
-
-    def test_dump_json_roundtrip(self, tmp_path):
-        obs.registry.counter("x").inc(3)
-        path = tmp_path / "metrics.json"
-        written = obs.export.dump_json(str(path))
-        loaded = json.loads(path.read_text())
-        assert loaded == json.loads(json.dumps(written))
-        assert loaded["metrics"]["counters"]["x"] == 3
-
     def test_operator_breakdown_regroups(self):
         registry = MetricsRegistry()
         registry.counter("engine.op.Join.rows_out").inc(10)

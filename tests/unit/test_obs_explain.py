@@ -38,80 +38,59 @@ def mask_times(text: str) -> str:
     return re.sub(r"rows_per_s=\d+", "rows_per_s=*", text)
 
 
-def union_groupby_pipeline(session):
-    first = session.create_dataframe(
+def filter_groupby_pipeline(session):
+    frame = session.create_dataframe(
         {
-            "k": (np.arange(10, dtype=np.int64) % 3),
-            "v": np.arange(10, dtype=np.float64),
-            "w": np.ones(10),
-        }
+            "k": np.r_[np.arange(10) % 3, np.arange(3)].astype(np.int64),
+            "v": np.r_[np.arange(10), np.arange(3) + 1].astype(np.float64),
+            "w": np.ones(13),
+        },
+        num_partitions=4,
     )
-    second = session.create_dataframe(
-        {
-            "k": np.arange(3, dtype=np.int64),
-            "v": np.arange(3, dtype=np.float64) + 1,
-            "w": np.ones(3),
-        }
-    )
-    return (
-        first.union(second)
-        .filter(col("v") > 1)
-        .group_by("k")
-        .agg(agg.sum_("v", "s"))
-    )
+    return frame.filter(col("v") > 1).group_by("k").agg(agg.sum_("v", "s"))
 
 
 class TestExplainGolden:
     def test_logical_plan_golden(self, session):
-        df = union_groupby_pipeline(session)
+        df = filter_groupby_pipeline(session)
         expected = textwrap.dedent(
             """\
             GroupByAgg[keys=['k'], aggs=(s)]
               Filter[(v > lit(1))]
-                Union[2 inputs]
-                  Source[2 partitions]
-                  Source[2 partitions]"""
+                Source[4 partitions]"""
         )
         assert df.explain() == expected
 
     def test_optimized_plan_golden(self, session):
-        df = union_groupby_pipeline(session)
+        df = filter_groupby_pipeline(session)
         expected = textwrap.dedent(
             """\
             == Logical Plan ==
             GroupByAgg[keys=['k'], aggs=(s)]
               Filter[(v > lit(1))]
-                Union[2 inputs]
-                  Source[2 partitions]
-                  Source[2 partitions]
+                Source[4 partitions]
             == Optimized Plan ==
             GroupByAgg[keys=['k'], aggs=(s)]
               Filter[(v > lit(1))]
-                Union[2 inputs]
-                  Project[k, v]
-                    Source[2 partitions]
-                  Project[k, v]
-                    Source[2 partitions]"""
+                Project[k, v]
+                  Source[4 partitions]"""
         )
         assert df.explain(optimized=True) == expected
 
     def test_analyze_golden(self, session):
-        df = union_groupby_pipeline(session)
+        df = filter_groupby_pipeline(session)
         expected = textwrap.dedent(
             """\
             == Analyzed Plan ==
             GroupByAgg[keys=['k'], aggs=(s)]  (rows_in=10 rows_out=3 partitions=1 time=* peak_part_bytes=48)
-              Filter[(v > lit(1))]  (rows_in=13 rows_out=10 partitions=4 time=* peak_part_bytes=80 work=* rows_per_s=*)
-                Union[2 inputs]  (rows_in=13 rows_out=13 partitions=4 time=* peak_part_bytes=80)
-                  Project[k, v]  (rows_in=10 rows_out=10 partitions=2 time=* peak_part_bytes=80 work=* rows_per_s=*)
-                    Source[2 partitions]  (rows_out=10 partitions=2 time=* peak_part_bytes=120)
-                  Project[k, v]  (rows_in=3 rows_out=3 partitions=2 time=* peak_part_bytes=32 work=* rows_per_s=*)
-                    Source[2 partitions]  (rows_out=3 partitions=2 time=* peak_part_bytes=48)"""
+              Filter[(v > lit(1))]  (rows_in=13 rows_out=10 partitions=4 time=* peak_part_bytes=48 work=* rows_per_s=*)
+                Project[k, v]  (rows_in=13 rows_out=13 partitions=4 time=* peak_part_bytes=64 work=* rows_per_s=*)
+                  Source[4 partitions]  (rows_out=13 partitions=4 time=* peak_part_bytes=96)"""
         )
         assert mask_times(df.explain(analyze=True)) == expected
 
     def test_analyze_is_deterministic_across_runs(self, session):
-        df = union_groupby_pipeline(session)
+        df = filter_groupby_pipeline(session)
         first = mask_times(df.explain(analyze=True))
         second = mask_times(df.explain(analyze=True))
         assert first == second
@@ -119,21 +98,21 @@ class TestExplainGolden:
 
 class TestAnalyzeSemantics:
     def test_analyze_does_not_change_results(self, session):
-        df = union_groupby_pipeline(session)
+        df = filter_groupby_pipeline(session)
         before = df.collect()
         df.explain(analyze=True)
         assert df.collect() == before
 
     def test_analyze_feeds_registry(self, session):
-        union_groupby_pipeline(session).explain(analyze=True)
+        filter_groupby_pipeline(session).explain(analyze=True)
         breakdown = obs.export.operator_breakdown()
         assert breakdown["GroupByAgg"]["rows_out"] == 3
-        assert breakdown["Union"]["rows_out"] == 13
+        assert breakdown["Project"]["rows_out"] == 13
         assert breakdown["Filter"]["rows_out"] == 10
         assert breakdown["Source"]["partitions"] == 4
 
     def test_actions_record_last_plan_stats(self, session):
-        df = union_groupby_pipeline(session)
+        df = filter_groupby_pipeline(session)
         rows = df.collect()
         stats = session.last_plan_stats
         assert stats is not None
@@ -143,13 +122,13 @@ class TestAnalyzeSemantics:
         assert "GroupByAgg" in rendered and "rows_out=3" in rendered
 
     def test_disabled_obs_skips_plan_stats(self, session):
-        df = union_groupby_pipeline(session)
+        df = filter_groupby_pipeline(session)
         with obs.disabled():
             df.collect()
         assert session.last_plan_stats is None
 
     def test_partially_consumed_action_still_flushes(self, session):
-        df = session.range(100, num_partitions=4)
+        df = session.create_dataframe({"id": np.arange(100)}, num_partitions=4)
         rows = df.take(5)
         assert len(rows) == 5
         breakdown = obs.export.operator_breakdown()

@@ -48,6 +48,13 @@ def _zone_sets() -> dict:
     return {"grid": grid, "triangles": split_on_diagonal(grid)}
 
 
+
+def _walk(span):
+    """A span and every descendant, depth-first."""
+    yield span
+    for child in span.children:
+        yield from _walk(child)
+
 class TestSpatialJoinMetrics:
     @staticmethod
     def _points(rng):
@@ -63,7 +70,7 @@ class TestSpatialJoinMetrics:
 
     def test_indexed_counters(self, session, rng):
         rows = self._run(session, rng, use_index=True)
-        counters = obs.export.snapshot()["metrics"]["counters"]
+        counters = obs.registry.snapshot()["counters"]
         assert counters["spatial_join.index_probes"] == 40
         assert counters["spatial_join.emitted_pairs"] == len(rows)
         # Every emitted pair was a candidate first.
@@ -74,7 +81,7 @@ class TestSpatialJoinMetrics:
 
     def test_brute_force_counters(self, session, rng):
         rows = self._run(session, rng, use_index=False)
-        counters = obs.export.snapshot()["metrics"]["counters"]
+        counters = obs.registry.snapshot()["counters"]
         assert counters["spatial_join.index_probes"] == 40
         assert counters["spatial_join.emitted_pairs"] == len(rows)
         assert (
@@ -92,18 +99,18 @@ class TestSpatialJoinMetrics:
         points, polygons = self._points(rng), _zone_sets()[zones]
         rows = self._run(session, rng, True, zones, points)
         _, _, from_index = oracle_join(*points, polygons)
-        counters = obs.export.snapshot()["metrics"]["counters"]
+        counters = obs.registry.snapshot()["counters"]
         assert counters["spatial_join.candidate_pairs"] == from_index
         assert counters["spatial_join.emitted_pairs"] == len(rows) == 40
         obs.reset()
         self._run(session, rng, False, zones, points)
-        counters = obs.export.snapshot()["metrics"]["counters"]
+        counters = obs.registry.snapshot()["counters"]
         assert counters["spatial_join.candidate_pairs"] == 40 * len(polygons)
 
     def test_spans_per_chunk_and_per_tree(self, session, rng):
         self._run(session, rng, use_index=True, zones="triangles")
         names = [
-            span.name for root in obs.tracer.roots for span in root.walk()
+            span.name for root in obs.tracer.roots for span in _walk(root)
         ]
         # One tree for the join; two partitions of one chunk each.
         assert names.count("geometry.strtree.build") == 1
@@ -113,7 +120,7 @@ class TestSpatialJoinMetrics:
     def test_disabled_records_nothing(self, session, rng):
         with obs.disabled():
             self._run(session, rng, use_index=True)
-        counters = obs.export.snapshot()["metrics"]["counters"]
+        counters = obs.registry.snapshot()["counters"]
         assert counters.get("spatial_join.index_probes", 0) == 0
         assert not obs.tracer.roots
 
@@ -128,7 +135,7 @@ class TestRasterIoSpans:
         return [
             span
             for root in obs.tracer.roots
-            for span in root.walk()
+            for span in _walk(root)
             if span.name == name
         ]
 
@@ -159,7 +166,7 @@ class TestRasterIoSpans:
             "bytes_raw": raw,
         }
         # The frame streams: its partition reads happen inside the write.
-        assert all(span in list(write.walk()) for span in reads)
+        assert all(span in list(_walk(write)) for span in reads)
 
     def test_per_sample_reads_stay_span_free(self, rng, tmp_path):
         path = write_rtif(
@@ -183,7 +190,7 @@ class TestConverterMetrics:
         df = _tile_frame(session, rng, n=10)
         converter = DFToTorchConverter(ClassificationSpec())
         batches = list(converter.convert(df, batch_size=4))
-        counters = obs.export.snapshot()["metrics"]["counters"]
+        counters = obs.registry.snapshot()["counters"]
         assert counters["converter.batches"] == len(batches) == 3
         assert counters["converter.samples"] == 10
 
@@ -200,7 +207,7 @@ class TestConverterMetrics:
         converter = DFToTorchConverter(ClassificationSpec())
         with obs.disabled():
             list(converter.convert(df, batch_size=4))
-        counters = obs.export.snapshot()["metrics"]["counters"]
+        counters = obs.registry.snapshot()["counters"]
         assert counters.get("converter.batches", 0) == 0
 
 
@@ -224,7 +231,7 @@ class TestTrainerMetrics:
     def test_epoch_histograms_recorded(self, rng):
         trainer, loader = _regression_trainer(rng)
         result = trainer.fit(loader, epochs=3)
-        hists = obs.export.snapshot()["metrics"]["histograms"]
+        hists = obs.registry.snapshot()["histograms"]
         assert hists["trainer.epoch_seconds"]["count"] == 3
         assert hists["trainer.train_loss"]["count"] == 3
         assert hists["trainer.train_loss"]["min"] == min(result.train_losses)
@@ -249,5 +256,5 @@ class TestTrainerMetrics:
         with obs.disabled():
             result = trainer.fit(loader, epochs=2)
         assert len(result.train_losses) == 2
-        hists = obs.export.snapshot()["metrics"]["histograms"]
+        hists = obs.registry.snapshot()["histograms"]
         assert hists.get("trainer.epoch_seconds", {"count": 0})["count"] == 0

@@ -40,21 +40,10 @@ class TestOperations:
             {"a": np.arange(5), "b": np.arange(5) * 1.5}
         )
 
-    def test_select(self, part):
-        out = part.select(["b"])
-        assert list(out.columns) == ["b"]
-
-    def test_mask(self, part):
-        out = part.mask(part.columns["a"] % 2 == 0)
-        assert out.num_rows == 3
-
     def test_with_column(self, part):
         out = part.with_column("c", part.columns["a"] * 10)
         assert "c" in out.columns
         assert "c" not in part.columns  # immutable original
-
-    def test_drop(self, part):
-        assert list(part.drop(["a"]).columns) == ["b"]
 
     def test_take(self, part):
         assert part.take(2).num_rows == 2
@@ -137,12 +126,6 @@ class TestOperations:
         # elements: the estimate stays within 4x of the exact payload.
         exact = sum(len(v) + 49 for v in values) + values.nbytes
         assert exact / 4 <= part.nbytes <= exact * 4
-
-    def test_schema(self, part):
-        schema = part.schema()
-        assert schema.names == ["a", "b"]
-        assert schema["b"].dtype.kind == "f"
-
 
 class TestBestArray:
     def test_numeric(self):

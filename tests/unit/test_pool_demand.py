@@ -122,7 +122,7 @@ def train(monkeypatch, pool, make):
         # across calls, so steps 2.. replay under the traced lane.
         losses.append(trainer.fit([batch], epochs=1).train_losses[0])
         readings.append(pool.stats())
-    session = trainer.trace_session
+    session = trainer._trace_session
     if session is not None and session.stats()["state"] != "disabled":
         assert session.stats()["replays"] == STEPS - 1  # not SatCNN: batch norm
     return losses, [p.data.copy() for p in model.parameters()], readings

@@ -1,6 +1,8 @@
 """The surface census as a test: every public name of the engine,
-geometry, spatial and obs packages and of the training stack (tensor,
-nn, optim, data, utils) has a caller the paper pipeline wants.
+geometry, spatial and obs packages, of the training stack (tensor,
+nn, optim, data, utils) and of ``core`` (every sub-package's
+``__all__`` and the ``STManager`` / ``SpacePartition`` /
+``RasterProcessing`` facades) has a caller the paper pipeline wants.
 
 A name earns its place by being referenced from ``src/`` outside the
 package that defines it (``src/repro/experiments/`` included),
@@ -12,10 +14,13 @@ does not get an allowlist entry for being convenient to keep.
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 import os
+import pkgutil
 
 import repro
+import repro.core
 import repro.data
 import repro.engine
 import repro.geometry
@@ -25,6 +30,7 @@ import repro.optim
 import repro.spatial
 import repro.tensor
 import repro.utils
+from repro.core.preprocessing import RasterProcessing, SpacePartition, STManager
 from repro.engine import DataFrame, Session, agg
 from repro.nn import Module
 from repro.tensor import Tensor
@@ -37,7 +43,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 PACKAGES = (
     "engine", "geometry", "spatial", "obs",
-    "tensor", "nn", "optim", "data", "utils",
+    "tensor", "nn", "optim", "data", "utils", "core",
 )
 
 #: name -> why it stays without a pipeline caller.
@@ -61,9 +67,18 @@ ALLOWED = {
     "Session.next_query_id": "DataFrame's metered actions draw ids from it",
     # The observability switches and the report: what a run's
     # measurement reads or flips, not what the pipeline computes.
-    "obs.export": "the report reads it: to_chrome_trace and dump_json",
+    "obs.export": "benchmarks/run_quick.py writes BENCH_engine.json with "
+                  "its operator_breakdown and atomic_write_json",
     "obs.disabled": "the switch the bench and the bit-identity tests flip",
     "obs.reset": "zeroes the registry between measured runs",
+    # Error types: what a caller catches, raised on bad input, never
+    # constructed by a run that succeeds.
+    "core.converter.FrameOrderError": "error path: the converter raises it "
+                                      "on rows out of time order",
+    "core.datasets.DatasetCacheError": "error path: an unreadable dataset "
+                                       "cache raises it",
+    # What Trainer.fit returns: runners read its fields, never its name.
+    "core.training.TrainingResult": "the type Trainer.fit returns",
     # Module plumbing: the nn package's own callers do not count.
     "Module.forward": "the method every layer overrides; __call__ runs it",
     "Module.named_parameters": "parameters() is built on it",
@@ -119,16 +134,38 @@ def _public_methods(cls) -> list:
         name
         for name, member in vars(cls).items()
         if not name.startswith("_")
-        and (inspect.isfunction(member) or isinstance(member, property))
+        and (
+            inspect.isfunction(member)
+            or isinstance(member, (property, staticmethod, classmethod))
+        )
     )
+
+
+def _public_names(package: str) -> list:
+    """``(label, bare name)`` of a package's ``__all__``; for ``core``,
+    of every sub-package's ``__all__``, sub-modules left out."""
+    module = getattr(repro, package)
+    if package != "core":
+        return [(f"{package}.{n}", n) for n in module.__all__]
+    names = []
+    for info in pkgutil.walk_packages(module.__path__, "repro.core."):
+        if not info.ispkg:
+            continue
+        sub = importlib.import_module(info.name)
+        label = info.name.removeprefix("repro.")
+        names += [
+            (f"{label}.{n}", n)
+            for n in getattr(sub, "__all__", ())
+            if not inspect.ismodule(getattr(sub, n))
+        ]
+    return names
 
 
 def _surface() -> list:
     """``(label, defining package, bare name)`` for the whole census."""
     entries = []
     for package in PACKAGES:
-        module = getattr(repro, package)
-        entries += [(f"{package}.{n}", package, n) for n in module.__all__]
+        entries += [(label, package, n) for label, n in _public_names(package)]
     # The aggregate constructors: agg's functions that build an AggSpec.
     entries += [
         (f"agg.{name}", "engine", name)
@@ -139,6 +176,8 @@ def _surface() -> list:
     for cls, package in (
         (DataFrame, "engine"), (Session, "engine"),
         (Tensor, "tensor"), (Module, "nn"),
+        (STManager, "core"), (SpacePartition, "core"),
+        (RasterProcessing, "core"),
     ):
         entries += [
             (f"{cls.__name__}.{n}", package, n) for n in _public_methods(cls)

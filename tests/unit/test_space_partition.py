@@ -1,4 +1,4 @@
-"""SpacePartition: grid cells, coarsening, stratified sampling."""
+"""SpacePartition: grid cells and coarsening."""
 
 import numpy as np
 import pytest
@@ -24,11 +24,6 @@ class TestGridCells:
             hits = sum(1 for c in cells if c.contains_point(p))
             assert hits == 1
 
-    def test_generate_grid(self):
-        grid = SpacePartition.generate_grid(Envelope(0, 2, 0, 2), 2, 2)
-        assert grid.num_cells == 4
-
-
 class TestCoarsen:
     def test_sum_preserved(self, rng):
         tensor = rng.random((5, 8, 12, 2)).astype(np.float32)
@@ -48,24 +43,3 @@ class TestCoarsen:
     def test_factor_validation(self):
         with pytest.raises(ValueError):
             SpacePartition.coarsen_st_tensor(np.ones((1, 4, 4, 1)), 0, 2)
-
-
-class TestStratifiedSample:
-    def test_fraction_per_cell(self, rng):
-        cells = np.repeat(np.arange(10), 100)
-        keep = SpacePartition.stratified_sample_ids(cells, 0.3, rng)
-        for cell in range(10):
-            kept = keep[cells == cell].sum()
-            assert kept == 30
-
-    def test_every_cell_represented(self, rng):
-        cells = np.repeat(np.arange(50), 2)
-        keep = SpacePartition.stratified_sample_ids(cells, 0.1, rng)
-        for cell in range(50):
-            assert keep[cells == cell].sum() >= 1
-
-    def test_invalid_fraction(self, rng):
-        with pytest.raises(ValueError):
-            SpacePartition.stratified_sample_ids(np.zeros(4), 0.0, rng)
-        with pytest.raises(ValueError):
-            SpacePartition.stratified_sample_ids(np.zeros(4), 1.5, rng)

@@ -37,7 +37,8 @@ class TestSTRTree:
         envs = _random_envelopes(rng, 300)
         tree = STRTree([(e, i) for i, e in enumerate(envs)])
         for _ in range(30):
-            q = _random_envelopes(rng, 1)[0].expand(2.0)
+            e = _random_envelopes(rng, 1)[0]
+            q = Envelope(e.min_x - 2, e.max_x + 2, e.min_y - 2, e.max_y + 2)
             expected = {i for i, e in enumerate(envs) if e.intersects(q)}
             got = set(tree.query(q))
             assert got == expected

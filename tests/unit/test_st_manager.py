@@ -1,5 +1,7 @@
 """STManager: envelope, grid aggregation, tensor materialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,17 +36,39 @@ class TestAddSpatialPoints:
 
 
 class TestEnvelope:
-    def test_compute_envelope(self, session):
-        df = _df(session, [1.0, 5.0, 3.0], [10.0, 20.0, 15.0], [0, 0, 0])
-        spatial = STManager.add_spatial_points(df, "lat", "lon", "point")
-        env = STManager.compute_envelope(spatial, "point")
-        assert env == Envelope(10.0, 20.0, 1.0, 5.0)
+    """The envelope and temporal origin ``get_st_grid_dataframe``
+    derives when the caller gives neither."""
 
     def test_empty_rejected(self, session):
         df = _df(session, [], [], [])
         spatial = STManager.add_spatial_points(df, "lat", "lon", "point")
         with pytest.raises(ValueError, match="empty"):
-            STManager.compute_envelope(spatial, "point")
+            STManager.get_st_grid_dataframe(spatial, "point", 2, 2, "t", 600.0)
+
+    def test_nan_does_not_hide_its_partitions_extrema(self):
+        """Regression: ``min(inf, nan)`` keeps the running value, so a
+        partition holding one NaN gave up its finite minimum and
+        maximum: the envelope came out as x in [0, 2] and the grid kept
+        3 of the 5 finite points."""
+        session = Session(default_parallelism=2)
+        df = session.create_dataframe(
+            {
+                "lat": np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0]),
+                "lon": np.array([0.0, 1.0, 2.0, 10.0, np.nan, 20.0]),
+                "t": np.zeros(6),
+            },
+            num_partitions=2,
+        )
+        spatial = STManager.add_spatial_points(df, "lat", "lon", "point")
+        st = STManager.get_st_grid_dataframe(spatial, "point", 2, 1, "t", 600.0)
+        counts = {r["cell_id"]: r["count"] for r in st.collect()}
+        assert counts == {0: 3, 1: 2}  # cells of width 10 over x in [0, 20]
+
+    def test_column_without_a_finite_value_rejected(self, session):
+        df = _df(session, [0.0, 1.0], [np.nan, np.inf], [0.0, 1.0])
+        spatial = STManager.add_spatial_points(df, "lat", "lon", "point")
+        with pytest.raises(ValueError, match="point__x.*no finite value"):
+            STManager.get_st_grid_dataframe(spatial, "point", 2, 2, "t", 600.0)
 
 
 class TestGridAggregation:
@@ -182,11 +206,32 @@ class TestGridArray:
         with pytest.raises(ValueError, match=r"cell_id must be in \[0, 4\)"):
             STManager.get_st_grid_array(st, 2, 2, num_steps=1)
 
-    def test_write_read_roundtrip(self, tmp_path):
-        tensor = np.arange(24, dtype=np.float32).reshape(2, 3, 4, 1)
-        path = STManager.write_st_grid_array(tensor, str(tmp_path / "t"))
-        loaded = STManager.read_st_grid_array(path)
-        np.testing.assert_allclose(loaded, tensor)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_timestamp_dropped_without_a_warning(self, session, bad):
+        """Regression: a NaN timestamp became a group at time step
+        -2**63 (``floor(nan)`` cast to int64, with a RuntimeWarning)
+        instead of being dropped like a NaN coordinate."""
+        df = _df(session, [0.5] * 3, [0.5] * 3, [0.0, bad, 700.0])
+        spatial = STManager.add_spatial_points(df, "lat", "lon", "point")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = STManager.get_st_grid_dataframe(
+                spatial, "point", 1, 1, "t", 600.0,
+                envelope=Envelope(0, 1, 0, 1), temporal_origin=0.0,
+            )
+            rows = st.collect()
+        assert sorted((r["time_step"], r["count"]) for r in rows) == [(0, 1), (1, 1)]
+
+    def test_non_finite_coordinate_dropped_without_a_warning(self, session):
+        df = _df(session, [0.5, np.nan, 0.5], [0.5, 0.5, np.inf], [0.0, 0.0, 0.0])
+        spatial = STManager.add_spatial_points(df, "lat", "lon", "point")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = STManager.get_st_grid_dataframe(
+                spatial, "point", 1, 1, "t", 600.0,
+                envelope=Envelope(0, 1, 0, 1), temporal_origin=0.0,
+            ).collect()
+        assert [(r["time_step"], r["count"]) for r in rows] == [(0, 1)]
 
 
 class TestGridUpdate:
@@ -348,7 +393,10 @@ class TestCachedGridFrame:
         assert len(scans) == 6  # replayed from the cache
         explicit = STManager.get_st_grid_dataframe(
             spatial, "point", 4, 2, "t", 600.0,
-            envelope=STManager.compute_envelope(spatial, "point"),
+            envelope=Envelope(
+                records["lon"].min(), records["lon"].max(),
+                records["lat"].min(), records["lat"].max(),
+            ),
             temporal_origin=float(records["t"].min()),
         )
         assert explicit.collect() == rows

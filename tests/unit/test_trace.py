@@ -11,11 +11,17 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core.training import Trainer, basic_batch
+from repro.core.training import Trainer
 from repro.data import DataLoader
 from repro.nn import functional as F
 from repro.optim import Adam
 from repro.tensor import Tensor, TraceSession, default_pool, no_grad
+
+
+def _pair_batch(batch):
+    """(frame, target frame) batches as the model's one input."""
+    x, y = batch
+    return (Tensor(x),), Tensor(y)
 
 
 class TinyNet(nn.Module):
@@ -363,7 +369,7 @@ class TestProfileUnderReplay:
             clear_grads(model)
             return {
                 row["name"]: (row["calls"], row["activation_bytes"])
-                for row in prof.key_averages()
+                for row in prof.key_averages().rows
             }
 
         eager = op_rows(
@@ -501,7 +507,7 @@ class TestTrainerIntegration:
             model,
             Adam(list(model.parameters()), lr=0.05),
             nn.MSELoss(),
-            basic_batch,
+            _pair_batch,
         )
         return trainer, loader
 
@@ -515,7 +521,7 @@ class TestTrainerIntegration:
         assert r1.train_losses == r2.train_losses
         for p, q in zip(t1.model.parameters(), t2.model.parameters()):
             assert np.array_equal(p.data, q.data)
-        stats = t2.trace_session.stats()
+        stats = t2._trace_session.stats()
         assert stats["captures"] == 1
         assert stats["replays"] >= 4
 
@@ -523,26 +529,26 @@ class TestTrainerIntegration:
         monkeypatch.setenv("REPRO_TRACE", "1")
         trainer, loader = self.make_bits()
         trainer.fit(loader, epochs=2)
-        assert trainer.trace_session is not None
-        assert trainer.trace_session.stats()["replays"] >= 2
+        assert trainer._trace_session is not None
+        assert trainer._trace_session.stats()["replays"] >= 2
 
     def test_fit_without_trace_builds_no_session(self):
         trainer, loader = self.make_bits()
         trainer.fit(loader, epochs=1, trace=False)
-        assert trainer.trace_session is None
+        assert trainer._trace_session is None
 
     def test_swapped_loss_fn_is_not_replayed_stale(self):
         losses = {}
         for trace in (False, True):
             trainer, loader = self.make_bits()
             first = trainer.train_epoch(loader, trace=trace)
-            stale = trainer.trace_session
+            stale = trainer._trace_session
             trainer.loss_fn = lambda out, target: ((out - target) ** 4).mean()
             losses[trace] = (first, trainer.train_epoch(loader, trace=trace))
         assert losses[True] == losses[False]
-        assert trainer.trace_session is not stale
+        assert trainer._trace_session is not stale
         assert stale.stats()["state"] == "idle"  # closed
-        assert trainer.trace_session.stats()["replays"] == 1
+        assert trainer._trace_session.stats()["replays"] == 1
 
 
 class TwoConv(nn.Module):

@@ -1,4 +1,4 @@
-"""Raster and grid transforms, and composition."""
+"""Raster transforms and composition."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,7 @@ from repro.core.preprocessing.raster.indices import normalized_difference
 from repro.core.transforms import (
     AppendNormalizedDifferenceIndex,
     AppendRatioIndex,
-    ClipValues,
     Compose,
-    DeleteBand,
-    GridStandardize,
-    InsertBand,
-    MaskBandOnThreshold,
-    MinMaxNormalize,
-    Standardize,
 )
 
 
@@ -32,7 +25,7 @@ class TestCompose:
         np.testing.assert_allclose(Compose([])(image), image)
 
     def test_repr(self):
-        assert "MinMaxNormalize" in repr(Compose([MinMaxNormalize()]))
+        assert "AppendRatioIndex(2, 3)" in repr(Compose([AppendRatioIndex(2, 3)]))
 
 
 class TestAppendTransforms:
@@ -55,91 +48,3 @@ class TestAppendTransforms:
             [AppendNormalizedDifferenceIndex(0, 1), AppendNormalizedDifferenceIndex(2, 3)]
         )
         assert chain(image).shape == (6, 6, 6)
-
-
-class TestNormalizeTransforms:
-    def test_minmax(self, image):
-        out = MinMaxNormalize()(image * 100 + 5)
-        for band in out:
-            assert band.min() == pytest.approx(0.0, abs=1e-6)
-            assert band.max() == pytest.approx(1.0, abs=1e-6)
-
-    def test_minmax_constant_band(self):
-        out = MinMaxNormalize()(np.full((1, 3, 3), 5.0, dtype=np.float32))
-        assert (out == 0).all()
-
-    def test_standardize_per_image(self, image):
-        out = Standardize()(image)
-        np.testing.assert_allclose(out.mean(axis=(1, 2)), 0, atol=1e-5)
-        np.testing.assert_allclose(out.std(axis=(1, 2)), 1, atol=1e-4)
-
-    def test_standardize_fixed_stats(self, image):
-        out = Standardize(mean=np.zeros(4), std=np.ones(4) * 2)(image)
-        np.testing.assert_allclose(out, image / 2, rtol=1e-5)
-
-
-class TestBandEdits:
-    def test_delete_band(self, image):
-        out = DeleteBand(1)(image)
-        assert out.shape == (3, 6, 6)
-        np.testing.assert_allclose(out[1], image[2])
-
-    def test_delete_out_of_range(self, image):
-        with pytest.raises(IndexError):
-            DeleteBand(9)(image)
-
-    def test_insert_band_end(self, image):
-        out = InsertBand(lambda img: img[0] * 0 + 7)(image)
-        assert out.shape == (5, 6, 6)
-        np.testing.assert_allclose(out[4], 7.0)
-
-    def test_insert_band_position(self, image):
-        out = InsertBand(lambda img: img[0], position=0)(image)
-        np.testing.assert_allclose(out[0], image[0])
-        np.testing.assert_allclose(out[1], image[0])
-
-    def test_mask_upper(self, image):
-        out = MaskBandOnThreshold(0, 0.5, upper=True, fill=0.0)(image)
-        assert out[0].max() <= 0.5
-        np.testing.assert_allclose(out[1:], image[1:])
-
-    def test_mask_lower_with_fill(self, image):
-        out = MaskBandOnThreshold(0, 0.5, upper=False, fill=9.0)(image)
-        assert ((out[0] >= 0.5) | (out[0] == 9.0)).all()
-
-    def test_mask_does_not_mutate(self, image):
-        before = image.copy()
-        MaskBandOnThreshold(0, 0.5)(image)
-        np.testing.assert_allclose(image, before)
-
-
-class TestGridTransforms:
-    def test_standardize_tuple_item(self, rng):
-        x = rng.random((2, 4, 4)).astype(np.float32)
-        y = rng.random((2, 4, 4)).astype(np.float32)
-        out_x, out_y = GridStandardize(0.5, 2.0)((x, y))
-        np.testing.assert_allclose(out_x, (x - 0.5) / 2.0, rtol=1e-5)
-        np.testing.assert_allclose(out_y, (y - 0.5) / 2.0, rtol=1e-5)
-
-    def test_standardize_dict_item(self, rng):
-        item = {
-            "x_closeness": rng.random((2, 4, 4)).astype(np.float32),
-            "y_data": rng.random((1, 4, 4)).astype(np.float32),
-            "t_index": np.asarray(7),
-        }
-        out = GridStandardize(0.0, 2.0)(item)
-        np.testing.assert_allclose(out["x_closeness"], item["x_closeness"] / 2)
-        assert out["t_index"] == 7  # metadata untouched
-
-    def test_standardize_invalid_std(self):
-        with pytest.raises(ValueError):
-            GridStandardize(0.0, 0.0)
-
-    def test_clip(self, rng):
-        x = rng.random((1, 3, 3)).astype(np.float32) * 10
-        out, = ClipValues(0.0, 1.0)((x,))
-        assert out.max() <= 1.0
-
-    def test_clip_invalid_range(self):
-        with pytest.raises(ValueError):
-            ClipValues(2.0, 1.0)
