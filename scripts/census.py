@@ -1,5 +1,5 @@
 """Census by execution: the functions of ``src/repro`` that no paper
-run, example or benchmark executes.
+run, example or pipeline benchmark executes.
 
 Every run is a fresh interpreter started with a ``sitecustomize``
 module (written to a temporary directory put first on ``PYTHONPATH``)
@@ -13,10 +13,7 @@ counted too.  The runs:
 - every ``examples/*.py``;
 - ``python -m repro.experiments.run all --scale smoke``: every paper
   artifact and ablation, ``epoch_time.profile_table7`` included (the
-  Table VII runner profiles each model at the smoke scale);
-- ``benchmarks/run_quick.py``, which ``scripts/check.sh`` runs as its
-  bench smoke gate (a copy runs from the temporary directory, so the
-  ``BENCH_engine.json`` it writes lands there, not in the checkout).
+  Table VII runner profiles each model at the smoke scale).
 
 Every ``def`` in the censused packages (methods, properties and
 nested closures included) that no run started is listed, outermost
@@ -39,7 +36,6 @@ import argparse
 import ast
 import glob
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -51,7 +47,7 @@ PACKAGES = tuple(sorted(
     name for name in os.listdir(os.path.join(SRC, "repro"))
     if os.path.isfile(os.path.join(SRC, "repro", name, "__init__.py"))
 ))
-RUN_KINDS = ("pipeline", "examples", "experiments", "run_quick")
+RUN_KINDS = ("pipeline", "examples", "experiments")
 
 _SITECUSTOMIZE = '''\
 import os
@@ -99,7 +95,7 @@ if _OUT:
     threading.settrace(_trace)
 '''
 
-def _runs(kinds, work: str, data_root: str) -> list:
+def _runs(kinds, data_root: str) -> list:
     """``(label, argv)`` of every run in the census."""
     py = sys.executable
     runs = []
@@ -114,11 +110,6 @@ def _runs(kinds, work: str, data_root: str) -> list:
             py, "-m", "repro.experiments.run", "all", "--scale", "smoke",
             "--data-root", data_root,
         ]))
-    if "run_quick" in kinds:
-        copy = os.path.join(work, "benchmarks", "run_quick.py")
-        os.makedirs(os.path.dirname(copy))
-        shutil.copy(os.path.join(ROOT, "benchmarks", "run_quick.py"), copy)
-        runs.append(("benchmarks/run_quick.py", [py, copy]))
     return runs
 
 
@@ -136,7 +127,7 @@ def record(kinds) -> set:
         env["PYTHONPATH"] = os.pathsep.join([site, SRC])
         env["CENSUS_OUT"] = out
         env["CENSUS_SRC"] = SRC + os.sep
-        for label, argv in _runs(kinds, work, data_root):
+        for label, argv in _runs(kinds, data_root):
             started = time.perf_counter()
             done = subprocess.run(
                 argv, cwd=work if label.startswith("examples") else ROOT,

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo health check, eight gates:
+# Repo health check, six gates:
 #   1. lint: ruff check (config in pyproject.toml); skipped with a
 #      note when ruff is not installed in the environment; plus two
 #      greps: nothing under src/repro/spatial/ may name zipfile,
@@ -29,13 +29,9 @@
 #      matches and brute force > 3x the STR-tree over 20k points and
 #      768 rectangles / 1 536 triangles); most Table IV-VII claims are
 #      asserted at paper scale only
-#   7. bench smoke: benchmarks/run_quick.py runs to completion and
-#      regenerates BENCH_engine.json (incl. per-operator breakdown)
-#   8. bench diff: the fresh BENCH_engine.json must not regress the
-#      watched keys (obs overhead, ConvLSTM epoch time,
-#      peak activation bytes,
-#      streaming update speedup + p99 latency) >25% vs the committed
-#      one; stream_update_speedup must stay above an absolute 10x floor
+# No gate here compares timings with a committed snapshot: how far a
+# change may move the pipeline's end-to-end metrics is BENCHMARK.json's
+# bounds, measured against benchmarks/pipeline/noise_floor.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -74,13 +70,5 @@ echo "== paper claims: every artifact at the smoke scale =="
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
 python -m repro.experiments.run all --scale smoke --data-root "$scratch/data"
-
-echo "== bench smoke: run_quick =="
-baseline="$scratch/BENCH_engine.json"
-cp BENCH_engine.json "$baseline"
-python benchmarks/run_quick.py
-
-echo "== bench diff: fresh vs committed =="
-python scripts/diff_bench.py "$baseline" BENCH_engine.json
 
 echo "All checks passed."

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import plan as P
 from repro.engine.aggregates import AggSpec, count
 from repro.engine.dataframe import DataFrame
 from repro.engine.expressions import col, udf
@@ -40,12 +39,6 @@ def _x_col(geometry: str) -> str:
 
 def _y_col(geometry: str) -> str:
     return f"{geometry}__y"
-
-
-def _reads_stream(node: P.PlanNode) -> bool:
-    return isinstance(node, P.StreamingSource) or any(
-        _reads_stream(child) for child in node.children
-    )
 
 
 _grid_metrics = None
@@ -160,9 +153,7 @@ class STManager:
         runs the plan over ``geo_df``, and every later one — the grid
         tensor, each converter epoch, a ``select`` on top — replays
         the at most ``T x cells`` aggregate rows, which stay resident
-        while the frame (or one derived from it) is alive.  A
-        ``geo_df`` that reads a :meth:`Session.stream` is not cached:
-        each action recomputes over the batches appended so far.
+        while the frame (or one derived from it) is alive.
         """
         check_positive(partitions_x, "partitions_x")
         check_positive(partitions_y, "partitions_y")
@@ -211,9 +202,7 @@ class STManager:
             .with_column("cell_x", col("cell_id") % partitions_x)
             .with_column("cell_y", col("cell_id") // partitions_x)
         )
-        # A stream grows between actions: a recompute must see the new
-        # batches, so only a plan over fixed inputs is cached.
-        return st if _reads_stream(geo_df.plan) else st.cache()
+        return st.cache()
 
     @staticmethod
     def get_st_grid_array(

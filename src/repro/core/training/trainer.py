@@ -36,6 +36,11 @@ class TrainingResult:
 class Trainer:
     """Generic trainer over any model + adapter pair.
 
+    Every step runs ``loss.backward(free_graph=True)``: each
+    intermediate activation, gradient and closure is released during
+    the backward walk, bounding peak memory at roughly one live layer
+    instead of the whole unrolled graph.
+
     Parameters
     ----------
     model, optimizer, loss_fn:
@@ -46,13 +51,6 @@ class Trainer:
     training_mode:
         ``"incremental"`` (step per batch) or ``"cumulative"``
         (step per epoch).
-    free_graph:
-        When True (the default) ``loss.backward(free_graph=True)``
-        releases every intermediate activation, gradient, and closure
-        during the backward walk, bounding peak memory at roughly one
-        live layer instead of the whole unrolled graph.  Set False to
-        retain graphs (e.g. to inspect intermediate ``.grad`` after
-        training, or to call backward twice on one loss).
     """
 
     def __init__(
@@ -63,7 +61,6 @@ class Trainer:
         batch_adapter,
         training_mode: str = "incremental",
         grad_clip: float | None = None,
-        free_graph: bool = True,
     ):
         if training_mode not in ("incremental", "cumulative"):
             raise ValueError(
@@ -78,27 +75,23 @@ class Trainer:
         self.batch_adapter = batch_adapter
         self.training_mode = training_mode
         self.grad_clip = grad_clip
-        self.free_graph = free_graph
         self._trace_session = None
 
     def _ensure_trace_session(self):
-        """The session for the trainer's *current* model, loss function
-        and ``free_graph``; reassigning any of them retires the old
-        session, whose tape recorded the old one."""
+        """The session for the trainer's *current* model and loss
+        function; reassigning either retires the old session, whose
+        tape recorded the old one."""
         session = self._trace_session
         if session is not None and (
             session.model is not self.model
             or session.loss_fn is not self.loss_fn
-            or session.free_graph != self.free_graph
         ):
             session.close()
             session = None
         if session is None:
             from repro.tensor.trace import TraceSession
 
-            session = self._trace_session = TraceSession(
-                self.model, self.loss_fn, free_graph=self.free_graph
-            )
+            session = self._trace_session = TraceSession(self.model, self.loss_fn)
         return session
 
     def _global_grad_norm(self) -> float:
@@ -164,12 +157,12 @@ class Trainer:
                 loss = self.loss_fn(output, target)
                 if self.training_mode == "incremental":
                     self.optimizer.zero_grad()
-                    loss.backward(free_graph=self.free_graph)
+                    loss.backward(free_graph=True)
                     if self.grad_clip is not None:
                         self._clip_gradients()
                     self.optimizer.step()
                 else:
-                    loss.backward(free_graph=self.free_graph)
+                    loss.backward(free_graph=True)
                 total += loss.item()
             batches += 1
             if profiler is not None:

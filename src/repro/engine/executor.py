@@ -75,8 +75,6 @@ def iter_partitions(node: P.PlanNode, meter=None, stats=None):
 def _iter_node(node: P.PlanNode, ctx: _ExecContext):
     if isinstance(node, P.Source):
         yield from _run_source(node, ctx)
-    elif isinstance(node, P.StreamingSource):
-        yield from _run_streaming_source(node, ctx)
     elif type(node) in _NARROW:
         yield from _run_narrow(node, ctx)
     elif isinstance(node, P.Limit):
@@ -206,24 +204,6 @@ def _run_source(node: P.Source, ctx: _ExecContext):
     meter = ctx.meter
     for factory in node.partition_factories:
         part = factory()
-        nbytes = part.nbytes
-        if meter is not None:
-            meter.allocate(nbytes)
-        try:
-            yield part
-        finally:
-            if meter is not None:
-                meter.release(nbytes)
-
-
-def _run_streaming_source(node: P.StreamingSource, ctx: _ExecContext):
-    """Replay a streaming source's retained micro-batches, one
-    partition per batch — partition boundaries follow ingestion
-    boundaries, so a recompute over the view merges partials in the
-    exact order the incremental state did."""
-    meter = ctx.meter
-    # Snapshot: appends racing this execution affect the next one.
-    for part in list(node.batches):
         nbytes = part.nbytes
         if meter is not None:
             meter.allocate(nbytes)

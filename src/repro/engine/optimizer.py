@@ -59,7 +59,7 @@ def static_columns(node: P.PlanNode, strict: bool = True) -> list | None:
     the optimizer's view: ``None`` at and above a schema-opaque
     ``MapPartitions``.  ``strict=False`` is ``DataFrame.columns``' best
     effort: the function is taken to keep its input's names."""
-    if isinstance(node, (P.Source, P.StreamingSource)):
+    if isinstance(node, P.Source):
         return list(node.schema.names)
     if isinstance(node, P.Project):
         return [name for name, _ in node.exprs]
@@ -93,7 +93,7 @@ def _prune(node: P.PlanNode, required: list | None) -> P.PlanNode:
     if isinstance(node, P.Cache):
         return node  # barrier: holds its full schema; keep the instance
 
-    if isinstance(node, (P.Source, P.StreamingSource)):
+    if isinstance(node, P.Source):
         if required is None:
             return node
         names = list(node.schema.names)
@@ -114,7 +114,7 @@ def _prune(node: P.PlanNode, required: list | None) -> P.PlanNode:
         for _, expr in kept:
             child_refs |= expr.references()
         child = node.child
-        if not isinstance(child, (P.Source, P.StreamingSource)):
+        if not isinstance(child, P.Source):
             # (A scan right below needs no narrowing: this projection
             # is one.)
             child = _prune(child, _ordered(child_refs, static_columns(child)))

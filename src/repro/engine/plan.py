@@ -7,7 +7,7 @@ nothing here touches data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.engine.expressions import Expr
 from repro.engine.schema import Schema
@@ -45,31 +45,6 @@ class Source(PlanNode):
 
     def _label(self):
         return f"Source[{len(self.partition_factories)} partitions]"
-
-
-@dataclass
-class StreamingSource(PlanNode):
-    """Leaf: an append-only sequence of ingested micro-batches.
-
-    Unlike :class:`Source`, the partitions are *materialized* and the
-    list grows over time — ``Stream.append`` adds one Partition per
-    micro-batch, and every execution replays the batches retained so
-    far.  Partition boundaries therefore coincide with ingestion
-    boundaries, which is the property the incremental streaming layer
-    leans on: a full recompute over this node merges per-batch partial
-    aggregates in exactly the order the delta-maintained state did, so
-    the two are bit-identical (see :mod:`repro.engine.streaming`).
-    """
-
-    schema: Schema
-    batches: list = field(default_factory=list)
-    children: tuple = ()
-
-    def append(self, partition) -> None:
-        self.batches.append(partition)
-
-    def _label(self):
-        return f"StreamingSource[{len(self.batches)} batches]"
 
 
 @dataclass

@@ -121,18 +121,22 @@ class Session:
         )
         return DataFrame(self, P.Source(factories, schema))
 
-    def stream(self, schema, retain: bool = True):
+    def stream(self, schema, retain: bool = False):
         """Open an append-only ingestion stream (see
         :mod:`repro.engine.streaming`).
 
         ``schema`` is a :class:`Schema` or a list of ``(name, dtype)``
-        pairs; every appended micro-batch is coerced to it.  With
-        ``retain=True`` (default) batches are kept on the streaming
-        source so ``stream.view()`` exposes the full history as a lazy
-        DataFrame; with ``retain=False`` only registered incremental
-        aggregations are maintained and history is discarded —
-        ingestion memory is then bounded by aggregate state alone.
+        pairs; every appended micro-batch is coerced to it.  A stream
+        keeps no history: only its registered incremental aggregations
+        hold state, so ingestion memory is bounded by aggregate state
+        alone.  ``retain=True`` raises ``ValueError``; the keyword
+        stays only for callers that spell out ``retain=False``.
         """
         from repro.engine.streaming import Stream
 
-        return Stream(self, schema, retain=retain)
+        if retain:
+            raise ValueError(
+                "a stream keeps no history (retain=True is not supported); "
+                "register aggregations before the first append"
+            )
+        return Stream(schema)

@@ -5,26 +5,27 @@ and grid tensors from scratch on every new slice makes ingestion cost
 O(history).  This module makes it O(batch):
 
 - :class:`Stream` (``Session.stream(schema)``) ingests record
-  micro-batches.  Each ``append`` lands as one immutable
-  :class:`~repro.engine.partition.Partition` on an append-only
-  :class:`~repro.engine.plan.StreamingSource` plan node, so
-  ``Stream.view()`` is an ordinary lazy DataFrame over the full
-  retained history — filters and batch group-bys all work.
+  micro-batches.  It keeps no history: each ``append`` is coerced to
+  the schema and merged into every registered aggregation, then
+  dropped.
 - :class:`StreamingAggregation` (``stream.aggregate(...)``) maintains
   group-by state *incrementally*: a :class:`DeltaState` persists the
   batch executor's :class:`~repro.engine.aggregates.ArrayGroupState`
   across batches and merges each new batch's partial aggregates into
   it.  Because the persistent state and the batch group-by run the
   same merge code over the same partition boundaries, the maintained
-  result is bit-identical to ``view().group_by(...).agg(...)`` — not
-  approximately equal, equal (pinned by
-  ``tests/property/test_property_streaming.py``).
+  result is bit-identical to a batch ``group_by(...).agg(...)`` over
+  one partition per appended batch — not approximately equal, equal
+  (pinned by ``tests/property/test_property_streaming.py`` through
+  ``tests/stream_oracle.py``).  An aggregation sees every batch, so it
+  must be registered before the first append.
 
 An append applies whole or not at all: key and aggregated columns are
 checked numeric when an aggregation registers, and a batch is cast to
-the schema before it reaches the history or any state.  A column that
-is not 1-D, or a NaN, infinite or fractional value bound for an
-integer field, raises ``ValueError`` there.
+the schema before it reaches any state.  A column that is not 1-D, a
+positional row whose width is not the schema's, or a NaN, infinite or
+fractional value bound for an integer field, raises ``ValueError``
+there.
 
 Per-batch deltas (``StreamingAggregation.delta()``) feed downstream
 incremental maintenance — most importantly
@@ -44,9 +45,7 @@ import time
 
 import numpy as np
 
-from repro.engine import plan as P
 from repro.engine.aggregates import AggSpec, ArrayGroupState
-from repro.engine.dataframe import DataFrame
 from repro.engine.partition import Partition
 from repro.engine.schema import Schema
 
@@ -118,11 +117,12 @@ class StreamingAggregation:
     :class:`Stream`.
 
     State is keyed by the group keys and grows with the number of
-    distinct groups.  ``to_partition()`` equals
-    ``stream.view().group_by(*keys).agg(*specs)`` bit for bit.
+    distinct groups, not with the rows ingested.  ``to_partition()``
+    equals ``group_by(*keys).agg(*specs)`` over the appended batches,
+    one partition per batch, bit for bit.
     """
 
-    def __init__(self, stream: "Stream", keys: list, specs: list):
+    def __init__(self, schema: Schema, keys: list, specs: list):
         for spec in specs:
             if not isinstance(spec, AggSpec):
                 raise TypeError(f"expected AggSpec, got {spec!r}")
@@ -130,13 +130,12 @@ class StreamingAggregation:
         # no append can fail half-way through the merges.
         merged = [spec.column for spec in specs if spec.kind != "count"]
         for name in [*keys, *merged]:
-            dtype = np.dtype(stream.schema[name].dtype)
+            dtype = np.dtype(schema[name].dtype)
             if dtype.kind in "OUS":
                 raise TypeError(
                     "streaming aggregation requires numeric group keys and "
                     f"aggregated columns; column {name!r} has dtype {dtype}"
                 )
-        self.stream = stream
         self.group_keys = list(keys)
         self.specs = list(specs)
         self.delta_state = DeltaState(self.group_keys, self.specs)
@@ -171,28 +170,15 @@ class StreamingAggregation:
         grid maintenance."""
         return self.delta_state.delta_partition()
 
-    def recompute_dataframe(self) -> DataFrame:
-        """The equivalent *batch* computation over the stream's full
-        retained history — what this aggregation maintains
-        incrementally."""
-        return (
-            self.stream.view()
-            .group_by(*self.group_keys)
-            .agg(*self.specs)
-        )
-
 
 class Stream:
     """An ingestion endpoint for record micro-batches (see module
     docstring).  Create via :meth:`Session.stream`."""
 
-    def __init__(self, session, schema, retain: bool = True):
+    def __init__(self, schema):
         if not isinstance(schema, Schema):
             schema = Schema(schema)
-        self.session = session
         self.schema = schema
-        self.retain = retain
-        self.source = P.StreamingSource(schema)
         self.aggregations: list[StreamingAggregation] = []
         self.batches_ingested = 0
         self.rows_ingested = 0
@@ -211,6 +197,13 @@ class Stream:
         else:
             rows = list(data)
             if rows and not isinstance(rows[0], dict):
+                width = len(self.schema.fields)
+                for i, row in enumerate(rows):
+                    if len(row) != width:
+                        raise ValueError(
+                            f"row {i} has {len(row)} values; the schema "
+                            f"has {width} fields"
+                        )
                 arrays = {
                     f.name: [row[i] for row in rows]
                     for i, f in enumerate(self.schema.fields)
@@ -253,11 +246,10 @@ class Stream:
     def append(self, data) -> dict:
         """Ingest one micro-batch.
 
-        Coerces ``data`` to the stream schema, retains it on the
-        streaming source (when ``retain=True``), and pushes it through
+        Coerces ``data`` to the stream schema and pushes it through
         every registered aggregation.  Returns per-append stats:
         ``rows``, ``changed_groups``, ``update_seconds``.  A batch the
-        schema rejects raises before anything — history, aggregations,
+        schema rejects raises before anything — aggregations,
         counters — has changed.
         """
         from repro import obs
@@ -271,8 +263,6 @@ class Stream:
 
         started = time.perf_counter()
         with obs.tracer.span("engine.stream.append") as span:
-            if self.retain:
-                self.source.append(part)
             changed = 0
             for aggregation in self.aggregations:
                 changed += aggregation._ingest(part)
@@ -296,31 +286,26 @@ class Stream:
     # ------------------------------------------------------------------
     # Consumption
     # ------------------------------------------------------------------
-    def view(self) -> DataFrame:
-        """A lazy DataFrame over the full retained history.  The
-        returned frame is *live*: each execution replays the batches
-        ingested so far, one partition per batch."""
-        if not self.retain:
-            raise ValueError(
-                "stream was created with retain=False; history is not "
-                "kept, only registered aggregations are maintained"
-            )
-        return DataFrame(self.session, self.source)
-
     def aggregate(self, keys, specs) -> StreamingAggregation:
         """Register an incrementally maintained aggregation.
 
         ``keys`` are group-key column names; ``specs`` are
         :class:`~repro.engine.aggregates.AggSpec` (use the ``agg``
-        helpers).  Batches appended from now on update it in O(batch);
-        batches appended before registration are folded in once here.
-        A key or aggregated column whose schema dtype is not numeric
-        raises ``TypeError``.
+        helpers).  Every batch appended from now on updates it in
+        O(batch).  The stream keeps no history, so registering after
+        the first append raises ``ValueError``: the aggregation would
+        miss the earlier batches.  A key or aggregated column whose
+        schema dtype is not numeric raises ``TypeError``.
         """
+        if self.batches_ingested:
+            raise ValueError(
+                "register aggregations before the first append: the "
+                "stream keeps no history, so an aggregation registered "
+                f"now would miss the {self.batches_ingested} batch(es) "
+                "already ingested"
+            )
         if isinstance(keys, str):
             keys = [keys]
-        aggregation = StreamingAggregation(self, list(keys), list(specs))
-        for part in self.source.batches:
-            aggregation._ingest(part)
+        aggregation = StreamingAggregation(self.schema, list(keys), list(specs))
         self.aggregations.append(aggregation)
         return aggregation

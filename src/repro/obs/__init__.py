@@ -1,6 +1,6 @@
 """repro.obs — zero-dependency runtime observability.
 
-Four pieces, one switch:
+Three pieces, one switch:
 
 - :class:`Tracer` / :class:`Span` (``repro.obs.tracer``) — nested,
   timed regions with attached counters: the codebase's one timing
@@ -12,8 +12,6 @@ Four pieces, one switch:
   module/op attribution of the training stack: per-module-path wall
   time, analytic FLOPs, parameter/activation bytes, with a
   wait/warmup/active schedule (``Trainer.fit(profiler=...)``).
-- :mod:`repro.obs.export` — the per-operator breakdown and the atomic
-  JSON write behind ``BENCH_engine.json``.
 
 Instrumentation is **on by default but cheap**: recording happens per
 partition / batch / epoch (never per row) and every record call checks
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.obs import export, profiler
+from repro.obs import profiler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.plan_stats import PlanStats
 from repro.obs.profiler import Profiler, schedule
@@ -89,5 +87,4 @@ __all__ = [
     "set_enabled",
     "disabled",
     "reset",
-    "export",
 ]

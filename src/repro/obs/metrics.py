@@ -3,7 +3,7 @@
 The registry is the single sink every instrumented layer reports into
 — the engine executor, the spatial join, the DFtoTorch converter, and
 the Trainer all record through the same :class:`MetricsRegistry`, so
-one :func:`repro.obs.export.snapshot` captures a whole run.
+one ``registry.snapshot()`` captures a whole run.
 
 Instruments are cheap enough to leave on: recording is a few attribute
 updates, guarded by the module-wide enabled flag

@@ -20,8 +20,9 @@ every batch.  :class:`ArrayPool` recycles those arrays across steps:
 
 Hits and misses are counted into the process-wide metrics registry as
 ``tensor.pool.hit`` / ``tensor.pool.miss`` (plus ``tensor.pool.reject``
-for arrays :meth:`release` refused), so ``obs.export.snapshot()`` and
-``BENCH_engine.json`` show whether the pool is working.
+for arrays :meth:`release` refused), so ``obs.registry.snapshot()``
+and the pipeline benchmark's ``tensor.pool_hit_rate`` show whether the
+pool is working.
 
 Each ``(shape, dtype)`` bucket keeps at most that key's *demand*: the
 most arrays of the key that have been out at once, counted as acquires
@@ -183,7 +184,7 @@ class ArrayPool:
         ``"<shape>:<dtype>"``; a bucket's high water never exceeds its
         demand.  For the process-wide pool the derived
         values are also pushed to ``tensor.pool.*`` gauges so they land
-        in ``obs.export.snapshot()`` next to the hit/miss counters.
+        in ``obs.registry.snapshot()`` next to the hit/miss counters.
         """
         acquires = self.hits + self.misses
         hit_rate = self.hits / acquires if acquires else 0.0

@@ -232,8 +232,7 @@ class Tensor:
         self._freed = True
         return freed
 
-    def backward(self, grad=None, free_graph: bool = False,
-                 retain_graph: bool | None = None) -> None:
+    def backward(self, grad=None, free_graph: bool = False) -> None:
         """Run reverse-mode autodiff from this tensor.
 
         ``grad`` defaults to ones for scalar outputs; non-scalar
@@ -247,18 +246,16 @@ class Tensor:
         (``requires_grad`` with no history) keep their gradients; the
         tensor backward() was called on keeps its data.  A second
         backward() through a freed graph raises ``RuntimeError`` —
-        pass ``retain_graph=True`` (or leave ``free_graph`` False, the
-        default) to keep today's reusable-graph semantics.
+        leave ``free_graph`` False (the default) to keep a reusable
+        graph.
         """
-        if retain_graph is not None:
-            free_graph = not retain_graph
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor without requires_grad")
         if self._freed:
             raise RuntimeError(
                 "backward() through a graph that was already freed by "
                 "backward(free_graph=True); rerun the forward pass or "
-                "pass retain_graph=True to the first backward()"
+                "pass free_graph=False to the first backward()"
             )
         if grad is None:
             if self.data.size != 1:
@@ -289,7 +286,7 @@ class Tensor:
                 raise RuntimeError(
                     "backward() reached a tensor freed by a previous "
                     "backward(free_graph=True); rerun the forward pass "
-                    "or use retain_graph=True"
+                    "or pass free_graph=False to that backward()"
                 )
             visited.add(id(node))
             stack.append((node, True))

@@ -26,7 +26,7 @@ How it works
    batch tensors into the external slots, calls each recorded op over
    the slot tensors in order — the real ``Tensor.__add__``,
    ``ops_conv.conv2d``, ``ops_fused.fused_lstm_gates``, … building a
-   real graph — then runs ``loss.backward(free_graph=...)`` and reads
+   real graph — then runs ``loss.backward(free_graph=True)`` and reads
    ``loss.data.item()`` exactly as an eager step does.
 
 There is no per-op code in this module and no table of ops: making an
@@ -302,10 +302,9 @@ class TraceSession:
     #: a capture step each time without ever replaying.
     MAX_INVALIDATIONS = 8
 
-    def __init__(self, model, loss_fn, free_graph: bool = True):
+    def __init__(self, model, loss_fn):
         self.model = model
         self.loss_fn = loss_fn
-        self.free_graph = free_graph
         self.program: Tape | None = None
         self.disabled_reason: str | None = None
         self._sig = None
@@ -422,7 +421,7 @@ class TraceSession:
         output = self.model(*inputs)
         loss = self.loss_fn(output, target)
         if loss.requires_grad:
-            loss.backward(free_graph=self.free_graph)
+            loss.backward(free_graph=True)
         return loss.data.item()
 
     def _replay(self, inputs, target) -> float:
@@ -440,7 +439,7 @@ class TraceSession:
                 for s, t in zip(outs, ret):
                     slots[s] = t
         loss = slots[tape.root_slot]
-        loss.backward(free_graph=self.free_graph)
+        loss.backward(free_graph=True)
         return loss.data.item()
 
     def _capture(self, inputs, target, sig) -> float:
@@ -457,7 +456,7 @@ class TraceSession:
             if isinstance(loss, Tensor):
                 rec.set_root(loss)
                 if loss.requires_grad:
-                    loss.backward(free_graph=self.free_graph)
+                    loss.backward(free_graph=True)
                 else:
                     rec.abort("loss does not require grad")
             else:

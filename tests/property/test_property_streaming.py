@@ -5,9 +5,10 @@ Two pinned equivalences, each across random batch splits (including
 empty and duplicated batches), duplicate keys/values, and out-of-order
 event times:
 
-- **Aggregates** — a delta-maintained ``stream.aggregate`` equals
-  ``view().group_by(...).agg(...)`` recomputed from the full retained
-  history, for every aggregate kind.
+- **Aggregates** — a delta-maintained ``stream.aggregate`` equals a
+  batch ``group_by(...).agg(...)`` recomputed over every appended
+  batch, one partition per batch (``tests/stream_oracle.py``), for
+  every aggregate kind.
 - **Grid tensors** — ``STManager.update_st_grid_array`` applied per
   batch delta equals ``get_st_grid_array`` rebuilt from scratch.
 
@@ -29,6 +30,7 @@ from repro.core.preprocessing.grid import STManager as stm
 from repro.engine import Session, agg
 from repro.engine.partition import Partition
 from tests.group_state_oracle import OracleGroupState, SortedGroupState
+from tests.stream_oracle import RecordingStream
 
 # Event times from a coarse lattice and rounded values, so duplicate
 # keys and values are common.
@@ -90,26 +92,26 @@ def assert_identical(left: dict, right: dict):
 @settings(max_examples=40, deadline=None)
 @given(batched_records())
 def test_incremental_aggregates_equal_recompute(batches):
-    stream = Session().stream(SCHEMA)
+    stream = RecordingStream(Session().stream(SCHEMA))
     live = stream.aggregate(["cell"], ALL_SPECS)
     for batch in batches:
         stream.append(batch)
     assert_identical(
         dict(live.to_partition().columns),
-        live.recompute_dataframe().to_columns(),
+        stream.recompute(live).to_columns(),
     )
 
 
 @settings(max_examples=40, deadline=None)
 @given(batched_records())
 def test_incremental_multikey_aggregates_equal_recompute(batches):
-    stream = Session().stream(SCHEMA)
+    stream = RecordingStream(Session().stream(SCHEMA))
     live = stream.aggregate(["cell", "t"], [agg.count(name="n"), agg.mean("v")])
     for batch in batches:
         stream.append(batch)
     assert_identical(
         dict(live.to_partition().columns),
-        live.recompute_dataframe().to_columns(),
+        stream.recompute(live).to_columns(),
     )
 
 
@@ -117,10 +119,9 @@ def test_incremental_multikey_aggregates_equal_recompute(batches):
 @given(batched_records())
 def test_incremental_grid_tensor_equals_rebuild(batches):
     px, py = 4, 3
-    session = Session()
-    stream = session.stream(
+    stream = RecordingStream(Session().stream(
         [("time_step", np.int64), ("cell_id", np.int64), ("v", np.float64)]
-    )
+    ))
     live = stream.aggregate(
         ["time_step", "cell_id"],
         [agg.count(name="count"), agg.sum_("v"), agg.mean("v")],
@@ -139,7 +140,7 @@ def test_incremental_grid_tensor_equals_rebuild(batches):
             tensor, live.delta(), px, py, value_columns=channels
         )
     rebuilt = stm.get_st_grid_array(
-        live.recompute_dataframe(),
+        stream.recompute(live),
         px,
         py,
         num_steps=tensor.shape[0],

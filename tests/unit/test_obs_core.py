@@ -1,4 +1,4 @@
-"""Unit tests for repro.obs: spans, metrics, registry, export."""
+"""Unit tests for repro.obs: spans, metrics, registry."""
 
 from __future__ import annotations
 
@@ -375,20 +375,3 @@ class TestEnabledFlag:
             assert not obs.tracer.enabled
         assert obs.enabled()
         assert obs.tracer.enabled
-
-
-class TestExport:
-    def test_operator_breakdown_regroups(self):
-        registry = MetricsRegistry()
-        registry.counter("engine.op.Join.rows_out").inc(10)
-        registry.counter("engine.op.Join.partitions").inc(2)
-        registry.gauge("engine.op.Join.peak_partition_bytes").set_max(64)
-        registry.counter("unrelated.counter").inc()
-        breakdown = obs.export.operator_breakdown(registry)
-        assert breakdown == {
-            "Join": {
-                "partitions": 2,
-                "peak_partition_bytes": 64,
-                "rows_out": 10,
-            }
-        }

@@ -19,6 +19,11 @@ from repro import obs
 from repro.engine import Session, agg, col
 
 
+def _op_counter(name: str) -> int:
+    """A per-operator engine counter, ``engine.op.<Operator>.<field>``."""
+    return obs.registry.snapshot()["counters"][f"engine.op.{name}"]
+
+
 @pytest.fixture(autouse=True)
 def clean_obs():
     obs.reset()
@@ -105,11 +110,10 @@ class TestAnalyzeSemantics:
 
     def test_analyze_feeds_registry(self, session):
         filter_groupby_pipeline(session).explain(analyze=True)
-        breakdown = obs.export.operator_breakdown()
-        assert breakdown["GroupByAgg"]["rows_out"] == 3
-        assert breakdown["Project"]["rows_out"] == 13
-        assert breakdown["Filter"]["rows_out"] == 10
-        assert breakdown["Source"]["partitions"] == 4
+        assert _op_counter("GroupByAgg.rows_out") == 3
+        assert _op_counter("Project.rows_out") == 13
+        assert _op_counter("Filter.rows_out") == 10
+        assert _op_counter("Source.partitions") == 4
 
     def test_actions_record_last_plan_stats(self, session):
         df = filter_groupby_pipeline(session)
@@ -131,5 +135,4 @@ class TestAnalyzeSemantics:
         df = session.create_dataframe({"id": np.arange(100)}, num_partitions=4)
         rows = df.take(5)
         assert len(rows) == 5
-        breakdown = obs.export.operator_breakdown()
-        assert breakdown["Limit"]["rows_out"] == 5
+        assert _op_counter("Limit.rows_out") == 5

@@ -1,11 +1,8 @@
 """Unit tests for repro.obs.profiler: module/op events, FLOPs
-accounting, schedule gating, key_averages (incl. the golden rows),
-and atomic JSON writes."""
+accounting, schedule gating and key_averages (incl. the golden
+rows)."""
 
 from __future__ import annotations
-
-import json
-import os
 
 import numpy as np
 import pytest
@@ -14,7 +11,6 @@ from repro import nn, obs
 from repro.core.training import Trainer, classification_batch
 from repro.data import DataLoader
 from repro.obs import profiler as profiler_module
-from repro.obs.export import atomic_write_json
 from repro.obs.profiler import Profiler, ProfilerAction, op_span, schedule
 from repro.nn.recurrent import ConvLSTMCell
 from repro.optim import Adam
@@ -356,20 +352,3 @@ class TestKeyAverages:
         prof = Profiler()
         with pytest.raises(ValueError):
             prof.key_averages(group_by="nope")
-
-
-class TestAtomicWrites:
-    def test_atomic_write_replaces_existing(self, tmp_path):
-        path = str(tmp_path / "out.json")
-        atomic_write_json(path, {"v": 1})
-        atomic_write_json(path, {"v": 2})
-        assert json.loads(open(path).read()) == {"v": 2}
-        assert os.listdir(tmp_path) == ["out.json"]  # no temp litter
-
-    def test_failed_write_leaves_target_intact(self, tmp_path):
-        path = str(tmp_path / "out.json")
-        atomic_write_json(path, {"v": 1})
-        with pytest.raises(TypeError):
-            atomic_write_json(path, {"v": object()})  # not serializable
-        assert json.loads(open(path).read()) == {"v": 1}
-        assert os.listdir(tmp_path) == ["out.json"]

@@ -65,12 +65,11 @@ ALLOWED = {
     # Plumbing between Session and DataFrame, which share a package, so
     # the only callers there can be do not count.
     "Session.next_query_id": "DataFrame's metered actions draw ids from it",
-    # The observability switches and the report: what a run's
-    # measurement reads or flips, not what the pipeline computes.
-    "obs.export": "benchmarks/run_quick.py writes BENCH_engine.json with "
-                  "its operator_breakdown and atomic_write_json",
-    "obs.disabled": "the switch the bench and the bit-identity tests flip",
-    "obs.reset": "zeroes the registry between measured runs",
+    # The observability switches: what a person measuring a run flips,
+    # not what the pipeline computes.
+    "obs.disabled": "interactive: run a block unobserved, as the "
+                    "bit-identity tests do",
+    "obs.reset": "interactive: zero the registry between measured runs",
     # Error types: what a caller catches, raised on bad input, never
     # constructed by a run that succeeds.
     "core.converter.FrameOrderError": "error path: the converter raises it "

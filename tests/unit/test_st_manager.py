@@ -416,25 +416,6 @@ class TestCachedGridFrame:
         assert _snapshot(st_df) == before
         STManager.release_st_grid_array(tensor)
 
-    def test_stream_sourced_frame_is_not_cached(self, session, rng):
-        stream = session.stream(
-            [("lat", np.float64), ("lon", np.float64), ("t", np.float64)]
-        )
-        stream.append({"lat": [0.5, 0.5], "lon": [0.5, 6.5], "t": [0.0, 0.0]})
-        spatial = STManager.add_spatial_points(
-            stream.view(), "lat", "lon", "point"
-        )
-        st = STManager.get_st_grid_dataframe(
-            spatial, "point", 4, 2, "t", 600.0,
-            envelope=Envelope(0, 8, 0, 4), temporal_origin=0.0,
-        )
-        assert "Cache" not in st.explain()
-        assert sorted(r["cell_id"] for r in st.collect()) == [0, 3]
-        stream.append({"lat": [3.5], "lon": [0.5], "t": [700.0]})
-        # The second action recomputes over the grown stream.
-        got = {(r["time_step"], r["cell_id"]): r["count"] for r in st.collect()}
-        assert got == {(0, 0): 1, (0, 3): 1, (1, 4): 1}
-
     def test_capped_meter_refusal_leaves_the_aggregate_cold(self, rng):
         """A meter cap one byte under the uncapped peak refuses the
         query where the aggregate is built.  The meter is back where

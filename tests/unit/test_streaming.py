@@ -1,20 +1,22 @@
 """Unit tests for the incremental streaming layer
-(:mod:`repro.engine.streaming`): stream ingestion, the live view,
-delta-maintained aggregation, rejected batches, the reserved buffers
-the sorted group state inserts into, and the code-addressed state's
-transitions and memory accounting."""
+(:mod:`repro.engine.streaming`): stream ingestion, a stream that keeps
+no history, delta-maintained aggregation held to a batch recompute
+(``tests/stream_oracle.py``), rejected batches and registrations, the
+reserved buffers the sorted group state inserts into, and the
+code-addressed state's transitions and memory accounting."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.engine import Schema, Session, agg, col, executor
+from repro.engine import Schema, Session, agg, executor
 from repro.engine.aggregates import ArrayGroupState
 from repro.engine.partition import Partition
 from repro.engine.streaming import DeltaState
 from repro.utils.memory import MemoryMeter
 from tests.group_state_oracle import OracleGroupState, SortedGroupState
+from tests.stream_oracle import RecordingStream
 
 
 def _session():
@@ -28,18 +30,25 @@ def _schema():
 class TestStreamIngestion:
     def test_append_coerces_to_schema_dtypes(self):
         stream = _session().stream(_schema())
-        stream.append({"t": [1, 2], "cell": [0.0, 1.0], "v": [1, 2]})
-        part = stream.source.batches[0]
+        live = stream.aggregate(["cell"], [agg.sum_("t"), agg.sum_("v")])
+        batch = {"t": [1, 2], "cell": [0.0, 1.0], "v": [1, 2]}
+        part = stream._coerce(batch)
         assert part.columns["t"].dtype == np.float64
         assert part.columns["cell"].dtype == np.int64
         assert part.columns["v"].dtype == np.float64
+        stream.append(batch)
+        out = live.to_columns()
+        assert out["cell"].dtype == np.int64
+        assert out["sum_v"].tolist() == [1.0, 2.0]
 
     def test_append_accepts_row_dicts_and_tuples(self):
         stream = _session().stream(_schema())
+        live = stream.aggregate(["cell"], [agg.sum_("v")])
         stream.append([{"t": 1.0, "cell": 0, "v": 2.0}])
         stream.append([(2.0, 1, 3.0)])
-        assert sum(p.num_rows for p in stream.source.batches) == 2
+        assert stream.rows_ingested == 2
         assert stream.batches_ingested == 2
+        assert live.to_columns()["sum_v"].tolist() == [2.0, 3.0]
 
     def test_append_missing_column_raises(self):
         stream = _session().stream(_schema())
@@ -68,40 +77,21 @@ class TestStreamIngestion:
 
 
 class TestStreamView:
-    def test_view_is_live(self):
-        stream = _session().stream(_schema())
-        df = stream.view()
-        stream.append({"t": [1.0], "cell": [0], "v": [1.0]})
-        assert df.count() == 1
-        stream.append({"t": [2.0], "cell": [1], "v": [2.0]})
-        assert df.count() == 2
-
-    def test_view_partitions_follow_batches(self):
-        stream = _session().stream(_schema())
-        stream.append({"t": [1.0, 2.0], "cell": [0, 1], "v": [1.0, 2.0]})
-        stream.append({"t": [3.0], "cell": [2], "v": [3.0]})
-        parts = list(stream.view().iter_partitions())
-        assert [p.num_rows for p in parts] == [2, 1]
-
-    def test_view_supports_engine_ops(self):
-        stream = _session().stream(_schema())
-        stream.append({"t": [1.0, 2.0], "cell": [0, 1], "v": [5.0, -1.0]})
-        out = stream.view().filter(col("v") > 0).select("cell").to_columns()
-        assert out["cell"].tolist() == [0]
+    """A stream keeps no view of its history: only its aggregations
+    hold state."""
 
     def test_retain_false_drops_history_but_feeds_aggregates(self):
         stream = _session().stream(_schema(), retain=False)
         live = stream.aggregate(["cell"], [agg.count(name="n")])
         stream.append({"t": [1.0, 2.0], "cell": [0, 0], "v": [1.0, 2.0]})
-        assert stream.source.batches == []
         assert live.to_columns()["n"].tolist() == [2]
-        with pytest.raises(ValueError, match="retain=False"):
-            stream.view()
+        with pytest.raises(ValueError, match="retain=True"):
+            _session().stream(_schema(), retain=True)
 
 
 class TestDeltaMaintainedAggregation:
     def test_incremental_equals_recompute_bitwise(self):
-        stream = _session().stream(_schema())
+        stream = RecordingStream(_session().stream(_schema()))
         live = stream.aggregate(
             ["cell"],
             [
@@ -123,18 +113,23 @@ class TestDeltaMaintainedAggregation:
                 }
             )
         inc = live.to_partition().columns
-        ref = live.recompute_dataframe().to_columns()
+        ref = stream.recompute(live).to_columns()
         assert list(inc) == list(ref)
         for name in inc:
             assert inc[name].dtype == ref[name].dtype, name
             np.testing.assert_array_equal(inc[name], ref[name], err_msg=name)
 
-    def test_aggregate_registered_late_folds_in_history(self):
-        stream = _session().stream(_schema())
-        stream.append({"t": [1.0], "cell": [0], "v": [2.0]})
-        stream.append({"t": [2.0], "cell": [0], "v": [4.0]})
-        live = stream.aggregate(["cell"], [agg.mean("v")])
-        assert live.to_columns()["mean_v"].tolist() == [3.0]
+    def test_aggregate_registered_after_an_append_raises(self):
+        # The stream keeps no history: a late aggregation would count
+        # only the later batches (n = 1 here, not 3).
+        stream = _session().stream([("t", np.int64), ("c", np.int64)])
+        early = stream.aggregate(["c"], [agg.count(name="n")])
+        stream.append({"t": [1, 1], "c": [2, 2]})
+        with pytest.raises(ValueError, match="before the first append"):
+            stream.aggregate(["c"], [agg.count(name="n")])
+        assert stream.aggregations == [early]
+        stream.append({"t": [1], "c": [2]})
+        assert early.to_columns()["n"].tolist() == [3]
 
     def test_delta_contains_only_touched_groups(self):
         stream = _session().stream(_schema())
@@ -227,8 +222,8 @@ class TestDeltaMaintainedAggregation:
 
 
 class TestRejectedBatches:
-    """A batch the schema rejects raises before the history, any
-    aggregation or any counter has moved."""
+    """A batch the schema rejects raises before any aggregation or any
+    counter has moved."""
 
     GOOD = {"t": [1.0, 2.0, 3.0], "cell": [4, 0, 4], "v": [1.0, -2.0, 0.5]}
     BAD = {
@@ -246,6 +241,8 @@ class TestRejectedBatches:
             {"t": [5.0], "cell": [1.5], "v": [1.0]},
             "'cell'.*fractional",
         ),
+        "long row": ([(5.0, 7, 1.0), (5.0, 7, 1.0, 99)], "row 1 has 4 values.*3 fields"),
+        "short row": ([(5.0, 7)], "row 0 has 2 values.*3 fields"),
     }
 
     @staticmethod
@@ -253,10 +250,6 @@ class TestRejectedBatches:
         from repro import obs
 
         return {
-            "history": [
-                {n: c.copy() for n, c in p.columns.items()}
-                for p in stream.source.batches
-            ],
             "aggregations": [
                 (
                     {n: c.copy() for n, c in live.to_partition().columns.items()},
@@ -468,7 +461,7 @@ class TestCodeAddressedStream:
         gauge = obs.registry.gauge("engine.stream.state_groups")
         streams = []
         for form in (ArrayGroupState, SortedGroupState):
-            stream = _session().stream(self.SCHEMA)
+            stream = RecordingStream(_session().stream(self.SCHEMA))
             live = stream.aggregate(["time_step", "cell_id"], self.SPECS)
             live.delta_state.state = form(self.SPECS)
             streams.append((stream, live))
@@ -485,13 +478,13 @@ class TestCodeAddressedStream:
             for stream, live in streams:
                 stream.append(batch)
                 assert gauge.value == live.num_groups
-            (_, live), (_, reference) = streams
+            (recording, live), (_, reference) = streams
             assert live.num_groups == reference.num_groups
             self._assert_same_bits(live.delta(), reference.delta())
             self._assert_same_bits(live.to_partition(), reference.to_partition())
             self._assert_same_bits(
                 live.to_partition(),
-                Partition(live.recompute_dataframe().to_columns()),
+                Partition(recording.recompute(live).to_columns()),
             )
             seen.append(
                 (
@@ -529,6 +522,35 @@ class TestCodeAddressedStream:
         assert ranks.dtype == np.int32 and len(ranks) >= state._span
         held = sum(a.nbytes for a in slots if a is not None)
         assert state.nbytes == held + ranks.nbytes
+
+
+class TestStateCost:
+    """A stream holds group state, never rows: over a fixed key set
+    its state's bytes stop growing once every group has arrived."""
+
+    @pytest.mark.parametrize("form", [ArrayGroupState, SortedGroupState])
+    def test_nbytes_after_200_appends_equals_after_20(self, form):
+        specs = TestCodeAddressedStream.SPECS
+        stream = _session().stream(TestCodeAddressedStream.SCHEMA)
+        live = stream.aggregate(["time_step", "cell_id"], specs)
+        live.delta_state.state = form(specs)
+        rng = np.random.default_rng(11)
+        steps, cells = np.divmod(np.arange(96), 12)  # every group at once
+        stream.append({"time_step": steps, "cell_id": cells, "v": np.ones(96)})
+        held = {}
+        for k in range(1, 201):
+            stream.append(
+                {
+                    "time_step": rng.integers(0, 8, 50),
+                    "cell_id": rng.integers(0, 12, 50),
+                    "v": rng.normal(size=50),
+                }
+            )
+            if k in (20, 200):
+                held[k] = live.delta_state.state.nbytes
+        assert live.num_groups == 96
+        assert stream.rows_ingested == 96 + 200 * 50
+        assert held[200] == held[20] > 0
 
 
 class TestAggregateKinds:

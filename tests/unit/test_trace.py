@@ -425,29 +425,15 @@ class TestPoolResidency:
 
 
 class TestRetainGraphPrecedence:
-    def test_retain_graph_true_overrides_free_graph(self):
-        x = Tensor(np.array([2.0], dtype=np.float32), requires_grad=True)
-        y = (x * x).sum()
-        y.backward(free_graph=True, retain_graph=True)
-        assert np.array_equal(x.grad, np.array([4.0], dtype=np.float32))
-        # retain_graph=True wins over free_graph=True: the graph is
-        # still alive, so a second backward succeeds instead of
-        # raising the freed-graph RuntimeError.
-        y.backward(retain_graph=True)
+    """``free_graph`` is the one switch: ``backward()`` keeps the graph
+    unless it is True, and the error names the way to keep it."""
 
     def test_free_graph_alone_frees(self):
         x = Tensor(np.array([2.0], dtype=np.float32), requires_grad=True)
         y = (x * x).sum()
         y.backward(free_graph=True)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="free_graph=False"):
             y.backward(free_graph=True)
-
-    def test_retain_graph_false_frees_even_without_free_graph(self):
-        x = Tensor(np.array([2.0], dtype=np.float32), requires_grad=True)
-        y = (x * x).sum()
-        y.backward(retain_graph=False)
-        with pytest.raises(RuntimeError):
-            y.backward(retain_graph=False)
 
 
 class TestPoolStats:
