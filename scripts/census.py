@@ -12,8 +12,11 @@ counted too.  The runs:
 - ``benchmarks/pipeline/run.py --smoke``;
 - every ``examples/*.py``;
 - ``python -m repro.experiments.run all --scale smoke``: every paper
-  artifact and ablation, ``epoch_time.profile_table7`` included (the
-  Table VII runner profiles each model at the smoke scale).
+  artifact and ablation.
+
+A run that exits non-zero is reported with its stderr tail and, from
+its stdout, every ``[FAILED]`` claim line, so a failed paper claim is
+told apart from a crash.
 
 Every ``def`` in the censused packages (methods, properties and
 nested closures included) that no run started is listed, outermost
@@ -131,14 +134,16 @@ def record(kinds) -> set:
             started = time.perf_counter()
             done = subprocess.run(
                 argv, cwd=work if label.startswith("examples") else ROOT,
-                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                text=True,
+                env=env, capture_output=True, text=True,
             )
             elapsed = time.perf_counter() - started
             status = "ok" if done.returncode == 0 else f"exit {done.returncode}"
             print(f"  {label}: {status}, {elapsed:.1f} s", file=sys.stderr)
             if done.returncode != 0:
                 print(done.stderr[-2000:], file=sys.stderr)
+                for line in done.stdout.splitlines():
+                    if "[FAILED]" in line:
+                        print(line, file=sys.stderr)
         seen = set()
         for path in glob.glob(os.path.join(out, "*.txt")):
             with open(path) as handle:

@@ -123,13 +123,8 @@ class Trainer:
                     param.grad *= scale
 
     # ------------------------------------------------------------------
-    def train_epoch(self, loader, profiler=None, trace: bool = False) -> float:
+    def train_epoch(self, loader, trace: bool = False) -> float:
         """One pass over the loader; returns mean batch loss.
-
-        ``profiler`` (an already-started
-        :class:`~repro.obs.profiler.Profiler`) is stepped once per
-        batch so its wait/warmup/active schedule advances with
-        training steps.
 
         ``trace=True`` routes each batch through a
         :class:`~repro.tensor.trace.TraceSession`: the first step is
@@ -165,8 +160,6 @@ class Trainer:
                     loss.backward(free_graph=True)
                 total += loss.item()
             batches += 1
-            if profiler is not None:
-                profiler.step()
         if self.training_mode == "cumulative" and batches:
             if self.grad_clip is not None:
                 self._clip_gradients()
@@ -199,18 +192,10 @@ class Trainer:
         epochs: int = 10,
         early_stopping: EarlyStopping | None = None,
         verbose: bool = False,
-        profiler=None,
         trace: bool | None = None,
     ) -> TrainingResult:
         """Train for up to ``epochs``, optionally early-stopping on
         validation loss.
-
-        ``profiler`` is a :class:`~repro.obs.profiler.Profiler`; if it
-        has no model yet it is attached to ``self.model``, started for
-        the duration of the fit (and stopped again, even on error),
-        and stepped once per batch so a wait/warmup/active schedule
-        profiles steady-state steps.  A profiler the caller already
-        started (e.g. inside a ``with`` block) is left running.
 
         ``trace=True`` records the first training step and replays the
         recorded ops on every later step with a matching input
@@ -222,42 +207,30 @@ class Trainer:
 
         if trace is None:
             trace = os.environ.get("REPRO_TRACE", "") not in ("", "0")
-        owns_profiler = False
-        if profiler is not None and not profiler._started:
-            if profiler.model is None:
-                profiler.model = self.model
-            profiler.start()
-            owns_profiler = True
-        try:
-            result = TrainingResult()
-            for epoch in range(epochs):
-                with obs.tracer.span("trainer.epoch") as span:
-                    started = time.perf_counter()
-                    train_loss = self.train_epoch(
-                        train_loader, profiler=profiler, trace=trace
+        result = TrainingResult()
+        for epoch in range(epochs):
+            with obs.tracer.span("trainer.epoch") as span:
+                started = time.perf_counter()
+                train_loss = self.train_epoch(train_loader, trace=trace)
+                elapsed = time.perf_counter() - started
+            span.set("epoch", epoch + 1)
+            span.set("train_loss", train_loss)
+            obs.registry.histogram("trainer.epoch_seconds").observe(elapsed)
+            obs.registry.histogram("trainer.train_loss").observe(train_loss)
+            result.epoch_seconds.append(elapsed)
+            result.train_losses.append(train_loss)
+            result.epochs_run = epoch + 1
+            if val_loader is not None:
+                val_loss = self.evaluate(val_loader)["loss"]
+                result.val_losses.append(val_loss)
+                if verbose:
+                    print(
+                        f"epoch {epoch + 1}: train={train_loss:.5f} "
+                        f"val={val_loss:.5f}"
                     )
-                    elapsed = time.perf_counter() - started
-                span.set("epoch", epoch + 1)
-                span.set("train_loss", train_loss)
-                obs.registry.histogram("trainer.epoch_seconds").observe(elapsed)
-                obs.registry.histogram("trainer.train_loss").observe(train_loss)
-                result.epoch_seconds.append(elapsed)
-                result.train_losses.append(train_loss)
-                result.epochs_run = epoch + 1
-                if val_loader is not None:
-                    val_loss = self.evaluate(val_loader)["loss"]
-                    result.val_losses.append(val_loss)
-                    if verbose:
-                        print(
-                            f"epoch {epoch + 1}: train={train_loss:.5f} "
-                            f"val={val_loss:.5f}"
-                        )
-                    if early_stopping is not None and early_stopping.step(val_loss):
-                        result.stopped_early = True
-                        break
-                elif verbose:
-                    print(f"epoch {epoch + 1}: train={train_loss:.5f}")
-            return result
-        finally:
-            if owns_profiler:
-                profiler.stop()
+                if early_stopping is not None and early_stopping.step(val_loss):
+                    result.stopped_early = True
+                    break
+            elif verbose:
+                print(f"epoch {epoch + 1}: train={train_loss:.5f}")
+        return result

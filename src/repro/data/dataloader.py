@@ -2,10 +2,9 @@
 
 Each yielded batch is metered (``dataloader.batches`` /
 ``dataloader.samples`` counters and a ``dataloader.batch_fetch_seconds``
-histogram, mirroring the converter's ``converter.*`` naming) so
-profiles can tell a data-bound epoch from a compute-bound one; when a
-:class:`~repro.obs.profiler.Profiler` is active, every fetch also
-records a ``dataloader.fetch`` event on the profiler timeline.
+histogram, mirroring the converter's ``converter.*`` naming) and
+traced as a ``dataloader.batch`` span, so a run can tell a data-bound
+epoch from a compute-bound one.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import time
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.obs.profiler import op_span
 from repro.utils.rng import default_rng
 from repro.utils.validation import check_positive
 
@@ -77,12 +75,9 @@ class DataLoader:
             if metered:
                 fetch_started = time.perf_counter()
             # The tracer span carries the fetch into the active trace
-            # (e.g. under trainer.epoch), alongside the profiler event.
+            # (e.g. under trainer.epoch).
             with obs.tracer.span("dataloader.batch") as tspan:
-                with op_span("dataloader.fetch", kind="data"):
-                    batch = self.collate_fn(
-                        [self.dataset[int(i)] for i in idx]
-                    )
+                batch = self.collate_fn([self.dataset[int(i)] for i in idx])
                 tspan.add("samples", len(idx))
             if metered:
                 elapsed = time.perf_counter() - fetch_started

@@ -25,7 +25,7 @@ checked numeric when an aggregation registers, and a batch is cast to
 the schema before it reaches any state.  A column that is not 1-D, a
 positional row whose width is not the schema's, or a NaN, infinite or
 fractional value bound for an integer field, raises ``ValueError``
-there.
+there, and so does a column the schema does not name.
 
 Per-batch deltas (``StreamingAggregation.delta()``) feed downstream
 incremental maintenance — most importantly
@@ -87,10 +87,12 @@ class DeltaState:
     O(touched groups), not O(state), in either of its forms.
     """
 
-    def __init__(self, keys: list, specs: list):
+    def __init__(self, keys: list, specs: list, key_dtypes: list):
         self.keys = list(keys)
         self.specs = list(specs)
         self.state = ArrayGroupState(self.specs)
+        # So a read before the first append has the keys' output dtypes.
+        self.state.key_dtypes = [np.dtype(dtype) for dtype in key_dtypes]
 
     @property
     def num_groups(self) -> int:
@@ -138,7 +140,9 @@ class StreamingAggregation:
                 )
         self.group_keys = list(keys)
         self.specs = list(specs)
-        self.delta_state = DeltaState(self.group_keys, self.specs)
+        self.delta_state = DeltaState(
+            self.group_keys, self.specs, [schema[k].dtype for k in keys]
+        )
         self.rows_ingested = 0
 
     # ------------------------------------------------------------------
@@ -191,10 +195,11 @@ class Stream:
         """Coerce a micro-batch (dict of arrays, list of row dicts or
         tuples) to a Partition with the stream schema's dtypes."""
         if isinstance(data, Partition):
-            arrays = data.columns
+            arrays = given = data.columns
         elif isinstance(data, dict):
-            arrays = data
+            arrays = given = data
         else:
+            given = ()
             rows = list(data)
             if rows and not isinstance(rows[0], dict):
                 width = len(self.schema.fields)
@@ -209,6 +214,7 @@ class Stream:
                     for i, f in enumerate(self.schema.fields)
                 }
             else:
+                given = set().union(*rows)
                 arrays = {
                     f.name: [row[f.name] for row in rows]
                     for f in self.schema.fields
@@ -216,6 +222,9 @@ class Stream:
         missing = [f.name for f in self.schema.fields if f.name not in arrays]
         if missing:
             raise ValueError(f"batch is missing columns {missing}")
+        extra = sorted(set(given).difference(self.schema.names))
+        if extra:
+            raise ValueError(f"batch has columns {extra} the schema does not name")
         columns = {}
         for field in self.schema.fields:
             arr = np.asarray(arrays[field.name])

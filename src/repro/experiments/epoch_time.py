@@ -2,12 +2,15 @@
 
 Grid models train on the Temperature dataset, classifiers on EuroSAT,
 segmentation models on 38-Cloud — matching the paper's assignments.
+Each row also carries where its one timed epoch went: the deltas of
+the ``tensor.op_*`` counters (:func:`repro.obs.op_span`) across it.
 """
 
 from __future__ import annotations
 
 import time
 
+from repro import obs
 from repro.core.datasets.grid import Temperature
 from repro.core.training import Trainer
 from repro.experiments.config import ExperimentConfig
@@ -16,8 +19,8 @@ from repro.experiments.grid_forecasting import (
     make_grid_loaders,
 )
 from repro.experiments.raster_tasks import (
-    run_classification,
-    run_segmentation,
+    classification_trainer,
+    segmentation_trainer,
 )
 from repro.experiments.tables import format_columns
 from repro.nn import MSELoss
@@ -52,84 +55,60 @@ def _grid_trainer(model_name: str, root: str, config: ExperimentConfig, seed: in
     return trainer, train_loader
 
 
-def epoch_seconds(
-    model_name: str, root: str, config: ExperimentConfig, seed: int = 0,
-    profiler=None,
-) -> float:
-    """One training epoch of a Table VII model on its dataset."""
-    if model_name in GRID_ROWS:
-        trainer, train_loader = _grid_trainer(model_name, root, config, seed)
-        if profiler is not None:
-            return trainer.fit(
-                train_loader, epochs=1, profiler=profiler
-            ).mean_epoch_seconds
-        started = time.perf_counter()
-        trainer.train_epoch(train_loader)
-        return time.perf_counter() - started
-    if model_name in CLS_ROWS:
-        cell = run_classification(
-            "EuroSAT", model_name, root, config, seed=seed, epochs=1,
-            profiler=profiler,
-        )
-    else:
-        cell = run_segmentation(
-            model_name, root, config, seed=seed, epochs=1, profiler=profiler
-        )
-    return cell["mean_epoch_seconds"]
-
-
-def _profiled_breakdown(profiler, top: int = 12) -> dict:
-    """Per-model summary of a finished profiler: the ``top`` module
-    paths by self time plus run totals."""
-    averages = profiler.key_averages()
-    rows = sorted(
-        averages.as_dicts(), key=lambda r: (-r["self_s"], r["name"])
-    )
+def _op_counters() -> dict:
+    """The ``tensor.op_s.*`` / ``tensor.op_calls.*`` counters now."""
     return {
-        "total_flops": profiler.total_flops(),
-        "total_param_bytes": averages.total_param_bytes,
-        "events": len(profiler.events),
-        "dropped_events": profiler.dropped_events,
-        "top_modules": rows[:top],
+        name: value for name, value in obs.registry.snapshot()["counters"].items()
+        if name.startswith(("tensor.op_s.", "tensor.op_calls."))
     }
 
 
-def profile_table7(
-    root: str, config: ExperimentConfig, seed: int = 0, top: int = 12
-) -> dict:
-    """One short profiled epoch per Table VII model.
-
-    Returns ``{model_name: breakdown}`` where each breakdown carries
-    analytic FLOPs, parameter bytes, and the top module paths by self
-    time — the attribution layer behind the Table VII timings.  A
-    wait/warmup/active schedule keeps only steady-state steps, so the
-    breakdown is free of first-batch warmup skew.
-    """
-    from repro.obs.profiler import Profiler, schedule
-
-    breakdowns: dict[str, dict] = {}
-    for _dataset, _application, models in TABLE7:
-        for model_name in models:
-            profiler = Profiler(
-                schedule=schedule(wait=1, warmup=1, active=3, repeat=1)
-            )
-            epoch_seconds(model_name, root, config, seed, profiler=profiler)
-            breakdowns[model_name] = _profiled_breakdown(profiler, top=top)
-    return breakdowns
+def timed_epoch(
+    model_name: str, root: str, config: ExperimentConfig, seed: int = 0
+) -> tuple[float, dict]:
+    """One training epoch of a Table VII model on its dataset: its wall
+    seconds and ``{op: {"calls", "seconds"}}``, the op counters' deltas
+    across that epoch."""
+    if model_name in GRID_ROWS:
+        trainer, train_loader = _grid_trainer(model_name, root, config, seed)
+    elif model_name in CLS_ROWS:
+        trainer, train_loader, _ = classification_trainer(
+            "EuroSAT", model_name, root, config, seed
+        )
+    else:
+        trainer, train_loader, _ = segmentation_trainer(
+            model_name, root, config, seed
+        )
+    before = _op_counters()
+    started = time.perf_counter()
+    trainer.train_epoch(train_loader)
+    seconds = time.perf_counter() - started
+    ops: dict[str, dict] = {}
+    for name, value in _op_counters().items():
+        delta = value - before.get(name, 0)
+        if delta:
+            kind, op = name[len("tensor."):].split(".", 1)
+            ops.setdefault(op, {"calls": 0, "seconds": 0.0})[
+                "calls" if kind == "op_calls" else "seconds"
+            ] = delta
+    return seconds, ops
 
 
 def run_table7(root: str, config: ExperimentConfig) -> list[dict]:
-    """Every Table VII row: (dataset, application, model, seconds)."""
-    return [
-        {
-            "dataset": dataset,
-            "application": application,
-            "model": model_name,
-            "epoch_seconds": epoch_seconds(model_name, root, config),
-        }
-        for dataset, application, models in TABLE7
-        for model_name in models
-    ]
+    """Every Table VII row: (dataset, application, model, seconds) and
+    the per-op counter deltas of the timed epoch."""
+    rows = []
+    for dataset, application, models in TABLE7:
+        for model_name in models:
+            seconds, ops = timed_epoch(model_name, root, config)
+            rows.append({
+                "dataset": dataset,
+                "application": application,
+                "model": model_name,
+                "epoch_seconds": seconds,
+                "ops": ops,
+            })
+    return rows
 
 
 def format_table7(rows: list[dict]) -> str:
@@ -145,24 +124,28 @@ def format_table7(rows: list[dict]) -> str:
     )
 
 
-def _top_entry(summary: dict) -> str:
-    if not summary["top_modules"]:
+def _top_op(row: dict) -> str:
+    if not row["ops"]:
         return "-"
-    top = summary["top_modules"][0]
-    return f"{top['name']} ({top['self_s'] * 1e3:.1f} ms)"
+    name, op = max(row["ops"].items(), key=lambda kv: (kv[1]["seconds"], kv[0]))
+    return f"{name} ({op['seconds'] * 1e3:.1f} ms)"
 
 
-def format_profiles(breakdowns: dict) -> str:
-    """One line per profiled model: FLOPs, parameter bytes and the
-    entry with the most self time (see :func:`profile_table7`)."""
+def format_op_breakdown(rows: list[dict]) -> str:
+    """Where each timed epoch went: the op counters' seconds and calls,
+    their share of the epoch, and the op with the most seconds."""
+
+    def op_seconds(r):
+        return sum(op["seconds"] for op in r["ops"].values())
+
     return format_columns(
-        "Table VII profile: steady-state steps of one scheduled epoch",
+        "Table VII ops: op counters across each timed epoch",
         (
-            ("Model", -15, lambda kv: kv[0]),
-            ("MFLOPs", 10, lambda kv: f"{kv[1]['total_flops'] / 1e6:.1f}"),
-            ("param_MB", 9, lambda kv: f"{kv[1]['total_param_bytes'] / 1e6:.2f}"),
-            ("events", 7, lambda kv: str(kv[1]["events"])),
-            ("top self-time entry", -19, lambda kv: _top_entry(kv[1])),
+            ("Model", -15, lambda r: r["model"]),
+            ("op_s", 7, lambda r: f"{op_seconds(r):.3f}"),
+            ("share", 6, lambda r: f"{op_seconds(r) / r['epoch_seconds']:.2f}"),
+            ("calls", 7, lambda r: str(sum(op["calls"] for op in r["ops"].values()))),
+            ("top op", -19, _top_op),
         ),
-        breakdowns.items(),
+        rows,
     )

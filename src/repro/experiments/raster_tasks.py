@@ -28,16 +28,14 @@ from repro.nn import CrossEntropyLoss
 from repro.optim import Adam
 
 
-def run_classification(
+def classification_trainer(
     dataset_name: str,
     model_name: str,
     root: str,
     config: ExperimentConfig,
     seed: int,
-    epochs: int | None = None,
-    profiler=None,
-) -> dict:
-    """Train one classifier cell; returns accuracy and timing."""
+):
+    """One classifier's trainer and its train / test loaders."""
     dataset_cls = {"EuroSAT": EuroSAT, "SAT6": SAT6}[dataset_name]
     with_features = model_name == "DeepSAT V2"
     image_shape = (
@@ -72,11 +70,22 @@ def run_classification(
     trainer = Trainer(
         model, Adam(model.parameters(), lr=1e-3), CrossEntropyLoss(), adapter
     )
-    fit = trainer.fit(
-        train_loader,
-        epochs=epochs or min(config.max_epochs, 12),
-        profiler=profiler,
+    return trainer, train_loader, test_loader
+
+
+def run_classification(
+    dataset_name: str,
+    model_name: str,
+    root: str,
+    config: ExperimentConfig,
+    seed: int,
+    epochs: int | None = None,
+) -> dict:
+    """Train one classifier cell; returns accuracy and timing."""
+    trainer, train_loader, test_loader = classification_trainer(
+        dataset_name, model_name, root, config, seed
     )
+    fit = trainer.fit(train_loader, epochs=epochs or min(config.max_epochs, 12))
     evaluation = trainer.evaluate(test_loader, {"accuracy": accuracy})
     return {
         "dataset": dataset_name,
@@ -87,15 +96,11 @@ def run_classification(
     }
 
 
-def run_segmentation(
-    model_name: str,
-    root: str,
-    config: ExperimentConfig,
-    seed: int,
-    epochs: int | None = None,
-    profiler=None,
-) -> dict:
-    """Train one segmentation cell on 38-Cloud; returns pixel accuracy."""
+def segmentation_trainer(
+    model_name: str, root: str, config: ExperimentConfig, seed: int
+):
+    """One segmentation model's trainer and its 38-Cloud train / test
+    loaders."""
     dataset = Cloud38(
         root,
         num_images=config.num_seg_images,
@@ -115,11 +120,21 @@ def run_segmentation(
         CrossEntropyLoss(),
         segmentation_batch,
     )
-    fit = trainer.fit(
-        train_loader,
-        epochs=epochs or min(config.max_epochs, 15),
-        profiler=profiler,
+    return trainer, train_loader, test_loader
+
+
+def run_segmentation(
+    model_name: str,
+    root: str,
+    config: ExperimentConfig,
+    seed: int,
+    epochs: int | None = None,
+) -> dict:
+    """Train one segmentation cell on 38-Cloud; returns pixel accuracy."""
+    trainer, train_loader, test_loader = segmentation_trainer(
+        model_name, root, config, seed
     )
+    fit = trainer.fit(train_loader, epochs=epochs or min(config.max_epochs, 15))
     evaluation = trainer.evaluate(test_loader, {"accuracy": pixel_accuracy})
     return {
         "dataset": "38-Cloud",

@@ -7,27 +7,11 @@ Attribute assignment auto-registers parameters and sub-modules, so
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
 
 import numpy as np
 
 from repro.tensor import Tensor
-
-
-class RemovableHandle:
-    """Handle returned by ``register_forward_*_hook``; ``remove()``
-    unregisters the hook (idempotent — removing twice is a no-op)."""
-
-    __slots__ = ("_hooks", "id")
-    _ids = itertools.count()
-
-    def __init__(self, hooks: dict):
-        self._hooks = hooks
-        self.id = next(RemovableHandle._ids)
-
-    def remove(self) -> None:
-        self._hooks.pop(self.id, None)
 
 
 class Parameter(Tensor):
@@ -43,8 +27,6 @@ class Module:
     def __init__(self):
         object.__setattr__(self, "_parameters", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
-        object.__setattr__(self, "_forward_pre_hooks", OrderedDict())
-        object.__setattr__(self, "_forward_hooks", OrderedDict())
         object.__setattr__(self, "training", True)
 
     # ------------------------------------------------------------------
@@ -107,48 +89,13 @@ class Module:
         return self.train(False)
 
     # ------------------------------------------------------------------
-    # Hooks
-    # ------------------------------------------------------------------
-    def register_forward_pre_hook(self, hook) -> RemovableHandle:
-        """Run ``hook(module, args)`` before every ``forward``.
-
-        Returning a non-``None`` value replaces the positional
-        arguments (a single value is wrapped into a 1-tuple).  Hooks
-        run in registration order.
-        """
-        handle = RemovableHandle(self._forward_pre_hooks)
-        self._forward_pre_hooks[handle.id] = hook
-        return handle
-
-    def register_forward_hook(self, hook) -> RemovableHandle:
-        """Run ``hook(module, args, output)`` after every ``forward``.
-
-        Returning a non-``None`` value replaces the output.  Hooks run
-        in registration order.
-        """
-        handle = RemovableHandle(self._forward_hooks)
-        self._forward_hooks[handle.id] = hook
-        return handle
-
-    # ------------------------------------------------------------------
     # Invocation
     # ------------------------------------------------------------------
     def forward(self, *args, **kwargs):
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        if not (self._forward_pre_hooks or self._forward_hooks):
-            return self.forward(*args, **kwargs)
-        for hook in tuple(self._forward_pre_hooks.values()):
-            result = hook(self, args)
-            if result is not None:
-                args = result if isinstance(result, tuple) else (result,)
-        output = self.forward(*args, **kwargs)
-        for hook in tuple(self._forward_hooks.values()):
-            result = hook(self, args, output)
-            if result is not None:
-                output = result
-        return output
+        return self.forward(*args, **kwargs)
 
     def __repr__(self) -> str:
         child_lines = [

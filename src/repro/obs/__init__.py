@@ -8,18 +8,17 @@ Three pieces, one switch:
 - :class:`MetricsRegistry` (``repro.obs.metrics``) — process-wide
   counters / gauges / histograms that the engine executor, spatial
   join, DFtoTorch converter, and Trainer all record into.
-- :class:`Profiler` (``repro.obs.profiler``) — torch.profiler-style
-  module/op attribution of the training stack: per-module-path wall
-  time, analytic FLOPs, parameter/activation bytes, with a
-  wait/warmup/active schedule (``Trainer.fit(profiler=...)``).
+- :func:`op_span` — the tensor / optimizer kernels' timing: each
+  call of a named kernel adds its wall seconds and one call to the
+  registry counters ``tensor.op_s.<name>`` / ``tensor.op_calls.<name>``.
 
 Instrumentation is **on by default but cheap**: recording happens per
-partition / batch / epoch (never per row) and every record call checks
-one module flag first.  ``set_enabled(False)`` (or the ``disabled()``
-context manager) turns the whole layer into no-ops.  Instrumentation
-only *reads* — sizes, counts, clocks — so observed runs return
-bit-identical results to unobserved runs (pinned by
-``tests/property/test_property_obs.py``).
+partition / batch / epoch / kernel call (never per row or element) and
+every record call checks one module flag first.  ``set_enabled(False)``
+(or the ``disabled()`` context manager) turns the whole layer into
+no-ops.  Instrumentation only *reads* — sizes, counts, clocks — so
+observed runs return bit-identical results to unobserved runs (pinned
+by ``tests/property/test_property_obs.py``).
 
 >>> from repro import obs
 >>> with obs.tracer.span("load") as span:
@@ -31,12 +30,11 @@ bit-identical results to unobserved runs (pinned by
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import time
+from contextlib import contextmanager, nullcontext
 
-from repro.obs import profiler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.plan_stats import PlanStats
-from repro.obs.profiler import Profiler, schedule
 from repro.obs.tracer import Tracer
 
 _ENABLED = True
@@ -46,6 +44,43 @@ registry = MetricsRegistry()
 tracer = Tracer()
 
 
+_NULL_OP_SPAN = nullcontext()
+_op_counters: dict = {}  # name -> (seconds counter, calls counter)
+
+
+class _OpSpan:
+    __slots__ = ("_counters", "_start")
+
+    def __init__(self, counters):
+        self._counters = counters
+
+    def __enter__(self):
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc):
+        seconds, calls = self._counters
+        seconds.inc(time.perf_counter() - self._start)
+        calls.inc()
+        return False
+
+
+def op_span(name: str):
+    """Time one kernel call: ``with op_span("ops_conv.conv2d"): ...``
+    adds its wall seconds to ``tensor.op_s.<name>`` and one to
+    ``tensor.op_calls.<name>``.  Disabled, it is one flag read and a
+    shared no-op context manager."""
+    if not _ENABLED:
+        return _NULL_OP_SPAN
+    counters = _op_counters.get(name)
+    if counters is None:
+        counters = _op_counters[name] = (
+            registry.counter(f"tensor.op_s.{name}"),
+            registry.counter(f"tensor.op_calls.{name}"),
+        )
+    return _OpSpan(counters)
+
+
 def enabled() -> bool:
     """Is the observability layer recording?"""
     return _ENABLED
@@ -53,7 +88,7 @@ def enabled() -> bool:
 
 def set_enabled(flag: bool) -> None:
     """Flip the single switch guarding all built-in instrumentation
-    (registry recording, engine plan stats, tracer spans)."""
+    (registry recording, engine plan stats, tracer spans, op counters)."""
     global _ENABLED
     _ENABLED = bool(flag)
     tracer.enabled = _ENABLED
@@ -78,9 +113,7 @@ def reset() -> None:
 
 __all__ = [
     "PlanStats",
-    "Profiler",
-    "schedule",
-    "profiler",
+    "op_span",
     "registry",
     "tracer",
     "enabled",

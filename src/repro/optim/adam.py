@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from repro.obs.profiler import op_span
+from repro.obs import op_span
 from repro.optim.flat import FlatParamBuffer
 
 

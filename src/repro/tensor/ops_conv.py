@@ -23,10 +23,10 @@
 
 Both strategies compute identical values; tests assert this.
 
-Each kernel wraps its hot section in a profiler op-span
-(:func:`repro.obs.profiler.op_span`), so kernel-level time nests under
-the owning module's span when a profiler is active; with no profiler
-the wrapper is a shared no-op costing one global read.
+Each kernel wraps its hot section in :func:`repro.obs.op_span`, which
+adds the call's wall seconds and one call to the registry counters
+``tensor.op_s.<name>`` / ``tensor.op_calls.<name>``; with obs disabled
+the wrapper is a shared no-op costing one flag read.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from importlib import import_module
 
 from numpy.lib.stride_tricks import as_strided
 
-from repro.obs.profiler import op_span
+from repro.obs import op_span
 from repro.tensor.backend import ACCELERATED, get_backend
 from repro.tensor.pool import default_pool
 from repro.tensor.tensor import Tensor
@@ -250,7 +250,7 @@ def conv2d(
     k2, rows = kh * kw, n * oh * ow
     relu_mask = None
 
-    with op_span("ops_conv.conv2d") as _op:
+    with op_span("ops_conv.conv2d"):
         if accelerated:
             # Pooled transients, recycled every call, so the column
             # buffer does not carry im2col's allocation cost.
@@ -280,7 +280,6 @@ def conv2d(
             if activation == "relu":
                 relu_mask = out > 0
                 out = out * relu_mask
-        _op.set_bytes(out.nbytes)
 
     def backward(grad):
         with op_span("ops_conv.conv2d.backward"):
@@ -398,7 +397,7 @@ def conv_transpose2d(
     if oh <= 0 or ow <= 0:
         raise ValueError("conv_transpose output would be empty")
 
-    with op_span("ops_conv.conv_transpose2d") as _op:
+    with op_span("ops_conv.conv_transpose2d"):
         full = np.zeros(
             (n, f, (h - 1) * stride + kh, (w - 1) * stride + kw), dtype=x.data.dtype
         )
@@ -412,7 +411,6 @@ def conv_transpose2d(
         out = full[:, :, padding : padding + oh, padding : padding + ow]
         if bias is not None:
             out = out + bias.data.reshape(1, f, 1, 1)
-        _op.set_bytes(out.nbytes)
 
     def backward(grad):
         with op_span("ops_conv.conv_transpose2d.backward"):
@@ -500,9 +498,8 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     split the gradient equally."""
     _check_pool_args(x.shape, kernel, stride, "max_pool2d")
     taps = _taps(x.data, kernel)
-    with op_span("ops_conv.max_pool2d") as _op:
+    with op_span("ops_conv.max_pool2d"):
         out = _tap_reduce(np.maximum, taps)
-        _op.set_bytes(out.nbytes)
 
     def backward(grad):
         with op_span("ops_conv.max_pool2d.backward"):

@@ -28,8 +28,9 @@ gate tensor's gradient buffer — no four full-size scatter arrays.
 nodes to one) but sums in a different order than the composed chain,
 so it matches it to float32 tolerance, not bit for bit.
 
-Every kernel reports to the profiler through
-:func:`repro.obs.profiler.op_span` like the conv primitives.
+Every kernel times itself through :func:`repro.obs.op_span` (the
+``tensor.op_s.*`` / ``tensor.op_calls.*`` counters) like the conv
+primitives.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from importlib import import_module
 
-from repro.obs.profiler import op_span
+from repro.obs import op_span
 from repro.tensor.pool import default_pool
 from repro.tensor.tensor import Tensor, _logistic
 
@@ -60,11 +61,10 @@ def fused_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tenso
     matter how the surrounding graph is shaped.
     """
     xd, wd = x.data, weight.data
-    with op_span("ops_fused.linear") as _op:
+    with op_span("ops_fused.linear"):
         out = xd @ wd.T
         if bias is not None:
             out = out + bias.data
-        _op.set_bytes(out.nbytes)
 
     def backward(grad):
         with op_span("ops_fused.linear.backward"):
@@ -123,7 +123,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     m = n * h * w
     per_channel = (c, 1, 1)
     pool = default_pool()
-    with op_span("ops_fused.batch_norm2d") as _op:
+    with op_span("ops_fused.batch_norm2d"):
         mean = _channel_sum(xd) / m
         x_hat = pool.acquire(xd.shape, mean.dtype)
         np.subtract(xd, mean.reshape(per_channel), out=x_hat)
@@ -134,7 +134,6 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
         x_hat *= inv_std.reshape(per_channel)
         np.multiply(x_hat, gamma.data.reshape(per_channel), out=out)
         out += beta.data.reshape(per_channel)
-        _op.set_bytes(out.nbytes)
 
     def backward(grad):
         with op_span("ops_fused.batch_norm2d.backward"):
@@ -182,7 +181,7 @@ def fused_lstm_gates(gates: Tensor, c: Tensor, hidden: int):
             f"gate axis 1 is {a.shape[1]}, expected 4*hidden={4 * hidden}"
         )
     h1, h2, h3 = hidden, 2 * hidden, 3 * hidden
-    with op_span("ops_fused.lstm_gates") as _op:
+    with op_span("ops_fused.lstm_gates"):
         # Contiguous per-gate results (the unfused slice nodes make
         # contiguous copies too): one strided read of the packed
         # buffer per gate, everything after at contiguous speed.
@@ -193,7 +192,6 @@ def fused_lstm_gates(gates: Tensor, c: Tensor, hidden: int):
         c_data = f * c.data + i * g
         t = np.tanh(c_data)
         h_data = o * t
-        _op.set_bytes(4 * i.nbytes + c_data.nbytes + h_data.nbytes)
 
     c_prev = c.data
     # ``h_next``'s backward runs first (reverse topo): it acquires the

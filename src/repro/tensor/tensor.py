@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.obs.profiler import op_span
+from repro.obs import op_span
 from repro.tensor.pool import default_pool
 
 _grad_enabled = True

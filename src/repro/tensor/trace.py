@@ -39,9 +39,9 @@ Replay is **bit-identical** to eager by construction: the same
 functions run on corresponding tensors in the same order, so the same
 graph is built, ``backward()`` walks it in the same topological order
 and gradients accumulate in the same order.  Ops dispatch on the
-backend, allocate from the array pool and open their profiler
-``op_span``\\ s when called, so a replayed step also makes eager's pool
-traffic and eager's profile.  Pinned by
+backend, allocate from the array pool and open their ``op_span``\\ s
+when called, so a replayed step also makes eager's pool traffic and
+eager's ``tensor.op_calls.*`` counts.  Pinned by
 ``tests/property/test_property_trace.py``.
 
 Guards and fallback

@@ -1,10 +1,11 @@
 """Non-perturbation property: observability must never change what
-the engine computes.
+the engine or the trainer computes.
 
 For randomly generated pipelines over random frames, results with the
 obs layer enabled are **bit-identical** to results with it disabled,
 and the root operator's recorded ``rows_out`` equals the size of the
-collected result.
+collected result.  Training with obs on (DataLoader metering, op
+counters) leaves the same model state as training with it off.
 """
 
 from __future__ import annotations
@@ -13,10 +14,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
+from repro import nn, obs
+from repro.core.training import Trainer, classification_batch
+from repro.data import DataLoader
 from repro.engine import Session, agg, col
 from repro.engine.executor import iter_partitions
 from repro.obs import PlanStats
+from repro.optim import Adam
 
 
 @st.composite
@@ -145,3 +149,33 @@ def test_action_path_stats_agree_with_result(pipeline):
     assert stats is not None
     assert stats.node(session.last_plan).rows_out == len(rows)
 
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=2**16))
+def test_obs_disabled_training_bit_identical_state(seed):
+    """The DataLoader metering and the op counters (obs on vs off)
+    must not perturb training either."""
+    rng = np.random.default_rng(seed)
+    images = rng.normal(size=(8, 1, 6, 6)).astype(np.float32)
+    labels = rng.integers(0, 3, 8)
+
+    def run():
+        model = nn.Sequential(
+            nn.Conv2d(1, 3, 3, padding=1, rng=seed),
+            nn.ReLU(),
+            nn.GlobalAvgPool2d(),
+            nn.Linear(3, 3, rng=seed + 1),
+        )
+        trainer = Trainer(
+            model,
+            Adam(model.parameters(), lr=0.05),
+            nn.CrossEntropyLoss(),
+            classification_batch,
+        )
+        trainer.fit(DataLoader(list(zip(images, labels)), batch_size=4), epochs=1)
+        return {name: p.data.tobytes() for name, p in model.named_parameters()}
+
+    with_obs = run()
+    with obs.disabled():
+        without_obs = run()
+    assert with_obs == without_obs

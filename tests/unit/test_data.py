@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.data import DataLoader, Dataset, random_split, sequential_split
 from repro.data.dataloader import default_collate
 from repro.data.dataset import Subset
@@ -125,3 +126,28 @@ class TestDataLoader:
             len(base)
         with pytest.raises(NotImplementedError):
             base[0]
+
+
+class TestDataLoaderMetrics:
+    @staticmethod
+    def loader():
+        rng = np.random.default_rng(0)
+        images = rng.normal(size=(12, 1, 8, 8)).astype(np.float32)
+        labels = rng.integers(0, 3, 12)
+        return DataLoader(list(zip(images, labels)), batch_size=4)
+
+    def test_dataloader_metrics_recorded(self):
+        obs.reset()
+        list(self.loader())
+        snap = obs.registry.snapshot()
+        assert snap["counters"]["dataloader.batches"] == 3
+        assert snap["counters"]["dataloader.samples"] == 12
+        hist = snap["histograms"]["dataloader.batch_fetch_seconds"]
+        assert hist["count"] == 3
+
+    def test_dataloader_metrics_disabled_noop(self):
+        obs.reset()
+        with obs.disabled():
+            list(self.loader())
+        snap = obs.registry.snapshot()
+        assert snap["counters"].get("dataloader.batches", 0) == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.nn.recurrent import ConvLSTMCell
 from repro.tensor import Tensor
 from repro.tensor.ops_fused import batch_norm2d
 
@@ -53,6 +54,42 @@ class TestModuleRegistration:
     def test_repr_tree(self):
         net = nn.Sequential(nn.Linear(2, 2))
         assert "Linear" in repr(net)
+
+
+class TestModuleCall:
+    def test_call_is_plain_forward(self):
+        layer = nn.Linear(3, 2, rng=0)
+        x = Tensor(np.random.default_rng(0).normal(size=(4, 3)).astype(np.float32))
+        assert np.array_equal(layer(x).data, layer.forward(x).data)
+
+
+class TestNamedModules:
+    def test_paths_over_tree(self):
+        net = nn.Sequential(nn.Linear(3, 4, rng=0), nn.ReLU())
+        paths = dict(net.named_modules())
+        assert set(paths) == {"", "0", "1"}
+        assert paths[""] is net
+        assert isinstance(paths["0"], nn.Linear)
+
+    def test_nested_paths(self):
+        cell = ConvLSTMCell(2, 3, rng=0)
+        paths = [path for path, _ in cell.named_modules()]
+        assert paths == ["", "gates"]
+
+    def test_shared_module_reported_once(self):
+        shared = nn.Linear(2, 2, rng=0)
+
+        class Net(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.a = shared
+                self.b = shared
+
+            def forward(self, x):
+                return self.b(self.a(x))
+
+        paths = [path for path, _ in Net().named_modules()]
+        assert paths == ["", "a"]  # first path wins, no duplicate visit
 
 
 class TestLinear:

@@ -208,6 +208,8 @@ class TestDeltaMaintainedAggregation:
             "count": np.int64,
             "mean_v": np.float64,
         }
+        for part in (live.delta(), live.to_partition()):  # before any append
+            assert {n: c.dtype for n, c in part.columns.items()} == want
         for batch in (empty, {"time_step": [3], "cell_id": [7], "v": [1.0]}, empty):
             stream.append(batch)
             for part in (live.delta(), live.to_partition()):
@@ -215,9 +217,10 @@ class TestDeltaMaintainedAggregation:
         assert live.delta().num_rows == 0
 
     def test_delta_state_empty_partitions(self):
-        state = DeltaState(["k"], [agg.count(name="n")])
+        state = DeltaState(["k"], [agg.count(name="n")], [np.int64])
         out = state.to_partition()
         assert out.num_rows == 0
+        assert out.columns["k"].dtype == np.int64
         assert state.delta_partition().num_rows == 0
 
 
@@ -243,6 +246,21 @@ class TestRejectedBatches:
         ),
         "long row": ([(5.0, 7, 1.0), (5.0, 7, 1.0, 99)], "row 1 has 4 values.*3 fields"),
         "short row": ([(5.0, 7)], "row 0 has 2 values.*3 fields"),
+        "extra column": (
+            {"t": [5.0], "cell": [7], "v": [1.0], "celll": [5]},
+            r"\['celll'\] the schema does not name",
+        ),
+        "extra partition column": (
+            Partition({
+                "t": np.array([5.0]), "cell": np.array([7]),
+                "v": np.array([1.0]), "w": np.array([2.0]),
+            }),
+            r"\['w'\] the schema does not name",
+        ),
+        "extra row-dict key": (
+            [{"t": 5.0, "cell": 7, "v": 1.0}, {"t": 6.0, "cell": 7, "v": 1.0, "vv": 0}],
+            r"\['vv'\] the schema does not name",
+        ),
     }
 
     @staticmethod

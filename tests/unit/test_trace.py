@@ -4,7 +4,7 @@ Bit-identity of replayed numerics is pinned property-style in
 ``tests/property/test_property_trace.py``; this file covers the state
 machine around it — every guard must land in eager fallback (never
 wrong results), and a replayed step must make eager's pool traffic
-and eager's profile, nothing more.
+and eager's op-counter calls, nothing more.
 """
 
 import numpy as np
@@ -353,7 +353,7 @@ class TestBatchForms:
 
 class TestProfileUnderReplay:
     def test_replayed_step_has_eagers_op_names_and_call_counts(self):
-        from repro.obs.profiler import Profiler
+        from repro import obs
 
         rng = np.random.default_rng(18)
         model = nn.ConvLSTM(2, [3], 3)
@@ -363,22 +363,31 @@ class TestProfileUnderReplay:
         session.step((x,), y)
         clear_grads(model)
 
-        def op_rows(step):
-            with Profiler() as prof:
-                step()
+        def op_calls(step):
+            """The ``tensor.op_calls.*`` counters ``step`` moved."""
+            def read():
+                return {
+                    name: value
+                    for name, value in obs.registry.snapshot()["counters"].items()
+                    if name.startswith("tensor.op_calls.")
+                }
+
+            before = read()
+            step()
             clear_grads(model)
             return {
-                row["name"]: (row["calls"], row["activation_bytes"])
-                for row in prof.key_averages().rows
+                name: value - before.get(name, 0)
+                for name, value in read().items()
+                if value != before.get(name, 0)
             }
 
-        eager = op_rows(
+        eager = op_calls(
             lambda: F.mse_loss(model(x), y).backward(free_graph=True)
         )
-        replayed = op_rows(lambda: session.step((x,), y))
+        replayed = op_calls(lambda: session.step((x,), y))
         assert session.stats()["replays"] == 1
-        assert "ops_conv.conv2d.backward" in eager
-        assert "ops_fused.lstm_gates" in eager
+        assert "tensor.op_calls.ops_conv.conv2d.backward" in eager
+        assert "tensor.op_calls.ops_fused.lstm_gates" in eager
         assert replayed == eager
 
 
