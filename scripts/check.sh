@@ -18,7 +18,9 @@
 #      them the array-pool demand suite, whose 20-step runs must keep
 #      the same hits, misses and flat retained bytes when replayed, and
 #      the tiled-conv and fused-kernel properties, so replayed steps run
-#      through the image-tiled conv forward and the packed gate backward
+#      through the image-tiled conv forward and the packed gate backward,
+#      and the one-hidden-state ConvLSTM, whose replayed training must
+#      equal the stacked sequence's bit for bit
 #   5. pipeline smoke: benchmarks/pipeline/run.py --smoke runs the five
 #      BENCHMARK.json workloads end to end at reduced size (~12 s),
 #      each checked against its numpy oracle
@@ -60,6 +62,7 @@ REPRO_TRACE=1 python -m pytest -q \
     tests/unit/test_training.py \
     tests/unit/test_trace.py \
     tests/unit/test_pool_demand.py \
+    tests/unit/test_convlstm_last_hidden.py \
     tests/property/test_property_trace.py \
     tests/property/test_property_conv_tiles.py \
     tests/property/test_property_fused.py

@@ -1,8 +1,9 @@
 """The ConvLSTM forecasting model (Shi et al., NIPS 2015).
 
-An encoder stack of ConvLSTM layers reads the history window; the
-final hidden state is decoded by a 1x1 convolution into the predicted
-frame(s).  Uses the *sequential* representation (Listing 3).
+An encoder stack of ConvLSTM layers reads the history window one step
+at a time; only the final hidden state is kept, and a 1x1 convolution
+decodes it into the predicted frame(s).  Uses the *sequential*
+representation (Listing 3).
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class ConvLSTMModel(nn.Module):
         self.in_channels = in_channels
 
     def forward(self, x: Tensor):
-        hidden_seq = self.encoder(x)  # (N, T, hidden, H, W)
-        last_hidden = hidden_seq[:, -1]
+        for last_hidden in self.encoder.unroll(x):  # (N, hidden, H, W)
+            pass
         out = self.head(last_hidden)  # (N, P*C, H, W)
         if self.prediction_length == 1:
             return out

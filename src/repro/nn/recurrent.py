@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.nn.conv import Conv2d
 from repro.nn.module import Module
-from repro.tensor import Tensor, concatenate, zeros
+from repro.tensor import Tensor, concatenate, stack, zeros
 from repro.tensor.ops_fused import fused_lstm_gates
 
 
@@ -58,7 +58,8 @@ class ConvLSTM(Module):
     """Multi-layer ConvLSTM unrolled over a (N, T, C, H, W) sequence.
 
     Returns the sequence of top-layer hidden states stacked on the time
-    axis: (N, T, hidden, H, W).
+    axis: (N, T, hidden, H, W).  A caller that reads only the last
+    state iterates :meth:`unroll` instead and keeps one frame.
     """
 
     def __init__(
@@ -81,19 +82,22 @@ class ConvLSTM(Module):
         self.cells = ModuleList(cells)
         self.hidden_channels = list(hidden_channels)
 
-    def forward(self, x: Tensor):
+    def unroll(self, x: Tensor):
+        """Yield the top layer's (N, hidden, H, W) hidden state after
+        each of the T steps; every layer carries only its current
+        ``(h, c)`` from one step to the next."""
         if x.ndim != 5:
             raise ValueError(
                 f"ConvLSTM expects (N, T, C, H, W) input, got rank {x.ndim}"
             )
-        n, t = x.shape[0], x.shape[1]
+        if x.shape[1] == 0:
+            raise ValueError("ConvLSTM needs at least one time step")
         states = [None] * len(self.cells)
-        outputs = []
-        for step in range(t):
+        for step in range(x.shape[1]):
             frame = x[:, step]
             for layer, cell in enumerate(self.cells):
                 frame, states[layer] = cell(frame, states[layer])
-            outputs.append(frame)
-        from repro.tensor import stack
+            yield frame
 
-        return stack(outputs, axis=1)
+    def forward(self, x: Tensor):
+        return stack(list(self.unroll(x)), axis=1)

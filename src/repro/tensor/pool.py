@@ -8,8 +8,9 @@ every batch.  :class:`ArrayPool` recycles those arrays across steps:
 - :meth:`acquire` hands out a cached array for ``(shape, dtype)`` when
   one is available (a *hit*), else allocates (a *miss*);
 - :meth:`release` returns an array to the pool — only arrays that own
-  their memory outright (no views, C-contiguous) are accepted, so a
-  pooled buffer can never alias live data;
+  their memory outright (no views, C-contiguous) and that the pool
+  does not already hold are accepted, so a pooled buffer can never
+  alias live data or another pooled buffer;
 - the graph-freeing path of :meth:`Tensor.backward(free_graph=True)
   <repro.tensor.tensor.Tensor.backward>` releases the gradients of
   freed intermediates here, which is what closes the reuse loop:
@@ -25,23 +26,30 @@ and the pipeline benchmark's ``tensor.pool_hit_rate`` show whether the
 pool is working.
 
 Each ``(shape, dtype)`` bucket keeps at most that key's *demand*: the
-most arrays of the key that have been out at once, counted as acquires
-minus releases (never below 0).  A key nothing acquires keeps nothing
-— a freed gradient whose shape no kernel asks for is not held — and a
-key acquired k at a time keeps k, so every array a later acquire could
-take is still retained.  An array acquired and then dropped without a
-release (a conv's padded input, a weight gradient ``zero_grad``
-discards) stays counted as out, so such a key's demand only grows; its
-bucket is still bounded by what is released into it.  ``max_bytes`` is
-the one absolute bound: many distinct shapes (ragged last batches)
-could otherwise add keys without limit.  Releases over either bound are
-dropped and garbage collected as usual.  Access is process-wide through
-:func:`default_pool`; tests construct private instances
-(``tests/pool_oracle.py`` keeps the old flat 32-per-key cap as a
-reference).
+most arrays of the key out at once during the last training step,
+counted as acquires minus releases (never below 0).  A step ends with
+each :meth:`Tensor.backward(free_graph=True)
+<repro.tensor.tensor.Tensor.backward>`, which calls :meth:`end_step`:
+every key's demand becomes what that step asked for, and a key the
+step never acquired keeps nothing — another model's buffers and a
+ragged last batch's are dropped one step later.  Within a step the cap
+is the larger of the last step's demand and this step's so far, so a
+same-shape step keeps every array the next one could take.  An array
+acquired and then dropped without a release (a conv's padded input, a
+weight gradient ``zero_grad`` discards) counts as out only until its
+step ends.  Work that never ends a step (engine queries, evaluation)
+keeps the most out at once since the last step.  ``max_bytes`` is the
+one absolute bound: many distinct shapes could otherwise add keys
+without limit.  Releases over either bound are dropped and garbage
+collected as usual, and so is a second release of an array the pool
+already holds.  Access is process-wide through :func:`default_pool`;
+tests construct private instances (``tests/pool_oracle.py`` keeps the
+old flat 32-per-key cap as a reference).
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -79,11 +87,13 @@ class ArrayPool:
         self.reject_bytes = 0
         self.reject_per_key = 0
         self._buckets: dict[tuple, list[np.ndarray]] = {}
-        # Arrays of each key out now (acquires - releases, floored at
-        # 0) and the most ever out at once: the bucket's cap.
+        # Arrays of each key out now (acquires - releases this step,
+        # floored at 0), the most out at once this step, and the cap in
+        # effect: the last step's demand, raised by this step's peak.
         self._out: dict[tuple, int] = {}
+        self._peak: dict[tuple, int] = {}
         self._demand: dict[tuple, int] = {}
-        # Deepest each bucket has ever been (never above its demand).
+        # Deepest each held key's bucket has been.
         self._high_water: dict[tuple, int] = {}
 
     def __len__(self) -> int:
@@ -91,18 +101,25 @@ class ArrayPool:
 
     @staticmethod
     def _key(shape, dtype) -> tuple:
-        return (tuple(shape), np.dtype(dtype).str)
+        """The bucket key; raises on a shape or dtype no array can
+        have, before anything is counted."""
+        dims = tuple(operator.index(d) for d in shape)
+        if any(d < 0 for d in dims):
+            raise ValueError(f"negative dimensions are not allowed: {dims}")
+        return dims, np.dtype(dtype).str
 
     def acquire(self, shape, dtype=np.float32, zero: bool = False) -> np.ndarray:
         """Return an array of ``shape``/``dtype`` — recycled when the
         pool has one, freshly allocated otherwise.  ``zero=True``
         guarantees all-zero contents either way."""
-        hit, miss, _ = _counter_triple()
         key = self._key(shape, dtype)
+        hit, miss, _ = _counter_triple()
         out = self._out.get(key, 0) + 1
         self._out[key] = out
-        if out > self._demand.get(key, 0):
-            self._demand[key] = out
+        if out > self._peak.get(key, 0):
+            self._peak[key] = out
+            if out > self._demand.get(key, 0):
+                self._demand[key] = out
         bucket = self._buckets.get(key)
         if bucket:
             arr = bucket.pop()
@@ -115,16 +132,17 @@ class ArrayPool:
         self.misses += 1
         miss.inc()
         if zero:
-            return np.zeros(shape, dtype=dtype)
-        return np.empty(shape, dtype=dtype)
+            return np.zeros(key[0], dtype=dtype)
+        return np.empty(key[0], dtype=dtype)
 
     def release(self, arr) -> bool:
         """Offer ``arr`` back to the pool.
 
         Returns True when the array was pooled.  Anything that could
         alias other live memory — views, non-owning wrappers,
-        non-contiguous layouts — is rejected, as is overflow beyond
-        ``max_bytes`` or beyond the key's demand.
+        non-contiguous layouts, an array the pool already holds — is
+        rejected, as is overflow beyond ``max_bytes`` or beyond the
+        key's demand.
         """
         if (
             not isinstance(arr, np.ndarray)
@@ -133,24 +151,18 @@ class ArrayPool:
             or not arr.flags.c_contiguous
             or arr.nbytes == 0
         ):
-            self.rejects += 1
-            self.reject_alias += 1
-            _counter_triple()[2].inc()
-            return False
-        key = self._key(arr.shape, arr.dtype)
+            return self._reject("reject_alias")
+        key = (arr.shape, arr.dtype.str)
+        bucket = self._buckets.get(key, ())
+        if any(held is arr for held in bucket):
+            return self._reject("reject_alias")
         out = self._out.get(key, 0)
         if out:
             self._out[key] = out - 1
         if self.bytes + arr.nbytes > self.max_bytes:
-            self.rejects += 1
-            self.reject_bytes += 1
-            _counter_triple()[2].inc()
-            return False
-        if len(self._buckets.get(key, ())) >= self._demand.get(key, 0):
-            self.rejects += 1
-            self.reject_per_key += 1
-            _counter_triple()[2].inc()
-            return False
+            return self._reject("reject_bytes")
+        if len(bucket) >= self._demand.get(key, 0):
+            return self._reject("reject_per_key")
         bucket = self._buckets.setdefault(key, [])
         bucket.append(arr)
         depth = len(bucket)
@@ -159,10 +171,33 @@ class ArrayPool:
         self.bytes += arr.nbytes
         return True
 
+    def _reject(self, reason: str) -> bool:
+        self.rejects += 1
+        setattr(self, reason, getattr(self, reason) + 1)
+        _counter_triple()[2].inc()
+        return False
+
+    def end_step(self) -> None:
+        """Close a training step: each key's demand becomes the most
+        arrays of it out at once during the step, and a key the step
+        never acquired keeps nothing.  Buckets over their new demand
+        are trimmed; the arrays dropped are garbage collected."""
+        self._demand, self._peak, self._out = self._peak, {}, {}
+        for key in list(self._buckets):
+            bucket = self._buckets[key]
+            keep = self._demand.get(key, 0)
+            for arr in bucket[keep:]:
+                self.bytes -= arr.nbytes
+            del bucket[keep:]
+            if not keep:
+                del self._buckets[key]
+                self._high_water.pop(key, None)
+
     def reset(self) -> None:
         """Drop every cached array and zero the local statistics."""
         self._buckets.clear()
         self._out.clear()
+        self._peak.clear()
         self._demand.clear()
         self._high_water.clear()
         self.bytes = 0
@@ -178,11 +213,12 @@ class ArrayPool:
 
         Besides the raw counters this reports ``hit_rate`` (fraction of
         acquires served from cache), the reject-reason breakdown
-        (``reject_per_key`` counts releases beyond the key's demand),
-        ``high_water`` — the deepest each ``(shape, dtype)`` bucket has
-        been — and ``demand``, each key's cap, both keyed by
-        ``"<shape>:<dtype>"``; a bucket's high water never exceeds its
-        demand.  For the process-wide pool the derived
+        (``reject_per_key`` counts releases beyond the key's demand,
+        ``reject_alias`` views and second releases of a held array),
+        ``high_water`` — the deepest each held ``(shape, dtype)`` bucket
+        has been — and ``demand``, each key's cap in effect, both keyed
+        by ``"<shape>:<dtype>"``.  A key leaves both when a step ends
+        without acquiring it.  For the process-wide pool the derived
         values are also pushed to ``tensor.pool.*`` gauges so they land
         in ``obs.registry.snapshot()`` next to the hit/miss counters.
         """

@@ -247,7 +247,8 @@ class Tensor:
         tensor backward() was called on keeps its data.  A second
         backward() through a freed graph raises ``RuntimeError`` —
         leave ``free_graph`` False (the default) to keep a reusable
-        graph.
+        graph.  A freeing backward also ends the array pool's step
+        (:meth:`ArrayPool.end_step <repro.tensor.pool.ArrayPool.end_step>`).
         """
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor without requires_grad")
@@ -319,6 +320,7 @@ class Tensor:
                     freed_bytes += node._release()
         if freed_bytes:
             _count_freed(freed_bytes)
+        default_pool().end_step()
 
     @staticmethod
     def _make(data: np.ndarray, parents: tuple, backward) -> "Tensor":

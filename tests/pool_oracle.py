@@ -1,9 +1,9 @@
 """Reference retention for the array pool: the flat cap of 32 arrays
 per ``(shape, dtype)`` bucket ``ArrayPool.release`` applied before
-buckets were bounded by each key's demand.  The runtime no longer
-uses it; ``tests/unit/test_pool_demand.py`` swaps it in as the
-process pool and holds the demand-bounded pool to its values, hits and
-misses — and to at most its bytes.
+buckets were bounded by each key's demand, held across every step.
+The runtime no longer uses it; ``tests/unit/test_pool_demand.py`` swaps
+it in as the process pool and holds the demand-bounded pool to its
+values, hits and misses — and to at most its bytes.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ class OracleArrayPool(ArrayPool):
     key it is handed, acquired or not; acquire is the pool's own."""
 
     max_per_key = 32
+
+    def end_step(self) -> None:
+        """A step's end trims nothing: the flat cap is the only bound."""
 
     def release(self, arr) -> bool:
         if (

@@ -3,15 +3,18 @@
 (``tests/pool_oracle.py``) each swapped in as the process pool.
 
 A bucket keeps at most its key's demand — the most arrays of the key
-out at once — so against the oracle, which keeps 32 of every key, the
-runs must agree bit for bit, make the same hits and misses from the
-second step on, and retain no more bytes.  Retained bytes must also be
-flat from step 2 to step 20: arrays that are acquired and then dropped
-without a release (``conv_dw``'s ``dw`` after ``zero_grad``, a conv's
-padded input) must not grow a bucket step after step.  ``check.sh``
-runs this file again under ``REPRO_TRACE=1``, where every step after
-the first is a tape replay.  Last, SatCNN steps with the conv forward
-split into one-image tiles acquire exactly the keys they did untiled.
+out at once during the last training step — so against the oracle,
+which keeps 32 of every key across every step, the runs must agree bit
+for bit, make the same hits and misses from the second step on, and
+retain no more bytes.  Retained bytes and every key's demand must also
+be flat from step 2 to step 20: arrays that are acquired and then
+dropped without a release (``conv_dw``'s ``dw`` after ``zero_grad``, a
+conv's padded input) count as out only until their step ends.  A key
+the last step did not acquire — another model's, a ragged batch's — is
+not held.  ``check.sh`` runs this file again under ``REPRO_TRACE=1``,
+where every step after the first is a tape replay.  Last, SatCNN steps
+with the conv forward split into one-image tiles acquire exactly the
+keys they did untiled.
 """
 
 import inspect
@@ -27,6 +30,7 @@ from repro.core.training import (
     periodical_batch,
     sequential_batch,
 )
+from repro import obs
 from repro.nn import CrossEntropyLoss, MSELoss
 from repro.optim import Adam
 from repro.tensor import ops_conv
@@ -58,6 +62,53 @@ class TestDemandCap:
         assert pool.stats()["demand"] == {"(4,):<f4": 2}
         assert pool.release(a) and pool.release(b)
         assert len(pool) == 2
+
+    def test_second_release_of_a_held_array_is_rejected(self):
+        pool = ArrayPool()
+        a, b = pool.acquire((4,)), pool.acquire((4,))
+        assert pool.release(a)
+        assert not pool.release(a)  # would hand ``a`` out twice
+        stats = pool.stats()
+        assert (stats["arrays"], stats["reject_alias"]) == (1, 1)
+        assert pool.acquire((4,)) is not pool.acquire((4,))
+        assert pool.release(b)
+
+    @pytest.mark.parametrize(
+        "shape, dtype, error",
+        [
+            ((-1, 3), np.float32, ValueError),
+            ((2.0, 3), np.float32, TypeError),
+            ((4,), "no-such-dtype", TypeError),
+        ],
+    )
+    def test_failed_acquire_leaves_the_pool_unchanged(self, shape, dtype, error):
+        pool = ArrayPool()
+        pool.release(pool.acquire((4,)))
+        before = pool.stats()
+        miss = obs.registry.counter("tensor.pool.miss")
+        misses = miss.value
+        with pytest.raises(error):
+            pool.acquire(shape, dtype)
+        assert pool.stats() == before
+        assert miss.value == misses
+
+    def test_end_step_caps_each_key_at_the_steps_demand(self):
+        pool = ArrayPool()
+        held = [pool.acquire((4,)) for _ in range(3)]
+        dropped = pool.acquire((2,))
+        for arr in held:
+            assert pool.release(arr)
+        pool.end_step()
+        assert pool.stats()["demand"] == {"(4,):<f4": 3, "(2,):<f4": 1}
+        # One (4,) out at once this step; (2,) not acquired at all.
+        pool.release(pool.acquire((4,)))
+        pool.end_step()
+        stats = pool.stats()
+        assert stats["demand"] == {"(4,):<f4": 1}
+        assert (stats["arrays"], stats["bytes"]) == (1, 16)
+        assert set(stats["high_water"]) == {"(4,):<f4"}
+        assert not pool.release(dropped)
+        assert pool.stats()["reject_per_key"] == 1
 
     # The third release with two out, zero=True on a hit and max_bytes
     # rejecting within demand are test_graph_free.py's TestArrayPool
@@ -143,11 +194,58 @@ def test_demand_pool_matches_the_flat_cap_oracle(monkeypatch, make):
         assert per_step(demand, field) == per_step(oracle, field), field
     assert all(d["bytes"] <= o["bytes"] for d, o in zip(demand, oracle))
     assert len({d["bytes"] for d in demand[1:]}) == 1
+    for field in ("hits", "misses"):
+        assert len(set(per_step(demand, field))) == 1, field
+    # No key's demand climbs once the steps repeat; a conv's padded
+    # input (acquired, never released) used to grow by its uses a step.
+    assert demand[1]["demand"] == demand[-1]["demand"]
     assert demand[-1]["bytes"] < oracle[-1]["bytes"]
     final = demand[-1]
     assert all(
         depth <= final["demand"][key] for key, depth in final["high_water"].items()
     )
+
+
+def held_keys(pool):
+    stats = pool.stats()
+    return set(stats["demand"]) | set(stats["high_water"])
+
+
+def stepper(pool, make):
+    """A function that trains ``make``'s model one step on a batch and
+    returns the keys that step acquired from ``pool``, and the batches."""
+    model, adapter, loss_fn, batches = make(np.random.default_rng(5))
+    trainer = Trainer(model, Adam(model.parameters(), lr=1e-2), loss_fn, adapter)
+
+    def step(batch):
+        trainer.fit([batch], epochs=1)
+        return set(pool.stats()["demand"])
+
+    return step, batches
+
+
+def test_a_step_keeps_no_other_models_keys(monkeypatch):
+    pool = ArrayPool()
+    monkeypatch.setattr(pool_module, "_DEFAULT", pool)
+    convlstm_step, convlstm_batches = stepper(pool, convlstm)
+    st_resnet_step, st_resnet_batches = stepper(pool, st_resnet)
+    convlstm_keys = convlstm_step(convlstm_batches[0])
+    st_resnet_keys = st_resnet_step(st_resnet_batches[0])
+    assert convlstm_keys - st_resnet_keys
+    assert held_keys(pool) <= st_resnet_keys
+
+
+def test_a_ragged_batchs_keys_are_gone_one_step_later(monkeypatch):
+    pool = ArrayPool()
+    monkeypatch.setattr(pool_module, "_DEFAULT", pool)
+    step, batches = stepper(pool, convlstm)
+    full_keys = step(batches[0])
+    x, y = batches[1]
+    ragged_keys = step((x[:1], y[:1])) - full_keys
+    assert ragged_keys
+    assert ragged_keys <= held_keys(pool)
+    assert step(batches[2]) == full_keys
+    assert not ragged_keys & held_keys(pool)
 
 
 # Every key three raster_e2e-shaped SatCNN steps (batch 3) acquire, as
