@@ -10,19 +10,22 @@ allocation) — into two graph nodes:
 - an ``h_next`` node owning the output combination and the o-gate
   gradient.
 
-The gate blocks are copied out of the packed ``(N, 4H, ...)`` buffer
-once (contiguous, so every activation ufunc runs at unit stride) and
-the backward writes all four gate gradients into **one** pooled packed
-gradient buffer instead of four full-size scatter arrays, so a cell
-step builds 2 closures instead of 13 and skips the four zero-filled
-scatter buffers plus three full-size adds the slice nodes would pay.
+The activations are written over the packed ``(N, 4H, ...)`` gate
+buffer itself when it is an op output (the conv output in a
+``ConvLSTMCell``), so that buffer is the graph's only copy of the four
+gates; ``tanh(c_next)`` is not kept either, ``h_next``'s backward
+recomputes it.  A step then holds 8.5 gate blocks after the forward,
+not 13.5 (in-place activation with recomputation, as in Rota Bulò et
+al., CVPR 2018).  The backward writes all four gate gradients into
+**one** pooled packed gradient buffer instead of four full-size
+scatter arrays, so a cell step builds 2 closures instead of 13 and
+skips the four zero-filled scatter buffers plus three full-size adds
+the slice nodes would pay.
 
 Numerics are *bit-identical* to the unfused path: every product in the
 forward and backward is evaluated with the same operand order and the
 same dtype promotions as the chain of elementwise autograd ops it
-replaces (pinned by ``tests/property/test_property_fused.py``).  Gate
-gradients are written directly into disjoint slices of the packed
-gate tensor's gradient buffer — no four full-size scatter arrays.
+replaces (pinned by ``tests/property/test_property_fused.py``).
 
 :func:`batch_norm2d` does the same for training-mode batch norm (~16
 nodes to one) but sums in a different order than the composed chain,
@@ -41,7 +44,7 @@ from importlib import import_module
 
 from repro.obs import op_span
 from repro.tensor.pool import default_pool
-from repro.tensor.tensor import Tensor, _logistic
+from repro.tensor.tensor import Tensor
 
 # The module object, not the same-named free function the package
 # re-exports: the ``_TRACE`` recording hook lives on the module.
@@ -157,6 +160,30 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     return Tensor._make(out, (x, gamma, beta), backward), mean, var
 
 
+def _logistic_in_place(
+    x: np.ndarray, e: np.ndarray, nonneg: np.ndarray
+) -> np.ndarray:
+    """Overwrite ``x`` with its piecewise-stable logistic and return it.
+
+    ``1 / (1 + e)`` for ``x >= 0``, ``e / (1 + e)`` below, with ``e =
+    exp(-|x|)``: never exponentiates a positive argument, so extreme
+    inputs cannot overflow.  ``e <= 1``, so the numerator is
+    ``maximum(e, x >= 0)``: the same bits as selecting a branch with
+    ``np.where``, which does not vectorise.  ``e`` (``x``'s shape and
+    dtype) and ``nonneg`` (bool) are contiguous scratch, so ``exp``
+    runs at unit stride even when ``x`` is a strided gate block of the
+    packed buffer.
+    """
+    np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(x, 0, out=nonneg)
+    np.maximum(e, nonneg, out=x)
+    e += 1.0
+    x /= e
+    return x
+
+
 def fused_lstm_gates(gates: Tensor, c: Tensor, hidden: int):
     """Apply the LSTM gate equations to a packed gate tensor.
 
@@ -165,9 +192,15 @@ def fused_lstm_gates(gates: Tensor, c: Tensor, hidden: int):
     gates:
         Pre-activation gates packed along axis 1 in ``[i, f, g, o]``
         order, ``(N, 4*hidden, H, W)`` for
-        :class:`~repro.nn.recurrent.ConvLSTMCell`.
+        :class:`~repro.nn.recurrent.ConvLSTMCell`.  **Consumed** when
+        it is an op output that owns its buffer (the conv output in
+        ``ConvLSTMCell``): the activations are written over its data,
+        which afterwards holds ``[sigmoid(i), sigmoid(f), tanh(g),
+        sigmoid(o)]``.  A leaf (or a view) is copied once first, so
+        a caller that owns its tensor sees no change.
     c:
-        Previous cell state, shaped like one gate block.
+        Previous cell state, exactly the shape of one gate block
+        ``(N, hidden, H, W)``.
     hidden:
         Gate block size along axis 1 (hidden units or channels).
 
@@ -180,20 +213,35 @@ def fused_lstm_gates(gates: Tensor, c: Tensor, hidden: int):
         raise ValueError(
             f"gate axis 1 is {a.shape[1]}, expected 4*hidden={4 * hidden}"
         )
+    block = (a.shape[0], hidden, *a.shape[2:])
+    if c.shape != block:
+        raise ValueError(
+            f"cell state shape {c.shape} is not one gate block {block} "
+            f"of gates shape {a.shape}"
+        )
+    if gates._backward is None or a.base is not None:
+        a = a.copy()  # a leaf, or a view of another tensor's data
     h1, h2, h3 = hidden, 2 * hidden, 3 * hidden
-    with op_span("ops_fused.lstm_gates"):
-        # Contiguous per-gate results (the unfused slice nodes make
-        # contiguous copies too): one strided read of the packed
-        # buffer per gate, everything after at contiguous speed.
-        i = _logistic(a[:, :h1])
-        f = _logistic(a[:, h1:h2])
-        g = np.tanh(np.ascontiguousarray(a[:, h2:h3]))
-        o = _logistic(a[:, h3:])
-        c_data = f * c.data + i * g
-        t = np.tanh(c_data)
-        h_data = o * t
-
+    # Strided views of the packed buffer: after the activations below
+    # they are the graph's only copy of i, f, g and o.
+    i, f, g, o = a[:, :h1], a[:, h1:h2], a[:, h2:h3], a[:, h3:]
     c_prev = c.data
+    pool = default_pool()
+    with op_span("ops_fused.lstm_gates"):
+        scratch = pool.acquire(block, a.dtype)
+        nonneg = pool.acquire(block, np.bool_)
+        for gate in (i, f, o):
+            _logistic_in_place(gate, scratch, nonneg)
+        pool.release(nonneg)
+        np.tanh(g, out=g)
+        c_data = f * c_prev
+        c_data += np.multiply(i, g, out=scratch)
+        # tanh(c_next) is scratch here; ``h_next``'s backward
+        # recomputes it from ``c_data`` with the same ufunc.
+        t = np.tanh(c_data, out=scratch if c_data.dtype == a.dtype else None)
+        h_data = o * t
+        pool.release(scratch)
+
     # ``h_next``'s backward runs first (reverse topo): it acquires the
     # packed gate gradient, fills the o-block and hands it across
     # through this cell; ``c_next``'s fills the rest in place.
@@ -202,14 +250,13 @@ def fused_lstm_gates(gates: Tensor, c: Tensor, hidden: int):
     def backward_c(dcn):
         with op_span("ops_fused.lstm_gates.backward"):
             if gates.requires_grad:
-                pool = default_pool()
                 packed = handoff.pop("packed", None)
                 if packed is None:  # h_next never received a gradient
-                    packed = pool.acquire(a.shape, np.result_type(dcn, t))
+                    packed = pool.acquire(a.shape, np.result_type(dcn, c_data))
                     packed[:, h3:] = 0
                 # Same association order as the unfused mul/sigmoid/
                 # tanh closures: ((dcn * g) * i) * (1 - i) etc.
-                one_minus = pool.acquire(i.shape, i.dtype)
+                one_minus = pool.acquire(block, a.dtype)
                 di, df, dg = packed[:, :h1], packed[:, h1:h2], packed[:, h2:h3]
                 np.multiply(dcn, g, out=di)
                 di *= i
@@ -229,8 +276,9 @@ def fused_lstm_gates(gates: Tensor, c: Tensor, hidden: int):
 
     def backward_h(dh):
         with op_span("ops_fused.lstm_gates.backward"):
+            t = np.tanh(c_data, out=pool.acquire(block, c_data.dtype))
             if gates.requires_grad:
-                packed = default_pool().acquire(a.shape, np.result_type(dh, t))
+                packed = pool.acquire(a.shape, np.result_type(dh, t))
                 handoff["packed"] = packed
                 # The i-block is free scratch until backward_c fills it.
                 do, one_minus = packed[:, h3:], packed[:, :h1]
@@ -238,7 +286,12 @@ def fused_lstm_gates(gates: Tensor, c: Tensor, hidden: int):
                 do *= o
                 do *= np.subtract(1.0, o, out=one_minus)
             if c_next.requires_grad:
-                c_next._accumulate((dh * o) * (1.0 - t**2), donate=True)
+                # (dh * o) * (1 - t**2), its temporaries written over t.
+                dc = dh * o
+                np.square(t, out=t)
+                dc *= np.subtract(1.0, t, out=t)
+                c_next._accumulate(dc, donate=True)
+            pool.release(t)
 
     h_next = Tensor._make(h_data, (gates, c_next), backward_h)
     if _tensor_mod._TRACE is not None:

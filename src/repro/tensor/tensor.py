@@ -74,19 +74,6 @@ def _is_basic_key(key) -> bool:
     )
 
 
-def _logistic(x: np.ndarray) -> np.ndarray:
-    """Piecewise-stable logistic — ``1 / (1 + e)`` for ``x >= 0``,
-    ``e / (1 + e)`` below, with ``e = exp(-|x|)``: never exponentiates
-    a positive argument, so extreme inputs cannot overflow.  ``e <= 1``,
-    so the numerator is ``maximum(e, x >= 0)``: the same bits as
-    selecting a branch with ``np.where``, which does not vectorise."""
-    e = np.exp(-np.abs(x))
-    out = np.maximum(e, x >= 0)
-    e += 1.0
-    out /= e
-    return np.asarray(out, dtype=x.dtype)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``grad`` over axes that were broadcast to reach ``grad.shape``."""
     if grad.shape == shape:
@@ -179,8 +166,16 @@ class Tensor:
         ``grad`` fresh and will never touch it again: when this is the
         first contribution (and dtype/ownership allow) the array is
         adopted without the usual defensive copy, and when it cannot
-        be adopted it is offered to the buffer pool instead.
+        be adopted it is offered to the buffer pool instead.  A
+        ``grad`` whose shape is not this tensor's raises ``ValueError``:
+        an op that sends one is wrong, and neither adopting it nor
+        broadcasting it into :attr:`grad` would say so.
         """
+        if grad.shape != self.data.shape:
+            raise ValueError(
+                f"gradient of shape {grad.shape} for a tensor of shape "
+                f"{self.data.shape}"
+            )
         existing = self.grad
         if existing is None:
             if (

@@ -50,6 +50,26 @@ class TestFusedGatesGradcheck:
             assert not gates.grad[:, 3 * hidden :].any()
 
 
+class TestFusedGatesArguments:
+    def test_a_cell_state_that_only_broadcasts_is_rejected(self, rng):
+        """A ``(2, 1, 3, 3)`` state broadcasts against a ``(2, 2, 3, 3)``
+        gate block: the outputs, and the state's gradient, would take
+        the block's shape.  Rejected before the gates are touched."""
+        pre = rng.standard_normal((2, 8, 3, 3)).astype(np.float32)
+        gates = Tensor(pre.copy(), requires_grad=True) * 1.0
+        c = Tensor(rng.standard_normal((2, 1, 3, 3)), requires_grad=True)
+        with pytest.raises(ValueError, match=r"\(2, 1, 3, 3\).*\(2, 2, 3, 3\)"):
+            fused_lstm_gates(gates, c, 2)
+        assert gates.data.tobytes() == pre.tobytes()
+        assert c.grad is None
+
+    def test_a_gate_axis_not_four_blocks_is_rejected(self, rng):
+        gates = Tensor(rng.standard_normal((2, 7, 3, 3)))
+        c = Tensor(rng.standard_normal((2, 2, 3, 3)))
+        with pytest.raises(ValueError, match="4\\*hidden=8"):
+            fused_lstm_gates(gates, c, 2)
+
+
 class TestConvLSTMCell:
     def test_shapes(self, rng):
         cell = ConvLSTMCell(2, 5, kernel_size=3)

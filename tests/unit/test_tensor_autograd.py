@@ -31,6 +31,22 @@ class TestBackwardBasics:
         with pytest.raises(ValueError):
             (t * 3).backward(np.ones(3, dtype=np.float32))
 
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "later"])
+    def test_accumulate_rejects_a_gradient_of_another_shape(self, first):
+        """Neither adopted as the first gradient nor broadcast into an
+        existing one."""
+        t = Tensor(np.zeros((2, 1), np.float32), requires_grad=True)
+        if not first:
+            t._accumulate(np.ones((2, 1), np.float32))
+        before = None if first else t.grad.copy()
+        for wrong in ((2, 2), (1, 1), (2,)):
+            with pytest.raises(ValueError, match=rf"{wrong}.*\(2, 1\)"):
+                t._accumulate(np.ones(wrong, np.float32), donate=True)
+        if first:
+            assert t.grad is None
+        else:
+            assert t.grad.tobytes() == before.tobytes()
+
     def test_grad_accumulates_across_backwards(self):
         t = Tensor([1.0], requires_grad=True)
         (t * 2).sum().backward()

@@ -118,8 +118,9 @@ class TestUnaryGradients:
         """The fused LSTM gates' branch-free logistic must give the bits
         of the piecewise form it replaced — ``1/(1+e)`` for ``x >= 0``,
         ``e/(1+e)`` below, ``e = exp(-|x|)`` — special values and
-        strided views included."""
-        from repro.tensor.tensor import _logistic
+        strided views included; written in place, it leaves every
+        element outside the view as it was."""
+        from repro.tensor.ops_fused import _logistic_in_place
 
         def branching(x):
             e = np.exp(-np.abs(x))
@@ -129,17 +130,32 @@ class TestUnaryGradients:
 
         special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-40, -1e-40,
                    88.0, -88.0, 745.0, -745.0, 1.0, -1.0]
+        views = (
+            lambda a: a,
+            lambda a: a.reshape(-1, 7)[:, 2:5],
+            lambda a: a[5:6].reshape(()),
+        )
         for scale in (1.0, 10.0, 100.0):
             x = np.concatenate(
                 [special, rng.standard_normal(20_000) * scale]
             ).astype(dtype)
-            for view in (x, x.reshape(-1, 7)[:, 2:5], np.asarray(x[5])):
-                got = _logistic(view)
-                assert got.dtype == dtype and got.shape == view.shape
-                assert got.tobytes() == branching(view).tobytes()
-        assert _logistic(np.array([-np.inf, 0.0, np.inf], dtype=dtype)).tolist() == [
-            0.0, 0.5, 1.0,
-        ]
+            for view in views:
+                buf = x.copy()
+                target = view(buf)
+                assert np.shares_memory(target, buf)
+                got = _logistic_in_place(
+                    target, np.empty(target.shape, dtype),
+                    np.empty(target.shape, np.bool_),
+                )
+                assert got is target
+                assert got.dtype == dtype and got.shape == view(x).shape
+                assert got.tobytes() == branching(view(x)).tobytes()
+                untouched = np.ones(x.shape, bool)
+                view(untouched)[...] = False
+                assert buf[untouched].tobytes() == x[untouched].tobytes()
+        edges = np.array([-np.inf, 0.0, np.inf], dtype=dtype)
+        _logistic_in_place(edges, np.empty(3, dtype), np.empty(3, np.bool_))
+        assert edges.tolist() == [0.0, 0.5, 1.0]
 
 
 class TestReductions:
