@@ -25,14 +25,16 @@
 #   5. pipeline smoke: benchmarks/pipeline/run.py --smoke runs the five
 #      BENCHMARK.json workloads end to end at reduced size (~12 s),
 #      each checked against its numpy oracle
-#   6. paper claims: repro.experiments.run all --scale smoke (70-85 s
+#   6. paper claims: repro.experiments.run all --scale smoke (133-138 s
 #      on a 2-core host) regenerates every table, figure and DESIGN §5
 #      ablation at one seed, one epoch, 800 grid steps and 40 / 16
 #      images, and fails when one of the 32 claims asserted at that
 #      scale fails (the join ablation: identical matches and brute
 #      force > 3x the STR-tree over 20k points and 768 rectangles /
-#      1 536 triangles); most Table IV-VII claims are asserted at
-#      paper scale only
+#      1 536 triangles); every timing runs through
+#      src/repro/experiments/timing.py (a warm-up, then 3 interleaved
+#      rounds); most Table IV-VI claims are asserted at paper scale
+#      only
 # No gate here compares timings with a committed snapshot: how far a
 # change may move the pipeline's end-to-end metrics is BENCHMARK.json's
 # bounds, measured against benchmarks/pipeline/noise_floor.json.

@@ -126,6 +126,8 @@ class GridDataset(Dataset):
                 f"grid tensor must be (T, H, W, C), got shape {tensor.shape}"
             )
         check_positive(lead_time, "lead_time")
+        check_positive(steps_per_period, "steps_per_period")
+        check_positive(steps_per_trend, "steps_per_trend")
         self._raw_min = float(tensor.min())
         self._raw_max = float(tensor.max())
         if normalize and self._raw_max > self._raw_min:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.utils.rng import default_rng
+from repro.utils.validation import check_non_negative
 
 
 class Dataset:
@@ -43,6 +44,7 @@ def random_split(dataset: Dataset, lengths, rng=None):
     fractions summing to 1.0.
     """
     n = len(dataset)
+    check_non_negative(min(lengths, default=0), "lengths")
     if all(isinstance(x, float) for x in lengths):
         if abs(sum(lengths) - 1.0) > 1e-6:
             raise ValueError("fractional lengths must sum to 1.0")
@@ -72,6 +74,7 @@ def sequential_split(dataset: Dataset, fractions):
     data into training, so grid benches use this helper instead.
     """
     n = len(dataset)
+    check_non_negative(min(fractions, default=0), "fractions")
     if abs(sum(fractions) - 1.0) > 1e-6:
         raise ValueError("fractions must sum to 1.0")
     counts = [int(np.floor(frac * n)) for frac in fractions]

@@ -12,7 +12,7 @@ Sizes are fixed: none of them reads the experiment scale.
 
 from __future__ import annotations
 
-import time
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from repro.experiments.fig8 import (
     make_records,
     st_grid_df,
 )
+from repro.experiments.timing import interleaved
 from repro.geometry import Polygon
 from repro.nn import Conv2d, MSELoss, ReLU, Sequential
 from repro.optim import Adam
@@ -55,7 +56,7 @@ FINE_X, FINE_Y = 24, 32
 
 
 def run_join(num_points: int = 20_000) -> dict:
-    """Per zone set: its size, and each arm's seconds and matches."""
+    """Per zone set: its size, and each arm's matches and timing."""
     records = make_records(num_points)
     rectangles = SpacePartition.generate_grid_cells(NYC_ENVELOPE, FINE_X, FINE_Y)
     triangles = []
@@ -65,14 +66,19 @@ def run_join(num_points: int = 20_000) -> dict:
     rows = {}
     for name, polygons in (("rectangles", rectangles), ("triangles", triangles)):
         rows[f"{name}_zones"] = len(polygons)
-        for arm, use_index in (("indexed", True), ("brute", False)):
+
+        def join(arm, use_index):
             df = Session(default_parallelism=4).create_dataframe(records)
-            started = time.perf_counter()
-            joined = spatial_join_points_polygons(
+            rows[f"{name}_{arm}_matches"] = spatial_join_points_polygons(
                 df, polygons, x_column="lon", y_column="lat", use_index=use_index
-            )
-            rows[f"{name}_{arm}_matches"] = joined.count()
-            rows[f"{name}_{arm}_s"] = time.perf_counter() - started
+            ).count()
+
+        timing = rows[f"{name}_timing"] = interleaved({
+            "indexed": partial(join, "indexed", True),
+            "brute": partial(join, "brute", False),
+        })
+        for arm in ("indexed", "brute"):
+            rows[f"{name}_{arm}_s"] = timing["min"][arm]
     return rows
 
 
@@ -205,7 +211,9 @@ def run_converter(num_records: int = 100_000) -> dict:
 # and on a 2x2-coarsened one.
 
 
-def _train_coarsened(tensor, epochs=8, seed=0):
+def _coarsened_trainer(tensor, seed=0):
+    """Periodical CNN on ``tensor``: its trainer, training and test
+    loaders, and the dataset's scale."""
     dataset = GridDataset(tensor, steps_per_period=24, steps_per_trend=168)
     dataset.set_periodical_representation(3, 2, 1)
     train, _, test = sequential_split(dataset, [0.8, 0.1, 0.1])
@@ -215,24 +223,21 @@ def _train_coarsened(tensor, epochs=8, seed=0):
     trainer = Trainer(
         model, Adam(model.parameters(), lr=2e-3), MSELoss(), periodical_batch
     )
-    started = time.perf_counter()
-    for _ in range(epochs):
-        trainer.train_epoch(train_loader)
-    seconds = time.perf_counter() - started
-    error = trainer.evaluate(test_loader, {"rmse": rmse})["rmse"]
-    # Normalize: coarsened cells aggregate 4 cells, so raw errors scale
-    # with cell area; compare errors relative to each tensor's scale.
-    return seconds, float(error * dataset.scale / tensor.mean())
+    return trainer, train_loader, test_loader, dataset.scale
 
 
 def run_repartition() -> dict:
     full = generate_traffic_tensor(800, 16, 16, 1, seed=31)
-    coarse = SpacePartition.coarsen_st_tensor(full, 2, 2)
-    full_s, full_err = _train_coarsened(full)
-    coarse_s, coarse_err = _train_coarsened(coarse)
-    return {
-        "full_s": full_s,
-        "full_error": full_err,
-        "coarse_s": coarse_s,
-        "coarse_error": coarse_err,
-    }
+    tensors = {"full": full, "coarse": SpacePartition.coarsen_st_tensor(full, 2, 2)}
+    trainers = {name: _coarsened_trainer(t) for name, t in tensors.items()}
+    rows = {"timing": interleaved({
+        name: partial(trainer.train_epoch, loader)
+        for name, (trainer, loader, _, _) in trainers.items()
+    })}
+    for name, (trainer, _, test_loader, scale) in trainers.items():
+        rows[f"{name}_s"] = rows["timing"]["min"][name]
+        # Normalize: coarsened cells aggregate 4 cells, so raw errors scale
+        # with cell area; compare errors relative to each tensor's scale.
+        error = trainer.evaluate(test_loader, {"rmse": rmse})["rmse"]
+        rows[f"{name}_error"] = float(error * scale / tensors[name].mean())
+    return rows

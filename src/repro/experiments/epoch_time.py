@@ -2,13 +2,13 @@
 
 Grid models train on the Temperature dataset, classifiers on EuroSAT,
 segmentation models on 38-Cloud — matching the paper's assignments.
-Each row also carries where its one timed epoch went: the deltas of
-the ``tensor.op_*`` counters (:func:`repro.obs.op_span`) across it.
+The models of a block are timed against each other by the protocol of
+:mod:`repro.experiments.timing`, one epoch per arm.  Each row also
+carries where its timed epochs went: the deltas of the ``tensor.op_*``
+counters (:func:`repro.obs.op_span`) across each, averaged.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro import obs
 from repro.core.datasets.grid import Temperature
@@ -23,6 +23,7 @@ from repro.experiments.raster_tasks import (
     segmentation_trainer,
 )
 from repro.experiments.tables import format_columns
+from repro.experiments.timing import K, interleaved
 from repro.nn import MSELoss
 from repro.optim import Adam
 
@@ -55,20 +56,12 @@ def _grid_trainer(model_name: str, root: str, config: ExperimentConfig, seed: in
     return trainer, train_loader
 
 
-def _op_counters() -> dict:
-    """The ``tensor.op_s.*`` / ``tensor.op_calls.*`` counters now."""
-    return {
-        name: value for name, value in obs.registry.snapshot()["counters"].items()
-        if name.startswith(("tensor.op_s.", "tensor.op_calls."))
-    }
-
-
-def timed_epoch(
-    model_name: str, root: str, config: ExperimentConfig, seed: int = 0
-) -> tuple[float, dict]:
-    """One training epoch of a Table VII model on its dataset: its wall
-    seconds and ``{op: {"calls", "seconds"}}``, the op counters' deltas
-    across that epoch."""
+def epoch_arm(
+    model_name: str, root: str, config: ExperimentConfig, deltas: list, seed: int = 0
+):
+    """A zero-argument arm: one training epoch of a Table VII model on
+    its dataset, appending the op counters' deltas across it to
+    ``deltas``."""
     if model_name in GRID_ROWS:
         trainer, train_loader = _grid_trainer(model_name, root, config, seed)
     elif model_name in CLS_ROWS:
@@ -79,36 +72,46 @@ def timed_epoch(
         trainer, train_loader, _ = segmentation_trainer(
             model_name, root, config, seed
         )
-    before = _op_counters()
-    started = time.perf_counter()
-    trainer.train_epoch(train_loader)
-    seconds = time.perf_counter() - started
-    ops: dict[str, dict] = {}
-    for name, value in _op_counters().items():
-        delta = value - before.get(name, 0)
-        if delta:
-            kind, op = name[len("tensor."):].split(".", 1)
-            ops.setdefault(op, {"calls": 0, "seconds": 0.0})[
-                "calls" if kind == "op_calls" else "seconds"
-            ] = delta
-    return seconds, ops
+
+    def epoch():
+        before = obs.op_totals()
+        trainer.train_epoch(train_loader)
+        deltas.append({
+            op: tuple(a - b for a, b in zip(now, before.get(op, (0.0, 0))))
+            for op, now in obs.op_totals().items()
+        })
+
+    return epoch
 
 
-def run_table7(root: str, config: ExperimentConfig) -> list[dict]:
-    """Every Table VII row: (dataset, application, model, seconds) and
-    the per-op counter deltas of the timed epoch."""
-    rows = []
+def run_table7(root: str, config: ExperimentConfig) -> dict:
+    """Each block's models timed against each other: a row per model
+    under ``"epochs"`` (min-of-k seconds; ``ops`` per timed epoch, as
+    ``{op: {"calls", "seconds"}}``), each block's timing under
+    ``"timing"``."""
+    rows, timing = [], {}
     for dataset, application, models in TABLE7:
-        for model_name in models:
-            seconds, ops = timed_epoch(model_name, root, config)
+        deltas = {name: [] for name in models}
+        block = timing[dataset] = interleaved({
+            name: epoch_arm(name, root, config, deltas[name]) for name in models
+        })
+        for name in models:
+            timed = deltas[name][1:]  # [0] is the warm-up's
+            ops = {
+                op: {"calls": sum(d[op][1] for d in timed) / K,
+                     "seconds": sum(d[op][0] for d in timed) / K}
+                for op, (_, calls) in timed[0].items() if calls
+            }
             rows.append({
                 "dataset": dataset,
                 "application": application,
-                "model": model_name,
-                "epoch_seconds": seconds,
+                "model": name,
+                "epoch_seconds": block["min"][name],
                 "ops": ops,
+                "op_share": sum(op["seconds"] for op in ops.values())
+                / (sum(block["seconds"][name]) / K),
             })
-    return rows
+    return {"epochs": rows, "timing": timing}
 
 
 def format_table7(rows: list[dict]) -> str:
@@ -132,19 +135,17 @@ def _top_op(row: dict) -> str:
 
 
 def format_op_breakdown(rows: list[dict]) -> str:
-    """Where each timed epoch went: the op counters' seconds and calls,
-    their share of the epoch, and the op with the most seconds."""
-
-    def op_seconds(r):
-        return sum(op["seconds"] for op in r["ops"].values())
+    """Where a timed epoch went: the op counters' seconds and calls,
+    their share of the mean epoch, and the op with the most seconds."""
 
     return format_columns(
         "Table VII ops: op counters across each timed epoch",
         (
             ("Model", -15, lambda r: r["model"]),
-            ("op_s", 7, lambda r: f"{op_seconds(r):.3f}"),
-            ("share", 6, lambda r: f"{op_seconds(r) / r['epoch_seconds']:.2f}"),
-            ("calls", 7, lambda r: str(sum(op["calls"] for op in r["ops"].values()))),
+            ("op_s", 7,
+             lambda r: f"{sum(op['seconds'] for op in r['ops'].values()):.3f}"),
+            ("share", 6, lambda r: f"{r['op_share']:.2f}"),
+            ("calls", 7, lambda r: f"{sum(op['calls'] for op in r['ops'].values()):.0f}"),
             ("top op", -19, _top_op),
         ),
         rows,

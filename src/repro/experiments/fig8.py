@@ -10,8 +10,6 @@ hits the cap at the largest size, reproducing the OOM.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.baselines import EagerGeoFrame
@@ -19,6 +17,7 @@ from repro.core.datasets.synth import generate_trip_records
 from repro.core.preprocessing.grid import STManager
 from repro.engine import Session
 from repro.experiments.tables import format_columns
+from repro.experiments.timing import interleaved
 from repro.geometry.envelope import Envelope
 from repro.utils.memory import MemoryBudgetExceeded, MemoryMeter
 
@@ -71,16 +70,13 @@ def run_engine_prep(records: dict, rows_per_partition: int = 50_000) -> dict:
     num_records = len(records["lat"])
     num_partitions = max(2, -(-num_records // rows_per_partition))
     session = Session(default_parallelism=num_partitions, meter=meter)
-    started = time.perf_counter()
     st_df = st_grid_df(session, records)
     tensor = STManager.get_st_grid_array(
         st_df, GRID_X, GRID_Y, num_steps=NUM_STEPS
     )
-    elapsed = time.perf_counter() - started
     return {
         "system": "repro-engine",
         "records": len(records["lat"]),
-        "seconds": elapsed,
         "peak_bytes": meter.peak,
         "oom": False,
         "tensor": tensor,
@@ -91,7 +87,6 @@ def run_baseline_prep(records: dict, cap_bytes: int | None = None) -> dict:
     """Prepare the same tensor with the eager baseline (optionally
     memory-capped; a cap breach reports ``oom=True``)."""
     meter = MemoryMeter(cap_bytes=cap_bytes)
-    started = time.perf_counter()
     tensor = None
     oom = False
     try:
@@ -110,11 +105,9 @@ def run_baseline_prep(records: dict, cap_bytes: int | None = None) -> dict:
         )
     except MemoryBudgetExceeded:
         oom = True
-    elapsed = time.perf_counter() - started
     return {
         "system": "geopandas-like",
         "records": len(records["lat"]),
-        "seconds": elapsed,
         "peak_bytes": meter.peak,
         "oom": oom,
         "tensor": tensor,
@@ -123,13 +116,31 @@ def run_baseline_prep(records: dict, cap_bytes: int | None = None) -> dict:
 
 def run_figure8(
     sizes=DEFAULT_SIZES, baseline_cap_bytes: int = 150_000_000, seed: int = 0
-) -> list[dict]:
-    """Both systems at every size; returns one row per (system, size)."""
-    rows = []
+) -> dict:
+    """Both systems at every size, timed against each other: one row
+    per (system, size) under ``"systems"``, each size's timing under
+    ``"timing"``.  A baseline run that hits the cap ends the timing at
+    its warm-up and is left out of it (``seconds`` is None): its time
+    only says where the cap tripped."""
+    rows, timing = [], {}
     for size in sizes:
         records = make_records(size, seed=seed)
-        engine = run_engine_prep(records)
-        baseline = run_baseline_prep(records, cap_bytes=baseline_cap_bytes)
+        runs = {}
+
+        def baseline_arm():
+            runs["baseline"] = run_baseline_prep(records, baseline_cap_bytes)
+            if runs["baseline"]["oom"]:
+                raise MemoryBudgetExceeded(f"baseline at {size} records")
+
+        def engine_arm():
+            runs["engine"] = run_engine_prep(records)
+
+        try:  # the baseline first: its warm-up is the first call
+            timing[str(size)] = interleaved(
+                {"geopandas-like": baseline_arm, "repro-engine": engine_arm})
+        except MemoryBudgetExceeded:
+            timing[str(size)] = interleaved({"repro-engine": engine_arm})
+        engine, baseline = runs["engine"], runs["baseline"]
         # Correctness cross-check when the baseline survived.
         if baseline["tensor"] is not None:
             engine_counts = engine["tensor"][..., 0]
@@ -139,8 +150,9 @@ def run_figure8(
                 )
         for row in (engine, baseline):
             row.pop("tensor", None)
+            row["seconds"] = timing[str(size)]["min"].get(row["system"])
             rows.append(row)
-    return rows
+    return {"systems": rows, "timing": timing}
 
 
 def yellowtrip_tensor(num_records: int = 400_000, num_steps: int = 48 * 14):
@@ -174,7 +186,8 @@ def format_figure8(rows: list[dict]) -> str:
         (
             ("records", 9, lambda r: str(r["records"])),
             ("system", 15, lambda r: r["system"]),
-            ("elapsed_s", 10, lambda r: f"{r['seconds']:.3f}"),
+            ("elapsed_s", 10, lambda r: "-" if r["seconds"] is None
+             else f"{r['seconds']:.3f}"),
             ("peak_MB", 9, lambda r: f"{r['peak_bytes'] / 1e6:.2f}"),
             ("status", 7, lambda r: "OOM" if r["oom"] else "ok"),
         ),

@@ -125,7 +125,6 @@ def run_one(
         "mae": evaluation["mae"] * scale,
         "rmse": evaluation["rmse"] * scale,
         "epochs": fit.epochs_run,
-        "mean_epoch_seconds": fit.mean_epoch_seconds,
     }
 
 
@@ -156,9 +155,6 @@ def run_matrix(
                     "mae_dev": float(np.abs(maes - maes.mean()).max()),
                     "rmse_mean": float(rmses.mean()),
                     "rmse_dev": float(np.abs(rmses - rmses.mean()).max()),
-                    "mean_epoch_seconds": float(
-                        np.mean([c["mean_epoch_seconds"] for c in cells])
-                    ),
                 }
             )
     return rows

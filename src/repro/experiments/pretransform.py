@@ -1,7 +1,8 @@
 """Table VIII: offline pre-transformation vs on-the-fly transforms.
 
 For transform counts 1..5 (each appending a normalized difference
-index), measures:
+index), times against each other (:mod:`repro.experiments.timing`)
+one epoch of each training setting and one pretransform pass:
 
 - *train with transforms*  — the training loop decodes each raw tile
   from the on-disk raster store on every access (as raster datasets
@@ -22,7 +23,6 @@ mildly with the count.
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 
@@ -87,8 +87,10 @@ def _make_tile_store(images: np.ndarray, folder: str) -> None:
         )
 
 
-def _train_seconds(dataset, bands: int, grid: int, epochs: int, seed: int) -> float:
-    loader = DataLoader(dataset, batch_size=16, shuffle=True, rng=seed)
+def satcnn_epoch(dataset, bands: int, grid: int, batch_size: int = 16, seed: int = 0):
+    """A zero-argument arm: one SatCNN training epoch over ``dataset``
+    in shuffled batches — the training Figure 9 and Table VIII time."""
+    loader = DataLoader(dataset, batch_size=batch_size, shuffle=True, rng=seed)
     model = SatCNN(bands, grid, grid, NUM_CLASSES, rng=seed)
     trainer = Trainer(
         model,
@@ -96,10 +98,7 @@ def _train_seconds(dataset, bands: int, grid: int, epochs: int, seed: int) -> fl
         CrossEntropyLoss(),
         classification_batch,
     )
-    started = time.perf_counter()
-    for _ in range(epochs):
-        trainer.train_epoch(loader)
-    return time.perf_counter() - started
+    return lambda: trainer.train_epoch(loader)
 
 
 def run_pretransform_experiment(
@@ -107,10 +106,13 @@ def run_pretransform_experiment(
     workdir: str,
     num_images: int = 96,
     grid: int = 32,
-    epochs: int = 3,
     seed: int = 0,
 ) -> dict:
     """One Table VIII row for the given transform count."""
+    # Imported here, not above: the raster_e2e benchmark imports this
+    # module for LazyRtifDataset alone.
+    from repro.experiments.timing import interleaved
+
     if not 1 <= transform_count <= len(NDI_PAIRS):
         raise ValueError(
             f"transform_count must be in 1..{len(NDI_PAIRS)}, "
@@ -126,17 +128,16 @@ def run_pretransform_experiment(
 
     # --- (b) Offline pre-transformation with the preprocessing module -
     session = Session(default_parallelism=4)
-    started = time.perf_counter()
-    df = load_geotiff_image(session, raw_dir, tiles_per_partition=32)
-    for a, b in pairs:
-        df = RasterProcessing.append_normalized_difference_index(df, a, b)
-    write_geotiff_image(df, out_dir)
-    pretransform_seconds = time.perf_counter() - started
 
-    # --- (a, c) The two training settings, measured interleaved -------
-    # Wall-clock drifts over minutes on shared machines; interleaving
-    # the online/offline measurements and taking per-setting minima
-    # keeps the comparison paired.
+    def pretransform():
+        df = load_geotiff_image(session, raw_dir, tiles_per_partition=32)
+        for a, b in pairs:
+            df = RasterProcessing.append_normalized_difference_index(df, a, b)
+        write_geotiff_image(df, out_dir)
+
+    pretransform()  # the offline setting trains from its output
+
+    # --- (a, c) The two training settings ----------------------------
     online = Compose(
         [AppendNormalizedDifferenceIndex(a, b) for a, b in pairs]
     )
@@ -148,22 +149,17 @@ def run_pretransform_experiment(
     pre_dataset = RasterDataset(pre_images, labels)
 
     bands = BASE_BANDS + transform_count
-    online_times, pre_times = [], []
-    for _ in range(2):
-        online_times.append(
-            _train_seconds(online_dataset, bands, grid, epochs, seed)
-        )
-        pre_times.append(
-            _train_seconds(pre_dataset, bands, grid, epochs, seed)
-        )
-    online_seconds = min(online_times)
-    pre_seconds = min(pre_times)
-
+    timing = interleaved({
+        "online": satcnn_epoch(online_dataset, bands, grid, seed=seed),
+        "offline": satcnn_epoch(pre_dataset, bands, grid, seed=seed),
+        "pretransform": pretransform,
+    })
     return {
         "transform_count": transform_count,
-        "train_with_transforms_s": online_seconds,
-        "train_with_pretransforms_s": pre_seconds,
-        "pretransform_s": pretransform_seconds,
+        "train_with_transforms_s": timing["min"]["online"],
+        "train_with_pretransforms_s": timing["min"]["offline"],
+        "pretransform_s": timing["min"]["pretransform"],
+        "timing": timing,
     }
 
 

@@ -81,18 +81,17 @@ def run_classification(
     seed: int,
     epochs: int | None = None,
 ) -> dict:
-    """Train one classifier cell; returns accuracy and timing."""
+    """Train one classifier cell; returns its accuracy."""
     trainer, train_loader, test_loader = classification_trainer(
         dataset_name, model_name, root, config, seed
     )
-    fit = trainer.fit(train_loader, epochs=epochs or min(config.max_epochs, 12))
+    trainer.fit(train_loader, epochs=epochs or min(config.max_epochs, 12))
     evaluation = trainer.evaluate(test_loader, {"accuracy": accuracy})
     return {
         "dataset": dataset_name,
         "model": model_name,
         "seed": seed,
         "accuracy": evaluation["accuracy"],
-        "mean_epoch_seconds": fit.mean_epoch_seconds,
     }
 
 
@@ -134,14 +133,13 @@ def run_segmentation(
     trainer, train_loader, test_loader = segmentation_trainer(
         model_name, root, config, seed
     )
-    fit = trainer.fit(train_loader, epochs=epochs or min(config.max_epochs, 15))
+    trainer.fit(train_loader, epochs=epochs or min(config.max_epochs, 15))
     evaluation = trainer.evaluate(test_loader, {"accuracy": pixel_accuracy})
     return {
         "dataset": "38-Cloud",
         "model": model_name,
         "seed": seed,
         "accuracy": evaluation["accuracy"],
-        "mean_epoch_seconds": fit.mean_epoch_seconds,
     }
 
 
@@ -153,9 +151,6 @@ def aggregate_accuracy(cells: list[dict]) -> dict:
         "model": cells[0]["model"],
         "accuracy_mean": float(accs.mean()),
         "accuracy_dev": float(np.abs(accs - accs.mean()).max()),
-        "mean_epoch_seconds": float(
-            np.mean([c["mean_epoch_seconds"] for c in cells])
-        ),
     }
 
 

@@ -81,6 +81,12 @@ def op_span(name: str):
     return _OpSpan(counters)
 
 
+def op_totals() -> dict:
+    """``{name: (seconds, calls)}`` of every op so far, read without
+    the histogram summaries of ``registry.snapshot()``."""
+    return {name: (s.value, c.value) for name, (s, c) in _op_counters.items()}
+
+
 def enabled() -> bool:
     """Is the observability layer recording?"""
     return _ENABLED
@@ -114,6 +120,7 @@ def reset() -> None:
 __all__ = [
     "PlanStats",
     "op_span",
+    "op_totals",
     "registry",
     "tracer",
     "enabled",

@@ -40,3 +40,17 @@ class TestFig8Systems:
         np.testing.assert_allclose(a["tensor"], b["tensor"])
         # Finer partitions -> smaller peak.
         assert a["peak_bytes"] < b["peak_bytes"]
+
+    def test_an_oom_baseline_runs_once_untimed(self, monkeypatch):
+        import repro.experiments.fig8 as fig8
+
+        calls = []
+        baseline = fig8.run_baseline_prep
+        monkeypatch.setattr(fig8, "run_baseline_prep",
+                            lambda *a, **k: calls.append(1) or baseline(*a, **k))
+        result = fig8.run_figure8(sizes=(2_000,), baseline_cap_bytes=100_000)
+        engine, oom = result["systems"]
+        assert oom["oom"] and oom["seconds"] is None and len(calls) == 1
+        assert engine["seconds"] == min(result["timing"]["2000"]["seconds"]["repro-engine"])
+        assert list(result["timing"]["2000"]["seconds"]) == ["repro-engine"]
+        assert "-" in fig8.format_figure8(result["systems"]).splitlines()[-1]

@@ -53,7 +53,6 @@ def test_classifiers_run(model, tiny_config, tmp_path_factory):
         "SAT6", model, root, tiny_config, seed=0, epochs=2
     )
     assert 0 <= cell["accuracy"] <= 1
-    assert cell["mean_epoch_seconds"] > 0
 
 
 @pytest.mark.parametrize("model", ["FCN", "UNet", "UNet++"])

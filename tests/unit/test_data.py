@@ -44,6 +44,15 @@ class TestSubsetAndSplits:
         with pytest.raises(ValueError):
             random_split(ds, [0.5, 0.6])
 
+    def test_negative_lengths_rejected(self):
+        # [1.5, -0.5] sums to 1 and used to give subsets of 9 and 0 items.
+        ds = np.arange(9)
+        for lengths in ([1.5, -0.5], [12, -3]):
+            with pytest.raises(ValueError, match="lengths must be non-negative"):
+                random_split(ds, lengths, rng=0)
+        with pytest.raises(ValueError, match="fractions must be non-negative"):
+            sequential_split(ds, [1.5, -0.5])
+
     def test_sequential_split_preserves_order(self):
         ds = np.arange(10)
         a, b, c = sequential_split(ds, [0.8, 0.1, 0.1])

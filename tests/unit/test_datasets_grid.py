@@ -152,6 +152,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             GridDataset(tensor, lead_time=0)
 
+    @pytest.mark.parametrize("field", ["steps_per_period", "steps_per_trend"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_period_and_trend_steps_must_be_positive(self, field, value):
+        # 0 used to feed the target frame as the "period" input, and a
+        # negative value frames from after the target.
+        ramp = np.arange(40, dtype=np.float32).reshape(40, 1, 1, 1)
+        with pytest.raises(ValueError, match=field):
+            GridDataset(ramp, normalize=False, **{field: value})
+
 
 class TestFileBackedDatasets:
     def test_generation_and_cache(self, dataset_root):

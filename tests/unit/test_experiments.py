@@ -102,13 +102,11 @@ class TestFormatting:
                 "dataset": "D1", "model": "M1",
                 "mae_mean": 1.0, "mae_dev": 0.1,
                 "rmse_mean": 2.0, "rmse_dev": 0.2,
-                "mean_epoch_seconds": 1.0,
             },
             {
                 "dataset": "D1", "model": "M2",
                 "mae_mean": 3.0, "mae_dev": 0.3,
                 "rmse_mean": 4.0, "rmse_dev": 0.4,
-                "mean_epoch_seconds": 1.0,
             },
         ]
         text = format_table(rows, "Title")
@@ -147,14 +145,13 @@ class TestFormatting:
     def test_accuracy_table(self):
         cells = [
             {"dataset": "EuroSAT", "model": "SatCNN", "seed": 0,
-             "accuracy": 0.9, "mean_epoch_seconds": 1.0},
+             "accuracy": 0.9},
             {"dataset": "EuroSAT", "model": "SatCNN", "seed": 1,
-             "accuracy": 0.8, "mean_epoch_seconds": 2.0},
+             "accuracy": 0.8},
         ]
         row = aggregate_accuracy(cells)
         assert row["accuracy_mean"] == pytest.approx(0.85)
         assert row["accuracy_dev"] == pytest.approx(0.05)
-        assert row["mean_epoch_seconds"] == pytest.approx(1.5)
         text = format_accuracy_table([row])
         assert "85.000" in text
 

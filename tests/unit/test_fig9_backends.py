@@ -3,7 +3,8 @@ runs in ``python -m repro.experiments.run fig9``)."""
 
 import numpy as np
 
-from repro.experiments.fig9 import BAND_COUNTS, GRID_SIZES, epoch_time
+from repro.experiments.fig9 import BAND_COUNTS, GRID_SIZES, epoch_arm
+from repro.experiments.timing import K, interleaved, median_ratio
 from repro.tensor import Tensor, use_backend
 from repro.tensor.ops_conv import conv2d
 
@@ -23,19 +24,16 @@ class TestBackendMechanism:
         np.testing.assert_allclose(fast, slow, rtol=1e-5, atol=1e-6)
 
     def test_epoch_time_returns_positive(self):
-        seconds = epoch_time(
-            bands=3, grid=8, backend="accelerated", num_images=8,
-            batch_size=4,
-        )
-        assert seconds > 0
+        timing = interleaved({
+            "a": epoch_arm(bands=3, grid=8, backend="accelerated",
+                           num_images=8, batch_size=4),
+        })
+        assert len(timing["seconds"]["a"]) == K
+        assert min(timing["seconds"]["a"]) > 0
 
     def test_naive_slower_at_tiny_scale(self):
-        # A stall (BLAS threads, a busy host) only ever makes a timing
-        # longer, so the minimum of a few is the undisturbed one.
-        def best(backend):
-            return min(
-                epoch_time(3, 16, backend, num_images=16, batch_size=8)
-                for _ in range(3)
-            )
-
-        assert best("naive") > best("accelerated")
+        timing = interleaved({
+            backend: epoch_arm(3, 16, backend, num_images=16, batch_size=8)
+            for backend in ("naive", "accelerated")
+        })
+        assert median_ratio(timing, "naive", "accelerated") > 1

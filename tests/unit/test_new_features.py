@@ -71,7 +71,7 @@ class TestExperimentsCli:
 
         def small_fig8(config, data_root):
             rows = fig8_mod.run_figure8(sizes=(2_000, 4_000))
-            return fig8_mod.format_figure8(rows), rows
+            return fig8_mod.format_figure8(rows["systems"]), rows
 
         monkeypatch.setitem(run_mod.ARTIFACTS, "fig8", Artifact(small_fig8, ()))
         assert run_mod.main(["fig8"]) == 0

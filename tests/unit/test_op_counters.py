@@ -77,6 +77,13 @@ class TestCounts:
         }
         assert set(op_counters("op_s")) == set(op_counters("op_calls"))
 
+    def test_op_totals_read_the_same_counters(self):
+        convlstm_step()
+        totals = {name: t for name, t in obs.op_totals().items() if t[1]}
+        assert {name: calls for name, (_, calls) in totals.items()} == (
+            op_counters("op_calls"))
+        assert {name: s for name, (s, _) in totals.items()} == op_counters("op_s")
+
     def test_batch_norm_counts_one_call_per_layer(self):
         from repro.core.models.raster import SatCNN
 
