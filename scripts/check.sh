@@ -21,7 +21,10 @@
 #      through the image-tiled conv forward and the packed gate backward,
 #      and the one-hidden-state ConvLSTM, whose replayed training must
 #      equal the stacked sequence's bit for bit, and the in-place gate
-#      kernel, whose replayed training must equal the gate chain's
+#      kernel, whose replayed training must equal the gate chain's, and
+#      the folded conv input (parts and input ReLU written into the
+#      conv's padded buffer), whose replayed training must equal the
+#      composed concatenate / relu / conv2d's
 #   5. pipeline smoke: benchmarks/pipeline/run.py --smoke runs the five
 #      BENCHMARK.json workloads end to end at reduced size (~12 s),
 #      each checked against its numpy oracle
@@ -67,6 +70,7 @@ REPRO_TRACE=1 python -m pytest -q \
     tests/unit/test_pool_demand.py \
     tests/unit/test_convlstm_last_hidden.py \
     tests/unit/test_lstm_gates_in_place.py \
+    tests/unit/test_conv_input_fold.py \
     tests/property/test_property_trace.py \
     tests/property/test_property_conv_tiles.py \
     tests/property/test_property_fused.py

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro import nn
 from repro.nn.module import Parameter
-from repro.tensor import Tensor, concatenate
+from repro.tensor import Tensor
 
 
 class ConvPlus(nn.Module):
@@ -91,7 +91,10 @@ class DeepSTNPlus(nn.Module):
         self.blocks = nn.ModuleList(
             [_ConvPlusResidual(nb_filters, rng=rng) for _ in range(nb_blocks)]
         )
-        self.head = nn.Conv2d(nb_filters, nb_channels, 3, padding=1, rng=rng)
+        self.head = nn.Conv2d(
+            nb_filters, nb_channels, 3, padding=1, rng=rng,
+            input_activation="relu",
+        )
         # Per-cell affine output calibration (the role the PoI-weighted
         # output fusion plays in the original network).
         self.out_weight = Parameter(
@@ -113,8 +116,8 @@ class DeepSTNPlus(nn.Module):
         ctx = self.context.reshape(1, *self.context.shape)
         ones = Tensor(np.ones((n, 1, 1, 1), dtype=np.float32))
         ctx = ctx * ones  # broadcast the context maps over the batch
-        x = concatenate([x_closeness, x_period, x_trend, ctx], axis=1)
-        x = self.early_fusion(x)
+        # The four stacks go straight into the fusion conv's input buffer.
+        x = self.early_fusion((x_closeness, x_period, x_trend, ctx))
         if self.external_dim:
             if external is None:
                 raise ValueError(
@@ -125,5 +128,5 @@ class DeepSTNPlus(nn.Module):
             x = x + ext.reshape(ext.shape[0], ext.shape[1], 1, 1)
         for block in self.blocks:
             x = block(x)
-        out = self.head(x.relu()).tanh()
+        out = self.head(x).tanh()
         return out * self.out_weight + self.out_bias

@@ -7,7 +7,6 @@ as the weak baseline in Tables IV and V.
 from __future__ import annotations
 
 from repro import nn
-from repro.tensor import concatenate
 
 
 class PeriodicalCNN(nn.Module):
@@ -36,5 +35,5 @@ class PeriodicalCNN(nn.Module):
         )
 
     def forward(self, x_closeness, x_period, x_trend):
-        x = concatenate([x_closeness, x_period, x_trend], axis=1)
-        return self.body(x)
+        # The stacks go straight into the first conv's padded input.
+        return self.body((x_closeness, x_period, x_trend))

@@ -18,17 +18,20 @@ from repro.tensor import Tensor
 
 
 class _ResidualUnit(nn.Module):
-    """relu-conv-relu-conv with identity shortcut."""
+    """relu-conv-relu-conv with identity shortcut.  Each ReLU is the
+    conv's input activation: it is written into the conv's padded input
+    buffer, so no ReLU output or mask is kept."""
 
     def __init__(self, channels: int, rng=None):
         super().__init__()
-        self.conv1 = nn.Conv2d(channels, channels, 3, padding=1, rng=rng)
-        self.conv2 = nn.Conv2d(channels, channels, 3, padding=1, rng=rng)
+        make = lambda: nn.Conv2d(
+            channels, channels, 3, padding=1, rng=rng, input_activation="relu"
+        )
+        self.conv1 = make()
+        self.conv2 = make()
 
     def forward(self, x):
-        out = self.conv1(x.relu())
-        out = self.conv2(out.relu())
-        return x + out
+        return x + self.conv2(self.conv1(x))
 
 
 class _Branch(nn.Module):
@@ -40,13 +43,16 @@ class _Branch(nn.Module):
         self.residuals = nn.ModuleList(
             [_ResidualUnit(nb_filters, rng=rng) for _ in range(nb_residual)]
         )
-        self.tail = nn.Conv2d(nb_filters, out_channels, 3, padding=1, rng=rng)
+        self.tail = nn.Conv2d(
+            nb_filters, out_channels, 3, padding=1, rng=rng,
+            input_activation="relu",
+        )
 
     def forward(self, x):
         x = self.head(x)
         for unit in self.residuals:
             x = unit(x)
-        return self.tail(x.relu())
+        return self.tail(x)
 
 
 class STResNet(nn.Module):

@@ -11,7 +11,13 @@ from repro.utils.validation import check_positive
 
 
 class Conv2d(Module):
-    """2D convolution over NCHW tensors."""
+    """2D convolution over NCHW tensors.
+
+    ``forward`` takes one tensor or a sequence of tensors whose channels
+    sum to ``in_channels`` (written straight into the conv's input
+    buffer, no concatenated array).  ``input_activation="relu"`` applies
+    a ReLU to the input as it is written there, ``activation="relu"``
+    one to the output; see :func:`repro.tensor.ops_conv.conv2d`."""
 
     def __init__(
         self,
@@ -23,18 +29,20 @@ class Conv2d(Module):
         bias: bool = True,
         rng=None,
         activation: str | None = None,
+        input_activation: str | None = None,
     ):
         super().__init__()
         check_positive(in_channels, "in_channels")
         check_positive(out_channels, "out_channels")
         check_positive(kernel_size, "kernel_size")
-        check_conv_args(stride, padding, activation)
+        check_conv_args(stride, padding, activation, input_activation)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
         self.activation = activation
+        self.input_activation = input_activation
         gen = default_rng(rng, label="conv2d")
         self.weight = Parameter(
             init.kaiming_uniform(
@@ -51,6 +59,7 @@ class Conv2d(Module):
             stride=self.stride,
             padding=self.padding,
             activation=self.activation,
+            input_activation=self.input_activation,
         )
 
     def __repr__(self):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.nn.conv import Conv2d
 from repro.nn.module import Module
-from repro.tensor import Tensor, concatenate, stack, zeros
+from repro.tensor import Tensor, stack, zeros
 from repro.tensor.ops_fused import fused_lstm_gates
 
 
@@ -49,7 +49,7 @@ class ConvLSTMCell(Module):
         if state is None:
             state = self.init_state(x.shape[0], x.shape[2], x.shape[3])
         h, c = state
-        gates = self.gates(concatenate([x, h], axis=1))
+        gates = self.gates((x, h))  # written straight into the padded input
         h_next, c_next = fused_lstm_gates(gates, c, self.hidden_channels)
         return h_next, (h_next, c_next)
 

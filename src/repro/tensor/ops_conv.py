@@ -51,7 +51,9 @@ def _conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def check_conv_args(stride, padding, activation=None) -> None:
+def check_conv_args(
+    stride, padding, activation=None, input_activation=None
+) -> None:
     """Reject a stride, padding or activation no conv kernel accepts.
 
     Runs before any strided window view is built: there a bad stride
@@ -63,6 +65,41 @@ def check_conv_args(stride, padding, activation=None) -> None:
             )
     if activation not in (None, "relu"):
         raise ValueError(f"unsupported conv2d activation {activation!r}")
+    if input_activation not in (None, "relu"):
+        raise ValueError(
+            f"unsupported conv2d input_activation {input_activation!r}"
+        )
+
+
+def _check_conv_shapes(x_shapes, w_shape, bias, bias_axis: int) -> None:
+    """Reject inputs, a weight or a bias whose shapes no conv accepts,
+    before any buffer is acquired.  ``x_shapes`` are the input parts
+    (one for a plain input); they must agree in N, H and W and together
+    hold ``w_shape[1 - bias_axis]`` channels; the bias holds
+    ``w_shape[bias_axis]``."""
+    ranks = [len(s) for s in (*x_shapes, w_shape)]
+    if any(r != 4 for r in ranks):
+        raise ValueError(
+            f"conv inputs and weight must be 4-D, got input shapes "
+            f"{list(x_shapes)} and weight shape {w_shape}"
+        )
+    if len({(s[0], s[2], s[3]) for s in x_shapes}) != 1:
+        raise ValueError(
+            f"conv input parts differ outside the channel axis: "
+            f"{list(x_shapes)}"
+        )
+    c = sum(s[1] for s in x_shapes)
+    c_w = w_shape[1 - bias_axis]
+    if c != c_w:
+        raise ValueError(
+            f"input channels {c} do not match weight channels {c_w} "
+            f"(input shapes {list(x_shapes)}, weight shape {w_shape})"
+        )
+    if bias is not None and bias.shape != (w_shape[bias_axis],):
+        raise ValueError(
+            f"bias of shape {bias.shape} for a weight of shape {w_shape}: "
+            f"expected ({w_shape[bias_axis]},)"
+        )
 
 
 # -- accelerated conv2d kernels ----------------------------------------
@@ -94,6 +131,39 @@ def pad_into(buf: np.ndarray, x: np.ndarray) -> np.ndarray:
     ph, pw = (buf.shape[2] - x.shape[2]) // 2, (buf.shape[3] - x.shape[3]) // 2
     buf[:, :, ph : ph + x.shape[2], pw : pw + x.shape[3]] = x
     return buf
+
+
+def _fill_input(inner: np.ndarray, parts, relu: bool) -> None:
+    """Write ``parts`` channel by channel into ``inner`` (the interior
+    of a conv's input buffer); with ``relu``, each as ``Tensor.relu``
+    computes it, ``part * (part > 0)``."""
+    start = 0
+    for part in parts:
+        dst = inner[:, start : start + part.shape[1]]
+        if relu:
+            np.multiply(part, part > 0, out=dst)
+        else:
+            dst[...] = part
+        start += part.shape[1]
+
+
+def _send_input_grad(xs, g, owner, inner, relu: bool) -> None:
+    """Hand the gradient ``g`` of a conv's input buffer interior
+    ``inner`` to the input parts ``xs`` that need one, channel block by
+    channel block; ``g`` is ``owner`` or a view of it.  With ``relu``
+    the mask is recomputed from ``inner`` (``relu(x) > 0`` is ``x > 0``)
+    and applied in place, as ``Tensor.relu``'s backward multiplies."""
+    if relu:
+        np.multiply(g, inner > 0, out=g)
+    if len(xs) == 1 and g is owner:
+        xs[0]._accumulate(g, donate=True)
+        return
+    start = 0
+    for t in xs:
+        if t.requires_grad:
+            t._accumulate(g[:, start : start + t.shape[1]])
+        start += t.shape[1]
+    default_pool().release(owner)
 
 
 def conv_windows(xp, kh, kw, stride, oh, ow) -> np.ndarray:
@@ -202,18 +272,26 @@ def conv_dx_scatter(gfm, w, stride, oh, ow, dcols, dxp) -> None:
 
 
 def conv2d(
-    x: Tensor,
+    x,
     weight: Tensor,
     bias: Tensor | None = None,
     stride: int = 1,
     padding: int = 0,
     activation: str | None = None,
+    input_activation: str | None = None,
 ) -> Tensor:
     """2D cross-correlation.
 
     Parameters
     ----------
-    x : Tensor of shape (N, C_in, H, W)
+    x : Tensor of shape (N, C_in, H, W), or a sequence of tensors
+        ``(N, C_i, H, W)`` whose channels sum to ``C_in``.  The parts
+        are written channel by channel straight into the conv's own
+        input buffer (the zero-bordered one when ``padding`` > 0), so
+        no concatenated array or graph node exists; values and
+        gradients match ``conv2d(concatenate(x, axis=1), ...)`` bit for
+        bit, and in backward only the parts that need a gradient get
+        one.
     weight : Tensor of shape (C_out, C_in, KH, KW)
     bias : optional Tensor of shape (C_out,)
     activation : ``"relu"`` fuses the bias-add + ReLU epilogue into
@@ -221,14 +299,17 @@ def conv2d(
         separate activation node holding a second activation-sized
         array.  Values and gradients match the composed
         ``conv2d(...).relu()`` bit for bit.
+    input_activation : ``"relu"`` writes ``relu(x)`` into the input
+        buffer, which the conv holds for its weight gradient anyway;
+        backward recomputes the mask from that buffer, so neither a
+        ReLU output nor its mask is kept.  Values and gradients match
+        the composed ``conv2d(x.relu(), ...)`` bit for bit.
     """
-    check_conv_args(stride, padding, activation)
-    n, c, h, w = x.shape
-    f, c_w, kh, kw = weight.shape
-    if c != c_w:
-        raise ValueError(
-            f"input channels {c} do not match weight channels {c_w}"
-        )
+    check_conv_args(stride, padding, activation, input_activation)
+    xs = (x,) if isinstance(x, Tensor) else tuple(x)
+    _check_conv_shapes([t.shape for t in xs], weight.shape, bias, bias_axis=0)
+    n, _, h, w = xs[0].shape
+    f, c, kh, kw = weight.shape
     oh = _conv_out_size(h, kh, stride, padding)
     ow = _conv_out_size(w, kw, stride, padding)
     if oh <= 0 or ow <= 0:
@@ -238,13 +319,22 @@ def conv2d(
         )
 
     pool = default_pool()
-    if padding:
+    relu_in = input_activation == "relu"
+    folded = relu_in or len(xs) > 1
+    inner = None  # the buffer's interior, when the conv owns a buffer
+    if padding or folded:
+        dtype = xs[0].data.dtype
+        if folded:  # stored as the composed concatenate / relu output is
+            dtype = _tensor_mod._as_array(
+                np.empty(0, np.result_type(*(t.data for t in xs)))
+            ).dtype
         xp = pool.acquire(
-            (n, c, h + 2 * padding, w + 2 * padding), x.data.dtype, zero=True
+            (n, c, h + 2 * padding, w + 2 * padding), dtype, zero=bool(padding)
         )
-        pad_into(xp, x.data)
+        inner = xp[:, :, padding : padding + h, padding : padding + w]
+        _fill_input(inner, [t.data for t in xs], relu_in)
     else:
-        xp = x.data
+        xp = xs[0].data
     accelerated = get_backend() == ACCELERATED
     correlate = accelerated and dx_by_correlation(f, c, kh, kw, stride, padding)
     k2, rows = kh * kw, n * oh * ow
@@ -281,6 +371,8 @@ def conv2d(
                 relu_mask = out > 0
                 out = out * relu_mask
 
+    needs_dx = any(t.requires_grad for t in xs)
+
     def backward(grad):
         with op_span("ops_conv.conv2d.backward"):
             pool = default_pool()
@@ -288,7 +380,7 @@ def conv2d(
                 grad = grad * relu_mask
             gfm = None
             if accelerated and (
-                weight.requires_grad or (x.requires_grad and not correlate)
+                weight.requires_grad or (needs_dx and not correlate)
             ):
                 gfm = grad_feature_major(grad, pool.acquire((f, rows), dt))
             if weight.requires_grad:
@@ -314,7 +406,7 @@ def conv2d(
                 weight._accumulate(dw, donate=True)
             if bias is not None and bias.requires_grad:
                 bias._accumulate(grad.sum(axis=(0, 2, 3)), donate=True)
-            if x.requires_grad and correlate:
+            if needs_dx and correlate:
                 ph, pw = kh - 1 - padding, kw - 1 - padding
                 gp = grad
                 if ph or pw:
@@ -329,8 +421,8 @@ def conv2d(
                 for scratch in (dcols, dfm, gp):
                     if scratch is not grad:
                         pool.release(scratch)
-                x._accumulate(dx, donate=True)
-            elif x.requires_grad:
+                _send_input_grad(xs, dx, dx, inner, relu_in)
+            elif needs_dx:
                 if accelerated:
                     dxp = pool.acquire(xp.shape, xp.dtype)
                     dcols = pool.acquire((c * k2, rows), dt)
@@ -349,24 +441,27 @@ def conv2d(
                                 :, :, i : i + stride * oh : stride,
                                 j : j + stride * ow : stride,
                             ] += contrib.transpose(0, 3, 1, 2)
+                g = dxp
                 if padding:
-                    x._accumulate(dxp[:, :, padding:-padding, padding:-padding])
-                    pool.release(dxp)
-                else:
-                    x._accumulate(dxp, donate=True)
+                    g = dxp[:, :, padding : padding + h, padding : padding + w]
+                _send_input_grad(xs, g, dxp, inner, relu_in)
             if gfm is not None:
                 pool.release(gfm)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    parents = (*xs, weight) if bias is None else (*xs, weight, bias)
     ret = Tensor._make(out, parents, backward)
     if _tensor_mod._TRACE is not None:
+        k = len(xs)
         _tensor_mod._TRACE.record(
-            conv2d,
+            conv2d if k == 1 else (
+                lambda *ts, **kw: conv2d(ts[:k], *ts[k:], **kw)
+            ),
             parents,
             (ret,),
             stride=stride,
             padding=padding,
             activation=activation,
+            input_activation=input_activation,
         )
     return ret
 
@@ -386,12 +481,9 @@ def conv_transpose2d(
     weight : Tensor of shape (C_in, C_out, KH, KW)
     """
     check_conv_args(stride, padding)
+    _check_conv_shapes([x.shape], weight.shape, bias, bias_axis=1)
     n, c, h, w = x.shape
-    c_w, f, kh, kw = weight.shape
-    if c != c_w:
-        raise ValueError(
-            f"input channels {c} do not match weight channels {c_w}"
-        )
+    _, f, kh, kw = weight.shape
     oh = (h - 1) * stride + kh - 2 * padding
     ow = (w - 1) * stride + kw - 2 * padding
     if oh <= 0 or ow <= 0:
@@ -495,7 +587,8 @@ def _tap_reduce(ufunc, taps: list) -> np.ndarray:
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """Max pooling.  Only non-overlapping pooling (stride == kernel) is
     supported, which covers every model in this library.  Tied maxima
-    split the gradient equally."""
+    split the gradient equally; in a window holding NaN, ``np.maximum``
+    returns NaN, and the NaN positions are its maxima."""
     _check_pool_args(x.shape, kernel, stride, "max_pool2d")
     taps = _taps(x.data, kernel)
     with op_span("ops_conv.max_pool2d"):
@@ -508,8 +601,11 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
             ties = pool.acquire(
                 out.shape, np.min_scalar_type(len(taps)), zero=True
             )
+            nan_max = out.dtype.kind == "f" and np.isnan(out).any()
             for tap, mask in zip(taps, masks):
                 np.equal(tap, out, out=mask)
+                if nan_max:  # NaN != NaN: mark the NaN taps by hand
+                    mask |= np.isnan(tap)
                 ties += mask
             # Each tied maximum gets grad / ties: divided once, into a
             # data-dtype buffer (an int64 count made it float64).

@@ -87,6 +87,12 @@ class ArrayPool:
         self.reject_bytes = 0
         self.reject_per_key = 0
         self._buckets: dict[tuple, list[np.ndarray]] = {}
+        # ids of the arrays the buckets hold: a second release of one is
+        # found without scanning its bucket (a held array stays alive,
+        # so its id cannot be reused).
+        self._held: set[int] = set()
+        # dtype argument -> ``np.dtype(arg).str``, the key's dtype part.
+        self._dtype_codes: dict = {}
         # Arrays of each key out now (acquires - releases this step,
         # floored at 0), the most out at once this step, and the cap in
         # effect: the last step's demand, raised by this step's peak.
@@ -99,14 +105,19 @@ class ArrayPool:
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
 
-    @staticmethod
-    def _key(shape, dtype) -> tuple:
+    def _key(self, shape, dtype) -> tuple:
         """The bucket key; raises on a shape or dtype no array can
         have, before anything is counted."""
-        dims = tuple(operator.index(d) for d in shape)
-        if any(d < 0 for d in dims):
+        dims = tuple(map(operator.index, shape))
+        if dims and min(dims) < 0:
             raise ValueError(f"negative dimensions are not allowed: {dims}")
-        return dims, np.dtype(dtype).str
+        try:
+            code = self._dtype_codes[dtype]
+        except KeyError:
+            code = self._dtype_codes[dtype] = np.dtype(dtype).str
+        except TypeError:  # an unhashable spec, such as a field list
+            code = np.dtype(dtype).str
+        return dims, code
 
     def acquire(self, shape, dtype=np.float32, zero: bool = False) -> np.ndarray:
         """Return an array of ``shape``/``dtype`` — recycled when the
@@ -123,6 +134,7 @@ class ArrayPool:
         bucket = self._buckets.get(key)
         if bucket:
             arr = bucket.pop()
+            self._held.discard(id(arr))
             self.bytes -= arr.nbytes
             self.hits += 1
             hit.inc()
@@ -144,18 +156,19 @@ class ArrayPool:
         rejected, as is overflow beyond ``max_bytes`` or beyond the
         key's demand.
         """
+        flags = arr.flags if isinstance(arr, np.ndarray) else None
         if (
-            not isinstance(arr, np.ndarray)
+            flags is None
             or arr.base is not None
-            or not arr.flags.owndata
-            or not arr.flags.c_contiguous
+            or not flags.owndata
+            or not flags.c_contiguous
             or arr.nbytes == 0
         ):
             return self._reject("reject_alias")
+        if id(arr) in self._held:
+            return self._reject("reject_alias")
         key = (arr.shape, arr.dtype.str)
         bucket = self._buckets.get(key, ())
-        if any(held is arr for held in bucket):
-            return self._reject("reject_alias")
         out = self._out.get(key, 0)
         if out:
             self._out[key] = out - 1
@@ -165,6 +178,7 @@ class ArrayPool:
             return self._reject("reject_per_key")
         bucket = self._buckets.setdefault(key, [])
         bucket.append(arr)
+        self._held.add(id(arr))
         depth = len(bucket)
         if depth > self._high_water.get(key, 0):
             self._high_water[key] = depth
@@ -188,6 +202,7 @@ class ArrayPool:
             keep = self._demand.get(key, 0)
             for arr in bucket[keep:]:
                 self.bytes -= arr.nbytes
+                self._held.discard(id(arr))
             del bucket[keep:]
             if not keep:
                 del self._buckets[key]
@@ -196,6 +211,7 @@ class ArrayPool:
     def reset(self) -> None:
         """Drop every cached array and zero the local statistics."""
         self._buckets.clear()
+        self._held.clear()
         self._out.clear()
         self._peak.clear()
         self._demand.clear()

@@ -1,11 +1,15 @@
 """Convolution/pooling primitives: gradients, backends, error cases."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.nn import MaxPool2d
+from repro.tensor import pool as pool_module
 from repro.tensor import Tensor, use_backend
 from repro.tensor.backend import get_backend, set_backend
+from repro.tensor.pool import ArrayPool
 from repro.tensor.ops_conv import (
     conv2d,
     conv_transpose2d,
@@ -214,6 +218,39 @@ class TestConv2d:
         with pytest.raises(ValueError, match="empty"):
             conv2d(_rand(rng, (1, 1, 2, 2)), _rand(rng, (1, 1, 5, 5)))
 
+    @pytest.mark.parametrize("op", ["conv2d", "conv_transpose2d"])
+    @pytest.mark.parametrize("case", ["bias", "input_rank", "weight_rank"])
+    def test_bad_shapes_raise_before_any_buffer(self, rng, monkeypatch, op, case):
+        # A bias of 5 against 4 filters used to fail inside the forward
+        # kernel, after the padded input, column buffer and gemm scratch
+        # were acquired and never released; a 3-D input failed to unpack.
+        pool = ArrayPool()
+        monkeypatch.setattr(pool_module, "_DEFAULT", pool)
+        x, w = _rand(rng, (2, 3, 5, 5)), _rand(rng, (4, 3, 3, 3))
+        if op == "conv_transpose2d":
+            w = _rand(rng, (3, 4, 3, 3))
+        b = _rand(rng, (4,))
+        if case == "bias":
+            b = _rand(rng, (5,))
+        elif case == "input_rank":
+            x = _rand(rng, (3, 5, 5))
+        else:
+            w = _rand(rng, (4, 3, 3))
+        fn = conv2d if op == "conv2d" else conv_transpose2d
+        before = (dict(pool._out), pool.stats())
+        with pytest.raises(ValueError) as err:
+            fn(x, w, b, padding=1)
+        bad = {"bias": b, "input_rank": x, "weight_rank": w}[case]
+        assert str(bad.shape) in str(err.value)
+        assert (dict(pool._out), pool.stats()) == before
+
+    def test_input_parts_must_agree_outside_channels(self, rng):
+        with pytest.raises(ValueError, match=r"\(2, 1, 5, 4\)"):
+            conv2d(
+                [_rand(rng, (2, 1, 5, 5)), _rand(rng, (2, 1, 5, 4))],
+                _rand(rng, (3, 2, 3, 3)),
+            )
+
     def test_backends_agree_forward(self, rng):
         x = _rand(rng, (2, 3, 7, 7), grad=False)
         w = _rand(rng, (4, 3, 3, 3), grad=False)
@@ -362,6 +399,39 @@ class TestPooling:
         x = Tensor(np.ones((1, 1, 16, 16), np.float32), requires_grad=True)
         max_pool2d(x, 16).sum().backward()
         np.testing.assert_array_equal(x.grad, np.float32(1 / 256))
+
+    def test_max_pool_nan_window_sends_its_gradient_to_the_nan(self, rng):
+        # np.maximum returns NaN for a window holding one, so the NaN
+        # positions are its maxima: they share the window's gradient,
+        # and the other inputs get none.  Every window used to give NaN
+        # to all k*k inputs, with divide / invalid RuntimeWarnings.
+        data = rng.random((1, 2, 4, 6), dtype=np.float32)
+        data[0, 0, 0:2, 0:2] = np.nan  # an all-NaN window
+        data[0, 0, 2, 3] = np.nan  # one NaN among finite values
+        data[0, 1, 1, 4] = data[0, 1, 0, 5] = np.nan  # two
+        upstream = rng.random((1, 2, 2, 3), dtype=np.float32) + 0.5
+        x = Tensor(data, requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = max_pool2d(x, 2)
+            out.backward(upstream)
+        g, u = x.grad, upstream
+        np.testing.assert_array_equal(g[0, 0, 0:2, 0:2], u[0, 0, 0, 0] / 4)
+        np.testing.assert_array_equal(
+            g[0, 0, 2:4, 2:4], [[0, u[0, 0, 1, 1]], [0, 0]]
+        )
+        np.testing.assert_array_equal(
+            g[0, 1, 0:2, 4:6], [[0, u[0, 1, 0, 2] / 2], [u[0, 1, 0, 2] / 2, 0]]
+        )
+        # Windows without NaN keep the finite kernel's bits.
+        finite = np.ones((1, 2, 2, 3), bool)
+        finite[0, 0, 0, 0] = finite[0, 0, 1, 1] = finite[0, 1, 0, 2] = False
+        ref = Tensor(np.nan_to_num(data, nan=-1.0), requires_grad=True)
+        expected = oracle_max_pool2d(ref, 2)
+        expected.backward(upstream)
+        keep = np.repeat(np.repeat(finite, 2, axis=2), 2, axis=3)
+        assert out.data[finite].tobytes() == expected.data[finite].tobytes()
+        assert g[keep].tobytes() == ref.grad[keep].tobytes()
 
     @pytest.mark.parametrize("kernel", [1, 2, 3])
     def test_max_pool_gradcheck_float64(self, rng, kernel):

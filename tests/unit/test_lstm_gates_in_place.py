@@ -3,7 +3,7 @@
 The packed ``(N, 4*hidden, H, W)`` conv output a ``ConvLSTMCell`` feeds
 it is the graph's only copy of sigmoid(i), sigmoid(f), tanh(g) and
 sigmoid(o), and ``tanh(c_next)`` is recomputed in backward, so a step
-holds about 8.5 gate blocks after the forward instead of 13.5.  A leaf
+holds five gate blocks fewer after the forward (7.5, not 12.5).  A leaf
 ``gates`` is copied first and left as it was.  ``check.sh`` runs this
 file again under ``REPRO_TRACE=1``, where ``Trainer.fit`` replays a
 recorded tape through the in-place kernel.
@@ -52,10 +52,12 @@ def test_a_convlstm_forward_holds_at_most_nine_gate_blocks_per_step(
 ):
     """Bytes still allocated after a ``ConvLSTMModel`` forward, per step,
     in units of one ``(N, hidden, H, W)`` float32 block.  Per step the
-    graph keeps the concatenated input (1.08), the conv's padded copy of
-    it (at most 1.37, partly served by the pool), the packed activations
-    (4), and ``c_next`` and ``h_next`` (2): 8.43 in all.  Separate i, f,
-    g and o arrays and a kept ``tanh(c_next)`` made it 13.43."""
+    graph keeps the conv's padded input, which the frame and ``h`` are
+    written into (at most 1.37, partly served by the pool), the packed
+    activations (4), and ``c_next`` and ``h_next`` (2): 7.51 in all
+    (``test_conv_input_fold.py`` holds it to 7.6; a kept
+    ``concatenate([x, h])`` output added 0.92).  Separate i, f, g and o
+    arrays and a kept ``tanh(c_next)`` added five more."""
     monkeypatch.setattr(pool_module, "_DEFAULT", ArrayPool())
     model = ConvLSTMModel(1, (HIDDEN,), rng=0)
     rng = np.random.default_rng(0)
