@@ -9,7 +9,8 @@
 #      unindented `import scipy` / `from scipy`) — only the synthetic
 #      generators use it, through an import inside the function, so
 #      stream, join and engine processes never load it
-#   2. tier-1: the full test suite (what the roadmap pins)
+#   2. tier-1: the full test suite (what the roadmap pins), with one
+#      BLAS thread (tests/conftest.py pins it before numpy loads)
 #   3. fast lane: unit tests minus anything marked slow
 #   4. traced lane: the training + trace suites again under a forced
 #      REPRO_TRACE=1, so every Trainer.fit in those tests runs through
@@ -28,13 +29,15 @@
 #   5. pipeline smoke: benchmarks/pipeline/run.py --smoke runs the five
 #      BENCHMARK.json workloads end to end at reduced size (~12 s),
 #      each checked against its numpy oracle
-#   6. paper claims: repro.experiments.run all --scale smoke (133-138 s
-#      on a 2-core host) regenerates every table, figure and DESIGN §5
-#      ablation at one seed, one epoch, 800 grid steps and 40 / 16
-#      images, and fails when one of the 32 claims asserted at that
-#      scale fails (the join ablation: identical matches and brute
-#      force > 3x the STR-tree over 20k points and 768 rectangles /
-#      1 536 triangles); every timing runs through
+#   6. paper claims: repro.experiments.run all --scale smoke (about
+#      133 s on a 2-core host, dataset generation included) regenerates
+#      every table, figure and DESIGN §5 ablation at one seed, one
+#      epoch, 800 grid steps and 40 / 16 images, and fails when one of
+#      the 33 claims asserted at that scale fails (the join ablation:
+#      identical matches and brute force > 3x the STR-tree over 20k
+#      points and 768 rectangles / 1 536 triangles; the converter
+#      ablation: its basic, sequential and periodical batches equal a
+#      GridDataset's); every timing runs through
 #      src/repro/experiments/timing.py (a warm-up, then 3 interleaved
 #      rounds); most Table IV-VI claims are asserted at paper scale
 #      only

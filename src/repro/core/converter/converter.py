@@ -23,26 +23,11 @@ class DFToTorchConverter:
         """Run only the (lazy) DF Formatter stage."""
         return self._formatter.format(df)
 
-    def convert(
-        self,
-        df: DataFrame,
-        batch_size: int = 32,
-        transform=None,
-        shuffle_buffer: int = 0,
-        rng=None,
-    ) -> RowTransformer:
-        """Return a re-iterable stream of training batches.
-
-        ``shuffle_buffer > 0`` enables approximate streaming shuffle;
-        it raises ``ValueError`` for the spatiotemporal spec, whose
-        frames must stay in temporal order.
-        """
+    def convert(self, df: DataFrame, batch_size: int = 32, **options) -> RowTransformer:
+        """Return a re-iterable stream of training batches; ``options``
+        are :class:`RowTransformer`'s ``transform``, ``shuffle_buffer``
+        and ``rng`` (a spatiotemporal spec, whose samples stay in time
+        order, takes no shuffle and a transform only with the basic
+        window plan)."""
         formatted = self._formatter.format(df)
-        return RowTransformer(
-            formatted,
-            batch_size=batch_size,
-            transform=transform,
-            spec=self.spec,
-            shuffle_buffer=shuffle_buffer,
-            rng=rng,
-        )
+        return RowTransformer(formatted, batch_size, spec=self.spec, **options)

@@ -6,25 +6,27 @@ import numpy as np
 
 from repro.core.converter.df_formatter import FrameOrderError
 from repro.core.converter.specs import SpatiotemporalSpec
+from repro.data.dataloader import default_collate
 from repro.engine.dataframe import DataFrame
 from repro.tensor import Tensor
+from repro.utils.rng import default_rng
 
 
 class RowTransformer:
     """Streams a formatted DataFrame as fixed-size training batches.
 
-    Iterating yields tuples of :class:`Tensor`; per-sample
-    ``transform`` runs on the x array before batching (the
-    "transformation spec" role Petastorm plays in the paper).  At no
-    point is more than one partition plus one pending batch (plus the
-    optional shuffle buffer) resident.
+    Iterating yields tuples of :class:`Tensor` (dicts for a periodical
+    window plan); per-sample ``transform`` runs on the x array before
+    batching (the "transformation spec" role Petastorm plays in the
+    paper).  At no point is more than one partition plus one pending
+    batch (plus the optional shuffle buffer) resident: for a
+    spatiotemporal spec, one partition + plan span + one batch.
 
     ``shuffle_buffer`` enables Petastorm-style approximate shuffling:
     samples pass through a fixed-size reservoir and leave it in random
     order, decorrelating batches from partition order without a
-    global shuffle.  A spatiotemporal spec takes no shuffle: its
-    frames are sliced out of the formatter's per-partition blocks and
-    paired in time order.
+    global shuffle.  A spatiotemporal spec takes no shuffle, and a
+    ``transform`` only with the basic plan, whose x is one frame.
     """
 
     def __init__(
@@ -40,18 +42,19 @@ class RowTransformer:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         if shuffle_buffer < 0:
             raise ValueError("shuffle_buffer must be >= 0")
-        if shuffle_buffer and isinstance(spec, SpatiotemporalSpec):
+        if isinstance(spec, SpatiotemporalSpec) and (
+            shuffle_buffer or transform is not None and spec.window.kind != "basic"
+        ):
             raise ValueError(
-                "shuffle_buffer must be 0 for a spatiotemporal spec: its "
-                "frames are paired in time order"
+                "a spatiotemporal spec cuts samples in time order, so "
+                "shuffle_buffer must be 0, and a transform (run on each x "
+                f"frame) needs the basic window plan, not {spec.window.kind}"
             )
         self.df = formatted_df
         self.batch_size = batch_size
         self.transform = transform
         self.spec = spec
         self.shuffle_buffer = shuffle_buffer
-        from repro.utils.rng import default_rng
-
         self._rng = default_rng(rng, label="row_transformer")
 
     def __iter__(self):
@@ -68,7 +71,7 @@ class RowTransformer:
         samples = obs.registry.counter("converter.samples")
         for batch in source:
             batches.inc()
-            samples.inc(len(batch[0].data))
+            samples.inc(len(batch["y_data"] if isinstance(batch, dict) else batch[0]))
             yield batch
 
     def _raw_samples(self):
@@ -102,71 +105,64 @@ class RowTransformer:
         yield from buffer
 
     def _iter_samples(self):
-        source = (
-            self._shuffled_samples()
-            if self.shuffle_buffer
-            else self._raw_samples()
-        )
+        source = self._shuffled_samples() if self.shuffle_buffer else self._raw_samples()
         pending: list[tuple] = []
         for sample in source:
             pending.append(sample)
             if len(pending) == self.batch_size:
-                yield self._collate(pending)
+                yield self._tensors(default_collate(pending))
                 pending = []
         if pending:
-            yield self._collate(pending)
+            yield self._tensors(default_collate(pending))
 
     def _iter_spatiotemporal(self):
-        """Pair frame ``i`` with frame ``i + lead`` across partition
-        boundaries, slicing each partition's frame block into batches.
-
-        ``frames`` holds what is not yet emitted as an x, the ``lead``
-        frames after it and the last frame seen, which is held back: a
-        step that continues into the next partition is folded into it
-        (the cells that partition wrote overwrite, as in one ordered
-        partition).  A partition starting before it raises
+        """Cut the timeline through the spec's window plan: frame t is
+        step t from step 0, an absent step a zero frame, and a row
+        before step 0 is dropped, as in ``STManager.get_st_grid_array``.
+        ``frames`` holds the plan's span plus one batch from step
+        ``base`` on; a step past its end completes every frame held, so
+        a batch is cut and the buffer slides on.  The last step read is
+        held back: a step that continues into the next partition is
+        folded into it (the cells that partition wrote overwrite, as in
+        one ordered partition), and one that starts before it raises
         :class:`FrameOrderError`."""
-        lead, size = self.spec.lead_time, self.batch_size
-        frames, last = None, None
+        spec, size, span = self.spec, self.batch_size, self.spec.window.span
+        shape = (span + size, len(spec.value_columns), spec.partitions_y, spec.partitions_x)
+        frames = np.zeros(shape, dtype=np.float32)
+        base, last = 0, -np.inf
         for part in self.df.iter_partitions():
             steps, block = part.columns["__t"], part.columns["__x"]
             if not len(steps):
                 continue
-            if last is not None and steps[0] < last:
+            if steps[0] < last:
                 raise FrameOrderError()
-            if steps[0] == last:
-                np.copyto(frames[-1], block[0], where=part.columns["__w"][0])
-                block = block[1:]
-            fresh = frames is None
-            frames = block if fresh else np.concatenate([frames, block])
-            last = steps[-1]
-            # Whole batches of pairs whose frames are all complete.
-            ready = (len(frames) - 1 - lead) // size * size
-            if ready > 0:
-                yield from self._frame_batches(frames[: ready + lead])
-                frames = frames[ready:]
-            if fresh:
-                frames = frames.copy()  # never write into a partition
-        if frames is not None:
-            yield from self._frame_batches(frames)
+            if steps[0] == last >= 0:
+                np.copyto(frames[last - base], block[0], where=part.columns["__w"][0])
+            fresh = steps.searchsorted(max(last, -1), "right")
+            steps, block, last = steps[fresh:], block[fresh:], steps[-1]
+            while len(steps):
+                fits = steps.searchsorted(base + len(frames))
+                frames[steps[:fits] - base] = block[:fits]
+                steps, block = steps[fits:], block[fits:]
+                if len(steps):
+                    yield self._window_batch(frames, size, base)
+                    frames[:span], frames[span:] = frames[size:], 0
+                    base += size
+        held = max(last + 1 - base, 0)
+        spec.window.check(base + held)
+        if held > span:
+            yield self._window_batch(frames, held - span, base)
 
-    def _frame_batches(self, frames):
-        """Batches of ``(frames[i], frames[i + lead])``; ``transform``
-        runs on each x frame."""
-        lead = self.spec.lead_time
-        for start in range(0, len(frames) - lead, self.batch_size):
-            xs = frames[start : min(start + self.batch_size, len(frames) - lead)]
-            ys = frames[start + lead : start + lead + len(xs)]
-            if self.transform is None:
-                xs = xs.copy()
-            else:
-                xs = np.stack([np.asarray(self.transform(x)) for x in xs])
-            yield Tensor(xs), Tensor(ys.copy())
+    def _window_batch(self, frames, count, origin):
+        """The first ``count`` samples of ``frames`` (step ``origin``
+        on); ``transform`` runs on each basic x frame."""
+        batch = self.spec.window.item(frames, np.arange(count), origin)
+        if self.transform is not None:
+            batch = np.stack([np.asarray(self.transform(x)) for x in batch[0]]), batch[1]
+        return self._tensors(batch)
 
     @staticmethod
-    def _collate(samples: list[tuple]) -> tuple:
-        width = len(samples[0])
-        return tuple(
-            Tensor(np.stack([np.asarray(s[j]) for s in samples]))
-            for j in range(width)
-        )
+    def _tensors(batch):
+        if isinstance(batch, dict):
+            return {key: Tensor(value) for key, value in batch.items()}
+        return tuple(Tensor(value) for value in batch)

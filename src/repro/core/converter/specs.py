@@ -3,8 +3,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
+from repro.core.datasets.base import WindowPlan
 from repro.utils.validation import check_positive
 
 
@@ -23,18 +24,24 @@ class ClassificationSpec:
 class SpatiotemporalSpec:
     """Aggregated spatiotemporal rows (``STManager`` output): sparse
     (time_step, cell_id, value...) records to be scattered into dense
-    (C, H, W) frames, then paired as (frame_t, frame_{t+lead}).  The
-    rows must arrive in time order, as ``group_by(time, cell)`` emits
-    them."""
+    (C, H, W) frames, frame t holding step t, then cut through
+    ``window`` (``lead_time`` is shorthand for ``WindowPlan.basic``, one
+    step by default).  The rows must arrive in time order, as
+    ``group_by(time, cell)`` emits them."""
 
     partitions_x: int
     partitions_y: int
     value_columns: tuple = ("count",)
-    lead_time: int = 1
+    lead_time: InitVar[int | None] = None
     time_column: str = "time_step"
     cell_column: str = "cell_id"
+    window: WindowPlan | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, lead_time):
         check_positive(self.partitions_x, "partitions_x")
         check_positive(self.partitions_y, "partitions_y")
-        check_positive(self.lead_time, "lead_time")
+        if self.window is None:
+            lead = 1 if lead_time is None else lead_time
+            object.__setattr__(self, "window", WindowPlan.basic(lead))
+        elif lead_time is not None:
+            raise ValueError("set lead_time or window, not both")

@@ -1,13 +1,8 @@
 """Base classes for grid and raster datasets.
 
-Grid datasets implement the paper's three temporal representations
-(Section II-B / Listings 2-4):
-
-- **basic** — ``(x_t, y_{t+lead})`` pairs;
-- **sequential** — history/prediction windows for ConvLSTM-style
-  models (``set_sequential_representation``);
-- **periodical** — closeness / period / trend feature groups for
-  ST-ResNet-style models (``set_periodical_representation``).
+Grid datasets cut the paper's three temporal representations (Section
+II-B / Listings 2-4: basic, sequential, periodical) through one
+:class:`WindowPlan`.
 
 The named file-backed datasets of both kinds cache their generated
 arrays through :func:`load_or_generate`.
@@ -19,6 +14,8 @@ import json
 import os
 import zipfile
 import zlib
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,23 +95,108 @@ def _json_scalar(value):
     raise TypeError(f"{type(value).__name__} in a dataset config is not JSON")
 
 
+@dataclass(frozen=True)
+class WindowPlan:
+    """Which frames one grid sample reads, as offsets from its anchor
+    (its first target frame): one tuple per input, and the targets.
+    Sample ``i`` is anchored at frame ``lookback + i``, so ``T`` frames
+    hold ``T - span`` samples.  :class:`GridDataset` and the DFtoTorch
+    converter cut every grid sample through one."""
+
+    kind: str
+    inputs: tuple
+    targets: tuple
+
+    @classmethod
+    def basic(cls, lead: int) -> "WindowPlan":
+        """``(x_t, y_{t+lead})`` pairs (Listing 2)."""
+        return cls("basic", ((-check_positive(lead, "lead_time"),),), (0,))
+
+    @classmethod
+    def sequential(cls, history: int, prediction: int) -> "WindowPlan":
+        """``history`` frames, then the ``prediction`` after them (Listing 3)."""
+        return cls("sequential", (_before(history, "history_length", 1),),
+                   tuple(range(check_positive(prediction, "prediction_length"))))
+
+    @classmethod
+    def periodical(
+        cls, len_closeness: int, len_period: int, len_trend: int,
+        steps_per_period: int, steps_per_trend: int,
+    ) -> "WindowPlan":
+        """Closeness, period and trend frames before the target, each
+        stacked on the channel axis, ST-ResNet style (Listing 4)."""
+        return cls("periodical", (
+            _before(len_closeness, "len_closeness", 1),
+            _before(len_period, "len_period", steps_per_period),
+            _before(len_trend, "len_trend", steps_per_trend),
+        ), (0,))
+
+    @cached_property
+    def lookback(self) -> int:
+        return -min(group[0] for group in self.inputs)
+
+    @cached_property
+    def span(self) -> int:
+        return self.lookback + self.targets[-1]
+
+    def check(self, num_frames: int) -> None:
+        """Raise ``ValueError`` unless ``num_frames`` hold a sample."""
+        if self.span >= num_frames:
+            raise ValueError(
+                f"a {self.kind} window needs {self.span + 1} timesteps, "
+                f"which exceeds the {num_frames} there are"
+            )
+
+    def item(self, frames: np.ndarray, i, origin: int = 0):
+        """Sample ``i`` of the ``(T, C, H, W)`` ``frames`` (whose first
+        frame is step ``origin``): ``(x, y)`` or a periodical dict; for
+        a vector ``i``, those samples stacked as ``default_collate``
+        stacks them.  Axis -4 of each cut is its offsets."""
+        anchor = self.lookback + i
+        xs = [_take(frames, anchor, group) for group in self.inputs]
+        y = _take(frames, anchor, self.targets)
+        if self.kind == "basic":
+            return xs[0].squeeze(-4), y.squeeze(-4)
+        if self.kind == "sequential":
+            return xs[0], y
+        closeness, period, trend = (x.reshape(*x.shape[:-4], -1, *x.shape[-2:]) for x in xs)
+        return {
+            "x_closeness": closeness,
+            "x_period": period,
+            "x_trend": trend,
+            "y_data": y.squeeze(-4),
+            "t_index": np.asarray(origin + anchor, dtype=np.int64),
+        }
+
+
+def _before(length: int, name: str, step: int) -> tuple:
+    """Offsets of ``length`` frames ``step`` apart before the anchor."""
+    check_positive(length, name)
+    check_positive(step, f"{name} step")
+    return tuple(-k * step for k in range(length, 0, -1))
+
+
+def _take(frames: np.ndarray, anchor, offsets: tuple) -> np.ndarray:
+    """``frames[anchor + offsets]`` for one anchor (a view when the
+    offsets are consecutive) or a vector of them."""
+    if not isinstance(anchor, np.ndarray) and offsets[-1] - offsets[0] == len(offsets) - 1:
+        return frames[anchor + offsets[0] : anchor + offsets[-1] + 1]
+    return frames[np.add.outer(anchor, offsets)]
+
+
 class GridDataset(Dataset):
     """A grid-based spatiotemporal dataset over a (T, H, W, C) tensor.
 
-    Samples are returned channel-first (PyTorch convention):
+    Samples are returned channel-first (PyTorch convention), cut through
+    ``window`` (basic, lead 1, until a ``set_*_representation`` call):
     basic/sequential items are ``(x, y)`` arrays; periodical items are
-    dicts with keys ``x_closeness``, ``x_period``, ``x_trend``, and
-    ``y_data``.
+    dicts with keys ``x_closeness``, ``x_period``, ``x_trend``,
+    ``y_data`` and ``t_index``.
     """
-
-    BASIC = "basic"
-    SEQUENTIAL = "sequential"
-    PERIODICAL = "periodical"
 
     def __init__(
         self,
         tensor: np.ndarray,
-        lead_time: int = 1,
         steps_per_period: int = 24,
         steps_per_trend: int = 24 * 7,
         normalize: bool = True,
@@ -125,7 +207,6 @@ class GridDataset(Dataset):
             raise ValueError(
                 f"grid tensor must be (T, H, W, C), got shape {tensor.shape}"
             )
-        check_positive(lead_time, "lead_time")
         check_positive(steps_per_period, "steps_per_period")
         check_positive(steps_per_trend, "steps_per_trend")
         self._raw_min = float(tensor.min())
@@ -135,16 +216,10 @@ class GridDataset(Dataset):
         self.normalized = normalize
         # store channel-first frames: (T, C, H, W)
         self.frames = np.ascontiguousarray(tensor.transpose(0, 3, 1, 2))
-        self.lead_time = lead_time
         self.steps_per_period = steps_per_period
         self.steps_per_trend = steps_per_trend
         self.transform = transform
-        self._mode = self.BASIC
-        self._history_length = None
-        self._prediction_length = None
-        self._len_closeness = None
-        self._len_period = None
-        self._len_trend = None
+        self.window = WindowPlan.basic(1)
 
     # ------------------------------------------------------------------
     # Shape metadata
@@ -175,27 +250,19 @@ class GridDataset(Dataset):
     # ------------------------------------------------------------------
     # Representation switches (paper Listings 2-4)
     # ------------------------------------------------------------------
-    def set_basic_representation(self, lead_time: int | None = None) -> "GridDataset":
-        if lead_time is not None:
-            check_positive(lead_time, "lead_time")
-            self.lead_time = lead_time
-        self._mode = self.BASIC
+    def set_window(self, window: WindowPlan) -> "GridDataset":
+        """Index through ``window``; the Listing calls below build one."""
+        window.check(self.num_timesteps)
+        self.window = window
         return self
+
+    def set_basic_representation(self, lead_time: int = 1) -> "GridDataset":
+        return self.set_window(WindowPlan.basic(lead_time))
 
     def set_sequential_representation(
         self, history_length: int, prediction_length: int
     ) -> "GridDataset":
-        check_positive(history_length, "history_length")
-        check_positive(prediction_length, "prediction_length")
-        if history_length + prediction_length > self.num_timesteps:
-            raise ValueError(
-                f"history {history_length} + prediction {prediction_length} "
-                f"exceeds {self.num_timesteps} timesteps"
-            )
-        self._history_length = history_length
-        self._prediction_length = prediction_length
-        self._mode = self.SEQUENTIAL
-        return self
+        return self.set_window(WindowPlan.sequential(history_length, prediction_length))
 
     def set_periodical_representation(
         self,
@@ -203,87 +270,26 @@ class GridDataset(Dataset):
         len_period: int = 4,
         len_trend: int = 4,
     ) -> "GridDataset":
-        check_positive(len_closeness, "len_closeness")
-        check_positive(len_period, "len_period")
-        check_positive(len_trend, "len_trend")
-        offset = max(
-            len_closeness,
-            len_period * self.steps_per_period,
-            len_trend * self.steps_per_trend,
-        )
-        if offset >= self.num_timesteps:
-            raise ValueError(
-                f"periodical offsets need {offset + 1} timesteps, dataset "
-                f"has {self.num_timesteps} (reduce len_trend or "
-                f"steps_per_trend)"
-            )
-        self._len_closeness = len_closeness
-        self._len_period = len_period
-        self._len_trend = len_trend
-        self._mode = self.PERIODICAL
-        return self
+        return self.set_window(WindowPlan.periodical(
+            len_closeness, len_period, len_trend,
+            self.steps_per_period, self.steps_per_trend,
+        ))
 
     # ------------------------------------------------------------------
     # Indexing
     # ------------------------------------------------------------------
-    def _periodical_offset(self) -> int:
-        return max(
-            self._len_closeness,
-            self._len_period * self.steps_per_period,
-            self._len_trend * self.steps_per_trend,
-        )
-
     def __len__(self) -> int:
-        t = self.num_timesteps
-        if self._mode == self.BASIC:
-            return max(0, t - self.lead_time)
-        if self._mode == self.SEQUENTIAL:
-            return max(0, t - self._history_length - self._prediction_length + 1)
-        return max(0, t - self._periodical_offset())
+        return max(0, self.num_timesteps - self.window.span)
 
     def __getitem__(self, index: int):
         if index < 0:
             index += len(self)
         if not 0 <= index < len(self):
             raise IndexError(f"index {index} out of range for {len(self)} samples")
-        if self._mode == self.BASIC:
-            item = (self.frames[index], self.frames[index + self.lead_time])
-        elif self._mode == self.SEQUENTIAL:
-            h, p = self._history_length, self._prediction_length
-            item = (
-                self.frames[index : index + h],
-                self.frames[index + h : index + h + p],
-            )
-        else:
-            item = self._periodical_item(index)
+        item = self.window.item(self.frames, index)
         if self.transform is not None:
             item = self.transform(item)
         return item
-
-    def _periodical_item(self, index: int) -> dict:
-        target = self._periodical_offset() + index
-        closeness = self.frames[target - self._len_closeness : target]
-        period_steps = [
-            target - k * self.steps_per_period
-            for k in range(self._len_period, 0, -1)
-        ]
-        trend_steps = [
-            target - k * self.steps_per_trend
-            for k in range(self._len_trend, 0, -1)
-        ]
-        c, h, w = (
-            self.num_channels,
-            self.grid_height,
-            self.grid_width,
-        )
-        return {
-            # stacked on the channel axis, ST-ResNet style: (L*C, H, W)
-            "x_closeness": closeness.reshape(-1, h, w),
-            "x_period": self.frames[period_steps].reshape(-1, h, w),
-            "x_trend": self.frames[trend_steps].reshape(-1, h, w),
-            "y_data": self.frames[target],
-            "t_index": np.asarray(target, dtype=np.int64),
-        }
 
 
 class RasterDataset(Dataset):

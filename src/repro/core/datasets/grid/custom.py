@@ -8,17 +8,12 @@ from an ``STManager``-aggregated DataFrame.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.datasets.base import GridDataset
 from repro.core.preprocessing.grid.st_manager import STManager
 
 
 class CustomGridDataset(GridDataset):
     """A grid dataset over a user-provided (T, H, W, C) tensor."""
-
-    def __init__(self, tensor, **kwargs):
-        super().__init__(np.asarray(tensor, dtype=np.float32), **kwargs)
 
     @classmethod
     def from_st_dataframe(

@@ -22,29 +22,15 @@ class FileBackedGridDataset(GridDataset):
     DATASET_NAME = "unnamed"
 
     def __init__(
-        self,
-        root: str,
-        generator,
-        generator_config: dict,
-        lead_time: int = 1,
-        steps_per_period: int = 24,
-        steps_per_trend: int = 24 * 7,
-        normalize: bool = True,
-        transform=None,
-        download: bool = True,
+        self, root: str, generator, generator_config: dict,
+        download: bool = True, **grid_options,
     ):
+        """``grid_options`` are :class:`GridDataset`'s keywords."""
         tensor = load_or_generate(
             os.path.join(root, self.DATASET_NAME),
             generator_config,
             lambda: {"st_tensor": generator(**generator_config)},
             download,
         )["st_tensor"]
-        super().__init__(
-            tensor,
-            lead_time=lead_time,
-            steps_per_period=steps_per_period,
-            steps_per_trend=steps_per_trend,
-            normalize=normalize,
-            transform=transform,
-        )
+        super().__init__(tensor, **grid_options)
         self.root = root

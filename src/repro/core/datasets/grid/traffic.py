@@ -9,6 +9,7 @@ dominating a smooth AR component, like real urban flow.
 
 from __future__ import annotations
 
+from repro.core.datasets.base import GridDataset
 from repro.core.datasets.grid.file_backed import FileBackedGridDataset
 from repro.core.datasets.synth import generate_traffic_tensor
 
@@ -24,11 +25,9 @@ class _TrafficDataset(FileBackedGridDataset):
         root: str,
         num_steps: int = 1344,  # 8 weeks at hourly resolution
         grid_shape: tuple | None = None,
-        lead_time: int = 1,
-        normalize: bool = True,
-        transform=None,
-        download: bool = True,
+        **options,
     ):
+        """``options``: ``normalize``, ``transform``, ``download``."""
         height, width = grid_shape or self.GRID_SHAPE
         super().__init__(
             root,
@@ -41,12 +40,9 @@ class _TrafficDataset(FileBackedGridDataset):
                 "steps_per_day": self.STEPS_PER_DAY,
                 "seed": self.SEED,
             },
-            lead_time=lead_time,
             steps_per_period=self.STEPS_PER_DAY,
             steps_per_trend=self.STEPS_PER_DAY * 7,
-            normalize=normalize,
-            transform=transform,
-            download=download,
+            **options,
         )
 
 
@@ -105,16 +101,8 @@ class YellowTripNYC(_TrafficDataset):
     SEED = 105
 
     @classmethod
-    def from_st_tensor(cls, tensor, normalize: bool = True, transform=None):
+    def from_st_tensor(cls, tensor, **options) -> GridDataset:
         """Wrap a (T, H, W, C) tensor prepared by the preprocessing
-        module as a YellowTrip-NYC dataset, skipping the file cache."""
-        from repro.core.datasets.base import GridDataset
-
-        dataset = GridDataset(
-            tensor,
-            steps_per_period=cls.STEPS_PER_DAY,
-            steps_per_trend=cls.STEPS_PER_DAY * 7,
-            normalize=normalize,
-            transform=transform,
-        )
-        return dataset
+        module as a YellowTrip-NYC dataset, skipping the file cache;
+        ``options``: ``normalize``, ``transform``."""
+        return GridDataset(tensor, cls.STEPS_PER_DAY, cls.STEPS_PER_DAY * 7, **options)

@@ -21,11 +21,9 @@ class _WeatherDataset(FileBackedGridDataset):
         root: str,
         num_steps: int = 1344,  # 8 weeks, hourly
         grid_shape: tuple = (16, 32),
-        lead_time: int = 1,
-        normalize: bool = True,
-        transform=None,
-        download: bool = True,
+        **options,
     ):
+        """``options``: ``normalize``, ``transform``, ``download``."""
         height, width = grid_shape
         super().__init__(
             root,
@@ -38,12 +36,9 @@ class _WeatherDataset(FileBackedGridDataset):
                 "steps_per_day": 24,
                 "seed": self.SEED,
             },
-            lead_time=lead_time,
             steps_per_period=24,
             steps_per_trend=24 * 7,
-            normalize=normalize,
-            transform=transform,
-            download=download,
+            **options,
         )
 
 

@@ -17,6 +17,7 @@ from functools import partial
 import numpy as np
 
 from repro.core.converter import DFToTorchConverter, SpatiotemporalSpec
+from repro.core.datasets import WindowPlan
 from repro.core.datasets.base import GridDataset
 from repro.core.datasets.grid import BikeNYCDeepSTN
 from repro.core.datasets.synth import generate_traffic_tensor
@@ -30,9 +31,11 @@ from repro.experiments.fig8 import (
     GRID_Y,
     NUM_STEPS,
     NYC_ENVELOPE,
+    STEP_SECONDS,
     make_records,
     st_grid_df,
 )
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.timing import interleaved
 from repro.geometry import Polygon
 from repro.nn import Conv2d, MSELoss, ReLU, Sequential
@@ -170,7 +173,35 @@ def run_representation(data_root: str) -> dict:
 # --- §5.5 converter ---------------------------------------------------
 #
 # Converting a preprocessed DataFrame by first collecting it onto the
-# master exceeds the streaming converter's working set.
+# master exceeds the streaming converter's working set.  Its batches
+# equal an unshuffled DataLoader's over a GridDataset of the collected
+# tensor: basic, ConvLSTM's sequential, and daily / two-day periodical.
+
+
+def _converter_equals_grid_dataset(st_df) -> bool:
+    tensor = STManager.get_st_grid_array(st_df, GRID_X, GRID_Y)
+    dataset = GridDataset(tensor, normalize=False)
+    STManager.release_st_grid_array(tensor)
+    day = round(86_400 / STEP_SECONDS)
+    equal = True
+    for window in (
+        WindowPlan.basic(1),
+        WindowPlan.sequential(ExperimentConfig.history_length, 1),
+        WindowPlan.periodical(3, 2, 1, day, 2 * day),
+    ):
+        spec = SpatiotemporalSpec(GRID_X, GRID_Y, window=window)
+        dataset.set_window(window)
+        streamed = DFToTorchConverter(spec).convert(st_df, batch_size=32)
+        equal &= [_bits(b, lambda t: t.data) for b in streamed] == [
+            _bits(b) for b in DataLoader(dataset, batch_size=32)
+        ]
+    return equal
+
+
+def _bits(batch, array=lambda v: v) -> list:
+    """A batch's keys, dtypes, shapes and bytes."""
+    items = batch.items() if isinstance(batch, dict) else enumerate(batch)
+    return [(k, array(v).dtype, array(v).shape, array(v).tobytes()) for k, v in items]
 
 
 def run_converter(num_records: int = 100_000) -> dict:
@@ -200,6 +231,7 @@ def run_converter(num_records: int = 100_000) -> dict:
         "y_shape": y_shape,
         "streaming_peak_bytes": streaming_peak,
         "collected_peak_bytes": meter.peak,
+        "batches_equal_grid_dataset": _converter_equals_grid_dataset(st_df),
     }
 
 

@@ -410,6 +410,9 @@ def run_ablation_representation(config, data_root):
     Claim("DESIGN §5.5", "collected / streaming peak memory",
           lambda r: r["collected_peak_bytes"] / max(r["streaming_peak_bytes"], 1),
           ">", 1.5),
+    Claim("DESIGN §5.5", "converter batches equal GridDataset batches "
+          "(basic, sequential, periodical)",
+          lambda r: r["batches_equal_grid_dataset"], "==", True),
 )
 def run_ablation_converter(config, data_root):
     return _titled("Ablation: DFtoTorch streaming vs collect-then-tensorize",

@@ -13,7 +13,7 @@ its table, then each of its claims with the margin it held or failed
 by.  The run exits 1 when a claim asserted at the chosen scale fails;
 a claim asserted only at the other scale is printed as not asserted
 and never fails the run.  ``--out`` writes one JSON file with the
-commit, date, core count, scale, every row and every claim.
+commit, date, core count, BLAS, scale, every row and every claim.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import os
 import subprocess
 import sys
 import time
+
+import numpy as np
 
 from repro.experiments.artifacts import ARTIFACTS
 from repro.experiments.config import SCALES, ExperimentConfig
@@ -110,6 +112,10 @@ def main(argv=None) -> int:
                 timespec="seconds"
             ),
             "cpu_count": os.cpu_count(),
+            # Recorded, not pinned: paper-scale claims assume numpy's default.
+            "blas": {name: os.environ.get(name) for name in (
+                "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
+            )} | {"name": np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]},
             "scale": args.scale,
             "artifacts": results,
         }

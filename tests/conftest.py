@@ -2,8 +2,17 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread, set before numpy loads (as benchmarks/pipeline/run.py
+# does): with numpy's default two, a second busy process makes the
+# accelerated conv epochs up to 10x slower and the timing tests flake.
+os.environ.update(
+    {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+)
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 def pytest_collection_modifyitems(items):

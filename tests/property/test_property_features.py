@@ -81,7 +81,7 @@ def grid_tensors(draw):
 @settings(max_examples=30, deadline=None)
 @given(grid_tensors(), st.integers(min_value=1, max_value=5))
 def test_grid_dataset_basic_length_invariant(tensor, lead):
-    ds = GridDataset(tensor, lead_time=lead)
+    ds = GridDataset(tensor).set_basic_representation(lead_time=lead)
     assert len(ds) == max(0, tensor.shape[0] - lead)
     if len(ds) > 0:
         x, y = ds[len(ds) - 1]

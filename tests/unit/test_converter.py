@@ -11,6 +11,7 @@ from repro.core.converter import (
     RowTransformer,
     SpatiotemporalSpec,
 )
+from repro.core.datasets import WindowPlan
 from repro.engine import Session, agg
 from repro.spatial import RasterTile
 from repro.tensor import Tensor
@@ -137,13 +138,14 @@ class TestSpatiotemporalConversion:
         assert three.num_partitions() == 3
         with pytest.raises(FrameOrderError, match=r"group_by\(time, cell\)"):
             list(DFToTorchConverter(spec).convert(three))
-        # group_by(time, cell) is the way to an ordered frame.
+        # group_by(time, cell) is the way to an ordered frame; frame t
+        # is step t, and the absent steps 0, 2 and 4 are zero frames.
         ordered = three.group_by("time_step", "cell_id").agg(
             agg.sum_("count", "count")
         )
         x, y = next(iter(DFToTorchConverter(spec).convert(ordered)))
-        np.testing.assert_array_equal(x.numpy().ravel(), [2.0, 4.0])
-        np.testing.assert_array_equal(y.numpy().ravel(), [4.0, 6.0])
+        np.testing.assert_array_equal(x.numpy().ravel(), [0.0, 2.0, 0.0, 4.0, 0.0])
+        np.testing.assert_array_equal(y.numpy().ravel(), [2.0, 0.0, 4.0, 0.0, 6.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5])
     def test_non_integral_time_step_raises(self, bad):
@@ -247,8 +249,72 @@ class TestSpatiotemporalConversion:
             return [(x.numpy().tobytes(), y.numpy().tobytes()) for x, y in batches]
 
         expected = converted(1)
-        assert len(expected) == 2  # frames 0, 1, 2, 4 -> three pairs
+        assert len(expected) == 2  # steps 0-4, 3 a zero frame -> four pairs
         assert converted(parts) == expected
+
+
+class TestStepTimeline:
+    """Frame t is step t, from step 0, as ``STManager.get_st_grid_array``
+    lays the tensor out: an absent step is a zero frame, and a row
+    before step 0 is dropped."""
+
+    @staticmethod
+    def _pairs(steps, parallelism=1, **spec):
+        df = Session(default_parallelism=parallelism).create_dataframe(
+            {
+                "time_step": np.array(steps),
+                "cell_id": np.zeros(len(steps), dtype=np.int64),
+                "count": np.arange(1.0, len(steps) + 1),
+            }
+        )
+        batches = DFToTorchConverter(
+            SpatiotemporalSpec(partitions_x=1, partitions_y=1, **spec)
+        ).convert(df, batch_size=2)
+        return [
+            (float(x), float(y))
+            for xs, ys in batches
+            for x, y in zip(xs.numpy().ravel(), ys.numpy().ravel())
+        ]
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 3])
+    def test_absent_step_is_a_zero_frame(self, parallelism):
+        # Steps {0, 2, 3}: (f0, 0), (0, f2), (f2, f3), not (f0, f2).
+        assert self._pairs([0, 2, 3], parallelism, lead_time=1) == [
+            (1.0, 0.0), (0.0, 2.0), (2.0, 3.0),
+        ]
+
+    def test_leading_absent_steps_are_zero_frames(self):
+        assert self._pairs([2, 3], lead_time=1) == [
+            (0.0, 0.0), (0.0, 1.0), (1.0, 2.0),
+        ]
+        assert self._pairs([2, 3], lead_time=2) == [(0.0, 1.0), (0.0, 2.0)]
+
+    def test_rows_before_step_zero_are_dropped(self):
+        assert self._pairs([-3, -1, 1, 2]) == [(0.0, 3.0), (3.0, 4.0)]
+
+    def test_too_short_a_timeline_raises(self):
+        with pytest.raises(ValueError, match="needs 4 timesteps, which exceeds the 3"):
+            self._pairs([0, 2], window=WindowPlan.sequential(2, 2))
+
+    def test_lead_time_is_shorthand_for_a_basic_window(self):
+        spec = SpatiotemporalSpec(partitions_x=1, partitions_y=1, lead_time=2)
+        assert spec.window == WindowPlan.basic(2)
+        with pytest.raises(ValueError, match="not both"):
+            SpatiotemporalSpec(
+                partitions_x=1, partitions_y=1, lead_time=2,
+                window=WindowPlan.basic(2),
+            )
+
+    @pytest.mark.parametrize(
+        "window", [WindowPlan.sequential(2, 1), WindowPlan.periodical(1, 1, 1, 2, 4)]
+    )
+    def test_transform_needs_the_basic_window(self, session, window):
+        df = session.create_dataframe(
+            [{"time_step": t, "cell_id": 0, "count": 1.0} for t in range(8)]
+        )
+        spec = SpatiotemporalSpec(partitions_x=1, partitions_y=1, window=window)
+        with pytest.raises(ValueError, match="needs the basic window plan"):
+            DFToTorchConverter(spec).convert(df, transform=lambda x: x)
 
 
 class TestRowTransformer:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.datasets import WindowPlan
 from repro.core.datasets.base import GridDataset
 from repro.core.datasets.grid import (
     BikeNYCDeepSTN,
@@ -11,6 +12,7 @@ from repro.core.datasets.grid import (
     YellowTripNYC,
 )
 from repro.core.datasets.synth import generate_traffic_tensor
+from repro.data.dataloader import default_collate
 
 
 @pytest.fixture
@@ -20,13 +22,13 @@ def tensor(rng):
 
 class TestBasicRepresentation:
     def test_item_alignment(self, tensor):
-        ds = GridDataset(tensor, lead_time=3, normalize=False)
+        ds = GridDataset(tensor, normalize=False).set_basic_representation(lead_time=3)
         x, y = ds[5]
         np.testing.assert_allclose(x, tensor[5].transpose(2, 0, 1))
         np.testing.assert_allclose(y, tensor[8].transpose(2, 0, 1))
 
     def test_length(self, tensor):
-        ds = GridDataset(tensor, lead_time=3)
+        ds = GridDataset(tensor).set_basic_representation(lead_time=3)
         assert len(ds) == 117
 
     def test_negative_index(self, tensor):
@@ -113,6 +115,40 @@ class TestPeriodicalRepresentation:
             ds.set_periodical_representation(3, 2, 1)
 
 
+class TestWindowPlan:
+    def test_listing_calls_build_the_plan_set_window_takes(self, tensor):
+        ds = GridDataset(tensor, steps_per_period=24, steps_per_trend=48)
+        assert ds.window == WindowPlan.basic(1)
+        for call, plan in (
+            (lambda: ds.set_basic_representation(lead_time=3), WindowPlan.basic(3)),
+            (lambda: ds.set_sequential_representation(6, 2), WindowPlan.sequential(6, 2)),
+            (lambda: ds.set_periodical_representation(3, 2, 1),
+             WindowPlan.periodical(3, 2, 1, 24, 48)),
+        ):
+            assert call().window == plan
+            other = GridDataset(tensor, steps_per_period=24, steps_per_trend=48)
+            assert len(other.set_window(plan)) == len(ds) == 120 - plan.span
+
+    @pytest.mark.parametrize("call", [
+        lambda ds: ds.set_basic_representation(lead_time=120),
+        lambda ds: ds.set_sequential_representation(100, 21),
+        lambda ds: ds.set_window(WindowPlan.periodical(1, 1, 1, 1, 120)),
+    ])
+    def test_a_plan_longer_than_the_tensor_names_both_counts(self, tensor, call):
+        ds = GridDataset(tensor)
+        with pytest.raises(ValueError, match="needs 121 timesteps, which exceeds the 120"):
+            call(ds)
+        assert ds.window == WindowPlan.basic(1)
+
+    def test_vector_item_stacks_the_items(self, tensor):
+        ds = GridDataset(tensor, steps_per_period=24, steps_per_trend=48)
+        ds.set_periodical_representation(3, 2, 1)
+        stacked = ds.window.item(ds.frames, np.arange(2, 7))
+        for key, value in default_collate([ds[i] for i in range(2, 7)]).items():
+            assert stacked[key].dtype == value.dtype
+            np.testing.assert_array_equal(stacked[key], value)
+
+
 class TestNormalization:
     def test_normalized_range(self, tensor):
         ds = GridDataset(tensor, normalize=True)
@@ -150,7 +186,7 @@ class TestValidation:
 
     def test_lead_time_check(self, tensor):
         with pytest.raises(ValueError):
-            GridDataset(tensor, lead_time=0)
+            GridDataset(tensor).set_basic_representation(lead_time=0)
 
     @pytest.mark.parametrize("field", ["steps_per_period", "steps_per_trend"])
     @pytest.mark.parametrize("value", [0, -3])

@@ -68,6 +68,10 @@ class TestClaimLoop:
         result = json.loads(out_path.read_text())
         assert result["scale"] == "smoke"
         assert result["cpu_count"] >= 1 and result["commit"] and result["date"]
+        # The BLAS build and thread variables are recorded, as the
+        # process found them (the test suite pins one thread).
+        assert result["blas"]["name"]
+        assert result["blas"]["OPENBLAS_NUM_THREADS"] == "1"
         assert result["artifacts"]["stub"]["rows"] == {"fast": 1.0, "slow": 3.0}
         (claim,) = result["artifacts"]["stub"]["claims"]
         assert claim["source"] == "Table X" and claim["margin"] == 3.0
