@@ -8,7 +8,11 @@
 #      and no file under src/ may import scipy at module level (an
 #      unindented `import scipy` / `from scipy`) — only the synthetic
 #      generators use it, through an import inside the function, so
-#      stream, join and engine processes never load it
+#      stream, join and engine processes never load it; and
+#      src/repro/tensor/ops_conv.py and ops_fused.py may not name
+#      _TRACE, _tensor_mod or op_span( — how an op is timed, named for
+#      its backward and recorded on a trace tape is decided once, by
+#      the _op decorator in src/repro/tensor/tensor.py
 #   2. tier-1: the full test suite (what the roadmap pins), with one
 #      BLAS thread (tests/conftest.py pins it before numpy loads)
 #   3. fast lane: unit tests minus anything marked slow
@@ -59,6 +63,8 @@ fi
 # (`set -e` does not act on a `!` pipeline, hence the explicit exit.)
 ! grep -rnE --include='*.py' "zipfile|savez|np\.load" src/repro/spatial/ || exit 1
 ! grep -rnE --include='*.py' "^(import|from)[[:space:]]+scipy" src/ || exit 1
+! grep -nE "_TRACE|_tensor_mod|op_span\(" \
+    src/repro/tensor/ops_conv.py src/repro/tensor/ops_fused.py || exit 1
 
 echo "== tier-1: full suite =="
 python -m pytest -x -q

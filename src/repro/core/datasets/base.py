@@ -203,9 +203,10 @@ class GridDataset(Dataset):
         transform=None,
     ):
         tensor = np.asarray(tensor, dtype=np.float32)
-        if tensor.ndim != 4:
+        if tensor.ndim != 4 or tensor.size == 0:
             raise ValueError(
-                f"grid tensor must be (T, H, W, C), got shape {tensor.shape}"
+                f"grid tensor must be a non-empty (T, H, W, C) array, got "
+                f"shape {tensor.shape}"
             )
         check_positive(steps_per_period, "steps_per_period")
         check_positive(steps_per_trend, "steps_per_trend")

@@ -23,28 +23,19 @@
 
 Both strategies compute identical values; tests assert this.
 
-Each kernel wraps its hot section in :func:`repro.obs.op_span`, which
-adds the call's wall seconds and one call to the registry counters
-``tensor.op_s.<name>`` / ``tensor.op_calls.<name>``; with obs disabled
-the wrapper is a shared no-op costing one flag read.
+Each op here is defined under ``repro.tensor.tensor._op``, which times
+it and its backward and records it on a trace tape.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from importlib import import_module
-
 from numpy.lib.stride_tricks import as_strided
 
-from repro.obs import op_span
 from repro.tensor.backend import ACCELERATED, get_backend
 from repro.tensor.pool import default_pool
-from repro.tensor.tensor import Tensor
-
-# The module object, not the same-named free function the package
-# re-exports: the ``_TRACE`` recording hook lives on the module.
-_tensor_mod = import_module("repro.tensor.tensor")
+from repro.tensor.tensor import Tensor, _as_array, _op
 
 
 def _conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -271,6 +262,7 @@ def conv_dx_scatter(gfm, w, stride, oh, ow, dcols, dxp) -> None:
             ] += taps[:, i, j]
 
 
+@_op("ops_conv.conv2d")
 def conv2d(
     x,
     weight: Tensor,
@@ -325,9 +317,7 @@ def conv2d(
     if padding or folded:
         dtype = xs[0].data.dtype
         if folded:  # stored as the composed concatenate / relu output is
-            dtype = _tensor_mod._as_array(
-                np.empty(0, np.result_type(*(t.data for t in xs)))
-            ).dtype
+            dtype = _as_array(np.empty(0, np.result_type(*(t.data for t in xs)))).dtype
         xp = pool.acquire(
             (n, c, h + 2 * padding, w + 2 * padding), dtype, zero=bool(padding)
         )
@@ -340,132 +330,103 @@ def conv2d(
     k2, rows = kh * kw, n * oh * ow
     relu_mask = None
 
-    with op_span("ops_conv.conv2d"):
-        if accelerated:
-            # Pooled transients, recycled every call, so the column
-            # buffer does not carry im2col's allocation cost.
-            dt = np.result_type(xp.dtype, weight.data.dtype)
-            b = None if bias is None else bias.data
-            out = np.empty(
-                (n, f, oh, ow), dt if b is None else np.result_type(dt, b.dtype)
-            )
-            if activation == "relu":
-                relu_mask = np.empty(out.shape, np.bool_)
-            cols = pool.acquire((c * k2, rows), dt)
-            fm = pool.acquire((f, rows), dt)
-            conv_forward(xp, weight.data, b, stride, out, cols, fm, relu_mask)
-            pool.release(cols)
-            pool.release(fm)
-        else:
-            out = np.empty((n, f, oh, ow), dtype=xp.dtype)
-            w_flat = weight.data.reshape(f, -1)
-            for i in range(oh):
-                for j in range(ow):
-                    patch = xp[
-                        :, :, i * stride : i * stride + kh, j * stride : j * stride + kw
-                    ].reshape(n, -1)
-                    out[:, :, i, j] = patch @ w_flat.T
-            if bias is not None:
-                out = out + bias.data.reshape(1, f, 1, 1)
-            if activation == "relu":
-                relu_mask = out > 0
-                out = out * relu_mask
+    if accelerated:
+        # Pooled transients, recycled every call, so the column
+        # buffer does not carry im2col's allocation cost.
+        dt = np.result_type(xp.dtype, weight.data.dtype)
+        b = None if bias is None else bias.data
+        out = np.empty((n, f, oh, ow), dt if b is None else np.result_type(dt, b.dtype))
+        if activation == "relu":
+            relu_mask = np.empty(out.shape, np.bool_)
+        cols = pool.acquire((c * k2, rows), dt)
+        fm = pool.acquire((f, rows), dt)
+        conv_forward(xp, weight.data, b, stride, out, cols, fm, relu_mask)
+        pool.release(cols)
+        pool.release(fm)
+    else:
+        out = np.empty((n, f, oh, ow), dtype=xp.dtype)
+        w_flat = weight.data.reshape(f, -1)
+        for i in range(oh):
+            for j in range(ow):
+                si, sj = i * stride, j * stride
+                patch = xp[:, :, si : si + kh, sj : sj + kw].reshape(n, -1)
+                out[:, :, i, j] = patch @ w_flat.T
+        if bias is not None:
+            out = out + bias.data.reshape(1, f, 1, 1)
+        if activation == "relu":
+            relu_mask = out > 0
+            out = out * relu_mask
 
     needs_dx = any(t.requires_grad for t in xs)
 
     def backward(grad):
-        with op_span("ops_conv.conv2d.backward"):
-            pool = default_pool()
-            if relu_mask is not None:
-                grad = grad * relu_mask
-            gfm = None
-            if accelerated and (
-                weight.requires_grad or (needs_dx and not correlate)
-            ):
-                gfm = grad_feature_major(grad, pool.acquire((f, rows), dt))
-            if weight.requires_grad:
-                if accelerated:
-                    cols = pool.acquire((c * k2, rows), dt)
-                    im2col(xp, kh, kw, stride, oh, ow, cols)
-                    dw = conv_dw(gfm, cols, weight.shape)
-                    pool.release(cols)
-                else:
-                    dw = pool.acquire(
-                        weight.data.shape, weight.data.dtype, zero=True
-                    )
-                    w_rows = dw.reshape(f, -1)
-                    for i in range(oh):
-                        for j in range(ow):
-                            patch = xp[
-                                :,
-                                :,
-                                i * stride : i * stride + kh,
-                                j * stride : j * stride + kw,
-                            ].reshape(n, -1)
-                            w_rows += grad[:, :, i, j].T @ patch
-                weight._accumulate(dw, donate=True)
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(grad.sum(axis=(0, 2, 3)), donate=True)
-            if needs_dx and correlate:
-                ph, pw = kh - 1 - padding, kw - 1 - padding
-                gp = grad
-                if ph or pw:
-                    gp = pool.acquire(
-                        (n, f, oh + 2 * ph, ow + 2 * pw), dt, zero=True
-                    )
-                    pad_into(gp, grad)
-                dx = pool.acquire((n, c, h, w), dt)
-                dcols = pool.acquire((f * k2, n * h * w), dt)
-                dfm = pool.acquire((c, n * h * w), dt)
-                conv_forward(gp, flipped(weight.data), None, 1, dx, dcols, dfm)
-                for scratch in (dcols, dfm, gp):
-                    if scratch is not grad:
-                        pool.release(scratch)
-                _send_input_grad(xs, dx, dx, inner, relu_in)
-            elif needs_dx:
-                if accelerated:
-                    dxp = pool.acquire(xp.shape, xp.dtype)
-                    dcols = pool.acquire((c * k2, rows), dt)
-                    conv_dx_scatter(gfm, weight.data, stride, oh, ow, dcols, dxp)
-                    pool.release(dcols)
-                else:
-                    dxp = pool.acquire(xp.shape, xp.dtype, zero=True)
-                    grad_nhwf = grad.transpose(0, 2, 3, 1)
-                    for i in range(kh):
-                        for j in range(kw):
-                            contrib = np.tensordot(
-                                grad_nhwf, weight.data[:, :, i, j],
-                                axes=([3], [0]),
-                            )
-                            dxp[
-                                :, :, i : i + stride * oh : stride,
-                                j : j + stride * ow : stride,
-                            ] += contrib.transpose(0, 3, 1, 2)
-                g = dxp
-                if padding:
-                    g = dxp[:, :, padding : padding + h, padding : padding + w]
-                _send_input_grad(xs, g, dxp, inner, relu_in)
-            if gfm is not None:
-                pool.release(gfm)
+        pool = default_pool()
+        if relu_mask is not None:
+            grad = grad * relu_mask
+        gfm = None
+        if accelerated and (weight.requires_grad or (needs_dx and not correlate)):
+            gfm = grad_feature_major(grad, pool.acquire((f, rows), dt))
+        if weight.requires_grad:
+            if accelerated:
+                cols = pool.acquire((c * k2, rows), dt)
+                im2col(xp, kh, kw, stride, oh, ow, cols)
+                dw = conv_dw(gfm, cols, weight.shape)
+                pool.release(cols)
+            else:
+                dw = pool.acquire(weight.data.shape, weight.data.dtype, zero=True)
+                w_rows = dw.reshape(f, -1)
+                for i in range(oh):
+                    for j in range(ow):
+                        si, sj = i * stride, j * stride
+                        patch = xp[:, :, si : si + kh, sj : sj + kw].reshape(n, -1)
+                        w_rows += grad[:, :, i, j].T @ patch
+            weight._accumulate(dw, donate=True)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad.sum(axis=(0, 2, 3)), donate=True)
+        if needs_dx and correlate:
+            ph, pw = kh - 1 - padding, kw - 1 - padding
+            gp = grad
+            if ph or pw:
+                gp = pool.acquire((n, f, oh + 2 * ph, ow + 2 * pw), dt, zero=True)
+                pad_into(gp, grad)
+            dx = pool.acquire((n, c, h, w), dt)
+            dcols = pool.acquire((f * k2, n * h * w), dt)
+            dfm = pool.acquire((c, n * h * w), dt)
+            conv_forward(gp, flipped(weight.data), None, 1, dx, dcols, dfm)
+            for scratch in (dcols, dfm, gp):
+                if scratch is not grad:
+                    pool.release(scratch)
+            _send_input_grad(xs, dx, dx, inner, relu_in)
+        elif needs_dx:
+            if accelerated:
+                dxp = pool.acquire(xp.shape, xp.dtype)
+                dcols = pool.acquire((c * k2, rows), dt)
+                conv_dx_scatter(gfm, weight.data, stride, oh, ow, dcols, dxp)
+                pool.release(dcols)
+            else:
+                dxp = pool.acquire(xp.shape, xp.dtype, zero=True)
+                grad_nhwf = grad.transpose(0, 2, 3, 1)
+                for i in range(kh):
+                    for j in range(kw):
+                        contrib = np.tensordot(
+                            grad_nhwf, weight.data[:, :, i, j], axes=([3], [0])
+                        )
+                        dxp[
+                            :, :, i : i + stride * oh : stride,
+                            j : j + stride * ow : stride,
+                        ] += contrib.transpose(0, 3, 1, 2)
+            g = dxp
+            if padding:
+                g = dxp[:, :, padding : padding + h, padding : padding + w]
+            _send_input_grad(xs, g, dxp, inner, relu_in)
+        if gfm is not None:
+            pool.release(gfm)
 
     parents = (*xs, weight) if bias is None else (*xs, weight, bias)
-    ret = Tensor._make(out, parents, backward)
-    if _tensor_mod._TRACE is not None:
-        k = len(xs)
-        _tensor_mod._TRACE.record(
-            conv2d if k == 1 else (
-                lambda *ts, **kw: conv2d(ts[:k], *ts[k:], **kw)
-            ),
-            parents,
-            (ret,),
-            stride=stride,
-            padding=padding,
-            activation=activation,
-            input_activation=input_activation,
-        )
-    return ret
+    return Tensor._make(out, parents, backward)
 
 
+@_op("ops_conv.conv_transpose2d")
 def conv_transpose2d(
     x: Tensor,
     weight: Tensor,
@@ -489,65 +450,49 @@ def conv_transpose2d(
     if oh <= 0 or ow <= 0:
         raise ValueError("conv_transpose output would be empty")
 
-    with op_span("ops_conv.conv_transpose2d"):
-        full = np.zeros(
-            (n, f, (h - 1) * stride + kh, (w - 1) * stride + kw), dtype=x.data.dtype
-        )
-        for i in range(kh):
-            for j in range(kw):
-                # (N, H, W, F) contribution from kernel tap (i, j)
-                contrib = np.tensordot(x.data, weight.data[:, :, i, j], axes=([1], [0]))
-                full[:, :, i : i + stride * h : stride, j : j + stride * w : stride] += (
-                    contrib.transpose(0, 3, 1, 2)
-                )
-        out = full[:, :, padding : padding + oh, padding : padding + ow]
-        if bias is not None:
-            out = out + bias.data.reshape(1, f, 1, 1)
+    full_shape = (n, f, (h - 1) * stride + kh, (w - 1) * stride + kw)
+    full = np.zeros(full_shape, dtype=x.data.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            # (N, H, W, F) contribution from kernel tap (i, j)
+            contrib = np.tensordot(x.data, weight.data[:, :, i, j], axes=([1], [0]))
+            full[:, :, i : i + stride * h : stride, j : j + stride * w : stride] += (
+                contrib.transpose(0, 3, 1, 2)
+            )
+    out = full[:, :, padding : padding + oh, padding : padding + ow]
+    if bias is not None:
+        out = out + bias.data.reshape(1, f, 1, 1)
 
     def backward(grad):
-        with op_span("ops_conv.conv_transpose2d.backward"):
-            pool = default_pool()
-            gfull = pool.acquire(
-                (n, f, (h - 1) * stride + kh, (w - 1) * stride + kw),
-                grad.dtype,
-                zero=True,
-            )
-            gfull[:, :, padding : padding + oh, padding : padding + ow] = grad
-            if x.requires_grad:
-                dx = pool.acquire(x.data.shape, x.data.dtype, zero=True)
-                for i in range(kh):
-                    for j in range(kw):
-                        gslice = gfull[
-                            :, :, i : i + stride * h : stride,
-                            j : j + stride * w : stride,
-                        ]
-                        dx += np.tensordot(
-                            gslice, weight.data[:, :, i, j], axes=([1], [1])
-                        ).transpose(0, 3, 1, 2)
-                x._accumulate(dx, donate=True)
-            if weight.requires_grad:
-                dw = pool.acquire(weight.data.shape, weight.data.dtype)
-                for i in range(kh):
-                    for j in range(kw):
-                        gslice = gfull[
-                            :, :, i : i + stride * h : stride,
-                            j : j + stride * w : stride,
-                        ]
-                        dw[:, :, i, j] = np.tensordot(
-                            x.data, gslice, axes=([0, 2, 3], [0, 2, 3])
-                        )
-                weight._accumulate(dw, donate=True)
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(grad.sum(axis=(0, 2, 3)), donate=True)
-            pool.release(gfull)
+        pool = default_pool()
+        gfull = pool.acquire(full_shape, grad.dtype, zero=True)
+        gfull[:, :, padding : padding + oh, padding : padding + ow] = grad
+        # Each tap's window of the gradient, as the forward wrote it.
+        gslices = [
+            (i, j, gfull[:, :, i : i + stride * h : stride,
+                         j : j + stride * w : stride])
+            for i in range(kh) for j in range(kw)
+        ]
+        if x.requires_grad:
+            dx = pool.acquire(x.data.shape, x.data.dtype, zero=True)
+            for i, j, gslice in gslices:
+                dx += np.tensordot(
+                    gslice, weight.data[:, :, i, j], axes=([1], [1])
+                ).transpose(0, 3, 1, 2)
+            x._accumulate(dx, donate=True)
+        if weight.requires_grad:
+            dw = pool.acquire(weight.data.shape, weight.data.dtype)
+            for i, j, gslice in gslices:
+                dw[:, :, i, j] = np.tensordot(
+                    x.data, gslice, axes=([0, 2, 3], [0, 2, 3])
+                )
+            weight._accumulate(dw, donate=True)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad.sum(axis=(0, 2, 3)), donate=True)
+        pool.release(gfull)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    ret = Tensor._make(out, parents, backward)
-    if _tensor_mod._TRACE is not None:
-        _tensor_mod._TRACE.record(
-            conv_transpose2d, parents, (ret,), stride=stride, padding=padding
-        )
-    return ret
+    return Tensor._make(out, parents, backward)
 
 
 def check_pool_kernel(kernel) -> None:
@@ -584,6 +529,7 @@ def _tap_reduce(ufunc, taps: list) -> np.ndarray:
     return out
 
 
+@_op("ops_conv.max_pool2d")
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """Max pooling.  Only non-overlapping pooling (stride == kernel) is
     supported, which covers every model in this library.  Tied maxima
@@ -591,37 +537,30 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     returns NaN, and the NaN positions are its maxima."""
     _check_pool_args(x.shape, kernel, stride, "max_pool2d")
     taps = _taps(x.data, kernel)
-    with op_span("ops_conv.max_pool2d"):
-        out = _tap_reduce(np.maximum, taps)
+    out = _tap_reduce(np.maximum, taps)
 
     def backward(grad):
-        with op_span("ops_conv.max_pool2d.backward"):
-            pool = default_pool()
-            masks = pool.acquire((len(taps), *out.shape), np.bool_)
-            ties = pool.acquire(
-                out.shape, np.min_scalar_type(len(taps)), zero=True
-            )
-            nan_max = out.dtype.kind == "f" and np.isnan(out).any()
-            for tap, mask in zip(taps, masks):
-                np.equal(tap, out, out=mask)
-                if nan_max:  # NaN != NaN: mark the NaN taps by hand
-                    mask |= np.isnan(tap)
-                ties += mask
-            # Each tied maximum gets grad / ties: divided once, into a
-            # data-dtype buffer (an int64 count made it float64).
-            share = pool.acquire(out.shape, out.dtype)
-            np.divide(grad, ties, out=share)
-            dx = pool.acquire(x.shape, out.dtype)
-            for dx_tap, mask in zip(_taps(dx, kernel), masks):
-                np.multiply(share, mask, out=dx_tap)
-            for scratch in (masks, ties, share):
-                pool.release(scratch)
-            x._accumulate(dx, donate=True)
+        pool = default_pool()
+        masks = pool.acquire((len(taps), *out.shape), np.bool_)
+        ties = pool.acquire(out.shape, np.min_scalar_type(len(taps)), zero=True)
+        nan_max = out.dtype.kind == "f" and np.isnan(out).any()
+        for tap, mask in zip(taps, masks):
+            np.equal(tap, out, out=mask)
+            if nan_max:  # NaN != NaN: mark the NaN taps by hand
+                mask |= np.isnan(tap)
+            ties += mask
+        # Each tied maximum gets grad / ties: divided once, into a
+        # data-dtype buffer (an int64 count made it float64).
+        share = pool.acquire(out.shape, out.dtype)
+        np.divide(grad, ties, out=share)
+        dx = pool.acquire(x.shape, out.dtype)
+        for dx_tap, mask in zip(_taps(dx, kernel), masks):
+            np.multiply(share, mask, out=dx_tap)
+        for scratch in (masks, ties, share):
+            pool.release(scratch)
+        x._accumulate(dx, donate=True)
 
-    ret = Tensor._make(out, (x,), backward)
-    if _tensor_mod._TRACE is not None:
-        _tensor_mod._TRACE.record(max_pool2d, (x,), (ret,), kernel, stride)
-    return ret
+    return Tensor._make(out, (x,), backward)
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:

@@ -31,26 +31,19 @@ replaces (pinned by ``tests/property/test_property_fused.py``).
 nodes to one) but sums in a different order than the composed chain,
 so it matches it to float32 tolerance, not bit for bit.
 
-Every kernel times itself through :func:`repro.obs.op_span` (the
-``tensor.op_s.*`` / ``tensor.op_calls.*`` counters) like the conv
-primitives.
+Each kernel is defined under ``repro.tensor.tensor._op``, which times
+it and its backward and records it on a trace tape.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from importlib import import_module
-
-from repro.obs import op_span
 from repro.tensor.pool import default_pool
-from repro.tensor.tensor import Tensor
-
-# The module object, not the same-named free function the package
-# re-exports: the ``_TRACE`` recording hook lives on the module.
-_tensor_mod = import_module("repro.tensor.tensor")
+from repro.tensor.tensor import Tensor, _op
 
 
+@_op("ops_fused.linear")
 def fused_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map ``x @ weight.T + bias`` as one autograd node.
 
@@ -64,36 +57,30 @@ def fused_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tenso
     matter how the surrounding graph is shaped.
     """
     xd, wd = x.data, weight.data
-    with op_span("ops_fused.linear"):
-        out = xd @ wd.T
-        if bias is not None:
-            out = out + bias.data
+    out = xd @ wd.T
+    if bias is not None:
+        out = out + bias.data
 
     def backward(grad):
-        with op_span("ops_fused.linear.backward"):
-            if x.requires_grad:
-                x._accumulate(grad @ wd, donate=True)
-            if weight.requires_grad:
-                if xd.ndim == 1:
-                    dw = np.outer(grad, xd)
-                else:
-                    g2 = grad.reshape(-1, grad.shape[-1])
-                    x2 = xd.reshape(-1, xd.shape[-1])
-                    dw = g2.T @ x2
-                weight._accumulate(dw, donate=True)
-            if bias is not None and bias.requires_grad:
-                if grad.ndim == 1:
-                    bias._accumulate(grad)
-                else:
-                    bias._accumulate(
-                        grad.sum(axis=tuple(range(grad.ndim - 1))), donate=True
-                    )
+        if x.requires_grad:
+            x._accumulate(grad @ wd, donate=True)
+        if weight.requires_grad:
+            if xd.ndim == 1:
+                dw = np.outer(grad, xd)
+            else:
+                g2 = grad.reshape(-1, grad.shape[-1])
+                x2 = xd.reshape(-1, xd.shape[-1])
+                dw = g2.T @ x2
+            weight._accumulate(dw, donate=True)
+        if bias is not None and bias.requires_grad:
+            if grad.ndim == 1:
+                bias._accumulate(grad)
+            else:
+                batch_axes = tuple(range(grad.ndim - 1))
+                bias._accumulate(grad.sum(axis=batch_axes), donate=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    ret = Tensor._make(out, parents, backward)
-    if _tensor_mod._TRACE is not None:
-        _tensor_mod._TRACE.record(fused_linear, parents, (ret,))
-    return ret
+    return Tensor._make(out, parents, backward)
 
 
 def _channel_sum(a: np.ndarray) -> np.ndarray:
@@ -102,6 +89,7 @@ def _channel_sum(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[0], a.shape[1], -1).sum(axis=2).sum(axis=0)
 
 
+@_op("ops_fused.batch_norm2d")
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     """Training-mode batch normalization over NCHW as one autograd node.
 
@@ -117,45 +105,42 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     Backward is the closed form ``dbeta = sum(g)``, ``dgamma =
     sum(g * x_hat)``, ``dx = gamma * inv_std * (g - dbeta/M - x_hat *
     dgamma/M)`` over one pooled buffer that becomes ``x.grad``.  The
-    arithmetic follows the input dtype.  Not recorded on a trace tape
-    (a trace session that meets it disables itself, as for any
-    unrecorded op); ``BatchNorm2d`` declares itself trace-unsafe anyway.
+    arithmetic follows the input dtype.  ``BatchNorm2d`` declares itself
+    trace-unsafe: its running statistics would not update on a replay.
     """
     xd = x.data
     n, c, h, w = xd.shape
     m = n * h * w
     per_channel = (c, 1, 1)
     pool = default_pool()
-    with op_span("ops_fused.batch_norm2d"):
-        mean = _channel_sum(xd) / m
-        x_hat = pool.acquire(xd.shape, mean.dtype)
-        np.subtract(xd, mean.reshape(per_channel), out=x_hat)
-        out = pool.acquire(xd.shape, mean.dtype)
-        np.multiply(x_hat, x_hat, out=out)
-        var = _channel_sum(out) / m
-        inv_std = (var + eps) ** -0.5
-        x_hat *= inv_std.reshape(per_channel)
-        np.multiply(x_hat, gamma.data.reshape(per_channel), out=out)
-        out += beta.data.reshape(per_channel)
+    mean = _channel_sum(xd) / m
+    x_hat = pool.acquire(xd.shape, mean.dtype)
+    np.subtract(xd, mean.reshape(per_channel), out=x_hat)
+    out = pool.acquire(xd.shape, mean.dtype)
+    np.multiply(x_hat, x_hat, out=out)
+    var = _channel_sum(out) / m
+    inv_std = (var + eps) ** -0.5
+    x_hat *= inv_std.reshape(per_channel)
+    np.multiply(x_hat, gamma.data.reshape(per_channel), out=out)
+    out += beta.data.reshape(per_channel)
 
     def backward(grad):
-        with op_span("ops_fused.batch_norm2d.backward"):
-            dbeta = _channel_sum(grad)
-            dx = pool.acquire(x_hat.shape, x_hat.dtype)
-            np.multiply(grad, x_hat, out=dx)
-            dgamma = _channel_sum(dx)
-            if x.requires_grad:
-                np.multiply(x_hat, (dgamma / m).reshape(per_channel), out=dx)
-                dx += (dbeta / m).reshape(per_channel)
-                np.subtract(grad, dx, out=dx)
-                dx *= (gamma.data * inv_std).reshape(per_channel)
-                x._accumulate(dx, donate=True)
-            else:
-                pool.release(dx)
-            if gamma.requires_grad:
-                gamma._accumulate(dgamma, donate=True)
-            if beta.requires_grad:
-                beta._accumulate(dbeta, donate=True)
+        dbeta = _channel_sum(grad)
+        dx = pool.acquire(x_hat.shape, x_hat.dtype)
+        np.multiply(grad, x_hat, out=dx)
+        dgamma = _channel_sum(dx)
+        if x.requires_grad:
+            np.multiply(x_hat, (dgamma / m).reshape(per_channel), out=dx)
+            dx += (dbeta / m).reshape(per_channel)
+            np.subtract(grad, dx, out=dx)
+            dx *= (gamma.data * inv_std).reshape(per_channel)
+            x._accumulate(dx, donate=True)
+        else:
+            pool.release(dx)
+        if gamma.requires_grad:
+            gamma._accumulate(dgamma, donate=True)
+        if beta.requires_grad:
+            beta._accumulate(dbeta, donate=True)
 
     return Tensor._make(out, (x, gamma, beta), backward), mean, var
 
@@ -184,6 +169,7 @@ def _logistic_in_place(
     return x
 
 
+@_op("ops_fused.lstm_gates")
 def fused_lstm_gates(gates: Tensor, c: Tensor, hidden: int):
     """Apply the LSTM gate equations to a packed gate tensor.
 
@@ -227,20 +213,19 @@ def fused_lstm_gates(gates: Tensor, c: Tensor, hidden: int):
     i, f, g, o = a[:, :h1], a[:, h1:h2], a[:, h2:h3], a[:, h3:]
     c_prev = c.data
     pool = default_pool()
-    with op_span("ops_fused.lstm_gates"):
-        scratch = pool.acquire(block, a.dtype)
-        nonneg = pool.acquire(block, np.bool_)
-        for gate in (i, f, o):
-            _logistic_in_place(gate, scratch, nonneg)
-        pool.release(nonneg)
-        np.tanh(g, out=g)
-        c_data = f * c_prev
-        c_data += np.multiply(i, g, out=scratch)
-        # tanh(c_next) is scratch here; ``h_next``'s backward
-        # recomputes it from ``c_data`` with the same ufunc.
-        t = np.tanh(c_data, out=scratch if c_data.dtype == a.dtype else None)
-        h_data = o * t
-        pool.release(scratch)
+    scratch = pool.acquire(block, a.dtype)
+    nonneg = pool.acquire(block, np.bool_)
+    for gate in (i, f, o):
+        _logistic_in_place(gate, scratch, nonneg)
+    pool.release(nonneg)
+    np.tanh(g, out=g)
+    c_data = f * c_prev
+    c_data += np.multiply(i, g, out=scratch)
+    # tanh(c_next) is scratch here; ``h_next``'s backward
+    # recomputes it from ``c_data`` with the same ufunc.
+    t = np.tanh(c_data, out=scratch if c_data.dtype == a.dtype else None)
+    h_data = o * t
+    pool.release(scratch)
 
     # ``h_next``'s backward runs first (reverse topo): it acquires the
     # packed gate gradient, fills the o-block and hands it across
@@ -248,54 +233,48 @@ def fused_lstm_gates(gates: Tensor, c: Tensor, hidden: int):
     handoff: dict = {}
 
     def backward_c(dcn):
-        with op_span("ops_fused.lstm_gates.backward"):
-            if gates.requires_grad:
-                packed = handoff.pop("packed", None)
-                if packed is None:  # h_next never received a gradient
-                    packed = pool.acquire(a.shape, np.result_type(dcn, c_data))
-                    packed[:, h3:] = 0
-                # Same association order as the unfused mul/sigmoid/
-                # tanh closures: ((dcn * g) * i) * (1 - i) etc.
-                one_minus = pool.acquire(block, a.dtype)
-                di, df, dg = packed[:, :h1], packed[:, h1:h2], packed[:, h2:h3]
-                np.multiply(dcn, g, out=di)
-                di *= i
-                di *= np.subtract(1.0, i, out=one_minus)
-                np.multiply(dcn, c_prev, out=df)
-                df *= f
-                df *= np.subtract(1.0, f, out=one_minus)
-                np.multiply(dcn, i, out=dg)
-                np.multiply(g, g, out=one_minus)  # g**2
-                dg *= np.subtract(1.0, one_minus, out=one_minus)
-                pool.release(one_minus)
-                gates._accumulate(packed, donate=True)
-            if c.requires_grad:
-                c._accumulate(dcn * f, donate=True)
+        if gates.requires_grad:
+            packed = handoff.pop("packed", None)
+            if packed is None:  # h_next never received a gradient
+                packed = pool.acquire(a.shape, np.result_type(dcn, c_data))
+                packed[:, h3:] = 0
+            # Same association order as the unfused mul/sigmoid/
+            # tanh closures: ((dcn * g) * i) * (1 - i) etc.
+            one_minus = pool.acquire(block, a.dtype)
+            di, df, dg = packed[:, :h1], packed[:, h1:h2], packed[:, h2:h3]
+            np.multiply(dcn, g, out=di)
+            di *= i
+            di *= np.subtract(1.0, i, out=one_minus)
+            np.multiply(dcn, c_prev, out=df)
+            df *= f
+            df *= np.subtract(1.0, f, out=one_minus)
+            np.multiply(dcn, i, out=dg)
+            np.multiply(g, g, out=one_minus)  # g**2
+            dg *= np.subtract(1.0, one_minus, out=one_minus)
+            pool.release(one_minus)
+            gates._accumulate(packed, donate=True)
+        if c.requires_grad:
+            c._accumulate(dcn * f, donate=True)
 
     c_next = Tensor._make(c_data, (gates, c), backward_c)
 
     def backward_h(dh):
-        with op_span("ops_fused.lstm_gates.backward"):
-            t = np.tanh(c_data, out=pool.acquire(block, c_data.dtype))
-            if gates.requires_grad:
-                packed = pool.acquire(a.shape, np.result_type(dh, t))
-                handoff["packed"] = packed
-                # The i-block is free scratch until backward_c fills it.
-                do, one_minus = packed[:, h3:], packed[:, :h1]
-                np.multiply(dh, t, out=do)
-                do *= o
-                do *= np.subtract(1.0, o, out=one_minus)
-            if c_next.requires_grad:
-                # (dh * o) * (1 - t**2), its temporaries written over t.
-                dc = dh * o
-                np.square(t, out=t)
-                dc *= np.subtract(1.0, t, out=t)
-                c_next._accumulate(dc, donate=True)
-            pool.release(t)
+        t = np.tanh(c_data, out=pool.acquire(block, c_data.dtype))
+        if gates.requires_grad:
+            packed = pool.acquire(a.shape, np.result_type(dh, t))
+            handoff["packed"] = packed
+            # The i-block is free scratch until backward_c fills it.
+            do, one_minus = packed[:, h3:], packed[:, :h1]
+            np.multiply(dh, t, out=do)
+            do *= o
+            do *= np.subtract(1.0, o, out=one_minus)
+        if c_next.requires_grad:
+            # (dh * o) * (1 - t**2), its temporaries written over t.
+            dc = dh * o
+            np.square(t, out=t)
+            dc *= np.subtract(1.0, t, out=t)
+            c_next._accumulate(dc, donate=True)
+        pool.release(t)
 
     h_next = Tensor._make(h_data, (gates, c_next), backward_h)
-    if _tensor_mod._TRACE is not None:
-        _tensor_mod._TRACE.record(
-            fused_lstm_gates, (gates, c), (h_next, c_next), hidden
-        )
     return h_next, c_next

@@ -8,11 +8,14 @@ topological order, accumulating gradients.
 
 Broadcasting follows numpy semantics; gradients are "unbroadcast"
 (summed over expanded axes) so shapes always match their tensors.
+Every differentiable op, here and in ``ops_conv`` / ``ops_fused``, is
+defined under :func:`_op`.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import wraps
 
 import numpy as np
 
@@ -22,9 +25,12 @@ from repro.tensor.pool import default_pool
 _grad_enabled = True
 
 # Active TraceRecorder (repro.tensor.trace), or None.  Ops report
-# themselves through the module-level hooks below while a TraceSession
-# is capturing a step; outside capture every hook is a None check.
+# themselves through :func:`_op` while a TraceSession is capturing a
+# step; outside capture that is one None check per op call.
 _TRACE = None
+
+#: Every differentiable op by name: the callable :func:`_op` returns.
+_OPS: dict = {}
 
 _freed_counter = None  # lazy obs counter for autograd.freed_bytes
 
@@ -48,6 +54,38 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+def _op(name: str):
+    """Define a differentiable op named ``name`` (``"tensor.sub"``).
+
+    The one code that times, names and records ops, so an op body holds
+    only its math and its :meth:`Tensor._make` wiring: the call runs
+    under ``op_span(name)``; each ``Tensor`` it returns is named so
+    :meth:`Tensor.backward` times its closure under ``name +
+    ".backward"``; while a trace is capturing, the call is recorded
+    with its real ``args`` / ``kwargs``; and the op enters ``_OPS``.
+    Composed helpers (``mean``, ``flatten``, ``nn.functional``) stay
+    undecorated, so no op span opens inside another.
+    """
+    grad_span = name + ".backward"
+
+    def decorate(fn):
+        @wraps(fn)
+        def op(*args, **kwargs):
+            with op_span(name):
+                ret = fn(*args, **kwargs)
+            for out in ret if type(ret) is tuple else (ret,):
+                if isinstance(out, Tensor):
+                    out._grad_span = grad_span
+            if _TRACE is not None:
+                _TRACE.record(op, args, kwargs, ret)
+            return ret
+
+        _OPS[name] = op
+        return op
+
+    return decorate
 
 
 def _as_array(data, dtype=None) -> np.ndarray:
@@ -104,7 +142,8 @@ class Tensor:
         ``backward()`` will populate :attr:`grad`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_freed")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_freed",
+                 "_grad_span")
     __array_priority__ = 100  # numpy defers binary ops to Tensor
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
@@ -114,6 +153,7 @@ class Tensor:
         self._backward = None
         self._prev: tuple = ()
         self._freed = False
+        self._grad_span: str | None = None  # set by _op: "<op>.backward"
 
     # ------------------------------------------------------------------
     # Introspection
@@ -149,12 +189,10 @@ class Tensor:
         """Return the single scalar value held by this tensor."""
         return self.data.item()
 
+    @_op("tensor.detach")
     def detach(self) -> "Tensor":
         """Return a new tensor sharing data but outside the graph."""
-        out = Tensor(self.data, requires_grad=False)
-        if _TRACE is not None:
-            _TRACE.record(Tensor.detach, (self,), (out,))
-        return out
+        return Tensor(self.data, requires_grad=False)
 
     # ------------------------------------------------------------------
     # Autograd machinery
@@ -291,31 +329,33 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        if not free_graph:
-            for node in reversed(topo):
-                if node._backward is not None and node.grad is not None:
-                    node._backward(node.grad)
-            return
-
         freed_bytes = 0
-        root = self
         for node in reversed(topo):
-            if node._backward is not None:
-                if node.grad is not None:
-                    node._backward(node.grad)
-                if node is root:
-                    # The root stays readable (loss.item() after
-                    # backward) but its closure and parent links go,
-                    # so a second backward() fails loudly instead of
-                    # silently doing nothing.
-                    node._backward = None
-                    node._prev = ()
-                    node._freed = True
+            closure = node._backward
+            if closure is None:
+                continue
+            if node.grad is not None:
+                if node._grad_span is None:  # a node no _op made
+                    closure(node.grad)
                 else:
-                    freed_bytes += node._release()
-        if freed_bytes:
-            _count_freed(freed_bytes)
-        default_pool().end_step()
+                    with op_span(node._grad_span):
+                        closure(node.grad)
+            if not free_graph:
+                continue
+            if node is self:
+                # The root stays readable (loss.item() after backward)
+                # but its closure and parent links go, so a second
+                # backward() fails loudly instead of silently doing
+                # nothing.
+                node._backward = None
+                node._prev = ()
+                node._freed = True
+            else:
+                freed_bytes += node._release()
+        if free_graph:
+            if freed_bytes:
+                _count_freed(freed_bytes)
+            default_pool().end_step()
 
     @staticmethod
     def _make(data: np.ndarray, parents: tuple, backward) -> "Tensor":
@@ -327,8 +367,8 @@ class Tensor:
             out._backward = backward
             if _TRACE is not None:
                 # Every graph node passes through here; the recorder
-                # rejects the tape at finalize if some op did not
-                # claim its node via record().
+                # rejects the tape at finalize if no _op call claimed
+                # the node.
                 _TRACE.saw(out)
         return out
 
@@ -339,27 +379,24 @@ class Tensor:
     def _coerce(other) -> "Tensor":
         return other if isinstance(other, Tensor) else Tensor(other)
 
+    @_op("tensor.add")
     def __add__(self, other):
         other = self._coerce(other)
-        with op_span("tensor.add"):
-            data = self.data + other.data
+        data = self.data + other.data
 
         def backward(grad):
-            with op_span("tensor.add.backward"):
-                if self.requires_grad:
-                    g = _unbroadcast(grad, self.shape)
-                    self._accumulate(g, donate=g is not grad)
-                if other.requires_grad:
-                    g = _unbroadcast(grad, other.shape)
-                    other._accumulate(g, donate=g is not grad)
+            if self.requires_grad:
+                g = _unbroadcast(grad, self.shape)
+                self._accumulate(g, donate=g is not grad)
+            if other.requires_grad:
+                g = _unbroadcast(grad, other.shape)
+                other._accumulate(g, donate=g is not grad)
 
-        out = Tensor._make(data, (self, other), backward)
-        if _TRACE is not None:
-            _TRACE.record(Tensor.__add__, (self, other), (out,))
-        return out
+        return Tensor._make(data, (self, other), backward)
 
     __radd__ = __add__
 
+    @_op("tensor.sub")
     def __sub__(self, other):
         other = self._coerce(other)
         data = self.data - other.data
@@ -371,43 +408,35 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(-grad, other.shape), donate=True)
 
-        out = Tensor._make(data, (self, other), backward)
-        if _TRACE is not None:
-            _TRACE.record(Tensor.__sub__, (self, other), (out,))
-        return out
+        return Tensor._make(data, (self, other), backward)
 
+    @_op("tensor.mul")
     def __mul__(self, other):
         other = self._coerce(other)
-        with op_span("tensor.mul"):
-            data = self.data * other.data
+        data = self.data * other.data
 
         def backward(grad):
-            with op_span("tensor.mul.backward"):
-                if self.requires_grad:
-                    self._accumulate(
-                        _unbroadcast(grad * other.data, self.shape), donate=True
-                    )
-                if other.requires_grad:
-                    other._accumulate(
-                        _unbroadcast(grad * self.data, other.shape), donate=True
-                    )
+            if self.requires_grad:
+                self._accumulate(
+                    _unbroadcast(grad * other.data, self.shape), donate=True
+                )
+            if other.requires_grad:
+                other._accumulate(
+                    _unbroadcast(grad * self.data, other.shape), donate=True
+                )
 
-        out = Tensor._make(data, (self, other), backward)
-        if _TRACE is not None:
-            _TRACE.record(Tensor.__mul__, (self, other), (out,))
-        return out
+        return Tensor._make(data, (self, other), backward)
 
     __rmul__ = __mul__
 
+    @_op("tensor.neg")
     def __neg__(self):
         def backward(grad):
             self._accumulate(-grad, donate=True)
 
-        out = Tensor._make(-self.data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record(Tensor.__neg__, (self,), (out,))
-        return out
+        return Tensor._make(-self.data, (self,), backward)
 
+    @_op("tensor.pow")
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
@@ -418,49 +447,39 @@ class Tensor:
                 grad * exponent * self.data ** (exponent - 1), donate=True
             )
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record(Tensor.__pow__, (self,), (out,), exponent)
-        return out
+        return Tensor._make(data, (self,), backward)
 
     # ------------------------------------------------------------------
     # Unary math
     # ------------------------------------------------------------------
+    @_op("tensor.exp")
     def exp(self):
         data = np.exp(self.data)
 
         def backward(grad):
             self._accumulate(grad * data, donate=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record(Tensor.exp, (self,), (out,))
-        return out
+        return Tensor._make(data, (self,), backward)
 
+    @_op("tensor.log")
     def log(self):
         data = np.log(self.data)
 
         def backward(grad):
             self._accumulate(grad / self.data, donate=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record(Tensor.log, (self,), (out,))
-        return out
+        return Tensor._make(data, (self,), backward)
 
+    @_op("tensor.tanh")
     def tanh(self):
-        with op_span("tensor.tanh"):
-            data = np.tanh(self.data)
+        data = np.tanh(self.data)
 
         def backward(grad):
-            with op_span("tensor.tanh.backward"):
-                self._accumulate(grad * (1.0 - data**2), donate=True)
+            self._accumulate(grad * (1.0 - data**2), donate=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record(Tensor.tanh, (self,), (out,))
-        return out
+        return Tensor._make(data, (self,), backward)
 
+    @_op("tensor.relu")
     def relu(self):
         mask = self.data > 0
         data = self.data * mask
@@ -468,33 +487,22 @@ class Tensor:
         def backward(grad):
             self._accumulate(grad * mask, donate=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record(Tensor.relu, (self,), (out,))
-        return out
+        return Tensor._make(data, (self,), backward)
 
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
+    @_op("tensor.sum")
     def sum(self, axis=None, keepdims: bool = False):
-        with op_span("tensor.sum"):
-            data = self.data.sum(axis=axis, keepdims=keepdims)
+        data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(grad):
-            with op_span("tensor.sum.backward"):
-                g = grad
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accumulate(
-                    np.broadcast_to(g, self.shape).copy(), donate=True
-                )
+            g = grad
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, self.shape).copy(), donate=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record(
-                Tensor.sum, (self,), (out,), axis=axis, keepdims=keepdims
-            )
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False):
         if axis is None:
@@ -504,7 +512,9 @@ class Tensor:
             count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
+    @_op("tensor.max")
     def max(self, axis=None, keepdims: bool = False):
+        """Maximum over ``axis``; tied (or NaN) maxima share the gradient."""
         data = self.data.max(axis=axis, keepdims=keepdims)
 
         def backward(grad):
@@ -514,6 +524,8 @@ class Tensor:
                 g = np.expand_dims(g, axis)
                 d = np.expand_dims(d, axis)
             mask = self.data == d
+            if np.isnan(d).any():  # NaN != NaN: mark the NaNs by hand
+                mask |= np.isnan(self.data)
             # Tie counts in the data dtype: an int64 divisor would make
             # every max gradient a float64 array.
             counts = mask.sum(axis=axis, keepdims=True).astype(self.data.dtype)
@@ -524,6 +536,7 @@ class Tensor:
     # ------------------------------------------------------------------
     # Shape manipulation
     # ------------------------------------------------------------------
+    @_op("tensor.reshape")
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -533,21 +546,26 @@ class Tensor:
         def backward(grad):
             self._accumulate(grad.reshape(original))
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record(Tensor.reshape, (self,), (out,), shape)
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def flatten(self, start_axis: int = 0):
         new_shape = self.shape[:start_axis] + (-1,)
         return self.reshape(*new_shape)
 
+    @_op("tensor.getitem")
     def __getitem__(self, key):
         if isinstance(key, Tensor):
             key = key.data
         data = self.data[key]
         shape, dtype = self.data.shape, self.data.dtype
         basic = _is_basic_key(key)
+        if not basic:
+            from repro.tensor.trace import notify_trace_unsafe
+
+            # Fancy index arrays may be data-dependent (gathers):
+            # baking them into a trace could silently replay stale
+            # indices, so refuse instead.
+            notify_trace_unsafe("fancy indexing inside the traced region")
 
         def backward(grad):
             full = default_pool().acquire(shape, dtype, zero=True)
@@ -560,16 +578,7 @@ class Tensor:
                 np.add.at(full, key, grad)
             self._accumulate(full, donate=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            if basic:
-                _TRACE.record(Tensor.__getitem__, (self,), (out,), key)
-            else:
-                # Fancy index arrays may be data-dependent (gathers):
-                # baking them into a trace could silently replay stale
-                # indices, so refuse instead.
-                _TRACE.abort("fancy indexing inside the traced region")
-        return out
+        return Tensor._make(data, (self,), backward)
 
 
 # ----------------------------------------------------------------------
@@ -585,6 +594,7 @@ def zeros(shape, requires_grad: bool = False, dtype=np.float32) -> Tensor:
     return out
 
 
+@_op("tensor.concatenate")
 def concatenate(tensors, axis: int = 0) -> Tensor:
     """Differentiable concatenation along ``axis``."""
     tensors = [Tensor._coerce(t) for t in tensors]
@@ -599,12 +609,10 @@ def concatenate(tensors, axis: int = 0) -> Tensor:
                 sl[axis] = slice(start, stop)
                 t._accumulate(grad[tuple(sl)])
 
-    out = Tensor._make(data, tuple(tensors), backward)
-    if _TRACE is not None:
-        _TRACE.record(lambda *ts: concatenate(ts, axis), tensors, (out,))
-    return out
+    return Tensor._make(data, tuple(tensors), backward)
 
 
+@_op("tensor.stack")
 def stack(tensors, axis: int = 0) -> Tensor:
     """Differentiable stacking along a new axis."""
     tensors = [Tensor._coerce(t) for t in tensors]
@@ -616,7 +624,4 @@ def stack(tensors, axis: int = 0) -> Tensor:
             if t.requires_grad:
                 t._accumulate(g)
 
-    out = Tensor._make(data, tuple(tensors), backward)
-    if _TRACE is not None:
-        _TRACE.record(lambda *ts: stack(ts, axis), tensors, (out,))
-    return out
+    return Tensor._make(data, tuple(tensors), backward)

@@ -11,17 +11,14 @@ How it works
 ------------
 
 1. **Record** — the first step runs *eagerly and unchanged* while a
-   :class:`TraceRecorder` (installed as ``repro.tensor.tensor._TRACE``)
-   listens.  Every traceable op ends with one ``_TRACE.record(call,
-   inputs, outputs, *args, **kwargs)`` naming *its own public callable*
-   and constant arguments, such that ``call(*inputs, *args, **kwargs)``
-   is the call that just ran; :meth:`Tensor._make` reports every graph
-   node it wires (``saw``).  Tensors are mapped to integer *slots* of
-   four kinds: the model's parameters (the live objects, shared with
-   the optimizer), the batch externals (inputs and target, rebound
-   every replay), captured constants (scalars and
-   ``zeros``/``ones``/``full``/``arange`` results, copied), and op
-   outputs.
+   :class:`TraceRecorder` listens: ``repro.tensor.tensor._op``, under
+   which every differentiable op is defined, records each call (the op
+   and its own ``args`` / ``kwargs``), and :meth:`Tensor._make`
+   reports every graph node it wires (``saw``).  Tensors among the
+   arguments, in lists and tuples too, map to integer *slots*: the
+   model's parameters (the live objects, shared with the optimizer),
+   the batch externals (rebound every replay), captured constants
+   (scalars and ``zeros`` results, copied) and op outputs.
 2. **Replay** — a later step with a matching input signature binds the
    batch tensors into the external slots, calls each recorded op over
    the slot tensors in order — the real ``Tensor.__add__``,
@@ -29,8 +26,8 @@ How it works
    real graph — then runs ``loss.backward(free_graph=True)`` and reads
    ``loss.data.item()`` exactly as an eager step does.
 
-There is no per-op code in this module and no table of ops: making an
-op traceable is the one ``record`` call at the op.
+An op is traceable because it is defined under ``_op``; this module
+holds no per-op code.
 
 Bit-identity
 ------------
@@ -57,16 +54,16 @@ wrong results:
   → the tape is dropped and re-recorded;
 - ``no_grad()`` active, RNG-dependent ops (dropout), running-stat
   mutation (training BatchNorm), data-dependent indexing
-  (``cross_entropy``'s gather), ops without a ``record`` call, or
-  tensors created outside the traced ops → tracing is disabled for the
-  session and every step runs eagerly.
+  (``cross_entropy``'s gather), graph nodes no ``_op`` made, or
+  arrays and tensors created outside the traced ops → tracing is
+  disabled for the session and every step runs eagerly.
 
 Host-side Python that inspects tensor *values* (not shapes) during the
 forward cannot be observed by the recorder — the same caveat as
 ``torch.jit.trace``.  The strict capture rule above (only scalars and
-registered ``zeros``/``ones``/``full`` constants may enter a tape
-unrecorded) turns the common cases of that mistake into a loud
-fallback instead of a silent wrong replay.
+registered ``zeros`` constants may enter a tape unrecorded) turns the
+common cases of that mistake into a loud fallback instead of a silent
+wrong replay.
 """
 
 from __future__ import annotations
@@ -74,10 +71,12 @@ from __future__ import annotations
 from importlib import import_module
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.tensor.tensor import Tensor
 
 # The tensor *module* (the package re-exports a same-named function):
-# recording installs/clears the ``_TRACE`` hook on it.
+# recording installs and clears the recorder hook on it.
 _core = import_module("repro.tensor.tensor")
 
 __all__ = [
@@ -106,9 +105,31 @@ class Tape(NamedTuple):
     #: for the external and op-output slots each replay fills.
     slots: tuple
     ext_slots: tuple
-    #: ``(call, in_slots, out_slots, args, kwargs)`` in program order.
+    #: ``(call, args, kwargs, out_slots)`` in program order, each
+    #: tensor argument replaced by its :class:`_Slot`.
     instrs: tuple
     root_slot: int
+
+
+class _Slot(int):
+    """A recorded call's tensor argument: the index of its slot."""
+
+
+class _Seq(NamedTuple):
+    """A recorded list or tuple argument that holds tensors."""
+
+    kind: type
+    items: tuple
+
+
+def _bind(value, slots):
+    """A recorded argument with each slot replaced by its tensor."""
+    kind = type(value)
+    if kind is _Slot:
+        return slots[value]
+    if kind is _Seq:
+        return value.kind(_bind(item, slots) for item in value.items)
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +150,6 @@ class TraceRecorder:
         self.instrs: list[tuple] = []
         self.slot_of: dict[int, int] = {}
         self.const_ids: set[int] = set()
-        self.claimed: set[int] = set()
         self.saw_nodes: list[Tensor] = []
         self.root_slot: int | None = None
         self.ext_slots: list[int] = []
@@ -175,44 +195,56 @@ class TraceRecorder:
 
     def saw(self, t: Tensor) -> None:
         """Every tracked graph node passes through here; any node no
-        ``record`` call claims came from an op the tape cannot replay."""
+        ``_op`` returned came from an op the tape cannot replay."""
         if self.abort_reason is None:
             self.saw_nodes.append(t)
 
-    def record(self, call, inputs, outputs, *args, **kwargs) -> None:
-        """Note that ``call(*inputs, *args, **kwargs)`` just returned
-        ``outputs`` (a tuple, in the order ``call`` returns them)."""
+    def record(self, call, args, kwargs, ret) -> None:
+        """Note that ``call(*args, **kwargs)`` just returned ``ret``."""
         if self.abort_reason is not None:
             return
         if not _core._grad_enabled:
             self.abort("no_grad() inside the traced region")
             return
-        in_slots = []
-        for t in inputs:
-            s = self.slot_of.get(id(t))
-            if s is None:
-                s = self._capture_unknown(t)
-                if s is None:
-                    return
-            in_slots.append(s)
-        out_slots = []
-        for t in outputs:
-            out_slots.append(self._new_slot(t))
-            self.claimed.add(id(t))
+        args = tuple(self._argument(a) for a in args)
+        kwargs = {k: self._argument(v) for k, v in kwargs.items()}
+        if self.abort_reason is not None:
+            return
+        outs = ret if type(ret) is tuple else (ret,)
         self.instrs.append(
-            (call, tuple(in_slots), tuple(out_slots), args, kwargs)
+            (call, args, kwargs, tuple(self._new_slot(t) for t in outs))
         )
 
-    def _capture_unknown(self, t: Tensor) -> int | None:
-        if t.requires_grad or t._prev or t._freed:
-            self.abort(
-                "op consumed a graph tensor created outside the traced region"
-            )
-            return None
-        if id(t) in self.const_ids or t.data.size <= 1:
-            return self._new_slot(t, Tensor(t.data.copy(), dtype=t.dtype))
+    def _argument(self, value):
+        """``value`` as the tape holds it: a tensor as its slot, a list
+        or tuple holding tensors as a :class:`_Seq`, anything else as it
+        is.  Only scalars and ``zeros`` results enter the tape
+        unrecorded, as copies; any other tensor or array made outside
+        the traced ops aborts the recording."""
+        if isinstance(value, (list, tuple)):
+            items = tuple(self._argument(item) for item in value)
+            if any(type(item) in (_Slot, _Seq) for item in items):
+                return _Seq(type(value), items)
+            return value
+        if isinstance(value, Tensor):
+            slot = self.slot_of.get(id(value))
+            if slot is not None:
+                return _Slot(slot)
+            if value.requires_grad or value._prev or value._freed:
+                self.abort(
+                    "op consumed a graph tensor created outside the traced region"
+                )
+                return None
+            if id(value) in self.const_ids or value.size <= 1:
+                copy = Tensor(value.data.copy(), dtype=value.dtype)
+                return _Slot(self._new_slot(value, copy))
+        elif not isinstance(value, np.ndarray):
+            return value
+        elif value.size <= 1:
+            return value.copy()
+        kind = "a tensor" if isinstance(value, Tensor) else "an array"
         self.abort(
-            f"op consumed a tensor of shape {t.shape} created outside the "
+            f"op consumed {kind} of shape {value.shape} created outside the "
             "traced ops (only scalars and zeros/ones/full are capturable)"
         )
         return None
@@ -230,7 +262,7 @@ class TraceRecorder:
         if self.abort_reason is not None:
             return self.abort_reason
         for t in self.saw_nodes:
-            if id(t) not in self.claimed:
+            if t._grad_span is None:  # no _op returned it
                 return (
                     "graph contains an op the tracer does not support "
                     f"(node shape {t.shape})"
@@ -431,8 +463,11 @@ class TraceSession:
         slots = list(tape.slots)
         for slot, t in zip(tape.ext_slots, (*inputs, target)):
             slots[slot] = t
-        for call, ins, outs, args, kwargs in tape.instrs:
-            ret = call(*[slots[s] for s in ins], *args, **kwargs)
+        for call, args, kwargs, outs in tape.instrs:
+            ret = call(
+                *[_bind(a, slots) for a in args],
+                **{k: _bind(v, slots) for k, v in kwargs.items()},
+            )
             if len(outs) == 1:
                 slots[outs[0]] = ret
             else:

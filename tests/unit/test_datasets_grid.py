@@ -1,5 +1,7 @@
 """Grid datasets: representations, normalization, caching."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,13 @@ class TestValidation:
     def test_rank_check(self):
         with pytest.raises(ValueError, match="T, H, W, C"):
             GridDataset(np.zeros((10, 4, 6)))
+
+    @pytest.mark.parametrize("shape", [(0, 4, 6, 2), (10, 0, 6, 2)])
+    def test_empty_tensor_names_its_shape(self, shape):
+        # A grid of rows all before step 0 has no steps; the min/max
+        # normalization must not be what reports it.
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            GridDataset(np.zeros(shape, dtype=np.float32))
 
     def test_lead_time_check(self, tensor):
         with pytest.raises(ValueError):

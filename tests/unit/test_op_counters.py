@@ -4,8 +4,9 @@ seconds to ``tensor.op_s.<name>`` and one to ``tensor.op_calls.<name>``.
 Checked here: the exact calls of one small ConvLSTM step, one batch
 norm call per layer, the disabled path (nothing recorded, the loss bit
 for bit the same), the counted seconds of an epoch fitting inside its
-wall time, and the op names in ``src/`` equalling the catalogue table
-in ``docs/OBSERVABILITY.md``."""
+wall time, and the op names (the op table's and the literal
+``op_span`` calls' in ``src/``) equalling the catalogue table in
+``docs/OBSERVABILITY.md``."""
 
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from repro.data import DataLoader
 from repro.nn import functional as F
 from repro.optim import Adam
 from repro.tensor import Tensor
+from repro.tensor.tensor import _OPS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -69,7 +71,14 @@ class TestCounts:
             "ops_fused.lstm_gates": 2,
             # The gate op's two outputs, h and c, each run a backward.
             "ops_fused.lstm_gates.backward": 4,
-            # mse_loss: the squared difference and its mean.
+            # One input frame sliced per time step (no gradient: the
+            # input is not a parameter), the hidden states stacked.
+            "tensor.getitem": 2,
+            "tensor.stack": 1,
+            "tensor.stack.backward": 1,
+            # mse_loss: the difference, its square and its mean.
+            "tensor.sub": 1,
+            "tensor.sub.backward": 1,
             "tensor.mul": 2,
             "tensor.mul.backward": 2,
             "tensor.sum": 1,
@@ -97,6 +106,32 @@ class TestCounts:
         calls = op_counters("op_calls")
         assert calls["ops_fused.batch_norm2d"] == layers
         assert calls["ops_fused.batch_norm2d.backward"] == layers
+
+
+def test_no_op_span_opens_inside_another(monkeypatch):
+    # The decorated ops never call one another, so op seconds add up.
+    from contextlib import contextmanager
+
+    from repro.core.models.raster import SatCNN
+    from repro.tensor import tensor as tensor_mod
+
+    depth, deepest = [0], [0]
+
+    @contextmanager
+    def nesting_probe(name):
+        depth[0] += 1
+        deepest[0] = max(deepest[0], depth[0])
+        try:
+            yield
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(tensor_mod, "op_span", nesting_probe)
+    convlstm_step()
+    model = SatCNN(2, 8, 8, 3, base_filters=2, rng=0)
+    x = Tensor(np.random.default_rng(0).random((4, 2, 8, 8), dtype=np.float32))
+    F.cross_entropy(model(x), np.array([0, 1, 2, 0])).backward()
+    assert deepest[0] == 1
 
 
 class TestDisabled:
@@ -146,8 +181,14 @@ def test_counted_seconds_fit_in_the_epoch():
 
 
 def _op_span_names() -> set:
-    """Every ``op_span("...")`` literal under ``src/``."""
+    """Every op in the op table and its ``.backward`` (``tensor.detach``
+    makes no graph node, so it has none), and every ``op_span("...")``
+    literal under ``src/``."""
     names = set()
+    for name in _OPS:
+        names.add(name)
+        if name != "tensor.detach":
+            names.add(name + ".backward")
     for folder, _, files in os.walk(os.path.join(ROOT, "src")):
         for file in files:
             if not file.endswith(".py"):

@@ -187,6 +187,13 @@ class TestReductions:
         t.max().backward()
         np.testing.assert_allclose(t.grad, [0.0, 0.5, 0.5])
 
+    def test_max_grad_goes_to_the_nan(self):
+        # A slice holding NaN has maximum NaN: its gradient goes to the
+        # NaN position(s), not NaN over the whole slice.
+        t = Tensor([[1.0, np.nan, 3.0], [4.0, 2.0, 4.0]], requires_grad=True)
+        t.max(axis=1).sum().backward()
+        np.testing.assert_array_equal(t.grad, [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
+
     def test_max_axis(self, rng):
         t = Tensor(rng.random((3, 4), dtype=np.float32))
         np.testing.assert_allclose(

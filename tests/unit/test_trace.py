@@ -223,8 +223,8 @@ class TestLifecycle:
 
 
 def clip(t, low, high):
-    """Clipping as a model might define it: an autograd op with no
-    ``record`` call."""
+    """Clipping as a model might define it: an autograd op not defined
+    under ``_op``, so no call of it is recorded."""
     mask = (t.data >= low) & (t.data <= high)
 
     def backward(grad):
@@ -234,7 +234,7 @@ def clip(t, low, high):
 
 
 def where(cond, a, b):
-    """A differentiable select with no ``record`` call."""
+    """A differentiable select not defined under ``_op``."""
 
     def backward(grad):
         a._accumulate(grad * cond)
@@ -244,7 +244,8 @@ def where(cond, a, b):
 
 
 class Untraceable(nn.Module):
-    """Uses an op that has no ``record`` call."""
+    """Uses ``op``: one not defined under ``_op`` (``clip``, ``where``),
+    an outside tensor or array, or ``max``, which is."""
 
     def __init__(self, op):
         super().__init__()
@@ -259,6 +260,8 @@ class Untraceable(nn.Module):
             return h + h.max(axis=1, keepdims=True)
         if self.op == "where":
             return where(x.data[:, :3] > 0, h, h * 0.5)
+        if self.op == "outside_array":
+            return h * np.full((1, 3), 0.5, dtype=np.float32)
         # a non-scalar tensor made outside the traced ops
         return h * Tensor(np.full((1, 3), 0.5, dtype=np.float32))
 
@@ -268,9 +271,9 @@ class TestUntraceableModels:
         "op,reason",
         [
             ("clip", "created outside the traced region"),
-            ("max", "created outside the traced region"),
             ("where", "created outside the traced region"),
             ("outside_tensor", "only scalars and zeros/ones/full"),
+            ("outside_array", "only scalars and zeros/ones/full"),
         ],
     )
     def test_session_disables_with_reason_and_matches_eager(self, op, reason):
@@ -281,14 +284,21 @@ class TestUntraceableModels:
         assert reason in stats["disabled_reason"]
         assert stats["replays"] == 0
 
+    def test_max_replays_bit_identically(self):
+        # ``Tensor.max`` is an op like any other: recorded, replayed.
+        rng = np.random.default_rng(14)
+        batches = [((x,), y) for x, y in (batch(rng) for _ in range(3))]
+        stats = steps_match_eager(lambda: Untraceable("max"), batches)
+        assert (stats["state"], stats["replays"]) == ("ready", 2)
+
     def test_unrecorded_op_nothing_recorded_consumes(self):
-        # No record call ever sees these outputs, so the recorder only
+        # No recorded call ever sees these outputs, so the recorder only
         # learns of them from the loss / the unclaimed graph node.
         rng = np.random.default_rng(15)
         x, y = batch(rng)
 
         session = TraceSession(
-            TinyNet(), lambda out, target: (out - target).max()
+            TinyNet(), lambda out, target: clip((out - target).sum(), -9.0, 9.0)
         )
         session.step((x,), y)
         assert session.stats()["state"] == "disabled"
